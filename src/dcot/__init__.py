@@ -7,7 +7,16 @@ per-mode similarity weights.  The solver is a linearized multi-block
 ADMM with per-block proximal steps.
 """
 
-from .losses import DomainError, LossFamily, ObservationSet, loss_gradient, loss_lipschitz, loss_value
+from .losses import (
+    DomainError,
+    LossFamily,
+    ObservationSet,
+    loss_curvature,
+    loss_curvature_min,
+    loss_gradient,
+    loss_lipschitz,
+    loss_value,
+)
 from .model import (
     DcotModel,
     InitStrategy,
@@ -31,7 +40,6 @@ from .similarity import (
 from .solver import (
     BlockPenalties,
     ConvergenceTrace,
-    InnerSolveError,
     SolverAbort,
     SolverConfig,
     SolverResult,
@@ -39,6 +47,7 @@ from .solver import (
     estimate_moduli,
     factor_gradient,
     lagrangian_value,
+    newton_z,
     residual_tensor,
     solve,
     update_cores,

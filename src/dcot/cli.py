@@ -41,7 +41,7 @@ from .model import (
 )
 from .prox import Penalty
 from .similarity import ModeSimilarity, SimilarityModel, label_consistency, mode_similarity
-from .solver import BlockPenalties, InnerSolveError, SolverAbort, SolverConfig, solve
+from .solver import BlockPenalties, SolverAbort, SolverConfig, solve
 
 EXIT_OK, EXIT_CONFIG, EXIT_SOLVER, EXIT_IO = 0, 2, 3, 4
 
@@ -254,9 +254,8 @@ def _parse_penalties(obj, ranks, partition, where="penalties") -> BlockPenalties
 
 _SOLVER_KEYS = (
     "gamma", "rho_g", "rho_h", "rho_factors", "max_iters", "tol_primal",
-    "tol_step", "lipschitz_safety", "fixed_moduli", "moduli_period", "z_solver",
-    "qn_memory", "qn_max_inner", "qn_grad_tol", "z_floor", "tie_reducer",
-    "dual_init", "freeze_h", "divergence_factor",
+    "tol_step", "lipschitz_safety", "fixed_moduli", "moduli_period", "z_floor",
+    "tie_reducer", "dual_init", "freeze_h", "divergence_factor",
 )
 
 
@@ -593,7 +592,7 @@ def main(argv=None) -> int:
     except io.ConfigError as exc:
         _emit_error("config", str(exc), EXIT_CONFIG)
         return EXIT_CONFIG
-    except (SolverAbort, InnerSolveError) as exc:
+    except SolverAbort as exc:
         _emit_error("solver", str(exc), EXIT_SOLVER)
         return EXIT_SOLVER
     except io.DataIOError as exc:

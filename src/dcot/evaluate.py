@@ -19,7 +19,7 @@ import numpy as np
 from .losses import LossFamily, ObservationSet
 from .model import DcotModel, InitStrategy, SubjectPartition, initial_model, reconstruct
 from .similarity import SimilarityModel, mode_similarity
-from .solver import SolverConfig, solve
+from .solver import SolverAbort, SolverConfig, solve
 
 log = logging.getLogger("dcot.evaluate")
 
@@ -224,15 +224,13 @@ def _with_weights(config: SolverConfig, weights: dict) -> SolverConfig:
 
 
 def _grid_eval(args):
-    from .solver import InnerSolveError, SolverAbort
-
     weights, train, test, family, sim, config, ranks, strategy, partition = args
     cfg = _with_weights(config, weights)
     init = initial_model(train.to_dense(float(train.values.mean())), ranks, strategy,
                          partition, cfg.tie_reducer)
     try:
         result = solve(train, init, family, sim, cfg)
-    except (SolverAbort, InnerSolveError) as exc:
+    except SolverAbort as exc:
         log.warning("grid point %s failed: %s", weights, exc)
         return GridPoint(weights=weights, validation_rmse=math.inf, converged=False)
     return GridPoint(

@@ -178,6 +178,51 @@ def loss_gradient(
     return grad / count
 
 
+def loss_curvature(
+    family: LossFamily, sim, omega: ObservationSet, z: np.ndarray
+) -> np.ndarray:
+    """Elementwise second derivative of :func:`loss_value` (its Hessian is diagonal).
+
+    Nonnegative except for the ``gamma`` family, whose loss is not convex.
+    """
+    z = np.asarray(z, dtype=float)
+    if z.shape != omega.shape:
+        raise ValueError(f"z shape {z.shape} does not match data shape {omega.shape}")
+    family.check_domain(z)
+    mom = _moments(sim, omega)
+    w, m1, count = mom.weight_sum, mom.weighted_x, mom.count
+    if family.kind == "gaussian":
+        curv = 2.0 * w
+    elif family.kind == "bernoulli":
+        p = expit(z)
+        curv = w * p * (1.0 - p)
+    elif family.kind == "poisson":
+        curv = m1 / np.maximum(z, _POISSON_FLOOR) ** 2
+    else:  # gamma
+        zz = z + family.epsilon
+        curv = (2.0 * m1 / zz - w) / zz**2
+    return curv / count
+
+
+def loss_curvature_min(
+    family: LossFamily, sim, omega: ObservationSet, z_min: float
+) -> np.ndarray:
+    """Per-cell minimum of :func:`loss_curvature` over ``z >= z_min``.
+
+    Zero (a lower bound) for the convex families.  For ``gamma``, with
+    ``u = 1 / (z + eps)`` the scaled curvature ``2 m1 u^3 - w u^2``
+    decreases in ``u`` up to ``u = w / (3 m1)``, and ``u <= 1 / (z_min + eps)``.
+    """
+    mom = _moments(sim, omega)
+    if family.kind != "gamma":
+        return np.zeros(omega.shape)
+    w, m1, count = mom.weight_sum, mom.weighted_x, mom.count
+    u_max = 1.0 / (z_min + family.epsilon)
+    crit = np.divide(w, 3.0 * m1, out=np.full(omega.shape, np.inf), where=m1 > 0)
+    u = np.minimum(crit, u_max)
+    return (2.0 * m1 * u - w) * u**2 / count
+
+
 def loss_lipschitz(
     family: LossFamily, sim, omega: ObservationSet, z_min: float | None = None
 ) -> float:

@@ -11,8 +11,8 @@ quadratic coupling term
 
 linearized at the current point with per-block step ``1 / rho``.  The
 ``z`` update minimizes smoothed loss + coupling exactly (a closed form
-for the gaussian family, limited-memory BFGS otherwise) and the dual
-ascends along the constraint residual.
+for the gaussian family, a safeguarded per-cell Newton solve otherwise)
+and the dual ascends along the constraint residual.
 
 Sign conventions: with the augmented Lagrangian written as
 ``F + penalties - <y, recon - z> + (gamma/2) ||recon - z||^2`` and the
@@ -29,9 +29,16 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.optimize
 
-from .losses import LossFamily, ObservationSet, loss_gradient, loss_lipschitz, loss_value
+from .losses import (
+    LossFamily,
+    ObservationSet,
+    loss_curvature,
+    loss_curvature_min,
+    loss_gradient,
+    loss_lipschitz,
+    loss_value,
+)
 from .model import DcotModel, reconstruct, tie_heterogeneous_core
 from .prox import Penalty, penalty_value, prox_apply
 from .similarity import Moments, SimilarityModel, smoothing_moments
@@ -40,26 +47,15 @@ from .tensor import frob_inner, frob_norm, matricize, n_mode_product
 log = logging.getLogger("dcot.solver")
 
 _MODULI_FLOOR = 1e-8
+_NEWTON_MAX_INNER = 100
 
 
 class SolverAbort(RuntimeError):
-    """The augmented Lagrangian diverged past the safeguard."""
+    """The augmented Lagrangian diverged past the safeguard, or the z block failed."""
 
     def __init__(self, message: str, trace: "ConvergenceTrace | None" = None):
         super().__init__(message)
         self.trace = trace
-
-
-class InnerSolveError(RuntimeError):
-    """The z subproblem's inner solver missed its gradient tolerance."""
-
-    def __init__(self, achieved: float, tolerance: float):
-        super().__init__(
-            f"inner z solve reached gradient norm {achieved:.3e} "
-            f"(tolerance {tolerance:.3e})"
-        )
-        self.achieved = achieved
-        self.tolerance = tolerance
 
 
 @dataclass(frozen=True)
@@ -94,6 +90,9 @@ class SolverConfig:
     them for that many iterations; stale moduli can understate the
     curvature when factor norms drift and send the sweep uphill).
     ``fixed_moduli`` pins them to the initial estimate for the whole run.
+    ``z_floor`` is the lower bound on ``z`` for the poisson and gamma
+    families; the z block itself has no knobs, since it is solved exactly
+    (see :func:`update_z`).
     """
 
     gamma: float = 0.0
@@ -107,10 +106,6 @@ class SolverConfig:
     lipschitz_safety: float = 1.1
     fixed_moduli: bool = False
     moduli_period: int = 1
-    z_solver: str = "auto"  # auto | closed_form | quasi_newton
-    qn_memory: int = 10
-    qn_max_inner: int = 50
-    qn_grad_tol: float | None = None
     z_floor: float = 1e-6
     tie_reducer: str = "mean"
     dual_init: str = "gradient"  # gradient | zero
@@ -118,8 +113,6 @@ class SolverConfig:
     divergence_factor: float = 10.0
 
     def __post_init__(self):
-        if self.z_solver not in ("auto", "closed_form", "quasi_newton"):
-            raise ValueError(f"unknown z solver {self.z_solver!r}")
         if self.dual_init not in ("gradient", "zero"):
             raise ValueError(f"unknown dual init {self.dual_init!r}")
         if self.tie_reducer not in ("mean", "representative"):
@@ -292,71 +285,91 @@ def update_z(
     sim,
     omega: ObservationSet,
     *,
-    z_solver: str = "auto",
     z_floor: float = 1e-6,
-    qn_memory: int = 10,
-    qn_max_inner: int = 50,
-    qn_grad_tol: float = 1e-8,
 ) -> np.ndarray:
     """Solve the z block: smoothed loss plus the quadratic coupling.
 
     The proximal center is ``recon - y / gamma``.  For the gaussian family
-    the minimizer is the elementwise closed form; other families run
-    warm-started L-BFGS-B (with a ``z >= z_floor`` bound for the positive
-    families) to max-norm gradient tolerance ``qn_grad_tol``.
+    the minimizer is the elementwise closed form; other families go to
+    :func:`newton_z`, warm-started at ``z``.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     center = reconstruct(model) - y / gamma
     mom = sim if isinstance(sim, Moments) else smoothing_moments(sim, omega)
-    if z_solver == "auto":
-        z_solver = "closed_form" if family.kind == "gaussian" else "quasi_newton"
-    if z_solver == "closed_form":
-        if family.kind != "gaussian":
-            raise ValueError("closed-form z update applies to the gaussian family")
+    if family.kind == "gaussian":
         count = mom.count
         return (2.0 * mom.weighted_x / count + gamma * center) / (
             2.0 * mom.weight_sum / count + gamma
         )
+    return newton_z(family, mom, omega, center, gamma, z, z_floor=z_floor)
 
+
+def newton_z(
+    family: LossFamily,
+    sim,
+    omega: ObservationSet,
+    center: np.ndarray,
+    gamma: float,
+    z0: np.ndarray,
+    *,
+    z_floor: float = 1e-6,
+) -> np.ndarray:
+    """Minimize ``F(z) + (gamma / 2) ||z - center||^2`` cell by cell.
+
+    The loss Hessian is diagonal, so the problem is ``prod(I)`` independent
+    1-D problems, each strongly convex on its domain (``z >= z_floor`` for
+    poisson and gamma) with modulus ``mu = gamma + min curvature``.  All
+    cells take Newton steps at once, projected onto the floor.  Each cell
+    keeps a bracket around its minimizer: initially the strong-convexity
+    bound ``|z - z*| <= |grad| / mu``, then shrunk by the sign of the
+    gradient at every iterate.  A cell bisects its bracket where the Newton
+    step leaves it or the curvature is not positive; plain Newton is not a
+    contraction for the gamma family.  Stops when the max-norm projected
+    gradient is at most ``1e-8 * max(1, rms(x_Omega))``; one step is exact
+    for the gaussian family.
+
+    Raises :class:`SolverAbort` naming the z block when the gradient turns
+    non-finite or the tolerance is not met within a fixed iteration cap.
+    """
+    mom = sim if isinstance(sim, Moments) else smoothing_moments(sim, omega)
+    mu = gamma + loss_curvature_min(family, mom, omega, z_floor)
+    if not np.all(mu > 0):
+        raise ValueError(
+            f"gamma {gamma:.3e} does not make the {family.kind} z subproblem "
+            "strongly convex"
+        )
     bounded = family.kind in ("poisson", "gamma")
-    shape = omega.shape
-    x0 = np.asarray(z, dtype=float)
-    if bounded:
-        x0 = np.maximum(x0, z_floor)
+    floor = z_floor if bounded else -np.inf
+    scale = float(np.sqrt(np.mean(omega.values**2))) if len(omega) else 1.0
+    tol = 1e-8 * max(1.0, scale)
 
-    def objective(flat: np.ndarray):
-        zz = flat.reshape(shape)
-        with np.errstate(over="ignore"):
-            val = loss_value(family, mom, omega, zz)
-            val += 0.5 * gamma * float(((zz - center) ** 2).sum())
-            grad = loss_gradient(family, mom, omega, zz) + gamma * (zz - center)
-        return val, grad.ravel()
+    def gradient(zz):
+        return loss_gradient(family, mom, omega, zz) + gamma * (zz - center)
 
-    bounds = [(z_floor, None)] * x0.size if bounded else None
-    res = scipy.optimize.minimize(
-        objective,
-        x0.ravel(),
-        jac=True,
-        method="L-BFGS-B",
-        bounds=bounds,
-        options={
-            "maxcor": qn_memory,
-            "maxiter": qn_max_inner,
-            "ftol": 0.0,
-            "gtol": qn_grad_tol,
-        },
+    z = np.maximum(np.asarray(z0, dtype=float), floor)
+    grad = gradient(z)
+    reach = grad / mu
+    lo = np.maximum(z - np.maximum(reach, 0.0), floor)
+    hi = z - np.minimum(reach, 0.0)
+    for _ in range(_NEWTON_MAX_INNER):
+        # a cell on the floor with a positive gradient is optimal
+        achieved = float(np.maximum(-grad, grad * (z > floor)).max())
+        if not math.isfinite(achieved):
+            raise SolverAbort("z block: the gradient is not finite")
+        if achieved <= tol:
+            return z
+        lo = np.where(grad < 0, z, lo)
+        hi = np.where(grad > 0, z, hi)
+        hess = loss_curvature(family, mom, omega, z) + gamma
+        step = np.maximum(z - grad / hess, floor)
+        newton = (hess > 0) & (step >= lo) & (step <= hi)
+        z = np.where(newton, step, 0.5 * (lo + hi))
+        grad = gradient(z)
+    raise SolverAbort(
+        f"z block: Newton solve reached projected gradient {achieved:.3e} "
+        f"(tolerance {tol:.3e}) in {_NEWTON_MAX_INNER} iterations"
     )
-    z_new = res.x.reshape(shape)
-    if bounded:
-        z_new = np.maximum(z_new, z_floor)
-    grad = loss_gradient(family, mom, omega, z_new) + gamma * (z_new - center)
-    if bounded:
-        grad = np.where((z_new <= z_floor) & (grad > 0), 0.0, grad)
-    achieved = float(np.abs(grad).max())
-    if achieved > qn_grad_tol:
-        raise InnerSolveError(achieved, qn_grad_tol)
-    return z_new
 
 
 def update_dual(model: DcotModel, z, y, gamma: float) -> np.ndarray:
@@ -500,8 +513,6 @@ def solve(
     tol_primal = cfg.tol_primal
     if tol_primal is None:
         tol_primal = 1e-6 * float(np.linalg.norm(omega.values))
-    scale = float(np.sqrt(np.mean(omega.values**2))) if len(omega) else 1.0
-    grad_tol = cfg.qn_grad_tol if cfg.qn_grad_tol is not None else 1e-8 * max(1.0, scale)
     pen = cfg.penalties
     n_modes = len(model.factors)
 
@@ -577,20 +588,10 @@ def solve(
                 model, z, y, gamma, rho_g, rho_h, pen.g, pen.h, cfg.tie_reducer
             )
         model.core_g, model.core_h = g_new, h_new
-        z_new = update_z(
-            model,
-            z,
-            y,
-            gamma,
-            family,
-            mom,
-            omega,
-            z_solver=cfg.z_solver,
-            z_floor=cfg.z_floor,
-            qn_memory=cfg.qn_memory,
-            qn_max_inner=cfg.qn_max_inner,
-            qn_grad_tol=grad_tol,
-        )
+        try:
+            z_new = update_z(model, z, y, gamma, family, mom, omega, z_floor=cfg.z_floor)
+        except SolverAbort as exc:
+            raise SolverAbort(f"{exc} at iteration {k}", trace) from exc
         y_new = update_dual(model, z_new, y, gamma)
 
         steps = (

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -315,6 +317,29 @@ class TestCliErrors:
         cfg = fit_config("x", synth_dir="nowhere")
         code = run_cli(tmp_path, "factorize", cfg)
         assert code == 4
+
+    @pytest.mark.parametrize("key, value", [("z_solver", "quasi_newton"),
+                                            ("qn_grad_tol", 1e-8)])
+    def test_removed_z_solver_keys_rejected(self, tmp_path, monkeypatch, capsys,
+                                            key, value):
+        monkeypatch.chdir(tmp_path)
+        run_cli(tmp_path, "synth", synth_config())
+        capsys.readouterr()
+        cfg = fit_config("run_out", max_iters=5)
+        cfg["solver"][key] = value
+        assert run_cli(tmp_path, "complete", cfg) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["kind"] == "config" and key in error["message"]
+        assert not (tmp_path / "run_out").exists()
+
+    def test_readme_lists_every_solver_key(self):
+        from dcot.cli import _SOLVER_KEYS
+
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split('Every key of the `"solver"` object', 1)[1].split("\n\n")[1]
+        documented = re.findall(r"`(\w+)`", "".join(
+            row.split("|")[1] for row in table.splitlines()[2:]))
+        assert sorted(documented) == sorted(_SOLVER_KEYS)
 
     def test_group_lasso_groups_from_partition(self):
         from dcot.cli import _parse_penalties

@@ -6,6 +6,8 @@ from dcot.losses import (
     DomainError,
     LossFamily,
     ObservationSet,
+    loss_curvature,
+    loss_curvature_min,
     loss_gradient,
     loss_lipschitz,
     loss_value,
@@ -148,6 +150,38 @@ class TestLossGradient:
         before = loss_value(fam, sim, omega, z)
         after = loss_value(fam, sim, omega, z - 1e-3 * grad)
         assert after < before
+
+
+class TestLossCurvature:
+    @pytest.mark.parametrize("family", ["gaussian", "bernoulli", "poisson", "gamma"])
+    def test_matches_finite_differences(self, family, rng):
+        omega, sim = make_problem(rng, family=family)
+        fam = LossFamily(family)
+        if family in ("poisson", "gamma"):
+            z = positive_z(rng, omega.shape)
+        else:
+            z = rng.standard_normal(omega.shape)
+        curv = loss_curvature(fam, sim, omega, z)
+        # the Hessian is diagonal: cell t's gradient moves only with z_t
+        h = 1e-5
+        fd = (loss_gradient(fam, sim, omega, z + h)
+              - loss_gradient(fam, sim, omega, z - h)) / (2 * h)
+        denom = max(np.abs(fd).max(), 1e-12)
+        assert np.abs(curv - fd).max() / denom < 1e-5
+
+    @pytest.mark.parametrize("family", ["gaussian", "bernoulli", "poisson", "gamma"])
+    def test_min_bounds_curvature_on_domain(self, family, rng):
+        omega, sim = make_problem(rng, family=family)
+        fam = LossFamily(family)
+        z_min = 0.05
+        low = loss_curvature_min(fam, sim, omega, z_min)
+        grid = np.geomspace(z_min, 1e3, 400) if family in ("poisson", "gamma") else \
+            np.linspace(-20.0, 20.0, 401)
+        curv = np.stack([loss_curvature(fam, sim, omega, np.full(omega.shape, q))
+                         for q in grid])
+        assert np.all(curv >= low - 1e-12)
+        if family == "gamma":  # the bound is attained, so it is the minimum
+            assert np.abs(curv.min(axis=0) - low).max() <= 1e-3 * np.abs(low).max()
 
 
 class TestLossLipschitz:

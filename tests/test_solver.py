@@ -22,6 +22,7 @@ from dcot.solver import (
     estimate_moduli,
     factor_gradient,
     lagrangian_value,
+    newton_z,
     residual_tensor,
     solve,
     update_cores,
@@ -211,13 +212,12 @@ class TestUpdateZ:
         got = update_z(model, z, y, gamma, LossFamily("gaussian"), sim, omega)
         assert np.abs(got - center).max() < 1e-6
 
-    def test_closed_form_matches_quasi_newton(self, rng):
+    def test_closed_form_matches_newton(self, rng):
         model, z, y, omega, sim = self.make(rng)
         fam = LossFamily("gaussian")
-        closed = update_z(model, z, y, 0.7, fam, sim, omega, z_solver="closed_form")
-        qn = update_z(model, z, y, 0.7, fam, sim, omega, z_solver="quasi_newton",
-                      qn_max_inner=500, qn_grad_tol=1e-12)
-        assert np.abs(closed - qn).max() < 1e-8
+        closed = update_z(model, z, y, 0.7, fam, sim, omega)
+        newton = newton_z(fam, sim, omega, reconstruct(model) - y / 0.7, 0.7, z)
+        assert np.abs(closed - newton).max() < 1e-8
 
     def test_scalar_grid_oracle(self, rng):
         shape = (1,)
@@ -241,23 +241,48 @@ class TestUpdateZ:
         assert abs(got[0] - qs[int(np.argmin(vals))]) < 1e-4
 
     @pytest.mark.parametrize("family", ["bernoulli", "poisson", "gamma"])
-    def test_quasi_newton_first_order_condition(self, family, rng):
+    def test_newton_first_order_condition(self, family, rng):
         model, z, y, omega, sim = self.make(rng, family=family)
         fam = LossFamily(family)
         gamma = 0.8
         z0 = np.abs(z) + 0.5 if family in ("poisson", "gamma") else z
-        got = update_z(model, z0, y, gamma, fam, sim, omega,
-                       qn_max_inner=300, qn_grad_tol=1e-6, z_floor=1e-8)
+        got = update_z(model, z0, y, gamma, fam, sim, omega, z_floor=1e-8)
         center = reconstruct(model) - y / gamma
         grad = loss_gradient(fam, sim, omega, got) + gamma * (got - center)
         interior = got > 1e-8 if family in ("poisson", "gamma") else np.ones_like(got, bool)
         assert np.abs(grad[interior]).max() <= 1e-6 + 1e-12
+        # a cell held at the floor is optimal only if the objective rises above it
+        assert np.all(grad[~interior] >= 0)
 
-    def test_closed_form_rejected_for_non_gaussian(self, rng):
-        model, z, y, omega, sim = self.make(rng, family="poisson")
-        with pytest.raises(ValueError):
-            update_z(model, z, y, 1.0, LossFamily("poisson"), sim, omega,
-                     z_solver="closed_form")
+    @pytest.mark.parametrize("family", ["poisson", "gamma"])
+    def test_newton_floor_is_active_constraint(self, family, rng):
+        model, z, y, omega, sim = self.make(rng, family=family)
+        fam = LossFamily(family)
+        gamma, floor = 0.8, 0.5
+        # centers far below the floor pin some cells to it
+        y = y + 5.0 * gamma * (rng.random(y.shape) < 0.5)
+        got = update_z(model, np.abs(z) + 1.0, y, gamma, fam, sim, omega, z_floor=floor)
+        center = reconstruct(model) - y / gamma
+        grad = loss_gradient(fam, sim, omega, got) + gamma * (got - center)
+        at_floor = got <= floor
+        assert got.min() >= floor and at_floor.any()
+        assert np.all(grad[at_floor] >= 0)
+        tol = 1e-8 * max(1.0, np.sqrt(np.mean(omega.values**2)))
+        assert np.abs(grad[~at_floor]).max() <= tol
+
+    def test_newton_gives_up_naming_z_block(self, rng):
+        model, z, y, omega, sim = self.make(rng, family="bernoulli")
+        center = reconstruct(model)
+        center.flat[0] = np.nan
+        with pytest.raises(SolverAbort, match="z block"):
+            newton_z(LossFamily("bernoulli"), sim, omega, center, 0.8, z)
+
+    def test_newton_rejects_nonconvex_subproblem(self, rng):
+        model, z, y, omega, sim = self.make(rng, family="gamma")
+        # the gamma loss is not convex: near z = 3 m1 / w its curvature is
+        # negative by far more than this gamma
+        with pytest.raises(ValueError, match="strongly convex"):
+            newton_z(LossFamily("gamma"), sim, omega, reconstruct(model), 1e-6, z + 1.0)
 
 
 class TestUpdateDual:
@@ -383,10 +408,10 @@ class TestEstimateModuli:
         assert cfg.rho_g == 7.0
 
 
-def planted_problem(seed=1, shape=(8, 8, 8), sigma=0.0, missing=0.0):
+def planted_problem(seed=1, shape=(8, 8, 8), sigma=0.0, missing=0.0, family="gaussian"):
     part = SubjectPartition(0, (SliceGroup((0, 1)), SliceGroup((2,)),))
     spec = SynthSpec(shape=shape, ranks=(3, 3, 3), partition=part,
-                     subject_core_scale=1.0, noise_sigma=sigma,
+                     subject_core_scale=1.0, noise_family=family, noise_sigma=sigma,
                      missing_fraction=missing, seed=seed)
     return synthesize(spec), part
 
@@ -458,6 +483,40 @@ class TestSolve:
         dz = res.trace.column("z_step")[1:]
         assert np.all(dy <= lf * dz + 1e-8)
 
+    def test_bernoulli_descent_and_dual_primal_bound(self):
+        from dcot.losses import loss_lipschitz
+
+        # the z step is exact, so y = -grad F(z) holds and bounds the dual step
+        fam = LossFamily("bernoulli")
+        data, part = planted_problem(seed=7, shape=(10, 10, 10), sigma=0.05,
+                                     missing=0.3, family="bernoulli")
+        mom = smoothing_moments(data.sim, data.observed)
+        lf = loss_lipschitz(fam, mom, data.observed)
+        init = initial_model(data.observed.to_dense(0.0), (3, 3, 3),
+                             InitStrategy("hosvd"), part)
+        cfg = SolverConfig(gamma=2.1 * lf, max_iters=200, fixed_moduli=True,
+                           tol_primal=0.0, tol_step=0.0)
+        res = solve(data.observed, init, fam, data.sim, cfg)
+        assert res.config.gamma == pytest.approx(2.1 * lf)
+        lag = res.trace.column("lagrangian")
+        assert len(lag) == 201
+        assert np.all(np.diff(lag) <= 1e-10)
+        dy = res.trace.column("dual_step")[1:]
+        dz = res.trace.column("z_step")[1:]
+        assert np.all(dy <= lf * dz + 1e-8)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("family", ["poisson", "gamma"])
+    def test_positive_families_solve_on_default_settings(self, family, seed):
+        data, part = planted_problem(seed=seed, shape=(12, 12, 12), missing=0.5,
+                                     family=family)
+        init = initial_model(data.observed.to_dense(float(data.observed.values.mean())),
+                             (3, 3, 3), InitStrategy("hosvd"), part)
+        cfg = SolverConfig(max_iters=20, z_floor=1e-2)
+        res = solve(data.observed, init, LossFamily(family), data.sim, cfg)
+        assert len(res.trace) == 21
+        assert np.isfinite(res.z).all() and res.z.min() >= 1e-2
+
     def test_freeze_h_keeps_zero_core(self):
         data, part = planted_problem(seed=4, sigma=0.05, missing=0.2)
         init = initial_model(data.observed.to_dense(float(data.observed.values.mean())),
@@ -485,8 +544,7 @@ class TestSolve:
                              (2, 2, 2), InitStrategy("hosvd"), part)
         # the curvature bound, and hence gamma, scales with 1/z_floor^2, so a
         # data-scale floor keeps the run usable
-        cfg = SolverConfig(max_iters=15, z_floor=0.5, qn_max_inner=200,
-                           qn_grad_tol=1e-6)
+        cfg = SolverConfig(max_iters=15, z_floor=0.5)
         res = solve(data.observed, init, LossFamily("poisson"), data.sim, cfg)
         assert np.isfinite(res.trace.column("lagrangian")).all()
         assert res.z.min() >= 0.5 - 1e-12
