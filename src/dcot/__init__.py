@@ -70,7 +70,6 @@ from .tensor import (
     fold,
     frob_inner,
     frob_norm,
-    kron,
     matricize,
     multilinear_product,
     n_mode_product,

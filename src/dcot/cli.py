@@ -252,11 +252,24 @@ def _parse_penalties(obj, ranks, partition, where="penalties") -> BlockPenalties
     return BlockPenalties(g=g, h=h, factors=factors)
 
 
-_SOLVER_KEYS = (
-    "gamma", "rho_g", "rho_h", "rho_factors", "max_iters", "tol_primal",
-    "tol_step", "lipschitz_safety", "fixed_moduli", "moduli_period", "z_floor",
-    "tie_reducer", "dual_init", "freeze_h", "divergence_factor",
-)
+_NUMBER = (int, float)
+_OPTIONAL_NUMBER = (int, float, type(None))
+
+# Every "solver" key with the JSON types it accepts (bools are rejected
+# unless listed, see _typed).
+_SOLVER_KEYS = {
+    "gamma": _NUMBER,
+    "rho_g": _OPTIONAL_NUMBER,
+    "rho_h": _OPTIONAL_NUMBER,
+    "rho_factors": (list, type(None)),
+    "max_iters": int,
+    "tol_primal": _OPTIONAL_NUMBER,
+    "tol_step": _NUMBER,
+    "lipschitz_safety": _NUMBER,
+    "fixed_moduli": bool,
+    "z_floor": _NUMBER,
+    "freeze_h": bool,
+}
 
 
 def _parse_solver(obj, penalties: BlockPenalties, where="solver") -> SolverConfig:
@@ -265,14 +278,16 @@ def _parse_solver(obj, penalties: BlockPenalties, where="solver") -> SolverConfi
     if not isinstance(obj, dict):
         raise io.ConfigError(f"{where}: expected an object")
     _expect_keys(obj, _SOLVER_KEYS, where)
-    kwargs = {}
-    for key in _SOLVER_KEYS:
-        if key not in obj:
-            continue
-        value = obj[key]
-        if key == "rho_factors" and value is not None:
-            value = tuple(float(v) for v in value)
-        kwargs[key] = value
+    kwargs = {
+        key: _typed(obj, key, types, where)
+        for key, types in _SOLVER_KEYS.items()
+        if key in obj
+    }
+    rho_factors = kwargs.get("rho_factors")
+    if rho_factors is not None:
+        if any(isinstance(v, bool) or not isinstance(v, _NUMBER) for v in rho_factors):
+            raise io.ConfigError(f"{where}.rho_factors: expected a list of numbers")
+        kwargs["rho_factors"] = tuple(float(v) for v in rho_factors)
     try:
         return SolverConfig(penalties=penalties, **kwargs)
     except (TypeError, ValueError) as exc:
@@ -431,9 +446,7 @@ def _cmd_factorize(cfg: dict, out_dir: Path, seed: int, default_format: str,
         cfg, base, seed, default_format
     )
     fill = 0.0 if family.kind == "bernoulli" else float(omega.values.mean())
-    init = initial_model(
-        omega.to_dense(fill), ranks, strategy, partition, solver_cfg.tie_reducer
-    )
+    init = initial_model(omega.to_dense(fill), ranks, strategy, partition)
     result = solve(omega, init, family, sim, solver_cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     io.write_dense(result.model.core_g, out_dir / "model_g.dct")

@@ -160,7 +160,7 @@ def synthesize(spec: SynthSpec) -> SynthData:
     from .model import tie_heterogeneous_core
 
     if spec.partition is not None:
-        core_h = tie_heterogeneous_core(core_h, spec.partition, "mean")
+        core_h = tie_heterogeneous_core(core_h, spec.partition)
     h_norm = float(np.linalg.norm(core_h))
     g_norm = float(np.linalg.norm(core_g))
     if h_norm > 0:
@@ -227,7 +227,7 @@ def _grid_eval(args):
     weights, train, test, family, sim, config, ranks, strategy, partition = args
     cfg = _with_weights(config, weights)
     init = initial_model(train.to_dense(float(train.values.mean())), ranks, strategy,
-                         partition, cfg.tie_reducer)
+                         partition)
     try:
         result = solve(train, init, family, sim, cfg)
     except SolverAbort as exc:

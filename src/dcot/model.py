@@ -222,19 +222,14 @@ def tie_satisfied(h: np.ndarray, partition: SubjectPartition) -> bool:
     return True
 
 
-def tie_heterogeneous_core(
-    h: np.ndarray, partition: SubjectPartition, reducer: str = "mean"
-) -> np.ndarray:
+def tie_heterogeneous_core(h: np.ndarray, partition: SubjectPartition) -> np.ndarray:
     """Force equality of slices within each group of the partition.
 
-    ``reducer="mean"`` replaces each group's slices by their arithmetic
-    mean; ``"representative"`` copies the first slice of the group.
-    Slices outside every group are untouched.  Groups whose slices are
-    already equal are left bitwise unchanged, which makes the operation
-    idempotent.
+    Each group's slices are replaced by their arithmetic mean, the
+    Euclidean projection onto the tie constraint.  Slices outside every
+    group are untouched.  Groups whose slices are already equal are left
+    bitwise unchanged, which makes the operation idempotent.
     """
-    if reducer not in ("mean", "representative"):
-        raise ValueError(f"unknown reducer {reducer!r}")
     h = np.asarray(h, dtype=float)
     partition.validate_shape(h.shape)
     out = h.copy()
@@ -245,10 +240,7 @@ def tie_heterogeneous_core(
         first = out[slicers[0]]
         if all(np.array_equal(out[s], first) for s in slicers[1:]):
             continue
-        if reducer == "representative":
-            value = first.copy()
-        else:
-            value = sum(out[s] for s in slicers) / len(slicers)
+        value = sum(out[s] for s in slicers) / len(slicers)
         for s in slicers:
             out[s] = value
     return out
@@ -259,7 +251,6 @@ def initial_model(
     ranks: list[int],
     strategy: InitStrategy,
     partition: SubjectPartition | None = None,
-    reducer: str = "mean",
 ) -> DcotModel:
     """Factor init plus core init: both cores start from the projection of ``x``.
 
@@ -270,5 +261,5 @@ def initial_model(
     g = project_core(x, factors)
     h = g.copy()
     if partition is not None:
-        h = tie_heterogeneous_core(h, partition, reducer)
+        h = tie_heterogeneous_core(h, partition)
     return DcotModel(factors, g, h, partition)

@@ -216,10 +216,6 @@ class SimilarityModel:
         order = np.lexsort((nz, -row[nz]))
         return nz[order], row[nz][order]
 
-    def mode_factor(self, mode: int) -> np.ndarray:
-        """The truncated per-mode product ``s * c`` (read-only view)."""
-        return self._factors[mode]
-
 
 def _check_omega(sim: SimilarityModel, omega: ObservationSet) -> None:
     if omega.shape != sim.shape:

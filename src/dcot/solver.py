@@ -48,6 +48,8 @@ log = logging.getLogger("dcot.solver")
 
 _MODULI_FLOOR = 1e-8
 _NEWTON_MAX_INNER = 100
+# abort once the augmented Lagrangian exceeds this factor times (|L_0| + 1)
+_DIVERGENCE_FACTOR = 10.0
 
 
 class SolverAbort(RuntimeError):
@@ -86,9 +88,8 @@ class SolverConfig:
     Lipschitz bound) by :func:`estimate_moduli`; per-block moduli default
     to ``lipschitz_safety`` times the spectral-norm bound of each block's
     coupling curvature.  By default they are refreshed from the current
-    state block by block inside every sweep (``moduli_period`` > 1 keeps
-    them for that many iterations; stale moduli can understate the
-    curvature when factor norms drift and send the sweep uphill).
+    state block by block inside every sweep (stale moduli can understate
+    the curvature when factor norms drift and send the sweep uphill).
     ``fixed_moduli`` pins them to the initial estimate for the whole run.
     ``z_floor`` is the lower bound on ``z`` for the poisson and gamma
     families; the z block itself has no knobs, since it is solved exactly
@@ -105,22 +106,15 @@ class SolverConfig:
     tol_step: float = 1e-8
     lipschitz_safety: float = 1.1
     fixed_moduli: bool = False
-    moduli_period: int = 1
     z_floor: float = 1e-6
-    tie_reducer: str = "mean"
-    dual_init: str = "gradient"  # gradient | zero
     freeze_h: bool = False
-    divergence_factor: float = 10.0
 
     def __post_init__(self):
-        if self.dual_init not in ("gradient", "zero"):
-            raise ValueError(f"unknown dual init {self.dual_init!r}")
-        if self.tie_reducer not in ("mean", "representative"):
-            raise ValueError(f"unknown tie reducer {self.tie_reducer!r}")
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
-        if self.moduli_period < 1:
-            raise ValueError("moduli_period must be at least 1")
+        # moduli below the Lipschitz bound void the descent step
+        if self.lipschitz_safety < 1:
+            raise ValueError("lipschitz_safety must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -179,17 +173,6 @@ class ConvergenceTrace:
             )
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
-
-
-@dataclass
-class SolverState:
-    """One mutable working copy owned by the solve loop."""
-
-    model: DcotModel
-    z: np.ndarray
-    y: np.ndarray
-    iteration: int = 0
-    trace: ConvergenceTrace = field(default_factory=ConvergenceTrace)
 
 
 @dataclass(frozen=True)
@@ -254,25 +237,29 @@ def update_cores(
     rho_h: float,
     penalty_g: Penalty,
     penalty_h: Penalty,
-    reducer: str = "mean",
+    *,
+    freeze_h: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Proximal steps on both cores, with the subject core tied afterwards.
 
     The subject core's gradient is recomputed after the shared core's
-    update (Gauss-Seidel order).
+    update (Gauss-Seidel order).  With ``freeze_h`` only the shared core
+    moves and ``model.core_h`` is returned as it is.
     """
     if rho_g <= 0 or rho_h <= 0:
         raise ValueError("core moduli must be positive")
-    work = model.copy()
     g_new = prox_apply(
-        penalty_g, work.core_g - core_gradient(work, z, y, gamma) / rho_g, rho_g
+        penalty_g, model.core_g - core_gradient(model, z, y, gamma) / rho_g, rho_g
     )
+    if freeze_h:
+        return g_new, model.core_h
+    work = model.copy()
     work.core_g = g_new
     h_new = prox_apply(
         penalty_h, work.core_h - core_gradient(work, z, y, gamma) / rho_h, rho_h
     )
     if model.partition is not None:
-        h_new = tie_heterogeneous_core(h_new, model.partition, reducer)
+        h_new = tie_heterogeneous_core(h_new, model.partition)
     return g_new, h_new
 
 
@@ -424,6 +411,24 @@ def _spectral_norm(a: np.ndarray, iters: int = 50, tol: float = 1e-8) -> float:
     return float(np.linalg.norm(a))
 
 
+def _factor_modulus(
+    gamma: float, core_sum: np.ndarray, u_norms: list[float], mode: int, safety: float
+) -> float:
+    """Modulus of factor ``mode``, floored away from zero.
+
+    ``safety * gamma`` times the squared spectral bound of its coupling map:
+    the core-sum matricization times the other factors' norms.
+    """
+    others = math.prod(u_norms[:mode] + u_norms[mode + 1 :])
+    bound = gamma * (_spectral_norm(matricize(core_sum, mode)) * others) ** 2
+    return max(bound * safety, _MODULI_FLOOR)
+
+
+def _core_modulus(gamma: float, u_norms: list[float], safety: float) -> float:
+    """Modulus of either core: ``safety * gamma * prod(factor norms)^2``, floored."""
+    return max(gamma * math.prod(u_norms) ** 2 * safety, _MODULI_FLOOR)
+
+
 def estimate_moduli(
     model: DcotModel,
     config: SolverConfig,
@@ -446,15 +451,10 @@ def estimate_moduli(
     safety = config.lipschitz_safety
     u_norms = [_spectral_norm(u) for u in model.factors]
     s = model.core_g + model.core_h
-    rho_factors = list(config.rho_factors) if config.rho_factors else None
-    if rho_factors is None:
-        rho_factors = []
-        for n in range(len(model.factors)):
-            others = math.prod(u_norms[:n] + u_norms[n + 1 :])
-            bound = gamma * (_spectral_norm(matricize(s, n)) * others) ** 2
-            rho_factors.append(max(bound * safety, _MODULI_FLOOR))
-    core_bound = gamma * math.prod(u_norms) ** 2
-    rho_core = max(core_bound * safety, _MODULI_FLOOR)
+    rho_factors = config.rho_factors or [
+        _factor_modulus(gamma, s, u_norms, n, safety) for n in range(len(model.factors))
+    ]
+    rho_core = _core_modulus(gamma, u_norms, safety)
     return replace(
         config,
         gamma=gamma,
@@ -502,11 +502,7 @@ def solve(
     if config.freeze_h:
         model.core_h = np.zeros_like(model.core_h)
     z = _initial_z(omega, family, config.z_floor)
-    if config.dual_init == "gradient":
-        y = -loss_gradient(family, mom, omega, z)
-    else:
-        y = np.zeros(omega.shape)
-    state = SolverState(model=model, z=z, y=y)
+    y = -loss_gradient(family, mom, omega, z)
 
     cfg = estimate_moduli(model, config, family, mom, omega)
     gamma = cfg.gamma
@@ -516,7 +512,7 @@ def solve(
     pen = cfg.penalties
     n_modes = len(model.factors)
 
-    trace = state.trace
+    trace = ConvergenceTrace()
 
     def diagnostics(it, lagr_args, steps, started):
         lagr = lagrangian_value(*lagr_args, family, mom, omega, pen)
@@ -537,7 +533,7 @@ def solve(
     row = diagnostics(0, (model, z, y, gamma), (0.0, 0.0, 0.0, 0.0, 0.0), started)
     trace.append(row)
     initial_lagr = row.lagrangian
-    guard = cfg.divergence_factor * (abs(initial_lagr) + 1.0)
+    guard = _DIVERGENCE_FACTOR * (abs(initial_lagr) + 1.0)
 
     # Working copies of the moduli.  Unless pinned (fixed mode or explicit
     # values), they are refreshed from the current state inside the sweep:
@@ -546,9 +542,7 @@ def solve(
     # stale bounds understate the curvature once factor norms drift.
     rho_factors = list(cfg.rho_factors)
     rho_g, rho_h = cfg.rho_g, cfg.rho_h
-    refresh_factors = [
-        not cfg.fixed_moduli and config.rho_factors is None for _ in range(n_modes)
-    ]
+    refresh_factors = not cfg.fixed_moduli and config.rho_factors is None
     refresh_g = not cfg.fixed_moduli and config.rho_g is None
     refresh_h = not cfg.fixed_moduli and config.rho_h is None
     u_norms = [_spectral_norm(u) for u in model.factors]
@@ -557,36 +551,26 @@ def solve(
     converged = False
     reason = "max_iters"
     for k in range(1, cfg.max_iters + 1):
-        refresh = (k - 1) % cfg.moduli_period == 0
         factor_sq = 0.0
         core_sum = model.core_g + model.core_h
         for n in range(n_modes):
-            if refresh and refresh_factors[n]:
-                others = math.prod(u_norms[:n] + u_norms[n + 1 :])
-                bound = gamma * (_spectral_norm(matricize(core_sum, n)) * others) ** 2
-                rho_factors[n] = max(bound * safety, _MODULI_FLOOR)
+            if refresh_factors:
+                rho_factors[n] = _factor_modulus(gamma, core_sum, u_norms, n, safety)
             u_new = update_factor(
                 model, z, y, gamma, n, rho_factors[n], pen.factor(n, n_modes)
             )
             factor_sq += float(((u_new - model.factors[n]) ** 2).sum())
             model.factors[n] = u_new
             u_norms[n] = _spectral_norm(u_new)
-        if refresh:
-            core_bound = max(gamma * math.prod(u_norms) ** 2 * safety, _MODULI_FLOOR)
-            if refresh_g:
-                rho_g = core_bound
-            if refresh_h:
-                rho_h = core_bound
+        rho_core = _core_modulus(gamma, u_norms, safety)
+        if refresh_g:
+            rho_g = rho_core
+        if refresh_h:
+            rho_h = rho_core
         g_old, h_old = model.core_g, model.core_h
-        if cfg.freeze_h:
-            g_new = prox_apply(
-                pen.g, g_old - core_gradient(model, z, y, gamma) / rho_g, rho_g
-            )
-            h_new = h_old
-        else:
-            g_new, h_new = update_cores(
-                model, z, y, gamma, rho_g, rho_h, pen.g, pen.h, cfg.tie_reducer
-            )
+        g_new, h_new = update_cores(
+            model, z, y, gamma, rho_g, rho_h, pen.g, pen.h, freeze_h=cfg.freeze_h
+        )
         model.core_g, model.core_h = g_new, h_new
         try:
             z_new = update_z(model, z, y, gamma, family, mom, omega, z_floor=cfg.z_floor)
@@ -602,7 +586,6 @@ def solve(
             frob_norm(h_new - h_old),
         )
         z, y = z_new, y_new
-        state.z, state.y, state.iteration = z, y, k
         row = diagnostics(k, (model, z, y, gamma), steps, started)
         trace.append(row)
         started = time.perf_counter()

@@ -1,4 +1,4 @@
-"""Dense N-way tensor algebra: matricization, mode products, Kronecker products.
+"""Dense N-way tensor algebra: matricization and mode products.
 
 Conventions used throughout the package:
 
@@ -22,9 +22,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-# Refuse to build matrices that cannot plausibly fit in memory.
-_MAX_ELEMENTS = 2**33
 
 
 def _check_mode(mode: int, ndim: int) -> None:
@@ -97,29 +94,6 @@ def multilinear_product(core: np.ndarray, factors: list[np.ndarray]) -> np.ndarr
     out = core
     for mode, u in enumerate(factors):
         out = n_mode_product(out, u, mode)
-    return out
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with ``c[i1*J1+j1, i2*J2+j2] = a[i1,i2] * b[j1,j2]``."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("kron expects two matrices")
-    rows = a.shape[0] * b.shape[0]
-    cols = a.shape[1] * b.shape[1]
-    if rows * cols > _MAX_ELEMENTS:
-        raise ValueError(f"kron result {rows}x{cols} is too large")
-    return np.kron(a, b)
-
-
-def kron_all(matrices: list[np.ndarray]) -> np.ndarray:
-    """Kronecker product of a list of matrices, left to right."""
-    if not matrices:
-        raise ValueError("kron_all needs at least one matrix")
-    out = np.asarray(matrices[0], dtype=float)
-    for m in matrices[1:]:
-        out = kron(out, m)
     return out
 
 

@@ -70,20 +70,6 @@ def multilinear_oracle(core, factors):
     return out
 
 
-def kron_oracle(a, b):
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    out = np.zeros((a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]))
-    for i1 in range(a.shape[0]):
-        for i2 in range(a.shape[1]):
-            for j1 in range(b.shape[0]):
-                for j2 in range(b.shape[1]):
-                    out[i1 * b.shape[0] + j1, i2 * b.shape[1] + j2] = (
-                        a[i1, i2] * b[j1, j2]
-                    )
-    return out
-
-
 def inner_oracle(a, b):
     total = 0.0
     for x, y in zip(np.asarray(a).ravel(), np.asarray(b).ravel()):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -319,9 +320,13 @@ class TestCliErrors:
         assert code == 4
 
     @pytest.mark.parametrize("key, value", [("z_solver", "quasi_newton"),
-                                            ("qn_grad_tol", 1e-8)])
-    def test_removed_z_solver_keys_rejected(self, tmp_path, monkeypatch, capsys,
-                                            key, value):
+                                            ("qn_grad_tol", 1e-8),
+                                            ("moduli_period", 2),
+                                            ("dual_init", "zero"),
+                                            ("tie_reducer", "representative"),
+                                            ("divergence_factor", 100.0)])
+    def test_removed_solver_keys_rejected(self, tmp_path, monkeypatch, capsys,
+                                          key, value):
         monkeypatch.chdir(tmp_path)
         run_cli(tmp_path, "synth", synth_config())
         capsys.readouterr()
@@ -331,6 +336,33 @@ class TestCliErrors:
         error = json.loads(capsys.readouterr().err)["error"]
         assert error["kind"] == "config" and key in error["message"]
         assert not (tmp_path / "run_out").exists()
+
+    @pytest.mark.parametrize("key, value", [("freeze_h", "false"),
+                                            ("fixed_moduli", 0),
+                                            ("max_iters", 2.5),
+                                            ("max_iters", True),
+                                            ("gamma", "x"),
+                                            ("gamma", True),
+                                            ("tol_step", None),
+                                            ("rho_factors", [1.0, "x", 1.0]),
+                                            ("lipschitz_safety", 0.1)])
+    def test_bad_solver_value_rejected(self, tmp_path, monkeypatch, capsys, key, value):
+        monkeypatch.chdir(tmp_path)
+        run_cli(tmp_path, "synth", synth_config())
+        capsys.readouterr()
+        cfg = fit_config("run_out", max_iters=5)
+        cfg["solver"][key] = value
+        assert run_cli(tmp_path, "complete", cfg) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["kind"] == "config" and key in error["message"]
+        assert not (tmp_path / "run_out").exists()
+
+    def test_solver_keys_match_config_fields(self):
+        from dcot.cli import _SOLVER_KEYS
+        from dcot.solver import SolverConfig
+
+        fields = {f.name for f in dataclasses.fields(SolverConfig)} - {"penalties"}
+        assert set(_SOLVER_KEYS) == fields
 
     def test_readme_lists_every_solver_key(self):
         from dcot.cli import _SOLVER_KEYS

@@ -23,7 +23,7 @@ def random_model(rng, shape=(4, 3, 3), ranks=(2, 2, 2), partition=None):
     g = rng.standard_normal(ranks)
     h = rng.standard_normal(ranks)
     if partition is not None:
-        h = tie_heterogeneous_core(h, partition, "mean")
+        h = tie_heterogeneous_core(h, partition)
     return DcotModel(factors, g, h, partition)
 
 
@@ -130,38 +130,30 @@ class TestPartitionAndTie:
         part = SubjectPartition(0, (SliceGroup((0, 1)),))
         h = rng.standard_normal((3, 2))
         h[1] = h[0]
-        for reducer in ("mean", "representative"):
-            assert np.array_equal(tie_heterogeneous_core(h, part, reducer), h)
+        assert np.array_equal(tie_heterogeneous_core(h, part), h)
 
     def test_mean_of_two_slices(self):
         part = SubjectPartition(0, (SliceGroup((0, 1)),))
         h = np.array([[1.0, 2.0], [3.0, 6.0]])
-        tied = tie_heterogeneous_core(h, part, "mean")
+        tied = tie_heterogeneous_core(h, part)
         assert np.allclose(tied[0], [2.0, 4.0])
         assert np.array_equal(tied[0], tied[1])
-
-    def test_representative_copies_first(self):
-        part = SubjectPartition(0, (SliceGroup((0, 1)),))
-        h = np.array([[1.0, 2.0], [3.0, 6.0]])
-        tied = tie_heterogeneous_core(h, part, "representative")
-        assert np.array_equal(tied[0], [1.0, 2.0])
-        assert np.array_equal(tied[1], [1.0, 2.0])
 
     def test_untouched_outside_groups(self, rng):
         part = SubjectPartition(0, (SliceGroup((0, 1)),))
         h = rng.standard_normal((4, 2))
-        tied = tie_heterogeneous_core(h, part, "mean")
+        tied = tie_heterogeneous_core(h, part)
         assert np.array_equal(tied[2:], h[2:])
 
-    @given(st.integers(0, 2**31), st.sampled_from(["mean", "representative"]))
-    def test_idempotent_bitwise(self, seed, reducer):
+    @given(st.integers(0, 2**31))
+    def test_idempotent_bitwise(self, seed):
         gen = np.random.default_rng(seed)
         part = SubjectPartition(
             1, (SliceGroup((0, 1, 2)), SliceGroup((3,)))
         )
         h = gen.standard_normal((2, 5, 2))
-        once = tie_heterogeneous_core(h, part, reducer)
-        twice = tie_heterogeneous_core(once, part, reducer)
+        once = tie_heterogeneous_core(h, part)
+        twice = tie_heterogeneous_core(once, part)
         assert np.array_equal(once, twice)
         assert tie_satisfied(once, part)
 
@@ -172,7 +164,7 @@ class TestPartitionAndTie:
             (SliceGroup((0, 1), fixed=(0, 0)), SliceGroup((0, 1), fixed=(0, 1))),
         )
         h = rng.standard_normal((2, 2, 3))
-        tied = tie_heterogeneous_core(h, part, "mean")
+        tied = tie_heterogeneous_core(h, part)
         assert np.array_equal(tied[0, 0], tied[0, 1])
         assert np.array_equal(tied[1, 0], tied[1, 1])
         assert not np.array_equal(tied[0, 0], tied[1, 0])

@@ -41,7 +41,7 @@ def random_state(rng, shape=(3, 2, 2), ranks=(2, 2, 2), partition=None):
     if partition is not None:
         from dcot.model import tie_heterogeneous_core
 
-        h = tie_heterogeneous_core(h, partition, "mean")
+        h = tie_heterogeneous_core(h, partition)
     model = DcotModel(factors, g, h, partition)
     z = rng.standard_normal(shape)
     y = rng.standard_normal(shape)
@@ -185,10 +185,19 @@ class TestBlockUpdates:
     def test_tie_constraint_bitwise_after_update(self, rng):
         part = SubjectPartition(1, (SliceGroup((0, 1)),))
         model, z, y = random_state(rng, partition=part)
-        for reducer in ("mean", "representative"):
-            _, h = update_cores(model, z, y, 1.3, 2.0, 2.0, Penalty.none(),
-                                Penalty.l1(0.1), reducer)
-            assert tie_satisfied(h, part)
+        _, h = update_cores(model, z, y, 1.3, 2.0, 2.0, Penalty.none(), Penalty.l1(0.1))
+        assert tie_satisfied(h, part)
+
+    def test_freeze_h_moves_only_shared_core(self, rng):
+        model, z, y = random_state(rng)
+        args = (model, z, y, 1.3, 2.0, 2.0, Penalty.l1(0.1), Penalty.l1(0.1))
+        g, h = update_cores(*args)
+        g_frozen, h_frozen = update_cores(*args, freeze_h=True)
+        assert h_frozen is model.core_h
+        assert not np.array_equal(h, model.core_h)
+        assert np.array_equal(g_frozen, g)
+        with pytest.raises(TypeError):
+            update_cores(*args, True)
 
 
 class TestUpdateZ:

@@ -7,7 +7,6 @@ from dcot.tensor import (
     fold,
     frob_inner,
     frob_norm,
-    kron,
     matricize,
     multilinear_product,
     n_mode_product,
@@ -136,28 +135,6 @@ class TestMultilinearProduct:
     def test_factor_count_mismatch(self, rng):
         with pytest.raises(ValueError):
             multilinear_product(rng.standard_normal((2, 2)), [np.eye(2)])
-
-
-class TestKron:
-    def test_identity(self):
-        assert np.array_equal(kron(np.eye(2), np.eye(3)), np.eye(6))
-
-    def test_scalar(self, rng):
-        b = rng.standard_normal((3, 2))
-        assert np.allclose(kron(np.array([[2.0]]), b), 2 * b)
-
-    def test_matches_four_loop_oracle(self, rng):
-        a = rng.standard_normal((2, 2))
-        b = rng.standard_normal((2, 2))
-        assert np.allclose(kron(a, b), oracles.kron_oracle(a, b), atol=1e-12)
-
-    @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
-           st.randoms(use_true_random=False))
-    def test_associativity(self, p, q, r, rnd):
-        gen = np.random.default_rng(rnd.randint(0, 2**32))
-        a, b, c = gen.standard_normal((p, 2)), gen.standard_normal((q, 1)), \
-            gen.standard_normal((r, 2))
-        assert np.allclose(kron(kron(a, b), c), kron(a, kron(b, c)), atol=1e-12)
 
 
 class TestInnerAndNorm:
