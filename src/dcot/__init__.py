@@ -46,6 +46,7 @@ from .solver import (
     core_gradient,
     estimate_moduli,
     factor_gradient,
+    initial_fill,
     lagrangian_value,
     newton_z,
     residual_tensor,

@@ -41,7 +41,7 @@ from .model import (
 )
 from .prox import Penalty
 from .similarity import ModeSimilarity, SimilarityModel, label_consistency, mode_similarity
-from .solver import BlockPenalties, SolverAbort, SolverConfig, solve
+from .solver import BlockPenalties, SolverAbort, SolverConfig, initial_fill, solve
 
 EXIT_OK, EXIT_CONFIG, EXIT_SOLVER, EXIT_IO = 0, 2, 3, 4
 
@@ -445,8 +445,8 @@ def _cmd_factorize(cfg: dict, out_dir: Path, seed: int, default_format: str,
     omega, family, ranks, partition, sim, solver_cfg, strategy = _load_problem(
         cfg, base, seed, default_format
     )
-    fill = 0.0 if family.kind == "bernoulli" else float(omega.values.mean())
-    init = initial_model(omega.to_dense(fill), ranks, strategy, partition)
+    init = initial_model(omega.to_dense(initial_fill(omega, family)), ranks, strategy,
+                         partition)
     result = solve(omega, init, family, sim, solver_cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     io.write_dense(result.model.core_g, out_dir / "model_g.dct")

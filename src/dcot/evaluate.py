@@ -19,7 +19,7 @@ import numpy as np
 from .losses import LossFamily, ObservationSet
 from .model import DcotModel, InitStrategy, SubjectPartition, initial_model, reconstruct
 from .similarity import SimilarityModel, mode_similarity
-from .solver import SolverAbort, SolverConfig, solve
+from .solver import SolverAbort, SolverConfig, initial_fill, solve
 
 log = logging.getLogger("dcot.evaluate")
 
@@ -226,7 +226,7 @@ def _with_weights(config: SolverConfig, weights: dict) -> SolverConfig:
 def _grid_eval(args):
     weights, train, test, family, sim, config, ranks, strategy, partition = args
     cfg = _with_weights(config, weights)
-    init = initial_model(train.to_dense(float(train.values.mean())), ranks, strategy,
+    init = initial_model(train.to_dense(initial_fill(train, family)), ranks, strategy,
                          partition)
     try:
         result = solve(train, init, family, sim, cfg)

@@ -17,14 +17,21 @@ The returned value is a minimization objective (the likelihood's sign and
 constant factors are absorbed).  The normalization is by the total cell
 count, not the observation count, so unobserved cells participate; this
 is what makes completion work.
+
+The loss functions take those weights' per-cell sums, precomputed once per
+problem as :class:`~dcot.similarity.Moments` by ``smoothing_moments``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.special import expit
+
+if TYPE_CHECKING:  # similarity imports ObservationSet from this module
+    from .similarity import Moments
 
 _POISSON_FLOOR = 1e-12
 
@@ -127,22 +134,18 @@ class LossFamily:
             raise DomainError(f"{self.kind} loss requires z >= 0")
 
 
-def _moments(sim, omega: ObservationSet):
-    # Imported here: similarity depends on ObservationSet from this module.
-    from .similarity import Moments, smoothing_moments
-
-    if isinstance(sim, Moments):
-        return sim
-    return smoothing_moments(sim, omega)
-
-
-def loss_value(family: LossFamily, sim, omega: ObservationSet, z: np.ndarray) -> float:
-    """Evaluate the smoothed loss; ``sim`` may be a model or precomputed moments."""
+def _checked(family: LossFamily, mom: Moments, z) -> np.ndarray:
     z = np.asarray(z, dtype=float)
-    if z.shape != omega.shape:
-        raise ValueError(f"z shape {z.shape} does not match data shape {omega.shape}")
+    shape = mom.weight_sum.shape
+    if z.shape != shape:
+        raise ValueError(f"z shape {z.shape} does not match data shape {shape}")
     family.check_domain(z)
-    mom = _moments(sim, omega)
+    return z
+
+
+def loss_value(family: LossFamily, mom: Moments, z: np.ndarray) -> float:
+    """Evaluate the smoothed loss from the precomputed smoothing moments."""
+    z = _checked(family, mom, z)
     w, m1, m2, count = mom.weight_sum, mom.weighted_x, mom.weighted_x2, mom.count
     if family.kind == "gaussian":
         total = w * z**2 - 2.0 * m1 * z + m2
@@ -156,15 +159,9 @@ def loss_value(family: LossFamily, sim, omega: ObservationSet, z: np.ndarray) ->
     return float(total.sum()) / count
 
 
-def loss_gradient(
-    family: LossFamily, sim, omega: ObservationSet, z: np.ndarray
-) -> np.ndarray:
+def loss_gradient(family: LossFamily, mom: Moments, z: np.ndarray) -> np.ndarray:
     """Elementwise gradient of :func:`loss_value` with respect to ``z``."""
-    z = np.asarray(z, dtype=float)
-    if z.shape != omega.shape:
-        raise ValueError(f"z shape {z.shape} does not match data shape {omega.shape}")
-    family.check_domain(z)
-    mom = _moments(sim, omega)
+    z = _checked(family, mom, z)
     w, m1, count = mom.weight_sum, mom.weighted_x, mom.count
     if family.kind == "gaussian":
         grad = 2.0 * (w * z - m1)
@@ -178,18 +175,12 @@ def loss_gradient(
     return grad / count
 
 
-def loss_curvature(
-    family: LossFamily, sim, omega: ObservationSet, z: np.ndarray
-) -> np.ndarray:
+def loss_curvature(family: LossFamily, mom: Moments, z: np.ndarray) -> np.ndarray:
     """Elementwise second derivative of :func:`loss_value` (its Hessian is diagonal).
 
     Nonnegative except for the ``gamma`` family, whose loss is not convex.
     """
-    z = np.asarray(z, dtype=float)
-    if z.shape != omega.shape:
-        raise ValueError(f"z shape {z.shape} does not match data shape {omega.shape}")
-    family.check_domain(z)
-    mom = _moments(sim, omega)
+    z = _checked(family, mom, z)
     w, m1, count = mom.weight_sum, mom.weighted_x, mom.count
     if family.kind == "gaussian":
         curv = 2.0 * w
@@ -205,7 +196,7 @@ def loss_curvature(
 
 
 def loss_curvature_min(
-    family: LossFamily, sim, omega: ObservationSet, z_min: float
+    family: LossFamily, mom: Moments, z_min: float
 ) -> np.ndarray:
     """Per-cell minimum of :func:`loss_curvature` over ``z >= z_min``.
 
@@ -213,18 +204,17 @@ def loss_curvature_min(
     ``u = 1 / (z + eps)`` the scaled curvature ``2 m1 u^3 - w u^2``
     decreases in ``u`` up to ``u = w / (3 m1)``, and ``u <= 1 / (z_min + eps)``.
     """
-    mom = _moments(sim, omega)
-    if family.kind != "gamma":
-        return np.zeros(omega.shape)
     w, m1, count = mom.weight_sum, mom.weighted_x, mom.count
+    if family.kind != "gamma":
+        return np.zeros(w.shape)
     u_max = 1.0 / (z_min + family.epsilon)
-    crit = np.divide(w, 3.0 * m1, out=np.full(omega.shape, np.inf), where=m1 > 0)
+    crit = np.divide(w, 3.0 * m1, out=np.full(w.shape, np.inf), where=m1 > 0)
     u = np.minimum(crit, u_max)
     return (2.0 * m1 * u - w) * u**2 / count
 
 
 def loss_lipschitz(
-    family: LossFamily, sim, omega: ObservationSet, z_min: float | None = None
+    family: LossFamily, mom: Moments, z_min: float | None = None
 ) -> float:
     """Upper bound on the Lipschitz constant of the loss gradient.
 
@@ -233,7 +223,6 @@ def loss_lipschitz(
     a positive lower bound ``z_min`` on the entries of ``z`` is required
     for them.
     """
-    mom = _moments(sim, omega)
     w, m1, count = mom.weight_sum, mom.weighted_x, mom.count
     if family.kind == "gaussian":
         return 2.0 * float(w.max()) / count

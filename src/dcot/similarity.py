@@ -269,7 +269,8 @@ def smoothing_moments(sim: SimilarityModel, omega: ObservationSet) -> Moments:
     ``sum_j w(t, j) x_j^p`` are mode products of the observation indicator
     (and value) tensors with the truncated per-mode factor matrices; no
     pairwise object over cells is ever formed.  Degenerate targets receive
-    the same fallback as :func:`smoothing_weights`.
+    the same fallback as :func:`smoothing_weights`.  Every loss function
+    of :mod:`dcot.losses` takes the result, so build it once per problem.
     """
     _check_omega(sim, omega)
     indicator = np.zeros(sim.shape)

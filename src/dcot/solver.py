@@ -14,6 +14,10 @@ linearized at the current point with per-block step ``1 / rho``.  The
 for the gaussian family, a safeguarded per-cell Newton solve otherwise)
 and the dual ascends along the constraint residual.
 
+Each sweep reconstructs once, after the core step.  The z step takes that
+reconstruction; the dual step, the Lagrangian and the primal residual share
+the residual ``recon - z`` formed from it, and the trace one loss evaluation.
+
 Sign conventions: with the augmented Lagrangian written as
 ``F + penalties - <y, recon - z> + (gamma/2) ||recon - z||^2`` and the
 dual update ``y <- y - gamma * (recon - z)``, solving the z block exactly
@@ -115,6 +119,14 @@ class SolverConfig:
         # moduli below the Lipschitz bound void the descent step
         if self.lipschitz_safety < 1:
             raise ValueError("lipschitz_safety must be at least 1")
+        named = [(n, getattr(self, n)) for n in ("rho_g", "rho_h", "z_floor")]
+        for name, value in named + [("rho_factors", r) for r in self.rho_factors or ()]:
+            if value is not None and not value > 0:
+                raise ValueError(f"{name} must be positive")
+        for name in ("tol_step", "tol_primal"):
+            value = getattr(self, name)
+            if value is not None and not value >= 0:
+                raise ValueError(f"{name} must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -264,12 +276,12 @@ def update_cores(
 
 
 def update_z(
-    model: DcotModel,
+    recon: np.ndarray,
     z,
     y,
     gamma: float,
     family: LossFamily,
-    sim,
+    mom: Moments,
     omega: ObservationSet,
     *,
     z_floor: float = 1e-6,
@@ -278,12 +290,11 @@ def update_z(
 
     The proximal center is ``recon - y / gamma``.  For the gaussian family
     the minimizer is the elementwise closed form; other families go to
-    :func:`newton_z`, warm-started at ``z``.
+    :func:`newton_z`, warm-started at ``z`` (``omega`` scales its tolerance).
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    center = reconstruct(model) - y / gamma
-    mom = sim if isinstance(sim, Moments) else smoothing_moments(sim, omega)
+    center = recon - y / gamma
     if family.kind == "gaussian":
         count = mom.count
         return (2.0 * mom.weighted_x / count + gamma * center) / (
@@ -294,7 +305,7 @@ def update_z(
 
 def newton_z(
     family: LossFamily,
-    sim,
+    mom: Moments,
     omega: ObservationSet,
     center: np.ndarray,
     gamma: float,
@@ -319,8 +330,7 @@ def newton_z(
     Raises :class:`SolverAbort` naming the z block when the gradient turns
     non-finite or the tolerance is not met within a fixed iteration cap.
     """
-    mom = sim if isinstance(sim, Moments) else smoothing_moments(sim, omega)
-    mu = gamma + loss_curvature_min(family, mom, omega, z_floor)
+    mu = gamma + loss_curvature_min(family, mom, z_floor)
     if not np.all(mu > 0):
         raise ValueError(
             f"gamma {gamma:.3e} does not make the {family.kind} z subproblem "
@@ -332,13 +342,14 @@ def newton_z(
     tol = 1e-8 * max(1.0, scale)
 
     def gradient(zz):
-        return loss_gradient(family, mom, omega, zz) + gamma * (zz - center)
+        return loss_gradient(family, mom, zz) + gamma * (zz - center)
 
     z = np.maximum(np.asarray(z0, dtype=float), floor)
     grad = gradient(z)
     reach = grad / mu
     lo = np.maximum(z - np.maximum(reach, 0.0), floor)
     hi = z - np.minimum(reach, 0.0)
+    del reach, mu
     for _ in range(_NEWTON_MAX_INNER):
         # a cell on the floor with a positive gradient is optimal
         achieved = float(np.maximum(-grad, grad * (z > floor)).max())
@@ -348,7 +359,7 @@ def newton_z(
             return z
         lo = np.where(grad < 0, z, lo)
         hi = np.where(grad > 0, z, hi)
-        hess = loss_curvature(family, mom, omega, z) + gamma
+        hess = loss_curvature(family, mom, z) + gamma
         step = np.maximum(z - grad / hess, floor)
         newton = (hess > 0) & (step >= lo) & (step <= hi)
         z = np.where(newton, step, 0.5 * (lo + hi))
@@ -359,24 +370,16 @@ def newton_z(
     )
 
 
-def update_dual(model: DcotModel, z, y, gamma: float) -> np.ndarray:
-    """Dual ascent step ``y - gamma * (recon - z)``."""
-    return y - gamma * (reconstruct(model) - z)
+def update_dual(r: np.ndarray, y, gamma: float) -> np.ndarray:
+    """Dual ascent step ``y - gamma * r`` along the residual ``r = recon - z``."""
+    return y - gamma * r
 
 
 def lagrangian_value(
-    model: DcotModel,
-    z,
-    y,
-    gamma: float,
-    family: LossFamily,
-    sim,
-    omega: ObservationSet,
-    penalties: BlockPenalties,
+    model: DcotModel, r, y, gamma: float, loss: float, penalties: BlockPenalties
 ) -> float:
-    """Loss + penalties - <y, recon - z> + (gamma/2) ||recon - z||^2."""
-    r = reconstruct(model) - z
-    value = loss_value(family, sim, omega, z)
+    """``loss + penalties - <y, r> + (gamma/2) ||r||^2`` for ``r = recon - z``."""
+    value = loss
     value += penalty_value(penalties.g, model.core_g)
     value += penalty_value(penalties.h, model.core_h)
     n_modes = len(model.factors)
@@ -430,11 +433,7 @@ def _core_modulus(gamma: float, u_norms: list[float], safety: float) -> float:
 
 
 def estimate_moduli(
-    model: DcotModel,
-    config: SolverConfig,
-    family: LossFamily,
-    sim,
-    omega: ObservationSet,
+    model: DcotModel, config: SolverConfig, family: LossFamily, mom: Moments
 ) -> SolverConfig:
     """Fill unset step parameters from the current state.
 
@@ -446,7 +445,7 @@ def estimate_moduli(
     Explicitly set moduli are kept.
     """
     z_min = config.z_floor if family.kind in ("poisson", "gamma") else None
-    lf = loss_lipschitz(family, sim, omega, z_min=z_min)
+    lf = loss_lipschitz(family, mom, z_min=z_min)
     gamma = max(config.gamma, 2.0 * lf * 1.05)
     safety = config.lipschitz_safety
     u_norms = [_spectral_norm(u) for u in model.factors]
@@ -464,17 +463,20 @@ def estimate_moduli(
     )
 
 
+def initial_fill(omega: ObservationSet, family: LossFamily) -> float:
+    """Start value of unobserved cells (``z`` and the initial model's input)."""
+    if family.kind == "bernoulli" or not len(omega):
+        return 0.0
+    return float(omega.values.mean())
+
+
 def _initial_z(omega: ObservationSet, family: LossFamily, z_floor: float) -> np.ndarray:
-    """Observed values with a neutral fill for the unobserved cells.
+    """Observed values with :func:`initial_fill` in the unobserved cells.
 
     The positive families are projected onto their domain floor so the
     first loss gradient (and the dual initialization) stays bounded.
     """
-    if family.kind == "bernoulli":
-        fill = 0.0
-    else:
-        fill = float(omega.values.mean()) if len(omega) else 0.0
-    z = omega.to_dense(fill)
+    z = omega.to_dense(initial_fill(omega, family))
     if family.kind in ("poisson", "gamma"):
         z = np.maximum(z, z_floor)
     return z
@@ -502,9 +504,9 @@ def solve(
     if config.freeze_h:
         model.core_h = np.zeros_like(model.core_h)
     z = _initial_z(omega, family, config.z_floor)
-    y = -loss_gradient(family, mom, omega, z)
+    y = -loss_gradient(family, mom, z)
 
-    cfg = estimate_moduli(model, config, family, mom, omega)
+    cfg = estimate_moduli(model, config, family, mom)
     gamma = cfg.gamma
     tol_primal = cfg.tol_primal
     if tol_primal is None:
@@ -514,13 +516,13 @@ def solve(
 
     trace = ConvergenceTrace()
 
-    def diagnostics(it, lagr_args, steps, started):
-        lagr = lagrangian_value(*lagr_args, family, mom, omega, pen)
+    def diagnostics(it, z, y, r, steps, started):
+        loss = loss_value(family, mom, z)
         return TraceRow(
             iteration=it,
-            lagrangian=lagr,
-            loss=loss_value(family, mom, omega, lagr_args[1]),
-            primal_residual=frob_norm(reconstruct(lagr_args[0]) - lagr_args[1]),
+            lagrangian=lagrangian_value(model, r, y, gamma, loss, pen),
+            loss=loss,
+            primal_residual=frob_norm(r),
             z_step=steps[0],
             dual_step=steps[1],
             factor_step=steps[2],
@@ -530,7 +532,7 @@ def solve(
         )
 
     started = time.perf_counter()
-    row = diagnostics(0, (model, z, y, gamma), (0.0, 0.0, 0.0, 0.0, 0.0), started)
+    row = diagnostics(0, z, y, reconstruct(model) - z, (0.0,) * 5, started)
     trace.append(row)
     initial_lagr = row.lagrangian
     guard = _DIVERGENCE_FACTOR * (abs(initial_lagr) + 1.0)
@@ -572,11 +574,14 @@ def solve(
             model, z, y, gamma, rho_g, rho_h, pen.g, pen.h, freeze_h=cfg.freeze_h
         )
         model.core_g, model.core_h = g_new, h_new
+        recon = reconstruct(model)
         try:
-            z_new = update_z(model, z, y, gamma, family, mom, omega, z_floor=cfg.z_floor)
+            z_new = update_z(recon, z, y, gamma, family, mom, omega, z_floor=cfg.z_floor)
         except SolverAbort as exc:
             raise SolverAbort(f"{exc} at iteration {k}", trace) from exc
-        y_new = update_dual(model, z_new, y, gamma)
+        r = recon - z_new
+        del recon
+        y_new = update_dual(r, y, gamma)
 
         steps = (
             frob_norm(z_new - z),
@@ -586,7 +591,8 @@ def solve(
             frob_norm(h_new - h_old),
         )
         z, y = z_new, y_new
-        row = diagnostics(k, (model, z, y, gamma), steps, started)
+        row = diagnostics(k, z, y, r, steps, started)
+        del r
         trace.append(row)
         started = time.perf_counter()
 

@@ -107,5 +107,6 @@ def frob_inner(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def frob_norm(a: np.ndarray) -> float:
-    """Frobenius norm, defined as ``sqrt(frob_inner(a, a))``."""
-    return math.sqrt(frob_inner(a, a))
+    """Frobenius norm ``sqrt(frob_inner(a, a))``, raveling ``a`` only once."""
+    v = np.asarray(a, dtype=float).ravel()
+    return math.sqrt(float(np.dot(v, v)))

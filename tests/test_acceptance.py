@@ -185,13 +185,14 @@ def test_gradient_suite():
             omega = ObservationSet.from_dense(x, mask)
             feats = [rng.standard_normal((s, 2)) for s in shape]
             sim = SimilarityModel(per_mode=[mode_similarity(f) for f in feats])
+            mom = smoothing_moments(sim, omega)
             z = (
                 0.5 + 2.0 * rng.random(shape)
                 if family in ("poisson", "gamma")
                 else rng.standard_normal(shape)
             )
-            fd = oracles.central_difference(lambda zz: loss_value(fam, sim, omega, zz), z)
-            got = loss_gradient(fam, sim, omega, z)
+            fd = oracles.central_difference(lambda zz: loss_value(fam, mom, zz), z)
+            got = loss_gradient(fam, mom, z)
             worst = max(worst, np.abs(got - fd).max() / max(np.abs(fd).max(), 1e-12))
 
     elapsed = time.time() - started
@@ -256,7 +257,7 @@ def test_monotone_descent_and_dual_bound():
     data = synthesize(spec)
     fam = LossFamily("gaussian")
     mom = smoothing_moments(data.sim, data.observed)
-    lf = loss_lipschitz(fam, mom, data.observed)
+    lf = loss_lipschitz(fam, mom)
     cfg = SolverConfig(
         gamma=2.1 * lf, max_iters=200, fixed_moduli=True, tol_primal=0.0, tol_step=0.0,
     )
@@ -386,12 +387,14 @@ def test_gaussian_z_update_cross_check():
         mask.flat[0] = True
         omega = ObservationSet.from_dense(x, mask)
         feats = [rng.standard_normal((s, 2)) for s in shape]
-        sim = SimilarityModel(per_mode=[mode_similarity(f) for f in feats])
+        mom = smoothing_moments(
+            SimilarityModel(per_mode=[mode_similarity(f) for f in feats]), omega
+        )
         z = rng.standard_normal(shape)
         y = rng.standard_normal(shape)
         gamma = 0.3 + rng.random()
-        closed = update_z(model, z, y, gamma, fam, sim, omega)
-        newton = newton_z(fam, sim, omega, reconstruct(model) - y / gamma, gamma, z)
+        closed = update_z(reconstruct(model), z, y, gamma, fam, mom, omega)
+        newton = newton_z(fam, mom, omega, reconstruct(model) - y / gamma, gamma, z)
         worst = max(worst, float(np.abs(closed - newton).max()))
     report("z-update-cross-check", worst <= 1e-8,
            f"max closed-form vs Newton gap {worst:.2e} (tol 1e-8)")

@@ -190,6 +190,28 @@ class TestGridSearch:
         )
         assert result.best.weights["g"] == pytest.approx(1e-1)
 
+    def test_bernoulli_start_fills_unobserved_with_zero(self, monkeypatch):
+        import dcot.evaluate
+
+        spec = SynthSpec(shape=(7, 6, 5), ranks=(2, 2, 2), partition=None,
+                         noise_family="bernoulli", missing_fraction=0.3, seed=11)
+        data = synthesize(spec)
+        seen = []
+        real = dcot.evaluate.initial_model
+
+        def spy(x, *args, **kwargs):
+            seen.append(np.array(x))
+            return real(x, *args, **kwargs)
+
+        monkeypatch.setattr(dcot.evaluate, "initial_model", spy)
+        split = SplitSpec(0.8, seed=1)
+        grid_search(data.observed, split, LossFamily("bernoulli"), data.sim,
+                    SolverConfig(max_iters=2), (2, 2, 2), lambdas=[0.01], blocks=("g",))
+        train, _ = holdout_split(data.observed, split)
+        assert len(seen) == 1
+        assert np.array_equal(seen[0], train.to_dense(0.0))
+        assert np.any(train.values == 1.0) and not train.mask().all()
+
     def test_empty_grid_error(self):
         data = self.setup_problem()
         cfg = SolverConfig(max_iters=5)

@@ -345,7 +345,13 @@ class TestCliErrors:
                                             ("gamma", True),
                                             ("tol_step", None),
                                             ("rho_factors", [1.0, "x", 1.0]),
-                                            ("lipschitz_safety", 0.1)])
+                                            ("lipschitz_safety", 0.1),
+                                            ("rho_g", -1.0),
+                                            ("rho_h", 0),
+                                            ("rho_factors", [1, 0, 1]),
+                                            ("z_floor", 0),
+                                            ("tol_step", -1),
+                                            ("tol_primal", -1e-3)])
     def test_bad_solver_value_rejected(self, tmp_path, monkeypatch, capsys, key, value):
         monkeypatch.chdir(tmp_path)
         run_cli(tmp_path, "synth", synth_config())

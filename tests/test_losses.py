@@ -12,7 +12,7 @@ from dcot.losses import (
     loss_lipschitz,
     loss_value,
 )
-from dcot.similarity import SimilarityModel, mode_similarity
+from dcot.similarity import SimilarityModel, mode_similarity, smoothing_moments
 
 
 def make_problem(rng, shape=(3, 3, 3), density=0.7, family="gaussian"):
@@ -28,7 +28,7 @@ def make_problem(rng, shape=(3, 3, 3), density=0.7, family="gaussian"):
     omega = ObservationSet.from_dense(x, mask)
     feats = [rng.standard_normal((s, 2)) for s in shape]
     sim = SimilarityModel(per_mode=[mode_similarity(f) for f in feats])
-    return omega, sim
+    return omega, smoothing_moments(sim, omega)
 
 
 def positive_z(rng, shape, low=0.5, high=3.0):
@@ -65,17 +65,18 @@ class TestLossValue:
         shape = (3, 3)
         x = rng.standard_normal(shape)
         omega = ObservationSet.from_dense(x)
-        sim = SimilarityModel.ones(shape)  # uniform weights over observations
+        # uniform weights over observations
+        mom = smoothing_moments(SimilarityModel.ones(shape), omega)
         z = np.full(shape, x.mean())
-        value = loss_value(LossFamily("gaussian"), sim, omega, z)
+        value = loss_value(LossFamily("gaussian"), mom, z)
         assert np.isclose(value, x.var())
 
     def test_bernoulli_at_zero_is_log2(self, rng):
         shape = (2, 3)
         x = (rng.random(shape) > 0.5).astype(float)
         omega = ObservationSet.from_dense(x)
-        sim = SimilarityModel.ones(shape)
-        value = loss_value(LossFamily("bernoulli"), sim, omega, np.zeros(shape))
+        mom = smoothing_moments(SimilarityModel.ones(shape), omega)
+        value = loss_value(LossFamily("bernoulli"), mom, np.zeros(shape))
         assert np.isclose(value, np.log(2.0) - x.mean() * 0.0 + 0.0 - (0.0))
         assert np.isclose(value, np.log(2.0))
 
@@ -83,101 +84,95 @@ class TestLossValue:
         shape = (2, 2)
         x = np.full(shape, 3.0)
         omega = ObservationSet.from_dense(x)
-        sim = SimilarityModel.ones(shape)
-        value = loss_value(LossFamily("poisson"), sim, omega, np.full(shape, 3.0))
+        mom = smoothing_moments(SimilarityModel.ones(shape), omega)
+        value = loss_value(LossFamily("poisson"), mom, np.full(shape, 3.0))
         assert np.isclose(value, 3.0 - 3.0 * np.log(3.0))
 
     def test_domain_violation(self, rng):
-        omega, sim = make_problem(rng, family="poisson")
+        omega, mom = make_problem(rng, family="poisson")
         z = -np.ones(omega.shape)
         with pytest.raises(DomainError):
-            loss_value(LossFamily("poisson"), sim, omega, z)
+            loss_value(LossFamily("poisson"), mom, z)
         with pytest.raises(DomainError):
-            loss_gradient(LossFamily("gamma"), sim, omega, z)
+            loss_gradient(LossFamily("gamma"), mom, z)
 
     def test_shape_mismatch(self, rng):
-        omega, sim = make_problem(rng)
+        omega, mom = make_problem(rng)
         with pytest.raises(ValueError):
-            loss_value(LossFamily("gaussian"), sim, omega, np.zeros((2, 2)))
+            loss_value(LossFamily("gaussian"), mom, np.zeros((2, 2)))
 
     def test_gaussian_convex_midpoint(self, rng):
-        omega, sim = make_problem(rng)
+        omega, mom = make_problem(rng)
         fam = LossFamily("gaussian")
         z1, z2 = rng.standard_normal(omega.shape), rng.standard_normal(omega.shape)
-        mid = loss_value(fam, sim, omega, 0.5 * (z1 + z2))
-        avg = 0.5 * (loss_value(fam, sim, omega, z1) + loss_value(fam, sim, omega, z2))
+        mid = loss_value(fam, mom, 0.5 * (z1 + z2))
+        avg = 0.5 * (loss_value(fam, mom, z1) + loss_value(fam, mom, z2))
         assert mid <= avg + 1e-12
 
 
 class TestLossGradient:
     def test_gaussian_zero_at_weighted_mean(self, rng):
-        omega, sim = make_problem(rng)
-        from dcot.similarity import smoothing_moments
-
-        mom = smoothing_moments(sim, omega)
-        grad = loss_gradient(LossFamily("gaussian"), sim, omega, mom.weighted_x)
+        omega, mom = make_problem(rng)
+        grad = loss_gradient(LossFamily("gaussian"), mom, mom.weighted_x)
         assert np.abs(grad).max() < 1e-14
 
     def test_poisson_zero_at_weighted_mean(self, rng):
-        omega, sim = make_problem(rng, family="poisson")
-        from dcot.similarity import smoothing_moments
-
-        mom = smoothing_moments(sim, omega)
+        omega, mom = make_problem(rng, family="poisson")
         z = np.maximum(mom.weighted_x, 1e-6)
-        grad = loss_gradient(LossFamily("poisson"), sim, omega, z)
+        grad = loss_gradient(LossFamily("poisson"), mom, z)
         # zero wherever the weighted mean is interior (positive)
         interior = mom.weighted_x > 1e-6
         assert np.abs(grad[interior]).max() < 1e-12
 
     @pytest.mark.parametrize("family", ["gaussian", "bernoulli", "poisson", "gamma"])
     def test_matches_finite_differences(self, family, rng):
-        omega, sim = make_problem(rng, family=family)
+        omega, mom = make_problem(rng, family=family)
         fam = LossFamily(family)
         if family in ("poisson", "gamma"):
             z = positive_z(rng, omega.shape)
         else:
             z = rng.standard_normal(omega.shape)
-        grad = loss_gradient(fam, sim, omega, z)
-        fd = oracles.central_difference(lambda zz: loss_value(fam, sim, omega, zz), z)
+        grad = loss_gradient(fam, mom, z)
+        fd = oracles.central_difference(lambda zz: loss_value(fam, mom, zz), z)
         denom = max(np.abs(fd).max(), 1e-12)
         assert np.abs(grad - fd).max() / denom < 1e-5
 
     def test_descent_direction(self, rng):
-        omega, sim = make_problem(rng)
+        omega, mom = make_problem(rng)
         fam = LossFamily("gaussian")
         z = rng.standard_normal(omega.shape)
-        grad = loss_gradient(fam, sim, omega, z)
-        before = loss_value(fam, sim, omega, z)
-        after = loss_value(fam, sim, omega, z - 1e-3 * grad)
+        grad = loss_gradient(fam, mom, z)
+        before = loss_value(fam, mom, z)
+        after = loss_value(fam, mom, z - 1e-3 * grad)
         assert after < before
 
 
 class TestLossCurvature:
     @pytest.mark.parametrize("family", ["gaussian", "bernoulli", "poisson", "gamma"])
     def test_matches_finite_differences(self, family, rng):
-        omega, sim = make_problem(rng, family=family)
+        omega, mom = make_problem(rng, family=family)
         fam = LossFamily(family)
         if family in ("poisson", "gamma"):
             z = positive_z(rng, omega.shape)
         else:
             z = rng.standard_normal(omega.shape)
-        curv = loss_curvature(fam, sim, omega, z)
+        curv = loss_curvature(fam, mom, z)
         # the Hessian is diagonal: cell t's gradient moves only with z_t
         h = 1e-5
-        fd = (loss_gradient(fam, sim, omega, z + h)
-              - loss_gradient(fam, sim, omega, z - h)) / (2 * h)
+        fd = (loss_gradient(fam, mom, z + h)
+              - loss_gradient(fam, mom, z - h)) / (2 * h)
         denom = max(np.abs(fd).max(), 1e-12)
         assert np.abs(curv - fd).max() / denom < 1e-5
 
     @pytest.mark.parametrize("family", ["gaussian", "bernoulli", "poisson", "gamma"])
     def test_min_bounds_curvature_on_domain(self, family, rng):
-        omega, sim = make_problem(rng, family=family)
+        omega, mom = make_problem(rng, family=family)
         fam = LossFamily(family)
         z_min = 0.05
-        low = loss_curvature_min(fam, sim, omega, z_min)
+        low = loss_curvature_min(fam, mom, z_min)
         grid = np.geomspace(z_min, 1e3, 400) if family in ("poisson", "gamma") else \
             np.linspace(-20.0, 20.0, 401)
-        curv = np.stack([loss_curvature(fam, sim, omega, np.full(omega.shape, q))
+        curv = np.stack([loss_curvature(fam, mom, np.full(omega.shape, q))
                          for q in grid])
         assert np.all(curv >= low - 1e-12)
         if family == "gamma":  # the bound is attained, so it is the minimum
@@ -189,15 +184,15 @@ class TestLossLipschitz:
         shape = (2, 2, 2)
         x = rng.standard_normal(shape)
         omega = ObservationSet.from_dense(x)
-        sim = SimilarityModel.neutral(shape)
-        lf = loss_lipschitz(LossFamily("gaussian"), sim, omega)
+        mom = smoothing_moments(SimilarityModel.neutral(shape), omega)
+        lf = loss_lipschitz(LossFamily("gaussian"), mom)
         assert np.isclose(lf, 2.0 / 8.0)
 
     def test_bernoulli_single_cell(self):
         shape = (1,)
         omega = ObservationSet.from_entries([((0,), 1.0)], shape)
-        sim = SimilarityModel.neutral(shape)
-        lf = loss_lipschitz(LossFamily("bernoulli"), sim, omega)
+        mom = smoothing_moments(SimilarityModel.neutral(shape), omega)
+        lf = loss_lipschitz(LossFamily("bernoulli"), mom)
         assert np.isclose(lf, 0.25)
 
     def test_unnormalized_scales_linearly(self, rng):
@@ -209,29 +204,29 @@ class TestLossLipschitz:
             type(m)(s=0.5 * m.s, c=m.c) for m in ones.per_mode[:1]
         ] + ones.per_mode[1:]
         half = SimilarityModel(per_mode=half_modes, normalized=False)
-        lf_full = loss_lipschitz(LossFamily("gaussian"), ones, omega)
-        lf_half = loss_lipschitz(LossFamily("gaussian"), half, omega)
+        lf_full = loss_lipschitz(LossFamily("gaussian"), smoothing_moments(ones, omega))
+        lf_half = loss_lipschitz(LossFamily("gaussian"), smoothing_moments(half, omega))
         assert np.isclose(lf_full, 2.0 * lf_half)
 
     def test_positive_families_need_floor(self, rng):
-        omega, sim = make_problem(rng, family="poisson")
+        omega, mom = make_problem(rng, family="poisson")
         with pytest.raises(ValueError):
-            loss_lipschitz(LossFamily("poisson"), sim, omega)
-        lf = loss_lipschitz(LossFamily("poisson"), sim, omega, z_min=0.5)
+            loss_lipschitz(LossFamily("poisson"), mom)
+        lf = loss_lipschitz(LossFamily("poisson"), mom, z_min=0.5)
         assert lf > 0
 
     @pytest.mark.parametrize("family", ["gaussian", "bernoulli", "poisson", "gamma"])
     def test_bounds_actual_gradient_jumps(self, family, rng):
-        omega, sim = make_problem(rng, family=family)
+        omega, mom = make_problem(rng, family=family)
         fam = LossFamily(family)
         z_min = 0.5
-        lf = loss_lipschitz(fam, sim, omega, z_min=z_min)
+        lf = loss_lipschitz(fam, mom, z_min=z_min)
         for _ in range(10):
             z1 = positive_z(rng, omega.shape) if family in ("poisson", "gamma") else \
                 rng.standard_normal(omega.shape)
             z2 = positive_z(rng, omega.shape) if family in ("poisson", "gamma") else \
                 rng.standard_normal(omega.shape)
-            g1 = loss_gradient(fam, sim, omega, z1)
-            g2 = loss_gradient(fam, sim, omega, z2)
+            g1 = loss_gradient(fam, mom, z1)
+            g2 = loss_gradient(fam, mom, z2)
             lhs = np.linalg.norm(g1 - g2)
             assert lhs <= lf * np.linalg.norm(z1 - z2) + 1e-12

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from dcot.losses import LossFamily, ObservationSet, loss_gradient
+from dcot.losses import LossFamily, ObservationSet, loss_gradient, loss_value
 from dcot.model import (
     DcotModel,
     InitStrategy,
@@ -31,7 +31,7 @@ from dcot.solver import (
     update_z,
 )
 from dcot.evaluate import SynthSpec, rmse, synthesize
-from dcot.tensor import multilinear_product
+from dcot.tensor import frob_norm, multilinear_product
 
 
 def random_state(rng, shape=(3, 2, 2), ranks=(2, 2, 2), partition=None):
@@ -211,39 +211,39 @@ class TestUpdateZ:
         else:
             x = rng.standard_normal(shape)
         omega = ObservationSet.from_dense(x)
-        sim = SimilarityModel.ones(shape)
-        return model, z, y, omega, sim
+        mom = smoothing_moments(SimilarityModel.ones(shape), omega)
+        return model, z, y, omega, mom
 
     def test_gamma_to_infinity_limit(self, rng):
-        model, z, y, omega, sim = self.make(rng)
+        model, z, y, omega, mom = self.make(rng)
         gamma = 1e8
         center = reconstruct(model) - y / gamma
-        got = update_z(model, z, y, gamma, LossFamily("gaussian"), sim, omega)
+        got = update_z(reconstruct(model), z, y, gamma, LossFamily("gaussian"), mom, omega)
         assert np.abs(got - center).max() < 1e-6
 
     def test_closed_form_matches_newton(self, rng):
-        model, z, y, omega, sim = self.make(rng)
+        model, z, y, omega, mom = self.make(rng)
         fam = LossFamily("gaussian")
-        closed = update_z(model, z, y, 0.7, fam, sim, omega)
-        newton = newton_z(fam, sim, omega, reconstruct(model) - y / 0.7, 0.7, z)
+        closed = update_z(reconstruct(model), z, y, 0.7, fam, mom, omega)
+        newton = newton_z(fam, mom, omega, reconstruct(model) - y / 0.7, 0.7, z)
         assert np.abs(closed - newton).max() < 1e-8
 
     def test_scalar_grid_oracle(self, rng):
         shape = (1,)
         model = DcotModel([np.array([[1.0]])], np.array([0.3]), np.array([0.2]))
         omega = ObservationSet.from_entries([((0,), 1.7)], shape)
-        sim = SimilarityModel.neutral(shape)
+        mom = smoothing_moments(SimilarityModel.neutral(shape), omega)
         fam = LossFamily("gaussian")
         z = np.array([0.0])
         y = np.array([0.4])
         gamma = 0.9
-        got = update_z(model, z, y, gamma, fam, sim, omega)
+        got = update_z(reconstruct(model), z, y, gamma, fam, mom, omega)
         from dcot.losses import loss_value
 
         qs = np.linspace(-5, 5, 200001)
         center = reconstruct(model) - y / gamma
         vals = [
-            loss_value(fam, sim, omega, np.array([q]))
+            loss_value(fam, mom, np.array([q]))
             + 0.5 * gamma * (q - center[0]) ** 2
             for q in qs
         ]
@@ -251,13 +251,13 @@ class TestUpdateZ:
 
     @pytest.mark.parametrize("family", ["bernoulli", "poisson", "gamma"])
     def test_newton_first_order_condition(self, family, rng):
-        model, z, y, omega, sim = self.make(rng, family=family)
+        model, z, y, omega, mom = self.make(rng, family=family)
         fam = LossFamily(family)
         gamma = 0.8
         z0 = np.abs(z) + 0.5 if family in ("poisson", "gamma") else z
-        got = update_z(model, z0, y, gamma, fam, sim, omega, z_floor=1e-8)
+        got = update_z(reconstruct(model), z0, y, gamma, fam, mom, omega, z_floor=1e-8)
         center = reconstruct(model) - y / gamma
-        grad = loss_gradient(fam, sim, omega, got) + gamma * (got - center)
+        grad = loss_gradient(fam, mom, got) + gamma * (got - center)
         interior = got > 1e-8 if family in ("poisson", "gamma") else np.ones_like(got, bool)
         assert np.abs(grad[interior]).max() <= 1e-6 + 1e-12
         # a cell held at the floor is optimal only if the objective rises above it
@@ -265,14 +265,15 @@ class TestUpdateZ:
 
     @pytest.mark.parametrize("family", ["poisson", "gamma"])
     def test_newton_floor_is_active_constraint(self, family, rng):
-        model, z, y, omega, sim = self.make(rng, family=family)
+        model, z, y, omega, mom = self.make(rng, family=family)
         fam = LossFamily(family)
         gamma, floor = 0.8, 0.5
         # centers far below the floor pin some cells to it
         y = y + 5.0 * gamma * (rng.random(y.shape) < 0.5)
-        got = update_z(model, np.abs(z) + 1.0, y, gamma, fam, sim, omega, z_floor=floor)
+        got = update_z(reconstruct(model), np.abs(z) + 1.0, y, gamma, fam, mom, omega,
+                       z_floor=floor)
         center = reconstruct(model) - y / gamma
-        grad = loss_gradient(fam, sim, omega, got) + gamma * (got - center)
+        grad = loss_gradient(fam, mom, got) + gamma * (got - center)
         at_floor = got <= floor
         assert got.min() >= floor and at_floor.any()
         assert np.all(grad[at_floor] >= 0)
@@ -280,40 +281,41 @@ class TestUpdateZ:
         assert np.abs(grad[~at_floor]).max() <= tol
 
     def test_newton_gives_up_naming_z_block(self, rng):
-        model, z, y, omega, sim = self.make(rng, family="bernoulli")
+        model, z, y, omega, mom = self.make(rng, family="bernoulli")
         center = reconstruct(model)
         center.flat[0] = np.nan
         with pytest.raises(SolverAbort, match="z block"):
-            newton_z(LossFamily("bernoulli"), sim, omega, center, 0.8, z)
+            newton_z(LossFamily("bernoulli"), mom, omega, center, 0.8, z)
 
     def test_newton_rejects_nonconvex_subproblem(self, rng):
-        model, z, y, omega, sim = self.make(rng, family="gamma")
+        model, z, y, omega, mom = self.make(rng, family="gamma")
         # the gamma loss is not convex: near z = 3 m1 / w its curvature is
         # negative by far more than this gamma
         with pytest.raises(ValueError, match="strongly convex"):
-            newton_z(LossFamily("gamma"), sim, omega, reconstruct(model), 1e-6, z + 1.0)
+            newton_z(LossFamily("gamma"), mom, omega, reconstruct(model), 1e-6, z + 1.0)
 
 
 class TestUpdateDual:
     def test_feasible_keeps_dual(self, rng):
         model, _, y = random_state(rng)
         z = reconstruct(model)
-        assert np.allclose(update_dual(model, z, y, 2.0), y, atol=1e-12)
+        assert np.allclose(update_dual(reconstruct(model) - z, y, 2.0), y, atol=1e-12)
 
     def test_zero_dual_unit_gamma(self, rng):
         model, z, _ = random_state(rng)
-        got = update_dual(model, z, np.zeros_like(z), 1.0)
+        got = update_dual(reconstruct(model) - z, np.zeros_like(z), 1.0)
         assert np.allclose(got, -(reconstruct(model) - z), atol=1e-12)
 
     def test_optimality_identity_after_exact_z_step(self, rng):
         # with an exact gaussian z step the new dual equals minus the loss
         # gradient at the new z
-        model, z, y, omega, sim = TestUpdateZ().make(rng)
+        model, z, y, omega, mom = TestUpdateZ().make(rng)
         fam = LossFamily("gaussian")
         gamma = 0.6
-        z_new = update_z(model, z, y, gamma, fam, sim, omega)
-        y_new = update_dual(model, z_new, y, gamma)
-        grad = loss_gradient(fam, sim, omega, z_new)
+        recon = reconstruct(model)
+        z_new = update_z(recon, z, y, gamma, fam, mom, omega)
+        y_new = update_dual(recon - z_new, y, gamma)
+        grad = loss_gradient(fam, mom, z_new)
         assert np.abs(y_new + grad).max() <= 1e-8
 
 
@@ -321,33 +323,35 @@ class TestLagrangian:
     def test_feasible_no_penalties_is_loss(self, rng):
         from dcot.losses import loss_value
 
-        model, _, y, omega, sim = TestUpdateZ().make(rng)
+        model, _, y, omega, mom = TestUpdateZ().make(rng)
         z = reconstruct(model)
-        fam = LossFamily("gaussian")
-        got = lagrangian_value(model, z, y, 1.2, fam, sim, omega, BlockPenalties())
-        assert np.isclose(got, loss_value(fam, sim, omega, z), atol=1e-12)
+        loss = loss_value(LossFamily("gaussian"), mom, z)
+        got = lagrangian_value(model, reconstruct(model) - z, y, 1.2, loss, BlockPenalties())
+        assert np.isclose(got, loss_value(LossFamily("gaussian"), mom, z), atol=1e-12)
 
     def test_dual_shift_invariant_at_feasible_point(self, rng):
-        model, _, y, omega, sim = TestUpdateZ().make(rng)
+        model, _, y, omega, mom = TestUpdateZ().make(rng)
         z = reconstruct(model)
-        fam = LossFamily("gaussian")
-        a = lagrangian_value(model, z, y, 1.2, fam, sim, omega, BlockPenalties())
-        b = lagrangian_value(model, z, y + 3.0, 1.2, fam, sim, omega, BlockPenalties())
+        r = reconstruct(model) - z
+        loss = loss_value(LossFamily("gaussian"), mom, z)
+        a = lagrangian_value(model, r, y, 1.2, loss, BlockPenalties())
+        b = lagrangian_value(model, r, y + 3.0, 1.2, loss, BlockPenalties())
         assert np.isclose(a, b, atol=1e-10)
 
     def test_term_by_term_oracle(self, rng):
         from dcot.losses import loss_value
         from dcot.prox import penalty_value
 
-        model, z, y, omega, sim = TestUpdateZ().make(rng)
+        model, z, y, omega, mom = TestUpdateZ().make(rng)
         fam = LossFamily("gaussian")
         pen = BlockPenalties(g=Penalty.l1(0.3), h=Penalty.frob_sq(0.2),
                              factors=Penalty.l1(0.05))
         gamma = 0.9
-        got = lagrangian_value(model, z, y, gamma, fam, sim, omega, pen)
+        got = lagrangian_value(model, reconstruct(model) - z, y, gamma,
+                               loss_value(fam, mom, z), pen)
         r = reconstruct(model) - z
         expected = (
-            loss_value(fam, sim, omega, z)
+            loss_value(fam, mom, z)
             + penalty_value(pen.g, model.core_g)
             + penalty_value(pen.h, model.core_h)
             + sum(penalty_value(pen.factor(n, 3), u) for n, u in enumerate(model.factors))
@@ -357,10 +361,11 @@ class TestLagrangian:
         assert np.isclose(got, expected, atol=1e-10)
 
     def test_indicator_violation_is_infinite(self, rng):
-        model, z, y, omega, sim = TestUpdateZ().make(rng)
+        model, z, y, omega, mom = TestUpdateZ().make(rng)
         model.core_g[0, 0, 0] = -1.0
         pen = BlockPenalties(g=Penalty.nonneg())
-        got = lagrangian_value(model, z, y, 1.0, LossFamily("gaussian"), sim, omega, pen)
+        loss = loss_value(LossFamily("gaussian"), mom, z)
+        got = lagrangian_value(model, reconstruct(model) - z, y, 1.0, loss, pen)
         assert got == np.inf
 
 
@@ -368,12 +373,16 @@ class TestEstimateModuli:
     def make_cfg(self, **kw):
         return SolverConfig(**kw)
 
+    def make_mom(self, rng, shape=(3, 2, 2)):
+        omega = ObservationSet.from_dense(rng.standard_normal(shape))
+        return smoothing_moments(SimilarityModel.neutral(shape), omega)
+
     def test_zero_model_floor(self, rng):
         shape, ranks = (3, 3), (2, 2)
         model = DcotModel([np.zeros((3, 2))] * 2, np.zeros(ranks), np.zeros(ranks))
         omega = ObservationSet.from_dense(rng.standard_normal(shape))
-        sim = SimilarityModel.neutral(shape)
-        cfg = estimate_moduli(model, self.make_cfg(), LossFamily("gaussian"), sim, omega)
+        mom = smoothing_moments(SimilarityModel.neutral(shape), omega)
+        cfg = estimate_moduli(model, self.make_cfg(), LossFamily("gaussian"), mom)
         assert cfg.rho_g == 1e-8
         assert all(r == 1e-8 for r in cfg.rho_factors)
 
@@ -381,19 +390,18 @@ class TestEstimateModuli:
         core = np.array([1.0, -2.0])
         model = DcotModel([rng.standard_normal((4, 2))], core.copy(), core.copy())
         omega = ObservationSet.from_dense(rng.standard_normal((4,)))
-        sim = SimilarityModel.neutral((4,))
+        mom = smoothing_moments(SimilarityModel.neutral((4,)), omega)
         cfg = self.make_cfg(gamma=2.0, lipschitz_safety=1.0)
-        got = estimate_moduli(model, cfg, LossFamily("gaussian"), sim, omega)
+        got = estimate_moduli(model, cfg, LossFamily("gaussian"), mom)
         s = model.core_g + model.core_h
         assert np.isclose(got.rho_factors[0], 2.0 * float(s @ s), rtol=1e-6)
 
     def test_doubling_gamma_doubles_moduli(self, rng):
         model, z, y = random_state(rng)
-        omega = ObservationSet.from_dense(rng.standard_normal((3, 2, 2)))
-        sim = SimilarityModel.neutral((3, 2, 2))
+        mom = self.make_mom(rng)
         fam = LossFamily("gaussian")
-        a = estimate_moduli(model, self.make_cfg(gamma=1.0), fam, sim, omega)
-        b = estimate_moduli(model, self.make_cfg(gamma=2.0), fam, sim, omega)
+        a = estimate_moduli(model, self.make_cfg(gamma=1.0), fam, mom)
+        b = estimate_moduli(model, self.make_cfg(gamma=2.0), fam, mom)
         assert np.isclose(b.rho_g, 2 * a.rho_g, rtol=1e-6)
         assert np.allclose(np.array(b.rho_factors), 2 * np.array(a.rho_factors),
                            rtol=1e-6)
@@ -402,18 +410,15 @@ class TestEstimateModuli:
         from dcot.losses import loss_lipschitz
 
         model, _, _ = random_state(rng)
-        omega = ObservationSet.from_dense(rng.standard_normal((3, 2, 2)))
-        sim = SimilarityModel.neutral((3, 2, 2))
+        mom = self.make_mom(rng)
         fam = LossFamily("gaussian")
-        cfg = estimate_moduli(model, self.make_cfg(gamma=0.0), fam, sim, omega)
-        assert cfg.gamma > 2.0 * loss_lipschitz(fam, sim, omega)
+        cfg = estimate_moduli(model, self.make_cfg(gamma=0.0), fam, mom)
+        assert cfg.gamma > 2.0 * loss_lipschitz(fam, mom)
 
     def test_explicit_moduli_kept(self, rng):
         model, _, _ = random_state(rng)
-        omega = ObservationSet.from_dense(rng.standard_normal((3, 2, 2)))
-        sim = SimilarityModel.neutral((3, 2, 2))
         cfg = estimate_moduli(model, self.make_cfg(rho_g=7.0), LossFamily("gaussian"),
-                              sim, omega)
+                              self.make_mom(rng))
         assert cfg.rho_g == 7.0
 
 
@@ -480,7 +485,7 @@ class TestSolve:
 
         data, part = planted_problem(seed=2, sigma=0.05, missing=0.3)
         mom = smoothing_moments(data.sim, data.observed)
-        lf = loss_lipschitz(LossFamily("gaussian"), mom, data.observed)
+        lf = loss_lipschitz(LossFamily("gaussian"), mom)
         init = initial_model(data.observed.to_dense(float(data.observed.values.mean())),
                              (3, 3, 3), InitStrategy("hosvd"), part)
         cfg = SolverConfig(gamma=2.1 * lf, max_iters=60, fixed_moduli=True,
@@ -500,7 +505,7 @@ class TestSolve:
         data, part = planted_problem(seed=7, shape=(10, 10, 10), sigma=0.05,
                                      missing=0.3, family="bernoulli")
         mom = smoothing_moments(data.sim, data.observed)
-        lf = loss_lipschitz(fam, mom, data.observed)
+        lf = loss_lipschitz(fam, mom)
         init = initial_model(data.observed.to_dense(0.0), (3, 3, 3),
                              InitStrategy("hosvd"), part)
         cfg = SolverConfig(gamma=2.1 * lf, max_iters=200, fixed_moduli=True,
@@ -533,6 +538,49 @@ class TestSolve:
         res = solve(data.observed, init, LossFamily("gaussian"), data.sim,
                     SolverConfig(max_iters=10, freeze_h=True))
         assert np.array_equal(res.model.core_h, np.zeros((3, 3, 3)))
+
+    @pytest.mark.parametrize("freeze_h", [False, True])
+    def test_one_reconstruction_and_one_loss_per_sweep(self, freeze_h, monkeypatch):
+        import dcot.solver
+
+        data, part = planted_problem(seed=4, sigma=0.05, missing=0.2)
+        init = initial_model(data.observed.to_dense(float(data.observed.values.mean())),
+                             (3, 3, 3), InitStrategy("hosvd"), part)
+        calls = {"reconstruct": 0, "loss_value": 0}
+
+        def counting(name):
+            real = getattr(dcot.solver, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(dcot.solver, name, counting(name))
+        iters = 5
+        res = solve(data.observed, init, LossFamily("gaussian"), data.sim,
+                    SolverConfig(max_iters=iters, tol_primal=0.0, tol_step=0.0,
+                                 freeze_h=freeze_h))
+        assert len(res.trace) == iters + 1
+        # one factor gradient per mode, one core gradient per moving core, and
+        # the sweep's shared reconstruction; the initial trace row adds one more
+        per_sweep = 3 + (1 if freeze_h else 2) + 1
+        assert calls["reconstruct"] == 1 + iters * per_sweep
+        assert calls["loss_value"] == 1 + iters
+
+    @pytest.mark.parametrize("family", ["gaussian", "bernoulli"])
+    def test_final_row_matches_returned_state(self, family):
+        data, part = planted_problem(seed=3, sigma=0.05, missing=0.3, family=family)
+        fill = 0.0 if family == "bernoulli" else float(data.observed.values.mean())
+        init = initial_model(data.observed.to_dense(fill), (3, 3, 3),
+                             InitStrategy("hosvd"), part)
+        fam = LossFamily(family)
+        res = solve(data.observed, init, fam, data.sim, SolverConfig(max_iters=15))
+        last = res.trace.rows[-1]
+        mom = smoothing_moments(data.sim, data.observed)
+        assert last.loss == loss_value(fam, mom, res.z)
+        assert last.primal_residual == frob_norm(reconstruct(res.model) - res.z)
 
     def test_divergence_safeguard_raises(self):
         data, part = planted_problem(seed=6, sigma=0.05, missing=0.2)
