@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import matricize, multilinear_product, n_mode_product
+from .tensor import matricize, multilinear_product
 
 
 @dataclass(frozen=True)
@@ -192,13 +192,7 @@ def init_factors(
 
 def project_core(x: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
     """Project ``x`` onto the basis of the factor matrices: ``x x_n U_n^T``."""
-    x = np.asarray(x, dtype=float)
-    if len(factors) != x.ndim:
-        raise ValueError("need one factor matrix per mode")
-    out = x
-    for n, u in enumerate(factors):
-        out = n_mode_product(out, np.asarray(u, dtype=float).T, n)
-    return out
+    return multilinear_product(x, [np.asarray(u, dtype=float).T for u in factors])
 
 
 def _group_slicer(ndim: int, mode: int, index: int, fixed: tuple[int, int] | None):

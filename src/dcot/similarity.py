@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .losses import ObservationSet
-from .tensor import n_mode_product
+from .tensor import multilinear_product
 
 log = logging.getLogger("dcot.similarity")
 
@@ -281,15 +281,9 @@ def smoothing_moments(sim: SimilarityModel, omega: ObservationSet) -> Moments:
     x0[idx] = omega.values
     x2[idx] = omega.values**2
 
-    def smooth(t: np.ndarray) -> np.ndarray:
-        out = t
-        for mode, f in enumerate(sim._factors):
-            out = n_mode_product(out, f, mode)
-        return out
-
-    w = smooth(indicator)
-    m1 = smooth(x0)
-    m2 = smooth(x2)
+    w = multilinear_product(indicator, sim._factors)
+    m1 = multilinear_product(x0, sim._factors)
+    m2 = multilinear_product(x2, sim._factors)
 
     bad = w <= 0.0
     n_bad = int(bad.sum())

@@ -46,7 +46,7 @@ from .losses import (
 from .model import DcotModel, reconstruct, tie_heterogeneous_core
 from .prox import Penalty, penalty_value, prox_apply
 from .similarity import Moments, SimilarityModel, smoothing_moments
-from .tensor import frob_inner, frob_norm, matricize, n_mode_product
+from .tensor import frob_inner, frob_norm, matricize, multilinear_product
 
 log = logging.getLogger("dcot.solver")
 
@@ -210,10 +210,10 @@ def factor_gradient(model: DcotModel, z, y, gamma: float, mode: int) -> np.ndarr
     through every other factor's transpose, times the transposed core-sum
     matricization; this avoids forming any explicit Kronecker product.
     """
-    m = residual_tensor(model, z, y, gamma)
-    for t, u in enumerate(model.factors):
-        if t != mode:
-            m = n_mode_product(m, u.T, t)
+    m = multilinear_product(
+        residual_tensor(model, z, y, gamma),
+        [None if t == mode else u.T for t, u in enumerate(model.factors)],
+    )
     s = model.core_g + model.core_h
     return matricize(m, mode) @ matricize(s, mode).T
 
@@ -224,10 +224,9 @@ def core_gradient(model: DcotModel, z, y, gamma: float) -> np.ndarray:
     This is the residual projected onto the factor basis, i.e. the
     adjoint (transposed) factor maps applied mode by mode.
     """
-    m = residual_tensor(model, z, y, gamma)
-    for t, u in enumerate(model.factors):
-        m = n_mode_product(m, u.T, t)
-    return m
+    return multilinear_product(
+        residual_tensor(model, z, y, gamma), [u.T for u in model.factors]
+    )
 
 
 def update_factor(
@@ -265,8 +264,7 @@ def update_cores(
     )
     if freeze_h:
         return g_new, model.core_h
-    work = model.copy()
-    work.core_g = g_new
+    work = replace(model, core_g=g_new)
     h_new = prox_apply(
         penalty_h, work.core_h - core_gradient(work, z, y, gamma) / rho_h, rho_h
     )

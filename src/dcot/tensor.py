@@ -9,6 +9,9 @@ Conventions used throughout the package:
   and column ``sum_{k != mode} i_k * prod_{m < k, m != mode} I_m``
   (0-based): the remaining modes are enumerated first-remaining-mode
   fastest.  ``fold`` is the exact inverse under the same convention.
+  This Fortran-order convention governs only ``matricize``, ``fold`` and
+  ``vec``: mode products contract the named axis directly and never
+  matricize.
 * Modes are 0-based everywhere in the Python API; 1-based indices appear
   only in on-disk file formats (see :mod:`dcot.io`).
 
@@ -63,8 +66,9 @@ def fold(m: np.ndarray, mode: int, shape: tuple[int, ...]) -> np.ndarray:
 def n_mode_product(t: np.ndarray, u: np.ndarray, mode: int) -> np.ndarray:
     """Multiply tensor ``t`` by matrix ``u`` along ``mode``.
 
-    Satisfies ``matricize(result, mode) == u @ matricize(t, mode)``; the
-    result's shape replaces ``t.shape[mode]`` by ``u.shape[0]``.
+    Contracts the columns of ``u`` with axis ``mode`` of ``t``, so that
+    ``matricize(result, mode) == u @ matricize(t, mode)``; the result's
+    shape replaces ``t.shape[mode]`` by ``u.shape[0]``.
     """
     t = np.asarray(t, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -76,15 +80,16 @@ def n_mode_product(t: np.ndarray, u: np.ndarray, mode: int) -> np.ndarray:
             f"matrix with {u.shape[1]} columns cannot act on mode {mode} "
             f"of size {t.shape[mode]}"
         )
-    new_shape = t.shape[:mode] + (u.shape[0],) + t.shape[mode + 1 :]
-    return fold(u @ matricize(t, mode), mode, new_shape)
+    return np.moveaxis(np.tensordot(u, t, axes=(1, mode)), 0, mode)
 
 
-def multilinear_product(core: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
+def multilinear_product(
+    core: np.ndarray, factors: list[np.ndarray | None]
+) -> np.ndarray:
     """Apply one factor matrix per mode: ``core x_1 U_1 x_2 U_2 ...``.
 
-    The result does not depend on the order in which modes are applied
-    (up to floating rounding).
+    A ``None`` entry leaves its mode as it is.  The result does not depend
+    on the order in which modes are applied (up to floating rounding).
     """
     core = np.asarray(core, dtype=float)
     if len(factors) != core.ndim:
@@ -93,7 +98,8 @@ def multilinear_product(core: np.ndarray, factors: list[np.ndarray]) -> np.ndarr
         )
     out = core
     for mode, u in enumerate(factors):
-        out = n_mode_product(out, u, mode)
+        if u is not None:
+            out = n_mode_product(out, u, mode)
     return out
 
 
@@ -103,7 +109,7 @@ def frob_inner(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.dot(a.ravel(), b.ravel()))
+    return float(np.vdot(a, b))
 
 
 def frob_norm(a: np.ndarray) -> float:

@@ -199,6 +199,15 @@ class TestBlockUpdates:
         with pytest.raises(TypeError):
             update_cores(*args, True)
 
+    def test_cores_leave_input_model_unchanged(self, rng):
+        part = SubjectPartition(1, (SliceGroup((0, 1)),))
+        model, z, y = random_state(rng, partition=part)
+        before = model.copy()
+        update_cores(model, z, y, 1.3, 2.0, 2.0, Penalty.l1(0.1), Penalty.l1(0.1))
+        assert np.array_equal(model.core_g, before.core_g)
+        assert np.array_equal(model.core_h, before.core_h)
+        assert all(np.array_equal(a, b) for a, b in zip(model.factors, before.factors))
+
 
 class TestUpdateZ:
     def make(self, rng, family="gaussian", shape=(2, 3, 2)):

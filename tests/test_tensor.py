@@ -96,6 +96,17 @@ class TestNModeProduct:
         with pytest.raises(ValueError):
             n_mode_product(rng.standard_normal((2, 3)), rng.standard_normal((4, 4)), 1)
 
+    def test_matches_matricized_formula_on_small_shapes(self, rng):
+        for shape in oracles.small_shapes():
+            t = rng.standard_normal(shape)
+            for mode, size in enumerate(shape):
+                u = rng.standard_normal((3, size))
+                new_shape = shape[:mode] + (3,) + shape[mode + 1 :]
+                want = fold(u @ matricize(t, mode), mode, new_shape)
+                got = n_mode_product(t, u, mode)
+                assert got.shape == new_shape
+                assert np.allclose(got, want, rtol=0, atol=1e-12)
+
 
 class TestMultilinearProduct:
     def test_identity_factors(self, rng):
@@ -131,6 +142,13 @@ class TestMultilinearProduct:
             for mode in order:
                 out = n_mode_product(out, factors[mode], mode)
             assert np.allclose(seq, out, atol=1e-12)
+
+    def test_none_entry_skips_its_mode(self, rng):
+        core = rng.standard_normal((2, 3, 2))
+        factors = [rng.standard_normal((4, 2)), None, rng.standard_normal((5, 2))]
+        want = n_mode_product(n_mode_product(core, factors[0], 0), factors[2], 2)
+        assert np.array_equal(multilinear_product(core, factors), want)
+        assert np.array_equal(multilinear_product(core, [None] * 3), core)
 
     def test_factor_count_mismatch(self, rng):
         with pytest.raises(ValueError):
