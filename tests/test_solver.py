@@ -296,6 +296,13 @@ class TestUpdateZ:
         with pytest.raises(SolverAbort, match="z block"):
             newton_z(LossFamily("bernoulli"), mom, omega, center, 0.8, z)
 
+    def test_newton_non_finite_gradient_on_floor_aborts(self, rng):
+        model, z, y, omega, mom = self.make(rng, family="poisson")
+        center = reconstruct(model)
+        center.flat[0] = -np.inf
+        with pytest.raises(SolverAbort, match="not finite"), np.errstate(invalid="ignore"):
+            newton_z(LossFamily("poisson"), mom, omega, center, 5.0, z, z_floor=1e-2)
+
     def test_newton_rejects_nonconvex_subproblem(self, rng):
         model, z, y, omega, mom = self.make(rng, family="gamma")
         # the gamma loss is not convex: near z = 3 m1 / w its curvature is
@@ -539,6 +546,24 @@ class TestSolve:
         res = solve(data.observed, init, LossFamily(family), data.sim, cfg)
         assert len(res.trace) == 21
         assert np.isfinite(res.z).all() and res.z.min() >= 1e-2
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("family", ["poisson", "gamma"])
+    def test_positive_families_solve_on_default_floor(self, family, seed):
+        # gamma >= 2.1 L_F scales like 1 / z_floor**2 (poisson) or faster
+        # (gamma); at the default floor the rounding of gamma * (z - center)
+        # exceeded the absolute Newton tolerance and the first z step aborted
+        part = SubjectPartition(2, (SliceGroup((0, 1, 2)),))
+        spec = SynthSpec(shape=(30, 30, 30), ranks=(3, 3, 3), partition=part,
+                         noise_family=family, missing_fraction=0.5, seed=seed)
+        data = synthesize(spec)
+        omega = data.observed
+        init = initial_model(omega.to_dense(float(omega.values.mean())), (3, 3, 3),
+                             InitStrategy("hosvd"), part)
+        res = solve(omega, init, LossFamily(family), SimilarityModel.neutral(omega.shape),
+                    SolverConfig(max_iters=20))
+        assert res.reason == "max_iters" and len(res.trace) == 21
+        assert np.isfinite(res.z).all() and res.z.min() >= SolverConfig().z_floor
 
     def test_freeze_h_keeps_zero_core(self):
         data, part = planted_problem(seed=4, sigma=0.05, missing=0.2)
