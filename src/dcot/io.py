@@ -21,6 +21,7 @@ All file formats use 1-based indices; conversion to the package's
 from __future__ import annotations
 
 import json
+import math
 import re
 import struct
 from pathlib import Path
@@ -81,6 +82,8 @@ def read_coo(path) -> ObservationSet:
             value = float(tokens[-1])
         except ValueError as exc:
             raise DataIOError(f"{path}:{lineno}: unparseable entry") from exc
+        if not math.isfinite(value):
+            raise DataIOError(f"{path}:{lineno}: value {tokens[-1]} is not finite")
         if any(not 1 <= i <= d for i, d in zip(idx, dims)):
             raise DataIOError(f"{path}:{lineno}: index {idx} out of range for {dims}")
         if idx in seen:

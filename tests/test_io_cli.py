@@ -54,6 +54,13 @@ class TestCooFormat:
         with pytest.raises(io.DataIOError, match="unparseable"):
             io.read_coo(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_names_line(self, tmp_path, value):
+        path = tmp_path / "t.coo"
+        path.write_text(f"# dims: 2 2\n2 2 1.0\n1 1 {value}\n")
+        with pytest.raises(io.DataIOError, match="t.coo:3: .*not finite"):
+            io.read_coo(path)
+
     def test_missing_header(self, tmp_path):
         path = tmp_path / "t.coo"
         path.write_text("1 1 1.0\n")
@@ -212,6 +219,19 @@ def run_cli(tmp_path, command, cfg, *extra):
 
 
 class TestCliPipeline:
+    def test_poisson_completes_on_default_solver_settings(self, tmp_path, monkeypatch):
+        # at the default z_floor the first z step used to abort (exit 3):
+        # the Newton tolerance sat below the rounding of gamma * (z - center)
+        monkeypatch.chdir(tmp_path)
+        synth = synth_config(missing=0.2, seed=3)
+        synth["synth"]["noise_family"] = "poisson"
+        assert run_cli(tmp_path, "synth", synth) == 0
+        cfg = fit_config("run")
+        cfg["family"] = "poisson"
+        del cfg["solver"]
+        assert run_cli(tmp_path, "complete", cfg) == 0
+        assert (tmp_path / "run" / "z_hat.dct").exists()
+
     def test_synth_complete_evaluate(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert run_cli(tmp_path, "synth", synth_config()) == 0
@@ -318,6 +338,18 @@ class TestCliErrors:
         cfg = fit_config("x", synth_dir="nowhere")
         code = run_cli(tmp_path, "factorize", cfg)
         assert code == 4
+
+    def test_non_finite_observation_is_io_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "data").mkdir()
+        (tmp_path / "data" / "observed.coo").write_text("# dims: 2 2 2\n1 1 1 nan\n")
+        cfg = fit_config("x", synth_dir="data")
+        del cfg["partition"]
+        cfg["ranks"] = [1, 1, 1]
+        assert run_cli(tmp_path, "factorize", cfg) == 4
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["kind"] == "io" and "observed.coo:2" in error["message"]
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("key, value", [("z_solver", "quasi_newton"),
                                             ("qn_grad_tol", 1e-8),
