@@ -26,7 +26,7 @@ from dcot.losses import LossFamily
 from dcot.model import InitStrategy, SliceGroup, SubjectPartition, initial_model, reconstruct
 from dcot.prox import Penalty
 from dcot.similarity import SimilarityModel, mode_similarity
-from dcot.solver import BlockPenalties, SolverConfig, solve
+from dcot.solver import BlockPenalties, SolverConfig, initial_fill, solve
 
 
 def informative_similarity(data, lo=0.02, hi=0.2):
@@ -63,7 +63,7 @@ def main(argv=None):
         data = synthesize(spec)
         test = complement_set(data.observed, data.ground_truth)
         init = initial_model(
-            data.observed.to_dense(float(data.observed.values.mean())),
+            data.observed.to_dense(initial_fill(data.observed, fam)),
             spec.ranks, InitStrategy("hosvd"), part,
         )
         neutral = SimilarityModel.neutral(shape)

@@ -19,7 +19,7 @@ from dcot.evaluate import SynthSpec, complement_set, rmse, synthesize
 from dcot.losses import LossFamily
 from dcot.model import InitStrategy, SliceGroup, SubjectPartition, initial_model, reconstruct
 from dcot.similarity import SimilarityModel, mode_similarity
-from dcot.solver import SolverConfig, solve
+from dcot.solver import SolverConfig, initial_fill, solve
 
 
 def informative_similarity(data, lo=0.02, hi=0.2):
@@ -57,7 +57,7 @@ def main(argv=None):
                              missing_fraction=missing, seed=seed)
             data = synthesize(spec)
             init = initial_model(
-                data.observed.to_dense(float(data.observed.values.mean())),
+                data.observed.to_dense(initial_fill(data.observed, fam)),
                 spec.ranks, InitStrategy("hosvd"), part,
             )
             res = solve(data.observed, init, fam, informative_similarity(data),

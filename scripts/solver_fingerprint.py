@@ -1,0 +1,128 @@
+#!/usr/bin/env python3
+"""Print one sha256 per solver case, to check that a change keeps outputs bitwise.
+
+Cases: eight solver configurations x seeds 0-1 on a planted 12^3 problem
+(ranks (3, 3, 4), two tied groups on mode 3, 30 % missing, kernel
+similarity, 40 iterations) -- gaussian default, ``fixed_moduli``,
+``freeze_h``, ``rho_g=5``, l1/frob_sq penalties, bernoulli, and poisson and
+gamma with ``z_floor=1e-2`` -- plus one ``dcot synth`` + ``dcot complete``
+run with kernel similarity, hashed over its ``trace.csv`` and
+``z_hat.dct``.  A solve hashes ``z``, ``y``, both cores, the factors, every
+``trace.csv`` column, the effective moduli, ``converged`` and ``reason``; a
+case that raises prints the exception instead.
+
+Usage: PYTHONPATH=src python scripts/solver_fingerprint.py > change.txt
+Run the same script against a checkout of the parent commit (point
+PYTHONPATH at its ``src``) and ``diff`` the two outputs.
+"""
+
+import contextlib
+import hashlib
+import io as stdio
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from dcot.cli import main as cli_main
+from dcot.evaluate import SynthSpec, synthesize
+from dcot.losses import LossFamily
+from dcot.model import InitStrategy, SliceGroup, SubjectPartition, initial_model
+from dcot.prox import Penalty
+from dcot.solver import (
+    BlockPenalties, ConvergenceTrace, SolverAbort, SolverConfig, initial_fill, solve,
+)
+
+SHAPE = (12, 12, 12)
+RANKS = (3, 3, 4)
+PARTITION = SubjectPartition(2, (SliceGroup((0, 1)), SliceGroup((2, 3))))
+ITERS = 40
+
+CASES = {
+    "gaussian-default": ("gaussian", {}),
+    "gaussian-fixed-moduli": ("gaussian", {"fixed_moduli": True}),
+    "gaussian-freeze-h": ("gaussian", {"freeze_h": True}),
+    "gaussian-rho-g": ("gaussian", {"rho_g": 5.0}),
+    "gaussian-penalties": ("gaussian", {"penalties": BlockPenalties(
+        g=Penalty.l1(1e-3), factors=Penalty.frob_sq(1e-3))}),
+    "bernoulli": ("bernoulli", {}),
+    "poisson-floor-1e-2": ("poisson", {"z_floor": 1e-2}),
+    "gamma-floor-1e-2": ("gamma", {"z_floor": 1e-2}),
+}
+
+
+def _hash_arrays(arrays, extra) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a, dtype=float)
+        h.update(repr(a.shape).encode())
+        h.update(a.tobytes())
+    h.update(repr(extra).encode())
+    return h.hexdigest()
+
+
+def solve_case(family: str, overrides: dict, seed: int) -> str:
+    spec = SynthSpec(shape=SHAPE, ranks=RANKS, partition=PARTITION,
+                     noise_family=family, noise_sigma=0.1, missing_fraction=0.3,
+                     seed=seed)
+    data = synthesize(spec)
+    fam = LossFamily(family)
+    omega = data.observed
+    init = initial_model(omega.to_dense(initial_fill(omega, fam)), RANKS,
+                         InitStrategy("hosvd"), PARTITION)
+    try:
+        res = solve(omega, init, fam, data.sim,
+                    SolverConfig(max_iters=ITERS, **overrides))
+    except (SolverAbort, ValueError) as exc:  # a failing case is a fingerprint too
+        return f"error {type(exc).__name__}: {exc}"
+    m = res.model
+    columns = [res.trace.column(f) for f in ConvergenceTrace.CSV_FIELDS]
+    cfg = res.config
+    moduli = (cfg.gamma, cfg.rho_g, cfg.rho_h, cfg.rho_factors)
+    return _hash_arrays([res.z, res.y, m.core_g, m.core_h, *m.factors, *columns],
+                        (moduli, res.converged, res.reason))
+
+
+def cli_case() -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        synth = {"seed": 5, "output": str(tmp / "data"),
+                 "synth": {"shape": [8, 7, 6], "ranks": [2, 2, 2],
+                           "partition": {"mode": 2, "groups": [[1, 2]]},
+                           "noise_sigma": 0.05, "missing_fraction": 0.3}}
+        data = tmp / "data"
+        fit = {"seed": 5, "output": str(tmp / "run"),
+               "data": {"observations": str(data / "observed.coo")},
+               "family": "gaussian", "ranks": [2, 2, 2],
+               "partition": {"path": str(data / "partition.txt")},
+               "similarity": {"kind": "kernel",
+                              "features": [str(data / f"features_mode{n}.txt")
+                                           for n in (1, 2, 3)],
+                              "labels": [str(data / f"labels_mode{n}.txt")
+                                         for n in (1, 2, 3)]},
+               "solver": {"max_iters": 30}, "init": {"kind": "hosvd"}}
+        for command, cfg in (("synth", synth), ("complete", fit)):
+            path = tmp / f"{command}.json"
+            path.write_text(json.dumps(cfg))
+            with contextlib.redirect_stderr(stdio.StringIO()) as err:
+                code = cli_main([command, "--config", str(path)])
+            if code != 0:
+                return f"exit {code}: {err.getvalue().strip()}"
+        h = hashlib.sha256()
+        for name in ("trace.csv", "z_hat.dct"):
+            h.update((tmp / "run" / name).read_bytes())
+        return h.hexdigest()
+
+
+def main() -> int:
+    for name, (family, overrides) in CASES.items():
+        for seed in (0, 1):
+            print(f"{name}/seed{seed} {solve_case(family, overrides, seed)}", flush=True)
+    print(f"cli-synth-complete {cli_case()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
