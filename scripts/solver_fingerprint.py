@@ -9,7 +9,10 @@ gamma with ``z_floor=1e-2`` -- plus one ``dcot synth`` + ``dcot complete``
 run with kernel similarity, hashed over its ``trace.csv`` and
 ``z_hat.dct``.  A solve hashes ``z``, ``y``, both cores, the factors, every
 ``trace.csv`` column, the effective moduli, ``converged`` and ``reason``; a
-case that raises prints the exception instead.
+case that raises prints the exception instead.  Beside each hash the line
+shows the final augmented Lagrangian (``repr``), the iteration count and the
+stop reason, so a change that moves answers in the last bit can be judged by
+magnitude in the same ``diff``.
 
 Usage: PYTHONPATH=src python scripts/solver_fingerprint.py > change.txt
 Run the same script against a checkout of the parent commit (point
@@ -63,6 +66,10 @@ def _hash_arrays(arrays, extra) -> str:
     return h.hexdigest()
 
 
+def _line(digest: str, lagrangian: float, iterations: int, reason: str) -> str:
+    return f"{digest} lagrangian={lagrangian!r} iters={iterations} reason={reason}"
+
+
 def solve_case(family: str, overrides: dict, seed: int) -> str:
     spec = SynthSpec(shape=SHAPE, ranks=RANKS, partition=PARTITION,
                      noise_family=family, noise_sigma=0.1, missing_fraction=0.3,
@@ -81,8 +88,10 @@ def solve_case(family: str, overrides: dict, seed: int) -> str:
     columns = [res.trace.column(f) for f in ConvergenceTrace.CSV_FIELDS]
     cfg = res.config
     moduli = (cfg.gamma, cfg.rho_g, cfg.rho_h, cfg.rho_factors)
-    return _hash_arrays([res.z, res.y, m.core_g, m.core_h, *m.factors, *columns],
-                        (moduli, res.converged, res.reason))
+    digest = _hash_arrays([res.z, res.y, m.core_g, m.core_h, *m.factors, *columns],
+                          (moduli, res.converged, res.reason))
+    last = res.trace.rows[-1]
+    return _line(digest, last.lagrangian, last.iteration, res.reason)
 
 
 def cli_case() -> str:
@@ -110,10 +119,14 @@ def cli_case() -> str:
                 code = cli_main([command, "--config", str(path)])
             if code != 0:
                 return f"exit {code}: {err.getvalue().strip()}"
+        run = tmp / "run"
         h = hashlib.sha256()
         for name in ("trace.csv", "z_hat.dct"):
-            h.update((tmp / "run" / name).read_bytes())
-        return h.hexdigest()
+            h.update((run / name).read_bytes())
+        summary = json.loads((run / "summary.json").read_text())
+        last = (run / "trace.csv").read_text().splitlines()[-1].split(",")
+        lagrangian = float(last[ConvergenceTrace.CSV_FIELDS.index("lagrangian")])
+        return _line(h.hexdigest(), lagrangian, summary["iterations"], summary["reason"])
 
 
 def main() -> int:

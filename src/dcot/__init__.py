@@ -49,7 +49,6 @@ from .solver import (
     initial_fill,
     lagrangian_value,
     newton_z,
-    residual_tensor,
     solve,
     update_cores,
     update_dual,

@@ -334,6 +334,23 @@ def _write_summary(out_dir: Path, payload: dict) -> None:
     )
 
 
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _blas_setting() -> dict:
+    """The BLAS library and its thread settings (unset variables are null).
+
+    Solver outputs can differ in the last bit between BLAS thread counts, so
+    every summary of a solve records them.
+    """
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "name": blas.get("name"),
+        "version": blas.get("version"),
+        "threads": {k: os.environ.get(k) for k in _BLAS_THREAD_VARS},
+    }
+
+
 def _read_observations(data_cfg: dict, base: Path, default_format: str) -> ObservationSet:
     _expect_keys(data_cfg, ("observations", "format"), "data")
     path = base / _typed(data_cfg, "observations", str, "data")
@@ -476,6 +493,7 @@ def _cmd_factorize(cfg: dict, out_dir: Path, seed: int, default_format: str,
         "reason": result.reason,
         "primal_residual": result.trace.rows[-1].primal_residual,
         "train_rmse": rmse(z_hat, omega),
+        "blas": _blas_setting(),
     }
     _write_summary(out_dir, summary)
     return summary
@@ -555,6 +573,7 @@ def _cmd_grid(cfg: dict, out_dir: Path, seed: int, default_format: str,
             "per_block": per_block,
             "seed": seed,
         },
+        "blas": _blas_setting(),
     }
     _write_summary(out_dir, summary)
     return summary

@@ -146,10 +146,12 @@ def _checked(family: LossFamily, mom: Moments, z) -> np.ndarray:
 def loss_value(family: LossFamily, mom: Moments, z: np.ndarray) -> float:
     """Evaluate the smoothed loss from the precomputed smoothing moments."""
     z = _checked(family, mom, z)
-    w, m1, m2, count = mom.weight_sum, mom.weighted_x, mom.weighted_x2, mom.count
+    w, m1, count = mom.weight_sum, mom.weighted_x, mom.count
     if family.kind == "gaussian":
-        total = w * z**2 - 2.0 * m1 * z + m2
-    elif family.kind == "bernoulli":
+        # sum_t (w z^2 - 2 m1 z + m2), with the z-free term summed once
+        quad = float(np.vdot(w * z, z)) - 2.0 * float(np.vdot(m1, z))
+        return (quad + mom.x2_total) / count
+    if family.kind == "bernoulli":
         total = w * np.logaddexp(0.0, z) - m1 * z
     elif family.kind == "poisson":
         total = w * z - m1 * np.log(np.maximum(z, _POISSON_FLOOR))

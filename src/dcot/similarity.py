@@ -129,15 +129,18 @@ def label_consistency(labels, same: float = 0.8, diff: float = 0.2) -> np.ndarra
 class Moments:
     """Per-target smoothing aggregates over the observed entries.
 
-    ``weight_sum[t] = sum_j w(t, j)``, ``weighted_x[t] = sum_j w(t, j) x_j``
-    and ``weighted_x2[t] = sum_j w(t, j) x_j^2``, after any normalization
-    and degenerate-target fallback.  ``count`` is the normalizing cell
-    count ``prod(shape)`` used by the loss functions.
+    ``weight_sum[t] = sum_j w(t, j)`` and ``weighted_x[t] = sum_j w(t, j) x_j``,
+    after any normalization and degenerate-target fallback.  ``x2_total``
+    is the scalar ``sum_t sum_j w(t, j) x_j^2`` over every target, with the
+    same normalization and fallback: the gaussian loss needs that
+    second-moment term only as an additive constant, so no per-target
+    array is kept.  ``count`` is the normalizing cell count ``prod(shape)``
+    used by the loss functions.
     """
 
     weight_sum: np.ndarray
     weighted_x: np.ndarray
-    weighted_x2: np.ndarray
+    x2_total: float
     count: int
     degenerate: int = 0
 
@@ -302,10 +305,12 @@ def smoothing_moments(sim: SimilarityModel, omega: ObservationSet) -> Moments:
         m1[ok] = m1[ok] / w[ok]
         m2[ok] = m2[ok] / w[ok]
         w[ok] = 1.0
+    # the mode products return permuted views; the loss and the z step
+    # combine these arrays with C-ordered ones every sweep, so store C order
     return Moments(
-        weight_sum=w,
-        weighted_x=m1,
-        weighted_x2=m2,
+        weight_sum=np.ascontiguousarray(w),
+        weighted_x=np.ascontiguousarray(m1),
+        x2_total=float(m2.sum()),
         count=int(np.prod(sim.shape)),
         degenerate=n_bad,
     )

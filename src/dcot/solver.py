@@ -14,9 +14,16 @@ linearized at the current point with per-block step ``1 / rho``.  The
 for the gaussian family, a safeguarded per-cell Newton solve otherwise)
 and the dual ascends along the constraint residual.
 
-Each sweep reconstructs once, after the core step.  The z step takes that
-reconstruction; the dual step, the Lagrangian and the primal residual share
-the residual ``recon - z`` formed from it, and the trace one loss evaluation.
+The gradients are taken in core space (Kolda & Bader 2009, *Tensor
+Decompositions and Applications*, SIAM Review): with the sweep's fixed
+target ``T = gamma * z + y`` and ``S = core_g + core_h``, the coupling
+gradient with respect to ``recon`` is ``gamma * recon - T``, and its pull-
+backs to the factors and cores need only ``T`` contracted with factor
+transposes and ``S`` contracted with factor Gram matrices ``U_t^T U_t``.
+So each sweep reconstructs once, after the core step, for the z step; the
+dual step, the Lagrangian and the primal residual share the residual
+``recon - z`` formed from it and one ``<r, r>``, and the trace one loss
+evaluation.
 
 Sign conventions: with the augmented Lagrangian written as
 ``F + penalties - <y, recon - z> + (gamma/2) ||recon - z||^2`` and the
@@ -43,7 +50,7 @@ from .losses import (
     loss_lipschitz,
     loss_value,
 )
-from .model import DcotModel, reconstruct, tie_heterogeneous_core
+from .model import DcotModel, project_core, reconstruct, tie_heterogeneous_core
 from .prox import Penalty, penalty_value, prox_apply
 from .similarity import Moments, SimilarityModel, smoothing_moments
 from .tensor import frob_inner, frob_norm, matricize, multilinear_product
@@ -198,51 +205,55 @@ class SolverResult:
     reason: str
 
 
-def residual_tensor(model: DcotModel, z, y, gamma: float) -> np.ndarray:
-    """The scaled coupling residual ``gamma * (recon - z - y / gamma)``."""
-    return gamma * (reconstruct(model) - z) - y
+def _grams(model: DcotModel, skip: int | None = None) -> list[np.ndarray | None]:
+    """Factor Gram matrices ``U_t^T U_t``, with ``None`` at mode ``skip``."""
+    return [None if t == skip else u.T @ u for t, u in enumerate(model.factors)]
 
 
-def factor_gradient(model: DcotModel, z, y, gamma: float, mode: int) -> np.ndarray:
+def factor_gradient(model: DcotModel, target, gamma: float, mode: int) -> np.ndarray:
     """Gradient of the coupling term with respect to factor ``mode``.
 
-    Computed as the mode-``mode`` matricization of the residual projected
-    through every other factor's transpose, times the transposed core-sum
-    matricization; this avoids forming any explicit Kronecker product.
+    ``target`` is ``gamma * z + y``.  In core space the gradient is
+    ``(gamma * U_n [S x_{t!=n} U_t^T U_t]_(n) - [T x_{t!=n} U_t^T]_(n)) S_(n)^T``
+    with ``S = core_g + core_h``: the reconstruction never appears, and
+    ``T`` is contracted once, down to the core's size on every other mode.
     """
-    m = multilinear_product(
-        residual_tensor(model, z, y, gamma),
-        [None if t == mode else u.T for t, u in enumerate(model.factors)],
-    )
     s = model.core_g + model.core_h
-    return matricize(m, mode) @ matricize(s, mode).T
+    gram = multilinear_product(s, _grams(model, skip=mode))
+    projected = multilinear_product(
+        target, [None if t == mode else u.T for t, u in enumerate(model.factors)]
+    )
+    inner = gamma * model.factors[mode] @ matricize(gram, mode) - matricize(
+        projected, mode
+    )
+    return inner @ matricize(s, mode).T
 
 
-def core_gradient(model: DcotModel, z, y, gamma: float) -> np.ndarray:
+def core_gradient(model: DcotModel, projected, gamma: float) -> np.ndarray:
     """Gradient of the coupling term w.r.t. either core (they coincide).
 
-    This is the residual projected onto the factor basis, i.e. the
-    adjoint (transposed) factor maps applied mode by mode.
+    ``gamma * S x_1 U_1^T U_1 ... x_N U_N^T U_N - P`` with
+    ``S = core_g + core_h`` and ``P = project_core(T, factors)`` for the
+    target ``T = gamma * z + y``: the adjoint factor maps applied to
+    ``gamma * recon - T``, in core space.
     """
-    return multilinear_product(
-        residual_tensor(model, z, y, gamma), [u.T for u in model.factors]
-    )
+    s = model.core_g + model.core_h
+    return gamma * multilinear_product(s, _grams(model)) - projected
 
 
 def update_factor(
-    model: DcotModel, z, y, gamma: float, mode: int, rho: float, penalty: Penalty
+    model: DcotModel, target, gamma: float, mode: int, rho: float, penalty: Penalty
 ) -> np.ndarray:
-    """One linearized proximal step on factor ``mode``."""
+    """One linearized proximal step on factor ``mode`` (``target = gamma * z + y``)."""
     if rho <= 0:
         raise ValueError("factor modulus must be positive")
-    grad = factor_gradient(model, z, y, gamma, mode)
+    grad = factor_gradient(model, target, gamma, mode)
     return prox_apply(penalty, model.factors[mode] - grad / rho, rho)
 
 
 def update_cores(
     model: DcotModel,
-    z,
-    y,
+    target,
     gamma: float,
     rho_g: float,
     rho_h: float,
@@ -253,24 +264,42 @@ def update_cores(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Proximal steps on both cores, with the subject core tied afterwards.
 
-    The subject core's gradient is recomputed after the shared core's
-    update (Gauss-Seidel order).  With ``freeze_h`` only the shared core
-    moves and ``model.core_h`` is returned as it is.
+    ``target`` is ``gamma * z + y``.  The factors do not move between the
+    two steps, so its projection ``P`` is formed once and shared; the
+    subject core's gradient is recomputed after the shared core's update
+    (Gauss-Seidel order).  With ``freeze_h`` only the shared core moves and
+    ``model.core_h`` is returned as it is.
     """
     if rho_g <= 0 or rho_h <= 0:
         raise ValueError("core moduli must be positive")
+    projected = project_core(target, model.factors)
     g_new = prox_apply(
-        penalty_g, model.core_g - core_gradient(model, z, y, gamma) / rho_g, rho_g
+        penalty_g, model.core_g - core_gradient(model, projected, gamma) / rho_g, rho_g
     )
     if freeze_h:
         return g_new, model.core_h
     work = replace(model, core_g=g_new)
     h_new = prox_apply(
-        penalty_h, work.core_h - core_gradient(work, z, y, gamma) / rho_h, rho_h
+        penalty_h, work.core_h - core_gradient(work, projected, gamma) / rho_h, rho_h
     )
     if model.partition is not None:
         h_new = tie_heterogeneous_core(h_new, model.partition)
     return g_new, h_new
+
+
+def gaussian_z_coefficients(mom: Moments, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(a, b)`` of the gaussian closed-form z step ``z = a + b * center``.
+
+    They depend on ``gamma`` and the moments only, so a solve builds them
+    once.
+    """
+    scale = 2.0 / mom.count
+    b = mom.weight_sum * scale
+    b += gamma
+    a = mom.weighted_x * scale
+    a /= b
+    np.divide(gamma, b, out=b)
+    return a, b
 
 
 def update_z(
@@ -283,21 +312,26 @@ def update_z(
     omega: ObservationSet,
     *,
     z_floor: float = 1e-6,
+    coefficients: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Solve the z block: smoothed loss plus the quadratic coupling.
 
     The proximal center is ``recon - y / gamma``.  For the gaussian family
-    the minimizer is the elementwise closed form; other families go to
-    :func:`newton_z`, warm-started at ``z`` (``omega`` scales its tolerance).
+    the minimizer is the elementwise closed form ``a + b * center`` with
+    ``coefficients`` from :func:`gaussian_z_coefficients` (built here when
+    not given); other families go to :func:`newton_z`, warm-started at
+    ``z`` (``omega`` scales its tolerance).
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     center = recon - y / gamma
     if family.kind == "gaussian":
-        count = mom.count
-        return (2.0 * mom.weighted_x / count + gamma * center) / (
-            2.0 * mom.weight_sum / count + gamma
-        )
+        if coefficients is None:
+            coefficients = gaussian_z_coefficients(mom, gamma)
+        a, b = coefficients
+        center *= b
+        center += a
+        return center
     return newton_z(family, mom, omega, center, gamma, z, z_floor=z_floor)
 
 
@@ -382,9 +416,13 @@ def update_dual(r: np.ndarray, y, gamma: float) -> np.ndarray:
 
 
 def lagrangian_value(
-    model: DcotModel, r, y, gamma: float, loss: float, penalties: BlockPenalties
+    model: DcotModel, r, y, gamma: float, loss: float, penalties: BlockPenalties,
+    r_sq: float,
 ) -> float:
-    """``loss + penalties - <y, r> + (gamma/2) ||r||^2`` for ``r = recon - z``."""
+    """``loss + penalties - <y, r> + (gamma/2) ||r||^2`` for ``r = recon - z``.
+
+    ``r_sq`` is ``||r||^2``, which the caller shares with the primal residual.
+    """
     value = loss
     value += penalty_value(penalties.g, model.core_g)
     value += penalty_value(penalties.h, model.core_h)
@@ -392,7 +430,7 @@ def lagrangian_value(
     for n, u in enumerate(model.factors):
         value += penalty_value(penalties.factor(n, n_modes), u)
     value -= frob_inner(y, r)
-    value += 0.5 * gamma * frob_inner(r, r)
+    value += 0.5 * gamma * r_sq
     return value
 
 
@@ -524,24 +562,35 @@ def solve(
     n_modes = len(model.factors)
 
     trace = ConvergenceTrace()
+    coefficients = (
+        gaussian_z_coefficients(mom, gamma) if family.kind == "gaussian" else None
+    )
 
     def diagnostics(it, z, y, r, steps, started):
+        # one <r, r> gives the quadratic term, the primal residual and,
+        # since y_new - y = -gamma * r, the dual step (row 0 took no step)
+        r_sq = frob_inner(r, r)
+        primal = math.sqrt(r_sq)
         loss = loss_value(family, mom, z)
         return TraceRow(
             iteration=it,
-            lagrangian=lagrangian_value(model, r, y, gamma, loss, pen),
+            lagrangian=lagrangian_value(model, r, y, gamma, loss, pen, r_sq),
             loss=loss,
-            primal_residual=frob_norm(r),
+            primal_residual=primal,
             z_step=steps[0],
-            dual_step=steps[1],
-            factor_step=steps[2],
-            core_g_step=steps[3],
-            core_h_step=steps[4],
+            dual_step=gamma * primal if it else 0.0,
+            factor_step=steps[1],
+            core_g_step=steps[2],
+            core_h_step=steps[3],
             wall_time=time.perf_counter() - started,
         )
 
+    def check_finite(block, value, it):
+        if not np.isfinite(value).all():
+            raise SolverAbort(f"{block} block: non-finite values at iteration {it}", trace)
+
     started = time.perf_counter()
-    row = diagnostics(0, z, y, reconstruct(model) - z, (0.0,) * 5, started)
+    row = diagnostics(0, z, y, reconstruct(model) - z, (0.0,) * 4, started)
     trace.append(row)
     initial_lagr = row.lagrangian
     guard = _DIVERGENCE_FACTOR * (abs(initial_lagr) + 1.0)
@@ -562,14 +611,18 @@ def solve(
     converged = False
     reason = "max_iters"
     for k in range(1, cfg.max_iters + 1):
+        # the coupling gradient is gamma * recon - target, in core space
+        target = gamma * z
+        target += y
         factor_sq = 0.0
         core_sum = model.core_g + model.core_h
         for n in range(n_modes):
             if refresh_factors:
                 rho_factors[n] = _factor_modulus(gamma, core_sum, u_norms, n, safety)
             u_new = update_factor(
-                model, z, y, gamma, n, rho_factors[n], pen.factor(n, n_modes)
+                model, target, gamma, n, rho_factors[n], pen.factor(n, n_modes)
             )
+            check_finite(f"factor {n}", u_new, k)
             factor_sq += float(((u_new - model.factors[n]) ** 2).sum())
             model.factors[n] = u_new
             u_norms[n] = _spectral_norm(u_new)
@@ -580,12 +633,16 @@ def solve(
             rho_h = rho_core
         g_old, h_old = model.core_g, model.core_h
         g_new, h_new = update_cores(
-            model, z, y, gamma, rho_g, rho_h, pen.g, pen.h, freeze_h=cfg.freeze_h
+            model, target, gamma, rho_g, rho_h, pen.g, pen.h, freeze_h=cfg.freeze_h
         )
+        del target
+        check_finite("core_g", g_new, k)
+        check_finite("core_h", h_new, k)
         model.core_g, model.core_h = g_new, h_new
         recon = reconstruct(model)
         try:
-            z_new = update_z(recon, z, y, gamma, family, mom, omega, z_floor=cfg.z_floor)
+            z_new = update_z(recon, z, y, gamma, family, mom, omega,
+                             z_floor=cfg.z_floor, coefficients=coefficients)
         except SolverAbort as exc:
             raise SolverAbort(f"{exc} at iteration {k}", trace) from exc
         r = recon - z_new
@@ -594,7 +651,6 @@ def solve(
 
         steps = (
             frob_norm(z_new - z),
-            frob_norm(y_new - y),
             math.sqrt(factor_sq),
             frob_norm(g_new - g_old),
             frob_norm(h_new - h_old),
@@ -612,7 +668,7 @@ def solve(
                 trace,
             )
         block_step = math.sqrt(
-            steps[0] ** 2 + steps[2] ** 2 + steps[3] ** 2 + steps[4] ** 2
+            steps[0] ** 2 + steps[1] ** 2 + steps[2] ** 2 + steps[3] ** 2
         )
         if row.primal_residual <= tol_primal and block_step <= cfg.tol_step:
             converged = True

@@ -136,3 +136,34 @@ def small_shapes(max_elems=64, max_modes=4):
 
     rec([])
     return shapes
+
+
+def residual_tensor(model, z, y, gamma):
+    """The scaled coupling residual ``gamma * (recon - z - y / gamma)``.
+
+    ``model`` only needs ``factors``, ``core_g`` and ``core_h`` attributes;
+    the reconstruction is the loop oracle above.
+    """
+    recon = multilinear_oracle(model.core_g + model.core_h, model.factors)
+    return gamma * (np.asarray(recon) - z) - y
+
+
+def _project_residual(model, z, y, gamma, skip=None):
+    m = residual_tensor(model, z, y, gamma)
+    for t, u in enumerate(model.factors):
+        if t != skip:
+            m = n_mode_oracle(m, np.asarray(u).T, t)
+    return m
+
+
+def factor_gradient_oracle(model, z, y, gamma, mode):
+    """Residual-space factor gradient: the residual projected through every
+    other factor's transpose, matricized, times the core-sum matricization."""
+    m = _project_residual(model, z, y, gamma, skip=mode)
+    s = model.core_g + model.core_h
+    return matricize_oracle(m, mode) @ matricize_oracle(s, mode).T
+
+
+def core_gradient_oracle(model, z, y, gamma):
+    """Residual-space core gradient: the residual projected onto the factors."""
+    return _project_residual(model, z, y, gamma)

@@ -28,6 +28,7 @@ from dcot.model import (
     SliceGroup,
     SubjectPartition,
     initial_model,
+    project_core,
     reconstruct,
 )
 from dcot.prox import Penalty, penalty_value, prox_apply
@@ -158,7 +159,7 @@ def test_gradient_suite():
                 return coupling(probe, z, y, gamma)
 
             fd = oracles.central_difference(f_u, model.factors[mode])
-            got = factor_gradient(model, z, y, gamma, mode)
+            got = factor_gradient(model, gamma * z + y, gamma, mode)
             worst = max(worst, np.abs(got - fd).max() / max(np.abs(fd).max(), 1e-12))
 
         def f_g(g):
@@ -167,7 +168,7 @@ def test_gradient_suite():
             return coupling(probe, z, y, gamma)
 
         fd = oracles.central_difference(f_g, model.core_g)
-        got = core_gradient(model, z, y, gamma)
+        got = core_gradient(model, project_core(gamma * z + y, model.factors), gamma)
         worst = max(worst, np.abs(got - fd).max() / max(np.abs(fd).max(), 1e-12))
 
     for family in ("gaussian", "bernoulli", "poisson", "gamma"):

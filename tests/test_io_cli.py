@@ -286,6 +286,20 @@ class TestCliPipeline:
         sb = (tmp_path / "r2" / "summary.json").read_bytes()
         assert sa == sb
 
+    def test_summary_records_blas_setting(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        run_cli(tmp_path, "synth", synth_config())
+        assert run_cli(tmp_path, "factorize", fit_config("fit_out", max_iters=3)) == 0
+        blas = json.loads((tmp_path / "fit_out" / "summary.json").read_text())["blas"]
+        expected = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert (blas["name"], blas["version"]) == (expected["name"], expected["version"])
+        assert blas["threads"]["OPENBLAS_NUM_THREADS"] == "1"
+        assert blas["threads"]["MKL_NUM_THREADS"] is None
+        assert set(blas["threads"]) == {
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+
     def test_grid_search_cli(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         run_cli(tmp_path, "synth", synth_config(sigma=0.1, missing=0.3))
@@ -297,6 +311,8 @@ class TestCliPipeline:
         report = (tmp_path / "grid_out" / "grid_report.csv").read_text().splitlines()
         assert report[0] == "g,validation_rmse,converged"
         assert len(report) == 3
+        summary = json.loads((tmp_path / "grid_out" / "summary.json").read_text())
+        assert "OPENBLAS_NUM_THREADS" in summary["blas"]["threads"]
 
     def test_evaluate_exact_is_zero(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

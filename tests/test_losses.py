@@ -12,7 +12,13 @@ from dcot.losses import (
     loss_lipschitz,
     loss_value,
 )
-from dcot.similarity import SimilarityModel, mode_similarity, smoothing_moments
+from dcot.similarity import (
+    ModeSimilarity,
+    SimilarityModel,
+    mode_similarity,
+    smoothing_moments,
+    smoothing_weights,
+)
 
 
 def make_problem(rng, shape=(3, 3, 3), density=0.7, family="gaussian"):
@@ -70,6 +76,35 @@ class TestLossValue:
         z = np.full(shape, x.mean())
         value = loss_value(LossFamily("gaussian"), mom, z)
         assert np.isclose(value, x.var())
+
+    @pytest.mark.parametrize("kind", ["neutral", "neutral-raw", "kernel-raw", "zero-row"])
+    def test_gaussian_matches_per_cell_formula(self, kind, rng):
+        # sum over every target t and observed source j of w(t, j) (z_t - x_j)^2
+        shape = (3, 4, 2)
+        x = rng.standard_normal(shape)
+        mask = rng.random(shape) < 0.5
+        mask.flat[0] = True
+        omega = ObservationSet.from_dense(x, mask)
+        feats = [rng.standard_normal((s, 2)) for s in shape]
+        if kind.startswith("neutral"):
+            # every unobserved target is degenerate
+            sim = SimilarityModel.neutral(shape, normalized=kind == "neutral")
+        elif kind == "kernel-raw":
+            sim = SimilarityModel([mode_similarity(f) for f in feats], normalized=False)
+        else:
+            # index 0 of mode 0 pools from nothing: degenerate observed and
+            # unobserved targets next to ordinary ones
+            zero_row = ModeSimilarity(s=np.diag([0.0, 1.0, 1.0]), c=np.ones((3, 3)))
+            sim = SimilarityModel([zero_row] + [mode_similarity(f) for f in feats[1:]])
+        mom = smoothing_moments(sim, omega)
+        assert (mom.degenerate > 0) == (kind != "kernel-raw")
+        z = rng.standard_normal(shape)
+        total = 0.0
+        for t in np.ndindex(shape):
+            for j, w in smoothing_weights(sim, t, omega):
+                total += w * (z[t] - x[j]) ** 2
+        got = loss_value(LossFamily("gaussian"), mom, z)
+        assert got == pytest.approx(total / x.size, rel=1e-12)
 
     def test_bernoulli_at_zero_is_log2(self, rng):
         shape = (2, 3)

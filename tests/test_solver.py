@@ -9,6 +9,7 @@ from dcot.model import (
     SliceGroup,
     SubjectPartition,
     initial_model,
+    project_core,
     reconstruct,
     tie_satisfied,
 )
@@ -23,7 +24,6 @@ from dcot.solver import (
     factor_gradient,
     lagrangian_value,
     newton_z,
-    residual_tensor,
     solve,
     update_cores,
     update_dual,
@@ -31,7 +31,7 @@ from dcot.solver import (
     update_z,
 )
 from dcot.evaluate import SynthSpec, rmse, synthesize
-from dcot.tensor import frob_norm, multilinear_product
+from dcot.tensor import frob_inner, frob_norm, multilinear_product
 
 
 def random_state(rng, shape=(3, 2, 2), ranks=(2, 2, 2), partition=None):
@@ -48,6 +48,11 @@ def random_state(rng, shape=(3, 2, 2), ranks=(2, 2, 2), partition=None):
     return model, z, y
 
 
+def core_grad(model, z, y, gamma):
+    """``core_gradient`` at the state ``(z, y)``: project ``gamma * z + y`` first."""
+    return core_gradient(model, project_core(gamma * z + y, model.factors), gamma)
+
+
 def coupling_value(model, z, y, gamma):
     r = reconstruct(model) - z - y / gamma
     return 0.5 * gamma * float((r**2).sum())
@@ -57,13 +62,13 @@ class TestResidualTensor:
     def test_feasible_zero_dual(self, rng):
         model, _, _ = random_state(rng)
         z = reconstruct(model)
-        assert np.allclose(residual_tensor(model, z, np.zeros_like(z), 2.0), 0.0)
+        assert np.allclose(oracles.residual_tensor(model, z, np.zeros_like(z), 2.0), 0.0)
 
     def test_dual_cancellation(self, rng):
         model, z, _ = random_state(rng)
         gamma = 1.7
         y = gamma * (reconstruct(model) - z)
-        assert np.abs(residual_tensor(model, z, y, gamma)).max() < 1e-12
+        assert np.abs(oracles.residual_tensor(model, z, y, gamma)).max() < 1e-12
 
     def test_direct_formula(self, rng):
         model, z, y = random_state(rng)
@@ -72,7 +77,8 @@ class TestResidualTensor:
             multilinear_product(model.core_g + model.core_h, model.factors) - z
             - y / gamma
         )
-        assert np.allclose(residual_tensor(model, z, y, gamma), expected, atol=1e-12)
+        assert np.allclose(oracles.residual_tensor(model, z, y, gamma), expected,
+                           atol=1e-12)
 
 
 class TestGradients:
@@ -81,14 +87,14 @@ class TestGradients:
         z = reconstruct(model)
         y = np.zeros_like(z)
         for n in range(3):
-            assert np.abs(factor_gradient(model, z, y, 1.0, n)).max() < 1e-12
-        assert np.abs(core_gradient(model, z, y, 1.0)).max() < 1e-12
+            assert np.abs(factor_gradient(model, z + y, 1.0, n)).max() < 1e-12
+        assert np.abs(core_grad(model, z, y, 1.0)).max() < 1e-12
 
     def test_factor_gradient_linear_in_residual(self, rng):
         model, z, y = random_state(rng)
-        g1 = factor_gradient(model, z, y, 1.0, 0)
+        g1 = factor_gradient(model, 1.0 * z + y, 1.0, 0)
         # doubling gamma and y doubles the residual tensor, hence the gradient
-        g2 = factor_gradient(model, z, 2 * y, 2.0, 0)
+        g2 = factor_gradient(model, 2.0 * z + 2 * y, 2.0, 0)
         assert np.allclose(g2, 2 * g1, atol=1e-10)
 
     @pytest.mark.parametrize("mode", [0, 1, 2])
@@ -101,7 +107,7 @@ class TestGradients:
             probe.factors[mode] = u
             return coupling_value(probe, z, y, gamma)
 
-        grad = factor_gradient(model, z, y, gamma, mode)
+        grad = factor_gradient(model, gamma * z + y, gamma, mode)
         fd = oracles.central_difference(value, model.factors[mode])
         assert np.abs(grad - fd).max() / max(np.abs(fd).max(), 1e-12) < 1e-5
 
@@ -114,7 +120,7 @@ class TestGradients:
             probe.core_g = g
             return coupling_value(probe, z, y, gamma)
 
-        grad = core_gradient(model, z, y, gamma)
+        grad = core_grad(model, z, y, gamma)
         fd = oracles.central_difference(value_g, model.core_g)
         assert np.abs(grad - fd).max() / max(np.abs(fd).max(), 1e-12) < 1e-5
 
@@ -127,21 +133,50 @@ class TestGradients:
             probe.core_h = h
             return coupling_value(probe, z, y, gamma)
 
-        grad = core_gradient(model, z, y, gamma)
+        grad = core_grad(model, z, y, gamma)
         fd = oracles.central_difference(value_h, model.core_h)
         assert np.abs(grad - fd).max() / max(np.abs(fd).max(), 1e-12) < 1e-5
 
     def test_core_gradient_is_projection_for_orthonormal_factors(self, rng):
-        from dcot.model import project_core
-
         shape, ranks = (4, 4, 3), (2, 2, 2)
         factors = [np.linalg.qr(rng.standard_normal((s, r)))[0] for s, r in zip(shape, ranks)]
         model = DcotModel(factors, rng.standard_normal(ranks), rng.standard_normal(ranks))
         z = rng.standard_normal(shape)
         y = rng.standard_normal(shape)
-        m = residual_tensor(model, z, y, 1.6)
-        assert np.allclose(core_gradient(model, z, y, 1.6), project_core(m, factors),
+        m = oracles.residual_tensor(model, z, y, 1.6)
+        assert np.allclose(core_grad(model, z, y, 1.6), project_core(m, factors),
                            atol=1e-12)
+
+
+class TestCoreSpaceGradients:
+    """The core-space gradients against the residual-space loop oracle."""
+
+    CASES = [
+        ((5, 4), (3, 2), None),
+        ((5, 4), (2, 3), SubjectPartition(1, (SliceGroup((0, 2)),))),
+        ((4, 3, 5), (2, 3, 1), None),
+        ((4, 3, 5), (3, 2, 2), SubjectPartition(0, (SliceGroup((0, 1, 2)),))),
+        ((3, 4, 2, 3), (2, 3, 1, 2), None),
+        ((3, 4, 2, 3), (2, 1, 2, 3),
+         SubjectPartition(3, (SliceGroup((0, 1), fixed=(0, 0)),
+                             SliceGroup((1, 2), fixed=(0, 1))))),
+    ]
+
+    @staticmethod
+    def rel_err(got, want):
+        return np.abs(got - want).max() / np.abs(want).max()
+
+    @pytest.mark.parametrize("shape,ranks,part", CASES)
+    def test_match_residual_oracle(self, shape, ranks, part, rng):
+        model, z, y = random_state(rng, shape=shape, ranks=ranks, partition=part)
+        gamma = 1.7
+        for mode in range(len(shape)):
+            got = factor_gradient(model, gamma * z + y, gamma, mode)
+            want = oracles.factor_gradient_oracle(model, z, y, gamma, mode)
+            assert got.shape == model.factors[mode].shape
+            assert self.rel_err(got, want) < 1e-12
+        want = oracles.core_gradient_oracle(model, z, y, gamma)
+        assert self.rel_err(core_grad(model, z, y, gamma), want) < 1e-12
 
 
 class TestBlockUpdates:
@@ -149,22 +184,22 @@ class TestBlockUpdates:
         model, _, _ = random_state(rng)
         z = reconstruct(model)
         y = np.zeros_like(z)
-        got = update_factor(model, z, y, 1.0, 0, 2.0, Penalty.none())
+        got = update_factor(model, z + y, 1.0, 0, 2.0, Penalty.none())
         assert np.allclose(got, model.factors[0], atol=1e-12)
 
     def test_no_penalty_is_exact_gradient_step(self, rng):
         model, z, y = random_state(rng)
         rho = 3.0
-        grad = factor_gradient(model, z, y, 1.0, 1)
-        got = update_factor(model, z, y, 1.0, 1, rho, Penalty.none())
+        grad = factor_gradient(model, z + y, 1.0, 1)
+        got = update_factor(model, z + y, 1.0, 1, rho, Penalty.none())
         assert np.allclose(got, model.factors[1] - grad / rho, atol=1e-12)
 
     def test_l1_penalty_is_soft_thresholded_step(self, rng):
         model, z, y = random_state(rng)
         rho, pen = 2.5, Penalty.l1(0.7)
-        grad = factor_gradient(model, z, y, 1.0, 0)
+        grad = factor_gradient(model, z + y, 1.0, 0)
         expected = prox_apply(pen, model.factors[0] - grad / rho, rho)
-        got = update_factor(model, z, y, 1.0, 0, rho, pen)
+        got = update_factor(model, z + y, 1.0, 0, rho, pen)
         assert np.array_equal(got, expected)
 
     def test_cores_fixed_point_when_feasible(self, rng):
@@ -172,25 +207,38 @@ class TestBlockUpdates:
         model, _, _ = random_state(rng, partition=part)
         z = reconstruct(model)
         y = np.zeros_like(z)
-        g, h = update_cores(model, z, y, 1.0, 2.0, 2.0, Penalty.none(), Penalty.none())
+        g, h = update_cores(model, z + y, 1.0, 2.0, 2.0, Penalty.none(), Penalty.none())
         assert np.allclose(g, model.core_g, atol=1e-12)
         assert np.allclose(h, model.core_h, atol=1e-12)
         assert tie_satisfied(h, part)
 
+    def test_subject_core_step_sees_new_shared_core(self, rng):
+        # Gauss-Seidel order: the H gradient is taken after the G step
+        model, z, y = random_state(rng)
+        gamma, rho = 1.3, 2.0
+        g, h = update_cores(model, gamma * z + y, gamma, rho, rho, Penalty.none(),
+                            Penalty.none())
+        assert np.allclose(g, model.core_g - core_grad(model, z, y, gamma) / rho,
+                           atol=1e-12)
+        moved = DcotModel(model.factors, g, model.core_h)
+        assert np.allclose(h, model.core_h - core_grad(moved, z, y, gamma) / rho,
+                           atol=1e-12)
+
     def test_huge_l1_zeroes_core(self, rng):
         model, z, y = random_state(rng)
-        g, _ = update_cores(model, z, y, 1.0, 1.0, 1.0, Penalty.l1(1e6), Penalty.none())
+        g, _ = update_cores(model, z + y, 1.0, 1.0, 1.0, Penalty.l1(1e6), Penalty.none())
         assert np.array_equal(g, np.zeros_like(g))
 
     def test_tie_constraint_bitwise_after_update(self, rng):
         part = SubjectPartition(1, (SliceGroup((0, 1)),))
         model, z, y = random_state(rng, partition=part)
-        _, h = update_cores(model, z, y, 1.3, 2.0, 2.0, Penalty.none(), Penalty.l1(0.1))
+        _, h = update_cores(model, 1.3 * z + y, 1.3, 2.0, 2.0, Penalty.none(),
+                            Penalty.l1(0.1))
         assert tie_satisfied(h, part)
 
     def test_freeze_h_moves_only_shared_core(self, rng):
         model, z, y = random_state(rng)
-        args = (model, z, y, 1.3, 2.0, 2.0, Penalty.l1(0.1), Penalty.l1(0.1))
+        args = (model, 1.3 * z + y, 1.3, 2.0, 2.0, Penalty.l1(0.1), Penalty.l1(0.1))
         g, h = update_cores(*args)
         g_frozen, h_frozen = update_cores(*args, freeze_h=True)
         assert h_frozen is model.core_h
@@ -203,7 +251,7 @@ class TestBlockUpdates:
         part = SubjectPartition(1, (SliceGroup((0, 1)),))
         model, z, y = random_state(rng, partition=part)
         before = model.copy()
-        update_cores(model, z, y, 1.3, 2.0, 2.0, Penalty.l1(0.1), Penalty.l1(0.1))
+        update_cores(model, 1.3 * z + y, 1.3, 2.0, 2.0, Penalty.l1(0.1), Penalty.l1(0.1))
         assert np.array_equal(model.core_g, before.core_g)
         assert np.array_equal(model.core_h, before.core_h)
         assert all(np.array_equal(a, b) for a, b in zip(model.factors, before.factors))
@@ -342,7 +390,8 @@ class TestLagrangian:
         model, _, y, omega, mom = TestUpdateZ().make(rng)
         z = reconstruct(model)
         loss = loss_value(LossFamily("gaussian"), mom, z)
-        got = lagrangian_value(model, reconstruct(model) - z, y, 1.2, loss, BlockPenalties())
+        r = reconstruct(model) - z
+        got = lagrangian_value(model, r, y, 1.2, loss, BlockPenalties(), frob_inner(r, r))
         assert np.isclose(got, loss_value(LossFamily("gaussian"), mom, z), atol=1e-12)
 
     def test_dual_shift_invariant_at_feasible_point(self, rng):
@@ -350,8 +399,9 @@ class TestLagrangian:
         z = reconstruct(model)
         r = reconstruct(model) - z
         loss = loss_value(LossFamily("gaussian"), mom, z)
-        a = lagrangian_value(model, r, y, 1.2, loss, BlockPenalties())
-        b = lagrangian_value(model, r, y + 3.0, 1.2, loss, BlockPenalties())
+        a = lagrangian_value(model, r, y, 1.2, loss, BlockPenalties(), frob_inner(r, r))
+        b = lagrangian_value(model, r, y + 3.0, 1.2, loss, BlockPenalties(),
+                             frob_inner(r, r))
         assert np.isclose(a, b, atol=1e-10)
 
     def test_term_by_term_oracle(self, rng):
@@ -363,9 +413,9 @@ class TestLagrangian:
         pen = BlockPenalties(g=Penalty.l1(0.3), h=Penalty.frob_sq(0.2),
                              factors=Penalty.l1(0.05))
         gamma = 0.9
-        got = lagrangian_value(model, reconstruct(model) - z, y, gamma,
-                               loss_value(fam, mom, z), pen)
         r = reconstruct(model) - z
+        got = lagrangian_value(model, r, y, gamma, loss_value(fam, mom, z), pen,
+                               frob_inner(r, r))
         expected = (
             loss_value(fam, mom, z)
             + penalty_value(pen.g, model.core_g)
@@ -381,7 +431,8 @@ class TestLagrangian:
         model.core_g[0, 0, 0] = -1.0
         pen = BlockPenalties(g=Penalty.nonneg())
         loss = loss_value(LossFamily("gaussian"), mom, z)
-        got = lagrangian_value(model, reconstruct(model) - z, y, 1.0, loss, pen)
+        r = reconstruct(model) - z
+        got = lagrangian_value(model, r, y, 1.0, loss, pen, frob_inner(r, r))
         assert got == np.inf
 
 
@@ -597,10 +648,9 @@ class TestSolve:
                     SolverConfig(max_iters=iters, tol_primal=0.0, tol_step=0.0,
                                  freeze_h=freeze_h))
         assert len(res.trace) == iters + 1
-        # one factor gradient per mode, one core gradient per moving core, and
-        # the sweep's shared reconstruction; the initial trace row adds one more
-        per_sweep = 3 + (1 if freeze_h else 2) + 1
-        assert calls["reconstruct"] == 1 + iters * per_sweep
+        # gradients are taken in core space, so the z step's reconstruction is
+        # the sweep's only one; the initial trace row adds one more
+        assert calls["reconstruct"] == 1 + iters
         assert calls["loss_value"] == 1 + iters
 
     @pytest.mark.parametrize("family", ["gaussian", "bernoulli"])
@@ -625,6 +675,46 @@ class TestSolve:
                            rho_factors=(1e-9, 1e-9, 1e-9), fixed_moduli=True)
         with pytest.raises(SolverAbort):
             solve(data.observed, init, LossFamily("gaussian"), data.sim, cfg)
+
+    def test_non_finite_core_fails_fast(self):
+        # the settings of test_divergence_safeguard_raises: the subject core
+        # overflows in the first sweep, before any Lagrangian is formed
+        data, part = planted_problem(seed=6, sigma=0.05, missing=0.2)
+        init = initial_model(data.observed.to_dense(float(data.observed.values.mean())),
+                             (3, 3, 3), InitStrategy("hosvd"), part)
+        cfg = SolverConfig(max_iters=200, rho_g=1e-9, rho_h=1e-9,
+                           rho_factors=(1e-9, 1e-9, 1e-9), fixed_moduli=True)
+        with pytest.raises(SolverAbort) as info, np.errstate(over="ignore",
+                                                             invalid="ignore"):
+            solve(data.observed, init, LossFamily("gaussian"), data.sim, cfg)
+        assert str(info.value) == "core_h block: non-finite values at iteration 1"
+        assert len(info.value.trace) == 1
+
+    @pytest.mark.parametrize("position,block", [
+        (0, "factor 0"), (1, "factor 1"), (2, "factor 2"), (3, "core_g"), (4, "core_h"),
+    ])
+    def test_non_finite_block_is_named(self, position, block, monkeypatch):
+        import dcot.solver
+
+        data, part = planted_problem(seed=4, sigma=0.05, missing=0.2)
+        init = initial_model(data.observed.to_dense(float(data.observed.values.mean())),
+                             (3, 3, 3), InitStrategy("hosvd"), part)
+        real = dcot.solver.prox_apply
+        calls = []
+
+        # five prox steps per sweep (three factors, two cores); poison one of
+        # the second sweep's
+        def poisoned(*args):
+            out = real(*args)
+            calls.append(None)
+            return out * np.nan if len(calls) == 5 + position + 1 else out
+
+        monkeypatch.setattr(dcot.solver, "prox_apply", poisoned)
+        with pytest.raises(SolverAbort) as info:
+            solve(data.observed, init, LossFamily("gaussian"), data.sim,
+                  SolverConfig(max_iters=10))
+        assert str(info.value) == f"{block} block: non-finite values at iteration 2"
+        assert len(info.value.trace) == 2
 
     def test_poisson_family_runs(self):
         part = SubjectPartition(0, (SliceGroup((0, 1)),))
