@@ -6,7 +6,8 @@ Cases: eight solver configurations x seeds 0-1 on a planted 12^3 problem
 similarity, 40 iterations) -- gaussian default, ``fixed_moduli``,
 ``freeze_h``, ``rho_g=5``, l1/frob_sq penalties, bernoulli, and poisson and
 gamma with ``z_floor=1e-2`` -- plus one ``dcot synth`` + ``dcot complete``
-run with kernel similarity, hashed over its ``trace.csv`` and
+run with kernel similarity, hashed over the written ``observed.coo``
+(so the same ``diff`` checks the COO writer and reader), ``trace.csv`` and
 ``z_hat.dct``.  A solve hashes ``z``, ``y``, both cores, the factors, every
 ``trace.csv`` column, the effective moduli, ``converged`` and ``reason``; a
 case that raises prints the exception instead.  Beside each hash the line
@@ -121,8 +122,8 @@ def cli_case() -> str:
                 return f"exit {code}: {err.getvalue().strip()}"
         run = tmp / "run"
         h = hashlib.sha256()
-        for name in ("trace.csv", "z_hat.dct"):
-            h.update((run / name).read_bytes())
+        for path in (data / "observed.coo", run / "trace.csv", run / "z_hat.dct"):
+            h.update(path.read_bytes())
         summary = json.loads((run / "summary.json").read_text())
         last = (run / "trace.csv").read_text().splitlines()[-1].split(",")
         lagrangian = float(last[ConvergenceTrace.CSV_FIELDS.index("lagrangian")])

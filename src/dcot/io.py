@@ -5,8 +5,13 @@ All file formats use 1-based indices; conversion to the package's
 
 * COO text: a header line ``# dims: I_1 I_2 ... I_N`` followed by one
   ``i_1 i_2 ... i_N value`` line per observed entry (whitespace
-  separated).  Blank lines and extra ``#`` comment lines are ignored.
-  Written files sort entries lexicographically by index.
+  separated).  Blank lines and extra ``#`` comment lines are ignored; a
+  ``#`` inside an entry line is not a comment.  An index is an ASCII
+  decimal integer with an optional sign that fits in int64; the value is
+  a decimal float (``1.5``, ``-2e-3``, ``.5``; ``nan``/``inf`` parse but
+  are rejected as not finite).  ``_`` digit separators and non-ASCII
+  digits are unparseable.  A faulty file is reported by its first faulty
+  line.  Written files sort entries lexicographically by index.
 * Dense binary (``.dct``): magic ``DCOT``, little-endian u32 version (1),
   u32 mode count, one u64 per mode size, then float64 entries in
   first-mode-fastest order.
@@ -44,70 +49,137 @@ class ConfigError(Exception):
 
 
 def read_coo(path) -> ObservationSet:
-    """Parse a COO text file into an observation set (strict validation)."""
+    """Parse a COO text file into an observation set (strict validation).
+
+    The entry lines are converted in one bulk parse and checked as arrays;
+    only a file that fails is scanned line by line to name the first faulty
+    line.
+    """
     path = Path(path)
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise DataIOError(f"cannot read {path}: {exc}") from exc
-    dims = None
-    entries: list[tuple[tuple[int, ...], float]] = []
-    seen: dict[tuple[int, ...], int] = {}
+    lines = text.splitlines()
+    dims, start = _read_dims_header(path, lines)
+    entries = [line for line in map(str.strip, lines[start:]) if line and line[0] != "#"]
+    try:
+        rows = _parse_entries(entries, len(dims))
+        omega = ObservationSet(rows["i"] - 1, rows["v"], dims)
+    except ValueError as exc:
+        raise _first_fault(path, lines, start, dims) or DataIOError(f"{path}: {exc}") from exc
+    if len(_DIMS_HINT.findall(text)) > 1:
+        fault = _first_fault(path, lines, start, dims)
+        if fault is not None:
+            raise fault
+    return omega
+
+
+_DIMS_RE = re.compile(r"#\s*dims\s*:\s*(.*)$")
+# Every dims header contains this; a second match sends the file to _first_fault.
+_DIMS_HINT = re.compile(r"#\s*dims\s*:")
+
+
+def _read_dims_header(path: Path, lines: list[str]) -> tuple[tuple[int, ...], int]:
+    """The ``# dims:`` header's sizes and the number of lines up to it."""
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
-        if line.startswith("#"):
-            m = re.match(r"#\s*dims\s*:\s*(.*)$", line)
-            if m:
-                if dims is not None:
-                    raise DataIOError(f"{path}:{lineno}: duplicate dims header")
-                try:
-                    dims = tuple(int(tok) for tok in m.group(1).split())
-                except ValueError as exc:
-                    raise DataIOError(f"{path}:{lineno}: bad dims header") from exc
-                if not dims or any(d < 1 for d in dims):
-                    raise DataIOError(f"{path}:{lineno}: dims must be positive")
-            continue
-        if dims is None:
+        if not line.startswith("#"):
             raise DataIOError(f"{path}:{lineno}: entry before '# dims:' header")
-        tokens = line.split()
-        if len(tokens) != len(dims) + 1:
-            raise DataIOError(
-                f"{path}:{lineno}: expected {len(dims)} indices and a value, "
-                f"got {len(tokens)} fields"
-            )
+        m = _DIMS_RE.match(line)
+        if m:
+            try:
+                dims = tuple(int(tok) for tok in m.group(1).split())
+            except ValueError as exc:
+                raise DataIOError(f"{path}:{lineno}: bad dims header") from exc
+            if not dims or any(d < 1 for d in dims):
+                raise DataIOError(f"{path}:{lineno}: dims must be positive")
+            return dims, lineno
+    raise DataIOError(f"{path}: missing '# dims:' header")
+
+
+def _parse_entries(lines: list[str], n_modes: int) -> np.ndarray:
+    """Convert stripped entry lines to rows with fields ``i`` (indices) and ``v``.
+
+    The one token conversion of COO entries: raises ``ValueError`` on a
+    line without ``n_modes + 1`` fields or with a token that is not an
+    ASCII decimal integer (indices) or a float (value).
+    """
+    dtype = [("i", "i8", (n_modes,)), ("v", "f8")]
+    if not lines:
+        return np.zeros(0, dtype=dtype)
+    return np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1)
+
+
+def _parsed_prefix(entries: list[str], n_modes: int) -> np.ndarray:
+    """Rows of the longest prefix of ``entries`` that :func:`_parse_entries` accepts."""
+    try:
+        return _parse_entries(entries, n_modes)
+    except ValueError:
+        pass
+    good, bad = 0, len(entries)  # entries[:good] parse, entries[:bad] do not
+    while bad - good > 1:
+        mid = (good + bad) // 2
         try:
-            idx = tuple(int(tok) for tok in tokens[:-1])
-            value = float(tokens[-1])
-        except ValueError as exc:
-            raise DataIOError(f"{path}:{lineno}: unparseable entry") from exc
+            _parse_entries(entries[good:mid], n_modes)
+            good = mid
+        except ValueError:
+            bad = mid
+    return _parse_entries(entries[:good], n_modes)
+
+
+def _first_fault(path: Path, lines: list[str], start: int,
+                 dims: tuple[int, ...]) -> DataIOError | None:
+    """The error for the first faulty line after the header, or None if none is.
+
+    Lines are checked in file order; within a line the checks run field
+    count, parse, finite, range, duplicate.  Entries are converted by
+    :func:`_parse_entries`, as in the bulk parse, so both accept the same
+    files.
+    """
+    numbered = [(lineno, line) for lineno, line in
+                enumerate(map(str.strip, lines[start:]), start=start + 1) if line]
+    parsed = _parsed_prefix([line for _, line in numbered if line[0] != "#"], len(dims))
+    rows = zip(parsed["i"].tolist(), parsed["v"].tolist())
+    seen: dict[tuple[int, ...], int] = {}
+    for lineno, line in numbered:
+        where = f"{path}:{lineno}"
+        if line[0] == "#":
+            if _DIMS_RE.match(line):
+                return DataIOError(f"{where}: duplicate dims header")
+            continue
+        row = next(rows, None)
+        if row is None:  # the first entry the conversion rejects
+            tokens = line.split()
+            if len(tokens) != len(dims) + 1:
+                return DataIOError(
+                    f"{where}: expected {len(dims)} indices and a value, "
+                    f"got {len(tokens)} fields"
+                )
+            return DataIOError(f"{where}: unparseable entry")
+        idx, value = tuple(row[0]), row[1]
         if not math.isfinite(value):
-            raise DataIOError(f"{path}:{lineno}: value {tokens[-1]} is not finite")
+            return DataIOError(f"{where}: value {line.split()[-1]} is not finite")
         if any(not 1 <= i <= d for i, d in zip(idx, dims)):
-            raise DataIOError(f"{path}:{lineno}: index {idx} out of range for {dims}")
+            return DataIOError(f"{where}: index {idx} out of range for {dims}")
         if idx in seen:
-            raise DataIOError(
-                f"{path}:{lineno}: duplicate index {idx} (first seen on line "
-                f"{seen[idx]})"
+            return DataIOError(
+                f"{where}: duplicate index {idx} (first seen on line {seen[idx]})"
             )
         seen[idx] = lineno
-        entries.append((tuple(i - 1 for i in idx), value))
-    if dims is None:
-        raise DataIOError(f"{path}: missing '# dims:' header")
-    return ObservationSet.from_entries(entries, dims)
+    return None
 
 
 def write_coo(omega: ObservationSet, path) -> None:
     """Emit a COO text file; entries sorted lexicographically by index."""
     path = Path(path)
-    order = np.lexsort(tuple(omega.indices[:, k] for k in reversed(range(omega.indices.shape[1]))))
+    order = np.lexsort(omega.indices.T[::-1])
+    columns = [map(str, (col + 1).tolist()) for col in omega.indices[order].T]
+    columns.append(map(repr, omega.values[order].tolist()))
     lines = ["# dims: " + " ".join(str(d) for d in omega.shape)]
-    for row in order:
-        idx = omega.indices[row]
-        lines.append(
-            " ".join(str(int(i) + 1) for i in idx) + " " + repr(float(omega.values[row]))
-        )
+    lines.extend(map(" ".join, zip(*columns)))
     try:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     except OSError as exc:

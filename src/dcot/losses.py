@@ -69,7 +69,9 @@ class ObservationSet:
         if idx.size:
             if idx.min() < 0 or np.any(idx >= np.array(shape)):
                 raise ValueError("observation index out of range")
-            if np.unique(idx, axis=0).shape[0] != idx.shape[0]:
+            # sorted linear indices: O(n log n), nothing stored per tensor cell
+            linear = np.sort(np.ravel_multi_index(tuple(idx.T), shape))
+            if np.any(linear[1:] == linear[:-1]):
                 raise ValueError("duplicate observation indices")
         if not np.all(np.isfinite(vals)):
             raise ValueError("observation values must be finite")

@@ -117,6 +117,14 @@ def rmse_oracle(z_hat, indices, values):
     return math.sqrt(total / len(values))
 
 
+def coo_text_oracle(indices, values, shape):
+    """COO file text built one entry at a time, entries in lexicographic index order."""
+    lines = ["# dims: " + " ".join(str(d) for d in shape)]
+    for idx, v in sorted(zip(map(tuple, np.asarray(indices).tolist()), values)):
+        lines.append(" ".join(str(int(i) + 1) for i in idx) + " " + repr(float(v)))
+    return "\n".join(lines) + "\n"
+
+
 def small_shapes(max_elems=64, max_modes=4):
     """Every shape with 1..max_modes modes, dims >= 1, product <= max_elems."""
     shapes = []

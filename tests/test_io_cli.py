@@ -1,11 +1,15 @@
 import dataclasses
 import json
 import re
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+import oracles
 from dcot import io
 from dcot.cli import main
 from dcot.losses import ObservationSet
@@ -82,6 +86,139 @@ class TestCooFormat:
         io.write_coo(omega, p1)
         io.write_coo(omega, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+# Valid lines around the faulty one: comments, blank lines and CRLF endings
+# between entries.  The faulty line is line 7; line 4 holds index (1, 1, 1).
+_COO_HEAD = "# written by hand\r\n\r\n# dims: 3 2 4\r\n1 1 1 0.5\r\n\r\n# between entries\r\n"
+_COO_TAIL = "\r\n  2 2 4 -1.25  \r\n# end\r\n"
+
+
+class TestCooFaults:
+    @pytest.mark.parametrize("line, message", [
+        ("1 2 3", "expected 3 indices and a value, got 3 fields"),
+        ("1 2 3 4 5", "expected 3 indices and a value, got 5 fields"),
+        ("1 1 2 3.0 # note", "expected 3 indices and a value, got 6 fields"),
+        ("4 1 1", "expected 3 indices and a value, got 3 fields"),
+        ("1.0 1 2 3.0", "unparseable entry"),
+        ("x 1 2 3.0", "unparseable entry"),
+        ("1 1 2 abc", "unparseable entry"),
+        ("1 1 2 3.0#note", "unparseable entry"),
+        ("1.0 1 1 nan", "unparseable entry"),
+        ("1 1 2 nan", "value nan is not finite"),
+        ("1 1 2 inf", "value inf is not finite"),
+        ("1 1 2 -Infinity", "value -Infinity is not finite"),
+        ("1 1 2 1e400", "value 1e400 is not finite"),
+        ("4 1 1 nan", "value nan is not finite"),
+        ("1 1 1 nan", "value nan is not finite"),
+        ("4 1 1 2.0", "index (4, 1, 1) out of range for (3, 2, 4)"),
+        ("1 0 1 2.0", "index (1, 0, 1) out of range for (3, 2, 4)"),
+        ("1 1 -1 2.0", "index (1, 1, -1) out of range for (3, 2, 4)"),
+        ("1 1 1 2.0", "duplicate index (1, 1, 1) (first seen on line 4)"),
+        ("+1 1 1 2.0", "duplicate index (1, 1, 1) (first seen on line 4)"),
+        ("# dims: 3 2 4", "duplicate dims header"),
+        ("  #dims:2", "duplicate dims header"),
+    ])
+    def test_single_fault_message(self, tmp_path, line, message):
+        path = tmp_path / "t.coo"
+        path.write_bytes((_COO_HEAD + line + _COO_TAIL).encode())
+        with pytest.raises(io.DataIOError) as err:
+            io.read_coo(path)
+        assert str(err.value) == f"{path}:7: {message}"
+
+    @pytest.mark.parametrize("text, where, message", [
+        ("# c\n1 1 1.0\n# dims: 2 2\n", ":2", "entry before '# dims:' header"),
+        ("\n# dims: 2 x\n1 1 1.0\n", ":2", "bad dims header"),
+        ("# dims: 2 0\n", ":1", "dims must be positive"),
+        ("# dims:\n", ":1", "dims must be positive"),
+        ("# no header here\n\n", "", "missing '# dims:' header"),
+        ("", "", "missing '# dims:' header"),
+    ])
+    def test_header_fault_message(self, tmp_path, text, where, message):
+        path = tmp_path / "t.coo"
+        path.write_text(text)
+        with pytest.raises(io.DataIOError) as err:
+            io.read_coo(path)
+        assert str(err.value) == f"{path}{where}: {message}"
+
+    @pytest.mark.parametrize("first, second, message", [
+        ("1 1 1 2.0", "1 1 x 2.0", "duplicate index (1, 1, 1) (first seen on line 4)"),
+        ("1 1 2 nan", "1 1", "value nan is not finite"),
+        ("4 1 1 2.0", "# dims: 3 2 4", "index (4, 1, 1) out of range for (3, 2, 4)"),
+        ("1 1 y 2.0", "1 1 1 2.0", "unparseable entry"),
+        ("# dims: 1", "1 1 1 2.0", "duplicate dims header"),
+    ])
+    def test_earlier_fault_wins(self, tmp_path, first, second, message):
+        path = tmp_path / "t.coo"
+        text = _COO_HEAD + first + "\r\n" + "3 2 1 1.0\r\n" * 3 + second + _COO_TAIL
+        path.write_bytes(text.encode())
+        with pytest.raises(io.DataIOError) as err:
+            io.read_coo(path)
+        assert str(err.value) == f"{path}:7: {message}"
+
+    @pytest.mark.parametrize("line", ["1_0 1 1 2.0", "1 1 2 1_0", "١ 1 1 2.0",
+                                      "1 1 2 ２", "99999999999999999999 1 1 2.0"])
+    def test_tokens_outside_ascii_decimal_are_unparseable(self, tmp_path, line):
+        path = tmp_path / "t.coo"
+        path.write_bytes((_COO_HEAD + line + _COO_TAIL).encode())
+        with pytest.raises(io.DataIOError) as err:
+            io.read_coo(path)
+        assert str(err.value) == f"{path}:7: unparseable entry"
+
+    def test_header_only_file_is_empty_without_warning(self, tmp_path):
+        path = tmp_path / "t.coo"
+        path.write_bytes(b"# dims: 3 2\r\n\r\n# no entries\r\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            omega = io.read_coo(path)
+        assert len(omega) == 0 and omega.indices.shape == (0, 2)
+
+    def test_valid_file_with_comments_and_crlf(self, tmp_path):
+        path = tmp_path / "t.coo"
+        path.write_bytes((_COO_HEAD + "+3 1 02 7" + _COO_TAIL).encode())
+        omega = io.read_coo(path)
+        assert omega.shape == (3, 2, 4)
+        assert omega.indices.tolist() == [[0, 0, 0], [2, 0, 1], [1, 1, 3]]
+        assert omega.values.tolist() == [0.5, 7.0, -1.25]
+
+
+@st.composite
+def observation_sets(draw):
+    shape = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=4)))
+    cells = int(np.prod(shape))
+    flat = draw(st.lists(st.integers(0, cells - 1), unique=True, max_size=30))
+    values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                           min_size=len(flat), max_size=len(flat)))
+    idx = np.array(np.unravel_index(np.array(flat, dtype=np.intp), shape)).T
+    return ObservationSet(idx.reshape(len(flat), len(shape)), np.array(values), shape)
+
+
+class TestCooRoundTrip:
+    @given(observation_sets())
+    def test_write_read_roundtrip(self, omega):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.coo"
+            io.write_coo(omega, path)
+            text = path.read_text()
+            back = io.read_coo(path)
+        assert text == oracles.coo_text_oracle(omega.indices, omega.values, omega.shape)
+        order = sorted(range(len(omega)), key=lambda k: omega.indices[k].tolist())
+        assert back.shape == omega.shape
+        assert np.array_equal(back.indices, omega.indices[order].reshape(back.indices.shape))
+        assert back.values.tobytes() == omega.values[order].tobytes()
+
+    def test_writer_matches_oracle_on_awkward_values(self, tmp_path):
+        values = [-0.0, 5e-324, 1e22, 0.1 + 0.2, -1e-300, 1e16, 2.0**53 + 2, 123456.125]
+        idx = np.array([[k % 3, k // 3] for k in reversed(range(len(values)))])
+        omega = ObservationSet(idx, np.array(values), (3, 3))
+        path = tmp_path / "t.coo"
+        io.write_coo(omega, path)
+        assert path.read_bytes() == oracles.coo_text_oracle(idx, values, (3, 3)).encode()
+        back = io.read_coo(path)
+        expected = dict(zip(map(tuple, idx.tolist()), values))
+        got = dict(zip(map(tuple, back.indices.tolist()), back.values.tolist()))
+        assert all(np.float64(got[k]).tobytes() == np.float64(v).tobytes()
+                   for k, v in expected.items())
 
 
 class TestDenseFormat:

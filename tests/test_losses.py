@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,15 @@ class TestObservationSet:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             ObservationSet.from_entries([((2, 0), 1.0)], (2, 2))
+
+    def test_sparse_huge_shape_checks_duplicates_quickly(self):
+        shape = (10**6, 10**6, 10**3)
+        idx = np.array([[0, 0, 0], [10**6 - 1, 10**6 - 1, 999], [5, 7, 9]])
+        started = time.perf_counter()
+        assert len(ObservationSet(idx, np.ones(3), shape)) == 3
+        assert time.perf_counter() - started < 0.5
+        with pytest.raises(ValueError, match="duplicate"):
+            ObservationSet(np.vstack([idx, idx[2]]), np.ones(4), shape)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
