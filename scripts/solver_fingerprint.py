@@ -7,23 +7,31 @@ similarity, 40 iterations) -- gaussian default, ``fixed_moduli``,
 ``freeze_h``, ``rho_g=5``, l1/frob_sq penalties, bernoulli, and poisson and
 gamma with ``z_floor=1e-2`` -- plus one ``dcot synth`` + ``dcot complete``
 run with kernel similarity, hashed over the written ``observed.coo``
-(so the same ``diff`` checks the COO writer and reader), ``trace.csv`` and
+(so the same check covers the COO writer and reader), ``trace.csv`` and
 ``z_hat.dct``.  A solve hashes ``z``, ``y``, both cores, the factors, every
 ``trace.csv`` column, the effective moduli, ``converged`` and ``reason``; a
 case that raises prints the exception instead.  Beside each hash the line
 shows the final augmented Lagrangian (``repr``), the iteration count and the
-stop reason, so a change that moves answers in the last bit can be judged by
-magnitude in the same ``diff``.
+stop reason.
 
-Usage: PYTHONPATH=src python scripts/solver_fingerprint.py > change.txt
-Run the same script against a checkout of the parent commit (point
-PYTHONPATH at its ``src``) and ``diff`` the two outputs.
+Usage: in a checkout of the parent commit,
+``PYTHONPATH=src python scripts/solver_fingerprint.py > parent.txt``; then in
+the change, at the same BLAS thread count,
+``PYTHONPATH=src python scripts/solver_fingerprint.py --compare parent.txt``.
+Compare mode prints one verdict per case: whether the hash is equal, the
+relative difference of the final Lagrangian, and whether the iteration count
+and stop reason match.  It exits 1 if any iteration count or reason differs,
+a Lagrangian moves by more than 1e-12 relative, a failing case fails
+differently, or a case is missing from either side.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io as stdio
 import json
+import math
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -130,11 +138,71 @@ def cli_case() -> str:
         return _line(h.hexdigest(), lagrangian, summary["iterations"], summary["reason"])
 
 
-def main() -> int:
+def cases():
+    """Yield ``(case name, fingerprint line)`` for every case, in a fixed order."""
     for name, (family, overrides) in CASES.items():
         for seed in (0, 1):
-            print(f"{name}/seed{seed} {solve_case(family, overrides, seed)}", flush=True)
-    print(f"cli-synth-complete {cli_case()}")
+            yield f"{name}/seed{seed}", solve_case(family, overrides, seed)
+    yield "cli-synth-complete", cli_case()
+
+
+LAGRANGIAN_RTOL = 1e-12
+_LINE = re.compile(
+    r"(?P<digest>[0-9a-f]{64}) lagrangian=(?P<lagrangian>\S+) "
+    r"iters=(?P<iters>\d+) reason=(?P<reason>\S+)"
+)
+
+
+def compare_line(parent: str, change: str) -> tuple[str, bool]:
+    """Verdict on one case's change line against its parent line, and whether it passes."""
+    a, b = _LINE.fullmatch(parent), _LINE.fullmatch(change)
+    if a is None or b is None:  # a case that raised or exited has no numbers
+        ok = parent == change
+        return ("failure unchanged" if ok else f"FAIL: {parent!r} -> {change!r}"), ok
+    old, new = float(a["lagrangian"]), float(b["lagrangian"])
+    if a["lagrangian"] == b["lagrangian"]:
+        rel = 0.0
+    else:
+        rel = abs(new - old) / abs(old) if old else math.inf
+    iters_ok = a["iters"] == b["iters"]
+    reason_ok = a["reason"] == b["reason"]
+    ok = iters_ok and reason_ok and rel <= LAGRANGIAN_RTOL
+    verdict = " ".join([
+        "hash=" + ("equal" if a["digest"] == b["digest"] else "differs"),
+        f"lagrangian_rel={rel:.1e}",
+        "iters=" + ("same" if iters_ok else f"{a['iters']}->{b['iters']}"),
+        "reason=" + ("same" if reason_ok else f"{a['reason']}->{b['reason']}"),
+        "ok" if ok else "FAIL",
+    ])
+    return verdict, ok
+
+
+def compare(parent_path: Path) -> int:
+    parent = dict(line.split(" ", 1)
+                  for line in parent_path.read_text().splitlines() if line.strip())
+    passed = True
+    for name, line in cases():
+        if name in parent:
+            verdict, ok = compare_line(parent.pop(name), line)
+        else:
+            verdict, ok = "FAIL: not in the parent file", False
+        print(f"{name} {verdict}", flush=True)
+        passed &= ok
+    for name in parent:
+        print(f"{name} FAIL: not run by this tree")
+        passed = False
+    return 0 if passed else 1
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--compare", type=Path, metavar="PARENT.txt",
+                        help="compare against this script's output at the parent")
+    args = parser.parse_args(argv)
+    if args.compare is not None:
+        return compare(args.compare)
+    for name, line in cases():
+        print(f"{name} {line}", flush=True)
     return 0
 
 

@@ -305,11 +305,9 @@ def smoothing_moments(sim: SimilarityModel, omega: ObservationSet) -> Moments:
         m1[ok] = m1[ok] / w[ok]
         m2[ok] = m2[ok] / w[ok]
         w[ok] = 1.0
-    # the mode products return permuted views; the loss and the z step
-    # combine these arrays with C-ordered ones every sweep, so store C order
     return Moments(
-        weight_sum=np.ascontiguousarray(w),
-        weighted_x=np.ascontiguousarray(m1),
+        weight_sum=w,
+        weighted_x=m1,
         x2_total=float(m2.sum()),
         count=int(np.prod(sim.shape)),
         degenerate=n_bad,

@@ -12,6 +12,10 @@ Conventions used throughout the package:
   This Fortran-order convention governs only ``matricize``, ``fold`` and
   ``vec``: mode products contract the named axis directly and never
   matricize.
+* Mode products view a C-ordered input as a stack of matrices and contract
+  with one matrix product, so they copy no C-contiguous input and always
+  return C-contiguous arrays; elementwise work against other C-ordered
+  arrays then runs unstrided.
 * Modes are 0-based everywhere in the Python API; 1-based indices appear
   only in on-disk file formats (see :mod:`dcot.io`).
 
@@ -69,6 +73,13 @@ def n_mode_product(t: np.ndarray, u: np.ndarray, mode: int) -> np.ndarray:
     Contracts the columns of ``u`` with axis ``mode`` of ``t``, so that
     ``matricize(result, mode) == u @ matricize(t, mode)``; the result's
     shape replaces ``t.shape[mode]`` by ``u.shape[0]``.
+
+    ``t`` is viewed as ``(prod(shape[:mode]), I_mode, prod(shape[mode+1:]))``
+    and multiplied by ``u`` on the left, batched over the leading block; on
+    the last mode it is the single product
+    ``t.reshape(prod(shape[:-1]), I_mode) @ u.T``.  A C-contiguous ``t`` is
+    not copied and the result is C-contiguous.  Sizes are passed explicitly
+    (no ``-1``), so zero-length modes work.
     """
     t = np.asarray(t, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -80,7 +91,13 @@ def n_mode_product(t: np.ndarray, u: np.ndarray, mode: int) -> np.ndarray:
             f"matrix with {u.shape[1]} columns cannot act on mode {mode} "
             f"of size {t.shape[mode]}"
         )
-    return np.moveaxis(np.tensordot(u, t, axes=(1, mode)), 0, mode)
+    shape = t.shape
+    lead = math.prod(shape[:mode])
+    if mode == t.ndim - 1:
+        out = t.reshape(lead, shape[mode]) @ u.T
+    else:
+        out = u @ t.reshape(lead, shape[mode], math.prod(shape[mode + 1 :]))
+    return out.reshape(shape[:mode] + (u.shape[0],) + shape[mode + 1 :])
 
 
 def multilinear_product(

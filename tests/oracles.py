@@ -106,6 +106,31 @@ def power_iteration_top_eigvec(gram, iters=500, seed=3):
     return v
 
 
+def power_iteration_oracle(a, iters=50, tol=1e-8):
+    """Spectral-norm estimate by power iteration on the Gram matrix.
+
+    The solver's estimate as first written (fresh start vector each call,
+    ``np.linalg.norm`` each step), kept to check later rewrites bitwise.
+    Falls back to the Frobenius norm when the iteration does not settle.
+    """
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    if a.size == 0 or not a.any():
+        return 0.0
+    v = np.random.default_rng(0).standard_normal(a.shape[1])
+    v /= np.linalg.norm(v)
+    prev = 0.0
+    for _ in range(iters):
+        w = a.T @ (a @ v)
+        lam = float(np.linalg.norm(w))
+        if lam == 0.0:
+            return 0.0
+        v = w / lam
+        if abs(lam - prev) <= tol * max(lam, 1.0):
+            return math.sqrt(lam)
+        prev = lam
+    return float(np.linalg.norm(a))
+
+
 def prox_objective(penalty_value_fn, q, point, t):
     return penalty_value_fn(q) + 0.5 * t * float(((q - point) ** 2).sum())
 

@@ -19,6 +19,7 @@ from dcot.solver import (
     BlockPenalties,
     SolverAbort,
     SolverConfig,
+    _spectral_norm,
     core_gradient,
     estimate_moduli,
     factor_gradient,
@@ -487,6 +488,29 @@ class TestEstimateModuli:
         cfg = estimate_moduli(model, self.make_cfg(rho_g=7.0), LossFamily("gaussian"),
                               self.make_mom(rng))
         assert cfg.rho_g == 7.0
+
+
+class TestSpectralNorm:
+    def matrices(self, rng):
+        q, _ = np.linalg.qr(rng.standard_normal((60, 3)))
+        return {
+            "random-60x3": rng.standard_normal((60, 3)),
+            "random-3x9": rng.standard_normal((3, 9)),
+            "near-orthonormal-60x3": q + 1e-3 * rng.standard_normal((60, 3)),
+            "rank-1": np.outer(rng.standard_normal(7), rng.standard_normal(4)),
+            "zero": np.zeros((5, 3)),
+            "4x2": rng.standard_normal((4, 2)),
+            "1-d-core": rng.standard_normal(6),
+        }
+
+    def test_bitwise_equal_to_oracle(self, rng):
+        for name, a in self.matrices(rng).items():
+            assert _spectral_norm(a) == oracles.power_iteration_oracle(a), name
+
+    def test_near_orthonormal_takes_frobenius_fallback(self, rng):
+        a = self.matrices(rng)["near-orthonormal-60x3"]
+        assert _spectral_norm(a) == float(np.linalg.norm(a))
+        assert _spectral_norm(a) > 1.7 * np.linalg.norm(a, 2)
 
 
 def planted_problem(seed=1, shape=(8, 8, 8), sigma=0.0, missing=0.0, family="gaussian"):

@@ -105,7 +105,34 @@ class TestNModeProduct:
                 want = fold(u @ matricize(t, mode), mode, new_shape)
                 got = n_mode_product(t, u, mode)
                 assert got.shape == new_shape
+                assert got.flags.c_contiguous, (shape, mode)
                 assert np.allclose(got, want, rtol=0, atol=1e-12)
+                assert np.allclose(got, oracles.n_mode_oracle(t, u, mode),
+                                   rtol=0, atol=1e-12), (shape, mode)
+
+    def test_non_contiguous_input_matches_contiguous_copy(self, rng):
+        t = rng.standard_normal((4, 3, 5)).transpose(2, 0, 1)
+        assert not t.flags.c_contiguous
+        for mode, size in enumerate(t.shape):
+            u = rng.standard_normal((2, size))
+            got = n_mode_product(t, u, mode)
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, n_mode_product(np.ascontiguousarray(t), u, mode))
+
+    @pytest.mark.parametrize(
+        "t_shape, u_shape, mode, out_shape",
+        [
+            ((0, 3, 4), (2, 3), 1, (0, 2, 4)),
+            ((3, 4), (0, 3), 0, (0, 4)),
+            ((3, 0), (2, 0), 1, (3, 2)),
+            ((0, 3), (2, 0), 0, (2, 3)),
+            ((2, 0, 3), (4, 3), 2, (2, 0, 4)),
+        ],
+    )
+    def test_zero_length_modes(self, t_shape, u_shape, mode, out_shape):
+        got = n_mode_product(np.ones(t_shape), np.ones(u_shape), mode)
+        assert got.shape == out_shape
+        assert not got.any()
 
 
 class TestMultilinearProduct:
