@@ -445,34 +445,51 @@ def _power_start(n: int) -> np.ndarray:
 
 
 def _spectral_norm(a: np.ndarray, iters: int = 50, tol: float = 1e-8) -> float:
-    """Largest singular value by power iteration on the Gram matrix.
+    """Spectral-norm estimate of a power iteration on the Gram matrix.
 
-    Falls back to the Frobenius norm (a valid upper bound) when the
-    iteration has not settled within the budget.  That happens often: on
-    the benchmark's gauss-dense problem (60^3, ranks 3, 150 iterations)
-    450 of 909 calls, every one a 60 x 3 factor norm, fell back, at up to
-    72 % above the exact 2-norm, which inflates the moduli built from them.
+    The estimate is that of ``iters`` steps of ``w = a^T a v``,
+    ``lam = ||w||``, ``v = w / lam`` from the unit vector
+    :func:`_power_start`, stopped at the first step with
+    ``|lam_k - lam_{k-1}| <= tol * max(lam_k, 1)`` (``lam_0 = 0``), which
+    returns ``sqrt(lam_k)``.  The sequence is evaluated in closed form from
+    one thin SVD ``a = U diag(s) V^T`` (Golub & Van Loan, *Matrix
+    Computations*, §8.2): with ``c = (V^T v)^2`` and
+    ``q_k = sum_i (s_i / s_0)^(4k) c_i`` (``q_0 = v . v``),
+    ``lam_k^2 = s_0^4 q_k / q_{k-1}``.  The square is formed as the loop
+    formed ``w . w``, so it overflows to ``inf`` and underflows to ``0.0``
+    where the loop's did, and ``lam_1 = 0`` settles at once at ``0.0``.
 
-    The start vector depends only on the column count and is built once per
-    count.  ``sqrt(w . w)`` is what ``np.linalg.norm`` computes for a real
-    vector, so the estimate is bitwise the one taken through that wrapper.
+    ``s[0]`` is the exact 2-norm.  The estimate is kept on purpose: when
+    the sequence has not settled within the budget it falls back to the
+    Frobenius norm (a valid upper bound).  That happens often: on the
+    benchmark's gauss-dense problem (60^3, ranks 3, 150 iterations) 450 of
+    909 calls, every one a 60 x 3 factor norm, fell back, at up to 72 %
+    above the exact 2-norm, which inflates the moduli built from them.
+    Exact norms change the solver's answers and its stopping iteration, so
+    they are a change of their own.
+
+    Input with a non-finite entry returns its Frobenius norm (``inf`` or
+    ``nan``), as the loop did, without calling LAPACK: ``np.linalg.svd``
+    may never return on an ``inf`` entry.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if a.size == 0 or not a.any():
         return 0.0
-    at = a.T
+    if not np.isfinite(a).all():
+        return float(np.linalg.norm(a))
+    _, s, vt = np.linalg.svd(a, full_matrices=False)
     v = _power_start(a.shape[1])
-    prev = 0.0
-    for _ in range(iters):
-        w = at @ (a @ v)
-        lam = math.sqrt(w.dot(w))
-        if lam == 0.0:
-            return 0.0
-        v = w / lam
-        if abs(lam - prev) <= tol * max(lam, 1.0):
-            return math.sqrt(lam)
-        prev = lam
-    return float(np.linalg.norm(a))
+    q = np.empty(iters + 1)
+    q[0] = v @ v
+    q[1:] = (s / s[0]) ** (4 * np.arange(1, iters + 1))[:, None] @ (vt @ v) ** 2
+    lam = np.zeros(iters + 1)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        lam[1:] = np.sqrt(s[0] ** 4 * (q[1:] / q[:-1]))
+        step = abs(lam[1:] - lam[:-1])
+    settled = np.flatnonzero(step <= tol * np.maximum(lam[1:], 1.0))
+    if not settled.size:
+        return float(np.linalg.norm(a))
+    return math.sqrt(lam[settled[0] + 1])
 
 
 def _factor_modulus(
@@ -564,6 +581,11 @@ def solve(
     model = init.copy()
     if config.freeze_h:
         model.core_h = np.zeros_like(model.core_h)
+    blocks = [(f"factor {n}", u) for n, u in enumerate(model.factors)]
+    blocks += [("core_g", model.core_g), ("core_h", model.core_h)]
+    for name, block in blocks:
+        if not np.isfinite(block).all():
+            raise ValueError(f"initial model {name} has non-finite values")
     z = _initial_z(omega, family, config.z_floor)
     y = -loss_gradient(family, mom, z)
 

@@ -110,25 +110,34 @@ def power_iteration_oracle(a, iters=50, tol=1e-8):
     """Spectral-norm estimate by power iteration on the Gram matrix.
 
     The solver's estimate as first written (fresh start vector each call,
-    ``np.linalg.norm`` each step), kept to check later rewrites bitwise.
+    ``np.linalg.norm`` each step), kept to check later rewrites against.
     Falls back to the Frobenius norm when the iteration does not settle.
+    """
+    return power_iteration_run(a, iters, tol)[0]
+
+
+def power_iteration_run(a, iters=50, tol=1e-8):
+    """``(estimate, step)`` of :func:`power_iteration_oracle`'s loop.
+
+    ``step`` is the iteration that returned (the zero test or the settle
+    test), ``0`` for empty or all-zero input, ``None`` for the fallback.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if a.size == 0 or not a.any():
-        return 0.0
+        return 0.0, 0
     v = np.random.default_rng(0).standard_normal(a.shape[1])
     v /= np.linalg.norm(v)
     prev = 0.0
-    for _ in range(iters):
+    for k in range(1, iters + 1):
         w = a.T @ (a @ v)
         lam = float(np.linalg.norm(w))
         if lam == 0.0:
-            return 0.0
+            return 0.0, k
         v = w / lam
         if abs(lam - prev) <= tol * max(lam, 1.0):
-            return math.sqrt(lam)
+            return math.sqrt(lam), k
         prev = lam
-    return float(np.linalg.norm(a))
+    return float(np.linalg.norm(a)), None
 
 
 def prox_objective(penalty_value_fn, q, point, t):

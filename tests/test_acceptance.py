@@ -92,8 +92,12 @@ def hosvd_init(omega, ranks, partition):
 
 
 def test_algebra_oracle_suite():
-    """Every shape with at most 4 modes and <= 64 cells, against loop oracles."""
-    started = time.time()
+    """Every shape with at most 4 modes and <= 64 cells, against loop oracles.
+
+    The budget is CPU time of this process, so a loaded machine does not
+    fail it.
+    """
+    started = time.process_time()
     rng = np.random.default_rng(0)
     shapes = oracles.small_shapes(64, 4)
     assert len(shapes) > 2000
@@ -122,11 +126,11 @@ def test_algebra_oracle_suite():
             multilinear_product(core, factors) - oracles.multilinear_oracle(core, factors)
         ).max() > 1e-12:
             report("algebra-oracles", False, f"multilinear broke at {shape}")
-    elapsed = time.time() - started
+    elapsed = time.process_time() - started
     report(
         "algebra-oracles",
         elapsed < 5.0,
-        f"{len(shapes)} shapes in {elapsed:.2f}s (budget 5s)",
+        f"{len(shapes)} shapes in {elapsed:.2f}s CPU (budget 5s)",
     )
 
 

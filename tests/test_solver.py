@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from dcot.solver import (
     BlockPenalties,
     SolverAbort,
     SolverConfig,
+    _power_start,
     _spectral_norm,
     core_gradient,
     estimate_moduli,
@@ -490,6 +493,33 @@ class TestEstimateModuli:
         assert cfg.rho_g == 7.0
 
 
+def assert_matches_power_iteration(a, label):
+    """``_spectral_norm`` against the loop in ``oracles.power_iteration_run``.
+
+    Equal where the loop's branch fixes the value (zero input, the zero
+    test, the Frobenius fallback), within 1e-14 relative otherwise, and
+    settled at the loop's step: the loop's budget is just enough, one step
+    less falls back.
+    """
+    with np.errstate(over="ignore"):
+        want, step = oracles.power_iteration_run(a)
+    got = _spectral_norm(a)
+    if step is None or want == 0.0:
+        assert got == want, label
+    else:
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0), label
+    if step:
+        at_step = _spectral_norm(a, iters=step)
+        assert at_step == pytest.approx(got, rel=1e-14, abs=0.0), label
+        assert _spectral_norm(a, iters=step - 1) == float(np.linalg.norm(a)), label
+    return step
+
+
+def near_orthonormal(rng, rows, eps):
+    q, _ = np.linalg.qr(rng.standard_normal((rows, 3)))
+    return q + eps * rng.standard_normal((rows, 3))
+
+
 class TestSpectralNorm:
     def matrices(self, rng):
         q, _ = np.linalg.qr(rng.standard_normal((60, 3)))
@@ -503,9 +533,59 @@ class TestSpectralNorm:
             "1-d-core": rng.standard_normal(6),
         }
 
-    def test_bitwise_equal_to_oracle(self, rng):
+    def test_matches_oracle(self, rng):
         for name, a in self.matrices(rng).items():
-            assert _spectral_norm(a) == oracles.power_iteration_oracle(a), name
+            assert_matches_power_iteration(a, name)
+        assert _spectral_norm(np.empty((0, 3))) == 0.0
+        # where the loop's w . w overflows it returns inf; where it underflows,
+        # its zero test returns 0.0
+        wide = rng.standard_normal((30, 3))
+        assert _spectral_norm(1e100 * wide) == math.inf
+        assert oracles.power_iteration_run(1e-100 * wide) == (0.0, 1)
+        assert_matches_power_iteration(1e-100 * wide, "underflow")
+
+    def test_seeded_sweep_matches_oracle(self):
+        rng = np.random.default_rng(9)
+        cases = []
+        for rows in (60, 30, 16):
+            cases += [(f"factor-{rows}x3", rng.standard_normal((rows, 3)))
+                      for _ in range(250)]
+        cases += [("matricization-3x9", rng.standard_normal((3, 9)))
+                  for _ in range(250)]
+        for rows in (60, 30, 16):
+            cases += [(f"near-orthonormal-{rows}x3",
+                       near_orthonormal(rng, rows, 10.0 ** rng.uniform(-4, -1)))
+                      for _ in range(200)]
+        for rank, shape in ((1, (16, 3)), (2, (16, 3)), (1, (3, 9)), (2, (3, 9))):
+            cases += [(f"rank-{rank}-{shape}",
+                       rng.standard_normal((shape[0], rank))
+                       @ rng.standard_normal((rank, shape[1])))
+                      for _ in range(50)]
+        cases += [("tiny", 1e-6 * rng.standard_normal((16, 3))) for _ in range(100)]
+        cases += [("1-d", rng.standard_normal(int(rng.integers(1, 10))))
+                  for _ in range(100)]
+        for scale in (1e100, 1e-100):
+            cases += [(f"scale-{scale:g}", scale * rng.standard_normal((30, 3)))
+                      for _ in range(100)]
+        assert len(cases) >= 2000
+        steps = [assert_matches_power_iteration(a, f"{name} #{i}")
+                 for i, (name, a) in enumerate(cases)]
+        assert steps.count(None) >= 0.25 * len(cases)
+        tiny = [a for name, a in cases if name == "tiny"]
+        assert all(np.linalg.norm(a.T @ (a @ _power_start(3))) <= 1e-8 for a in tiny)
+
+    def test_non_finite_input_returns_frobenius_norm(self, monkeypatch):
+        def no_lapack(*args, **kwargs):
+            raise AssertionError("LAPACK called on non-finite input")
+
+        monkeypatch.setattr(np.linalg, "svd", no_lapack)
+        for entries, want in (((math.inf,), math.inf), ((math.nan,), math.nan),
+                              ((math.inf, -math.inf), math.inf)):
+            a = np.ones((16, 3))
+            a[4, : len(entries)] = entries
+            with np.errstate(invalid="ignore"):
+                np.testing.assert_equal(oracles.power_iteration_oracle(a), want)
+            np.testing.assert_equal(_spectral_norm(a), want)
 
     def test_near_orthonormal_takes_frobenius_fallback(self, rng):
         a = self.matrices(rng)["near-orthonormal-60x3"]
@@ -739,6 +819,23 @@ class TestSolve:
                   SolverConfig(max_iters=10))
         assert str(info.value) == f"{block} block: non-finite values at iteration 2"
         assert len(info.value.trace) == 2
+
+    @pytest.mark.parametrize("block,value", [
+        ("factor 1", np.nan), ("core_g", np.inf), ("core_h", np.nan),
+    ])
+    def test_non_finite_initial_model_fails_up_front(self, block, value):
+        data, part = planted_problem(seed=4, sigma=0.05, missing=0.2)
+        init = initial_model(data.observed.to_dense(float(data.observed.values.mean())),
+                             (3, 3, 3), InitStrategy("hosvd"), part)
+        if block == "factor 1":
+            init.factors[1][2, 0] = value
+        else:
+            # core slice 2 is its own group, so the tie on core_h still holds
+            getattr(init, block)[2, 1, 0] = value
+        with pytest.raises(ValueError) as info:
+            solve(data.observed, init, LossFamily("gaussian"), data.sim,
+                  SolverConfig(max_iters=10))
+        assert str(info.value) == f"initial model {block} has non-finite values"
 
     def test_poisson_family_runs(self):
         part = SubjectPartition(0, (SliceGroup((0, 1)),))
