@@ -6,7 +6,7 @@ shared one), then fits four variants on the same data:
 
 * tied core + ridge on shared core/factors   (full model)
 * frozen-at-zero subject core, same ridge    (plain Tucker baseline)
-* tied core, no penalties, no smoothing
+* tied core, no penalties, neutral weights (unobserved cells pulled to the observed mean)
 * tied core, no penalties, informative kernel smoothing
 
 and reports held-out RMSE per seed plus medians.

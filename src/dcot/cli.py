@@ -36,11 +36,12 @@ from .model import (
     InitStrategy,
     SliceGroup,
     SubjectPartition,
+    _group_slicer,
     initial_model,
     reconstruct,
 )
 from .prox import Penalty
-from .similarity import ModeSimilarity, SimilarityModel, label_consistency, mode_similarity
+from .similarity import SimilarityModel, mode_similarity
 from .solver import BlockPenalties, SolverAbort, SolverConfig, initial_fill, solve
 
 EXIT_OK, EXIT_CONFIG, EXIT_SOLVER, EXIT_IO = 0, 2, 3, 4
@@ -69,26 +70,19 @@ def _typed(d: dict, key: str, types, where: str, default=_MISSING):
     return value
 
 
-def _int_list(d, key, where, default=_MISSING):
-    value = _typed(d, key, list, where, default)
-    if value is default and default is not _MISSING:
-        return value
+def _int_list(d, key, where):
+    value = _typed(d, key, list, where)
     if not all(isinstance(v, int) and not isinstance(v, bool) for v in value):
         raise io.ConfigError(f"{where}.{key}: expected a list of integers")
     return [int(v) for v in value]
 
 
-def _parse_family(cfg, where="family") -> LossFamily:
-    obj = cfg if cfg is not None else "gaussian"
-    if isinstance(obj, str):
-        return LossFamily(obj)
-    if isinstance(obj, dict):
-        _expect_keys(obj, ("kind", "epsilon"), where)
-        return LossFamily(
-            _typed(obj, "kind", str, where),
-            float(_typed(obj, "epsilon", (int, float), where, 1e-6)),
-        )
-    raise io.ConfigError(f"{where}: expected a name or an object")
+def _parse_family(name) -> LossFamily:
+    if name is None:
+        return LossFamily("gaussian")
+    if not isinstance(name, str):
+        raise io.ConfigError("family: expected a family name")
+    return LossFamily(name)
 
 
 def _parse_partition(obj, base: Path, where="partition") -> SubjectPartition | None:
@@ -99,27 +93,13 @@ def _parse_partition(obj, base: Path, where="partition") -> SubjectPartition | N
     if "path" in obj:
         _expect_keys(obj, ("path",), where)
         return io.read_partition(base / _typed(obj, "path", str, where))
-    _expect_keys(obj, ("mode", "fixed_mode", "groups"), where)
+    _expect_keys(obj, _SECTION_KEYS["partition"], where)
     mode = _typed(obj, "mode", int, where) - 1
-    fixed_mode = obj.get("fixed_mode")
-    groups_cfg = _typed(obj, "groups", list, where)
     groups = []
-    for gi, g in enumerate(groups_cfg):
-        gw = f"{where}.groups[{gi}]"
-        if isinstance(g, list):
-            groups.append(SliceGroup(tuple(int(i) - 1 for i in g)))
-        elif isinstance(g, dict):
-            _expect_keys(g, ("indices", "fixed_index"), gw)
-            if fixed_mode is None:
-                raise io.ConfigError(f"{gw}: fixed_index requires fixed_mode")
-            groups.append(
-                SliceGroup(
-                    tuple(int(i) - 1 for i in _int_list(g, "indices", gw)),
-                    (int(fixed_mode) - 1, int(_typed(g, "fixed_index", int, gw)) - 1),
-                )
-            )
-        else:
-            raise io.ConfigError(f"{gw}: expected a list or an object")
+    for gi, g in enumerate(_typed(obj, "groups", list, where)):
+        if not isinstance(g, list):
+            raise io.ConfigError(f"{where}.groups[{gi}]: expected a list of indices")
+        groups.append(SliceGroup(tuple(int(i) - 1 for i in g)))
     try:
         return SubjectPartition(mode, tuple(groups))
     except ValueError as exc:
@@ -131,65 +111,31 @@ def _parse_similarity(obj, shape, base: Path, where="similarity") -> SimilarityM
         return SimilarityModel.neutral(shape)
     if not isinstance(obj, dict):
         raise io.ConfigError(f"{where}: expected an object")
-    kind = _typed(obj, "kind", str, where, "kernel")
-    if kind in ("neutral", "ones"):
-        _expect_keys(obj, ("kind", "cap", "normalized"), where)
-        builder = SimilarityModel.neutral if kind == "neutral" else SimilarityModel.ones
-        return builder(
-            shape,
-            normalized=bool(_typed(obj, "normalized", bool, where, True)),
-            cap=int(_typed(obj, "cap", int, where, 32)),
-        )
-    if kind != "kernel":
-        raise io.ConfigError(f"{where}.kind: expected neutral, ones or kernel")
-    _expect_keys(
-        obj,
-        ("kind", "features", "labels", "kernel", "bandwidths", "xi", "cap",
-         "normalized", "label_same", "label_diff"),
-        where,
-    )
+    _expect_keys(obj, _SECTION_KEYS["similarity"], where)
+    if _typed(obj, "kind", str, where, "kernel") != "kernel":
+        raise io.ConfigError(f"{where}.kind: expected 'kernel'")
     feats_cfg = _typed(obj, "features", list, where)
     labels_cfg = _typed(obj, "labels", list, where, [None] * len(shape))
     if len(feats_cfg) != len(shape) or len(labels_cfg) != len(shape):
         raise io.ConfigError(f"{where}: need one features/labels entry per mode")
-    kernel = _typed(obj, "kernel", str, where, "gaussian")
     bandwidths = obj.get("bandwidths")
-    xi = float(_typed(obj, "xi", (int, float), where, 0.3))
-    same = float(_typed(obj, "label_same", (int, float), where, 0.8))
-    diff = float(_typed(obj, "label_diff", (int, float), where, 0.2))
     per_mode = []
     for n, (fpath, lpath) in enumerate(zip(feats_cfg, labels_cfg)):
+        if not isinstance(fpath, str):
+            raise io.ConfigError(f"{where}.features[{n}]: expected a file path")
         labels = io.read_labels(base / lpath) if lpath is not None else None
         if labels is not None and labels.size != shape[n]:
             raise io.ConfigError(
                 f"{where}.labels[{n}]: {labels.size} labels for mode of size {shape[n]}"
             )
-        if fpath is None:
-            s = np.eye(shape[n])
-            c = (
-                label_consistency(labels, same, diff)
-                if labels is not None
-                else np.ones((shape[n], shape[n]))
-            )
-            per_mode.append(ModeSimilarity(s=s, c=c))
-            continue
         feats = io.read_features(base / fpath)
         if feats.shape[0] != shape[n]:
             raise io.ConfigError(
                 f"{where}.features[{n}]: {feats.shape[0]} rows for mode of size "
                 f"{shape[n]}"
             )
-        per_mode.append(
-            mode_similarity(
-                feats, kernel=kernel, bandwidths=bandwidths, xi=xi,
-                labels=labels, same=same, diff=diff,
-            )
-        )
-    return SimilarityModel(
-        per_mode=per_mode,
-        neighbor_cap=int(_typed(obj, "cap", int, where, 32)),
-        normalized=bool(_typed(obj, "normalized", bool, where, True)),
-    )
+        per_mode.append(mode_similarity(feats, bandwidths=bandwidths, labels=labels))
+    return SimilarityModel(per_mode=per_mode)
 
 
 def _partition_flat_groups(partition: SubjectPartition, shape) -> tuple:
@@ -198,11 +144,7 @@ def _partition_flat_groups(partition: SubjectPartition, shape) -> tuple:
     for g in partition.groups:
         for i in g.indices:
             sel = np.zeros(shape, dtype=bool)
-            slicer: list = [slice(None)] * len(shape)
-            slicer[partition.mode] = i
-            if g.fixed is not None:
-                slicer[g.fixed[0]] = g.fixed[1]
-            sel[tuple(slicer)] = True
+            sel[_group_slicer(len(shape), partition.mode, i, g.fixed)] = True
             groups.append(np.flatnonzero(sel.ravel(order="F")))
     return tuple(groups)
 
@@ -212,23 +154,18 @@ def _parse_penalty(obj, ranks, partition, where) -> Penalty:
         return Penalty.none()
     if not isinstance(obj, dict):
         raise io.ConfigError(f"{where}: expected an object")
-    _expect_keys(obj, ("kind", "weight", "mix", "groups"), where)
+    _expect_keys(obj, _SECTION_KEYS["penalty"], where)
     kind = _typed(obj, "kind", str, where, "none")
     weight = float(_typed(obj, "weight", (int, float), where, 0.0))
-    mix = float(_typed(obj, "mix", (int, float), where, 0.5))
     groups = ()
     if kind == "sparse_group_lasso":
-        spec = obj.get("groups", "partition")
-        if spec == "partition":
-            if partition is None:
-                raise io.ConfigError(f"{where}: groups 'partition' needs a partition")
-            groups = _partition_flat_groups(partition, tuple(ranks))
-        elif isinstance(spec, list):
-            groups = tuple(np.asarray(g, dtype=np.int64) - 1 for g in spec)
-        else:
-            raise io.ConfigError(f"{where}.groups: expected 'partition' or lists")
+        if obj.get("groups", "partition") != "partition":
+            raise io.ConfigError(f"{where}.groups: expected 'partition'")
+        if partition is None:
+            raise io.ConfigError(f"{where}: groups 'partition' needs a partition")
+        groups = _partition_flat_groups(partition, tuple(ranks))
     try:
-        return Penalty(kind, weight, groups, mix)
+        return Penalty(kind, weight, groups)
     except ValueError as exc:
         raise io.ConfigError(f"{where}: {exc}") from exc
 
@@ -238,22 +175,31 @@ def _parse_penalties(obj, ranks, partition, where="penalties") -> BlockPenalties
         return BlockPenalties()
     if not isinstance(obj, dict):
         raise io.ConfigError(f"{where}: expected an object")
-    _expect_keys(obj, ("g", "h", "factors"), where)
-    g = _parse_penalty(obj.get("g"), ranks, partition, f"{where}.g")
-    h = _parse_penalty(obj.get("h"), ranks, partition, f"{where}.h")
-    fobj = obj.get("factors")
-    if isinstance(fobj, list):
-        factors = tuple(
-            _parse_penalty(fo, ranks, partition, f"{where}.factors[{i}]")
-            for i, fo in enumerate(fobj)
-        )
-    else:
-        factors = _parse_penalty(fobj, ranks, partition, f"{where}.factors")
-    return BlockPenalties(g=g, h=h, factors=factors)
+    _expect_keys(obj, _SECTION_KEYS["penalties"], where)
+    return BlockPenalties(**{
+        block: _parse_penalty(obj.get(block), ranks, partition, f"{where}.{block}")
+        for block in _SECTION_KEYS["penalties"]
+    })
 
 
 _NUMBER = (int, float)
 _OPTIONAL_NUMBER = (int, float, type(None))
+
+# The keys each config section accepts ("penalty" is any one of the g, h
+# and factors objects of "penalties").  README's "Command line" lists them.
+_SECTION_KEYS = {
+    "data": ("observations", "format"),
+    "synth": ("shape", "ranks", "partition", "subject_core_scale", "noise_family",
+              "noise_sigma", "missing_fraction", "seed"),
+    "partition": ("path", "mode", "groups"),
+    "similarity": ("kind", "features", "labels", "bandwidths"),
+    "penalties": ("g", "h", "factors"),
+    "penalty": ("kind", "weight", "groups"),
+    "init": ("kind", "seed"),
+    "split": ("train_fraction", "seed"),
+    "grid": ("lambdas", "blocks"),
+    "evaluate": ("estimate", "run_dir", "reference"),
+}
 
 # Every "solver" key with the JSON types it accepts (bools are rejected
 # unless listed, see _typed).
@@ -299,7 +245,7 @@ def _parse_init(obj, seed: int, where="init") -> InitStrategy:
         return InitStrategy("hosvd", seed)
     if not isinstance(obj, dict):
         raise io.ConfigError(f"{where}: expected an object")
-    _expect_keys(obj, ("kind", "seed"), where)
+    _expect_keys(obj, _SECTION_KEYS["init"], where)
     try:
         return InitStrategy(
             _typed(obj, "kind", str, where, "hosvd"),
@@ -352,7 +298,7 @@ def _blas_setting() -> dict:
 
 
 def _read_observations(data_cfg: dict, base: Path, default_format: str) -> ObservationSet:
-    _expect_keys(data_cfg, ("observations", "format"), "data")
+    _expect_keys(data_cfg, _SECTION_KEYS["data"], "data")
     path = base / _typed(data_cfg, "observations", str, "data")
     fmt = _typed(data_cfg, "format", str, "data", default_format)
     obj = io.read_tensor(path, fmt)
@@ -389,13 +335,7 @@ def _validate_top(cfg: dict, command: str) -> None:
 
 def _cmd_synth(cfg: dict, out_dir: Path, seed: int, base: Path) -> dict:
     obj = _typed(cfg, "synth", dict, "config")
-    _expect_keys(
-        obj,
-        ("shape", "ranks", "partition", "subject_core_scale", "noise_family",
-         "noise_sigma", "missing_fraction", "seed", "label_clusters",
-         "feature_jitter"),
-        "synth",
-    )
+    _expect_keys(obj, _SECTION_KEYS["synth"], "synth")
     partition = _parse_partition(obj.get("partition"), base, "synth.partition")
     try:
         spec = SynthSpec(
@@ -411,10 +351,6 @@ def _cmd_synth(cfg: dict, out_dir: Path, seed: int, base: Path) -> dict:
                 _typed(obj, "missing_fraction", (int, float), "synth", 0.0)
             ),
             seed=int(_typed(obj, "seed", int, "synth", seed)),
-            label_clusters=int(_typed(obj, "label_clusters", int, "synth", 4)),
-            feature_jitter=float(
-                _typed(obj, "feature_jitter", (int, float), "synth", 0.3)
-            ),
         )
     except ValueError as exc:
         raise io.ConfigError(f"synth: {exc}") from exc
@@ -501,7 +437,7 @@ def _cmd_factorize(cfg: dict, out_dir: Path, seed: int, default_format: str,
 
 def _cmd_evaluate(cfg: dict, out_dir: Path | None, base: Path) -> dict:
     obj = _typed(cfg, "evaluate", dict, "config")
-    _expect_keys(obj, ("estimate", "run_dir", "reference"), "evaluate")
+    _expect_keys(obj, _SECTION_KEYS["evaluate"], "evaluate")
     ref_path = _typed(obj, "reference", str, "evaluate")
     reference = io.read_coo(base / ref_path)
     if "estimate" in obj:
@@ -531,7 +467,7 @@ def _cmd_grid(cfg: dict, out_dir: Path, seed: int, default_format: str,
         cfg, base, seed, default_format
     )
     split_obj = _typed(cfg, "split", dict, "config")
-    _expect_keys(split_obj, ("train_fraction", "seed"), "split")
+    _expect_keys(split_obj, _SECTION_KEYS["split"], "split")
     try:
         split = SplitSpec(
             float(_typed(split_obj, "train_fraction", (int, float), "split")),
@@ -540,14 +476,13 @@ def _cmd_grid(cfg: dict, out_dir: Path, seed: int, default_format: str,
     except ValueError as exc:
         raise io.ConfigError(f"split: {exc}") from exc
     grid_obj = _typed(cfg, "grid", dict, "config")
-    _expect_keys(grid_obj, ("lambdas", "blocks", "per_block"), "grid")
+    _expect_keys(grid_obj, _SECTION_KEYS["grid"], "grid")
     lam = grid_obj.get("lambdas", "default")
     lambdas = lambda_grid() if lam == "default" else np.asarray(lam, dtype=float)
     blocks = tuple(_typed(grid_obj, "blocks", list, "grid", ["g", "h"]))
-    per_block = bool(_typed(grid_obj, "per_block", bool, "grid", False))
     result = grid_search(
         omega, split, family, sim, solver_cfg, ranks, strategy, partition,
-        lambdas=lambdas, blocks=blocks, per_block=per_block, workers=workers,
+        lambdas=lambdas, blocks=blocks, workers=workers,
     )
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = [",".join(list(blocks) + ["validation_rmse", "converged"])]
@@ -570,7 +505,6 @@ def _cmd_grid(cfg: dict, out_dir: Path, seed: int, default_format: str,
             "solver": solver_cfg,
             "split": split,
             "blocks": list(blocks),
-            "per_block": per_block,
             "seed": seed,
         },
         "blas": _blas_setting(),

@@ -23,6 +23,11 @@ from .solver import SolverAbort, SolverConfig, initial_fill, solve
 
 log = logging.getLogger("dcot.evaluate")
 
+# planted factor rows: up to this many label clusters per mode, and the
+# standard deviation of a row around its cluster centroid
+_LABEL_CLUSTERS = 4
+_FEATURE_JITTER = 0.3
+
 
 def rmse(z_hat: np.ndarray, reference: ObservationSet) -> float:
     """Root mean square error over the reference entries only."""
@@ -93,8 +98,6 @@ class SynthSpec:
     noise_sigma: float = 0.0
     missing_fraction: float = 0.0
     seed: int = 0
-    label_clusters: int = 4
-    feature_jitter: float = 0.3
 
     def __post_init__(self):
         object.__setattr__(self, "shape", tuple(int(s) for s in self.shape))
@@ -147,9 +150,9 @@ def synthesize(spec: SynthSpec) -> SynthData:
     positive = spec.noise_family in ("poisson", "gamma")
     factors, labels = [], []
     for n, size in enumerate(spec.shape):
-        clusters = min(spec.label_clusters, size)
+        clusters = min(_LABEL_CLUSTERS, size)
         u, lab = _clustered_factor(
-            rng, size, spec.ranks[n], clusters, spec.feature_jitter, not positive
+            rng, size, spec.ranks[n], clusters, _FEATURE_JITTER, not positive
         )
         factors.append(u)
         labels.append(lab)
@@ -214,12 +217,7 @@ def _with_weights(config: SolverConfig, weights: dict) -> SolverConfig:
     pen = config.penalties
     new_g = replace(pen.g, weight=weights.get("g", pen.g.weight))
     new_h = replace(pen.h, weight=weights.get("h", pen.h.weight))
-    if isinstance(pen.factors, tuple):
-        new_f = tuple(
-            replace(p, weight=weights.get("factors", p.weight)) for p in pen.factors
-        )
-    else:
-        new_f = replace(pen.factors, weight=weights.get("factors", pen.factors.weight))
+    new_f = replace(pen.factors, weight=weights.get("factors", pen.factors.weight))
     return replace(config, penalties=replace(pen, g=new_g, h=new_h, factors=new_f))
 
 
@@ -251,31 +249,20 @@ def grid_search(
     partition: SubjectPartition | None = None,
     lambdas: np.ndarray | None = None,
     blocks: tuple[str, ...] = ("g", "h", "factors"),
-    per_block: bool = False,
     workers: int = 1,
 ) -> GridSearchResult:
     """Pick penalty weights by validation RMSE on a hold-out split.
 
-    By default one shared weight is swept over ``lambdas`` (the 61-point
-    grid when omitted) and applied to every block named in ``blocks``;
-    ``per_block`` sweeps the full Cartesian product of per-block weights
-    instead (use a small grid).  Ties in validation RMSE go to the larger
-    (more regularized) candidate.
+    One shared weight is swept over ``lambdas`` (the 61-point grid when
+    omitted) and applied to every block named in ``blocks``.  Ties in
+    validation RMSE go to the larger (more regularized) candidate.
     """
     lambdas = lambda_grid() if lambdas is None else np.asarray(lambdas, dtype=float)
     if lambdas.size == 0:
         raise ValueError("weight grid is empty")
     lambdas = np.sort(lambdas)
     train, test = holdout_split(omega, split)
-    if per_block:
-        candidates = [
-            dict(zip(blocks, combo))
-            for combo in np.stack(
-                np.meshgrid(*([lambdas] * len(blocks)), indexing="ij"), axis=-1
-            ).reshape(-1, len(blocks))
-        ]
-    else:
-        candidates = [{b: float(lam) for b in blocks} for lam in lambdas]
+    candidates = [{b: float(lam) for b in blocks} for lam in lambdas]
     ranks = tuple(int(r) for r in ranks)
     jobs = [
         (weights, train, test, family, sim, config, ranks, strategy, partition)

@@ -236,18 +236,6 @@ def read_tensor(path, format: str):
     raise ConfigError(f"unknown tensor format {format!r}")
 
 
-def write_tensor(obj, path, format: str) -> None:
-    """Inverse of :func:`read_tensor`."""
-    if format == "coo":
-        if not isinstance(obj, ObservationSet):
-            raise ConfigError("coo format stores observation sets")
-        write_coo(obj, path)
-    elif format == "dense":
-        write_dense(np.asarray(obj, dtype=float), path)
-    else:
-        raise ConfigError(f"unknown tensor format {format!r}")
-
-
 def read_features(path) -> np.ndarray:
     """One float feature row per index."""
     path = Path(path)

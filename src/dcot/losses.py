@@ -34,6 +34,8 @@ if TYPE_CHECKING:  # similarity imports ObservationSet from this module
     from .similarity import Moments
 
 _POISSON_FLOOR = 1e-12
+# shift ``eps`` of the gamma integrand ``log(z + eps) + x / (z + eps)``
+_GAMMA_EPSILON = 1e-6
 
 _FAMILIES = ("gaussian", "bernoulli", "poisson", "gamma")
 
@@ -114,13 +116,10 @@ class LossFamily:
     """One of the supported likelihood families plus its domain guard."""
 
     kind: str = "gaussian"
-    epsilon: float = 1e-6
 
     def __post_init__(self):
         if self.kind not in _FAMILIES:
             raise ValueError(f"unknown family {self.kind!r}, expected {_FAMILIES}")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
 
     def validate_observations(self, omega: ObservationSet) -> None:
         v = omega.values
@@ -158,7 +157,7 @@ def loss_value(family: LossFamily, mom: Moments, z: np.ndarray) -> float:
     elif family.kind == "poisson":
         total = w * z - m1 * np.log(np.maximum(z, _POISSON_FLOOR))
     else:  # gamma
-        zz = z + family.epsilon
+        zz = z + _GAMMA_EPSILON
         total = w * np.log(zz) + m1 / zz
     return float(total.sum()) / count
 
@@ -174,7 +173,7 @@ def loss_gradient(family: LossFamily, mom: Moments, z: np.ndarray) -> np.ndarray
     elif family.kind == "poisson":
         grad = w - m1 / np.maximum(z, _POISSON_FLOOR)
     else:  # gamma
-        zz = z + family.epsilon
+        zz = z + _GAMMA_EPSILON
         grad = w / zz - m1 / zz**2
     return grad / count
 
@@ -194,7 +193,7 @@ def loss_curvature(family: LossFamily, mom: Moments, z: np.ndarray) -> np.ndarra
     elif family.kind == "poisson":
         curv = m1 / np.maximum(z, _POISSON_FLOOR) ** 2
     else:  # gamma
-        zz = z + family.epsilon
+        zz = z + _GAMMA_EPSILON
         curv = (2.0 * m1 / zz - w) / zz**2
     return curv / count
 
@@ -211,7 +210,7 @@ def loss_curvature_min(
     w, m1, count = mom.weight_sum, mom.weighted_x, mom.count
     if family.kind != "gamma":
         return np.zeros(w.shape)
-    u_max = 1.0 / (z_min + family.epsilon)
+    u_max = 1.0 / (z_min + _GAMMA_EPSILON)
     crit = np.divide(w, 3.0 * m1, out=np.full(w.shape, np.inf), where=m1 > 0)
     u = np.minimum(crit, u_max)
     return (2.0 * m1 * u - w) * u**2 / count
@@ -236,5 +235,5 @@ def loss_lipschitz(
         raise ValueError(f"{family.kind} needs a positive lower bound z_min")
     if family.kind == "poisson":
         return float(m1.max()) / (count * z_min**2)
-    zz = z_min + family.epsilon
+    zz = z_min + _GAMMA_EPSILON
     return (float(w.max()) / zz**2 + 2.0 * float(m1.max()) / zz**3) / count

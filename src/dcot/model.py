@@ -133,10 +133,6 @@ class DcotModel:
                 raise ValueError("core_h violates its partition tie constraint")
 
     @property
-    def data_shape(self) -> tuple[int, ...]:
-        return tuple(u.shape[0] for u in self.factors)
-
-    @property
     def ranks(self) -> tuple[int, ...]:
         return self.core_g.shape
 

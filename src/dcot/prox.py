@@ -92,6 +92,9 @@ def penalty_value(p: Penalty, point: np.ndarray) -> float:
     if p.kind == "nuclear":
         if point.ndim != 2:
             raise ValueError("nuclear penalty applies to matrices only")
+        if not np.isfinite(point).all():
+            # inf or nan, without LAPACK (see prox_apply)
+            return p.weight * float(np.linalg.norm(point))
         return p.weight * float(np.linalg.svd(point, compute_uv=False).sum())
     if p.kind == "nonneg":
         return 0.0 if point.min(initial=0.0) >= 0.0 else math.inf
@@ -122,6 +125,10 @@ def prox_apply(p: Penalty, point: np.ndarray, t: float) -> np.ndarray:
     if p.kind == "nuclear":
         if point.ndim != 2:
             raise ValueError("nuclear penalty applies to matrices only")
+        if not np.isfinite(point).all():
+            # np.linalg.svd may never return on an inf entry; the solver's
+            # finiteness check names the block that overflowed
+            return point
         u, s, vt = np.linalg.svd(point, full_matrices=False)
         return (u * np.maximum(s - lam, 0.0)) @ vt
     if p.kind == "nonneg":

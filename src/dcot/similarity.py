@@ -193,9 +193,13 @@ class SimilarityModel:
     def neutral(cls, shape, normalized: bool = True, cap: int = 32) -> "SimilarityModel":
         """Delta weights: each cell is its own only neighbor per mode.
 
-        With these weights the smoothing loss reduces to the plain
-        (unsmoothed) loss over the observed entries, up to the cell-count
-        normalization.
+        An observed cell pools only its own observation, so its loss term is
+        the plain (unsmoothed) one.  An unobserved cell has no observed
+        neighbor: it is a degenerate smoothing target, which
+        :func:`smoothing_moments` gives weight one spread uniformly over the
+        observed entries, so its estimate is pulled toward their mean.  The
+        loss is therefore not the plain loss over the observed entries
+        alone: every unobserved cell adds an observed-mean term.
         """
         modes = [
             ModeSimilarity(s=np.eye(int(n)), c=np.ones((int(n), int(n))))

@@ -76,20 +76,12 @@ class SolverAbort(RuntimeError):
 class BlockPenalties:
     """Penalty per optimization block: shared core, subject core, factors.
 
-    ``factors`` is either a single penalty applied to every factor matrix
-    or one penalty per mode.
+    ``factors`` applies to every factor matrix.
     """
 
     g: Penalty = field(default_factory=Penalty.none)
     h: Penalty = field(default_factory=Penalty.none)
-    factors: tuple[Penalty, ...] | Penalty = field(default_factory=Penalty.none)
-
-    def factor(self, mode: int, n_modes: int) -> Penalty:
-        if isinstance(self.factors, Penalty):
-            return self.factors
-        if len(self.factors) != n_modes:
-            raise ValueError("need one factor penalty per mode")
-        return self.factors[mode]
+    factors: Penalty = field(default_factory=Penalty.none)
 
 
 @dataclass(frozen=True)
@@ -427,9 +419,8 @@ def lagrangian_value(
     value = loss
     value += penalty_value(penalties.g, model.core_g)
     value += penalty_value(penalties.h, model.core_h)
-    n_modes = len(model.factors)
-    for n, u in enumerate(model.factors):
-        value += penalty_value(penalties.factor(n, n_modes), u)
+    for u in model.factors:
+        value += penalty_value(penalties.factors, u)
     value -= frob_inner(y, r)
     value += 0.5 * gamma * r_sq
     return value
@@ -656,7 +647,7 @@ def solve(
             if refresh_factors:
                 rho_factors[n] = _factor_modulus(gamma, core_sum, u_norms, n, safety)
             u_new = update_factor(
-                model, target, gamma, n, rho_factors[n], pen.factor(n, n_modes)
+                model, target, gamma, n, rho_factors[n], pen.factors
             )
             check_finite(f"factor {n}", u_new, k)
             factor_sq += float(((u_new - model.factors[n]) ** 2).sum())

@@ -244,7 +244,7 @@ class TestDenseFormat:
     def test_dispatch(self, tmp_path, rng):
         t = rng.standard_normal((2, 2))
         path = tmp_path / "t.dct"
-        io.write_tensor(t, path, "dense")
+        io.write_dense(t, path)
         assert np.array_equal(io.read_tensor(path, "dense"), t)
         with pytest.raises(io.ConfigError):
             io.read_tensor(path, "weird")
@@ -347,6 +347,13 @@ def fit_config(out, synth_dir="synth_out", max_iters=300, similarity=None):
     if similarity is not None:
         cfg["similarity"] = similarity
     return cfg
+
+
+KERNEL_SIM = {
+    "kind": "kernel",
+    "features": [f"synth_out/features_mode{n}.txt" for n in (1, 2, 3)],
+    "labels": [f"synth_out/labels_mode{n}.txt" for n in (1, 2, 3)],
+}
 
 
 def run_cli(tmp_path, command, cfg, *extra):
@@ -465,6 +472,63 @@ class TestCliPipeline:
         summary = json.loads((tmp_path / "eval3" / "summary.json").read_text())
         assert summary["rmse"] == 0.0
 
+    def test_block_penalties_echoed(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        run_cli(tmp_path, "synth", synth_config(sigma=0.05, missing=0.3))
+        cfg = fit_config("run_out", max_iters=5)
+        cfg["penalties"] = {"h": {"kind": "frob_sq", "weight": 1e-3},
+                            "factors": {"kind": "l1", "weight": 2e-4}}
+        assert run_cli(tmp_path, "complete", cfg) == 0
+        summary = json.loads((tmp_path / "run_out" / "summary.json").read_text())
+        penalties = summary["effective_config"]["solver"]["penalties"]
+        assert (penalties["g"]["kind"], penalties["g"]["weight"]) == ("none", 0.0)
+        assert (penalties["h"]["kind"], penalties["h"]["weight"]) == ("frob_sq", 1e-3)
+        assert (penalties["factors"]["kind"], penalties["factors"]["weight"]) == (
+            "l1", 2e-4)
+
+    def test_dense_format_data(self, tmp_path, monkeypatch):
+        # a fully observed dense tensor, named by the data key or by --format
+        monkeypatch.chdir(tmp_path)
+        run_cli(tmp_path, "synth", synth_config())
+        cfg = fit_config("run_key", max_iters=5)
+        cfg["data"] = {"observations": "synth_out/truth.dct", "format": "dense"}
+        assert run_cli(tmp_path, "complete", cfg) == 0
+        cfg = fit_config("run_flag", max_iters=5)
+        cfg["data"] = {"observations": "synth_out/truth.dct"}
+        assert run_cli(tmp_path, "complete", cfg, "--format", "dense") == 0
+        truth = io.read_dense(tmp_path / "synth_out" / "truth.dct")
+        z_hat = io.read_dense(tmp_path / "run_key" / "z_hat.dct")
+        assert z_hat.shape == truth.shape
+        for name in ("trace.csv", "z_hat.dct"):
+            assert ((tmp_path / "run_key" / name).read_bytes()
+                    == (tmp_path / "run_flag" / name).read_bytes())
+
+    def test_grid_search_threads_same_report(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        run_cli(tmp_path, "synth", synth_config(sigma=0.1, missing=0.3))
+        reports = []
+        for threads in ("1", "2"):
+            cfg = fit_config(f"grid_{threads}", max_iters=10)
+            cfg["penalties"] = {"g": {"kind": "frob_sq"}, "h": {"kind": "frob_sq"}}
+            cfg["grid"] = {"lambdas": [1e-4, 1e-2, 1.0], "blocks": ["g", "h"]}
+            cfg["split"] = {"train_fraction": 0.8}
+            assert run_cli(tmp_path, "grid-search", cfg, "--threads", threads) == 0
+            reports.append((tmp_path / f"grid_{threads}" / "grid_report.csv").read_bytes())
+        assert reports[0] == reports[1]
+        assert len(reports[0].splitlines()) == 4
+
+    def test_readme_examples_run(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("A minimal synth + fit config pair:", 1)[1]
+        synth, fit = (json.loads(block) for block in
+                      re.findall(r"```json\n(.*?)```", section, re.S)[:2])
+        fit["solver"]["max_iters"] = 5
+        assert run_cli(tmp_path, "synth", synth) == 0
+        assert run_cli(tmp_path, "complete", fit) == 0
+        summary = json.loads((tmp_path / fit["output"] / "summary.json").read_text())
+        assert summary["iterations"] == 5
+
 
 class TestCliErrors:
     def test_malformed_config_no_outputs(self, tmp_path, monkeypatch, capsys):
@@ -547,6 +611,79 @@ class TestCliErrors:
         error = json.loads(capsys.readouterr().err)["error"]
         assert error["kind"] == "config" and key in error["message"]
         assert not (tmp_path / "run_out").exists()
+
+    @pytest.mark.parametrize("command, section, value, key", [
+        ("complete", "family", {"kind": "gaussian", "epsilon": 1e-6}, "family"),
+        ("complete", "similarity", {**KERNEL_SIM, "cap": 8}, "cap"),
+        ("complete", "similarity", {**KERNEL_SIM, "normalized": False}, "normalized"),
+        ("complete", "similarity", {**KERNEL_SIM, "kernel": "euclid"}, "kernel"),
+        ("complete", "similarity", {**KERNEL_SIM, "xi": 0.5}, "xi"),
+        ("complete", "similarity", {**KERNEL_SIM, "label_same": 0.9}, "label_same"),
+        ("complete", "similarity", {**KERNEL_SIM, "label_diff": 0.1}, "label_diff"),
+        ("complete", "similarity", {"kind": "neutral"}, "kind"),
+        ("complete", "similarity", {"kind": "ones"}, "kind"),
+        ("complete", "similarity", {**KERNEL_SIM, "features": [None, None, None]},
+         "features"),
+        ("complete", "partition", {"mode": 2, "fixed_mode": 1, "groups": [[1, 2]]},
+         "fixed_mode"),
+        ("complete", "partition",
+         {"mode": 2, "fixed_mode": 1, "groups": [{"indices": [1, 2], "fixed_index": 1}]},
+         "fixed_mode"),
+        ("complete", "penalties",
+         {"g": {"kind": "sparse_group_lasso", "weight": 0.1, "mix": 0.5}}, "mix"),
+        ("complete", "penalties",
+         {"g": {"kind": "sparse_group_lasso", "weight": 0.1, "groups": [[1, 2]]}},
+         "groups"),
+        ("complete", "penalties", {"factors": [{"kind": "l1", "weight": 0.1}] * 3},
+         "factors"),
+        ("synth", "synth", {**synth_config()["synth"], "label_clusters": 2},
+         "label_clusters"),
+        ("synth", "synth", {**synth_config()["synth"], "feature_jitter": 0.1},
+         "feature_jitter"),
+        ("grid-search", "grid", {"lambdas": [1e-2], "blocks": ["g"], "per_block": True},
+         "per_block"),
+    ], ids=["family-object", "cap", "normalized", "kernel", "xi", "label_same",
+            "label_diff", "kind-neutral", "kind-ones", "null-features", "fixed_mode",
+            "group-object", "mix", "group-lists", "factor-list", "label_clusters",
+            "feature_jitter", "per_block"])
+    def test_removed_config_keys_rejected(self, tmp_path, monkeypatch, capsys,
+                                          command, section, value, key):
+        # each was accepted once; the run below is otherwise valid
+        monkeypatch.chdir(tmp_path)
+        if command == "synth":
+            cfg = synth_config()
+            out = tmp_path / "synth_out"
+        else:
+            assert run_cli(tmp_path, "synth", synth_config()) == 0
+            cfg = fit_config("run_out", max_iters=5, similarity=KERNEL_SIM)
+            if command == "grid-search":
+                cfg["split"] = {"train_fraction": 0.8}
+            out = tmp_path / "run_out"
+        capsys.readouterr()
+        cfg[section] = value
+        assert run_cli(tmp_path, command, cfg) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["kind"] == "config" and key in error["message"]
+        assert not out.exists()
+
+    def test_synth_keys_match_spec_fields(self):
+        from dcot.cli import _SECTION_KEYS
+        from dcot.evaluate import SynthSpec
+
+        fields = {f.name for f in dataclasses.fields(SynthSpec)}
+        assert set(_SECTION_KEYS["synth"]) == fields
+
+    def test_readme_lists_every_section_key(self):
+        from dcot.cli import _SECTION_KEYS
+
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("| section | keys | notes |", 1)[1].split("\n\n")[0]
+        documented = {}
+        for row in table.splitlines()[2:]:
+            cells = row.split("|")
+            section = re.findall(r"`(\w+)`", cells[1])[0]
+            documented[section] = sorted(re.findall(r"`(\w+)`", cells[2]))
+        assert documented == {k: sorted(v) for k, v in _SECTION_KEYS.items()}
 
     def test_solver_keys_match_config_fields(self):
         from dcot.cli import _SOLVER_KEYS

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -128,3 +130,28 @@ class TestProxApply:
         got = prox_apply(p, point, 1.0)
         assert np.array_equal(got[:2], np.zeros(2))
         assert np.all(got[2:] > 0)
+
+
+class TestNuclearNonFinite:
+    """``np.linalg.svd`` may never return on an ``inf`` entry, so the nuclear
+    branches must not call it on a non-finite point."""
+
+    @pytest.fixture
+    def no_lapack(self, monkeypatch):
+        def svd(*args, **kwargs):
+            raise AssertionError("LAPACK called on a non-finite point")
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_prox_returns_point_unchanged(self, value, no_lapack):
+        point = np.ones((16, 3))
+        point[0, 0] = value
+        got = prox_apply(Penalty.nuclear(1.0), point, 1.0)
+        np.testing.assert_array_equal(got, point)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_value_is_weighted_frobenius_norm(self, value, no_lapack):
+        point = np.ones((16, 3))
+        point[0, 0] = value
+        np.testing.assert_equal(penalty_value(Penalty.nuclear(2.0), point), value)

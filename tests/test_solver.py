@@ -26,6 +26,7 @@ from dcot.solver import (
     core_gradient,
     estimate_moduli,
     factor_gradient,
+    initial_fill,
     lagrangian_value,
     newton_z,
     solve,
@@ -424,7 +425,7 @@ class TestLagrangian:
             loss_value(fam, mom, z)
             + penalty_value(pen.g, model.core_g)
             + penalty_value(pen.h, model.core_h)
-            + sum(penalty_value(pen.factor(n, 3), u) for n, u in enumerate(model.factors))
+            + sum(penalty_value(pen.factors, u) for u in model.factors)
             - float((y * r).sum())
             + 0.5 * gamma * float((r**2).sum())
         )
@@ -793,6 +794,22 @@ class TestSolve:
             solve(data.observed, init, LossFamily("gaussian"), data.sim, cfg)
         assert str(info.value) == "core_h block: non-finite values at iteration 1"
         assert len(info.value.trace) == 1
+
+    def test_nuclear_factor_overflow_names_block(self):
+        # the factor step overflows; its nuclear prox used to hand the inf
+        # point to LAPACK, which raised "SVD did not converge"
+        spec = SynthSpec(shape=(8, 8, 8), ranks=(2, 2, 2), noise_sigma=0.1,
+                         missing_fraction=0.3, seed=0)
+        omega = synthesize(spec).observed
+        fam = LossFamily("gaussian")
+        init = initial_model(omega.to_dense(initial_fill(omega, fam)), (2, 2, 2),
+                             InitStrategy("hosvd"))
+        cfg = SolverConfig(rho_factors=(1e-300,) * 3,
+                           penalties=BlockPenalties(factors=Penalty.nuclear(1e-3)))
+        with pytest.raises(SolverAbort) as info, np.errstate(over="ignore",
+                                                             invalid="ignore"):
+            solve(omega, init, fam, SimilarityModel.neutral(omega.shape), cfg)
+        assert str(info.value) == "factor 1 block: non-finite values at iteration 1"
 
     @pytest.mark.parametrize("position,block", [
         (0, "factor 0"), (1, "factor 1"), (2, "factor 2"), (3, "core_g"), (4, "core_h"),
