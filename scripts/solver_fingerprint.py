@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
 """Print one sha256 per solver case, to check that a change keeps outputs bitwise.
 
-Cases: eight solver configurations x seeds 0-1 on a planted 12^3 problem
-(ranks (3, 3, 4), two tied groups on mode 3, 30 % missing, kernel
-similarity, 40 iterations) -- gaussian default, ``fixed_moduli``,
+Cases, each x seeds 0-1 (30 % missing, kernel similarity, 40 iterations):
+eight solver configurations on a planted 12^3 problem (ranks (3, 3, 4),
+two tied groups on mode 3) -- gaussian default, ``fixed_moduli``,
 ``freeze_h``, ``rho_g=5``, l1/frob_sq penalties, bernoulli, and poisson and
-gamma with ``z_floor=1e-2`` -- plus one ``dcot synth`` + ``dcot complete``
+gamma with ``z_floor=1e-2`` -- and the gaussian default on a planted 4-way
+8 x 7 x 6 x 5 problem (ranks (2, 3, 2, 2), mode-4 slices 0 and 1 tied at
+mode-1 index 1), which covers the solver's chain of mode products for
+``N != 3``; plus one ``dcot synth`` + ``dcot complete``
 run with kernel similarity, hashed over the written ``observed.coo``
 (so the same check covers the COO writer and reader), ``trace.csv`` and
 ``z_hat.dct``.  A solve hashes ``z``, ``y``, both cores, the factors, every
@@ -47,21 +50,24 @@ from dcot.solver import (
     BlockPenalties, ConvergenceTrace, SolverAbort, SolverConfig, initial_fill, solve,
 )
 
-SHAPE = (12, 12, 12)
-RANKS = (3, 3, 4)
-PARTITION = SubjectPartition(2, (SliceGroup((0, 1)), SliceGroup((2, 3))))
+# (shape, ranks, partition) of the planted problems
+THREE_WAY = ((12, 12, 12), (3, 3, 4),
+             SubjectPartition(2, (SliceGroup((0, 1)), SliceGroup((2, 3)))))
+FOUR_WAY = ((8, 7, 6, 5), (2, 3, 2, 2),
+            SubjectPartition(3, (SliceGroup((0, 1), fixed=(0, 1)),)))
 ITERS = 40
 
 CASES = {
-    "gaussian-default": ("gaussian", {}),
-    "gaussian-fixed-moduli": ("gaussian", {"fixed_moduli": True}),
-    "gaussian-freeze-h": ("gaussian", {"freeze_h": True}),
-    "gaussian-rho-g": ("gaussian", {"rho_g": 5.0}),
+    "gaussian-default": ("gaussian", {}, THREE_WAY),
+    "gaussian-fixed-moduli": ("gaussian", {"fixed_moduli": True}, THREE_WAY),
+    "gaussian-freeze-h": ("gaussian", {"freeze_h": True}, THREE_WAY),
+    "gaussian-rho-g": ("gaussian", {"rho_g": 5.0}, THREE_WAY),
     "gaussian-penalties": ("gaussian", {"penalties": BlockPenalties(
-        g=Penalty.l1(1e-3), factors=Penalty.frob_sq(1e-3))}),
-    "bernoulli": ("bernoulli", {}),
-    "poisson-floor-1e-2": ("poisson", {"z_floor": 1e-2}),
-    "gamma-floor-1e-2": ("gamma", {"z_floor": 1e-2}),
+        g=Penalty.l1(1e-3), factors=Penalty.frob_sq(1e-3))}, THREE_WAY),
+    "bernoulli": ("bernoulli", {}, THREE_WAY),
+    "poisson-floor-1e-2": ("poisson", {"z_floor": 1e-2}, THREE_WAY),
+    "gamma-floor-1e-2": ("gamma", {"z_floor": 1e-2}, THREE_WAY),
+    "gaussian-4way": ("gaussian", {}, FOUR_WAY),
 }
 
 
@@ -79,15 +85,16 @@ def _line(digest: str, lagrangian: float, iterations: int, reason: str) -> str:
     return f"{digest} lagrangian={lagrangian!r} iters={iterations} reason={reason}"
 
 
-def solve_case(family: str, overrides: dict, seed: int) -> str:
-    spec = SynthSpec(shape=SHAPE, ranks=RANKS, partition=PARTITION,
+def solve_case(family: str, overrides: dict, problem: tuple, seed: int) -> str:
+    shape, ranks, partition = problem
+    spec = SynthSpec(shape=shape, ranks=ranks, partition=partition,
                      noise_family=family, noise_sigma=0.1, missing_fraction=0.3,
                      seed=seed)
     data = synthesize(spec)
     fam = LossFamily(family)
     omega = data.observed
-    init = initial_model(omega.to_dense(initial_fill(omega, fam)), RANKS,
-                         InitStrategy("hosvd"), PARTITION)
+    init = initial_model(omega.to_dense(initial_fill(omega, fam)), ranks,
+                         InitStrategy("hosvd"), partition)
     try:
         res = solve(omega, init, fam, data.sim,
                     SolverConfig(max_iters=ITERS, **overrides))
@@ -140,9 +147,9 @@ def cli_case() -> str:
 
 def cases():
     """Yield ``(case name, fingerprint line)`` for every case, in a fixed order."""
-    for name, (family, overrides) in CASES.items():
+    for name, (family, overrides, problem) in CASES.items():
         for seed in (0, 1):
-            yield f"{name}/seed{seed}", solve_case(family, overrides, seed)
+            yield f"{name}/seed{seed}", solve_case(family, overrides, problem, seed)
     yield "cli-synth-complete", cli_case()
 
 

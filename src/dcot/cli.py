@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -106,9 +107,15 @@ def _parse_partition(obj, base: Path, where="partition") -> SubjectPartition | N
         raise io.ConfigError(f"{where}: {exc}") from exc
 
 
-def _parse_similarity(obj, shape, base: Path, where="similarity") -> SimilarityModel:
+def _parse_similarity(
+    obj, shape, base: Path, where="similarity"
+) -> tuple[SimilarityModel, dict | None]:
+    """The similarity model and the section it was built from, defaults filled in.
+
+    Without a section the model is neutral and the section is ``None``.
+    """
     if obj is None:
-        return SimilarityModel.neutral(shape)
+        return SimilarityModel.neutral(shape), None
     if not isinstance(obj, dict):
         raise io.ConfigError(f"{where}: expected an object")
     _expect_keys(obj, _SECTION_KEYS["similarity"], where)
@@ -119,10 +126,22 @@ def _parse_similarity(obj, shape, base: Path, where="similarity") -> SimilarityM
     if len(feats_cfg) != len(shape) or len(labels_cfg) != len(shape):
         raise io.ConfigError(f"{where}: need one features/labels entry per mode")
     bandwidths = obj.get("bandwidths")
+    if bandwidths is not None and not (
+        isinstance(bandwidths, list)
+        and bandwidths
+        and all(
+            isinstance(h, (int, float)) and not isinstance(h, bool)
+            and math.isfinite(h) and h > 0
+            for h in bandwidths
+        )
+    ):
+        raise io.ConfigError(f"{where}.bandwidths: expected a list of positive numbers")
     per_mode = []
     for n, (fpath, lpath) in enumerate(zip(feats_cfg, labels_cfg)):
         if not isinstance(fpath, str):
             raise io.ConfigError(f"{where}.features[{n}]: expected a file path")
+        if lpath is not None and not isinstance(lpath, str):
+            raise io.ConfigError(f"{where}.labels[{n}]: expected a file path or null")
         labels = io.read_labels(base / lpath) if lpath is not None else None
         if labels is not None and labels.size != shape[n]:
             raise io.ConfigError(
@@ -135,7 +154,9 @@ def _parse_similarity(obj, shape, base: Path, where="similarity") -> SimilarityM
                 f"{shape[n]}"
             )
         per_mode.append(mode_similarity(feats, bandwidths=bandwidths, labels=labels))
-    return SimilarityModel(per_mode=per_mode)
+    section = {"kind": "kernel", "features": feats_cfg, "labels": labels_cfg,
+               "bandwidths": bandwidths}
+    return SimilarityModel(per_mode=per_mode), section
 
 
 def _partition_flat_groups(partition: SubjectPartition, shape) -> tuple:
@@ -386,17 +407,17 @@ def _load_problem(cfg: dict, base: Path, seed: int, default_format: str):
             partition.validate_shape(tuple(ranks))
         except ValueError as exc:
             raise io.ConfigError(f"partition: {exc}") from exc
-    sim = _parse_similarity(cfg.get("similarity"), omega.shape, base)
+    sim, sim_section = _parse_similarity(cfg.get("similarity"), omega.shape, base)
     penalties = _parse_penalties(cfg.get("penalties"), ranks, partition)
     solver_cfg = _parse_solver(cfg.get("solver"), penalties)
     strategy = _parse_init(cfg.get("init"), seed)
-    return omega, family, ranks, partition, sim, solver_cfg, strategy
+    return omega, family, ranks, partition, sim, sim_section, solver_cfg, strategy
 
 
 def _cmd_factorize(cfg: dict, out_dir: Path, seed: int, default_format: str,
                    write_zhat: bool, base: Path) -> dict:
-    omega, family, ranks, partition, sim, solver_cfg, strategy = _load_problem(
-        cfg, base, seed, default_format
+    omega, family, ranks, partition, sim, sim_section, solver_cfg, strategy = (
+        _load_problem(cfg, base, seed, default_format)
     )
     init = initial_model(omega.to_dense(initial_fill(omega, family)), ranks, strategy,
                          partition)
@@ -419,10 +440,7 @@ def _cmd_factorize(cfg: dict, out_dir: Path, seed: int, default_format: str,
             "solver": result.config,
             "init": strategy,
             "seed": seed,
-            "similarity": {
-                "neighbor_cap": sim.neighbor_cap,
-                "normalized": sim.normalized,
-            },
+            "similarity": sim_section,
         },
         "iterations": result.trace.rows[-1].iteration,
         "converged": result.converged,
@@ -463,7 +481,7 @@ def _cmd_evaluate(cfg: dict, out_dir: Path | None, base: Path) -> dict:
 
 def _cmd_grid(cfg: dict, out_dir: Path, seed: int, default_format: str,
               workers: int, base: Path) -> dict:
-    omega, family, ranks, partition, sim, solver_cfg, strategy = _load_problem(
+    omega, family, ranks, partition, sim, _, solver_cfg, strategy = _load_problem(
         cfg, base, seed, default_format
     )
     split_obj = _typed(cfg, "split", dict, "config")

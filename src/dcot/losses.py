@@ -149,8 +149,11 @@ def loss_value(family: LossFamily, mom: Moments, z: np.ndarray) -> float:
     z = _checked(family, mom, z)
     w, m1, count = mom.weight_sum, mom.weighted_x, mom.count
     if family.kind == "gaussian":
-        # sum_t (w z^2 - 2 m1 z + m2), with the z-free term summed once
-        quad = float(np.vdot(w * z, z)) - 2.0 * float(np.vdot(m1, z))
+        # sum_t (w z^2 - 2 m1 z + m2), with the z-free term summed once; the
+        # three-operand einsum forms sum w z^2 without a w * z temporary
+        flat = z.ravel()
+        quad = float(np.einsum("i,i,i->", w.ravel(), flat, flat))
+        quad -= 2.0 * float(np.vdot(m1, z))
         return (quad + mom.x2_total) / count
     if family.kind == "bernoulli":
         total = w * np.logaddexp(0.0, z) - m1 * z

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import matricize, multilinear_product
+from .tensor import matricize, multilinear_product, n_mode_product
 
 
 @dataclass(frozen=True)
@@ -145,9 +145,15 @@ class DcotModel:
         )
 
 
-def reconstruct(model: DcotModel) -> np.ndarray:
-    """Evaluate ``(core_g + core_h) x_1 U_1 ... x_N U_N``."""
-    return multilinear_product(model.core_g + model.core_h, model.factors)
+def reconstruct(model: DcotModel, out: np.ndarray | None = None) -> np.ndarray:
+    """Evaluate ``(core_g + core_h) x_1 U_1 ... x_N U_N``.
+
+    The modes are applied in order; the last product writes into ``out``
+    (a C-contiguous array of the data shape) when it is given.
+    """
+    *lead, last = model.factors
+    partial = multilinear_product(model.core_g + model.core_h, lead + [None])
+    return n_mode_product(partial, last, len(lead), out=out)
 
 
 def init_factors(

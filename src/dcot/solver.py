@@ -2,28 +2,43 @@
 
 Each iteration sweeps the blocks in Gauss-Seidel order
 
-    U_1, ..., U_N  ->  core_g  ->  core_h (tied)  ->  z  ->  dual y,
+    U_1, ..., U_N  ->  core_g  ->  core_h (tied)  ->  z  ->  dual,
 
 where every factor/core update is one proximal gradient step on the
 quadratic coupling term
 
-    (gamma / 2) * || recon - z - y / gamma ||^2,
+    (gamma / 2) * || recon - z - u ||^2,
 
-linearized at the current point with per-block step ``1 / rho``.  The
-``z`` update minimizes smoothed loss + coupling exactly (a closed form
-for the gaussian family, a safeguarded per-cell Newton solve otherwise)
-and the dual ascends along the constraint residual.
+linearized at the current point with per-block step ``1 / rho``.  The dual
+is kept in scaled form ``u = y / gamma`` (Boyd et al. 2011, *Distributed
+Optimization and Statistical Learning via ADMM*, §3.1.1).  The ``z``
+update minimizes smoothed loss + coupling exactly (a closed form for the
+gaussian family, a safeguarded per-cell Newton solve otherwise) and the
+dual ascends along the constraint residual.
 
 The gradients are taken in core space (Kolda & Bader 2009, *Tensor
 Decompositions and Applications*, SIAM Review): with the sweep's fixed
-target ``T = gamma * z + y`` and ``S = core_g + core_h``, the coupling
-gradient with respect to ``recon`` is ``gamma * recon - T``, and its pull-
-backs to the factors and cores need only ``T`` contracted with factor
-transposes and ``S`` contracted with factor Gram matrices ``U_t^T U_t``.
-So each sweep reconstructs once, after the core step, for the z step; the
-dual step, the Lagrangian and the primal residual share the residual
-``recon - z`` formed from it and one ``<r, r>``, and the trace one loss
-evaluation.
+target ``T = z + u`` and ``S = core_g + core_h``, the coupling gradient
+with respect to ``recon`` is ``gamma * (recon - T)``, and its pull-backs
+to the factors and cores need only ``T`` contracted with factor
+transposes and ``S`` contracted with factor Gram matrices ``U_t^T U_t``;
+``gamma`` multiplies only core-sized arrays.
+
+One chain of mode products serves the whole sweep.  ``T`` is contracted
+from the last mode down with the old factors, ``R_{N-1} = T`` and
+``R_n = R_{n+1} x_{n+1} U_{n+1}^T``; factor ``n`` takes ``R_n`` contracted
+with the already-updated ``U_0 .. U_{n-1}``, and the last factor's input,
+contracted with its update, is ``project_core(T, factors)``, shared by
+both core steps.  Two contractions per sweep read a ``prod(I)`` tensor.
+
+Besides ``z`` and ``u``, a solve allocates two dense buffers once:
+``recon`` holds the target, then the reconstruction (the sweep's only
+one, for the z step), then the residual ``r = recon - z``; ``spare``
+receives the next ``z`` and trades places with the old one, which holds
+the z step ``z - z_new`` in between.  On the gaussian path no sweep
+allocates another ``prod(I)`` array.  The dual step, the Lagrangian and
+the primal residual share ``r`` and one ``<r, r>``, and the trace one loss
+evaluation.  The returned dual is ``y = gamma * u``, formed in place.
 
 Sign conventions: with the augmented Lagrangian written as
 ``F + penalties - <y, recon - z> + (gamma/2) ||recon - z||^2`` and the
@@ -51,10 +66,16 @@ from .losses import (
     loss_lipschitz,
     loss_value,
 )
-from .model import DcotModel, project_core, reconstruct, tie_heterogeneous_core
+from .model import DcotModel, reconstruct, tie_heterogeneous_core
 from .prox import Penalty, penalty_value, prox_apply
 from .similarity import Moments, SimilarityModel, smoothing_moments
-from .tensor import frob_inner, frob_norm, matricize, multilinear_product
+from .tensor import (
+    frob_inner,
+    frob_norm,
+    matricize,
+    multilinear_product,
+    n_mode_product,
+)
 
 log = logging.getLogger("dcot.solver")
 
@@ -203,50 +224,54 @@ def _grams(model: DcotModel, skip: int | None = None) -> list[np.ndarray | None]
     return [None if t == skip else u.T @ u for t, u in enumerate(model.factors)]
 
 
-def factor_gradient(model: DcotModel, target, gamma: float, mode: int) -> np.ndarray:
+def factor_gradient(model: DcotModel, projected, gamma: float, mode: int) -> np.ndarray:
     """Gradient of the coupling term with respect to factor ``mode``.
 
-    ``target`` is ``gamma * z + y``.  In core space the gradient is
-    ``(gamma * U_n [S x_{t!=n} U_t^T U_t]_(n) - [T x_{t!=n} U_t^T]_(n)) S_(n)^T``
-    with ``S = core_g + core_h``: the reconstruction never appears, and
-    ``T`` is contracted once, down to the core's size on every other mode.
+    ``projected`` is the sweep's target ``T = z + y / gamma`` contracted
+    with the transpose of every other factor, ``T x_{t!=n} U_t^T``.  In
+    core space the gradient is
+    ``gamma * (U_n [S x_{t!=n} U_t^T U_t]_(n) - projected_(n)) S_(n)^T``
+    with ``S = core_g + core_h``: the reconstruction never appears.
     """
     s = model.core_g + model.core_h
     gram = multilinear_product(s, _grams(model, skip=mode))
-    projected = multilinear_product(
-        target, [None if t == mode else u.T for t, u in enumerate(model.factors)]
-    )
-    inner = gamma * model.factors[mode] @ matricize(gram, mode) - matricize(
-        projected, mode
-    )
-    return inner @ matricize(s, mode).T
+    inner = model.factors[mode] @ matricize(gram, mode)
+    inner -= matricize(projected, mode)
+    return gamma * (inner @ matricize(s, mode).T)
 
 
 def core_gradient(model: DcotModel, projected, gamma: float) -> np.ndarray:
     """Gradient of the coupling term w.r.t. either core (they coincide).
 
-    ``gamma * S x_1 U_1^T U_1 ... x_N U_N^T U_N - P`` with
+    ``gamma * (S x_1 U_1^T U_1 ... x_N U_N^T U_N - P)`` with
     ``S = core_g + core_h`` and ``P = project_core(T, factors)`` for the
-    target ``T = gamma * z + y``: the adjoint factor maps applied to
-    ``gamma * recon - T``, in core space.
+    target ``T = z + y / gamma``: the adjoint factor maps applied to
+    ``gamma * (recon - T)``, in core space.
     """
     s = model.core_g + model.core_h
-    return gamma * multilinear_product(s, _grams(model)) - projected
+    grad = multilinear_product(s, _grams(model))
+    grad -= projected
+    grad *= gamma
+    return grad
 
 
 def update_factor(
-    model: DcotModel, target, gamma: float, mode: int, rho: float, penalty: Penalty
+    model: DcotModel, projected, gamma: float, mode: int, rho: float, penalty: Penalty
 ) -> np.ndarray:
-    """One linearized proximal step on factor ``mode`` (``target = gamma * z + y``)."""
+    """One linearized proximal step on factor ``mode``.
+
+    ``projected`` is the target contracted on every other mode, as for
+    :func:`factor_gradient`.
+    """
     if rho <= 0:
         raise ValueError("factor modulus must be positive")
-    grad = factor_gradient(model, target, gamma, mode)
+    grad = factor_gradient(model, projected, gamma, mode)
     return prox_apply(penalty, model.factors[mode] - grad / rho, rho)
 
 
 def update_cores(
     model: DcotModel,
-    target,
+    projected,
     gamma: float,
     rho_g: float,
     rho_h: float,
@@ -257,15 +282,14 @@ def update_cores(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Proximal steps on both cores, with the subject core tied afterwards.
 
-    ``target`` is ``gamma * z + y``.  The factors do not move between the
-    two steps, so its projection ``P`` is formed once and shared; the
-    subject core's gradient is recomputed after the shared core's update
-    (Gauss-Seidel order).  With ``freeze_h`` only the shared core moves and
-    ``model.core_h`` is returned as it is.
+    ``projected`` is ``project_core(T, model.factors)`` for the target
+    ``T = z + y / gamma``.  The factors do not move between the two steps,
+    so both share it; the subject core's gradient is recomputed after the
+    shared core's update (Gauss-Seidel order).  With ``freeze_h`` only the
+    shared core moves and ``model.core_h`` is returned as it is.
     """
     if rho_g <= 0 or rho_h <= 0:
         raise ValueError("core moduli must be positive")
-    projected = project_core(target, model.factors)
     g_new = prox_apply(
         penalty_g, model.core_g - core_gradient(model, projected, gamma) / rho_g, rho_g
     )
@@ -298,7 +322,7 @@ def gaussian_z_coefficients(mom: Moments, gamma: float) -> tuple[np.ndarray, np.
 def update_z(
     recon: np.ndarray,
     z,
-    y,
+    u,
     gamma: float,
     family: LossFamily,
     mom: Moments,
@@ -306,18 +330,22 @@ def update_z(
     *,
     z_floor: float = 1e-6,
     coefficients: tuple[np.ndarray, np.ndarray] | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Solve the z block: smoothed loss plus the quadratic coupling.
 
-    The proximal center is ``recon - y / gamma``.  For the gaussian family
-    the minimizer is the elementwise closed form ``a + b * center`` with
-    ``coefficients`` from :func:`gaussian_z_coefficients` (built here when
-    not given); other families go to :func:`newton_z`, warm-started at
-    ``z`` (``omega`` scales its tolerance).
+    The proximal center is ``recon - u`` for the scaled dual
+    ``u = y / gamma``; it is formed in ``out`` when that is given.  For the
+    gaussian family the minimizer is the elementwise closed form
+    ``a + b * center``, with ``coefficients`` from
+    :func:`gaussian_z_coefficients` (built here when not given), computed
+    in place, so ``out`` is returned.  Other families go to
+    :func:`newton_z`, warm-started at ``z`` (``omega`` scales its
+    tolerance), which returns a new array.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    center = recon - y / gamma
+    center = np.subtract(recon, u, out=out)
     if family.kind == "gaussian":
         if coefficients is None:
             coefficients = gaussian_z_coefficients(mom, gamma)
@@ -403,25 +431,31 @@ def newton_z(
     )
 
 
-def update_dual(r: np.ndarray, y, gamma: float) -> np.ndarray:
-    """Dual ascent step ``y - gamma * r`` along the residual ``r = recon - z``."""
-    return y - gamma * r
+def update_dual(r: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Scaled dual ascent step ``u -= r`` along the residual ``r = recon - z``.
+
+    ``u = y / gamma``, so this is ``y <- y - gamma * r``.  ``u`` is updated
+    in place and returned.
+    """
+    u -= r
+    return u
 
 
 def lagrangian_value(
-    model: DcotModel, r, y, gamma: float, loss: float, penalties: BlockPenalties,
+    model: DcotModel, r, u, gamma: float, loss: float, penalties: BlockPenalties,
     r_sq: float,
 ) -> float:
-    """``loss + penalties - <y, r> + (gamma/2) ||r||^2`` for ``r = recon - z``.
+    """``loss + penalties - gamma <u, r> + (gamma/2) ||r||^2`` for ``r = recon - z``.
 
+    ``u = y / gamma`` is the scaled dual, so the dual term is ``-<y, r>``.
     ``r_sq`` is ``||r||^2``, which the caller shares with the primal residual.
     """
     value = loss
     value += penalty_value(penalties.g, model.core_g)
     value += penalty_value(penalties.h, model.core_h)
-    for u in model.factors:
-        value += penalty_value(penalties.factors, u)
-    value -= frob_inner(y, r)
+    for u_n in model.factors:
+        value += penalty_value(penalties.factors, u_n)
+    value -= gamma * frob_inner(u, r)
     value += 0.5 * gamma * r_sq
     return value
 
@@ -578,10 +612,11 @@ def solve(
         if not np.isfinite(block).all():
             raise ValueError(f"initial model {name} has non-finite values")
     z = _initial_z(omega, family, config.z_floor)
-    y = -loss_gradient(family, mom, z)
+    u = loss_gradient(family, mom, z)
 
     cfg = estimate_moduli(model, config, family, mom)
     gamma = cfg.gamma
+    u /= -gamma  # the scaled dual y / gamma, starting from y = -grad F(z)
     tol_primal = cfg.tol_primal
     if tol_primal is None:
         tol_primal = 1e-6 * float(np.linalg.norm(omega.values))
@@ -593,7 +628,7 @@ def solve(
         gaussian_z_coefficients(mom, gamma) if family.kind == "gaussian" else None
     )
 
-    def diagnostics(it, z, y, r, steps, started):
+    def diagnostics(it, z, u, r, steps, started):
         # one <r, r> gives the quadratic term, the primal residual and,
         # since y_new - y = -gamma * r, the dual step (row 0 took no step)
         r_sq = frob_inner(r, r)
@@ -601,7 +636,7 @@ def solve(
         loss = loss_value(family, mom, z)
         return TraceRow(
             iteration=it,
-            lagrangian=lagrangian_value(model, r, y, gamma, loss, pen, r_sq),
+            lagrangian=lagrangian_value(model, r, u, gamma, loss, pen, r_sq),
             loss=loss,
             primal_residual=primal,
             z_step=steps[0],
@@ -616,8 +651,15 @@ def solve(
         if not np.isfinite(value).all():
             raise SolverAbort(f"{block} block: non-finite values at iteration {it}", trace)
 
+    # the sweep buffers (see the module docstring): recon holds the target,
+    # the reconstruction and then the residual; spare and z trade places
+    recon = np.empty_like(z)
+    spare = np.empty_like(z)
+
     started = time.perf_counter()
-    row = diagnostics(0, z, y, reconstruct(model) - z, (0.0,) * 4, started)
+    r = reconstruct(model, out=recon)
+    r -= z
+    row = diagnostics(0, z, u, r, (0.0,) * 4, started)
     trace.append(row)
     initial_lagr = row.lagrangian
     guard = _DIVERGENCE_FACTOR * (abs(initial_lagr) + 1.0)
@@ -632,27 +674,41 @@ def solve(
     refresh_factors = not cfg.fixed_moduli and config.rho_factors is None
     refresh_g = not cfg.fixed_moduli and config.rho_g is None
     refresh_h = not cfg.fixed_moduli and config.rho_h is None
-    u_norms = [_spectral_norm(u) for u in model.factors]
+    u_norms = [_spectral_norm(u_n) for u_n in model.factors]
     safety = cfg.lipschitz_safety
 
     converged = False
     reason = "max_iters"
     for k in range(1, cfg.max_iters + 1):
-        # the coupling gradient is gamma * recon - target, in core space
-        target = gamma * z
-        target += y
+        # the coupling gradient is gamma * (recon - target), in core space
+        target = np.add(z, u, out=recon)
+        # suffix[n] = target x_{t>n} U_t^T with the old factors, from the
+        # last mode down; factor n contracts it with the updated U_t^T,
+        # t < n.  Only the first link and the last factor's first product
+        # read a prod(I) tensor.
+        suffix = [target]
+        for n in range(n_modes - 1, 0, -1):
+            suffix.append(n_mode_product(suffix[-1], model.factors[n].T, n))
+        suffix.reverse()
         factor_sq = 0.0
         core_sum = model.core_g + model.core_h
         for n in range(n_modes):
             if refresh_factors:
                 rho_factors[n] = _factor_modulus(gamma, core_sum, u_norms, n, safety)
+            projected = suffix[n]
+            for t in range(n):
+                projected = n_mode_product(projected, model.factors[t].T, t)
             u_new = update_factor(
-                model, target, gamma, n, rho_factors[n], pen.factors
+                model, projected, gamma, n, rho_factors[n], pen.factors
             )
             check_finite(f"factor {n}", u_new, k)
             factor_sq += float(((u_new - model.factors[n]) ** 2).sum())
             model.factors[n] = u_new
             u_norms[n] = _spectral_norm(u_new)
+        del suffix  # free the chain before the dense z step
+        # the last factor's input, contracted with its update, is
+        # project_core(target, factors) in project_core's own order
+        projected = n_mode_product(projected, model.factors[-1].T, n_modes - 1)
         rho_core = _core_modulus(gamma, u_norms, safety)
         if refresh_g:
             rho_g = rho_core
@@ -660,31 +716,29 @@ def solve(
             rho_h = rho_core
         g_old, h_old = model.core_g, model.core_h
         g_new, h_new = update_cores(
-            model, target, gamma, rho_g, rho_h, pen.g, pen.h, freeze_h=cfg.freeze_h
+            model, projected, gamma, rho_g, rho_h, pen.g, pen.h, freeze_h=cfg.freeze_h
         )
-        del target
         check_finite("core_g", g_new, k)
         check_finite("core_h", h_new, k)
         model.core_g, model.core_h = g_new, h_new
-        recon = reconstruct(model)
+        reconstruct(model, out=recon)
         try:
-            z_new = update_z(recon, z, y, gamma, family, mom, omega,
-                             z_floor=cfg.z_floor, coefficients=coefficients)
+            z_new = update_z(recon, z, u, gamma, family, mom, omega,
+                             z_floor=cfg.z_floor, coefficients=coefficients, out=spare)
         except SolverAbort as exc:
             raise SolverAbort(f"{exc} at iteration {k}", trace) from exc
-        r = recon - z_new
-        del recon
-        y_new = update_dual(r, y, gamma)
+        r = np.subtract(recon, z_new, out=recon)
+        update_dual(r, u)
+        z_step = frob_norm(np.subtract(z, z_new, out=z))
 
         steps = (
-            frob_norm(z_new - z),
+            z_step,
             math.sqrt(factor_sq),
             frob_norm(g_new - g_old),
             frob_norm(h_new - h_old),
         )
-        z, y = z_new, y_new
-        row = diagnostics(k, z, y, r, steps, started)
-        del r
+        spare, z = z, z_new
+        row = diagnostics(k, z, u, r, steps, started)
         trace.append(row)
         started = time.perf_counter()
 
@@ -709,7 +763,8 @@ def solve(
         trace.rows[-1].primal_residual,
     )
     effective = replace(cfg, rho_g=rho_g, rho_h=rho_h, rho_factors=tuple(rho_factors))
+    u *= gamma  # back to the unscaled dual y, in place
     return SolverResult(
-        model=model, z=z, trace=trace, y=y, config=effective, converged=converged,
+        model=model, z=z, trace=trace, y=u, config=effective, converged=converged,
         reason=reason,
     )

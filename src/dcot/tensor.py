@@ -19,8 +19,9 @@ Conventions used throughout the package:
 * Modes are 0-based everywhere in the Python API; 1-based indices appear
   only in on-disk file formats (see :mod:`dcot.io`).
 
-All functions are pure: they never mutate their arguments, so concurrent
-use is safe.  Floating-point results depend on summation order only through
+All functions are pure: they never mutate their arguments, apart from the
+``out`` buffer that :func:`n_mode_product` may be given, so concurrent use
+is safe.  Floating-point results depend on summation order only through
 ordinary rounding.
 """
 
@@ -67,7 +68,9 @@ def fold(m: np.ndarray, mode: int, shape: tuple[int, ...]) -> np.ndarray:
     return np.moveaxis(m.reshape([shape[mode]] + rest, order="F"), 0, mode)
 
 
-def n_mode_product(t: np.ndarray, u: np.ndarray, mode: int) -> np.ndarray:
+def n_mode_product(
+    t: np.ndarray, u: np.ndarray, mode: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """Multiply tensor ``t`` by matrix ``u`` along ``mode``.
 
     Contracts the columns of ``u`` with axis ``mode`` of ``t``, so that
@@ -79,7 +82,9 @@ def n_mode_product(t: np.ndarray, u: np.ndarray, mode: int) -> np.ndarray:
     the last mode it is the single product
     ``t.reshape(prod(shape[:-1]), I_mode) @ u.T``.  A C-contiguous ``t`` is
     not copied and the result is C-contiguous.  Sizes are passed explicitly
-    (no ``-1``), so zero-length modes work.
+    (no ``-1``), so zero-length modes work.  ``out``, a C-contiguous float
+    array of the result's shape, receives the result and is returned; the
+    product is the same matrix product either way.
     """
     t = np.asarray(t, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -93,11 +98,19 @@ def n_mode_product(t: np.ndarray, u: np.ndarray, mode: int) -> np.ndarray:
         )
     shape = t.shape
     lead = math.prod(shape[:mode])
+    result_shape = shape[:mode] + (u.shape[0],) + shape[mode + 1 :]
+    if out is not None and (
+        out.shape != result_shape or out.dtype != float or not out.flags.c_contiguous
+    ):
+        raise ValueError(f"out must be a C-contiguous float {result_shape} array")
     if mode == t.ndim - 1:
-        out = t.reshape(lead, shape[mode]) @ u.T
+        dest = None if out is None else out.reshape(lead, u.shape[0])
+        result = np.matmul(t.reshape(lead, shape[mode]), u.T, out=dest)
     else:
-        out = u @ t.reshape(lead, shape[mode], math.prod(shape[mode + 1 :]))
-    return out.reshape(shape[:mode] + (u.shape[0],) + shape[mode + 1 :])
+        rest = math.prod(shape[mode + 1 :])
+        dest = None if out is None else out.reshape(lead, u.shape[0], rest)
+        result = np.matmul(u, t.reshape(lead, shape[mode], rest), out=dest)
+    return result.reshape(result_shape) if out is None else out
 
 
 def multilinear_product(

@@ -163,7 +163,9 @@ def test_gradient_suite():
                 return coupling(probe, z, y, gamma)
 
             fd = oracles.central_difference(f_u, model.factors[mode])
-            got = factor_gradient(model, gamma * z + y, gamma, mode)
+            others = [None if t == mode else u.T for t, u in enumerate(model.factors)]
+            projected = multilinear_product(z + y / gamma, others)
+            got = factor_gradient(model, projected, gamma, mode)
             worst = max(worst, np.abs(got - fd).max() / max(np.abs(fd).max(), 1e-12))
 
         def f_g(g):
@@ -172,7 +174,7 @@ def test_gradient_suite():
             return coupling(probe, z, y, gamma)
 
         fd = oracles.central_difference(f_g, model.core_g)
-        got = core_gradient(model, project_core(gamma * z + y, model.factors), gamma)
+        got = core_gradient(model, project_core(z + y / gamma, model.factors), gamma)
         worst = max(worst, np.abs(got - fd).max() / max(np.abs(fd).max(), 1e-12))
 
     for family in ("gaussian", "bernoulli", "poisson", "gamma"):
@@ -398,7 +400,7 @@ def test_gaussian_z_update_cross_check():
         z = rng.standard_normal(shape)
         y = rng.standard_normal(shape)
         gamma = 0.3 + rng.random()
-        closed = update_z(reconstruct(model), z, y, gamma, fam, mom, omega)
+        closed = update_z(reconstruct(model), z, y / gamma, gamma, fam, mom, omega)
         newton = newton_z(fam, mom, omega, reconstruct(model) - y / gamma, gamma, z)
         worst = max(worst, float(np.abs(closed - newton).max()))
     report("z-update-cross-check", worst <= 1e-8,

@@ -486,6 +486,26 @@ class TestCliPipeline:
         assert (penalties["factors"]["kind"], penalties["factors"]["weight"]) == (
             "l1", 2e-4)
 
+    def test_similarity_echoed(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        run_cli(tmp_path, "synth", synth_config(sigma=0.05, missing=0.3))
+        sim = {**KERNEL_SIM, "labels": [KERNEL_SIM["labels"][0], None, None],
+               "bandwidths": [0.25, 1, 4.0]}
+        assert run_cli(tmp_path, "complete", fit_config("kernel", max_iters=3,
+                                                        similarity=sim)) == 0
+        assert run_cli(tmp_path, "complete", fit_config("neutral", max_iters=3)) == 0
+        echoed = {run: json.loads((tmp_path / run / "summary.json").read_text())
+                  ["effective_config"]["similarity"] for run in ("kernel", "neutral")}
+        assert echoed == {"kernel": sim, "neutral": None}
+        # omitted keys are echoed with their defaults
+        bare = {"features": KERNEL_SIM["features"]}
+        assert run_cli(tmp_path, "complete", fit_config("bare", max_iters=3,
+                                                        similarity=bare)) == 0
+        summary = json.loads((tmp_path / "bare" / "summary.json").read_text())
+        assert summary["effective_config"]["similarity"] == {
+            "kind": "kernel", "features": KERNEL_SIM["features"],
+            "labels": [None, None, None], "bandwidths": None}
+
     def test_dense_format_data(self, tmp_path, monkeypatch):
         # a fully observed dense tensor, named by the data key or by --format
         monkeypatch.chdir(tmp_path)
@@ -610,6 +630,24 @@ class TestCliErrors:
         assert run_cli(tmp_path, "complete", cfg) == 2
         error = json.loads(capsys.readouterr().err)["error"]
         assert error["kind"] == "config" and key in error["message"]
+        assert not (tmp_path / "run_out").exists()
+
+    @pytest.mark.parametrize("key,value", [("labels", [1, None, None]),
+                                           ("labels", [None, ["a.txt"], None]),
+                                           ("bandwidths", 0.5),
+                                           ("bandwidths", []),
+                                           ("bandwidths", [1.0, -1.0]),
+                                           ("bandwidths", [1.0, "x"]),
+                                           ("bandwidths", [True])])
+    def test_bad_similarity_value_rejected(self, tmp_path, monkeypatch, capsys, key,
+                                           value):
+        monkeypatch.chdir(tmp_path)
+        run_cli(tmp_path, "synth", synth_config())
+        capsys.readouterr()
+        cfg = fit_config("run_out", max_iters=5, similarity={**KERNEL_SIM, key: value})
+        assert run_cli(tmp_path, "complete", cfg) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["kind"] == "config" and f"similarity.{key}" in error["message"]
         assert not (tmp_path / "run_out").exists()
 
     @pytest.mark.parametrize("command, section, value, key", [

@@ -53,9 +53,20 @@ def random_state(rng, shape=(3, 2, 2), ranks=(2, 2, 2), partition=None):
     return model, z, y
 
 
+def project_others(model, target, mode):
+    """``target`` contracted with every factor's transpose but ``mode``'s."""
+    others = [None if t == mode else u.T for t, u in enumerate(model.factors)]
+    return multilinear_product(target, others)
+
+
+def factor_grad(model, z, y, gamma, mode):
+    """``factor_gradient`` at the state ``(z, y)``: project ``z + y / gamma`` first."""
+    return factor_gradient(model, project_others(model, z + y / gamma, mode), gamma, mode)
+
+
 def core_grad(model, z, y, gamma):
-    """``core_gradient`` at the state ``(z, y)``: project ``gamma * z + y`` first."""
-    return core_gradient(model, project_core(gamma * z + y, model.factors), gamma)
+    """``core_gradient`` at the state ``(z, y)``: project ``z + y / gamma`` first."""
+    return core_gradient(model, project_core(z + y / gamma, model.factors), gamma)
 
 
 def coupling_value(model, z, y, gamma):
@@ -92,14 +103,14 @@ class TestGradients:
         z = reconstruct(model)
         y = np.zeros_like(z)
         for n in range(3):
-            assert np.abs(factor_gradient(model, z + y, 1.0, n)).max() < 1e-12
+            assert np.abs(factor_grad(model, z, y, 1.0, n)).max() < 1e-12
         assert np.abs(core_grad(model, z, y, 1.0)).max() < 1e-12
 
     def test_factor_gradient_linear_in_residual(self, rng):
         model, z, y = random_state(rng)
-        g1 = factor_gradient(model, 1.0 * z + y, 1.0, 0)
+        g1 = factor_grad(model, z, y, 1.0, 0)
         # doubling gamma and y doubles the residual tensor, hence the gradient
-        g2 = factor_gradient(model, 2.0 * z + 2 * y, 2.0, 0)
+        g2 = factor_grad(model, z, 2 * y, 2.0, 0)
         assert np.allclose(g2, 2 * g1, atol=1e-10)
 
     @pytest.mark.parametrize("mode", [0, 1, 2])
@@ -112,7 +123,7 @@ class TestGradients:
             probe.factors[mode] = u
             return coupling_value(probe, z, y, gamma)
 
-        grad = factor_gradient(model, gamma * z + y, gamma, mode)
+        grad = factor_grad(model, z, y, gamma, mode)
         fd = oracles.central_difference(value, model.factors[mode])
         assert np.abs(grad - fd).max() / max(np.abs(fd).max(), 1e-12) < 1e-5
 
@@ -176,7 +187,7 @@ class TestCoreSpaceGradients:
         model, z, y = random_state(rng, shape=shape, ranks=ranks, partition=part)
         gamma = 1.7
         for mode in range(len(shape)):
-            got = factor_gradient(model, gamma * z + y, gamma, mode)
+            got = factor_grad(model, z, y, gamma, mode)
             want = oracles.factor_gradient_oracle(model, z, y, gamma, mode)
             assert got.shape == model.factors[mode].shape
             assert self.rel_err(got, want) < 1e-12
@@ -189,22 +200,24 @@ class TestBlockUpdates:
         model, _, _ = random_state(rng)
         z = reconstruct(model)
         y = np.zeros_like(z)
-        got = update_factor(model, z + y, 1.0, 0, 2.0, Penalty.none())
+        got = update_factor(model, project_others(model, z + y, 0), 1.0, 0, 2.0,
+                            Penalty.none())
         assert np.allclose(got, model.factors[0], atol=1e-12)
 
     def test_no_penalty_is_exact_gradient_step(self, rng):
         model, z, y = random_state(rng)
         rho = 3.0
-        grad = factor_gradient(model, z + y, 1.0, 1)
-        got = update_factor(model, z + y, 1.0, 1, rho, Penalty.none())
+        grad = factor_grad(model, z, y, 1.0, 1)
+        got = update_factor(model, project_others(model, z + y, 1), 1.0, 1, rho,
+                            Penalty.none())
         assert np.allclose(got, model.factors[1] - grad / rho, atol=1e-12)
 
     def test_l1_penalty_is_soft_thresholded_step(self, rng):
         model, z, y = random_state(rng)
         rho, pen = 2.5, Penalty.l1(0.7)
-        grad = factor_gradient(model, z + y, 1.0, 0)
+        grad = factor_grad(model, z, y, 1.0, 0)
         expected = prox_apply(pen, model.factors[0] - grad / rho, rho)
-        got = update_factor(model, z + y, 1.0, 0, rho, pen)
+        got = update_factor(model, project_others(model, z + y, 0), 1.0, 0, rho, pen)
         assert np.array_equal(got, expected)
 
     def test_cores_fixed_point_when_feasible(self, rng):
@@ -212,7 +225,8 @@ class TestBlockUpdates:
         model, _, _ = random_state(rng, partition=part)
         z = reconstruct(model)
         y = np.zeros_like(z)
-        g, h = update_cores(model, z + y, 1.0, 2.0, 2.0, Penalty.none(), Penalty.none())
+        g, h = update_cores(model, project_core(z + y, model.factors), 1.0, 2.0, 2.0,
+                            Penalty.none(), Penalty.none())
         assert np.allclose(g, model.core_g, atol=1e-12)
         assert np.allclose(h, model.core_h, atol=1e-12)
         assert tie_satisfied(h, part)
@@ -221,8 +235,8 @@ class TestBlockUpdates:
         # Gauss-Seidel order: the H gradient is taken after the G step
         model, z, y = random_state(rng)
         gamma, rho = 1.3, 2.0
-        g, h = update_cores(model, gamma * z + y, gamma, rho, rho, Penalty.none(),
-                            Penalty.none())
+        g, h = update_cores(model, project_core(z + y / gamma, model.factors), gamma,
+                            rho, rho, Penalty.none(), Penalty.none())
         assert np.allclose(g, model.core_g - core_grad(model, z, y, gamma) / rho,
                            atol=1e-12)
         moved = DcotModel(model.factors, g, model.core_h)
@@ -231,19 +245,21 @@ class TestBlockUpdates:
 
     def test_huge_l1_zeroes_core(self, rng):
         model, z, y = random_state(rng)
-        g, _ = update_cores(model, z + y, 1.0, 1.0, 1.0, Penalty.l1(1e6), Penalty.none())
+        g, _ = update_cores(model, project_core(z + y, model.factors), 1.0, 1.0, 1.0,
+                            Penalty.l1(1e6), Penalty.none())
         assert np.array_equal(g, np.zeros_like(g))
 
     def test_tie_constraint_bitwise_after_update(self, rng):
         part = SubjectPartition(1, (SliceGroup((0, 1)),))
         model, z, y = random_state(rng, partition=part)
-        _, h = update_cores(model, 1.3 * z + y, 1.3, 2.0, 2.0, Penalty.none(),
-                            Penalty.l1(0.1))
+        _, h = update_cores(model, project_core(z + y / 1.3, model.factors), 1.3, 2.0,
+                            2.0, Penalty.none(), Penalty.l1(0.1))
         assert tie_satisfied(h, part)
 
     def test_freeze_h_moves_only_shared_core(self, rng):
         model, z, y = random_state(rng)
-        args = (model, 1.3 * z + y, 1.3, 2.0, 2.0, Penalty.l1(0.1), Penalty.l1(0.1))
+        args = (model, project_core(z + y / 1.3, model.factors), 1.3, 2.0, 2.0,
+                Penalty.l1(0.1), Penalty.l1(0.1))
         g, h = update_cores(*args)
         g_frozen, h_frozen = update_cores(*args, freeze_h=True)
         assert h_frozen is model.core_h
@@ -256,7 +272,8 @@ class TestBlockUpdates:
         part = SubjectPartition(1, (SliceGroup((0, 1)),))
         model, z, y = random_state(rng, partition=part)
         before = model.copy()
-        update_cores(model, 1.3 * z + y, 1.3, 2.0, 2.0, Penalty.l1(0.1), Penalty.l1(0.1))
+        update_cores(model, project_core(z + y / 1.3, model.factors), 1.3, 2.0, 2.0,
+                     Penalty.l1(0.1), Penalty.l1(0.1))
         assert np.array_equal(model.core_g, before.core_g)
         assert np.array_equal(model.core_h, before.core_h)
         assert all(np.array_equal(a, b) for a, b in zip(model.factors, before.factors))
@@ -280,13 +297,14 @@ class TestUpdateZ:
         model, z, y, omega, mom = self.make(rng)
         gamma = 1e8
         center = reconstruct(model) - y / gamma
-        got = update_z(reconstruct(model), z, y, gamma, LossFamily("gaussian"), mom, omega)
+        got = update_z(reconstruct(model), z, y / gamma, gamma, LossFamily("gaussian"),
+                       mom, omega)
         assert np.abs(got - center).max() < 1e-6
 
     def test_closed_form_matches_newton(self, rng):
         model, z, y, omega, mom = self.make(rng)
         fam = LossFamily("gaussian")
-        closed = update_z(reconstruct(model), z, y, 0.7, fam, mom, omega)
+        closed = update_z(reconstruct(model), z, y / 0.7, 0.7, fam, mom, omega)
         newton = newton_z(fam, mom, omega, reconstruct(model) - y / 0.7, 0.7, z)
         assert np.abs(closed - newton).max() < 1e-8
 
@@ -299,7 +317,7 @@ class TestUpdateZ:
         z = np.array([0.0])
         y = np.array([0.4])
         gamma = 0.9
-        got = update_z(reconstruct(model), z, y, gamma, fam, mom, omega)
+        got = update_z(reconstruct(model), z, y / gamma, gamma, fam, mom, omega)
         from dcot.losses import loss_value
 
         qs = np.linspace(-5, 5, 200001)
@@ -317,7 +335,8 @@ class TestUpdateZ:
         fam = LossFamily(family)
         gamma = 0.8
         z0 = np.abs(z) + 0.5 if family in ("poisson", "gamma") else z
-        got = update_z(reconstruct(model), z0, y, gamma, fam, mom, omega, z_floor=1e-8)
+        got = update_z(reconstruct(model), z0, y / gamma, gamma, fam, mom, omega,
+                       z_floor=1e-8)
         center = reconstruct(model) - y / gamma
         grad = loss_gradient(fam, mom, got) + gamma * (got - center)
         interior = got > 1e-8 if family in ("poisson", "gamma") else np.ones_like(got, bool)
@@ -332,8 +351,8 @@ class TestUpdateZ:
         gamma, floor = 0.8, 0.5
         # centers far below the floor pin some cells to it
         y = y + 5.0 * gamma * (rng.random(y.shape) < 0.5)
-        got = update_z(reconstruct(model), np.abs(z) + 1.0, y, gamma, fam, mom, omega,
-                       z_floor=floor)
+        got = update_z(reconstruct(model), np.abs(z) + 1.0, y / gamma, gamma, fam, mom,
+                       omega, z_floor=floor)
         center = reconstruct(model) - y / gamma
         grad = loss_gradient(fam, mom, got) + gamma * (got - center)
         at_floor = got <= floor
@@ -366,14 +385,22 @@ class TestUpdateZ:
 
 class TestUpdateDual:
     def test_feasible_keeps_dual(self, rng):
-        model, _, y = random_state(rng)
+        model, _, u = random_state(rng)
         z = reconstruct(model)
-        assert np.allclose(update_dual(reconstruct(model) - z, y, 2.0), y, atol=1e-12)
+        assert np.allclose(update_dual(reconstruct(model) - z, u.copy()), u, atol=1e-12)
 
     def test_zero_dual_unit_gamma(self, rng):
         model, z, _ = random_state(rng)
-        got = update_dual(reconstruct(model) - z, np.zeros_like(z), 1.0)
+        got = update_dual(reconstruct(model) - z, np.zeros_like(z))
         assert np.allclose(got, -(reconstruct(model) - z), atol=1e-12)
+
+    def test_steps_in_place_against_residual(self, rng):
+        model, z, u = random_state(rng)
+        r = reconstruct(model) - z
+        want = u - r
+        got = update_dual(r, u)
+        assert got is u
+        assert np.array_equal(got, want)
 
     def test_optimality_identity_after_exact_z_step(self, rng):
         # with an exact gaussian z step the new dual equals minus the loss
@@ -382,8 +409,9 @@ class TestUpdateDual:
         fam = LossFamily("gaussian")
         gamma = 0.6
         recon = reconstruct(model)
-        z_new = update_z(recon, z, y, gamma, fam, mom, omega)
-        y_new = update_dual(recon - z_new, y, gamma)
+        u = y / gamma
+        z_new = update_z(recon, z, u, gamma, fam, mom, omega)
+        y_new = gamma * update_dual(recon - z_new, u)
         grad = loss_gradient(fam, mom, z_new)
         assert np.abs(y_new + grad).max() <= 1e-8
 
@@ -396,7 +424,8 @@ class TestLagrangian:
         z = reconstruct(model)
         loss = loss_value(LossFamily("gaussian"), mom, z)
         r = reconstruct(model) - z
-        got = lagrangian_value(model, r, y, 1.2, loss, BlockPenalties(), frob_inner(r, r))
+        got = lagrangian_value(model, r, y / 1.2, 1.2, loss, BlockPenalties(),
+                               frob_inner(r, r))
         assert np.isclose(got, loss_value(LossFamily("gaussian"), mom, z), atol=1e-12)
 
     def test_dual_shift_invariant_at_feasible_point(self, rng):
@@ -419,7 +448,7 @@ class TestLagrangian:
                              factors=Penalty.l1(0.05))
         gamma = 0.9
         r = reconstruct(model) - z
-        got = lagrangian_value(model, r, y, gamma, loss_value(fam, mom, z), pen,
+        got = lagrangian_value(model, r, y / gamma, gamma, loss_value(fam, mom, z), pen,
                                frob_inner(r, r))
         expected = (
             loss_value(fam, mom, z)
@@ -867,3 +896,150 @@ class TestSolve:
         res = solve(data.observed, init, LossFamily("poisson"), data.sim, cfg)
         assert np.isfinite(res.trace.column("lagrangian")).all()
         assert res.z.min() >= 0.5 - 1e-12
+
+
+CHAIN_PROBLEMS = {
+    "3-way": ((7, 6, 5), (2, 3, 2), SubjectPartition(2, (SliceGroup((0, 1)),))),
+    "4-way": ((6, 5, 4, 3), (2, 3, 2, 2),
+              SubjectPartition(3, (SliceGroup((0, 1), fixed=(0, 1)),))),
+}
+
+
+def chain_problem(shape, ranks, part):
+    spec = SynthSpec(shape=shape, ranks=ranks, partition=part, noise_sigma=0.1,
+                     missing_fraction=0.3, seed=3)
+    data = synthesize(spec)
+    omega = data.observed
+    init = initial_model(omega.to_dense(initial_fill(omega, LossFamily("gaussian"))),
+                         ranks, InitStrategy("hosvd"), part)
+    return omega, init, data.sim
+
+
+@pytest.mark.parametrize("problem", CHAIN_PROBLEMS.values(), ids=CHAIN_PROBLEMS)
+class TestSweepChain:
+    """The sweep's shared chain of mode products, observed inside ``solve``."""
+
+    def test_gauss_seidel_gradients_and_shared_core_projection(self, problem,
+                                                               monkeypatch):
+        import dcot.solver
+
+        omega, init, sim = chain_problem(*problem)
+        fam = LossFamily("gaussian")
+        mom = smoothing_moments(sim, omega)
+        cfg = SolverConfig(max_iters=1)
+        gamma = estimate_moduli(init, cfg, fam, mom).gamma
+        z = omega.to_dense(initial_fill(omega, fam))
+        y = -loss_gradient(fam, mom, z)
+        u = loss_gradient(fam, mom, z)
+        u /= -gamma  # the scaled dual as solve forms it
+        target = z + u
+        errors, projections = {}, []
+        real_factor, real_cores = dcot.solver.update_factor, dcot.solver.update_cores
+
+        def factor_step(model, projected, gamma_, mode, *args):
+            # factors 0..mode-1 already hold this sweep's updates
+            got = factor_gradient(model, projected, gamma_, mode)
+            want = oracles.factor_gradient_oracle(model, z, y, gamma, mode)
+            errors[mode] = np.abs(got - want).max() / np.abs(want).max()
+            return real_factor(model, projected, gamma_, mode, *args)
+
+        def core_step(model, projected, *args, **kwargs):
+            projections.append(
+                np.array_equal(projected, project_core(target, model.factors)))
+            return real_cores(model, projected, *args, **kwargs)
+
+        monkeypatch.setattr(dcot.solver, "update_factor", factor_step)
+        monkeypatch.setattr(dcot.solver, "update_cores", core_step)
+        solve(omega, init, fam, sim, cfg)
+        assert sorted(errors) == list(range(len(omega.shape)))
+        assert max(errors.values()) < 1e-12
+        assert projections == [True]
+
+    def test_two_full_size_mode_products_per_sweep(self, problem, monkeypatch):
+        import dcot.model
+        import dcot.solver
+        import dcot.tensor
+
+        omega, init, sim = chain_problem(*problem)
+        real = dcot.tensor.n_mode_product
+        full_size = []
+
+        def counting(t, u, mode, out=None):
+            full_size.append(np.size(t) == math.prod(omega.shape))
+            return real(t, u, mode, out=out)
+
+        for module in (dcot.tensor, dcot.model, dcot.solver):
+            monkeypatch.setattr(module, "n_mode_product", counting)
+        counts = []
+        for iters in (0, 4):  # the moments' set-up makes some before the sweeps
+            full_size.clear()
+            solve(omega, init, LossFamily("gaussian"), sim,
+                  SolverConfig(max_iters=iters, tol_primal=0.0, tol_step=0.0))
+            counts.append(sum(full_size))
+        assert counts[1] - counts[0] == 2 * 4
+
+
+class TestDenseWorkingSet:
+    """``prod(I)``-sized arrays, counted with tracemalloc at 24^3."""
+
+    SHAPE = (24, 24, 24)
+    # z, the scaled dual u, the recon and spare sweep buffers, and the two
+    # gaussian z-step coefficients
+    DENSE_ARRAYS = 6
+
+    def cell_bytes(self):
+        return 8 * math.prod(self.SHAPE)
+
+    def test_gaussian_loss_allocates_no_dense_temporary(self, rng):
+        import tracemalloc
+
+        omega = ObservationSet.from_dense(rng.standard_normal(self.SHAPE),
+                                          rng.random(self.SHAPE) < 0.5)
+        mom = smoothing_moments(SimilarityModel.neutral(self.SHAPE), omega)
+        z = rng.standard_normal(self.SHAPE)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            loss_value(LossFamily("gaussian"), mom, z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base < self.cell_bytes()
+
+    def test_solve_peak_is_the_documented_buffers(self, monkeypatch):
+        import tracemalloc
+
+        import dcot.solver
+
+        # the neutral similarity builds its moments without dense temporaries,
+        # so the peak is set inside the sweeps
+        data, part = planted_problem(seed=2, shape=self.SHAPE, sigma=0.05, missing=0.5)
+        omega = data.observed
+        sim = SimilarityModel.neutral(self.SHAPE)
+        init = initial_model(omega.to_dense(float(omega.values.mean())), (3, 3, 3),
+                             InitStrategy("hosvd"), part)
+        mom = smoothing_moments(sim, omega)
+        moments = mom.weight_sum.nbytes + mom.weighted_x.nbytes
+        del mom
+        real = dcot.solver.update_factor
+        sweep_start = []
+
+        def first_step(*args):
+            if not sweep_start:
+                sweep_start.append(tracemalloc.get_traced_memory()[0])
+                tracemalloc.reset_peak()
+            return real(*args)
+
+        monkeypatch.setattr(dcot.solver, "update_factor", first_step)
+        tracemalloc.start()
+        try:
+            solve(omega, init, LossFamily("gaussian"), sim,
+                  SolverConfig(max_iters=5, tol_primal=0.0, tol_step=0.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        cell = self.cell_bytes()
+        # beside the dense arrays only core-sized and chain arrays, well
+        # under one dense array at these ranks
+        assert peak - moments < (self.DENSE_ARRAYS + 0.5) * cell
+        assert peak - sweep_start[0] < 0.5 * cell

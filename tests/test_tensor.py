@@ -119,6 +119,19 @@ class TestNModeProduct:
             assert got.flags.c_contiguous
             assert np.array_equal(got, n_mode_product(np.ascontiguousarray(t), u, mode))
 
+    def test_out_buffer_receives_the_same_product(self, rng):
+        t = rng.standard_normal((4, 3, 5))
+        for mode, size in enumerate(t.shape):
+            u = rng.standard_normal((2, size))
+            want = n_mode_product(t, u, mode)
+            buf = np.empty(want.shape)
+            assert n_mode_product(t, u, mode, out=buf) is buf
+            assert np.array_equal(buf, want)
+        for bad in (np.empty((4, 3, 2)), np.empty((5, 3, 4)).transpose(2, 1, 0),
+                    np.empty((4, 3, 5), dtype=np.float32)):
+            with pytest.raises(ValueError, match="out must be"):
+                n_mode_product(t, rng.standard_normal((4, 4)), 0, out=bad)
+
     @pytest.mark.parametrize(
         "t_shape, u_shape, mode, out_shape",
         [
