@@ -1,14 +1,18 @@
 #!/usr/bin/env python3
 """Print one sha256 per solver case, to check that a change keeps outputs bitwise.
 
-Cases, each x seeds 0-1 (30 % missing, kernel similarity, 40 iterations):
+Cases, each x seeds 0-1 (30 % missing, 40 iterations, the synthesized
+kernel similarity unless stated):
 eight solver configurations on a planted 12^3 problem (ranks (3, 3, 4),
 two tied groups on mode 3) -- gaussian default, ``fixed_moduli``,
 ``freeze_h``, ``rho_g=5``, l1/frob_sq penalties, bernoulli, and poisson and
 gamma with ``z_floor=1e-2`` -- and the gaussian default on a planted 4-way
 8 x 7 x 6 x 5 problem (ranks (2, 3, 2, 2), mode-4 slices 0 and 1 tied at
 mode-1 index 1), which covers the solver's chain of mode products for
-``N != 3``; plus one ``dcot synth`` + ``dcot complete``
+``N != 3``; the gaussian default on the 12^3 problem with the neutral
+similarity (every unobserved cell a degenerate target) and with the kernel
+similarity unnormalized (a full weight-sum tensor); plus one ``dcot synth`` +
+``dcot complete``
 run with kernel similarity, hashed over the written ``observed.coo``
 (so the same check covers the COO writer and reader), ``trace.csv`` and
 ``z_hat.dct``.  A solve hashes ``z``, ``y``, both cores, the factors, every
@@ -46,6 +50,7 @@ from dcot.evaluate import SynthSpec, synthesize
 from dcot.losses import LossFamily
 from dcot.model import InitStrategy, SliceGroup, SubjectPartition, initial_model
 from dcot.prox import Penalty
+from dcot.similarity import SimilarityModel
 from dcot.solver import (
     BlockPenalties, ConvergenceTrace, SolverAbort, SolverConfig, initial_fill, solve,
 )
@@ -57,17 +62,26 @@ FOUR_WAY = ((8, 7, 6, 5), (2, 3, 2, 2),
             SubjectPartition(3, (SliceGroup((0, 1), fixed=(0, 1)),)))
 ITERS = 40
 
+# the similarity a case solves with, made from the synthesized kernel one
+SIMILARITIES = {
+    "kernel": lambda sim: sim,
+    "neutral": lambda sim: SimilarityModel.neutral(sim.shape),
+    "unnormalized": lambda sim: SimilarityModel(sim.per_mode, normalized=False),
+}
+
 CASES = {
-    "gaussian-default": ("gaussian", {}, THREE_WAY),
-    "gaussian-fixed-moduli": ("gaussian", {"fixed_moduli": True}, THREE_WAY),
-    "gaussian-freeze-h": ("gaussian", {"freeze_h": True}, THREE_WAY),
-    "gaussian-rho-g": ("gaussian", {"rho_g": 5.0}, THREE_WAY),
+    "gaussian-default": ("gaussian", {}, THREE_WAY, "kernel"),
+    "gaussian-fixed-moduli": ("gaussian", {"fixed_moduli": True}, THREE_WAY, "kernel"),
+    "gaussian-freeze-h": ("gaussian", {"freeze_h": True}, THREE_WAY, "kernel"),
+    "gaussian-rho-g": ("gaussian", {"rho_g": 5.0}, THREE_WAY, "kernel"),
     "gaussian-penalties": ("gaussian", {"penalties": BlockPenalties(
-        g=Penalty.l1(1e-3), factors=Penalty.frob_sq(1e-3))}, THREE_WAY),
-    "bernoulli": ("bernoulli", {}, THREE_WAY),
-    "poisson-floor-1e-2": ("poisson", {"z_floor": 1e-2}, THREE_WAY),
-    "gamma-floor-1e-2": ("gamma", {"z_floor": 1e-2}, THREE_WAY),
-    "gaussian-4way": ("gaussian", {}, FOUR_WAY),
+        g=Penalty.l1(1e-3), factors=Penalty.frob_sq(1e-3))}, THREE_WAY, "kernel"),
+    "bernoulli": ("bernoulli", {}, THREE_WAY, "kernel"),
+    "poisson-floor-1e-2": ("poisson", {"z_floor": 1e-2}, THREE_WAY, "kernel"),
+    "gamma-floor-1e-2": ("gamma", {"z_floor": 1e-2}, THREE_WAY, "kernel"),
+    "gaussian-4way": ("gaussian", {}, FOUR_WAY, "kernel"),
+    "gaussian-neutral": ("gaussian", {}, THREE_WAY, "neutral"),
+    "gaussian-unnormalized": ("gaussian", {}, THREE_WAY, "unnormalized"),
 }
 
 
@@ -85,7 +99,8 @@ def _line(digest: str, lagrangian: float, iterations: int, reason: str) -> str:
     return f"{digest} lagrangian={lagrangian!r} iters={iterations} reason={reason}"
 
 
-def solve_case(family: str, overrides: dict, problem: tuple, seed: int) -> str:
+def solve_case(family: str, overrides: dict, problem: tuple, similarity: str,
+               seed: int) -> str:
     shape, ranks, partition = problem
     spec = SynthSpec(shape=shape, ranks=ranks, partition=partition,
                      noise_family=family, noise_sigma=0.1, missing_fraction=0.3,
@@ -96,7 +111,7 @@ def solve_case(family: str, overrides: dict, problem: tuple, seed: int) -> str:
     init = initial_model(omega.to_dense(initial_fill(omega, fam)), ranks,
                          InitStrategy("hosvd"), partition)
     try:
-        res = solve(omega, init, fam, data.sim,
+        res = solve(omega, init, fam, SIMILARITIES[similarity](data.sim),
                     SolverConfig(max_iters=ITERS, **overrides))
     except (SolverAbort, ValueError) as exc:  # a failing case is a fingerprint too
         return f"error {type(exc).__name__}: {exc}"
@@ -147,9 +162,9 @@ def cli_case() -> str:
 
 def cases():
     """Yield ``(case name, fingerprint line)`` for every case, in a fixed order."""
-    for name, (family, overrides, problem) in CASES.items():
+    for name, case in CASES.items():
         for seed in (0, 1):
-            yield f"{name}/seed{seed}", solve_case(family, overrides, problem, seed)
+            yield f"{name}/seed{seed}", solve_case(*case, seed)
     yield "cli-synth-complete", cli_case()
 
 

@@ -20,6 +20,9 @@ is what makes completion work.
 
 The loss functions take those weights' per-cell sums, precomputed once per
 problem as :class:`~dcot.similarity.Moments` by ``smoothing_moments``.
+Their shapes come from ``weighted_x``: the weight sums ``weight_sum`` only
+broadcast against it (a normalized similarity stores the size-one ``1.0``),
+and the array-valued functions return full data-shape arrays all the same.
 """
 
 from __future__ import annotations
@@ -137,7 +140,7 @@ class LossFamily:
 
 def _checked(family: LossFamily, mom: Moments, z) -> np.ndarray:
     z = np.asarray(z, dtype=float)
-    shape = mom.weight_sum.shape
+    shape = mom.weighted_x.shape
     if z.shape != shape:
         raise ValueError(f"z shape {z.shape} does not match data shape {shape}")
     family.check_domain(z)
@@ -150,9 +153,10 @@ def loss_value(family: LossFamily, mom: Moments, z: np.ndarray) -> float:
     w, m1, count = mom.weight_sum, mom.weighted_x, mom.count
     if family.kind == "gaussian":
         # sum_t (w z^2 - 2 m1 z + m2), with the z-free term summed once; the
-        # three-operand einsum forms sum w z^2 without a w * z temporary
-        flat = z.ravel()
-        quad = float(np.einsum("i,i,i->", w.ravel(), flat, flat))
+        # three-operand einsum forms sum w z^2 without a w * z temporary and
+        # broadcasts a size-one w without copying it
+        axes = list(range(z.ndim))
+        quad = float(np.einsum(w, axes, z, axes, z, axes, []))
         quad -= 2.0 * float(np.vdot(m1, z))
         return (quad + mom.x2_total) / count
     if family.kind == "bernoulli":
@@ -189,7 +193,7 @@ def loss_curvature(family: LossFamily, mom: Moments, z: np.ndarray) -> np.ndarra
     z = _checked(family, mom, z)
     w, m1, count = mom.weight_sum, mom.weighted_x, mom.count
     if family.kind == "gaussian":
-        curv = 2.0 * w
+        curv = np.broadcast_to(2.0 * w, z.shape)
     elif family.kind == "bernoulli":
         p = expit(z)
         curv = w * p * (1.0 - p)
@@ -212,9 +216,9 @@ def loss_curvature_min(
     """
     w, m1, count = mom.weight_sum, mom.weighted_x, mom.count
     if family.kind != "gamma":
-        return np.zeros(w.shape)
+        return np.zeros(m1.shape)
     u_max = 1.0 / (z_min + _GAMMA_EPSILON)
-    crit = np.divide(w, 3.0 * m1, out=np.full(w.shape, np.inf), where=m1 > 0)
+    crit = np.divide(w, 3.0 * m1, out=np.full(m1.shape, np.inf), where=m1 > 0)
     u = np.minimum(crit, u_max)
     return (2.0 * m1 * u - w) * u**2 / count
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .losses import ObservationSet
-from .tensor import multilinear_product
+from .tensor import n_mode_product
 
 log = logging.getLogger("dcot.similarity")
 
@@ -130,7 +130,11 @@ class Moments:
     """Per-target smoothing aggregates over the observed entries.
 
     ``weight_sum[t] = sum_j w(t, j)`` and ``weighted_x[t] = sum_j w(t, j) x_j``,
-    after any normalization and degenerate-target fallback.  ``x2_total``
+    after any normalization and degenerate-target fallback.  ``weighted_x``
+    has the data shape; ``weight_sum`` broadcasts against it.  A normalized
+    similarity's weight sums are all one, so it stores the size-one array
+    ``1.0`` (one axis of length one per mode) instead of a dense tensor of
+    ones; an unnormalized one stores the full array.  ``x2_total``
     is the scalar ``sum_t sum_j w(t, j) x_j^2`` over every target, with the
     same normalization and fallback: the gaussian loss needs that
     second-moment term only as an additive constant, so no per-target
@@ -278,37 +282,51 @@ def smoothing_moments(sim: SimilarityModel, omega: ObservationSet) -> Moments:
     pairwise object over cells is ever formed.  Degenerate targets receive
     the same fallback as :func:`smoothing_weights`.  Every loss function
     of :mod:`dcot.losses` takes the result, so build it once per problem.
+
+    Each moment is scattered into one buffer and contracted mode by mode
+    into a second, the two trading roles; ``w``, ``m1`` and ``m2`` are
+    built in that order, so at most four ``prod(I)`` arrays are live: the
+    three moments and a free buffer.  The fallback indexes the observed
+    entries directly, and normalization is one in-place division over every
+    cell (fallback cells have weight one).  A normalized result keeps no
+    dense weight tensor (see :class:`Moments`).
     """
     _check_omega(sim, omega)
-    indicator = np.zeros(sim.shape)
-    x0 = np.zeros(sim.shape)
-    x2 = np.zeros(sim.shape)
     idx = tuple(omega.indices.T)
-    indicator[idx] = 1.0
-    x0[idx] = omega.values
-    x2[idx] = omega.values**2
+    values = omega.values
 
-    w = multilinear_product(indicator, sim._factors)
-    m1 = multilinear_product(x0, sim._factors)
-    m2 = multilinear_product(x2, sim._factors)
+    def moment(power: int, src: np.ndarray):
+        # sum_j w(t, j) x_j^power, scattered into src and contracted between
+        # it and a second buffer, made after the scatter's temporaries are
+        # gone; returns the moment and the buffer left free
+        src.fill(0.0)
+        src[idx] = values**power
+        dst = np.empty(sim.shape)
+        for mode, f in enumerate(sim._factors):
+            n_mode_product(src, f, mode, out=dst)
+            src, dst = dst, src
+        return src, dst
+
+    w, spare = moment(0, np.empty(sim.shape))
+    m1, spare = moment(1, spare)
+    m2, spare = moment(2, spare)
+    del spare
 
     bad = w <= 0.0
-    n_bad = int(bad.sum())
+    n_bad = int(np.count_nonzero(bad))
     if n_bad:
         log.info("%d degenerate smoothing targets; using fallback", n_bad)
-        observed_bad = bad & (indicator > 0)
-        unobserved_bad = bad & (indicator == 0)
-        w[observed_bad] = 1.0
-        m1[observed_bad] = x0[observed_bad]
-        m2[observed_bad] = x2[observed_bad]
-        w[unobserved_bad] = 1.0
-        m1[unobserved_bad] = omega.values.mean()
-        m2[unobserved_bad] = (omega.values**2).mean()
+        w[bad] = 1.0
+        m1[bad] = values.mean()
+        m2[bad] = (values**2).mean()
+        own = bad[idx]  # degenerate targets that are observed keep their value
+        observed = tuple(i[own] for i in idx)
+        m1[observed] = values[own]
+        m2[observed] = values[own] ** 2
     if sim.normalized:
-        ok = ~bad
-        m1[ok] = m1[ok] / w[ok]
-        m2[ok] = m2[ok] / w[ok]
-        w[ok] = 1.0
+        np.divide(m1, w, out=m1)
+        np.divide(m2, w, out=m2)
+        w = np.ones((1,) * len(sim.shape))
     return Moments(
         weight_sum=w,
         weighted_x=m1,

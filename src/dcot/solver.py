@@ -308,7 +308,8 @@ def gaussian_z_coefficients(mom: Moments, gamma: float) -> tuple[np.ndarray, np.
     """``(a, b)`` of the gaussian closed-form z step ``z = a + b * center``.
 
     They depend on ``gamma`` and the moments only, so a solve builds them
-    once.
+    once.  ``b`` has the shape of ``mom.weight_sum``: size one for a
+    normalized similarity, so only ``a`` is a dense array then.
     """
     scale = 2.0 / mom.count
     b = mom.weight_sum * scale
@@ -682,20 +683,20 @@ def solve(
     for k in range(1, cfg.max_iters + 1):
         # the coupling gradient is gamma * (recon - target), in core space
         target = np.add(z, u, out=recon)
-        # suffix[n] = target x_{t>n} U_t^T with the old factors, from the
-        # last mode down; factor n contracts it with the updated U_t^T,
-        # t < n.  Only the first link and the last factor's first product
-        # read a prod(I) tensor.
+        # the chain's links are target x_{t>n} U_t^T with the old factors,
+        # built from the last mode down, so factor n pops its own link from
+        # the end (freeing it once used) and contracts it with the updated
+        # U_t^T, t < n.  Only the first link and the last factor's first
+        # product read a prod(I) tensor.
         suffix = [target]
         for n in range(n_modes - 1, 0, -1):
             suffix.append(n_mode_product(suffix[-1], model.factors[n].T, n))
-        suffix.reverse()
         factor_sq = 0.0
         core_sum = model.core_g + model.core_h
         for n in range(n_modes):
             if refresh_factors:
                 rho_factors[n] = _factor_modulus(gamma, core_sum, u_norms, n, safety)
-            projected = suffix[n]
+            projected = suffix.pop()
             for t in range(n):
                 projected = n_mode_product(projected, model.factors[t].T, t)
             u_new = update_factor(
@@ -705,7 +706,6 @@ def solve(
             factor_sq += float(((u_new - model.factors[n]) ** 2).sum())
             model.factors[n] = u_new
             u_norms[n] = _spectral_norm(u_new)
-        del suffix  # free the chain before the dense z step
         # the last factor's input, contracted with its update, is
         # project_core(target, factors) in project_core's own order
         projected = n_mode_product(projected, model.factors[-1].T, n_modes - 1)

@@ -209,3 +209,46 @@ def factor_gradient_oracle(model, z, y, gamma, mode):
 def core_gradient_oracle(model, z, y, gamma):
     """Residual-space core gradient: the residual projected onto the factors."""
     return _project_residual(model, z, y, gamma)
+
+
+def smoothing_moments_dense(sim, omega):
+    """The all-at-once moments build that ``smoothing_moments`` replaced.
+
+    Unlike the loop oracles above, this keeps the package's mode products:
+    it pins the buffered build bitwise, so it must contract in the same
+    order with the same matrix products.  It holds the indicator, value and
+    squared-value tensors, the three moments and the masks at once.
+    Returns ``(weight_sum, weighted_x, x2_total, degenerate)`` with a dense
+    ``weight_sum``.
+    """
+    from dcot.tensor import multilinear_product
+
+    indicator = np.zeros(sim.shape)
+    x0 = np.zeros(sim.shape)
+    x2 = np.zeros(sim.shape)
+    idx = tuple(omega.indices.T)
+    indicator[idx] = 1.0
+    x0[idx] = omega.values
+    x2[idx] = omega.values**2
+
+    w = multilinear_product(indicator, sim._factors)
+    m1 = multilinear_product(x0, sim._factors)
+    m2 = multilinear_product(x2, sim._factors)
+
+    bad = w <= 0.0
+    n_bad = int(bad.sum())
+    if n_bad:
+        observed_bad = bad & (indicator > 0)
+        unobserved_bad = bad & (indicator == 0)
+        w[observed_bad] = 1.0
+        m1[observed_bad] = x0[observed_bad]
+        m2[observed_bad] = x2[observed_bad]
+        w[unobserved_bad] = 1.0
+        m1[unobserved_bad] = omega.values.mean()
+        m2[unobserved_bad] = (omega.values**2).mean()
+    if sim.normalized:
+        ok = ~bad
+        m1[ok] = m1[ok] / w[ok]
+        m2[ok] = m2[ok] / w[ok]
+        w[ok] = 1.0
+    return w, m1, float(m2.sum()), n_bad

@@ -1,7 +1,11 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles
 from dcot.losses import ObservationSet
 from dcot.similarity import (
     ModeSimilarity,
@@ -205,7 +209,8 @@ class TestSmoothingMoments:
             pairs = smoothing_weights(sim, target, omega)
             w = sum(wt for _, wt in pairs)
             m = sum(wt * x[idx] for idx, wt in pairs)
-            assert np.isclose(mom.weight_sum[target], w, atol=1e-10)
+            weight_sum = np.broadcast_to(mom.weight_sum, shape)
+            assert np.isclose(weight_sum[target], w, atol=1e-10)
             assert np.isclose(mom.weighted_x[target], m, atol=1e-10)
 
     def test_neutral_reduces_to_unsmoothed(self, rng):
@@ -217,3 +222,55 @@ class TestSmoothingMoments:
         mom = smoothing_moments(SimilarityModel.neutral(shape), omega)
         assert np.allclose(mom.weighted_x, x)
         assert np.allclose(mom.weight_sum, 1.0)
+
+    @staticmethod
+    def similarity(kind, shape, gen):
+        if kind == "neutral":
+            return SimilarityModel.neutral(shape)
+        per_mode = [mode_similarity(gen.standard_normal((n, 2))) for n in shape]
+        if kind == "blind-index":
+            # index 0 of mode 0 has no neighbor, itself included, so every
+            # target on that slice is degenerate, observed or not
+            s = per_mode[0].s.copy()
+            s[0, :] = s[:, 0] = 0.0
+            per_mode[0] = ModeSimilarity(s=s, c=per_mode[0].c)
+        return SimilarityModel(per_mode=per_mode, normalized=kind != "unnormalized")
+
+    @pytest.mark.parametrize("kind", ["kernel", "neutral", "unnormalized", "blind-index"])
+    @pytest.mark.parametrize("shape", [(5, 4), (4, 3, 3), (3, 3, 2, 2)])
+    def test_bitwise_equal_to_the_dense_build(self, kind, shape):
+        gen = np.random.default_rng(7)
+        sim = self.similarity(kind, shape, gen)
+        x = gen.standard_normal(shape)
+        mask = gen.random(shape) < 0.6
+        mask.flat[0] = True
+        mask.flat[-1] = False
+        omega = ObservationSet.from_dense(x, mask)
+        w, m1, x2_total, degenerate = oracles.smoothing_moments_dense(sim, omega)
+        mom = smoothing_moments(sim, omega)
+        assert np.broadcast_to(mom.weight_sum, shape).tobytes() == w.tobytes()
+        assert mom.weighted_x.shape == shape
+        assert mom.weighted_x.tobytes() == m1.tobytes()
+        assert mom.x2_total == x2_total
+        assert mom.degenerate == degenerate
+        # a normalized similarity stores no dense all-ones tensor
+        assert mom.weight_sum.size == (math.prod(shape) if kind == "unnormalized" else 1)
+        if kind in ("neutral", "blind-index"):
+            assert degenerate > 0
+
+    def test_build_holds_at_most_four_dense_arrays(self):
+        # the three moments and one free buffer; the masks and index arrays
+        # add well under half an array
+        shape = (24, 24, 24)
+        gen = np.random.default_rng(3)
+        sim = self.similarity("kernel", shape, gen)
+        omega = ObservationSet.from_dense(gen.standard_normal(shape),
+                                          gen.random(shape) < 0.5)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            smoothing_moments(sim, omega)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= 4.5 * 8 * math.prod(shape)

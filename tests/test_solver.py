@@ -983,9 +983,10 @@ class TestDenseWorkingSet:
     """``prod(I)``-sized arrays, counted with tracemalloc at 24^3."""
 
     SHAPE = (24, 24, 24)
-    # z, the scaled dual u, the recon and spare sweep buffers, and the two
-    # gaussian z-step coefficients
-    DENSE_ARRAYS = 6
+    # z, the scaled dual u, the recon and spare sweep buffers, and the
+    # gaussian z-step offset a (the scale b is size one for a normalized
+    # similarity)
+    DENSE_ARRAYS = 5
 
     def cell_bytes(self):
         return 8 * math.prod(self.SHAPE)
