@@ -11,13 +11,15 @@ gamma with ``z_floor=1e-2`` -- and the gaussian default on a planted 4-way
 mode-1 index 1), which covers the solver's chain of mode products for
 ``N != 3``; the gaussian default on the 12^3 problem with the neutral
 similarity (every unobserved cell a degenerate target) and with the kernel
-similarity unnormalized (a full weight-sum tensor); plus one ``dcot synth`` +
-``dcot complete``
-run with kernel similarity, hashed over the written ``observed.coo``
+similarity unnormalized (a full weight-sum tensor); plus two ``dcot synth`` +
+``dcot complete`` runs with kernel similarity, hashed over ``observed.coo``
 (so the same check covers the COO writer and reader), ``trace.csv`` and
-``z_hat.dct``.  A solve hashes ``z``, ``y``, both cores, the factors, every
-``trace.csv`` column, the effective moduli, ``converged`` and ``reason``; a
-case that raises prints the exception instead.  Beside each hash the line
+``z_hat.dct``: one reads the written file as it is, which the reader
+streams, the other first rewrites it with a comment line, blank lines and
+CRLF line ends, which the reader parses from the whole text.  A solve
+hashes ``z``, ``y``, both cores, the factors, every ``trace.csv`` column,
+the effective moduli, ``converged`` and ``reason``; a case that raises
+prints the exception instead.  Beside each hash the line
 shows the final augmented Lagrangian (``repr``), the iteration count and the
 stop reason.
 
@@ -125,7 +127,13 @@ def solve_case(family: str, overrides: dict, problem: tuple, similarity: str,
     return _line(digest, last.lagrangian, last.iteration, res.reason)
 
 
-def cli_case() -> str:
+def _comment(path: Path) -> None:
+    """Rewrite a COO file with a comment line, blank lines and CRLF line ends."""
+    header, *entries = path.read_text().splitlines()
+    path.write_bytes("\r\n".join(["# rewritten", header, "", *entries, "", ""]).encode())
+
+
+def cli_case(commented: bool) -> str:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         synth = {"seed": 5, "output": str(tmp / "data"),
@@ -144,6 +152,8 @@ def cli_case() -> str:
                                          for n in (1, 2, 3)]},
                "solver": {"max_iters": 30}, "init": {"kind": "hosvd"}}
         for command, cfg in (("synth", synth), ("complete", fit)):
+            if command == "complete" and commented:
+                _comment(data / "observed.coo")
             path = tmp / f"{command}.json"
             path.write_text(json.dumps(cfg))
             with contextlib.redirect_stderr(stdio.StringIO()) as err:
@@ -165,7 +175,8 @@ def cases():
     for name, case in CASES.items():
         for seed in (0, 1):
             yield f"{name}/seed{seed}", solve_case(*case, seed)
-    yield "cli-synth-complete", cli_case()
+    yield "cli-synth-complete", cli_case(commented=False)
+    yield "cli-complete-commented", cli_case(commented=True)
 
 
 LAGRANGIAN_RTOL = 1e-12

@@ -5,13 +5,18 @@ All file formats use 1-based indices; conversion to the package's
 
 * COO text: a header line ``# dims: I_1 I_2 ... I_N`` followed by one
   ``i_1 i_2 ... i_N value`` line per observed entry (whitespace
-  separated).  Blank lines and extra ``#`` comment lines are ignored; a
+  separated).  A line ends where ``str.splitlines`` ends one: at LF, CRLF
+  and CR, and also at 0x0b, 0x0c, 0x1c-0x1e and the Unicode line
+  separators.  Blank lines and extra ``#`` comment lines are ignored; a
   ``#`` inside an entry line is not a comment.  An index is an ASCII
   decimal integer with an optional sign that fits in int64; the value is
   a decimal float (``1.5``, ``-2e-3``, ``.5``; ``nan``/``inf`` parse but
   are rejected as not finite).  ``_`` digit separators and non-ASCII
   digits are unparseable.  A faulty file is reported by its first faulty
-  line.  Written files sort entries lexicographically by index.
+  line.  A file without comment lines or unusual line ends is parsed
+  straight from its bytes, in memory proportional to its entry count;
+  others are parsed from their whole text (see :func:`read_coo`).
+  Written files sort entries lexicographically by index.
 * Dense binary (``.dct``): magic ``DCOT``, little-endian u32 version (1),
   u32 mode count, one u64 per mode size, then float64 entries in
   first-mode-fastest order.
@@ -21,6 +26,8 @@ All file formats use 1-based indices; conversion to the package's
   one ``group: [i, j, ...]`` line per group, with an optional ``@ <f>``
   suffix naming the fixed index when ``fixed-mode`` is set.  The compact
   one-line form ``mode=<m>: [..], [..]`` is also accepted.
+* Text files are UTF-8; one that is not is a :class:`DataIOError` naming
+  the file and the offset of the first bad byte.
 """
 
 from __future__ import annotations
@@ -29,6 +36,9 @@ import json
 import math
 import re
 import struct
+from collections.abc import Iterable
+from io import BytesIO, TextIOWrapper
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -48,18 +58,68 @@ class ConfigError(Exception):
     """A run configuration is malformed."""
 
 
+def _read_bytes(path: Path) -> bytes:
+    try:
+        return path.read_bytes()
+    except OSError as exc:
+        raise DataIOError(f"cannot read {path}: {exc}") from exc
+
+
+def _decode(path: Path, data: bytes) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataIOError(f"{path}: not valid UTF-8 (byte {exc.start})") from exc
+
+
+def _read_text(path: Path) -> str:
+    """The file's UTF-8 text; a failure to read or decode it is a DataIOError."""
+    return _decode(path, _read_bytes(path))
+
+
 def read_coo(path) -> ObservationSet:
     """Parse a COO text file into an observation set (strict validation).
 
-    The entry lines are converted in one bulk parse and checked as arrays;
-    only a file that fails is scanned line by line to name the first faulty
-    line.
+    Lines end where ``str.splitlines`` ends them.  A canonical file is
+    streamed: it is ASCII, holds one ``#`` (the header's) and none of the
+    bytes 0x0b, 0x0c, 0x1c, 0x1d and 0x1e, which end a line for
+    ``str.splitlines`` but not in a text-mode file.  Its header lines are
+    read from the open bytes and one bulk parse converts the rest, so memory
+    grows with the entry count and no whole-file text or per-line list is
+    built.  Every other file, and every file that the streamed parse or the
+    array checks reject, takes the text path: the decoded text is split
+    into lines and parsed in bulk, and a faulty file is reported by its
+    first faulty line.  Both paths accept the same files, with the same
+    values and messages.
     """
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataIOError(f"cannot read {path}: {exc}") from exc
+    data = _read_bytes(path)
+    omega = _read_streamed(path, data)
+    if omega is None:
+        omega = _read_lines(path, _decode(path, data))
+    return omega
+
+
+# Bytes that end a line for str.splitlines but not in a text-mode file.
+_SPLITLINES_ONLY = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
+
+
+def _read_streamed(path: Path, data: bytes) -> ObservationSet | None:
+    """The observation set of a canonical file, or None if the text path must read it."""
+    if data.count(b"#") != 1 or not data.isascii() or any(c in data for c in _SPLITLINES_ONLY):
+        return None
+    # universal newlines: the same line ends as str.splitlines on such bytes
+    with TextIOWrapper(BytesIO(data), encoding="ascii") as stream:
+        try:
+            dims, _ = _read_dims_header(path, stream)
+            rows = _parse_entries(stream, len(dims))
+            return ObservationSet(rows["i"] - 1, rows["v"], dims)
+        except (DataIOError, ValueError):
+            return None
+
+
+def _read_lines(path: Path, text: str) -> ObservationSet:
+    """Parse the whole text split into lines, naming the first faulty line of a bad file."""
     lines = text.splitlines()
     dims, start = _read_dims_header(path, lines)
     entries = [line for line in map(str.strip, lines[start:]) if line and line[0] != "#"]
@@ -80,8 +140,11 @@ _DIMS_RE = re.compile(r"#\s*dims\s*:\s*(.*)$")
 _DIMS_HINT = re.compile(r"#\s*dims\s*:")
 
 
-def _read_dims_header(path: Path, lines: list[str]) -> tuple[tuple[int, ...], int]:
-    """The ``# dims:`` header's sizes and the number of lines up to it."""
+def _read_dims_header(path: Path, lines: Iterable[str]) -> tuple[tuple[int, ...], int]:
+    """The ``# dims:`` header's sizes and the number of lines up to it.
+
+    Consumes ``lines`` up to and including the header line.
+    """
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
@@ -100,17 +163,20 @@ def _read_dims_header(path: Path, lines: list[str]) -> tuple[tuple[int, ...], in
     raise DataIOError(f"{path}: missing '# dims:' header")
 
 
-def _parse_entries(lines: list[str], n_modes: int) -> np.ndarray:
-    """Convert stripped entry lines to rows with fields ``i`` (indices) and ``v``.
+def _parse_entries(lines: Iterable[str], n_modes: int) -> np.ndarray:
+    """Convert entry lines to rows with fields ``i`` (indices) and ``v``.
 
-    The one token conversion of COO entries: raises ``ValueError`` on a
-    line without ``n_modes + 1`` fields or with a token that is not an
-    ASCII decimal integer (indices) or a float (value).
+    The one token conversion of COO entries: blank lines are skipped, and
+    it raises ``ValueError`` on a line without ``n_modes + 1`` fields or
+    with a token that is not an ASCII decimal integer (indices) or a float
+    (value).
     """
     dtype = [("i", "i8", (n_modes,)), ("v", "f8")]
-    if not lines:
+    lines = iter(lines)
+    first = next((line for line in lines if line.strip()), None)
+    if first is None:  # no entries: an empty set, without loadtxt's "no data" warning
         return np.zeros(0, dtype=dtype)
-    return np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1)
+    return np.loadtxt(chain([first], lines), dtype=dtype, comments=None, ndmin=1)
 
 
 def _parsed_prefix(entries: list[str], n_modes: int) -> np.ndarray:
@@ -176,10 +242,10 @@ def write_coo(omega: ObservationSet, path) -> None:
     """Emit a COO text file; entries sorted lexicographically by index."""
     path = Path(path)
     order = np.lexsort(omega.indices.T[::-1])
-    columns = [map(str, (col + 1).tolist()) for col in omega.indices[order].T]
-    columns.append(map(repr, omega.values[order].tolist()))
+    columns = [(col + 1).tolist() for col in omega.indices[order].T]
+    entry = "{} " * len(columns) + "{!r}"
     lines = ["# dims: " + " ".join(str(d) for d in omega.shape)]
-    lines.extend(map(" ".join, zip(*columns)))
+    lines.extend(map(entry.format, *columns, omega.values[order].tolist()))
     try:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     except OSError as exc:
@@ -189,10 +255,7 @@ def write_coo(omega: ObservationSet, path) -> None:
 def read_dense(path) -> np.ndarray:
     """Read a dense binary tensor file."""
     path = Path(path)
-    try:
-        blob = path.read_bytes()
-    except OSError as exc:
-        raise DataIOError(f"cannot read {path}: {exc}") from exc
+    blob = _read_bytes(path)
     if blob[:4] != _MAGIC:
         raise DataIOError(f"{path}: bad magic bytes (offset 0)")
     if len(blob) < 12:
@@ -239,14 +302,13 @@ def read_tensor(path, format: str):
 def read_features(path) -> np.ndarray:
     """One float feature row per index."""
     path = Path(path)
+    text = _read_text(path)
     try:
         rows = [
             [float(tok) for tok in line.split()]
-            for line in path.read_text(encoding="utf-8").splitlines()
+            for line in text.splitlines()
             if line.strip() and not line.strip().startswith("#")
         ]
-    except OSError as exc:
-        raise DataIOError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
         raise DataIOError(f"{path}: unparseable feature value") from exc
     if not rows or len({len(r) for r in rows}) != 1:
@@ -262,14 +324,13 @@ def write_features(feats: np.ndarray, path) -> None:
 def read_labels(path) -> np.ndarray:
     """One integer cluster id per line."""
     path = Path(path)
+    text = _read_text(path)
     try:
         vals = [
             int(line.strip())
-            for line in path.read_text(encoding="utf-8").splitlines()
+            for line in text.splitlines()
             if line.strip() and not line.strip().startswith("#")
         ]
-    except OSError as exc:
-        raise DataIOError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
         raise DataIOError(f"{path}: labels must be integers") from exc
     if not vals:
@@ -298,10 +359,7 @@ def _parse_index_list(text: str, where: str) -> tuple[int, ...]:
 def read_partition(path) -> SubjectPartition:
     """Parse a partition file (see module docstring for the grammar)."""
     path = Path(path)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise DataIOError(f"cannot read {path}: {exc}") from exc
+    lines = _read_text(path).splitlines()
     mode = None
     fixed_mode = None
     groups: list[SliceGroup] = []
@@ -372,6 +430,8 @@ def load_json(path) -> dict:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not valid UTF-8 (byte {exc.start})") from exc
     try:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:

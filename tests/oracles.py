@@ -6,6 +6,8 @@ defining formulas, deliberately sharing no code with the package.
 
 import itertools
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 
@@ -252,3 +254,118 @@ def smoothing_moments_dense(sim, omega):
         m2[ok] = m2[ok] / w[ok]
         w[ok] = 1.0
     return w, m1, float(m2.sum()), n_bad
+
+
+_COO_DIMS_RE = re.compile(r"#\s*dims\s*:\s*(.*)$")
+
+
+def read_coo_oracle(path):
+    """``io.read_coo`` before it streamed its input.
+
+    It reads the whole file as text, splits it with ``str.splitlines`` and
+    parses every stripped entry line in one ``np.loadtxt`` call; a file that
+    fails, or that may hold a second dims header, is walked line by line to
+    name its first faulty line.  The reference for the files ``read_coo``
+    accepts and the messages it gives.
+    """
+    from dcot.io import DataIOError
+    from dcot.losses import ObservationSet
+
+    path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise DataIOError(f"cannot read {path}: {exc}") from exc
+    lines = text.splitlines()
+    dims, start = _coo_dims_header(path, lines)
+    entries = [line for line in map(str.strip, lines[start:]) if line and line[0] != "#"]
+    try:
+        rows = _coo_parse(entries, len(dims))
+        omega = ObservationSet(rows["i"] - 1, rows["v"], dims)
+    except ValueError as exc:
+        raise _coo_first_fault(path, lines, start, dims) or DataIOError(f"{path}: {exc}") from exc
+    if len(re.findall(r"#\s*dims\s*:", text)) > 1:
+        fault = _coo_first_fault(path, lines, start, dims)
+        if fault is not None:
+            raise fault
+    return omega
+
+
+def _coo_dims_header(path, lines):
+    from dcot.io import DataIOError
+
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if not line.startswith("#"):
+            raise DataIOError(f"{path}:{lineno}: entry before '# dims:' header")
+        m = _COO_DIMS_RE.match(line)
+        if m:
+            try:
+                dims = tuple(int(tok) for tok in m.group(1).split())
+            except ValueError as exc:
+                raise DataIOError(f"{path}:{lineno}: bad dims header") from exc
+            if not dims or any(d < 1 for d in dims):
+                raise DataIOError(f"{path}:{lineno}: dims must be positive")
+            return dims, lineno
+    raise DataIOError(f"{path}: missing '# dims:' header")
+
+
+def _coo_parse(lines, n_modes):
+    dtype = [("i", "i8", (n_modes,)), ("v", "f8")]
+    if not lines:
+        return np.zeros(0, dtype=dtype)
+    return np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1)
+
+
+def _coo_parsed_prefix(entries, n_modes):
+    try:
+        return _coo_parse(entries, n_modes)
+    except ValueError:
+        pass
+    good, bad = 0, len(entries)
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        try:
+            _coo_parse(entries[good:mid], n_modes)
+            good = mid
+        except ValueError:
+            bad = mid
+    return _coo_parse(entries[:good], n_modes)
+
+
+def _coo_first_fault(path, lines, start, dims):
+    from dcot.io import DataIOError
+
+    numbered = [(lineno, line) for lineno, line in
+                enumerate(map(str.strip, lines[start:]), start=start + 1) if line]
+    parsed = _coo_parsed_prefix([line for _, line in numbered if line[0] != "#"], len(dims))
+    rows = zip(parsed["i"].tolist(), parsed["v"].tolist())
+    seen = {}
+    for lineno, line in numbered:
+        where = f"{path}:{lineno}"
+        if line[0] == "#":
+            if _COO_DIMS_RE.match(line):
+                return DataIOError(f"{where}: duplicate dims header")
+            continue
+        row = next(rows, None)
+        if row is None:
+            tokens = line.split()
+            if len(tokens) != len(dims) + 1:
+                return DataIOError(
+                    f"{where}: expected {len(dims)} indices and a value, "
+                    f"got {len(tokens)} fields"
+                )
+            return DataIOError(f"{where}: unparseable entry")
+        idx, value = tuple(row[0]), row[1]
+        if not math.isfinite(value):
+            return DataIOError(f"{where}: value {line.split()[-1]} is not finite")
+        if any(not 1 <= i <= d for i, d in zip(idx, dims)):
+            return DataIOError(f"{where}: index {idx} out of range for {dims}")
+        if idx in seen:
+            return DataIOError(
+                f"{where}: duplicate index {idx} (first seen on line {seen[idx]})"
+            )
+        seen[idx] = lineno
+    return None
