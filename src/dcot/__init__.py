@@ -35,7 +35,6 @@ from .similarity import (
     label_consistency,
     mode_similarity,
     smoothing_moments,
-    smoothing_weights,
 )
 from .solver import (
     BlockPenalties,
@@ -67,13 +66,11 @@ from .evaluate import (
     synthesize,
 )
 from .tensor import (
-    fold,
     frob_inner,
     frob_norm,
     matricize,
     multilinear_product,
     n_mode_product,
-    vec,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,12 +1,13 @@
 """Command line interface: synth, factorize, complete, evaluate, grid-search.
 
-Every command takes ``--config PATH`` pointing at a JSON document; the
-schema is validated (unknown keys rejected) before any output is
-produced, and the summary written to each run directory echoes the full
-effective configuration.  Exit codes: 0 success, 2 config error, 3
-solver abort, 4 I/O error; failures also emit a one-line JSON error
-object on stderr.  Set ``DCOT_LOG`` to a level name (e.g. ``info``) for
-diagnostics.
+Every command takes ``--config PATH`` pointing at a JSON document.  Every
+key is read through one typed table (``_SCHEMA``): an unknown key, a
+missing required key or a wrong type is rejected, naming the key, before
+any output is produced.  The summary written to each run directory
+echoes the full effective configuration.  Exit codes: 0 success, 2
+config error, 3 solver abort, 4 I/O error; failures also emit a one-line
+JSON error object on stderr.  Set ``DCOT_LOG`` to a level name (e.g.
+``info``) for diagnostics.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .losses import LossFamily, ObservationSet
 from .model import (
     DcotModel,
     InitStrategy,
-    SliceGroup,
     SubjectPartition,
     _group_slicer,
     initial_model,
@@ -47,116 +47,262 @@ from .solver import BlockPenalties, SolverAbort, SolverConfig, initial_fill, sol
 
 EXIT_OK, EXIT_CONFIG, EXIT_SOLVER, EXIT_IO = 0, 2, 3, 4
 
-_MISSING = object()
+
+class _Check:
+    """A check of one JSON value, named by ``what`` in error messages.
+
+    ``fits`` tests the value's own type; ``read`` also checks what the
+    value contains and returns it, or raises a ``ConfigError`` naming
+    ``name`` (``section.key`` or ``section.key[i]``).
+    """
+
+    def __init__(self, what: str, fits):
+        self.what, self.fits = what, fits
+
+    def read(self, value, name: str):
+        if not self.fits(value):
+            raise io.ConfigError(f"{name}: expected {self.what}, got {json.dumps(value)}")
+        return value
 
 
-def _expect_keys(d: dict, allowed, where: str) -> None:
-    unknown = set(d) - set(allowed)
+def _type(what: str, *types) -> _Check:
+    # bool is an int in Python: it fits only where it is named
+    return _Check(what, lambda v: isinstance(v, types)
+                  and (bool in types or not isinstance(v, bool)))
+
+
+def _choice(*names: str) -> _Check:
+    return _Check(" or ".join(map(json.dumps, names)),
+                  lambda v: isinstance(v, str) and v in names)
+
+
+class _OneOf(_Check):
+    """The first alternative whose type fits the value reads it."""
+
+    def __init__(self, *alternatives: _Check):
+        super().__init__(" or ".join(a.what for a in alternatives),
+                         lambda v: any(a.fits(v) for a in alternatives))
+        self.alternatives = alternatives
+
+    def read(self, value, name: str):
+        for a in self.alternatives:
+            if a.fits(value):
+                return a.read(value, name)
+        return super().read(value, name)
+
+
+class _List(_Check):
+    def __init__(self, item: _Check, nonempty: bool = False):
+        super().__init__("a non-empty list" if nonempty else "a list",
+                         lambda v: isinstance(v, list) and (bool(v) or not nonempty))
+        self.item = item
+
+    def read(self, value, name: str):
+        super().read(value, name)
+        return [self.item.read(v, f"{name}[{i}]") for i, v in enumerate(value)]
+
+
+class _Section(_Check):
+    """An object read through the ``_SCHEMA`` table of ``section``."""
+
+    def __init__(self, section: str):
+        super().__init__("an object", lambda v: isinstance(v, dict))
+        self.section = section
+
+    def read(self, value, name: str):
+        super().read(value, name)
+        return _read(value, _SCHEMA[self.section], name)
+
+
+_INT = _type("an integer", int)
+_NUMBER = _type("a number", int, float)
+_STR = _type("a string", str)
+_BOOL = _type("true or false", bool)
+_NULL = _Check("null", lambda v: v is None)
+
+
+def _or_null(check: _Check) -> _Check:
+    return _OneOf(check, _NULL)
+
+
+_REQUIRED = object()
+
+# section -> key -> (check, default or _REQUIRED).  "config" holds the
+# top-level keys (which of them a command takes, and which it requires,
+# is _TOP_KEYS); "penalty" is each of the g, h and factors objects of
+# "penalties".  Checks of values the dataclasses check (SolverConfig,
+# SynthSpec, Penalty, SubjectPartition, SplitSpec, InitStrategy) stay
+# there.  README's "Command line" lists every key.
+_SCHEMA = {
+    "config": {
+        "seed": (_INT, 0),
+        "output": (_STR, None),
+        "family": (_STR, _REQUIRED),
+        "ranks": (_List(_INT), _REQUIRED),
+        "data": (_Section("data"), _REQUIRED),
+        "synth": (_Section("synth"), _REQUIRED),
+        "partition": (_or_null(_Section("partition")), None),
+        "similarity": (_or_null(_Section("similarity")), None),
+        "penalties": (_or_null(_Section("penalties")), None),
+        "solver": (_or_null(_Section("solver")), None),
+        "init": (_or_null(_Section("init")), None),
+        "split": (_Section("split"), _REQUIRED),
+        "grid": (_Section("grid"), _REQUIRED),
+        "evaluate": (_Section("evaluate"), _REQUIRED),
+    },
+    "data": {
+        "observations": (_STR, _REQUIRED),
+        "format": (_choice("coo", "dense"), None),
+    },
+    "synth": {
+        "shape": (_List(_INT), _REQUIRED),
+        "ranks": (_List(_INT), _REQUIRED),
+        "partition": (_or_null(_Section("partition")), None),
+        "subject_core_scale": (_NUMBER, 1.0),
+        "noise_family": (_STR, "gaussian"),
+        "noise_sigma": (_NUMBER, 0.0),
+        "missing_fraction": (_NUMBER, 0.0),
+        "seed": (_INT, None),
+    },
+    "partition": {
+        "path": (_STR, None),
+        "mode": (_INT, None),
+        "groups": (_List(_List(_INT)), None),
+    },
+    "similarity": {
+        "kind": (_choice("kernel"), "kernel"),
+        "features": (_List(_STR), _REQUIRED),
+        "labels": (_List(_or_null(_STR)), None),
+        "bandwidths": (_or_null(_List(_NUMBER, nonempty=True)), None),
+    },
+    "penalties": {block: (_or_null(_Section("penalty")), None)
+                  for block in ("g", "h", "factors")},
+    "penalty": {
+        "kind": (_STR, "none"),
+        "weight": (_NUMBER, 0.0),
+        "groups": (_choice("partition"), "partition"),
+    },
+    "solver": {
+        "gamma": (_NUMBER, 0.0),
+        "rho_g": (_or_null(_NUMBER), None),
+        "rho_h": (_or_null(_NUMBER), None),
+        "rho_factors": (_or_null(_List(_NUMBER)), None),
+        "max_iters": (_INT, 500),
+        "tol_primal": (_or_null(_NUMBER), None),
+        "tol_step": (_NUMBER, 1e-8),
+        "lipschitz_safety": (_NUMBER, 1.1),
+        "fixed_moduli": (_BOOL, False),
+        "z_floor": (_NUMBER, 1e-6),
+        "freeze_h": (_BOOL, False),
+    },
+    "init": {
+        "kind": (_STR, "hosvd"),
+        "seed": (_INT, None),
+    },
+    "split": {
+        "train_fraction": (_NUMBER, _REQUIRED),
+        "seed": (_INT, None),
+    },
+    "grid": {
+        "lambdas": (_OneOf(_choice("default"), _List(_NUMBER, nonempty=True)), "default"),
+        "blocks": (_List(_choice("g", "h", "factors"), nonempty=True), ("g", "h")),
+    },
+    "evaluate": {
+        "estimate": (_STR, None),
+        "run_dir": (_STR, None),
+        "reference": (_STR, _REQUIRED),
+    },
+}
+
+_FIT_KEYS = ("data", "family", "ranks", "output")
+_FIT_OPTIONAL = ("partition", "similarity", "penalties", "solver", "init", "seed")
+
+# command -> (required, optional) top-level keys
+_TOP_KEYS = {
+    "synth": (("synth", "output"), ("seed",)),
+    "factorize": (_FIT_KEYS, _FIT_OPTIONAL),
+    "complete": (_FIT_KEYS, _FIT_OPTIONAL),
+    "evaluate": (("evaluate",), ("output", "seed")),
+    "grid-search": (_FIT_KEYS + ("grid", "split"), _FIT_OPTIONAL),
+}
+
+
+def _read(obj: dict, spec: dict, where: str) -> dict:
+    """``obj`` checked against ``spec`` (key -> (check, default)), defaults filled in.
+
+    Unknown keys, missing required keys and wrong types raise a
+    ``ConfigError``.  ``where`` is empty at the top level.
+    """
+    unknown = sorted(set(obj) - set(spec))
     if unknown:
-        raise io.ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+        raise io.ConfigError(f"{where or 'config'}: unknown keys {unknown}")
+    out = {}
+    for key, (check, default) in spec.items():
+        if key in obj:
+            out[key] = check.read(obj[key], f"{where}.{key}" if where else key)
+        elif default is _REQUIRED:
+            raise io.ConfigError(f"{where or 'config'}: missing required key {key!r}")
+        else:
+            out[key] = default
+    return out
 
 
-def _typed(d: dict, key: str, types, where: str, default=_MISSING):
-    if key not in d:
-        if default is _MISSING:
-            raise io.ConfigError(f"{where}: missing required key {key!r}")
-        return default
-    value = d[key]
-    if types is not None and not isinstance(value, types):
-        raise io.ConfigError(f"{where}.{key}: wrong type {type(value).__name__}")
-    if isinstance(value, bool) and types is not None and bool not in (
-        types if isinstance(types, tuple) else (types,)
-    ):
-        raise io.ConfigError(f"{where}.{key}: wrong type bool")
-    return value
+def _read_config(raw: dict, command: str) -> dict:
+    required, optional = _TOP_KEYS[command]
+    top = _SCHEMA["config"]
+    spec = {key: (top[key][0], _REQUIRED if key in required else top[key][1])
+            for key in required + optional}
+    return _read(raw, spec, "")
 
 
-def _int_list(d, key, where):
-    value = _typed(d, key, list, where)
-    if not all(isinstance(v, int) and not isinstance(v, bool) for v in value):
-        raise io.ConfigError(f"{where}.{key}: expected a list of integers")
-    return [int(v) for v in value]
-
-
-def _parse_family(name) -> LossFamily:
-    if name is None:
-        return LossFamily("gaussian")
-    if not isinstance(name, str):
-        raise io.ConfigError("family: expected a family name")
-    return LossFamily(name)
-
-
-def _parse_partition(obj, base: Path, where="partition") -> SubjectPartition | None:
-    if obj is None:
-        return None
-    if not isinstance(obj, dict):
-        raise io.ConfigError(f"{where}: expected an object")
-    if "path" in obj:
-        _expect_keys(obj, ("path",), where)
-        return io.read_partition(base / _typed(obj, "path", str, where))
-    _expect_keys(obj, _SECTION_KEYS["partition"], where)
-    mode = _typed(obj, "mode", int, where) - 1
-    groups = []
-    for gi, g in enumerate(_typed(obj, "groups", list, where)):
-        if not isinstance(g, list):
-            raise io.ConfigError(f"{where}.groups[{gi}]: expected a list of indices")
-        groups.append(SliceGroup(tuple(int(i) - 1 for i in g)))
+def _in_section(where: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, its ``ValueError`` a ``ConfigError`` naming ``where``."""
     try:
-        return SubjectPartition(mode, tuple(groups))
+        return make(*args, **kwargs)
     except ValueError as exc:
         raise io.ConfigError(f"{where}: {exc}") from exc
 
 
-def _parse_similarity(
-    obj, shape, base: Path, where="similarity"
-) -> tuple[SimilarityModel, dict | None]:
-    """The similarity model and the section it was built from, defaults filled in.
+def _parse_partition(sec, base: Path, where="partition") -> SubjectPartition | None:
+    if sec is None:
+        return None
+    if sec["path"] is not None and sec["mode"] is None and sec["groups"] is None:
+        return io.read_partition(base / sec["path"])
+    if sec["path"] is not None or sec["mode"] is None or sec["groups"] is None:
+        raise io.ConfigError(f"{where}: give either 'path', or 'mode' and 'groups'")
+    groups = tuple(tuple(i - 1 for i in g) for g in sec["groups"])
+    return _in_section(where, SubjectPartition, sec["mode"] - 1, groups)
+
+
+def _parse_similarity(sec, shape, base: Path) -> tuple[SimilarityModel, dict | None]:
+    """The similarity model and its section, labels filled in.
 
     Without a section the model is neutral and the section is ``None``.
     """
-    if obj is None:
+    if sec is None:
         return SimilarityModel.neutral(shape), None
-    if not isinstance(obj, dict):
-        raise io.ConfigError(f"{where}: expected an object")
-    _expect_keys(obj, _SECTION_KEYS["similarity"], where)
-    if _typed(obj, "kind", str, where, "kernel") != "kernel":
-        raise io.ConfigError(f"{where}.kind: expected 'kernel'")
-    feats_cfg = _typed(obj, "features", list, where)
-    labels_cfg = _typed(obj, "labels", list, where, [None] * len(shape))
-    if len(feats_cfg) != len(shape) or len(labels_cfg) != len(shape):
-        raise io.ConfigError(f"{where}: need one features/labels entry per mode")
-    bandwidths = obj.get("bandwidths")
-    if bandwidths is not None and not (
-        isinstance(bandwidths, list)
-        and bandwidths
-        and all(
-            isinstance(h, (int, float)) and not isinstance(h, bool)
-            and math.isfinite(h) and h > 0
-            for h in bandwidths
-        )
-    ):
-        raise io.ConfigError(f"{where}.bandwidths: expected a list of positive numbers")
+    if sec["labels"] is None:
+        sec = {**sec, "labels": [None] * len(shape)}
+    if len(sec["features"]) != len(shape) or len(sec["labels"]) != len(shape):
+        raise io.ConfigError("similarity: need one features/labels entry per mode")
+    bandwidths = sec["bandwidths"]
+    if bandwidths is not None and not all(math.isfinite(h) and h > 0 for h in bandwidths):
+        raise io.ConfigError("similarity.bandwidths: expected positive numbers")
     per_mode = []
-    for n, (fpath, lpath) in enumerate(zip(feats_cfg, labels_cfg)):
-        if not isinstance(fpath, str):
-            raise io.ConfigError(f"{where}.features[{n}]: expected a file path")
-        if lpath is not None and not isinstance(lpath, str):
-            raise io.ConfigError(f"{where}.labels[{n}]: expected a file path or null")
+    for n, (fpath, lpath) in enumerate(zip(sec["features"], sec["labels"])):
         labels = io.read_labels(base / lpath) if lpath is not None else None
         if labels is not None and labels.size != shape[n]:
             raise io.ConfigError(
-                f"{where}.labels[{n}]: {labels.size} labels for mode of size {shape[n]}"
+                f"similarity.labels[{n}]: {labels.size} labels for mode of size {shape[n]}"
             )
         feats = io.read_features(base / fpath)
         if feats.shape[0] != shape[n]:
             raise io.ConfigError(
-                f"{where}.features[{n}]: {feats.shape[0]} rows for mode of size "
+                f"similarity.features[{n}]: {feats.shape[0]} rows for mode of size "
                 f"{shape[n]}"
             )
         per_mode.append(mode_similarity(feats, bandwidths=bandwidths, labels=labels))
-    section = {"kind": "kernel", "features": feats_cfg, "labels": labels_cfg,
-               "bandwidths": bandwidths}
-    return SimilarityModel(per_mode=per_mode), section
+    return SimilarityModel(per_mode=per_mode), sec
 
 
 def _partition_flat_groups(partition: SubjectPartition, shape) -> tuple:
@@ -170,110 +316,28 @@ def _partition_flat_groups(partition: SubjectPartition, shape) -> tuple:
     return tuple(groups)
 
 
-def _parse_penalty(obj, ranks, partition, where) -> Penalty:
-    if obj is None:
-        return Penalty.none()
-    if not isinstance(obj, dict):
-        raise io.ConfigError(f"{where}: expected an object")
-    _expect_keys(obj, _SECTION_KEYS["penalty"], where)
-    kind = _typed(obj, "kind", str, where, "none")
-    weight = float(_typed(obj, "weight", (int, float), where, 0.0))
-    groups = ()
-    if kind == "sparse_group_lasso":
-        if obj.get("groups", "partition") != "partition":
-            raise io.ConfigError(f"{where}.groups: expected 'partition'")
-        if partition is None:
-            raise io.ConfigError(f"{where}: groups 'partition' needs a partition")
-        groups = _partition_flat_groups(partition, tuple(ranks))
-    try:
-        return Penalty(kind, weight, groups)
-    except ValueError as exc:
-        raise io.ConfigError(f"{where}: {exc}") from exc
+def _parse_penalties(sec, ranks, partition) -> BlockPenalties:
+    """One penalty per block named in ``sec``; the other blocks get none."""
+    blocks = {}
+    for block, pen in (sec or {}).items():
+        if pen is None:
+            continue
+        where = f"penalties.{block}"
+        groups = ()
+        if pen["kind"] == "sparse_group_lasso":
+            if partition is None:
+                raise io.ConfigError(f"{where}: groups 'partition' needs a partition")
+            groups = _partition_flat_groups(partition, tuple(ranks))
+        blocks[block] = _in_section(where, Penalty, pen["kind"], float(pen["weight"]),
+                                    groups)
+    return BlockPenalties(**blocks)
 
 
-def _parse_penalties(obj, ranks, partition, where="penalties") -> BlockPenalties:
-    if obj is None:
-        return BlockPenalties()
-    if not isinstance(obj, dict):
-        raise io.ConfigError(f"{where}: expected an object")
-    _expect_keys(obj, _SECTION_KEYS["penalties"], where)
-    return BlockPenalties(**{
-        block: _parse_penalty(obj.get(block), ranks, partition, f"{where}.{block}")
-        for block in _SECTION_KEYS["penalties"]
-    })
-
-
-_NUMBER = (int, float)
-_OPTIONAL_NUMBER = (int, float, type(None))
-
-# The keys each config section accepts ("penalty" is any one of the g, h
-# and factors objects of "penalties").  README's "Command line" lists them.
-_SECTION_KEYS = {
-    "data": ("observations", "format"),
-    "synth": ("shape", "ranks", "partition", "subject_core_scale", "noise_family",
-              "noise_sigma", "missing_fraction", "seed"),
-    "partition": ("path", "mode", "groups"),
-    "similarity": ("kind", "features", "labels", "bandwidths"),
-    "penalties": ("g", "h", "factors"),
-    "penalty": ("kind", "weight", "groups"),
-    "init": ("kind", "seed"),
-    "split": ("train_fraction", "seed"),
-    "grid": ("lambdas", "blocks"),
-    "evaluate": ("estimate", "run_dir", "reference"),
-}
-
-# Every "solver" key with the JSON types it accepts (bools are rejected
-# unless listed, see _typed).
-_SOLVER_KEYS = {
-    "gamma": _NUMBER,
-    "rho_g": _OPTIONAL_NUMBER,
-    "rho_h": _OPTIONAL_NUMBER,
-    "rho_factors": (list, type(None)),
-    "max_iters": int,
-    "tol_primal": _OPTIONAL_NUMBER,
-    "tol_step": _NUMBER,
-    "lipschitz_safety": _NUMBER,
-    "fixed_moduli": bool,
-    "z_floor": _NUMBER,
-    "freeze_h": bool,
-}
-
-
-def _parse_solver(obj, penalties: BlockPenalties, where="solver") -> SolverConfig:
-    if obj is None:
-        return SolverConfig(penalties=penalties)
-    if not isinstance(obj, dict):
-        raise io.ConfigError(f"{where}: expected an object")
-    _expect_keys(obj, _SOLVER_KEYS, where)
-    kwargs = {
-        key: _typed(obj, key, types, where)
-        for key, types in _SOLVER_KEYS.items()
-        if key in obj
-    }
-    rho_factors = kwargs.get("rho_factors")
-    if rho_factors is not None:
-        if any(isinstance(v, bool) or not isinstance(v, _NUMBER) for v in rho_factors):
-            raise io.ConfigError(f"{where}.rho_factors: expected a list of numbers")
-        kwargs["rho_factors"] = tuple(float(v) for v in rho_factors)
-    try:
-        return SolverConfig(penalties=penalties, **kwargs)
-    except (TypeError, ValueError) as exc:
-        raise io.ConfigError(f"{where}: {exc}") from exc
-
-
-def _parse_init(obj, seed: int, where="init") -> InitStrategy:
-    if obj is None:
-        return InitStrategy("hosvd", seed)
-    if not isinstance(obj, dict):
-        raise io.ConfigError(f"{where}: expected an object")
-    _expect_keys(obj, _SECTION_KEYS["init"], where)
-    try:
-        return InitStrategy(
-            _typed(obj, "kind", str, where, "hosvd"),
-            int(_typed(obj, "seed", int, where, seed)),
-        )
-    except ValueError as exc:
-        raise io.ConfigError(f"{where}: {exc}") from exc
+def _parse_solver(sec, penalties: BlockPenalties) -> SolverConfig:
+    sec = dict(sec or {})
+    if sec.get("rho_factors") is not None:
+        sec["rho_factors"] = tuple(float(v) for v in sec["rho_factors"])
+    return _in_section("solver", SolverConfig, penalties=penalties, **sec)
 
 
 def _jsonable(obj):
@@ -318,63 +382,15 @@ def _blas_setting() -> dict:
     }
 
 
-def _read_observations(data_cfg: dict, base: Path, default_format: str) -> ObservationSet:
-    _expect_keys(data_cfg, _SECTION_KEYS["data"], "data")
-    path = base / _typed(data_cfg, "observations", str, "data")
-    fmt = _typed(data_cfg, "format", str, "data", default_format)
-    obj = io.read_tensor(path, fmt)
-    if isinstance(obj, ObservationSet):
-        return obj
-    return ObservationSet.from_dense(obj)
-
-
-_TOP_KEYS = {
-    "synth": {"required": ("synth", "output"), "optional": ("seed",)},
-    "factorize": {
-        "required": ("data", "family", "ranks", "output"),
-        "optional": ("partition", "similarity", "penalties", "solver", "init", "seed"),
-    },
-    "complete": {
-        "required": ("data", "family", "ranks", "output"),
-        "optional": ("partition", "similarity", "penalties", "solver", "init", "seed"),
-    },
-    "evaluate": {"required": ("evaluate",), "optional": ("output", "seed")},
-    "grid-search": {
-        "required": ("data", "family", "ranks", "output", "grid", "split"),
-        "optional": ("partition", "similarity", "penalties", "solver", "init", "seed"),
-    },
-}
-
-
-def _validate_top(cfg: dict, command: str) -> None:
-    spec = _TOP_KEYS[command]
-    _expect_keys(cfg, spec["required"] + spec["optional"], "config")
-    for key in spec["required"]:
-        if key not in cfg:
-            raise io.ConfigError(f"config: command {command!r} requires key {key!r}")
-
-
 def _cmd_synth(cfg: dict, out_dir: Path, seed: int, base: Path) -> dict:
-    obj = _typed(cfg, "synth", dict, "config")
-    _expect_keys(obj, _SECTION_KEYS["synth"], "synth")
-    partition = _parse_partition(obj.get("partition"), base, "synth.partition")
-    try:
-        spec = SynthSpec(
-            shape=tuple(_int_list(obj, "shape", "synth")),
-            ranks=tuple(_int_list(obj, "ranks", "synth")),
-            partition=partition,
-            subject_core_scale=float(
-                _typed(obj, "subject_core_scale", (int, float), "synth", 1.0)
-            ),
-            noise_family=_typed(obj, "noise_family", str, "synth", "gaussian"),
-            noise_sigma=float(_typed(obj, "noise_sigma", (int, float), "synth", 0.0)),
-            missing_fraction=float(
-                _typed(obj, "missing_fraction", (int, float), "synth", 0.0)
-            ),
-            seed=int(_typed(obj, "seed", int, "synth", seed)),
-        )
-    except ValueError as exc:
-        raise io.ConfigError(f"synth: {exc}") from exc
+    sec = cfg["synth"]
+    spec = _in_section("synth", SynthSpec, **{
+        **sec,
+        **{k: float(sec[k]) for k in ("subject_core_scale", "noise_sigma",
+                                      "missing_fraction")},
+        "partition": _parse_partition(sec["partition"], base, "synth.partition"),
+        "seed": seed if sec["seed"] is None else sec["seed"],
+    })
     data = synthesize(spec)
     out_dir.mkdir(parents=True, exist_ok=True)
     io.write_coo(data.observed, out_dir / "observed.coo")
@@ -395,33 +411,46 @@ def _cmd_synth(cfg: dict, out_dir: Path, seed: int, base: Path) -> dict:
 
 
 def _load_problem(cfg: dict, base: Path, seed: int, default_format: str):
-    omega = _read_observations(_typed(cfg, "data", dict, "config"), base, default_format)
-    family = _parse_family(cfg.get("family"))
+    """The observations, the similarity model and the effective config.
+
+    The effective config holds the parsed family, ranks, partition,
+    similarity section, init strategy, seed and solver config.
+    """
+    family = _in_section("family", LossFamily, cfg["family"])
+    data = cfg["data"]
+    omega = io.read_tensor(base / data["observations"], data["format"] or default_format)
+    if not isinstance(omega, ObservationSet):
+        omega = ObservationSet.from_dense(omega)
     family.validate_observations(omega)
-    ranks = _int_list(cfg, "ranks", "config")
+    ranks = cfg["ranks"]
     if len(ranks) != len(omega.shape):
-        raise io.ConfigError("config.ranks: need one rank per tensor mode")
-    partition = _parse_partition(cfg.get("partition"), base)
+        raise io.ConfigError("ranks: need one rank per tensor mode")
+    partition = _parse_partition(cfg["partition"], base)
     if partition is not None:
-        try:
-            partition.validate_shape(tuple(ranks))
-        except ValueError as exc:
-            raise io.ConfigError(f"partition: {exc}") from exc
-    sim, sim_section = _parse_similarity(cfg.get("similarity"), omega.shape, base)
-    penalties = _parse_penalties(cfg.get("penalties"), ranks, partition)
-    solver_cfg = _parse_solver(cfg.get("solver"), penalties)
-    strategy = _parse_init(cfg.get("init"), seed)
-    return omega, family, ranks, partition, sim, sim_section, solver_cfg, strategy
+        _in_section("partition", partition.validate_shape, tuple(ranks))
+    sim, sim_section = _parse_similarity(cfg["similarity"], omega.shape, base)
+    penalties = _parse_penalties(cfg["penalties"], ranks, partition)
+    init = cfg["init"] or _read({}, _SCHEMA["init"], "init")
+    effective = {
+        "family": family,
+        "ranks": ranks,
+        "partition": partition,
+        "similarity": sim_section,
+        "init": _in_section("init", InitStrategy, init["kind"],
+                            seed if init["seed"] is None else init["seed"]),
+        "seed": seed,
+        "solver": _parse_solver(cfg["solver"], penalties),
+    }
+    return omega, sim, effective
 
 
 def _cmd_factorize(cfg: dict, out_dir: Path, seed: int, default_format: str,
                    write_zhat: bool, base: Path) -> dict:
-    omega, family, ranks, partition, sim, sim_section, solver_cfg, strategy = (
-        _load_problem(cfg, base, seed, default_format)
-    )
-    init = initial_model(omega.to_dense(initial_fill(omega, family)), ranks, strategy,
-                         partition)
-    result = solve(omega, init, family, sim, solver_cfg)
+    omega, sim, effective = _load_problem(cfg, base, seed, default_format)
+    family, ranks = effective["family"], effective["ranks"]
+    init = initial_model(omega.to_dense(initial_fill(omega, family)), ranks,
+                         effective["init"], effective["partition"])
+    result = solve(omega, init, family, sim, effective["solver"])
     out_dir.mkdir(parents=True, exist_ok=True)
     io.write_dense(result.model.core_g, out_dir / "model_g.dct")
     io.write_dense(result.model.core_h, out_dir / "model_h.dct")
@@ -433,15 +462,7 @@ def _cmd_factorize(cfg: dict, out_dir: Path, seed: int, default_format: str,
         io.write_dense(z_hat, out_dir / "z_hat.dct")
     summary = {
         "command": "complete" if write_zhat else "factorize",
-        "effective_config": {
-            "family": family,
-            "ranks": list(ranks),
-            "partition": partition,
-            "solver": result.config,
-            "init": strategy,
-            "seed": seed,
-            "similarity": sim_section,
-        },
+        "effective_config": {**effective, "solver": result.config},
         "iterations": result.trace.rows[-1].iteration,
         "converged": result.converged,
         "reason": result.reason,
@@ -454,22 +475,20 @@ def _cmd_factorize(cfg: dict, out_dir: Path, seed: int, default_format: str,
 
 
 def _cmd_evaluate(cfg: dict, out_dir: Path | None, base: Path) -> dict:
-    obj = _typed(cfg, "evaluate", dict, "config")
-    _expect_keys(obj, _SECTION_KEYS["evaluate"], "evaluate")
-    ref_path = _typed(obj, "reference", str, "evaluate")
-    reference = io.read_coo(base / ref_path)
-    if "estimate" in obj:
-        z_hat = io.read_dense(base / _typed(obj, "estimate", str, "evaluate"))
-    elif "run_dir" in obj:
-        run = base / _typed(obj, "run_dir", str, "evaluate")
+    sec = cfg["evaluate"]
+    if (sec["estimate"] is None) == (sec["run_dir"] is None):
+        raise io.ConfigError("evaluate: need exactly one of 'estimate' and 'run_dir'")
+    reference = io.read_coo(base / sec["reference"])
+    if sec["estimate"] is not None:
+        z_hat = io.read_dense(base / sec["estimate"])
+    else:
+        run = base / sec["run_dir"]
         core_g = io.read_dense(run / "model_g.dct")
         core_h = io.read_dense(run / "model_h.dct")
         factors = [
             io.read_dense(run / f"factor_{n}.dct") for n in range(1, core_g.ndim + 1)
         ]
         z_hat = reconstruct(DcotModel(factors, core_g, core_h))
-    else:
-        raise io.ConfigError("evaluate: need 'estimate' or 'run_dir'")
     value = rmse(z_hat, reference)
     summary = {"command": "evaluate", "rmse": value, "entries": len(reference)}
     if out_dir is not None:
@@ -481,25 +500,18 @@ def _cmd_evaluate(cfg: dict, out_dir: Path | None, base: Path) -> dict:
 
 def _cmd_grid(cfg: dict, out_dir: Path, seed: int, default_format: str,
               workers: int, base: Path) -> dict:
-    omega, family, ranks, partition, sim, _, solver_cfg, strategy = _load_problem(
-        cfg, base, seed, default_format
-    )
-    split_obj = _typed(cfg, "split", dict, "config")
-    _expect_keys(split_obj, _SECTION_KEYS["split"], "split")
-    try:
-        split = SplitSpec(
-            float(_typed(split_obj, "train_fraction", (int, float), "split")),
-            int(_typed(split_obj, "seed", int, "split", seed)),
-        )
-    except ValueError as exc:
-        raise io.ConfigError(f"split: {exc}") from exc
-    grid_obj = _typed(cfg, "grid", dict, "config")
-    _expect_keys(grid_obj, _SECTION_KEYS["grid"], "grid")
-    lam = grid_obj.get("lambdas", "default")
+    sec = cfg["split"]
+    split = _in_section("split", SplitSpec, float(sec["train_fraction"]),
+                        seed if sec["seed"] is None else sec["seed"])
+    blocks = tuple(cfg["grid"]["blocks"])
+    if len(set(blocks)) != len(blocks):
+        raise io.ConfigError(f"grid.blocks: a block is named twice in {list(blocks)}")
+    lam = cfg["grid"]["lambdas"]
     lambdas = lambda_grid() if lam == "default" else np.asarray(lam, dtype=float)
-    blocks = tuple(_typed(grid_obj, "blocks", list, "grid", ["g", "h"]))
+    omega, sim, effective = _load_problem(cfg, base, seed, default_format)
     result = grid_search(
-        omega, split, family, sim, solver_cfg, ranks, strategy, partition,
+        omega, split, effective["family"], sim, effective["solver"], effective["ranks"],
+        effective["init"], effective["partition"],
         lambdas=lambdas, blocks=blocks, workers=workers,
     )
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -517,14 +529,7 @@ def _cmd_grid(cfg: dict, out_dir: Path, seed: int, default_format: str,
         "best_weights": result.best.weights,
         "best_validation_rmse": result.best.validation_rmse,
         "points": len(result.report),
-        "effective_config": {
-            "family": family,
-            "ranks": list(ranks),
-            "solver": solver_cfg,
-            "split": split,
-            "blocks": list(blocks),
-            "seed": seed,
-        },
+        "effective_config": {**effective, "split": split, "blocks": list(blocks)},
         "blas": _blas_setting(),
     }
     _write_summary(out_dir, summary)
@@ -553,21 +558,17 @@ def main(argv=None) -> int:
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
 
     try:
-        cfg = io.load_json(args.config)
-        _validate_top(cfg, args.command)
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-        out = args.output if args.output is not None else cfg.get("output")
-        if args.command != "evaluate" and out is None:
-            raise io.ConfigError("config: missing output directory")
+        cfg = _read_config(io.load_json(args.config), args.command)
+        seed = args.seed if args.seed is not None else cfg["seed"]
+        out = args.output if args.output is not None else cfg["output"]
         out_dir = Path(out) if out is not None else None
 
         base = Path(args.config).resolve().parent
         if args.command == "synth":
             _cmd_synth(cfg, out_dir, seed, base)
-        elif args.command == "factorize":
-            _cmd_factorize(cfg, out_dir, seed, args.format, False, base)
-        elif args.command == "complete":
-            _cmd_factorize(cfg, out_dir, seed, args.format, True, base)
+        elif args.command in ("factorize", "complete"):
+            _cmd_factorize(cfg, out_dir, seed, args.format, args.command == "complete",
+                           base)
         elif args.command == "evaluate":
             _cmd_evaluate(cfg, out_dir, base)
         else:
@@ -579,10 +580,7 @@ def main(argv=None) -> int:
     except SolverAbort as exc:
         _emit_error("solver", str(exc), EXIT_SOLVER)
         return EXIT_SOLVER
-    except io.DataIOError as exc:
-        _emit_error("io", str(exc), EXIT_IO)
-        return EXIT_IO
-    except OSError as exc:
+    except (io.DataIOError, OSError) as exc:
         _emit_error("io", str(exc), EXIT_IO)
         return EXIT_IO
     except ValueError as exc:

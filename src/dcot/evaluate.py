@@ -255,7 +255,8 @@ def grid_search(
 
     One shared weight is swept over ``lambdas`` (the 61-point grid when
     omitted) and applied to every block named in ``blocks``.  Ties in
-    validation RMSE go to the larger (more regularized) candidate.
+    validation RMSE go to the larger (more regularized) candidate.  When
+    every candidate's solve aborts, so does the search (``SolverAbort``).
     """
     lambdas = lambda_grid() if lambdas is None else np.asarray(lambdas, dtype=float)
     if lambdas.size == 0:
@@ -274,7 +275,7 @@ def grid_search(
     else:
         points = [_grid_eval(job) for job in jobs]
     if all(math.isinf(p.validation_rmse) for p in points):
-        raise RuntimeError("all grid evaluations failed")
+        raise SolverAbort("all grid evaluations failed")
     best = points[0]
     for p in points[1:]:
         if p.validation_rmse <= best.validation_rmse:

@@ -5,9 +5,8 @@ observed source cell ``(j_1, ..., j_N)`` is the product over modes of a
 kernel similarity ``s[i_n, j_n]`` times a label-consistency factor
 ``c[i_n, j_n]``.  The full pairwise weight object is never materialized:
 per-mode matrices are truncated to the strongest ``neighbor_cap``
-neighbors per index and weights are evaluated lazily, either per target
-(:func:`smoothing_weights`) or aggregated over all targets at once
-(:func:`smoothing_moments`, which the loss functions use).
+neighbors per index, and the weights are aggregated over all targets at
+once (:func:`smoothing_moments`, which the loss functions use).
 """
 
 from __future__ import annotations
@@ -211,23 +210,6 @@ class SimilarityModel:
         ]
         return cls(per_mode=modes, neighbor_cap=cap, normalized=normalized)
 
-    @classmethod
-    def ones(cls, shape, normalized: bool = True, cap: int = 32) -> "SimilarityModel":
-        """Uniform weights: every observed source counts equally."""
-        modes = [
-            ModeSimilarity(s=np.ones((int(n), int(n))), c=np.ones((int(n), int(n))))
-            for n in shape
-        ]
-        return cls(per_mode=modes, neighbor_cap=cap, normalized=normalized)
-
-    def neighbors(self, mode: int, index: int) -> tuple[np.ndarray, np.ndarray]:
-        """Retained neighbor indices and factors, sorted by descending weight."""
-        row = self._factors[mode][index]
-        nz = np.flatnonzero(row > 0)
-        order = np.lexsort((nz, -row[nz]))
-        return nz[order], row[nz][order]
-
-
 def _check_omega(sim: SimilarityModel, omega: ObservationSet) -> None:
     if omega.shape != sim.shape:
         raise ValueError(
@@ -238,49 +220,16 @@ def _check_omega(sim: SimilarityModel, omega: ObservationSet) -> None:
         raise ValueError("observation set is empty")
 
 
-def smoothing_weights(
-    sim: SimilarityModel, target, omega: ObservationSet
-) -> list[tuple[tuple[int, ...], float]]:
-    """Weights of the observed sources for one target cell.
-
-    Returns ``(source index, weight)`` pairs for the sources with nonzero
-    weight, normalized to sum to one when the model is normalized.  A
-    target whose every raw weight vanishes falls back to weight one on its
-    own entry when observed, otherwise to uniform weights over the
-    observed set (logged).
-    """
-    _check_omega(sim, omega)
-    target = tuple(int(i) for i in target)
-    if len(target) != len(sim.shape) or any(
-        not 0 <= t < s for t, s in zip(target, sim.shape)
-    ):
-        raise ValueError(f"target {target} out of range for shape {sim.shape}")
-    w = np.ones(len(omega))
-    for mode, f in enumerate(sim._factors):
-        w = w * f[target[mode], omega.indices[:, mode]]
-    total = w.sum()
-    if total <= 0.0:
-        log.info("degenerate smoothing weights at target %s; using fallback", target)
-        own = np.flatnonzero((omega.indices == np.array(target)).all(axis=1))
-        w = np.zeros(len(omega))
-        if own.size:
-            w[own[0]] = 1.0
-        else:
-            w[:] = 1.0 / len(omega)
-    elif sim.normalized:
-        w = w / total
-    keep = np.flatnonzero(w > 0)
-    return [(tuple(int(v) for v in omega.indices[j]), float(w[j])) for j in keep]
-
-
 def smoothing_moments(sim: SimilarityModel, omega: ObservationSet) -> Moments:
     """Aggregate smoothing weights over all target cells at once.
 
     Because the weight factorizes over modes, the per-target sums
     ``sum_j w(t, j) x_j^p`` are mode products of the observation indicator
     (and value) tensors with the truncated per-mode factor matrices; no
-    pairwise object over cells is ever formed.  Degenerate targets receive
-    the same fallback as :func:`smoothing_weights`.  Every loss function
+    pairwise object over cells is ever formed.  A degenerate target (every
+    raw weight zero) falls back to weight one on its own entry when it is
+    observed, otherwise to uniform weights over the observed entries
+    (logged).  Every loss function
     of :mod:`dcot.losses` takes the result, so build it once per problem.
 
     Each moment is scattered into one buffer and contracted mode by mode

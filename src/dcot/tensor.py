@@ -3,15 +3,13 @@
 Conventions used throughout the package:
 
 * Tensors are ``numpy.ndarray`` objects holding ``float64`` values.  The
-  logical linearization order of a tensor (``vec``) is first-mode-fastest,
-  i.e. Fortran order over the mode tuple ``(I_1, ..., I_N)``.
+  logical linearization order of a tensor is first-mode-fastest, i.e.
+  Fortran order over the mode tuple ``(I_1, ..., I_N)``.
 * ``matricize(t, mode)`` sends entry ``(i_1, ..., i_N)`` to row ``i_mode``
   and column ``sum_{k != mode} i_k * prod_{m < k, m != mode} I_m``
   (0-based): the remaining modes are enumerated first-remaining-mode
-  fastest.  ``fold`` is the exact inverse under the same convention.
-  This Fortran-order convention governs only ``matricize``, ``fold`` and
-  ``vec``: mode products contract the named axis directly and never
-  matricize.
+  fastest.  This Fortran-order convention governs only ``matricize``:
+  mode products contract the named axis directly and never matricize.
 * Mode products view a C-ordered input as a stack of matrices and contract
   with one matrix product, so they copy no C-contiguous input and always
   return C-contiguous arrays; elementwise work against other C-ordered
@@ -37,11 +35,6 @@ def _check_mode(mode: int, ndim: int) -> None:
         raise ValueError(f"mode {mode} out of range for a {ndim}-way tensor")
 
 
-def vec(t: np.ndarray) -> np.ndarray:
-    """Vectorize a tensor in first-mode-fastest (Fortran) order."""
-    return np.asarray(t, dtype=float).ravel(order="F")
-
-
 def matricize(t: np.ndarray, mode: int) -> np.ndarray:
     """Mode-``mode`` matricization of a dense tensor.
 
@@ -51,21 +44,6 @@ def matricize(t: np.ndarray, mode: int) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     _check_mode(mode, t.ndim)
     return np.moveaxis(t, mode, 0).reshape((t.shape[mode], -1), order="F")
-
-
-def fold(m: np.ndarray, mode: int, shape: tuple[int, ...]) -> np.ndarray:
-    """Inverse of :func:`matricize` for the target ``shape``."""
-    m = np.asarray(m, dtype=float)
-    shape = tuple(int(s) for s in shape)
-    _check_mode(mode, len(shape))
-    rest = [shape[k] for k in range(len(shape)) if k != mode]
-    expected = (shape[mode], math.prod(rest) if rest else 1)
-    if m.shape != expected:
-        raise ValueError(
-            f"cannot fold a {m.shape} matrix into shape {shape} along mode "
-            f"{mode}; expected a {expected} matrix"
-        )
-    return np.moveaxis(m.reshape([shape[mode]] + rest, order="F"), 0, mode)
 
 
 def n_mode_product(

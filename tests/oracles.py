@@ -1,15 +1,23 @@
 """Independent brute-force reference implementations used by the tests.
 
 Everything here is written as plain index loops straight from the
-defining formulas, deliberately sharing no code with the package.
+defining formulas, deliberately sharing no code with the package.  The
+exception is the last section: helpers that only the tests call, kept
+here rather than in the package (``vec``, ``fold``, ``similarity_ones``,
+``neighbors`` and ``smoothing_weights``).
 """
 
 import itertools
+import logging
 import math
 import re
 from pathlib import Path
 
 import numpy as np
+
+from dcot.losses import ObservationSet
+from dcot.similarity import ModeSimilarity, SimilarityModel, _check_omega
+from dcot.tensor import _check_mode
 
 
 def col_index(idx, mode, shape):
@@ -369,3 +377,81 @@ def _coo_first_fault(path, lines, start, dims):
             )
         seen[idx] = lineno
     return None
+
+
+# ---------------------------------------------------------------------------
+# Test-only helpers over the package's own data structures.
+
+log = logging.getLogger("dcot.similarity")
+
+
+def vec(t: np.ndarray) -> np.ndarray:
+    """Vectorize a tensor in first-mode-fastest (Fortran) order."""
+    return np.asarray(t, dtype=float).ravel(order="F")
+
+
+def fold(m: np.ndarray, mode: int, shape: tuple[int, ...]) -> np.ndarray:
+    """Inverse of ``dcot.tensor.matricize`` for the target ``shape``."""
+    m = np.asarray(m, dtype=float)
+    shape = tuple(int(s) for s in shape)
+    _check_mode(mode, len(shape))
+    rest = [shape[k] for k in range(len(shape)) if k != mode]
+    expected = (shape[mode], math.prod(rest) if rest else 1)
+    if m.shape != expected:
+        raise ValueError(
+            f"cannot fold a {m.shape} matrix into shape {shape} along mode "
+            f"{mode}; expected a {expected} matrix"
+        )
+    return np.moveaxis(m.reshape([shape[mode]] + rest, order="F"), 0, mode)
+
+
+def similarity_ones(shape, normalized: bool = True, cap: int = 32) -> SimilarityModel:
+    """Uniform weights: every observed source counts equally."""
+    modes = [
+        ModeSimilarity(s=np.ones((int(n), int(n))), c=np.ones((int(n), int(n))))
+        for n in shape
+    ]
+    return SimilarityModel(per_mode=modes, neighbor_cap=cap, normalized=normalized)
+
+
+def neighbors(sim: SimilarityModel, mode: int, index: int) -> tuple[np.ndarray, np.ndarray]:
+    """Retained neighbor indices and factors, sorted by descending weight."""
+    row = sim._factors[mode][index]
+    nz = np.flatnonzero(row > 0)
+    order = np.lexsort((nz, -row[nz]))
+    return nz[order], row[nz][order]
+
+
+def smoothing_weights(
+    sim: SimilarityModel, target, omega: ObservationSet
+) -> list[tuple[tuple[int, ...], float]]:
+    """Weights of the observed sources for one target cell.
+
+    Returns ``(source index, weight)`` pairs for the sources with nonzero
+    weight, normalized to sum to one when the model is normalized.  A
+    target whose every raw weight vanishes falls back to weight one on its
+    own entry when observed, otherwise to uniform weights over the
+    observed set (logged).
+    """
+    _check_omega(sim, omega)
+    target = tuple(int(i) for i in target)
+    if len(target) != len(sim.shape) or any(
+        not 0 <= t < s for t, s in zip(target, sim.shape)
+    ):
+        raise ValueError(f"target {target} out of range for shape {sim.shape}")
+    w = np.ones(len(omega))
+    for mode, f in enumerate(sim._factors):
+        w = w * f[target[mode], omega.indices[:, mode]]
+    total = w.sum()
+    if total <= 0.0:
+        log.info("degenerate smoothing weights at target %s; using fallback", target)
+        own = np.flatnonzero((omega.indices == np.array(target)).all(axis=1))
+        w = np.zeros(len(omega))
+        if own.size:
+            w[own[0]] = 1.0
+        else:
+            w[:] = 1.0 / len(omega)
+    elif sim.normalized:
+        w = w / total
+    keep = np.flatnonzero(w > 0)
+    return [(tuple(int(v) for v in omega.indices[j]), float(w[j])) for j in keep]

@@ -576,6 +576,10 @@ class TestCliPipeline:
         assert len(report) == 3
         summary = json.loads((tmp_path / "grid_out" / "summary.json").read_text())
         assert "OPENBLAS_NUM_THREADS" in summary["blas"]["threads"]
+        # the parsed sections, as complete echoes them (modes 0-based)
+        echoed = summary["effective_config"]
+        assert echoed["partition"]["mode"] == 0 and echoed["similarity"] is None
+        assert echoed["init"] == {"kind": "hosvd", "seed": 7}
 
     def test_evaluate_exact_is_zero(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -843,15 +847,66 @@ class TestCliErrors:
         assert error["kind"] == "config" and key in error["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, section, value, name", [
+        ("complete", "partition", {"mode": 1, "groups": [[1.7, 2]]}, "partition.groups[0]"),
+        ("complete", "partition", {"mode": 1, "groups": [["1", 2]]}, "partition.groups[0]"),
+        ("complete", "partition", {"mode": 1, "groups": [[True, 2]]}, "partition.groups[0]"),
+        ("grid-search", "grid", {"lambdas": [1e-2], "blocks": ["q"]}, "grid.blocks[0]"),
+        ("grid-search", "grid", {"lambdas": [1e-2], "blocks": []}, "grid.blocks"),
+        ("grid-search", "grid", {"lambdas": [1e-2], "blocks": [1]}, "grid.blocks[0]"),
+        ("grid-search", "grid", {"lambdas": [1e-2], "blocks": ["g", "g"]}, "grid.blocks"),
+        ("grid-search", "grid", {"lambdas": "abc"}, "grid.lambdas"),
+        ("grid-search", "grid", {"lambdas": [[0.1]]}, "grid.lambdas[0]"),
+        ("grid-search", "grid", {"lambdas": []}, "grid.lambdas"),
+        ("complete", "output", 3, "output"),
+        ("complete", "seed", 1.5, "seed"),
+        ("complete", "seed", "x", "seed"),
+        ("evaluate", "evaluate", {"estimate": "synth_out/truth.dct", "run_dir": "synth_out",
+                                  "reference": "synth_out/observed.coo"}, "run_dir"),
+    ], ids=["groups-float", "groups-str", "groups-bool", "blocks-unknown", "blocks-empty",
+            "blocks-int", "blocks-twice", "lambdas-str", "lambdas-nested", "lambdas-empty",
+            "output-int", "seed-float", "seed-str", "estimate-and-run_dir"])
+    def test_wrong_typed_value_rejected(self, tmp_path, monkeypatch, capsys, command,
+                                        section, value, name):
+        # each once ran to exit 0 with another meaning, or crashed; the run
+        # below is otherwise valid
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(tmp_path, "synth", synth_config()) == 0
+        cfg = {"output": "run_out"} if command == "evaluate" else fit_config(
+            "run_out", max_iters=5)
+        if command == "grid-search":
+            cfg["split"] = {"train_fraction": 0.8}
+        capsys.readouterr()
+        cfg[section] = value
+        assert run_cli(tmp_path, command, cfg) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["kind"] == "config" and name in error["message"]
+        assert not (tmp_path / "run_out").exists()
+
+    def test_grid_search_with_every_point_aborting_is_a_solver_error(
+            self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(tmp_path, "synth", synth_config()) == 0
+        cfg = fit_config("run_out")
+        cfg["solver"] = {"gamma": 1e-12, "rho_factors": [1e-9, 1e-9, 1e-9]}
+        cfg["grid"] = {"lambdas": [1e-4, 1e-2]}
+        cfg["split"] = {"train_fraction": 0.8}
+        capsys.readouterr()
+        assert run_cli(tmp_path, "grid-search", cfg) == 3
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == {"kind": "solver", "code": 3,
+                         "message": "all grid evaluations failed"}
+        assert not (tmp_path / "run_out").exists()
+
     def test_synth_keys_match_spec_fields(self):
-        from dcot.cli import _SECTION_KEYS
+        from dcot.cli import _SCHEMA
         from dcot.evaluate import SynthSpec
 
         fields = {f.name for f in dataclasses.fields(SynthSpec)}
-        assert set(_SECTION_KEYS["synth"]) == fields
+        assert set(_SCHEMA["synth"]) == fields
 
     def test_readme_lists_every_section_key(self):
-        from dcot.cli import _SECTION_KEYS
+        from dcot.cli import _SCHEMA
 
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         table = readme.split("| section | keys | notes |", 1)[1].split("\n\n")[0]
@@ -860,23 +915,27 @@ class TestCliErrors:
             cells = row.split("|")
             section = re.findall(r"`(\w+)`", cells[1])[0]
             documented[section] = sorted(re.findall(r"`(\w+)`", cells[2]))
-        assert documented == {k: sorted(v) for k, v in _SECTION_KEYS.items()}
+        assert documented == {k: sorted(v) for k, v in _SCHEMA.items() if k != "solver"}
 
     def test_solver_keys_match_config_fields(self):
-        from dcot.cli import _SOLVER_KEYS
+        from dcot.cli import _SCHEMA
         from dcot.solver import SolverConfig
 
         fields = {f.name for f in dataclasses.fields(SolverConfig)} - {"penalties"}
-        assert set(_SOLVER_KEYS) == fields
+        assert set(_SCHEMA["solver"]) == fields
+        # the table's defaults are the dataclass's
+        assert {k: d for k, (_, d) in _SCHEMA["solver"].items()} == {
+            f.name: f.default for f in dataclasses.fields(SolverConfig)
+            if f.name != "penalties"}
 
     def test_readme_lists_every_solver_key(self):
-        from dcot.cli import _SOLVER_KEYS
+        from dcot.cli import _SCHEMA
 
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         table = readme.split('Every key of the `"solver"` object', 1)[1].split("\n\n")[1]
         documented = re.findall(r"`(\w+)`", "".join(
             row.split("|")[1] for row in table.splitlines()[2:]))
-        assert sorted(documented) == sorted(_SOLVER_KEYS)
+        assert sorted(documented) == sorted(_SCHEMA["solver"])
 
     def test_group_lasso_groups_from_partition(self):
         from dcot.cli import _parse_penalties

@@ -19,7 +19,6 @@ from dcot.similarity import (
     SimilarityModel,
     mode_similarity,
     smoothing_moments,
-    smoothing_weights,
 )
 
 
@@ -83,7 +82,7 @@ class TestLossValue:
         x = rng.standard_normal(shape)
         omega = ObservationSet.from_dense(x)
         # uniform weights over observations
-        mom = smoothing_moments(SimilarityModel.ones(shape), omega)
+        mom = smoothing_moments(oracles.similarity_ones(shape), omega)
         z = np.full(shape, x.mean())
         value = loss_value(LossFamily("gaussian"), mom, z)
         assert np.isclose(value, x.var())
@@ -112,7 +111,7 @@ class TestLossValue:
         z = rng.standard_normal(shape)
         total = 0.0
         for t in np.ndindex(shape):
-            for j, w in smoothing_weights(sim, t, omega):
+            for j, w in oracles.smoothing_weights(sim, t, omega):
                 total += w * (z[t] - x[j]) ** 2
         got = loss_value(LossFamily("gaussian"), mom, z)
         assert got == pytest.approx(total / x.size, rel=1e-12)
@@ -121,7 +120,7 @@ class TestLossValue:
         shape = (2, 3)
         x = (rng.random(shape) > 0.5).astype(float)
         omega = ObservationSet.from_dense(x)
-        mom = smoothing_moments(SimilarityModel.ones(shape), omega)
+        mom = smoothing_moments(oracles.similarity_ones(shape), omega)
         value = loss_value(LossFamily("bernoulli"), mom, np.zeros(shape))
         assert np.isclose(value, np.log(2.0) - x.mean() * 0.0 + 0.0 - (0.0))
         assert np.isclose(value, np.log(2.0))
@@ -130,7 +129,7 @@ class TestLossValue:
         shape = (2, 2)
         x = np.full(shape, 3.0)
         omega = ObservationSet.from_dense(x)
-        mom = smoothing_moments(SimilarityModel.ones(shape), omega)
+        mom = smoothing_moments(oracles.similarity_ones(shape), omega)
         value = loss_value(LossFamily("poisson"), mom, np.full(shape, 3.0))
         assert np.isclose(value, 3.0 - 3.0 * np.log(3.0))
 
@@ -245,7 +244,7 @@ class TestLossLipschitz:
         shape = (3, 3)
         x = rng.standard_normal(shape)
         omega = ObservationSet.from_dense(x)
-        ones = SimilarityModel.ones(shape, normalized=False)
+        ones = oracles.similarity_ones(shape, normalized=False)
         half_modes = [
             type(m)(s=0.5 * m.s, c=m.c) for m in ones.per_mode[:1]
         ] + ones.per_mode[1:]

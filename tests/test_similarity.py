@@ -13,7 +13,6 @@ from dcot.similarity import (
     label_consistency,
     mode_similarity,
     smoothing_moments,
-    smoothing_weights,
 )
 
 
@@ -98,10 +97,10 @@ class TestLabelConsistency:
 class TestSmoothingWeights:
     def test_uniform_when_all_ones(self, rng):
         shape = (3, 4)
-        sim = SimilarityModel.ones(shape)
+        sim = oracles.similarity_ones(shape)
         x = rng.standard_normal(shape)
         omega = ObservationSet.from_dense(x)
-        w = smoothing_weights(sim, (1, 2), omega)
+        w = oracles.smoothing_weights(sim, (1, 2), omega)
         assert len(w) == 12
         assert all(np.isclose(wt, 1.0 / 12) for _, wt in w)
 
@@ -113,7 +112,7 @@ class TestSmoothingWeights:
         ]
         sim = SimilarityModel(per_mode=modes)
         omega = ObservationSet.from_dense(rng.standard_normal(shape))
-        weights = dict(smoothing_weights(sim, (0, 0), omega))
+        weights = dict(oracles.smoothing_weights(sim, (0, 0), omega))
         assert (1, 0) not in weights
         assert (1, 1) not in weights
 
@@ -127,7 +126,7 @@ class TestSmoothingWeights:
         ]
         sim = SimilarityModel(per_mode=modes)
         omega = ObservationSet.from_entries([((0, 0), 1.0), ((1, 1), 2.0)], (2, 2))
-        got = dict(smoothing_weights(sim, (0, 0), omega))
+        got = dict(oracles.smoothing_weights(sim, (0, 0), omega))
         assert np.isclose(got[(1, 1)], 0.2)
         assert np.isclose(got[(0, 0)], 0.8)
 
@@ -140,7 +139,7 @@ class TestSmoothingWeights:
         mask.flat[0] = True
         omega = ObservationSet.from_dense(x, mask)
         for target in [(0, 0, 0), (3, 2, 1), (1, 1, 1)]:
-            w = smoothing_weights(sim, target, omega)
+            w = oracles.smoothing_weights(sim, target, omega)
             assert abs(sum(wt for _, wt in w) - 1.0) <= 1e-10
 
     def test_raw_weight_symmetry_under_truncation(self, rng):
@@ -152,15 +151,15 @@ class TestSmoothingWeights:
         )
         omega = ObservationSet.from_dense(rng.standard_normal(shape))
         for a, b in [((0, 1), (3, 4)), ((2, 2), (5, 0)), ((1, 5), (4, 3))]:
-            wa = dict(smoothing_weights(sim, a, omega)).get(b, 0.0)
-            wb = dict(smoothing_weights(sim, b, omega)).get(a, 0.0)
+            wa = dict(oracles.smoothing_weights(sim, a, omega)).get(b, 0.0)
+            wb = dict(oracles.smoothing_weights(sim, b, omega)).get(a, 0.0)
             assert np.isclose(wa, wb)
 
     def test_neighbor_cap_respected(self, rng):
         feats = rng.standard_normal((10, 2))
         sim = SimilarityModel(per_mode=[mode_similarity(feats)], neighbor_cap=4)
         for i in range(10):
-            idx, vals = sim.neighbors(0, i)
+            idx, vals = oracles.neighbors(sim, 0, i)
             assert len(idx) <= 4
             assert np.all(np.diff(vals) <= 0)
 
@@ -169,7 +168,7 @@ class TestSmoothingWeights:
         shape = (3, 3)
         sim = SimilarityModel.neutral(shape)
         omega = ObservationSet.from_entries([((0, 0), 2.0), ((1, 1), 4.0)], shape)
-        w = smoothing_weights(sim, (2, 2), omega)
+        w = oracles.smoothing_weights(sim, (2, 2), omega)
         assert len(w) == 2
         assert all(np.isclose(wt, 0.5) for _, wt in w)
 
@@ -177,20 +176,20 @@ class TestSmoothingWeights:
         shape = (3, 3)
         sim = SimilarityModel.neutral(shape)
         omega = ObservationSet.from_entries([((0, 0), 2.0), ((1, 1), 4.0)], shape)
-        w = dict(smoothing_weights(sim, (1, 1), omega))
+        w = dict(oracles.smoothing_weights(sim, (1, 1), omega))
         assert np.isclose(w[(1, 1)], 1.0)
 
     def test_target_out_of_range(self):
         sim = SimilarityModel.neutral((2, 2))
         omega = ObservationSet.from_entries([((0, 0), 1.0)], (2, 2))
         with pytest.raises(ValueError):
-            smoothing_weights(sim, (2, 0), omega)
+            oracles.smoothing_weights(sim, (2, 0), omega)
 
     def test_empty_omega_error(self):
         sim = SimilarityModel.neutral((2, 2))
         omega = ObservationSet(np.zeros((0, 2), dtype=int), np.zeros(0), (2, 2))
         with pytest.raises(ValueError):
-            smoothing_weights(sim, (0, 0), omega)
+            oracles.smoothing_weights(sim, (0, 0), omega)
 
 
 class TestSmoothingMoments:
@@ -206,7 +205,7 @@ class TestSmoothingMoments:
         omega = ObservationSet.from_dense(x, mask)
         mom = smoothing_moments(sim, omega)
         for target in [(0, 0, 0), (2, 1, 1), (1, 0, 1)]:
-            pairs = smoothing_weights(sim, target, omega)
+            pairs = oracles.smoothing_weights(sim, target, omega)
             w = sum(wt for _, wt in pairs)
             m = sum(wt * x[idx] for idx, wt in pairs)
             weight_sum = np.broadcast_to(mom.weight_sum, shape)

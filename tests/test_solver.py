@@ -290,7 +290,7 @@ class TestUpdateZ:
         else:
             x = rng.standard_normal(shape)
         omega = ObservationSet.from_dense(x)
-        mom = smoothing_moments(SimilarityModel.ones(shape), omega)
+        mom = smoothing_moments(oracles.similarity_ones(shape), omega)
         return model, z, y, omega, mom
 
     def test_gamma_to_infinity_limit(self, rng):
