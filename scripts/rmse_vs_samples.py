@@ -16,10 +16,10 @@ import sys
 import numpy as np
 
 from dcot.evaluate import SynthSpec, complement_set, rmse, synthesize
-from dcot.losses import LossFamily
+from dcot.losses import LossFamily, initial_fill
 from dcot.model import InitStrategy, SliceGroup, SubjectPartition, initial_model, reconstruct
 from dcot.similarity import SimilarityModel, mode_similarity
-from dcot.solver import SolverConfig, initial_fill, solve
+from dcot.solver import SolverConfig, solve
 
 
 def informative_similarity(data, lo=0.02, hi=0.2):

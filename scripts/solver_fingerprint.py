@@ -49,12 +49,12 @@ import numpy as np
 
 from dcot.cli import main as cli_main
 from dcot.evaluate import SynthSpec, synthesize
-from dcot.losses import LossFamily
+from dcot.losses import LossFamily, initial_fill
 from dcot.model import InitStrategy, SliceGroup, SubjectPartition, initial_model
 from dcot.prox import Penalty
 from dcot.similarity import SimilarityModel
 from dcot.solver import (
-    BlockPenalties, ConvergenceTrace, SolverAbort, SolverConfig, initial_fill, solve,
+    BlockPenalties, ConvergenceTrace, SolverAbort, SolverConfig, solve,
 )
 
 # (shape, ranks, partition) of the planted problems

@@ -11,6 +11,7 @@ from .losses import (
     DomainError,
     LossFamily,
     ObservationSet,
+    initial_fill,
     loss_curvature,
     loss_curvature_min,
     loss_gradient,
@@ -45,7 +46,6 @@ from .solver import (
     core_gradient,
     estimate_moduli,
     factor_gradient,
-    initial_fill,
     lagrangian_value,
     newton_z,
     solve,

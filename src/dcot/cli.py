@@ -32,7 +32,7 @@ from .evaluate import (
     rmse,
     synthesize,
 )
-from .losses import LossFamily, ObservationSet
+from .losses import LossFamily, initial_fill
 from .model import (
     DcotModel,
     InitStrategy,
@@ -43,7 +43,7 @@ from .model import (
 )
 from .prox import Penalty
 from .similarity import SimilarityModel, mode_similarity
-from .solver import BlockPenalties, SolverAbort, SolverConfig, initial_fill, solve
+from .solver import BlockPenalties, SolverAbort, SolverConfig, solve
 
 EXIT_OK, EXIT_CONFIG, EXIT_SOLVER, EXIT_IO = 0, 2, 3, 4
 
@@ -114,8 +114,16 @@ class _Section(_Check):
         return _read(value, _SCHEMA[self.section], name)
 
 
+def _finite_number(v) -> bool:
+    # json reads NaN and +-Infinity; an int too large for a float is not finite
+    try:
+        return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 _INT = _type("an integer", int)
-_NUMBER = _type("a number", int, float)
+_NUMBER = _Check("a finite number", _finite_number)
 _STR = _type("a string", str)
 _BOOL = _type("true or false", bool)
 _NULL = _Check("null", lambda v: v is None)
@@ -152,7 +160,6 @@ _SCHEMA = {
     },
     "data": {
         "observations": (_STR, _REQUIRED),
-        "format": (_choice("coo", "dense"), None),
     },
     "synth": {
         "shape": (_List(_INT), _REQUIRED),
@@ -214,12 +221,13 @@ _SCHEMA = {
     },
 }
 
-_FIT_KEYS = ("data", "family", "ranks", "output")
-_FIT_OPTIONAL = ("partition", "similarity", "penalties", "solver", "init", "seed")
+_FIT_KEYS = ("data", "family", "ranks")
+_FIT_OPTIONAL = ("partition", "similarity", "penalties", "solver", "init", "seed", "output")
 
-# command -> (required, optional) top-level keys
+# command -> (required, optional) top-level keys; main also requires an
+# output directory ("output" or --output) of every command but evaluate
 _TOP_KEYS = {
-    "synth": (("synth", "output"), ("seed",)),
+    "synth": (("synth",), ("seed", "output")),
     "factorize": (_FIT_KEYS, _FIT_OPTIONAL),
     "complete": (_FIT_KEYS, _FIT_OPTIONAL),
     "evaluate": (("evaluate",), ("output", "seed")),
@@ -286,7 +294,7 @@ def _parse_similarity(sec, shape, base: Path) -> tuple[SimilarityModel, dict | N
     if len(sec["features"]) != len(shape) or len(sec["labels"]) != len(shape):
         raise io.ConfigError("similarity: need one features/labels entry per mode")
     bandwidths = sec["bandwidths"]
-    if bandwidths is not None and not all(math.isfinite(h) and h > 0 for h in bandwidths):
+    if bandwidths is not None and not all(h > 0 for h in bandwidths):
         raise io.ConfigError("similarity.bandwidths: expected positive numbers")
     per_mode = []
     for n, (fpath, lpath) in enumerate(zip(sec["features"], sec["labels"])):
@@ -333,9 +341,11 @@ def _parse_penalties(sec, ranks, partition) -> BlockPenalties:
     return BlockPenalties(**blocks)
 
 
-def _parse_solver(sec, penalties: BlockPenalties) -> SolverConfig:
+def _parse_solver(sec, penalties: BlockPenalties, n_modes: int) -> SolverConfig:
     sec = dict(sec or {})
     if sec.get("rho_factors") is not None:
+        if len(sec["rho_factors"]) != n_modes:
+            raise io.ConfigError(f"solver.rho_factors: need one modulus per mode ({n_modes})")
         sec["rho_factors"] = tuple(float(v) for v in sec["rho_factors"])
     return _in_section("solver", SolverConfig, penalties=penalties, **sec)
 
@@ -410,17 +420,14 @@ def _cmd_synth(cfg: dict, out_dir: Path, seed: int, base: Path) -> dict:
     return summary
 
 
-def _load_problem(cfg: dict, base: Path, seed: int, default_format: str):
+def _load_problem(cfg: dict, base: Path, seed: int):
     """The observations, the similarity model and the effective config.
 
     The effective config holds the parsed family, ranks, partition,
     similarity section, init strategy, seed and solver config.
     """
     family = _in_section("family", LossFamily, cfg["family"])
-    data = cfg["data"]
-    omega = io.read_tensor(base / data["observations"], data["format"] or default_format)
-    if not isinstance(omega, ObservationSet):
-        omega = ObservationSet.from_dense(omega)
+    omega = io.read_tensor(base / cfg["data"]["observations"])
     family.validate_observations(omega)
     ranks = cfg["ranks"]
     if len(ranks) != len(omega.shape):
@@ -428,8 +435,9 @@ def _load_problem(cfg: dict, base: Path, seed: int, default_format: str):
     partition = _parse_partition(cfg["partition"], base)
     if partition is not None:
         _in_section("partition", partition.validate_shape, tuple(ranks))
-    sim, sim_section = _parse_similarity(cfg["similarity"], omega.shape, base)
     penalties = _parse_penalties(cfg["penalties"], ranks, partition)
+    solver = _parse_solver(cfg["solver"], penalties, len(ranks))
+    sim, sim_section = _parse_similarity(cfg["similarity"], omega.shape, base)
     init = cfg["init"] or _read({}, _SCHEMA["init"], "init")
     effective = {
         "family": family,
@@ -439,14 +447,14 @@ def _load_problem(cfg: dict, base: Path, seed: int, default_format: str):
         "init": _in_section("init", InitStrategy, init["kind"],
                             seed if init["seed"] is None else init["seed"]),
         "seed": seed,
-        "solver": _parse_solver(cfg["solver"], penalties),
+        "solver": solver,
     }
     return omega, sim, effective
 
 
-def _cmd_factorize(cfg: dict, out_dir: Path, seed: int, default_format: str,
-                   write_zhat: bool, base: Path) -> dict:
-    omega, sim, effective = _load_problem(cfg, base, seed, default_format)
+def _cmd_factorize(cfg: dict, out_dir: Path, seed: int, write_zhat: bool,
+                   base: Path) -> dict:
+    omega, sim, effective = _load_problem(cfg, base, seed)
     family, ranks = effective["family"], effective["ranks"]
     init = initial_model(omega.to_dense(initial_fill(omega, family)), ranks,
                          effective["init"], effective["partition"])
@@ -498,8 +506,7 @@ def _cmd_evaluate(cfg: dict, out_dir: Path | None, base: Path) -> dict:
     return summary
 
 
-def _cmd_grid(cfg: dict, out_dir: Path, seed: int, default_format: str,
-              workers: int, base: Path) -> dict:
+def _cmd_grid(cfg: dict, out_dir: Path, seed: int, workers: int, base: Path) -> dict:
     sec = cfg["split"]
     split = _in_section("split", SplitSpec, float(sec["train_fraction"]),
                         seed if sec["seed"] is None else sec["seed"])
@@ -508,7 +515,7 @@ def _cmd_grid(cfg: dict, out_dir: Path, seed: int, default_format: str,
         raise io.ConfigError(f"grid.blocks: a block is named twice in {list(blocks)}")
     lam = cfg["grid"]["lambdas"]
     lambdas = lambda_grid() if lam == "default" else np.asarray(lam, dtype=float)
-    omega, sim, effective = _load_problem(cfg, base, seed, default_format)
+    omega, sim, effective = _load_problem(cfg, base, seed)
     result = grid_search(
         omega, split, effective["family"], sim, effective["solver"], effective["ranks"],
         effective["init"], effective["partition"],
@@ -550,8 +557,6 @@ def main(argv=None) -> int:
     parser.add_argument("--threads", type=int, default=1,
                         help="worker pool size for grid-search")
     parser.add_argument("--seed", type=int, default=None, help="seed override")
-    parser.add_argument("--format", choices=("coo", "dense"), default="coo",
-                        help="default tensor format for data files")
     args = parser.parse_args(argv)
 
     level = os.environ.get("DCOT_LOG", "warning").upper()
@@ -561,18 +566,19 @@ def main(argv=None) -> int:
         cfg = _read_config(io.load_json(args.config), args.command)
         seed = args.seed if args.seed is not None else cfg["seed"]
         out = args.output if args.output is not None else cfg["output"]
+        if out is None and args.command != "evaluate":
+            raise io.ConfigError("config: missing required key 'output' (or --output)")
         out_dir = Path(out) if out is not None else None
 
         base = Path(args.config).resolve().parent
         if args.command == "synth":
             _cmd_synth(cfg, out_dir, seed, base)
         elif args.command in ("factorize", "complete"):
-            _cmd_factorize(cfg, out_dir, seed, args.format, args.command == "complete",
-                           base)
+            _cmd_factorize(cfg, out_dir, seed, args.command == "complete", base)
         elif args.command == "evaluate":
             _cmd_evaluate(cfg, out_dir, base)
         else:
-            _cmd_grid(cfg, out_dir, seed, args.format, max(1, args.threads), base)
+            _cmd_grid(cfg, out_dir, seed, max(1, args.threads), base)
         return EXIT_OK
     except io.ConfigError as exc:
         _emit_error("config", str(exc), EXIT_CONFIG)

@@ -16,10 +16,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .losses import LossFamily, ObservationSet
+from .losses import LossFamily, ObservationSet, initial_fill
 from .model import DcotModel, InitStrategy, SubjectPartition, initial_model, reconstruct
 from .similarity import SimilarityModel, mode_similarity
-from .solver import SolverAbort, SolverConfig, initial_fill, solve
+from .solver import SolverAbort, SolverConfig, solve
 
 log = logging.getLogger("dcot.evaluate")
 
@@ -110,6 +110,7 @@ class SynthSpec:
             raise ValueError("missing_fraction must lie in [0, 1)")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be nonnegative")
+        LossFamily(self.noise_family)
         if self.partition is not None:
             self.partition.validate_shape(self.ranks)
 
@@ -142,23 +143,23 @@ def synthesize(spec: SynthSpec) -> SynthData:
 
     The ground truth is the full reconstruction of the planted model (so
     ``reconstruct(planted)`` equals the truth bitwise).  The gaussian and
-    bernoulli families use random orthonormal factors; the positive
-    families (poisson, gamma) use nonnegative column-normalized factors
-    and nonnegative cores so the natural parameter stays in domain.
+    bernoulli families use random orthonormal factors; the bounded
+    families (``LossFamily.bounded``) use nonnegative column-normalized
+    factors and nonnegative cores so the natural parameter stays in domain.
     """
     rng = np.random.default_rng(spec.seed)
-    positive = spec.noise_family in ("poisson", "gamma")
+    family = LossFamily(spec.noise_family)
     factors, labels = [], []
     for n, size in enumerate(spec.shape):
         clusters = min(_LABEL_CLUSTERS, size)
         u, lab = _clustered_factor(
-            rng, size, spec.ranks[n], clusters, _FEATURE_JITTER, not positive
+            rng, size, spec.ranks[n], clusters, _FEATURE_JITTER, not family.bounded
         )
         factors.append(u)
         labels.append(lab)
     core_g = rng.standard_normal(spec.ranks)
     core_h = rng.standard_normal(spec.ranks)
-    if positive:
+    if family.bounded:
         core_g, core_h = np.abs(core_g), np.abs(core_h)
     from .model import tie_heterogeneous_core
 
@@ -180,17 +181,7 @@ def synthesize(spec: SynthSpec) -> SynthData:
     mask[kept] = True
     mask = mask.reshape(spec.shape)
 
-    mean = z_star[mask]
-    if spec.noise_family == "gaussian":
-        values = mean + spec.noise_sigma * rng.standard_normal(mean.shape)
-    elif spec.noise_family == "bernoulli":
-        values = rng.binomial(1, 1.0 / (1.0 + np.exp(-mean))).astype(float)
-    elif spec.noise_family == "poisson":
-        values = rng.poisson(mean).astype(float)
-    elif spec.noise_family == "gamma":
-        values = rng.gamma(shape=1.0, scale=np.maximum(mean, 1e-6))
-    else:
-        raise ValueError(f"unknown noise family {spec.noise_family!r}")
+    values = family.sample(rng, z_star[mask], spec.noise_sigma)
     observed = ObservationSet(np.argwhere(mask), values, spec.shape)
 
     per_mode = [

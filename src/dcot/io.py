@@ -19,7 +19,8 @@ All file formats use 1-based indices; conversion to the package's
   Written files sort entries lexicographically by index.
 * Dense binary (``.dct``): magic ``DCOT``, little-endian u32 version (1),
   u32 mode count, one u64 per mode size, then float64 entries in
-  first-mode-fastest order.
+  first-mode-fastest order.  :func:`read_tensor` tells a dense file from
+  COO text by the magic.
 * Feature files: one whitespace-separated float row per index.
 * Label files: one integer cluster id per line.
 * Partition files: ``mode = <m>``, optional ``fixed-mode = <m>``, then
@@ -75,6 +76,12 @@ def _decode(path: Path, data: bytes) -> str:
 def _read_text(path: Path) -> str:
     """The file's UTF-8 text; a failure to read or decode it is a DataIOError."""
     return _decode(path, _read_bytes(path))
+
+
+def _data_lines(path: Path) -> list[str]:
+    """The file's stripped lines that are neither blank nor ``#`` comments."""
+    return [line for line in map(str.strip, _read_text(path).splitlines())
+            if line and line[0] != "#"]
 
 
 def read_coo(path) -> ObservationSet:
@@ -290,25 +297,22 @@ def write_dense(t: np.ndarray, path) -> None:
         raise DataIOError(f"cannot write {path}: {exc}") from exc
 
 
-def read_tensor(path, format: str):
-    """Dispatch on ``format``: ``coo`` -> ObservationSet, ``dense`` -> ndarray."""
-    if format == "coo":
-        return read_coo(path)
-    if format == "dense":
-        return read_dense(path)
-    raise ConfigError(f"unknown tensor format {format!r}")
+def read_tensor(path) -> ObservationSet:
+    """Every cell of a file that starts with the ``DCOT`` magic, else the file read as COO."""
+    path = Path(path)
+    try:
+        with path.open("rb") as f:
+            dense = f.read(len(_MAGIC)) == _MAGIC
+    except OSError as exc:
+        raise DataIOError(f"cannot read {path}: {exc}") from exc
+    return ObservationSet.from_dense(read_dense(path)) if dense else read_coo(path)
 
 
 def read_features(path) -> np.ndarray:
     """One float feature row per index."""
     path = Path(path)
-    text = _read_text(path)
     try:
-        rows = [
-            [float(tok) for tok in line.split()]
-            for line in text.splitlines()
-            if line.strip() and not line.strip().startswith("#")
-        ]
+        rows = [[float(tok) for tok in line.split()] for line in _data_lines(path)]
     except ValueError as exc:
         raise DataIOError(f"{path}: unparseable feature value") from exc
     if not rows or len({len(r) for r in rows}) != 1:
@@ -324,13 +328,8 @@ def write_features(feats: np.ndarray, path) -> None:
 def read_labels(path) -> np.ndarray:
     """One integer cluster id per line."""
     path = Path(path)
-    text = _read_text(path)
     try:
-        vals = [
-            int(line.strip())
-            for line in text.splitlines()
-            if line.strip() and not line.strip().startswith("#")
-        ]
+        vals = [int(line) for line in _data_lines(path)]
     except ValueError as exc:
         raise DataIOError(f"{path}: labels must be integers") from exc
     if not vals:

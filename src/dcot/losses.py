@@ -23,6 +23,12 @@ problem as :class:`~dcot.similarity.Moments` by ``smoothing_moments``.
 Their shapes come from ``weighted_x``: the weight sums ``weight_sum`` only
 broadcast against it (a normalized similarity stores the size-one ``1.0``),
 and the array-valued functions return full data-shape arrays all the same.
+
+Every per-family rule lives here.  :class:`LossFamily` owns the family
+list, the observation domain, whether ``z`` is bounded below (``bounded``)
+and the synthetic noise draw (``sample``); :func:`initial_fill` gives the
+start value of unobserved cells.  The solver and ``synthesize`` ask these
+instead of comparing family names.
 """
 
 from __future__ import annotations
@@ -133,9 +139,31 @@ class LossFamily:
         if self.kind == "gamma" and np.any(v <= 0):
             raise DomainError("gamma observations must be strictly positive")
 
+    @property
+    def bounded(self) -> bool:
+        """Whether ``z`` must stay nonnegative (the solver keeps it above a floor)."""
+        return self.kind in ("poisson", "gamma")
+
     def check_domain(self, z: np.ndarray) -> None:
-        if self.kind in ("poisson", "gamma") and np.any(z < 0):
+        if self.bounded and np.any(z < 0):
             raise DomainError(f"{self.kind} loss requires z >= 0")
+
+    def sample(self, rng: np.random.Generator, mean: np.ndarray, sigma: float) -> np.ndarray:
+        """Observations drawn around ``mean`` (``sigma`` scales gaussian noise only)."""
+        if self.kind == "gaussian":
+            return mean + sigma * rng.standard_normal(mean.shape)
+        if self.kind == "bernoulli":
+            return rng.binomial(1, 1.0 / (1.0 + np.exp(-mean))).astype(float)
+        if self.kind == "poisson":
+            return rng.poisson(mean).astype(float)
+        return rng.gamma(shape=1.0, scale=np.maximum(mean, 1e-6))
+
+
+def initial_fill(omega: ObservationSet, family: LossFamily) -> float:
+    """Start value of unobserved cells (``z`` and the initial model's input)."""
+    if family.kind == "bernoulli" or not len(omega):
+        return 0.0
+    return float(omega.values.mean())
 
 
 def _checked(family: LossFamily, mom: Moments, z) -> np.ndarray:
@@ -229,9 +257,9 @@ def loss_lipschitz(
     """Upper bound on the Lipschitz constant of the loss gradient.
 
     The loss Hessian is diagonal, so the bound is the largest per-cell
-    curvature.  ``poisson`` and ``gamma`` curvatures blow up near zero, so
-    a positive lower bound ``z_min`` on the entries of ``z`` is required
-    for them.
+    curvature.  The bounded families' curvatures blow up near zero, so
+    they need a positive lower bound ``z_min`` on the entries of ``z``;
+    the others ignore it.
     """
     w, m1, count = mom.weight_sum, mom.weighted_x, mom.count
     if family.kind == "gaussian":

@@ -53,13 +53,14 @@ import functools
 import logging
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from .losses import (
     LossFamily,
     ObservationSet,
+    initial_fill,
     loss_curvature,
     loss_curvature_min,
     loss_gradient,
@@ -116,9 +117,9 @@ class SolverConfig:
     state block by block inside every sweep (stale moduli can understate
     the curvature when factor norms drift and send the sweep uphill).
     ``fixed_moduli`` pins them to the initial estimate for the whole run.
-    ``z_floor`` is the lower bound on ``z`` for the poisson and gamma
-    families; the z block itself has no knobs, since it is solved exactly
-    (see :func:`update_z`).
+    ``z_floor`` is the lower bound on ``z`` for the bounded families
+    (``LossFamily.bounded``); the z block itself has no knobs, since it is
+    solved exactly (see :func:`update_z`).
     """
 
     gamma: float = 0.0
@@ -171,17 +172,7 @@ class ConvergenceTrace:
     the same seeds produce byte-identical files.
     """
 
-    CSV_FIELDS = (
-        "iteration",
-        "lagrangian",
-        "loss",
-        "primal_residual",
-        "z_step",
-        "dual_step",
-        "factor_step",
-        "core_g_step",
-        "core_h_step",
-    )
+    CSV_FIELDS = tuple(f.name for f in fields(TraceRow) if f.name != "wall_time")
 
     def __init__(self):
         self.rows: list[TraceRow] = []
@@ -393,8 +384,7 @@ def newton_z(
             f"gamma {gamma:.3e} does not make the {family.kind} z subproblem "
             "strongly convex"
         )
-    bounded = family.kind in ("poisson", "gamma")
-    floor = z_floor if bounded else -np.inf
+    floor = z_floor if family.bounded else -np.inf
     scale = float(np.sqrt(np.mean(omega.values**2))) if len(omega) else 1.0
     tol = 1e-8 * max(1.0, scale)
     rounding = 8.0 * np.finfo(float).eps * gamma
@@ -548,8 +538,7 @@ def estimate_moduli(
     multiplied by ``lipschitz_safety`` and floored away from zero.
     Explicitly set moduli are kept.
     """
-    z_min = config.z_floor if family.kind in ("poisson", "gamma") else None
-    lf = loss_lipschitz(family, mom, z_min=z_min)
+    lf = loss_lipschitz(family, mom, z_min=config.z_floor)
     gamma = max(config.gamma, 2.0 * lf * 1.05)
     safety = config.lipschitz_safety
     u_norms = [_spectral_norm(u) for u in model.factors]
@@ -565,25 +554,6 @@ def estimate_moduli(
         rho_h=config.rho_h if config.rho_h is not None else rho_core,
         rho_factors=tuple(rho_factors),
     )
-
-
-def initial_fill(omega: ObservationSet, family: LossFamily) -> float:
-    """Start value of unobserved cells (``z`` and the initial model's input)."""
-    if family.kind == "bernoulli" or not len(omega):
-        return 0.0
-    return float(omega.values.mean())
-
-
-def _initial_z(omega: ObservationSet, family: LossFamily, z_floor: float) -> np.ndarray:
-    """Observed values with :func:`initial_fill` in the unobserved cells.
-
-    The positive families are projected onto their domain floor so the
-    first loss gradient (and the dual initialization) stays bounded.
-    """
-    z = omega.to_dense(initial_fill(omega, family))
-    if family.kind in ("poisson", "gamma"):
-        z = np.maximum(z, z_floor)
-    return z
 
 
 def solve(
@@ -612,7 +582,11 @@ def solve(
     for name, block in blocks:
         if not np.isfinite(block).all():
             raise ValueError(f"initial model {name} has non-finite values")
-    z = _initial_z(omega, family, config.z_floor)
+    # observed values, initial_fill elsewhere; a bounded family's z starts on
+    # its floor, so the first gradient (and the dual start) stays bounded
+    z = omega.to_dense(initial_fill(omega, family))
+    if family.bounded:
+        z = np.maximum(z, config.z_floor)
     u = loss_gradient(family, mom, z)
 
     cfg = estimate_moduli(model, config, family, mom)

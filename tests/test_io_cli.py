@@ -347,12 +347,19 @@ class TestDenseFormat:
             io.read_dense(path)
 
     def test_dispatch(self, tmp_path, rng):
-        t = rng.standard_normal((2, 2))
+        # the format is read from the file: the DCOT magic means dense, and
+        # every cell of a dense file is observed
+        t = rng.standard_normal((2, 3))
         path = tmp_path / "t.dct"
         io.write_dense(t, path)
-        assert np.array_equal(io.read_tensor(path, "dense"), t)
-        with pytest.raises(io.ConfigError):
-            io.read_tensor(path, "weird")
+        coo = tmp_path / "t.coo"
+        io.write_coo(ObservationSet.from_dense(t, mask=t > 0), coo)
+        dense, sparse = io.read_tensor(path), io.read_tensor(coo)
+        assert len(dense) == t.size and np.array_equal(dense.to_dense(), t)
+        assert np.array_equal(sparse.mask(), t > 0)
+        assert np.array_equal(sparse.to_dense(), np.where(t > 0, t, 0.0))
+        with pytest.raises(io.DataIOError, match="cannot read"):
+            io.read_tensor(tmp_path / "missing.dct")
 
 
 class TestPartitionFile:
@@ -630,21 +637,21 @@ class TestCliPipeline:
             "labels": [None, None, None], "bandwidths": None}
 
     def test_dense_format_data(self, tmp_path, monkeypatch):
-        # a fully observed dense tensor, named by the data key or by --format
+        # a dense data file is recognized by its magic bytes and taken as
+        # fully observed: the same run as on its COO form
         monkeypatch.chdir(tmp_path)
         run_cli(tmp_path, "synth", synth_config())
-        cfg = fit_config("run_key", max_iters=5)
-        cfg["data"] = {"observations": "synth_out/truth.dct", "format": "dense"}
-        assert run_cli(tmp_path, "complete", cfg) == 0
-        cfg = fit_config("run_flag", max_iters=5)
-        cfg["data"] = {"observations": "synth_out/truth.dct"}
-        assert run_cli(tmp_path, "complete", cfg, "--format", "dense") == 0
         truth = io.read_dense(tmp_path / "synth_out" / "truth.dct")
-        z_hat = io.read_dense(tmp_path / "run_key" / "z_hat.dct")
+        io.write_coo(ObservationSet.from_dense(truth), tmp_path / "truth.coo")
+        for run, path in (("run_dense", "synth_out/truth.dct"), ("run_coo", "truth.coo")):
+            cfg = fit_config(run, max_iters=5)
+            cfg["data"] = {"observations": path}
+            assert run_cli(tmp_path, "complete", cfg) == 0
+        z_hat = io.read_dense(tmp_path / "run_dense" / "z_hat.dct")
         assert z_hat.shape == truth.shape
         for name in ("trace.csv", "z_hat.dct"):
-            assert ((tmp_path / "run_key" / name).read_bytes()
-                    == (tmp_path / "run_flag" / name).read_bytes())
+            assert ((tmp_path / "run_dense" / name).read_bytes()
+                    == (tmp_path / "run_coo" / name).read_bytes())
 
     def test_grid_search_threads_same_report(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -823,10 +830,12 @@ class TestCliErrors:
          "feature_jitter"),
         ("grid-search", "grid", {"lambdas": [1e-2], "blocks": ["g"], "per_block": True},
          "per_block"),
+        ("complete", "data", {"observations": "synth_out/observed.coo", "format": "coo"},
+         "format"),
     ], ids=["family-object", "cap", "normalized", "kernel", "xi", "label_same",
             "label_diff", "kind-neutral", "kind-ones", "null-features", "fixed_mode",
             "group-object", "mix", "group-lists", "factor-list", "label_clusters",
-            "feature_jitter", "per_block"])
+            "feature_jitter", "per_block", "data-format"])
     def test_removed_config_keys_rejected(self, tmp_path, monkeypatch, capsys,
                                           command, section, value, key):
         # each was accepted once; the run below is otherwise valid
@@ -882,6 +891,72 @@ class TestCliErrors:
         error = json.loads(capsys.readouterr().err)["error"]
         assert error["kind"] == "config" and name in error["message"]
         assert not (tmp_path / "run_out").exists()
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("solver", "rho_g", float("inf")),
+        ("solver", "gamma", float("nan")),
+        ("solver", "gamma", float("-inf")),
+        ("penalties", "g.weight", float("nan")),
+    ], ids=["rho_g-Infinity", "gamma-NaN", "gamma--Infinity", "weight-NaN"])
+    def test_non_finite_number_rejected(self, tmp_path, monkeypatch, capsys, section,
+                                        key, value):
+        # json reads NaN and +-Infinity; each once ran, aborted the solve or
+        # named another key
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(tmp_path, "synth", synth_config()) == 0
+        cfg = fit_config("run_out", max_iters=5)
+        if section == "penalties":
+            cfg["penalties"] = {"g": {"kind": "l1", "weight": value}}
+        else:
+            cfg["solver"][key] = value
+        capsys.readouterr()
+        assert run_cli(tmp_path, "complete", cfg) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["kind"] == "config"
+        assert error["message"].startswith(f"{section}.{key}: expected a finite number")
+        assert not (tmp_path / "run_out").exists()
+
+    def test_rho_factors_length_checked_before_similarity_files(
+            self, tmp_path, monkeypatch, capsys):
+        # the similarity's feature files do not exist: the length check comes first
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(tmp_path, "synth", synth_config()) == 0
+        cfg = fit_config("run_out", max_iters=5, similarity={
+            "features": [f"nowhere/features_mode{n}.txt" for n in (1, 2, 3)]})
+        cfg["solver"]["rho_factors"] = [1.0, 2.0]
+        capsys.readouterr()
+        assert run_cli(tmp_path, "complete", cfg) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["kind"] == "config"
+        assert error["message"].startswith("solver.rho_factors:")
+        assert not (tmp_path / "run_out").exists()
+
+    @pytest.mark.parametrize("command", ["synth", "complete"])
+    def test_output_flag_stands_in_for_the_output_key(self, tmp_path, monkeypatch,
+                                                      capsys, command):
+        monkeypatch.chdir(tmp_path)
+        if command == "synth":
+            cfg = synth_config()
+        else:
+            assert run_cli(tmp_path, "synth", synth_config()) == 0
+            cfg = fit_config("unused", max_iters=5)
+        del cfg["output"]
+        capsys.readouterr()
+        assert run_cli(tmp_path, command, cfg) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["kind"] == "config" and "'output'" in error["message"]
+        assert run_cli(tmp_path, command, cfg, "--output", "flag_out") == 0
+        assert (tmp_path / "flag_out" / "summary.json").exists()
+
+    def test_unknown_noise_family_names_synth(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        cfg = synth_config()
+        cfg["synth"]["noise_family"] = "weibull"
+        assert run_cli(tmp_path, "synth", cfg) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["kind"] == "config"
+        assert error["message"].startswith("synth: unknown family 'weibull'")
+        assert not (tmp_path / "synth_out").exists()
 
     def test_grid_search_with_every_point_aborting_is_a_solver_error(
             self, tmp_path, monkeypatch, capsys):

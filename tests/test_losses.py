@@ -76,6 +76,36 @@ class TestObservationSet:
             LossFamily("gamma").validate_observations(neg)
 
 
+def sample_oracle(kind, rng, mean, sigma):
+    """The noise draw ``synthesize`` made before the families owned it."""
+    if kind == "gaussian":
+        return mean + sigma * rng.standard_normal(mean.shape)
+    if kind == "bernoulli":
+        return rng.binomial(1, 1.0 / (1.0 + np.exp(-mean))).astype(float)
+    if kind == "poisson":
+        return rng.poisson(mean).astype(float)
+    return rng.gamma(shape=1.0, scale=np.maximum(mean, 1e-6))
+
+
+FAMILIES = ["gaussian", "bernoulli", "poisson", "gamma"]
+
+
+class TestFamilyRules:
+    def test_bounded_families(self):
+        assert [k for k in FAMILIES if LossFamily(k).bounded] == ["poisson", "gamma"]
+
+    @pytest.mark.parametrize("kind", FAMILIES)
+    def test_sample_is_the_old_draw_bitwise(self, kind):
+        mean = np.abs(np.random.default_rng(3).standard_normal((4, 5))) + 0.1
+        rng_new, rng_old = np.random.default_rng(9), np.random.default_rng(9)
+        got = LossFamily(kind).sample(rng_new, mean, 0.3)
+        want = sample_oracle(kind, rng_old, mean, 0.3)
+        assert got.tobytes() == want.tobytes()
+        # the same RNG calls: both generators end in the same state
+        assert rng_new.bit_generator.state == rng_old.bit_generator.state
+        LossFamily(kind).validate_observations(ObservationSet.from_dense(got))
+
+
 class TestLossValue:
     def test_gaussian_at_mean_is_variance(self, rng):
         shape = (3, 3)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from dcot.losses import LossFamily, ObservationSet, loss_gradient, loss_value
+from dcot.losses import LossFamily, ObservationSet, initial_fill, loss_gradient, loss_value
 from dcot.model import (
     DcotModel,
     InitStrategy,
@@ -26,7 +26,6 @@ from dcot.solver import (
     core_gradient,
     estimate_moduli,
     factor_gradient,
-    initial_fill,
     lagrangian_value,
     newton_z,
     solve,
