@@ -10,13 +10,13 @@ gamma with ``z_floor=1e-2`` -- and the gaussian default on a planted 4-way
 8 x 7 x 6 x 5 problem (ranks (2, 3, 2, 2), mode-4 slices 0 and 1 tied at
 mode-1 index 1), which covers the solver's chain of mode products for
 ``N != 3``; the gaussian default on the 12^3 problem with the neutral
-similarity (every unobserved cell a degenerate target) and with the kernel
-similarity unnormalized (a full weight-sum tensor); plus two ``dcot synth`` +
-``dcot complete`` runs with kernel similarity, hashed over ``observed.coo``
-(so the same check covers the COO writer and reader), ``trace.csv`` and
-``z_hat.dct``: one reads the written file as it is, which the reader
-streams, the other first rewrites it with a comment line, blank lines and
-CRLF line ends, which the reader parses from the whole text.  A solve
+similarity (every unobserved cell a degenerate target); plus two
+``dcot synth`` + ``dcot complete`` runs with kernel similarity, hashed
+over ``observed.coo`` (so the same check covers the COO writer and
+reader), ``trace.csv`` and ``z_hat.dct``: one reads the written file as
+it is, which the reader streams, the other first rewrites it with a
+comment line, blank lines and CRLF line ends, which the reader parses
+from the whole text.  A solve
 hashes ``z``, ``y``, both cores, the factors, every ``trace.csv`` column,
 the effective moduli, ``converged`` and ``reason``; a case that raises
 prints the exception instead.  Beside each hash the line
@@ -68,7 +68,6 @@ ITERS = 40
 SIMILARITIES = {
     "kernel": lambda sim: sim,
     "neutral": lambda sim: SimilarityModel.neutral(sim.shape),
-    "unnormalized": lambda sim: SimilarityModel(sim.per_mode, normalized=False),
 }
 
 CASES = {
@@ -83,7 +82,6 @@ CASES = {
     "gamma-floor-1e-2": ("gamma", {"z_floor": 1e-2}, THREE_WAY, "kernel"),
     "gaussian-4way": ("gaussian", {}, FOUR_WAY, "kernel"),
     "gaussian-neutral": ("gaussian", {}, THREE_WAY, "neutral"),
-    "gaussian-unnormalized": ("gaussian", {}, THREE_WAY, "unnormalized"),
 }
 
 

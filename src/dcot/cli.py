@@ -486,7 +486,7 @@ def _cmd_evaluate(cfg: dict, out_dir: Path | None, base: Path) -> dict:
     sec = cfg["evaluate"]
     if (sec["estimate"] is None) == (sec["run_dir"] is None):
         raise io.ConfigError("evaluate: need exactly one of 'estimate' and 'run_dir'")
-    reference = io.read_coo(base / sec["reference"])
+    reference = io.read_tensor(base / sec["reference"])
     if sec["estimate"] is not None:
         z_hat = io.read_dense(base / sec["estimate"])
     else:

@@ -101,26 +101,30 @@ def read_coo(path) -> ObservationSet:
     """
     path = Path(path)
     data = _read_bytes(path)
-    omega = _read_streamed(path, data)
-    if omega is None:
-        omega = _read_lines(path, _decode(path, data))
-    return omega
+    streamed = _read_streamed(path, data)
+    if streamed is None:
+        return _read_lines(path, _decode(path, data))
+    del data  # before the array checks; a file they reject is read again
+    dims, rows = streamed
+    try:
+        return ObservationSet(rows["i"] - 1, rows["v"], dims)
+    except ValueError:
+        return _read_lines(path, _read_text(path))
 
 
 # Bytes that end a line for str.splitlines but not in a text-mode file.
 _SPLITLINES_ONLY = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
 
 
-def _read_streamed(path: Path, data: bytes) -> ObservationSet | None:
-    """The observation set of a canonical file, or None if the text path must read it."""
+def _read_streamed(path: Path, data: bytes) -> tuple[tuple[int, ...], np.ndarray] | None:
+    """The dims and rows of a canonical file, or None if the text path must read it."""
     if data.count(b"#") != 1 or not data.isascii() or any(c in data for c in _SPLITLINES_ONLY):
         return None
     # universal newlines: the same line ends as str.splitlines on such bytes
     with TextIOWrapper(BytesIO(data), encoding="ascii") as stream:
         try:
             dims, _ = _read_dims_header(path, stream)
-            rows = _parse_entries(stream, len(dims))
-            return ObservationSet(rows["i"] - 1, rows["v"], dims)
+            return dims, _parse_entries(stream, len(dims))
         except (DataIOError, ValueError):
             return None
 
@@ -245,16 +249,23 @@ def _first_fault(path: Path, lines: list[str], start: int,
     return None
 
 
+# entries per write of write_coo, which bounds its Python strings
+_WRITE_CHUNK = 4096
+
+
 def write_coo(omega: ObservationSet, path) -> None:
     """Emit a COO text file; entries sorted lexicographically by index."""
     path = Path(path)
     order = np.lexsort(omega.indices.T[::-1])
-    columns = [(col + 1).tolist() for col in omega.indices[order].T]
-    entry = "{} " * len(columns) + "{!r}"
-    lines = ["# dims: " + " ".join(str(d) for d in omega.shape)]
-    lines.extend(map(entry.format, *columns, omega.values[order].tolist()))
+    entry = "{} " * len(omega.shape) + "{!r}"
     try:
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with path.open("w", encoding="utf-8") as f:
+            f.write("# dims: " + " ".join(str(d) for d in omega.shape) + "\n")
+            for start in range(0, len(order), _WRITE_CHUNK):
+                chunk = order[start:start + _WRITE_CHUNK]
+                columns = (omega.indices[chunk] + 1).T.tolist()
+                f.write("\n".join(map(entry.format, *columns,
+                                      omega.values[chunk].tolist())) + "\n")
     except OSError as exc:
         raise DataIOError(f"cannot write {path}: {exc}") from exc
 
@@ -298,14 +309,25 @@ def write_dense(t: np.ndarray, path) -> None:
 
 
 def read_tensor(path) -> ObservationSet:
-    """Every cell of a file that starts with the ``DCOT`` magic, else the file read as COO."""
+    """Every cell of a file that starts with the ``DCOT`` magic, else the file read as COO.
+
+    A non-finite dense cell is a :class:`DataIOError` naming the first (1-based).
+    """
     path = Path(path)
     try:
         with path.open("rb") as f:
             dense = f.read(len(_MAGIC)) == _MAGIC
     except OSError as exc:
         raise DataIOError(f"cannot read {path}: {exc}") from exc
-    return ObservationSet.from_dense(read_dense(path)) if dense else read_coo(path)
+    if not dense:
+        return read_coo(path)
+    t = read_dense(path)
+    flat = t.ravel(order="F")
+    bad = np.flatnonzero(~np.isfinite(flat))
+    if bad.size:
+        cell = tuple(int(i) + 1 for i in np.unravel_index(bad[0], t.shape, order="F"))
+        raise DataIOError(f"{path}: cell {cell} is not finite ({flat[bad[0]]})")
+    return ObservationSet.from_dense(t)
 
 
 def read_features(path) -> np.ndarray:

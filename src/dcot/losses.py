@@ -21,8 +21,10 @@ is what makes completion work.
 The loss functions take those weights' per-cell sums, precomputed once per
 problem as :class:`~dcot.similarity.Moments` by ``smoothing_moments``.
 Their shapes come from ``weighted_x``: the weight sums ``weight_sum`` only
-broadcast against it (a normalized similarity stores the size-one ``1.0``),
-and the array-valued functions return full data-shape arrays all the same.
+broadcast against it, and the array-valued functions return full
+data-shape arrays all the same.  ``smoothing_moments`` normalizes, so it
+stores the size-one ``1.0``; every formula here also takes a per-cell
+``weight_sum`` (the ``w`` terms), as a ``Moments`` built directly may carry.
 
 Every per-family rule lives here.  :class:`LossFamily` owns the family
 list, the observation domain, whether ``z`` is bounded below (``bounded``)

@@ -17,6 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 _KINDS = ("none", "l1", "frob_sq", "nuclear", "nonneg", "sparse_group_lasso")
+# share of the sparse group lasso weight on its elementwise l1 part; the
+# per-group l2 part takes the rest
+_SGL_MIX = 0.5
 
 
 @dataclass(frozen=True)
@@ -24,23 +27,19 @@ class Penalty:
     """A penalty kind plus its weight.
 
     ``groups`` (sparse group lasso only) lists index arrays into the
-    flattened point, first-mode-fastest; ``mix`` splits the weight between
-    the elementwise l1 part (``mix``) and the per-group l2 part
-    (``1 - mix``).
+    flattened point, first-mode-fastest; the weight is split evenly between
+    the elementwise l1 part and the per-group l2 part.
     """
 
     kind: str = "none"
     weight: float = 0.0
     groups: tuple = ()
-    mix: float = 0.5
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown penalty kind {self.kind!r}")
         if self.weight < 0:
             raise ValueError("penalty weight must be nonnegative")
-        if not 0.0 <= self.mix <= 1.0:
-            raise ValueError("mix must lie in [0, 1]")
         groups = tuple(np.asarray(g, dtype=np.int64) for g in self.groups)
         object.__setattr__(self, "groups", groups)
         if self.kind == "sparse_group_lasso":
@@ -72,8 +71,8 @@ class Penalty:
         return cls("nonneg", weight)
 
     @classmethod
-    def sparse_group_lasso(cls, weight: float, groups, mix: float = 0.5) -> "Penalty":
-        return cls("sparse_group_lasso", weight, tuple(groups), mix)
+    def sparse_group_lasso(cls, weight: float, groups) -> "Penalty":
+        return cls("sparse_group_lasso", weight, tuple(groups))
 
 
 def _flat(point: np.ndarray) -> np.ndarray:
@@ -100,9 +99,9 @@ def penalty_value(p: Penalty, point: np.ndarray) -> float:
         return 0.0 if point.min(initial=0.0) >= 0.0 else math.inf
     # sparse group lasso
     flat = _flat(point)
-    value = p.mix * float(np.abs(flat).sum())
+    value = _SGL_MIX * float(np.abs(flat).sum())
     for g in p.groups:
-        value += (1.0 - p.mix) * float(np.linalg.norm(flat[g]))
+        value += (1.0 - _SGL_MIX) * float(np.linalg.norm(flat[g]))
     return p.weight * value
 
 
@@ -135,8 +134,8 @@ def prox_apply(p: Penalty, point: np.ndarray, t: float) -> np.ndarray:
         return np.maximum(point, 0.0)
     # sparse group lasso: elementwise shrink, then per-group block shrink
     # (exact for the l1 + group-l2 composite).
-    flat = _soft(_flat(point), p.mix * lam)
-    group_lam = (1.0 - p.mix) * lam
+    flat = _soft(_flat(point), _SGL_MIX * lam)
+    group_lam = (1.0 - _SGL_MIX) * lam
     for g in p.groups:
         norm = float(np.linalg.norm(flat[g]))
         flat[g] *= 0.0 if norm == 0.0 else max(0.0, 1.0 - group_lam / norm)

@@ -3,10 +3,11 @@
 The smoothing weight between a target cell ``(i_1, ..., i_N)`` and an
 observed source cell ``(j_1, ..., j_N)`` is the product over modes of a
 kernel similarity ``s[i_n, j_n]`` times a label-consistency factor
-``c[i_n, j_n]``.  The full pairwise weight object is never materialized:
-per-mode matrices are truncated to the strongest ``neighbor_cap``
-neighbors per index, and the weights are aggregated over all targets at
-once (:func:`smoothing_moments`, which the loss functions use).
+``c[i_n, j_n]`` (0.8 within a cluster, 0.2 across), normalized to sum to
+one per target.  The full pairwise weight object is never materialized:
+per-mode matrices are truncated to the strongest 32 neighbors per index,
+and the weights are aggregated over all targets at once
+(:func:`smoothing_moments`, which the loss functions use).
 """
 
 from __future__ import annotations
@@ -21,18 +22,10 @@ from .tensor import n_mode_product
 
 log = logging.getLogger("dcot.similarity")
 
-_KERNELS = ("gaussian", "euclid", "truncated")
-
-
-def _kernel_values(u: np.ndarray, kernel: str, xi: float) -> np.ndarray:
-    if kernel == "gaussian":
-        return np.exp(-0.5 * u**2)
-    if kernel == "euclid":
-        # Exponential decay in the raw Euclidean distance.
-        return np.exp(-u)
-    if kernel == "truncated":
-        return np.minimum(xi, np.exp(-0.5 * u**2))
-    raise ValueError(f"unknown kernel {kernel!r}, expected one of {_KERNELS}")
+# label-consistency factor of two indices in the same / different clusters
+_LABEL_SAME, _LABEL_DIFF = 0.8, 0.2
+# neighbors retained per index per mode (see SimilarityModel)
+_NEIGHBOR_CAP = 32
 
 
 @dataclass(frozen=True)
@@ -65,23 +58,14 @@ class ModeSimilarity:
         return self.s.shape[0]
 
 
-def mode_similarity(
-    features,
-    kernel: str = "gaussian",
-    bandwidths=None,
-    xi: float = 0.3,
-    labels=None,
-    same: float = 0.8,
-    diff: float = 0.2,
-) -> ModeSimilarity:
+def mode_similarity(features, bandwidths=None, labels=None) -> ModeSimilarity:
     """Kernel similarity matrix for one mode from per-index feature vectors.
 
-    ``s[i, j]`` is the average over the listed bandwidths ``h`` of
-    ``K(||y_i - y_j|| / h)`` with ``K`` the chosen kernel (``gaussian``:
-    ``exp(-u^2/2)``; ``euclid``: ``exp(-u)``; ``truncated``: the gaussian
-    value clamped from above at ``xi``).  When ``bandwidths`` is omitted,
-    ten geometrically spaced values spanning ``[0.1, 10]`` times the
-    median pairwise distance are averaged.
+    ``s[i, j]`` is the average over the listed bandwidths ``h`` of the
+    gaussian kernel ``exp(-u^2/2)`` at ``u = ||y_i - y_j|| / h``; the
+    distances are symmetric bitwise, so ``s`` is too.  When
+    ``bandwidths`` is omitted, ten geometrically spaced values spanning
+    ``[0.1, 10]`` times the median pairwise distance are averaged.
 
     ``labels`` optionally supplies per-index cluster ids used to build the
     label-consistency matrix via :func:`label_consistency`; without labels
@@ -92,7 +76,6 @@ def mode_similarity(
         raise ValueError("feature set is empty")
     diffs = feats[:, None, :] - feats[None, :, :]
     dist = np.sqrt((diffs**2).sum(axis=-1))
-    dist = 0.5 * (dist + dist.T)
     if bandwidths is None:
         off = dist[np.triu_indices_from(dist, k=1)]
         med = float(np.median(off)) if off.size else 0.0
@@ -104,24 +87,21 @@ def mode_similarity(
         raise ValueError("bandwidths must be positive")
     s = np.zeros_like(dist)
     for h in bandwidths:
-        s += _kernel_values(dist / h, kernel, xi)
+        s += np.exp(-0.5 * (dist / h) ** 2)
     s /= bandwidths.size
-    s = 0.5 * (s + s.T)
-    c = np.ones_like(s) if labels is None else label_consistency(labels, same, diff)
+    c = np.ones_like(s) if labels is None else label_consistency(labels)
     if c.shape != s.shape:
         raise ValueError("labels must provide one id per feature vector")
     return ModeSimilarity(s=s, c=c)
 
 
-def label_consistency(labels, same: float = 0.8, diff: float = 0.2) -> np.ndarray:
-    """Matrix with ``same`` where cluster ids agree and ``diff`` elsewhere."""
-    if not 0.0 <= diff <= same <= 1.0:
-        raise ValueError("need 0 <= diff <= same <= 1")
+def label_consistency(labels) -> np.ndarray:
+    """Matrix with 0.8 where cluster ids agree and 0.2 elsewhere."""
     labels = np.asarray(labels)
     if labels.ndim != 1 or labels.size == 0:
         raise ValueError("labels must be a nonempty 1-d sequence")
     eq = labels[:, None] == labels[None, :]
-    return np.where(eq, same, diff)
+    return np.where(eq, _LABEL_SAME, _LABEL_DIFF)
 
 
 @dataclass(frozen=True)
@@ -129,16 +109,16 @@ class Moments:
     """Per-target smoothing aggregates over the observed entries.
 
     ``weight_sum[t] = sum_j w(t, j)`` and ``weighted_x[t] = sum_j w(t, j) x_j``,
-    after any normalization and degenerate-target fallback.  ``weighted_x``
-    has the data shape; ``weight_sum`` broadcasts against it.  A normalized
-    similarity's weight sums are all one, so it stores the size-one array
-    ``1.0`` (one axis of length one per mode) instead of a dense tensor of
-    ones; an unnormalized one stores the full array.  ``x2_total``
-    is the scalar ``sum_t sum_j w(t, j) x_j^2`` over every target, with the
-    same normalization and fallback: the gaussian loss needs that
-    second-moment term only as an additive constant, so no per-target
-    array is kept.  ``count`` is the normalizing cell count ``prod(shape)``
-    used by the loss functions.
+    after normalization and the degenerate-target fallback.  ``weighted_x``
+    has the data shape; ``weight_sum`` broadcasts against it.
+    :func:`smoothing_moments` normalizes, so it stores the size-one array
+    ``1.0`` (one axis of length one per mode); every reader also takes a
+    per-cell ``weight_sum``, such as zero on cells that pool nothing.
+    ``x2_total`` is the scalar ``sum_t sum_j w(t, j) x_j^2`` over every
+    target, with the same normalization and fallback: the gaussian loss
+    needs that second-moment term only as an additive constant, so no
+    per-target array is kept.  ``count`` is the normalizing cell count
+    ``prod(shape)`` used by the loss functions.
     """
 
     weight_sum: np.ndarray
@@ -152,31 +132,26 @@ class Moments:
 class SimilarityModel:
     """Per-mode similarities combined lazily into multiplicative weights.
 
-    ``neighbor_cap`` bounds how many neighbors are retained per index per
-    mode: entry ``(i, j)`` of a mode's combined factor ``s * c`` survives
-    only when it ranks in the top ``neighbor_cap`` of *both* row ``i`` and
-    row ``j`` (keeping truncation symmetric).  When ``normalized`` is set,
-    the weights over observed sources are rescaled to sum to one for every
-    target.
+    At most 32 neighbors are retained per index per mode: entry ``(i, j)``
+    of a mode's combined factor ``s * c`` survives only when it ranks in
+    the top 32 of *both* row ``i`` and row ``j`` (keeping truncation
+    symmetric).  The weights over observed sources are rescaled to sum to
+    one for every target.
 
     Instances are immutable after construction (the truncated factors are
     precomputed once); sharing across threads is safe.
     """
 
     per_mode: list[ModeSimilarity]
-    neighbor_cap: int = 32
-    normalized: bool = True
     _factors: list[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.per_mode:
             raise ValueError("need at least one mode similarity")
-        if self.neighbor_cap < 1:
-            raise ValueError("neighbor_cap must be at least 1")
         self._factors = [self._truncate(m.s * m.c) for m in self.per_mode]
 
     def _truncate(self, f: np.ndarray) -> np.ndarray:
-        k = self.neighbor_cap
+        k = _NEIGHBOR_CAP
         n = f.shape[0]
         if k >= n:
             return f
@@ -193,7 +168,7 @@ class SimilarityModel:
         return tuple(m.size for m in self.per_mode)
 
     @classmethod
-    def neutral(cls, shape, normalized: bool = True, cap: int = 32) -> "SimilarityModel":
+    def neutral(cls, shape) -> "SimilarityModel":
         """Delta weights: each cell is its own only neighbor per mode.
 
         An observed cell pools only its own observation, so its loss term is
@@ -208,7 +183,8 @@ class SimilarityModel:
             ModeSimilarity(s=np.eye(int(n)), c=np.ones((int(n), int(n))))
             for n in shape
         ]
-        return cls(per_mode=modes, neighbor_cap=cap, normalized=normalized)
+        return cls(per_mode=modes)
+
 
 def _check_omega(sim: SimilarityModel, omega: ObservationSet) -> None:
     if omega.shape != sim.shape:
@@ -237,8 +213,8 @@ def smoothing_moments(sim: SimilarityModel, omega: ObservationSet) -> Moments:
     built in that order, so at most four ``prod(I)`` arrays are live: the
     three moments and a free buffer.  The fallback indexes the observed
     entries directly, and normalization is one in-place division over every
-    cell (fallback cells have weight one).  A normalized result keeps no
-    dense weight tensor (see :class:`Moments`).
+    cell (fallback cells have weight one).  The result keeps no dense
+    weight tensor (see :class:`Moments`).
     """
     _check_omega(sim, omega)
     idx = tuple(omega.indices.T)
@@ -272,12 +248,10 @@ def smoothing_moments(sim: SimilarityModel, omega: ObservationSet) -> Moments:
         observed = tuple(i[own] for i in idx)
         m1[observed] = values[own]
         m2[observed] = values[own] ** 2
-    if sim.normalized:
-        np.divide(m1, w, out=m1)
-        np.divide(m2, w, out=m2)
-        w = np.ones((1,) * len(sim.shape))
+    np.divide(m1, w, out=m1)
+    np.divide(m2, w, out=m2)
     return Moments(
-        weight_sum=w,
+        weight_sum=np.ones((1,) * len(sim.shape)),
         weighted_x=m1,
         x2_total=float(m2.sum()),
         count=int(np.prod(sim.shape)),

@@ -299,8 +299,9 @@ def gaussian_z_coefficients(mom: Moments, gamma: float) -> tuple[np.ndarray, np.
     """``(a, b)`` of the gaussian closed-form z step ``z = a + b * center``.
 
     They depend on ``gamma`` and the moments only, so a solve builds them
-    once.  ``b`` has the shape of ``mom.weight_sum``: size one for a
-    normalized similarity, so only ``a`` is a dense array then.
+    once.  ``b`` has the shape of ``mom.weight_sum``: size one for the
+    moments ``smoothing_moments`` builds, so only ``a`` is a dense array
+    then; a per-cell ``weight_sum`` makes ``b`` dense too.
     """
     scale = 2.0 / mom.count
     b = mom.weight_sum * scale

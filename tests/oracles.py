@@ -4,7 +4,7 @@ Everything here is written as plain index loops straight from the
 defining formulas, deliberately sharing no code with the package.  The
 exception is the last section: helpers that only the tests call, kept
 here rather than in the package (``vec``, ``fold``, ``similarity_ones``,
-``neighbors`` and ``smoothing_weights``).
+``neighbors``, ``smoothing_weights`` and ``per_cell_moments``).
 """
 
 import itertools
@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from dcot.losses import ObservationSet
-from dcot.similarity import ModeSimilarity, SimilarityModel, _check_omega
+from dcot.similarity import Moments, ModeSimilarity, SimilarityModel, _check_omega
 from dcot.tensor import _check_mode
 
 
@@ -256,11 +256,10 @@ def smoothing_moments_dense(sim, omega):
         w[unobserved_bad] = 1.0
         m1[unobserved_bad] = omega.values.mean()
         m2[unobserved_bad] = (omega.values**2).mean()
-    if sim.normalized:
-        ok = ~bad
-        m1[ok] = m1[ok] / w[ok]
-        m2[ok] = m2[ok] / w[ok]
-        w[ok] = 1.0
+    ok = ~bad
+    m1[ok] = m1[ok] / w[ok]
+    m2[ok] = m2[ok] / w[ok]
+    w[ok] = 1.0
     return w, m1, float(m2.sum()), n_bad
 
 
@@ -405,13 +404,13 @@ def fold(m: np.ndarray, mode: int, shape: tuple[int, ...]) -> np.ndarray:
     return np.moveaxis(m.reshape([shape[mode]] + rest, order="F"), 0, mode)
 
 
-def similarity_ones(shape, normalized: bool = True, cap: int = 32) -> SimilarityModel:
+def similarity_ones(shape) -> SimilarityModel:
     """Uniform weights: every observed source counts equally."""
     modes = [
         ModeSimilarity(s=np.ones((int(n), int(n))), c=np.ones((int(n), int(n))))
         for n in shape
     ]
-    return SimilarityModel(per_mode=modes, neighbor_cap=cap, normalized=normalized)
+    return SimilarityModel(per_mode=modes)
 
 
 def neighbors(sim: SimilarityModel, mode: int, index: int) -> tuple[np.ndarray, np.ndarray]:
@@ -428,10 +427,9 @@ def smoothing_weights(
     """Weights of the observed sources for one target cell.
 
     Returns ``(source index, weight)`` pairs for the sources with nonzero
-    weight, normalized to sum to one when the model is normalized.  A
-    target whose every raw weight vanishes falls back to weight one on its
-    own entry when observed, otherwise to uniform weights over the
-    observed set (logged).
+    weight, normalized to sum to one.  A target whose every raw weight
+    vanishes falls back to weight one on its own entry when observed,
+    otherwise to uniform weights over the observed set (logged).
     """
     _check_omega(sim, omega)
     target = tuple(int(i) for i in target)
@@ -451,7 +449,25 @@ def smoothing_weights(
             w[own[0]] = 1.0
         else:
             w[:] = 1.0 / len(omega)
-    elif sim.normalized:
+    else:
         w = w / total
     keep = np.flatnonzero(w > 0)
     return [(tuple(int(v) for v in omega.indices[j]), float(w[j])) for j in keep]
+
+
+def per_cell_moments(rng, omega: ObservationSet) -> tuple[Moments, np.ndarray]:
+    """Moments of explicit pair weights ``W[t, j] >= 0``, not normalized.
+
+    ``smoothing_moments`` always normalizes; this builds the dense,
+    non-uniform ``weight_sum`` that a per-cell weight gives the loss
+    functions.  About a third of the pairs weigh zero and the first target
+    cell pools no source at all.  Returns the moments and ``W``, of shape
+    ``omega.shape + (len(omega),)``.
+    """
+    size = omega.shape + (len(omega),)
+    w = rng.uniform(0.1, 2.0, size) * (rng.random(size) < 0.7)
+    w[(0,) * len(omega.shape)] = 0.0
+    x = omega.values
+    moments = Moments(weight_sum=w.sum(axis=-1), weighted_x=w @ x,
+                      x2_total=float((w @ x**2).sum()), count=math.prod(omega.shape))
+    return moments, w

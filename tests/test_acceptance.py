@@ -215,7 +215,7 @@ def test_prox_oracle_suite():
         Penalty.l1(0.8),
         Penalty.frob_sq(0.6),
         Penalty.nonneg(),
-        Penalty.sparse_group_lasso(0.5, groups=[[0, 1, 2], [3, 4]], mix=0.4),
+        Penalty.sparse_group_lasso(0.5, groups=[[0, 1, 2], [3, 4]]),
     ]
     for p in penalties:
         for _ in range(5):

@@ -240,9 +240,13 @@ def coo_outcome(read, path):
     return omega.shape, omega.indices.shape, omega.indices.tobytes(), omega.values.tobytes()
 
 
-# read_coo's tracemalloc peak per entry on a canonical file: 108 measured
-# (numpy 2.4); splitting the whole text into lines took 201
-BYTES_PER_ENTRY = 125
+# read_coo's tracemalloc peak per entry on a canonical file: 80 measured
+# (numpy 2.4); 108 while the file's bytes stayed alive during the checks,
+# 201 when the whole text was split into lines
+BYTES_PER_ENTRY = 95
+# write_coo's peak: 30 measured at 32,115 entries, 173 when every line was
+# built before one write
+WRITE_BYTES_PER_ENTRY = 48
 
 
 class TestCooStreamedRead:
@@ -285,6 +289,19 @@ class TestCooStreamedRead:
             tracemalloc.stop()
         assert len(back) == len(omega) > 20_000
         assert peak / len(back) < BYTES_PER_ENTRY
+
+    def test_write_memory_per_entry(self, tmp_path):
+        rng = np.random.default_rng(0)
+        shape = (40, 40, 40)
+        omega = ObservationSet.from_dense(rng.standard_normal(shape), rng.random(shape) < 0.5)
+        tracemalloc.start()
+        try:
+            io.write_coo(omega, tmp_path / "t.coo")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(omega) > 20_000
+        assert peak / len(omega) < WRITE_BYTES_PER_ENTRY
 
 
 @st.composite
@@ -602,6 +619,18 @@ class TestCliPipeline:
         summary = json.loads((tmp_path / "eval3" / "summary.json").read_text())
         assert summary["rmse"] == 0.0
 
+    def test_evaluate_against_dense_truth(self, tmp_path, monkeypatch, capsys):
+        # the truth.dct that synth writes is a reference: every cell of it
+        monkeypatch.chdir(tmp_path)
+        run_cli(tmp_path, "synth", synth_config(missing=0.3))
+        io.write_dense(io.read_dense(tmp_path / "synth_out" / "truth.dct"),
+                       tmp_path / "exact.dct")
+        eval_cfg = {"evaluate": {"estimate": "exact.dct",
+                                 "reference": "synth_out/truth.dct"}}
+        assert run_cli(tmp_path, "evaluate", eval_cfg) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "command": "evaluate", "rmse": 0.0, "entries": 6 * 5 * 4}
+
     def test_block_penalties_echoed(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         run_cli(tmp_path, "synth", synth_config(sigma=0.05, missing=0.3))
@@ -723,6 +752,24 @@ class TestCliErrors:
         assert run_cli(tmp_path, "factorize", cfg) == 4
         error = json.loads(capsys.readouterr().err)["error"]
         assert error["kind"] == "io" and "observed.coo:2" in error["message"]
+        assert not (tmp_path / "x").exists()
+
+    def test_non_finite_dense_observation_is_io_error(self, tmp_path, monkeypatch, capsys):
+        # the first non-finite cell in file order (first mode fastest), 1-based
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "data").mkdir()
+        t = np.ones((2, 3, 2))
+        t[1, 2, 1], t[1, 0, 1], t[0, 2, 1] = np.inf, np.nan, -np.inf
+        io.write_dense(t, tmp_path / "data" / "observed.dct")
+        cfg = fit_config("x", synth_dir="data")
+        cfg["data"] = {"observations": "data/observed.dct"}
+        del cfg["partition"]
+        cfg["ranks"] = [1, 1, 1]
+        assert run_cli(tmp_path, "complete", cfg) == 4
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["kind"] == "io"
+        assert error["message"] == (f"{tmp_path / 'data' / 'observed.dct'}: "
+                                    "cell (2, 1, 2) is not finite (nan)")
         assert not (tmp_path / "x").exists()
 
     def test_invalid_utf8_observation_file_is_io_error(self, tmp_path, monkeypatch, capsys):

@@ -1,4 +1,6 @@
+import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -117,7 +119,7 @@ class TestLossValue:
         value = loss_value(LossFamily("gaussian"), mom, z)
         assert np.isclose(value, x.var())
 
-    @pytest.mark.parametrize("kind", ["neutral", "neutral-raw", "kernel-raw", "zero-row"])
+    @pytest.mark.parametrize("kind", ["neutral", "kernel", "zero-row"])
     def test_gaussian_matches_per_cell_formula(self, kind, rng):
         # sum over every target t and observed source j of w(t, j) (z_t - x_j)^2
         shape = (3, 4, 2)
@@ -126,18 +128,18 @@ class TestLossValue:
         mask.flat[0] = True
         omega = ObservationSet.from_dense(x, mask)
         feats = [rng.standard_normal((s, 2)) for s in shape]
-        if kind.startswith("neutral"):
+        if kind == "neutral":
             # every unobserved target is degenerate
-            sim = SimilarityModel.neutral(shape, normalized=kind == "neutral")
-        elif kind == "kernel-raw":
-            sim = SimilarityModel([mode_similarity(f) for f in feats], normalized=False)
+            sim = SimilarityModel.neutral(shape)
+        elif kind == "kernel":
+            sim = SimilarityModel([mode_similarity(f) for f in feats])
         else:
             # index 0 of mode 0 pools from nothing: degenerate observed and
             # unobserved targets next to ordinary ones
             zero_row = ModeSimilarity(s=np.diag([0.0, 1.0, 1.0]), c=np.ones((3, 3)))
             sim = SimilarityModel([zero_row] + [mode_similarity(f) for f in feats[1:]])
         mom = smoothing_moments(sim, omega)
-        assert (mom.degenerate > 0) == (kind != "kernel-raw")
+        assert (mom.degenerate > 0) == (kind != "kernel")
         z = rng.standard_normal(shape)
         total = 0.0
         for t in np.ndindex(shape):
@@ -271,17 +273,14 @@ class TestLossLipschitz:
         assert np.isclose(lf, 0.25)
 
     def test_unnormalized_scales_linearly(self, rng):
-        shape = (3, 3)
-        x = rng.standard_normal(shape)
-        omega = ObservationSet.from_dense(x)
-        ones = oracles.similarity_ones(shape, normalized=False)
-        half_modes = [
-            type(m)(s=0.5 * m.s, c=m.c) for m in ones.per_mode[:1]
-        ] + ones.per_mode[1:]
-        half = SimilarityModel(per_mode=half_modes, normalized=False)
-        lf_full = loss_lipschitz(LossFamily("gaussian"), smoothing_moments(ones, omega))
-        lf_half = loss_lipschitz(LossFamily("gaussian"), smoothing_moments(half, omega))
-        assert np.isclose(lf_full, 2.0 * lf_half)
+        omega = ObservationSet.from_dense(rng.standard_normal((3, 3)))
+        full, _ = oracles.per_cell_moments(rng, omega)
+        half = replace(full, weight_sum=0.5 * full.weight_sum,
+                       weighted_x=0.5 * full.weighted_x, x2_total=0.5 * full.x2_total)
+        for kind in ("gaussian", "bernoulli"):
+            lf_full = loss_lipschitz(LossFamily(kind), full)
+            assert lf_full > 0
+            assert np.isclose(lf_full, 2.0 * loss_lipschitz(LossFamily(kind), half))
 
     def test_positive_families_need_floor(self, rng):
         omega, mom = make_problem(rng, family="poisson")
@@ -305,3 +304,60 @@ class TestLossLipschitz:
             g2 = loss_gradient(fam, mom, z2)
             lhs = np.linalg.norm(g1 - g2)
             assert lhs <= lf * np.linalg.norm(z1 - z2) + 1e-12
+
+
+# the per-pair integrand f(x; z) of each family (see dcot.losses)
+INTEGRANDS = {
+    "gaussian": lambda x, z: (z - x) ** 2,
+    "bernoulli": lambda x, z: math.log1p(math.exp(z)) - x * z,
+    "poisson": lambda x, z: z - x * math.log(z),
+    "gamma": lambda x, z: math.log(z + 1e-6) + x / (z + 1e-6),
+}
+
+
+class TestPerCellWeights:
+    """A dense, non-uniform ``weight_sum`` that is zero on one cell.
+
+    ``smoothing_moments`` always normalizes, so only moments built directly
+    carry per-cell weight sums; the loss functions and the gaussian z step
+    must handle them all the same.
+    """
+
+    def problem(self, rng, family):
+        omega, _ = make_problem(rng, family=family)
+        mom, pairs = oracles.per_cell_moments(rng, omega)
+        assert np.unique(mom.weight_sum).size > 2 and mom.weight_sum.min() == 0.0
+        z = positive_z(rng, omega.shape) if LossFamily(family).bounded else \
+            rng.standard_normal(omega.shape)
+        return omega, mom, pairs, z
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_value_matches_pair_sum(self, family, rng):
+        omega, mom, pairs, z = self.problem(rng, family)
+        f = INTEGRANDS[family]
+        total = sum(pairs[t][j] * f(x, z[t]) for t in np.ndindex(omega.shape)
+                    for j, x in enumerate(omega.values.tolist()))
+        got = loss_value(LossFamily(family), mom, z)
+        assert got == pytest.approx(total / mom.count, rel=1e-12)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_derivatives_match_finite_differences(self, family, rng):
+        omega, mom, _, z = self.problem(rng, family)
+        fam = LossFamily(family)
+        grad = loss_gradient(fam, mom, z)
+        fd = oracles.central_difference(lambda zz: loss_value(fam, mom, zz), z)
+        assert np.abs(grad - fd).max() / np.abs(fd).max() < 1e-5
+        h = 1e-5
+        fd = (loss_gradient(fam, mom, z + h) - loss_gradient(fam, mom, z - h)) / (2 * h)
+        curv = loss_curvature(fam, mom, z)
+        assert np.abs(curv - fd).max() / np.abs(fd).max() < 1e-5
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_curvature_bounds(self, family, rng):
+        omega, mom, _, _ = self.problem(rng, family)
+        fam = LossFamily(family)
+        z_min = 0.05
+        grid = np.geomspace(z_min, 1e3, 200) if fam.bounded else np.linspace(-20, 20, 201)
+        curv = np.stack([loss_curvature(fam, mom, np.full(omega.shape, q)) for q in grid])
+        assert np.all(curv >= loss_curvature_min(fam, mom, z_min) - 1e-12)
+        assert curv.max() <= loss_lipschitz(fam, mom, z_min=z_min) * (1 + 1e-12)

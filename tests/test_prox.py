@@ -44,7 +44,7 @@ class TestPenaltyValue:
         assert np.isclose(penalty_value(Penalty.frob_sq(0.5), x), 0.5 * (x**2).sum())
 
     def test_sparse_group_lasso_value(self):
-        p = Penalty.sparse_group_lasso(2.0, groups=[[0, 1], [2, 3]], mix=0.5)
+        p = Penalty.sparse_group_lasso(2.0, groups=[[0, 1], [2, 3]])
         x = np.array([3.0, 4.0, 0.0, 0.0])
         expected = 2.0 * (0.5 * 7.0 + 0.5 * 5.0)
         assert np.isclose(penalty_value(p, x), expected)
@@ -52,6 +52,12 @@ class TestPenaltyValue:
     def test_disjoint_groups_required(self):
         with pytest.raises(ValueError):
             Penalty.sparse_group_lasso(1.0, groups=[[0, 1], [1, 2]])
+
+    def test_sparse_group_lasso_split_is_fixed(self):
+        with pytest.raises(TypeError):
+            Penalty.sparse_group_lasso(1.0, groups=[[0]], mix=0.5)
+        with pytest.raises(TypeError):
+            Penalty("sparse_group_lasso", 1.0, mix=0.5)
 
 
 class TestProxApply:
@@ -101,7 +107,7 @@ class TestProxApply:
             Penalty.l1(0.8),
             Penalty.frob_sq(0.6),
             Penalty.nonneg(),
-            Penalty.sparse_group_lasso(0.5, groups=[[0, 1, 2], [3, 4]], mix=0.4),
+            Penalty.sparse_group_lasso(0.5, groups=[[0, 1, 2], [3, 4]]),
         ],
     )
     def test_optimality_vs_dense_search(self, penalty, rng):
@@ -115,7 +121,7 @@ class TestProxApply:
     @pytest.mark.parametrize(
         "penalty",
         [Penalty.l1(0.8), Penalty.frob_sq(0.6), Penalty.nonneg(),
-         Penalty.sparse_group_lasso(0.5, groups=[[0, 1], [2, 3]], mix=0.5)],
+         Penalty.sparse_group_lasso(0.5, groups=[[0, 1], [2, 3]])],
     )
     @given(st.integers(0, 2**31))
     def test_nonexpansive(self, penalty, seed):
@@ -125,8 +131,10 @@ class TestProxApply:
         assert np.linalg.norm(pa - pb) <= np.linalg.norm(a - b) + 1e-12
 
     def test_group_lasso_kills_small_groups(self):
-        p = Penalty.sparse_group_lasso(4.0, groups=[[0, 1], [2, 3]], mix=0.0)
-        point = np.array([0.1, 0.1, 10.0, 10.0])
+        # the l1 part leaves (0.5, 0.5) of the first group, below the group
+        # threshold 2
+        p = Penalty.sparse_group_lasso(4.0, groups=[[0, 1], [2, 3]])
+        point = np.array([2.5, 2.5, 10.0, 10.0])
         got = prox_apply(p, point, 1.0)
         assert np.array_equal(got[:2], np.zeros(2))
         assert np.all(got[2:] > 0)

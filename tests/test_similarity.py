@@ -19,37 +19,25 @@ from dcot.similarity import (
 class TestModeSimilarity:
     def test_identical_features_give_one(self):
         feats = np.ones((4, 2))
-        sim = mode_similarity(feats, kernel="gaussian")
+        sim = mode_similarity(feats)
         assert np.allclose(sim.s, 1.0)
 
     def test_gaussian_at_one_bandwidth_distance(self):
         feats = np.array([[0.0], [2.0]])
-        sim = mode_similarity(feats, kernel="gaussian", bandwidths=[2.0])
+        sim = mode_similarity(feats, bandwidths=[2.0])
         assert np.isclose(sim.s[0, 1], np.exp(-0.5))
         assert np.isclose(sim.s[0, 0], 1.0)
 
-    def test_truncated_clamps(self):
-        feats = np.array([[0.0], [0.1]])
-        sim = mode_similarity(feats, kernel="truncated", bandwidths=[10.0], xi=0.3)
-        # raw gaussian value ~0.99995 clamps at xi
-        assert np.isclose(sim.s[0, 1], 0.3)
-        assert np.isclose(sim.s[0, 0], 0.3)
-
     def test_multi_bandwidth_average(self):
         feats = np.array([[0.0], [1.0]])
-        sim = mode_similarity(feats, kernel="gaussian", bandwidths=[1.0, 2.0])
+        sim = mode_similarity(feats, bandwidths=[1.0, 2.0])
         expected = 0.5 * (np.exp(-0.5) + np.exp(-0.125))
         assert np.isclose(sim.s[0, 1], expected)
 
-    def test_euclid_kernel_decay(self):
-        feats = np.array([[0.0], [3.0]])
-        sim = mode_similarity(feats, kernel="euclid", bandwidths=[3.0])
-        assert np.isclose(sim.s[0, 1], np.exp(-1.0))
-        assert np.isclose(sim.s[0, 0], 1.0)
-
     def test_unknown_kernel(self):
-        with pytest.raises(ValueError):
-            mode_similarity(np.ones((2, 1)), kernel="sinc", bandwidths=[1.0])
+        # the kernel is always gaussian: there is no kernel to choose
+        with pytest.raises(TypeError):
+            mode_similarity(np.ones((2, 1)), kernel="gaussian", bandwidths=[1.0])
 
     def test_default_bandwidths_symmetric_psd_entries(self, rng):
         feats = rng.standard_normal((6, 3))
@@ -83,15 +71,28 @@ class TestLabelConsistency:
         assert np.allclose(np.diag(c), 0.8)
 
     def test_block_indicator(self):
-        c = label_consistency([0, 0, 1, 1], same=1.0, diff=0.0)
-        expected = np.block(
+        c = label_consistency([0, 0, 1, 1])
+        same = np.block(
             [[np.ones((2, 2)), np.zeros((2, 2))], [np.zeros((2, 2)), np.ones((2, 2))]]
         )
-        assert np.array_equal(c, expected)
+        assert np.array_equal(c, np.where(same == 1, 0.8, 0.2))
 
-    def test_order_check(self):
-        with pytest.raises(ValueError):
-            label_consistency([0, 1], same=0.2, diff=0.8)
+
+@pytest.mark.parametrize("call", [
+    lambda: mode_similarity(np.ones((2, 1)), xi=0.3),
+    lambda: mode_similarity(np.ones((2, 1)), labels=[0, 1], same=0.8),
+    lambda: mode_similarity(np.ones((2, 1)), labels=[0, 1], diff=0.2),
+    lambda: label_consistency([0, 1], same=0.8),
+    lambda: label_consistency([0, 1], diff=0.2),
+    lambda: SimilarityModel([mode_similarity(np.ones((2, 1)))], neighbor_cap=32),
+    lambda: SimilarityModel([mode_similarity(np.ones((2, 1)))], normalized=True),
+    lambda: SimilarityModel.neutral((2,), normalized=True),
+    lambda: SimilarityModel.neutral((2,), cap=32),
+], ids=["xi", "same", "diff", "label-same", "label-diff", "neighbor_cap", "normalized",
+        "neutral-normalized", "neutral-cap"])
+def test_weight_rule_takes_no_parameters(call):
+    with pytest.raises(TypeError):
+        call()
 
 
 class TestSmoothingWeights:
@@ -143,25 +144,31 @@ class TestSmoothingWeights:
             assert abs(sum(wt for _, wt in w) - 1.0) <= 1e-10
 
     def test_raw_weight_symmetry_under_truncation(self, rng):
-        shape = (6, 6)
-        feats = [rng.standard_normal((6, 2)) for _ in range(2)]
-        sim = SimilarityModel(
-            per_mode=[mode_similarity(f) for f in feats], neighbor_cap=3,
-            normalized=False,
-        )
-        omega = ObservationSet.from_dense(rng.standard_normal(shape))
-        for a, b in [((0, 1), (3, 4)), ((2, 2), (5, 0)), ((1, 5), (4, 3))]:
-            wa = dict(oracles.smoothing_weights(sim, a, omega)).get(b, 0.0)
-            wb = dict(oracles.smoothing_weights(sim, b, omega)).get(a, 0.0)
-            assert np.isclose(wa, wb)
+        # modes above the 32-neighbor cap, so truncation drops pairs; the raw
+        # (pre-normalization) weight is the product of the truncated factors
+        shape = (40, 36)
+        sim = SimilarityModel(per_mode=[
+            mode_similarity(rng.standard_normal((n, 2)), labels=rng.integers(0, 3, n))
+            for n in shape])
+        assert all((f == 0).any() for f in sim._factors)
+
+        def raw(a, b):
+            return math.prod(f[i, j] for f, i, j in zip(sim._factors, a, b))
+
+        for _ in range(200):
+            a, b = (tuple(int(rng.integers(n)) for n in shape) for _ in range(2))
+            assert raw(a, b) == raw(b, a)
 
     def test_neighbor_cap_respected(self, rng):
-        feats = rng.standard_normal((10, 2))
-        sim = SimilarityModel(per_mode=[mode_similarity(feats)], neighbor_cap=4)
-        for i in range(10):
+        n = 40
+        sim = SimilarityModel(per_mode=[mode_similarity(rng.standard_normal((n, 2)))])
+        full = sim.per_mode[0].s
+        for i in range(n):
             idx, vals = oracles.neighbors(sim, 0, i)
-            assert len(idx) <= 4
+            assert len(idx) <= 32
             assert np.all(np.diff(vals) <= 0)
+            # a retained neighbor is among the 32 strongest of its row
+            assert np.isin(idx, np.argsort(-full[i], kind="stable")[:32]).all()
 
     def test_degenerate_target_falls_back_to_uniform(self, rng):
         # neutral similarity: unobserved targets have zero raw weight
@@ -233,9 +240,9 @@ class TestSmoothingMoments:
             s = per_mode[0].s.copy()
             s[0, :] = s[:, 0] = 0.0
             per_mode[0] = ModeSimilarity(s=s, c=per_mode[0].c)
-        return SimilarityModel(per_mode=per_mode, normalized=kind != "unnormalized")
+        return SimilarityModel(per_mode=per_mode)
 
-    @pytest.mark.parametrize("kind", ["kernel", "neutral", "unnormalized", "blind-index"])
+    @pytest.mark.parametrize("kind", ["kernel", "neutral", "blind-index"])
     @pytest.mark.parametrize("shape", [(5, 4), (4, 3, 3), (3, 3, 2, 2)])
     def test_bitwise_equal_to_the_dense_build(self, kind, shape):
         gen = np.random.default_rng(7)
@@ -252,8 +259,8 @@ class TestSmoothingMoments:
         assert mom.weighted_x.tobytes() == m1.tobytes()
         assert mom.x2_total == x2_total
         assert mom.degenerate == degenerate
-        # a normalized similarity stores no dense all-ones tensor
-        assert mom.weight_sum.size == (math.prod(shape) if kind == "unnormalized" else 1)
+        # no dense all-ones weight tensor is stored
+        assert mom.weight_sum.size == 1
         if kind in ("neutral", "blind-index"):
             assert degenerate > 0
 

@@ -307,6 +307,17 @@ class TestUpdateZ:
         newton = newton_z(fam, mom, omega, reconstruct(model) - y / 0.7, 0.7, z)
         assert np.abs(closed - newton).max() < 1e-8
 
+    def test_closed_form_with_per_cell_weights(self, rng):
+        # a dense weight_sum makes the closed form's scale b dense too
+        model, z, y, omega, _ = self.make(rng)
+        mom, _ = oracles.per_cell_moments(rng, omega)
+        fam, gamma = LossFamily("gaussian"), 0.7
+        center = reconstruct(model) - y / gamma
+        closed = update_z(reconstruct(model), z, y / gamma, gamma, fam, mom, omega)
+        grad = loss_gradient(fam, mom, closed) + gamma * (closed - center)
+        assert np.abs(grad).max() < 1e-12
+        assert np.abs(closed - newton_z(fam, mom, omega, center, gamma, z)).max() < 1e-8
+
     def test_scalar_grid_oracle(self, rng):
         shape = (1,)
         model = DcotModel([np.array([[1.0]])], np.array([0.3]), np.array([0.2]))
@@ -806,7 +817,7 @@ class TestSolve:
         # absurdly small explicit moduli force uphill steps
         cfg = SolverConfig(max_iters=200, rho_g=1e-9, rho_h=1e-9,
                            rho_factors=(1e-9, 1e-9, 1e-9), fixed_moduli=True)
-        with pytest.raises(SolverAbort):
+        with pytest.raises(SolverAbort), np.errstate(over="ignore", invalid="ignore"):
             solve(data.observed, init, LossFamily("gaussian"), data.sim, cfg)
 
     def test_non_finite_core_fails_fast(self):
