@@ -3,10 +3,10 @@
 
 Cases, each x seeds 0-1 (30 % missing, 40 iterations, the synthesized
 kernel similarity unless stated):
-eight solver configurations on a planted 12^3 problem (ranks (3, 3, 4),
+seven solver configurations on a planted 12^3 problem (ranks (3, 3, 4),
 two tied groups on mode 3) -- gaussian default, ``fixed_moduli``,
-``freeze_h``, ``rho_g=5``, l1/frob_sq penalties, bernoulli, and poisson and
-gamma with ``z_floor=1e-2`` -- and the gaussian default on a planted 4-way
+``freeze_h``, l1/frob_sq penalties, bernoulli, and poisson and gamma with
+``z_floor=1e-2`` -- and the gaussian default on a planted 4-way
 8 x 7 x 6 x 5 problem (ranks (2, 3, 2, 2), mode-4 slices 0 and 1 tied at
 mode-1 index 1), which covers the solver's chain of mode products for
 ``N != 3``; the gaussian default on the 12^3 problem with the neutral
@@ -18,7 +18,10 @@ it is, which the reader streams, the other first rewrites it with a
 comment line, blank lines and CRLF line ends, which the reader parses
 from the whole text.  A solve
 hashes ``z``, ``y``, both cores, the factors, every ``trace.csv`` column,
-the effective moduli, ``converged`` and ``reason``; a case that raises
+the moduli of the last sweep as ``(gamma, core, core, factors)`` (the order
+of the older ``(gamma, rho_g, rho_h, rho_factors)``, so hashes stay
+comparable with runs from before the shared and subject cores' moduli
+were one value), ``converged`` and ``reason``; a case that raises
 prints the exception instead.  Beside each hash the line
 shows the final augmented Lagrangian (``repr``), the iteration count and the
 stop reason.
@@ -74,7 +77,6 @@ CASES = {
     "gaussian-default": ("gaussian", {}, THREE_WAY, "kernel"),
     "gaussian-fixed-moduli": ("gaussian", {"fixed_moduli": True}, THREE_WAY, "kernel"),
     "gaussian-freeze-h": ("gaussian", {"freeze_h": True}, THREE_WAY, "kernel"),
-    "gaussian-rho-g": ("gaussian", {"rho_g": 5.0}, THREE_WAY, "kernel"),
     "gaussian-penalties": ("gaussian", {"penalties": BlockPenalties(
         g=Penalty.l1(1e-3), factors=Penalty.frob_sq(1e-3))}, THREE_WAY, "kernel"),
     "bernoulli": ("bernoulli", {}, THREE_WAY, "kernel"),
@@ -117,8 +119,8 @@ def solve_case(family: str, overrides: dict, problem: tuple, similarity: str,
         return f"error {type(exc).__name__}: {exc}"
     m = res.model
     columns = [res.trace.column(f) for f in ConvergenceTrace.CSV_FIELDS]
-    cfg = res.config
-    moduli = (cfg.gamma, cfg.rho_g, cfg.rho_h, cfg.rho_factors)
+    mod = res.moduli
+    moduli = (mod.gamma, mod.core, mod.core, mod.factors)
     digest = _hash_arrays([res.z, res.y, m.core_g, m.core_h, *m.factors, *columns],
                           (moduli, res.converged, res.reason))
     last = res.trace.rows[-1]

@@ -123,7 +123,10 @@ def _finite_number(v) -> bool:
 
 
 _INT = _type("an integer", int)
+_SEED = _Check("a nonnegative integer", lambda v: _INT.fits(v) and v >= 0)
 _NUMBER = _Check("a finite number", _finite_number)
+_NONNEGATIVE = _Check("a nonnegative finite number",
+                      lambda v: _finite_number(v) and v >= 0)
 _STR = _type("a string", str)
 _BOOL = _type("true or false", bool)
 _NULL = _Check("null", lambda v: v is None)
@@ -143,7 +146,7 @@ _REQUIRED = object()
 # there.  README's "Command line" lists every key.
 _SCHEMA = {
     "config": {
-        "seed": (_INT, 0),
+        "seed": (_SEED, 0),
         "output": (_STR, None),
         "family": (_STR, _REQUIRED),
         "ranks": (_List(_INT), _REQUIRED),
@@ -169,7 +172,7 @@ _SCHEMA = {
         "noise_family": (_STR, "gaussian"),
         "noise_sigma": (_NUMBER, 0.0),
         "missing_fraction": (_NUMBER, 0.0),
-        "seed": (_INT, None),
+        "seed": (_SEED, None),
     },
     "partition": {
         "path": (_STR, None),
@@ -190,28 +193,24 @@ _SCHEMA = {
         "groups": (_choice("partition"), "partition"),
     },
     "solver": {
-        "gamma": (_NUMBER, 0.0),
-        "rho_g": (_or_null(_NUMBER), None),
-        "rho_h": (_or_null(_NUMBER), None),
-        "rho_factors": (_or_null(_List(_NUMBER)), None),
         "max_iters": (_INT, 500),
         "tol_primal": (_or_null(_NUMBER), None),
         "tol_step": (_NUMBER, 1e-8),
-        "lipschitz_safety": (_NUMBER, 1.1),
         "fixed_moduli": (_BOOL, False),
         "z_floor": (_NUMBER, 1e-6),
         "freeze_h": (_BOOL, False),
     },
     "init": {
         "kind": (_STR, "hosvd"),
-        "seed": (_INT, None),
+        "seed": (_SEED, None),
     },
     "split": {
         "train_fraction": (_NUMBER, _REQUIRED),
-        "seed": (_INT, None),
+        "seed": (_SEED, None),
     },
     "grid": {
-        "lambdas": (_OneOf(_choice("default"), _List(_NUMBER, nonempty=True)), "default"),
+        "lambdas": (_OneOf(_choice("default"), _List(_NONNEGATIVE, nonempty=True)),
+                    "default"),
         "blocks": (_List(_choice("g", "h", "factors"), nonempty=True), ("g", "h")),
     },
     "evaluate": {
@@ -341,15 +340,6 @@ def _parse_penalties(sec, ranks, partition) -> BlockPenalties:
     return BlockPenalties(**blocks)
 
 
-def _parse_solver(sec, penalties: BlockPenalties, n_modes: int) -> SolverConfig:
-    sec = dict(sec or {})
-    if sec.get("rho_factors") is not None:
-        if len(sec["rho_factors"]) != n_modes:
-            raise io.ConfigError(f"solver.rho_factors: need one modulus per mode ({n_modes})")
-        sec["rho_factors"] = tuple(float(v) for v in sec["rho_factors"])
-    return _in_section("solver", SolverConfig, penalties=penalties, **sec)
-
-
 def _jsonable(obj):
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
@@ -427,7 +417,10 @@ def _load_problem(cfg: dict, base: Path, seed: int):
     similarity section, init strategy, seed and solver config.
     """
     family = _in_section("family", LossFamily, cfg["family"])
-    omega = io.read_tensor(base / cfg["data"]["observations"])
+    path = base / cfg["data"]["observations"]
+    omega = io.read_tensor(path)
+    if not len(omega):
+        raise io.ConfigError(f"data.observations: {path} has no entries")
     family.validate_observations(omega)
     ranks = cfg["ranks"]
     if len(ranks) != len(omega.shape):
@@ -436,7 +429,8 @@ def _load_problem(cfg: dict, base: Path, seed: int):
     if partition is not None:
         _in_section("partition", partition.validate_shape, tuple(ranks))
     penalties = _parse_penalties(cfg["penalties"], ranks, partition)
-    solver = _parse_solver(cfg["solver"], penalties, len(ranks))
+    solver = _in_section("solver", SolverConfig, penalties=penalties,
+                         **(cfg["solver"] or {}))
     sim, sim_section = _parse_similarity(cfg["similarity"], omega.shape, base)
     init = cfg["init"] or _read({}, _SCHEMA["init"], "init")
     effective = {
@@ -470,7 +464,8 @@ def _cmd_factorize(cfg: dict, out_dir: Path, seed: int, write_zhat: bool,
         io.write_dense(z_hat, out_dir / "z_hat.dct")
     summary = {
         "command": "complete" if write_zhat else "factorize",
-        "effective_config": {**effective, "solver": result.config},
+        "effective_config": effective,
+        "moduli": result.moduli,
         "iterations": result.trace.rows[-1].iteration,
         "converged": result.converged,
         "reason": result.reason,
@@ -563,6 +558,8 @@ def main(argv=None) -> int:
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
 
     try:
+        if args.seed is not None:
+            _SEED.read(args.seed, "--seed")
         cfg = _read_config(io.load_json(args.config), args.command)
         seed = args.seed if args.seed is not None else cfg["seed"]
         out = args.output if args.output is not None else cfg["output"]

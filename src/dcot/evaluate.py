@@ -108,6 +108,11 @@ class SynthSpec:
             raise ValueError("ranks must satisfy 1 <= rank <= mode size")
         if not 0.0 <= self.missing_fraction < 1.0:
             raise ValueError("missing_fraction must lie in [0, 1)")
+        # synthesize drops round(missing_fraction * total) cells
+        total = math.prod(self.shape)
+        if round(self.missing_fraction * total) == total:
+            raise ValueError(f"missing_fraction {self.missing_fraction} leaves no "
+                             f"observed cell of {total}")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be nonnegative")
         LossFamily(self.noise_family)

@@ -81,6 +81,9 @@ from .tensor import (
 log = logging.getLogger("dcot.solver")
 
 _MODULI_FLOOR = 1e-8
+# the moduli's safety factor on each block's curvature bound; a modulus
+# below the bound voids the descent step
+_LIPSCHITZ_SAFETY = 1.1
 _NEWTON_MAX_INNER = 100
 # abort once the augmented Lagrangian exceeds this factor times (|L_0| + 1)
 _DIVERGENCE_FACTOR = 10.0
@@ -108,29 +111,25 @@ class BlockPenalties:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Solver knobs; unset moduli/tolerances are estimated from the problem.
+    """Solver knobs.  The step sizes are not among them: they come from the problem.
 
-    ``gamma`` is lifted to at least ``2.1 * L_F`` (the loss gradient's
-    Lipschitz bound) by :func:`estimate_moduli`; per-block moduli default
-    to ``lipschitz_safety`` times the spectral-norm bound of each block's
-    coupling curvature.  By default they are refreshed from the current
-    state block by block inside every sweep (stale moduli can understate
-    the curvature when factor norms drift and send the sweep uphill).
-    ``fixed_moduli`` pins them to the initial estimate for the whole run.
-    ``z_floor`` is the lower bound on ``z`` for the bounded families
-    (``LossFamily.bounded``); the z block itself has no knobs, since it is
-    solved exactly (see :func:`update_z`).
+    :func:`estimate_moduli` sets ``gamma`` and the proximal moduli from the
+    data and the current state.  By default the moduli are refreshed from
+    the current state block by block inside every sweep (stale moduli can
+    understate the curvature when factor norms drift and send the sweep
+    uphill); ``fixed_moduli`` pins them to the initial estimate for the
+    whole run.  A solve stops once the primal residual is at most
+    ``tol_primal`` (default ``1e-6 * ||x_Omega||``) and the block step at
+    most ``tol_step``.  ``z_floor`` is the lower bound on ``z`` for the
+    bounded families (``LossFamily.bounded``); the z block itself has no
+    knobs, since it is solved exactly (see :func:`update_z`).  ``freeze_h``
+    holds the subject core at zero (plain Tucker).
     """
 
-    gamma: float = 0.0
-    rho_g: float | None = None
-    rho_h: float | None = None
-    rho_factors: tuple[float, ...] | None = None
     penalties: BlockPenalties = field(default_factory=BlockPenalties)
     max_iters: int = 500
     tol_primal: float | None = None
     tol_step: float = 1e-8
-    lipschitz_safety: float = 1.1
     fixed_moduli: bool = False
     z_floor: float = 1e-6
     freeze_h: bool = False
@@ -138,13 +137,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
-        # moduli below the Lipschitz bound void the descent step
-        if self.lipschitz_safety < 1:
-            raise ValueError("lipschitz_safety must be at least 1")
-        named = [(n, getattr(self, n)) for n in ("rho_g", "rho_h", "z_floor")]
-        for name, value in named + [("rho_factors", r) for r in self.rho_factors or ()]:
-            if value is not None and not value > 0:
-                raise ValueError(f"{name} must be positive")
+        if not self.z_floor > 0:
+            raise ValueError("z_floor must be positive")
         for name in ("tol_step", "tol_primal"):
             value = getattr(self, name)
             if value is not None and not value >= 0:
@@ -200,12 +194,32 @@ class ConvergenceTrace:
 
 
 @dataclass(frozen=True)
+class Moduli:
+    """Step parameters: the dual step ``gamma`` and the proximal moduli.
+
+    ``core`` serves both cores; ``factors`` holds one modulus per mode.
+    """
+
+    gamma: float
+    core: float
+    factors: tuple[float, ...]
+
+
+@dataclass(frozen=True)
 class SolverResult:
+    """What a solve returns.
+
+    ``config`` is the configuration as given.  ``moduli`` are the step
+    parameters the last sweep used: the initial estimate when
+    ``fixed_moduli`` pins them or no sweep ran.
+    """
+
     model: DcotModel
     z: np.ndarray
     trace: ConvergenceTrace
     y: np.ndarray
     config: SolverConfig
+    moduli: Moduli
     converged: bool
     reason: str
 
@@ -264,8 +278,7 @@ def update_cores(
     model: DcotModel,
     projected,
     gamma: float,
-    rho_g: float,
-    rho_h: float,
+    rho: float,
     penalty_g: Penalty,
     penalty_h: Penalty,
     *,
@@ -276,19 +289,21 @@ def update_cores(
     ``projected`` is ``project_core(T, model.factors)`` for the target
     ``T = z + y / gamma``.  The factors do not move between the two steps,
     so both share it; the subject core's gradient is recomputed after the
-    shared core's update (Gauss-Seidel order).  With ``freeze_h`` only the
-    shared core moves and ``model.core_h`` is returned as it is.
+    shared core's update (Gauss-Seidel order).  Both steps take the core
+    modulus ``rho``: the cores enter the coupling through the same map, so
+    they share its curvature bound.  With ``freeze_h`` only the shared core
+    moves and ``model.core_h`` is returned as it is.
     """
-    if rho_g <= 0 or rho_h <= 0:
-        raise ValueError("core moduli must be positive")
+    if rho <= 0:
+        raise ValueError("core modulus must be positive")
     g_new = prox_apply(
-        penalty_g, model.core_g - core_gradient(model, projected, gamma) / rho_g, rho_g
+        penalty_g, model.core_g - core_gradient(model, projected, gamma) / rho, rho
     )
     if freeze_h:
         return g_new, model.core_h
     work = replace(model, core_g=g_new)
     h_new = prox_apply(
-        penalty_h, work.core_h - core_gradient(work, projected, gamma) / rho_h, rho_h
+        penalty_h, work.core_h - core_gradient(work, projected, gamma) / rho, rho
     )
     if model.partition is not None:
         h_new = tie_heterogeneous_core(h_new, model.partition)
@@ -510,7 +525,7 @@ def _spectral_norm(a: np.ndarray, iters: int = 50, tol: float = 1e-8) -> float:
 
 
 def _factor_modulus(
-    gamma: float, core_sum: np.ndarray, u_norms: list[float], mode: int, safety: float
+    gamma: float, core_sum: np.ndarray, u_norms: list[float], mode: int
 ) -> float:
     """Modulus of factor ``mode``, floored away from zero.
 
@@ -519,42 +534,31 @@ def _factor_modulus(
     """
     others = math.prod(u_norms[:mode] + u_norms[mode + 1 :])
     bound = gamma * (_spectral_norm(matricize(core_sum, mode)) * others) ** 2
-    return max(bound * safety, _MODULI_FLOOR)
+    return max(bound * _LIPSCHITZ_SAFETY, _MODULI_FLOOR)
 
 
-def _core_modulus(gamma: float, u_norms: list[float], safety: float) -> float:
+def _core_modulus(gamma: float, u_norms: list[float]) -> float:
     """Modulus of either core: ``safety * gamma * prod(factor norms)^2``, floored."""
-    return max(gamma * math.prod(u_norms) ** 2 * safety, _MODULI_FLOOR)
+    return max(gamma * math.prod(u_norms) ** 2 * _LIPSCHITZ_SAFETY, _MODULI_FLOOR)
 
 
 def estimate_moduli(
     model: DcotModel, config: SolverConfig, family: LossFamily, mom: Moments
-) -> SolverConfig:
-    """Fill unset step parameters from the current state.
+) -> Moduli:
+    """The step parameters at the current state.
 
-    ``gamma`` becomes ``max(config.gamma, 2.1 * L_F)``.  Each block's
-    modulus is ``gamma`` times the squared spectral-norm bound of its
-    coupling map (core-sum matricization times the other factors for a
+    ``gamma`` is ``2.1 * L_F`` for the loss gradient's Lipschitz bound
+    ``L_F`` (taken at ``config.z_floor`` for the bounded families).  Each
+    block's modulus is ``gamma`` times the squared spectral-norm bound of
+    its coupling map (core-sum matricization times the other factors for a
     factor block, the product of all factor norms for the cores),
-    multiplied by ``lipschitz_safety`` and floored away from zero.
-    Explicitly set moduli are kept.
+    multiplied by ``_LIPSCHITZ_SAFETY`` and floored away from zero.
     """
-    lf = loss_lipschitz(family, mom, z_min=config.z_floor)
-    gamma = max(config.gamma, 2.0 * lf * 1.05)
-    safety = config.lipschitz_safety
+    gamma = 2.0 * loss_lipschitz(family, mom, z_min=config.z_floor) * 1.05
     u_norms = [_spectral_norm(u) for u in model.factors]
     s = model.core_g + model.core_h
-    rho_factors = config.rho_factors or [
-        _factor_modulus(gamma, s, u_norms, n, safety) for n in range(len(model.factors))
-    ]
-    rho_core = _core_modulus(gamma, u_norms, safety)
-    return replace(
-        config,
-        gamma=gamma,
-        rho_g=config.rho_g if config.rho_g is not None else rho_core,
-        rho_h=config.rho_h if config.rho_h is not None else rho_core,
-        rho_factors=tuple(rho_factors),
-    )
+    factors = tuple(_factor_modulus(gamma, s, u_norms, n) for n in range(len(u_norms)))
+    return Moduli(gamma, _core_modulus(gamma, u_norms), factors)
 
 
 def solve(
@@ -566,14 +570,14 @@ def solve(
 ) -> SolverResult:
     """Run the full block sweep until tolerance or the iteration budget.
 
-    Returns the final model, estimate ``z``, dual variable, per-iteration
-    trace, and the effective configuration (estimated moduli filled in).
+    The step sizes come from :func:`estimate_moduli`, refreshed inside
+    every sweep unless ``config.fixed_moduli`` pins them.  Returns the
+    final model, estimate ``z``, dual variable, per-iteration trace, the
+    configuration as given and the moduli the last sweep used.
     """
     family.validate_observations(omega)
     if omega.shape != tuple(u.shape[0] for u in init.factors):
         raise ValueError("initial model shape does not match the data shape")
-    if config.rho_factors is not None and len(config.rho_factors) != len(init.factors):
-        raise ValueError("need one factor modulus per mode")
     mom = smoothing_moments(sim, omega)
     model = init.copy()
     if config.freeze_h:
@@ -590,13 +594,13 @@ def solve(
         z = np.maximum(z, config.z_floor)
     u = loss_gradient(family, mom, z)
 
-    cfg = estimate_moduli(model, config, family, mom)
-    gamma = cfg.gamma
+    moduli = estimate_moduli(model, config, family, mom)
+    gamma = moduli.gamma
     u /= -gamma  # the scaled dual y / gamma, starting from y = -grad F(z)
-    tol_primal = cfg.tol_primal
+    tol_primal = config.tol_primal
     if tol_primal is None:
         tol_primal = 1e-6 * float(np.linalg.norm(omega.values))
-    pen = cfg.penalties
+    pen = config.penalties
     n_modes = len(model.factors)
 
     trace = ConvergenceTrace()
@@ -640,22 +644,20 @@ def solve(
     initial_lagr = row.lagrangian
     guard = _DIVERGENCE_FACTOR * (abs(initial_lagr) + 1.0)
 
-    # Working copies of the moduli.  Unless pinned (fixed mode or explicit
-    # values), they are refreshed from the current state inside the sweep:
-    # the coupling is exactly quadratic in each block, so a bound computed
-    # at the block's own evaluation point guarantees a descent step, while
-    # stale bounds understate the curvature once factor norms drift.
-    rho_factors = list(cfg.rho_factors)
-    rho_g, rho_h = cfg.rho_g, cfg.rho_h
-    refresh_factors = not cfg.fixed_moduli and config.rho_factors is None
-    refresh_g = not cfg.fixed_moduli and config.rho_g is None
-    refresh_h = not cfg.fixed_moduli and config.rho_h is None
-    u_norms = [_spectral_norm(u_n) for u_n in model.factors]
-    safety = cfg.lipschitz_safety
+    # Working copies of the moduli.  Unless fixed_moduli pins them, they are
+    # refreshed from the current state inside the sweep: the coupling is
+    # exactly quadratic in each block, so a bound computed at the block's
+    # own evaluation point guarantees a descent step, while stale bounds
+    # understate the curvature once factor norms drift.
+    rho_factors = list(moduli.factors)
+    rho_core = moduli.core
+    refresh = not config.fixed_moduli
+    if refresh:
+        u_norms = [_spectral_norm(u_n) for u_n in model.factors]
 
     converged = False
     reason = "max_iters"
-    for k in range(1, cfg.max_iters + 1):
+    for k in range(1, config.max_iters + 1):
         # the coupling gradient is gamma * (recon - target), in core space
         target = np.add(z, u, out=recon)
         # the chain's links are target x_{t>n} U_t^T with the old factors,
@@ -669,8 +671,8 @@ def solve(
         factor_sq = 0.0
         core_sum = model.core_g + model.core_h
         for n in range(n_modes):
-            if refresh_factors:
-                rho_factors[n] = _factor_modulus(gamma, core_sum, u_norms, n, safety)
+            if refresh:
+                rho_factors[n] = _factor_modulus(gamma, core_sum, u_norms, n)
             projected = suffix.pop()
             for t in range(n):
                 projected = n_mode_product(projected, model.factors[t].T, t)
@@ -680,18 +682,16 @@ def solve(
             check_finite(f"factor {n}", u_new, k)
             factor_sq += float(((u_new - model.factors[n]) ** 2).sum())
             model.factors[n] = u_new
-            u_norms[n] = _spectral_norm(u_new)
+            if refresh:
+                u_norms[n] = _spectral_norm(u_new)
         # the last factor's input, contracted with its update, is
         # project_core(target, factors) in project_core's own order
         projected = n_mode_product(projected, model.factors[-1].T, n_modes - 1)
-        rho_core = _core_modulus(gamma, u_norms, safety)
-        if refresh_g:
-            rho_g = rho_core
-        if refresh_h:
-            rho_h = rho_core
+        if refresh:
+            rho_core = _core_modulus(gamma, u_norms)
         g_old, h_old = model.core_g, model.core_h
         g_new, h_new = update_cores(
-            model, projected, gamma, rho_g, rho_h, pen.g, pen.h, freeze_h=cfg.freeze_h
+            model, projected, gamma, rho_core, pen.g, pen.h, freeze_h=config.freeze_h
         )
         check_finite("core_g", g_new, k)
         check_finite("core_h", h_new, k)
@@ -699,7 +699,8 @@ def solve(
         reconstruct(model, out=recon)
         try:
             z_new = update_z(recon, z, u, gamma, family, mom, omega,
-                             z_floor=cfg.z_floor, coefficients=coefficients, out=spare)
+                             z_floor=config.z_floor, coefficients=coefficients,
+                             out=spare)
         except SolverAbort as exc:
             raise SolverAbort(f"{exc} at iteration {k}", trace) from exc
         r = np.subtract(recon, z_new, out=recon)
@@ -726,7 +727,7 @@ def solve(
         block_step = math.sqrt(
             steps[0] ** 2 + steps[1] ** 2 + steps[2] ** 2 + steps[3] ** 2
         )
-        if row.primal_residual <= tol_primal and block_step <= cfg.tol_step:
+        if row.primal_residual <= tol_primal and block_step <= config.tol_step:
             converged = True
             reason = "tolerance"
             break
@@ -737,9 +738,9 @@ def solve(
         reason,
         trace.rows[-1].primal_residual,
     )
-    effective = replace(cfg, rho_g=rho_g, rho_h=rho_h, rho_factors=tuple(rho_factors))
     u *= gamma  # back to the unscaled dual y, in place
     return SolverResult(
-        model=model, z=z, trace=trace, y=u, config=effective, converged=converged,
+        model=model, z=z, trace=trace, y=u, config=config,
+        moduli=Moduli(gamma, rho_core, tuple(rho_factors)), converged=converged,
         reason=reason,
     )

@@ -264,12 +264,10 @@ def test_monotone_descent_and_dual_bound():
     fam = LossFamily("gaussian")
     mom = smoothing_moments(data.sim, data.observed)
     lf = loss_lipschitz(fam, mom)
-    cfg = SolverConfig(
-        gamma=2.1 * lf, max_iters=200, fixed_moduli=True, tol_primal=0.0, tol_step=0.0,
-    )
+    cfg = SolverConfig(max_iters=200, fixed_moduli=True, tol_primal=0.0, tol_step=0.0)
     res = solve(data.observed, hosvd_init(data.observed, spec.ranks, FOUR_GROUPS),
                 fam, data.sim, cfg)
-    assert res.config.gamma == pytest.approx(2.1 * lf)
+    assert res.moduli.gamma == pytest.approx(2.1 * lf)
     lag = res.trace.column("lagrangian")
     increases = np.diff(lag)
     monotone = bool(np.all(increases <= 1e-10))

@@ -123,6 +123,15 @@ class TestSynthesize:
         total = 6 * 5 * 4
         assert len(data.observed) == total - round(0.25 * total)
 
+    def test_missing_fraction_leaving_no_observed_cell_rejected(self):
+        # 0.95 of 8 cells rounds to 8 missing; 0.9 rounds to 7 and keeps one
+        with pytest.raises(ValueError, match="missing_fraction 0.95 leaves no observed "
+                                             "cell of 8"):
+            SynthSpec(shape=(2, 2, 2), ranks=(1, 1, 1), missing_fraction=0.95)
+        data = synthesize(SynthSpec(shape=(2, 2, 2), ranks=(1, 1, 1),
+                                    missing_fraction=0.9))
+        assert len(data.observed) == 1
+
     def test_orthonormal_factors(self):
         data = synthesize(self.spec())
         for u in data.planted.factors:

@@ -587,6 +587,15 @@ class TestCliPipeline:
         assert set(blas["threads"]) == {
             "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
 
+    def test_summary_reports_moduli(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        run_cli(tmp_path, "synth", synth_config())
+        assert run_cli(tmp_path, "complete", fit_config("run_out", max_iters=3)) == 0
+        summary = json.loads((tmp_path / "run_out" / "summary.json").read_text())
+        moduli = summary["moduli"]
+        assert moduli["gamma"] > 0 and moduli["core"] > 0
+        assert len(moduli["factors"]) == 3 and min(moduli["factors"]) > 0
+
     def test_grid_search_cli(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         run_cli(tmp_path, "synth", synth_config(sigma=0.1, missing=0.3))
@@ -785,12 +794,26 @@ class TestCliErrors:
         assert error["message"].endswith("/data/observed.coo: not valid UTF-8 (byte 20)")
         assert not (tmp_path / "x").exists()
 
+    # the step-size keys (gamma, rho_*, lipschitz_safety) follow with values
+    # that were accepted once, and then with values that were rejected
     @pytest.mark.parametrize("key, value", [("z_solver", "quasi_newton"),
                                             ("qn_grad_tol", 1e-8),
                                             ("moduli_period", 2),
                                             ("dual_init", "zero"),
                                             ("tie_reducer", "representative"),
-                                            ("divergence_factor", 100.0)])
+                                            ("divergence_factor", 100.0),
+                                            ("gamma", 1.0),
+                                            ("rho_g", 1.0),
+                                            ("rho_h", 1.0),
+                                            ("rho_factors", [1.0, 1.0, 1.0]),
+                                            ("lipschitz_safety", 1.1),
+                                            ("gamma", "x"),
+                                            ("gamma", True),
+                                            ("rho_factors", [1.0, "x", 1.0]),
+                                            ("lipschitz_safety", 0.1),
+                                            ("rho_g", -1.0),
+                                            ("rho_h", 0),
+                                            ("rho_factors", [1, 0, 1])])
     def test_removed_solver_keys_rejected(self, tmp_path, monkeypatch, capsys,
                                           key, value):
         monkeypatch.chdir(tmp_path)
@@ -800,21 +823,15 @@ class TestCliErrors:
         cfg["solver"][key] = value
         assert run_cli(tmp_path, "complete", cfg) == 2
         error = json.loads(capsys.readouterr().err)["error"]
-        assert error["kind"] == "config" and key in error["message"]
+        assert error == {"kind": "config", "code": 2,
+                         "message": f"solver: unknown keys [{key!r}]"}
         assert not (tmp_path / "run_out").exists()
 
     @pytest.mark.parametrize("key, value", [("freeze_h", "false"),
                                             ("fixed_moduli", 0),
                                             ("max_iters", 2.5),
                                             ("max_iters", True),
-                                            ("gamma", "x"),
-                                            ("gamma", True),
                                             ("tol_step", None),
-                                            ("rho_factors", [1.0, "x", 1.0]),
-                                            ("lipschitz_safety", 0.1),
-                                            ("rho_g", -1.0),
-                                            ("rho_h", 0),
-                                            ("rho_factors", [1, 0, 1]),
                                             ("z_floor", 0),
                                             ("tol_step", -1),
                                             ("tol_primal", -1e-3)])
@@ -940,11 +957,11 @@ class TestCliErrors:
         assert not (tmp_path / "run_out").exists()
 
     @pytest.mark.parametrize("section, key, value", [
-        ("solver", "rho_g", float("inf")),
-        ("solver", "gamma", float("nan")),
-        ("solver", "gamma", float("-inf")),
+        ("solver", "z_floor", float("inf")),
+        ("solver", "tol_step", float("nan")),
+        ("solver", "tol_primal", float("-inf")),
         ("penalties", "g.weight", float("nan")),
-    ], ids=["rho_g-Infinity", "gamma-NaN", "gamma--Infinity", "weight-NaN"])
+    ], ids=["z_floor-Infinity", "tol_step-NaN", "tol_primal--Infinity", "weight-NaN"])
     def test_non_finite_number_rejected(self, tmp_path, monkeypatch, capsys, section,
                                         key, value):
         # json reads NaN and +-Infinity; each once ran, aborted the solve or
@@ -963,19 +980,19 @@ class TestCliErrors:
         assert error["message"].startswith(f"{section}.{key}: expected a finite number")
         assert not (tmp_path / "run_out").exists()
 
-    def test_rho_factors_length_checked_before_similarity_files(
+    def test_solver_value_checked_before_similarity_files(
             self, tmp_path, monkeypatch, capsys):
-        # the similarity's feature files do not exist: the length check comes first
+        # the similarity's feature files do not exist: the solver check comes first
         monkeypatch.chdir(tmp_path)
         assert run_cli(tmp_path, "synth", synth_config()) == 0
         cfg = fit_config("run_out", max_iters=5, similarity={
             "features": [f"nowhere/features_mode{n}.txt" for n in (1, 2, 3)]})
-        cfg["solver"]["rho_factors"] = [1.0, 2.0]
+        cfg["solver"]["z_floor"] = 0
         capsys.readouterr()
         assert run_cli(tmp_path, "complete", cfg) == 2
         error = json.loads(capsys.readouterr().err)["error"]
-        assert error["kind"] == "config"
-        assert error["message"].startswith("solver.rho_factors:")
+        assert error == {"kind": "config", "code": 2,
+                         "message": "solver: z_floor must be positive"}
         assert not (tmp_path / "run_out").exists()
 
     @pytest.mark.parametrize("command", ["synth", "complete"])
@@ -995,6 +1012,65 @@ class TestCliErrors:
         assert run_cli(tmp_path, command, cfg, "--output", "flag_out") == 0
         assert (tmp_path / "flag_out" / "summary.json").exists()
 
+    def test_synth_with_no_observed_cell_rejected(self, tmp_path, monkeypatch, capsys):
+        # 0.95 of 8 cells rounds to 8 missing: observed.coo would hold no entry
+        monkeypatch.chdir(tmp_path)
+        cfg = synth_config(shape=(2, 2, 2), missing=0.95)
+        cfg["synth"].update(ranks=[1, 1, 1], partition=None)
+        assert run_cli(tmp_path, "synth", cfg) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == {"kind": "config", "code": 2, "message":
+                         "synth: missing_fraction 0.95 leaves no observed cell of 8"}
+        assert not (tmp_path / "synth_out").exists()
+
+    @pytest.mark.parametrize("command", ["factorize", "complete", "grid-search"])
+    def test_data_file_with_no_entries_rejected(self, tmp_path, monkeypatch, capsys,
+                                                command):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "data").mkdir()
+        (tmp_path / "data" / "observed.coo").write_text("# dims: 2 2 2\n")
+        cfg = fit_config("x", synth_dir="data")
+        del cfg["partition"]
+        cfg.update(ranks=[1, 1, 1], split={"train_fraction": 0.8}, grid={})
+        if command != "grid-search":
+            del cfg["split"], cfg["grid"]
+        assert run_cli(tmp_path, command, cfg) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        path = tmp_path.resolve() / "data" / "observed.coo"
+        assert error == {"kind": "config", "code": 2,
+                         "message": f"data.observations: {path} has no entries"}
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command, name", [
+        ("synth", "seed"), ("synth", "synth.seed"), ("complete", "init.seed"),
+        ("grid-search", "split.seed"), ("grid-search", "grid.lambdas[1]"),
+        ("complete", "--seed"),
+    ])
+    def test_negative_value_named_before_any_file_is_read(
+            self, tmp_path, monkeypatch, capsys, command, name):
+        # the data file does not exist: a check after reading it would exit 4
+        monkeypatch.chdir(tmp_path)
+        cfg = synth_config() if command == "synth" else fit_config(
+            "synth_out", synth_dir="nowhere", max_iters=5)
+        if command == "grid-search":
+            cfg.update(split={"train_fraction": 0.8}, grid={"lambdas": [1e-2, 1e-3]})
+        extra, value = (), "-1"
+        if name == "seed":
+            cfg["seed"] = -1
+        elif name == "--seed":
+            extra = ("--seed", "-1")
+        elif name == "grid.lambdas[1]":
+            cfg["grid"]["lambdas"][1], value = -1e-3, "-0.001"
+        else:
+            section, key = name.split(".")
+            cfg[section][key] = -1
+        assert run_cli(tmp_path, command, cfg, *extra) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        what = "finite number" if name.startswith("grid") else "integer"
+        assert error == {"kind": "config", "code": 2,
+                         "message": f"{name}: expected a nonnegative {what}, got {value}"}
+        assert not (tmp_path / "synth_out").exists()
+
     def test_unknown_noise_family_names_synth(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         cfg = synth_config()
@@ -1007,10 +1083,13 @@ class TestCliErrors:
 
     def test_grid_search_with_every_point_aborting_is_a_solver_error(
             self, tmp_path, monkeypatch, capsys):
+        import dcot.solver
+
         monkeypatch.chdir(tmp_path)
         assert run_cli(tmp_path, "synth", synth_config()) == 0
+        # absurdly small factor moduli make every solve diverge
+        monkeypatch.setattr(dcot.solver, "_factor_modulus", lambda *args: 1e-9)
         cfg = fit_config("run_out")
-        cfg["solver"] = {"gamma": 1e-12, "rho_factors": [1e-9, 1e-9, 1e-9]}
         cfg["grid"] = {"lambdas": [1e-4, 1e-2]}
         cfg["split"] = {"train_fraction": 0.8}
         capsys.readouterr()

@@ -18,6 +18,7 @@ from dcot.model import (
 from dcot.prox import Penalty, prox_apply
 from dcot.similarity import SimilarityModel, smoothing_moments
 from dcot.solver import (
+    _LIPSCHITZ_SAFETY,
     BlockPenalties,
     SolverAbort,
     SolverConfig,
@@ -224,7 +225,7 @@ class TestBlockUpdates:
         model, _, _ = random_state(rng, partition=part)
         z = reconstruct(model)
         y = np.zeros_like(z)
-        g, h = update_cores(model, project_core(z + y, model.factors), 1.0, 2.0, 2.0,
+        g, h = update_cores(model, project_core(z + y, model.factors), 1.0, 2.0,
                             Penalty.none(), Penalty.none())
         assert np.allclose(g, model.core_g, atol=1e-12)
         assert np.allclose(h, model.core_h, atol=1e-12)
@@ -235,7 +236,7 @@ class TestBlockUpdates:
         model, z, y = random_state(rng)
         gamma, rho = 1.3, 2.0
         g, h = update_cores(model, project_core(z + y / gamma, model.factors), gamma,
-                            rho, rho, Penalty.none(), Penalty.none())
+                            rho, Penalty.none(), Penalty.none())
         assert np.allclose(g, model.core_g - core_grad(model, z, y, gamma) / rho,
                            atol=1e-12)
         moved = DcotModel(model.factors, g, model.core_h)
@@ -244,7 +245,7 @@ class TestBlockUpdates:
 
     def test_huge_l1_zeroes_core(self, rng):
         model, z, y = random_state(rng)
-        g, _ = update_cores(model, project_core(z + y, model.factors), 1.0, 1.0, 1.0,
+        g, _ = update_cores(model, project_core(z + y, model.factors), 1.0, 1.0,
                             Penalty.l1(1e6), Penalty.none())
         assert np.array_equal(g, np.zeros_like(g))
 
@@ -252,12 +253,12 @@ class TestBlockUpdates:
         part = SubjectPartition(1, (SliceGroup((0, 1)),))
         model, z, y = random_state(rng, partition=part)
         _, h = update_cores(model, project_core(z + y / 1.3, model.factors), 1.3, 2.0,
-                            2.0, Penalty.none(), Penalty.l1(0.1))
+                            Penalty.none(), Penalty.l1(0.1))
         assert tie_satisfied(h, part)
 
     def test_freeze_h_moves_only_shared_core(self, rng):
         model, z, y = random_state(rng)
-        args = (model, project_core(z + y / 1.3, model.factors), 1.3, 2.0, 2.0,
+        args = (model, project_core(z + y / 1.3, model.factors), 1.3, 2.0,
                 Penalty.l1(0.1), Penalty.l1(0.1))
         g, h = update_cores(*args)
         g_frozen, h_frozen = update_cores(*args, freeze_h=True)
@@ -271,7 +272,7 @@ class TestBlockUpdates:
         part = SubjectPartition(1, (SliceGroup((0, 1)),))
         model, z, y = random_state(rng, partition=part)
         before = model.copy()
-        update_cores(model, project_core(z + y / 1.3, model.factors), 1.3, 2.0, 2.0,
+        update_cores(model, project_core(z + y / 1.3, model.factors), 1.3, 2.0,
                      Penalty.l1(0.1), Penalty.l1(0.1))
         assert np.array_equal(model.core_g, before.core_g)
         assert np.array_equal(model.core_h, before.core_h)
@@ -481,9 +482,6 @@ class TestLagrangian:
 
 
 class TestEstimateModuli:
-    def make_cfg(self, **kw):
-        return SolverConfig(**kw)
-
     def make_mom(self, rng, shape=(3, 2, 2)):
         omega = ObservationSet.from_dense(rng.standard_normal(shape))
         return smoothing_moments(SimilarityModel.neutral(shape), omega)
@@ -493,29 +491,35 @@ class TestEstimateModuli:
         model = DcotModel([np.zeros((3, 2))] * 2, np.zeros(ranks), np.zeros(ranks))
         omega = ObservationSet.from_dense(rng.standard_normal(shape))
         mom = smoothing_moments(SimilarityModel.neutral(shape), omega)
-        cfg = estimate_moduli(model, self.make_cfg(), LossFamily("gaussian"), mom)
-        assert cfg.rho_g == 1e-8
-        assert all(r == 1e-8 for r in cfg.rho_factors)
+        moduli = estimate_moduli(model, SolverConfig(), LossFamily("gaussian"), mom)
+        assert moduli.core == 1e-8
+        assert moduli.factors == (1e-8, 1e-8)
 
     def test_single_mode_hand_computation(self, rng):
         core = np.array([1.0, -2.0])
         model = DcotModel([rng.standard_normal((4, 2))], core.copy(), core.copy())
         omega = ObservationSet.from_dense(rng.standard_normal((4,)))
         mom = smoothing_moments(SimilarityModel.neutral((4,)), omega)
-        cfg = self.make_cfg(gamma=2.0, lipschitz_safety=1.0)
-        got = estimate_moduli(model, cfg, LossFamily("gaussian"), mom)
+        got = estimate_moduli(model, SolverConfig(), LossFamily("gaussian"), mom)
         s = model.core_g + model.core_h
-        assert np.isclose(got.rho_factors[0], 2.0 * float(s @ s), rtol=1e-6)
+        assert np.isclose(got.factors[0], _LIPSCHITZ_SAFETY * got.gamma * float(s @ s),
+                          rtol=1e-6)
 
-    def test_doubling_gamma_doubles_moduli(self, rng):
+    def test_doubling_gamma_doubles_moduli(self, rng, monkeypatch):
+        import dcot.solver
+
+        # gamma is 2.1 L_F: doubling the loss's Lipschitz bound doubles it
         model, z, y = random_state(rng)
         mom = self.make_mom(rng)
         fam = LossFamily("gaussian")
-        a = estimate_moduli(model, self.make_cfg(gamma=1.0), fam, mom)
-        b = estimate_moduli(model, self.make_cfg(gamma=2.0), fam, mom)
-        assert np.isclose(b.rho_g, 2 * a.rho_g, rtol=1e-6)
-        assert np.allclose(np.array(b.rho_factors), 2 * np.array(a.rho_factors),
-                           rtol=1e-6)
+        got = []
+        for lf in (1.0, 2.0):
+            monkeypatch.setattr(dcot.solver, "loss_lipschitz", lambda *a, **k: lf)
+            got.append(estimate_moduli(model, SolverConfig(), fam, mom))
+        a, b = got
+        assert b.gamma == 2 * a.gamma
+        assert np.isclose(b.core, 2 * a.core, rtol=1e-6)
+        assert np.allclose(np.array(b.factors), 2 * np.array(a.factors), rtol=1e-6)
 
     def test_gamma_lifted_above_loss_lipschitz(self, rng):
         from dcot.losses import loss_lipschitz
@@ -523,14 +527,8 @@ class TestEstimateModuli:
         model, _, _ = random_state(rng)
         mom = self.make_mom(rng)
         fam = LossFamily("gaussian")
-        cfg = estimate_moduli(model, self.make_cfg(gamma=0.0), fam, mom)
-        assert cfg.gamma > 2.0 * loss_lipschitz(fam, mom)
-
-    def test_explicit_moduli_kept(self, rng):
-        model, _, _ = random_state(rng)
-        cfg = estimate_moduli(model, self.make_cfg(rho_g=7.0), LossFamily("gaussian"),
-                              self.make_mom(rng))
-        assert cfg.rho_g == 7.0
+        moduli = estimate_moduli(model, SolverConfig(), fam, mom)
+        assert moduli.gamma > 2.0 * loss_lipschitz(fam, mom)
 
 
 def assert_matches_power_iteration(a, label):
@@ -641,6 +639,25 @@ def planted_problem(seed=1, shape=(8, 8, 8), sigma=0.0, missing=0.0, family="gau
     return synthesize(spec), part
 
 
+def tiny_moduli(monkeypatch, factor=None, core=None):
+    """Make every factor (core) modulus ``factor`` (``core``) when not ``None``."""
+    import dcot.solver
+
+    if factor is not None:
+        monkeypatch.setattr(dcot.solver, "_factor_modulus", lambda *args: factor)
+    if core is not None:
+        monkeypatch.setattr(dcot.solver, "_core_modulus", lambda *args: core)
+
+
+@pytest.mark.parametrize("name, value", [("gamma", 1.0), ("rho_g", 1.0), ("rho_h", 1.0),
+                                         ("rho_factors", (1.0, 1.0, 1.0)),
+                                         ("lipschitz_safety", 1.1)])
+def test_removed_step_size_fields_rejected(name, value):
+    # the step sizes come from the problem (estimate_moduli)
+    with pytest.raises(TypeError):
+        SolverConfig(**{name: value})
+
+
 class TestSolve:
     def test_zero_iterations_returns_init(self, rng):
         data, part = planted_problem()
@@ -699,8 +716,7 @@ class TestSolve:
         lf = loss_lipschitz(LossFamily("gaussian"), mom)
         init = initial_model(data.observed.to_dense(float(data.observed.values.mean())),
                              (3, 3, 3), InitStrategy("hosvd"), part)
-        cfg = SolverConfig(gamma=2.1 * lf, max_iters=60, fixed_moduli=True,
-                           tol_primal=0.0, tol_step=0.0)
+        cfg = SolverConfig(max_iters=60, fixed_moduli=True, tol_primal=0.0, tol_step=0.0)
         res = solve(data.observed, init, LossFamily("gaussian"), data.sim, cfg)
         lag = res.trace.column("lagrangian")
         assert np.all(np.diff(lag) <= 1e-10)
@@ -719,10 +735,9 @@ class TestSolve:
         lf = loss_lipschitz(fam, mom)
         init = initial_model(data.observed.to_dense(0.0), (3, 3, 3),
                              InitStrategy("hosvd"), part)
-        cfg = SolverConfig(gamma=2.1 * lf, max_iters=200, fixed_moduli=True,
-                           tol_primal=0.0, tol_step=0.0)
+        cfg = SolverConfig(max_iters=200, fixed_moduli=True, tol_primal=0.0, tol_step=0.0)
         res = solve(data.observed, init, fam, data.sim, cfg)
-        assert res.config.gamma == pytest.approx(2.1 * lf)
+        assert res.moduli.gamma == pytest.approx(2.1 * lf)
         lag = res.trace.column("lagrangian")
         assert len(lag) == 201
         assert np.all(np.diff(lag) <= 1e-10)
@@ -810,31 +825,57 @@ class TestSolve:
         assert last.loss == loss_value(fam, mom, res.z)
         assert last.primal_residual == frob_norm(reconstruct(res.model) - res.z)
 
-    def test_divergence_safeguard_raises(self):
+    def test_pinned_moduli_are_the_initial_estimate(self, monkeypatch):
+        import dcot.solver
+
+        data, part = planted_problem(seed=4, sigma=0.05, missing=0.2)
+        init = initial_model(data.observed.to_dense(float(data.observed.values.mean())),
+                             (3, 3, 3), InitStrategy("hosvd"), part)
+        fam = LossFamily("gaussian")
+        initial = estimate_moduli(init, SolverConfig(), fam,
+                                  smoothing_moments(data.sim, data.observed))
+        real, norms = dcot.solver._spectral_norm, []
+
+        def counting(a):
+            norms.append(None)
+            return real(a)
+
+        monkeypatch.setattr(dcot.solver, "_spectral_norm", counting)
+        pinned = solve(data.observed, init, fam, data.sim,
+                       SolverConfig(max_iters=5, fixed_moduli=True))
+        # the estimate's three factor norms and three core-sum norms; a
+        # pinned sweep takes none
+        assert len(norms) == 6
+        assert pinned.moduli == initial
+        refreshed = solve(data.observed, init, fam, data.sim, SolverConfig(max_iters=5))
+        assert refreshed.moduli.gamma == initial.gamma
+        assert refreshed.moduli != initial
+
+    def test_divergence_safeguard_raises(self, monkeypatch):
         data, part = planted_problem(seed=6, sigma=0.05, missing=0.2)
         init = initial_model(data.observed.to_dense(float(data.observed.values.mean())),
                              (3, 3, 3), InitStrategy("hosvd"), part)
-        # absurdly small explicit moduli force uphill steps
-        cfg = SolverConfig(max_iters=200, rho_g=1e-9, rho_h=1e-9,
-                           rho_factors=(1e-9, 1e-9, 1e-9), fixed_moduli=True)
+        # absurdly small moduli force uphill steps
+        tiny_moduli(monkeypatch, 1e-9, 1e-9)
+        cfg = SolverConfig(max_iters=200, fixed_moduli=True)
         with pytest.raises(SolverAbort), np.errstate(over="ignore", invalid="ignore"):
             solve(data.observed, init, LossFamily("gaussian"), data.sim, cfg)
 
-    def test_non_finite_core_fails_fast(self):
+    def test_non_finite_core_fails_fast(self, monkeypatch):
         # the settings of test_divergence_safeguard_raises: the subject core
         # overflows in the first sweep, before any Lagrangian is formed
         data, part = planted_problem(seed=6, sigma=0.05, missing=0.2)
         init = initial_model(data.observed.to_dense(float(data.observed.values.mean())),
                              (3, 3, 3), InitStrategy("hosvd"), part)
-        cfg = SolverConfig(max_iters=200, rho_g=1e-9, rho_h=1e-9,
-                           rho_factors=(1e-9, 1e-9, 1e-9), fixed_moduli=True)
+        tiny_moduli(monkeypatch, 1e-9, 1e-9)
+        cfg = SolverConfig(max_iters=200, fixed_moduli=True)
         with pytest.raises(SolverAbort) as info, np.errstate(over="ignore",
                                                              invalid="ignore"):
             solve(data.observed, init, LossFamily("gaussian"), data.sim, cfg)
         assert str(info.value) == "core_h block: non-finite values at iteration 1"
         assert len(info.value.trace) == 1
 
-    def test_nuclear_factor_overflow_names_block(self):
+    def test_nuclear_factor_overflow_names_block(self, monkeypatch):
         # the factor step overflows; its nuclear prox used to hand the inf
         # point to LAPACK, which raised "SVD did not converge"
         spec = SynthSpec(shape=(8, 8, 8), ranks=(2, 2, 2), noise_sigma=0.1,
@@ -843,8 +884,8 @@ class TestSolve:
         fam = LossFamily("gaussian")
         init = initial_model(omega.to_dense(initial_fill(omega, fam)), (2, 2, 2),
                              InitStrategy("hosvd"))
-        cfg = SolverConfig(rho_factors=(1e-300,) * 3,
-                           penalties=BlockPenalties(factors=Penalty.nuclear(1e-3)))
+        tiny_moduli(monkeypatch, factor=1e-300)
+        cfg = SolverConfig(penalties=BlockPenalties(factors=Penalty.nuclear(1e-3)))
         with pytest.raises(SolverAbort) as info, np.errstate(over="ignore",
                                                              invalid="ignore"):
             solve(omega, init, fam, SimilarityModel.neutral(omega.shape), cfg)
