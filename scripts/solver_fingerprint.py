@@ -10,7 +10,10 @@ two tied groups on mode 3) -- gaussian default, ``fixed_moduli``,
 8 x 7 x 6 x 5 problem (ranks (2, 3, 2, 2), mode-4 slices 0 and 1 tied at
 mode-1 index 1), which covers the solver's chain of mode products for
 ``N != 3``; the gaussian default on the 12^3 problem with the neutral
-similarity (every unobserved cell a degenerate target); plus two
+similarity (every unobserved cell a degenerate target); the gaussian
+default on a planted 36^3 problem (the 12^3 problem's ranks and groups),
+whose 46,656 cells make the solver's sweep tail run two blocks, the
+second a partial one; plus two
 ``dcot synth`` + ``dcot complete`` runs with kernel similarity, hashed
 over ``observed.coo`` (so the same check covers the COO writer and
 reader), ``trace.csv`` and ``z_hat.dct``: one reads the written file as
@@ -65,6 +68,7 @@ THREE_WAY = ((12, 12, 12), (3, 3, 4),
              SubjectPartition(2, (SliceGroup((0, 1)), SliceGroup((2, 3)))))
 FOUR_WAY = ((8, 7, 6, 5), (2, 3, 2, 2),
             SubjectPartition(3, (SliceGroup((0, 1), fixed=(0, 1)),)))
+MULTI_BLOCK = ((36, 36, 36),) + THREE_WAY[1:]
 ITERS = 40
 
 # the similarity a case solves with, made from the synthesized kernel one
@@ -84,6 +88,7 @@ CASES = {
     "gamma-floor-1e-2": ("gamma", {"z_floor": 1e-2}, THREE_WAY, "kernel"),
     "gaussian-4way": ("gaussian", {}, FOUR_WAY, "kernel"),
     "gaussian-neutral": ("gaussian", {}, THREE_WAY, "neutral"),
+    "gaussian-multiblock": ("gaussian", {}, MULTI_BLOCK, "kernel"),
 }
 
 

@@ -330,6 +330,11 @@ def _parse_penalties(sec, ranks, partition) -> BlockPenalties:
         if pen is None:
             continue
         where = f"penalties.{block}"
+        # weight 0 turns any penalty off; an indicator has no other use for it
+        if pen["kind"] == "nonneg" and pen["weight"] == 0:
+            raise io.ConfigError(
+                f"{where}.weight: a nonneg penalty is off at weight 0; give a positive weight"
+            )
         groups = ()
         if pen["kind"] == "sparse_group_lasso":
             if partition is None:

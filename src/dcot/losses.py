@@ -177,18 +177,29 @@ def _checked(family: LossFamily, mom: Moments, z) -> np.ndarray:
     return z
 
 
+def gaussian_quadratic(w: np.ndarray, m1: np.ndarray, z: np.ndarray) -> float:
+    """``sum w z^2 - 2 <m1, z>``: the terms of the gaussian loss that move with ``z``.
+
+    ``z`` and ``m1`` hold the same cells, whole arrays or one flat block of
+    each; ``w`` is size one or the weight sums of those cells.  Neither
+    form makes a ``w * z`` temporary, so a whole-array call allocates no
+    array of the data's size.
+    """
+    z, m1, w = z.ravel(), m1.ravel(), w.ravel()
+    if w.size == 1:  # w factors out, and BLAS forms the rest
+        quad = float(w[0]) * float(np.dot(z, z))
+    else:
+        quad = float(np.einsum(w, [0], z, [0], z, [0], []))
+    return quad - 2.0 * float(np.dot(m1, z))
+
+
 def loss_value(family: LossFamily, mom: Moments, z: np.ndarray) -> float:
     """Evaluate the smoothed loss from the precomputed smoothing moments."""
     z = _checked(family, mom, z)
     w, m1, count = mom.weight_sum, mom.weighted_x, mom.count
     if family.kind == "gaussian":
-        # sum_t (w z^2 - 2 m1 z + m2), with the z-free term summed once; the
-        # three-operand einsum forms sum w z^2 without a w * z temporary and
-        # broadcasts a size-one w without copying it
-        axes = list(range(z.ndim))
-        quad = float(np.einsum(w, axes, z, axes, z, axes, []))
-        quad -= 2.0 * float(np.vdot(m1, z))
-        return (quad + mom.x2_total) / count
+        # sum_t (w z^2 - 2 m1 z + m2), with the z-free term summed once
+        return (gaussian_quadratic(w, m1, z) + mom.x2_total) / count
     if family.kind == "bernoulli":
         total = w * np.logaddexp(0.0, z) - m1 * z
     elif family.kind == "poisson":

@@ -33,12 +33,22 @@ both core steps.  Two contractions per sweep read a ``prod(I)`` tensor.
 
 Besides ``z`` and ``u``, a solve allocates two dense buffers once:
 ``recon`` holds the target, then the reconstruction (the sweep's only
-one, for the z step), then the residual ``r = recon - z``; ``spare``
-receives the next ``z`` and trades places with the old one, which holds
-the z step ``z - z_new`` in between.  On the gaussian path no sweep
-allocates another ``prod(I)`` array.  The dual step, the Lagrangian and
-the primal residual share ``r`` and one ``<r, r>``, and the trace one loss
-evaluation.  The returned dual is ``y = gamma * u``, formed in place.
+one, for the z step); ``spare`` receives the next ``z`` and trades
+places with the old one.  After the reconstruction, one pass over blocks
+of ``_BLOCK`` cells (:func:`_sweep_tail`) does the rest of the sweep while
+a block is in cache: the gaussian z step into ``spare``, the residual
+``r = recon - z_new`` in ``recon``, the dual step ``u -= r``, the z step
+``z - z_new`` in the old ``z``, the sums the trace needs (``||z - z_new||^2``,
+``||r||^2``, ``<u, r>`` and the gaussian loss's ``sum w z^2 - 2 <m1, z>``)
+and the next target ``z_new + u`` in ``recon``.  So after the chain has
+read the target twice and the reconstruction has written ``recon``, a
+gaussian sweep reads ``recon``, ``u``, ``z``, the z-step offset ``a`` and
+``weighted_x`` once and writes ``recon``, ``u``, ``z`` and ``spare`` once,
+and allocates no ``prod(I)`` array.  The other families solve the z step
+over the whole array first (:func:`newton_z`, which returns a new array),
+then take the same pass, and their trace evaluates the loss at the new
+``z``.  The Lagrangian, the primal residual and the dual step share one
+``<r, r>``.  The returned dual is ``y = gamma * u``, formed in place.
 
 Sign conventions: with the augmented Lagrangian written as
 ``F + penalties - <y, recon - z> + (gamma/2) ||recon - z||^2`` and the
@@ -60,6 +70,7 @@ import numpy as np
 from .losses import (
     LossFamily,
     ObservationSet,
+    gaussian_quadratic,
     initial_fill,
     loss_curvature,
     loss_curvature_min,
@@ -85,6 +96,9 @@ _MODULI_FLOOR = 1e-8
 # below the bound voids the descent step
 _LIPSCHITZ_SAFETY = 1.1
 _NEWTON_MAX_INNER = 100
+# cells per block of the sweep's tail (see _sweep_tail): 256 KiB per
+# float64 array, so a block of the tail's arrays stays in a core's L2 cache
+_BLOCK = 32768
 # abort once the augmented Lagrangian exceeds this factor times (|L_0| + 1)
 _DIVERGENCE_FACTOR = 10.0
 
@@ -337,7 +351,6 @@ def update_z(
     omega: ObservationSet,
     *,
     z_floor: float = 1e-6,
-    coefficients: tuple[np.ndarray, np.ndarray] | None = None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Solve the z block: smoothed loss plus the quadratic coupling.
@@ -345,9 +358,9 @@ def update_z(
     The proximal center is ``recon - u`` for the scaled dual
     ``u = y / gamma``; it is formed in ``out`` when that is given.  For the
     gaussian family the minimizer is the elementwise closed form
-    ``a + b * center``, with ``coefficients`` from
-    :func:`gaussian_z_coefficients` (built here when not given), computed
-    in place, so ``out`` is returned.  Other families go to
+    ``a + b * center``, with ``(a, b)`` from :func:`gaussian_z_coefficients`,
+    computed in place, so ``out`` is returned (:func:`solve` forms it block
+    by block instead, in its sweep tail).  Other families go to
     :func:`newton_z`, warm-started at ``z`` (``omega`` scales its
     tolerance), which returns a new array.
     """
@@ -355,9 +368,7 @@ def update_z(
         raise ValueError("gamma must be positive")
     center = np.subtract(recon, u, out=out)
     if family.kind == "gaussian":
-        if coefficients is None:
-            coefficients = gaussian_z_coefficients(mom, gamma)
-        a, b = coefficients
+        a, b = gaussian_z_coefficients(mom, gamma)
         center *= b
         center += a
         return center
@@ -457,14 +468,69 @@ def lagrangian_value(
     ``u = y / gamma`` is the scaled dual, so the dual term is ``-<y, r>``.
     ``r_sq`` is ``||r||^2``, which the caller shares with the primal residual.
     """
+    return _lagrangian(model, gamma, loss, penalties, r_sq, frob_inner(u, r))
+
+
+def _lagrangian(
+    model: DcotModel, gamma: float, loss: float, penalties: BlockPenalties,
+    r_sq: float, u_r: float,
+) -> float:
+    """:func:`lagrangian_value` from the sums ``r_sq = ||r||^2`` and ``u_r = <u, r>``."""
     value = loss
     value += penalty_value(penalties.g, model.core_g)
     value += penalty_value(penalties.h, model.core_h)
     for u_n in model.factors:
         value += penalty_value(penalties.factors, u_n)
-    value -= gamma * frob_inner(u, r)
+    value -= gamma * u_r
     value += 0.5 * gamma * r_sq
     return value
+
+
+def _sweep_tail(recon, z, z_new, u, gaussian=None) -> tuple[float, float, float, float]:
+    """Everything a sweep does after its reconstruction, in one pass over blocks.
+
+    ``recon`` holds the reconstruction.  Each block of ``_BLOCK``
+    consecutive cells goes through every step before the next block is
+    read, so the arrays stay in cache:
+
+    * with ``gaussian = (a, b, w, m1)`` (the z-step coefficients and the
+      moments' ``weight_sum`` and ``weighted_x``) the closed-form z step
+      of :func:`update_z`, ``z_new = a + b * (recon - u)``, is formed in
+      ``z_new``; otherwise ``z_new`` already holds the whole z step;
+    * ``recon`` becomes the residual ``r = recon - z_new``, the dual steps
+      (:func:`update_dual`), and ``z`` becomes the z step ``z - z_new``;
+    * the block's ``||z - z_new||^2``, ``||r||^2``, ``<u, r>`` (with the
+      new ``u``) and, on the gaussian path, ``sum w z_new^2 - 2 <m1, z_new>``
+      are added up;
+    * ``recon`` ends as the next sweep's target ``z_new + u``.
+
+    Per cell this is the arithmetic of the separate whole-array steps, so
+    the iterates are bitwise theirs; the sums differ from whole-array ones
+    by rounding only.  Returns the four sums (the last is ``0.0`` without
+    ``gaussian``).  ``b`` and ``w`` may be size one.
+    """
+    # the sweep's arrays are C-contiguous, so these are views, and made here
+    # they are gone again before the next sweep's factor steps
+    rf, zf, nf, uf = (x.reshape(-1) for x in (recon, z, z_new, u))
+    if gaussian is not None:
+        a, b, w, m1 = (x.reshape(-1) for x in gaussian)
+    dz_sq = r_sq = u_r = quad = 0.0
+    for lo in range(0, rf.size, _BLOCK):
+        cells = slice(lo, lo + _BLOCK)
+        r, zb, new, ub = rf[cells], zf[cells], nf[cells], uf[cells]
+        if gaussian is not None:
+            np.subtract(r, ub, out=new)
+            new *= b if b.size == 1 else b[cells]
+            new += a[cells]
+            quad += gaussian_quadratic(w if w.size == 1 else w[cells], m1[cells], new)
+        r -= new
+        update_dual(r, ub)
+        zb -= new
+        dz_sq += float(np.dot(zb, zb))
+        r_sq += float(np.dot(r, r))
+        u_r += float(np.dot(ub, r))
+        np.add(new, ub, out=r)
+    return dz_sq, r_sq, u_r, quad
 
 
 @functools.cache
@@ -543,7 +609,8 @@ def _core_modulus(gamma: float, u_norms: list[float]) -> float:
 
 
 def estimate_moduli(
-    model: DcotModel, config: SolverConfig, family: LossFamily, mom: Moments
+    model: DcotModel, config: SolverConfig, family: LossFamily, mom: Moments,
+    u_norms: list[float] | None = None,
 ) -> Moduli:
     """The step parameters at the current state.
 
@@ -552,10 +619,13 @@ def estimate_moduli(
     block's modulus is ``gamma`` times the squared spectral-norm bound of
     its coupling map (core-sum matricization times the other factors for a
     factor block, the product of all factor norms for the cores),
-    multiplied by ``_LIPSCHITZ_SAFETY`` and floored away from zero.
+    multiplied by ``_LIPSCHITZ_SAFETY`` and floored away from zero.  The
+    factors' norm bounds are taken here unless the caller passes them as
+    ``u_norms``.
     """
     gamma = 2.0 * loss_lipschitz(family, mom, z_min=config.z_floor) * 1.05
-    u_norms = [_spectral_norm(u) for u in model.factors]
+    if u_norms is None:
+        u_norms = [_spectral_norm(u) for u in model.factors]
     s = model.core_g + model.core_h
     factors = tuple(_factor_modulus(gamma, s, u_norms, n) for n in range(len(u_norms)))
     return Moduli(gamma, _core_modulus(gamma, u_norms), factors)
@@ -594,7 +664,9 @@ def solve(
         z = np.maximum(z, config.z_floor)
     u = loss_gradient(family, mom, z)
 
-    moduli = estimate_moduli(model, config, family, mom)
+    # the factors' norm bounds, which the moduli take at every refresh
+    u_norms = [_spectral_norm(u_n) for u_n in model.factors]
+    moduli = estimate_moduli(model, config, family, mom, u_norms)
     gamma = moduli.gamma
     u /= -gamma  # the scaled dual y / gamma, starting from y = -grad F(z)
     tol_primal = config.tol_primal
@@ -604,19 +676,17 @@ def solve(
     n_modes = len(model.factors)
 
     trace = ConvergenceTrace()
-    coefficients = (
-        gaussian_z_coefficients(mom, gamma) if family.kind == "gaussian" else None
-    )
+    gaussian = None
+    if family.kind == "gaussian":
+        gaussian = (*gaussian_z_coefficients(mom, gamma), mom.weight_sum, mom.weighted_x)
 
-    def diagnostics(it, z, u, r, steps, started):
+    def diagnostics(it, loss, r_sq, u_r, steps, started):
         # one <r, r> gives the quadratic term, the primal residual and,
         # since y_new - y = -gamma * r, the dual step (row 0 took no step)
-        r_sq = frob_inner(r, r)
         primal = math.sqrt(r_sq)
-        loss = loss_value(family, mom, z)
         return TraceRow(
             iteration=it,
-            lagrangian=lagrangian_value(model, r, u, gamma, loss, pen, r_sq),
+            lagrangian=_lagrangian(model, gamma, loss, pen, r_sq, u_r),
             loss=loss,
             primal_residual=primal,
             z_step=steps[0],
@@ -631,18 +701,21 @@ def solve(
         if not np.isfinite(value).all():
             raise SolverAbort(f"{block} block: non-finite values at iteration {it}", trace)
 
-    # the sweep buffers (see the module docstring): recon holds the target,
-    # the reconstruction and then the residual; spare and z trade places
+    # the sweep buffers (see the module docstring): recon holds the
+    # reconstruction, the residual and then the next target; spare and z
+    # trade places
     recon = np.empty_like(z)
     spare = np.empty_like(z)
 
     started = time.perf_counter()
     r = reconstruct(model, out=recon)
     r -= z
-    row = diagnostics(0, z, u, r, (0.0,) * 4, started)
+    row = diagnostics(0, loss_value(family, mom, z), frob_inner(r, r), frob_inner(u, r),
+                      (0.0,) * 4, started)
     trace.append(row)
     initial_lagr = row.lagrangian
     guard = _DIVERGENCE_FACTOR * (abs(initial_lagr) + 1.0)
+    target = np.add(z, u, out=recon)  # afterwards, each sweep's tail forms it
 
     # Working copies of the moduli.  Unless fixed_moduli pins them, they are
     # refreshed from the current state inside the sweep: the coupling is
@@ -652,15 +725,12 @@ def solve(
     rho_factors = list(moduli.factors)
     rho_core = moduli.core
     refresh = not config.fixed_moduli
-    if refresh:
-        u_norms = [_spectral_norm(u_n) for u_n in model.factors]
 
     converged = False
     reason = "max_iters"
     for k in range(1, config.max_iters + 1):
-        # the coupling gradient is gamma * (recon - target), in core space
-        target = np.add(z, u, out=recon)
-        # the chain's links are target x_{t>n} U_t^T with the old factors,
+        # the coupling gradient is gamma * (recon - target), in core space.
+        # The chain's links are target x_{t>n} U_t^T with the old factors,
         # built from the last mode down, so factor n pops its own link from
         # the end (freeing it once used) and contracts it with the updated
         # U_t^T, t < n.  Only the first link and the last factor's first
@@ -697,24 +767,28 @@ def solve(
         check_finite("core_h", h_new, k)
         model.core_g, model.core_h = g_new, h_new
         reconstruct(model, out=recon)
-        try:
-            z_new = update_z(recon, z, u, gamma, family, mom, omega,
-                             z_floor=config.z_floor, coefficients=coefficients,
-                             out=spare)
-        except SolverAbort as exc:
-            raise SolverAbort(f"{exc} at iteration {k}", trace) from exc
-        r = np.subtract(recon, z_new, out=recon)
-        update_dual(r, u)
-        z_step = frob_norm(np.subtract(z, z_new, out=z))
+        if gaussian is None:
+            try:
+                z_new = update_z(recon, z, u, gamma, family, mom, omega,
+                                 z_floor=config.z_floor, out=spare)
+            except SolverAbort as exc:
+                raise SolverAbort(f"{exc} at iteration {k}", trace) from exc
+        else:
+            z_new = spare  # the tail forms the closed-form z step block by block
+        dz_sq, r_sq, u_r, quad = _sweep_tail(recon, z, z_new, u, gaussian)
+        spare, z = z, z_new
+        if gaussian is None:
+            loss = loss_value(family, mom, z)
+        else:  # loss_value's gaussian formula, from the tail's sum
+            loss = (quad + mom.x2_total) / mom.count
 
         steps = (
-            z_step,
+            math.sqrt(dz_sq),
             math.sqrt(factor_sq),
             frob_norm(g_new - g_old),
             frob_norm(h_new - h_old),
         )
-        spare, z = z, z_new
-        row = diagnostics(k, z, u, r, steps, started)
+        row = diagnostics(k, loss, r_sq, u_r, steps, started)
         trace.append(row)
         started = time.perf_counter()
 

@@ -221,6 +221,31 @@ def core_gradient_oracle(model, z, y, gamma):
     return _project_residual(model, z, y, gamma)
 
 
+def sweep_tail_oracle(recon, z, z_new, u, gaussian=None):
+    """The solver's sweep tail as separate whole-array steps, in place.
+
+    The reference for ``solver._sweep_tail``, which forms the same steps
+    block by block: the gaussian z step ``z_new = a + b * (recon - u)``
+    (with ``gaussian = (a, b, w, m1)``), ``recon <- r = recon - z_new``,
+    ``u <- u - r``, ``z <- z - z_new``, then the sums
+    ``(||z - z_new||^2, ||r||^2, <u, r>, sum w z_new^2 - 2 <m1, z_new>)``
+    and ``recon <- z_new + u``.
+    """
+    quad = 0.0
+    if gaussian is not None:
+        a, b, w, m1 = gaussian
+        np.subtract(recon, u, out=z_new)
+        z_new *= b
+        z_new += a
+        quad = float((w * z_new**2).sum()) - 2.0 * float((m1 * z_new).sum())
+    r = np.subtract(recon, z_new, out=recon)
+    u -= r
+    np.subtract(z, z_new, out=z)
+    sums = (float((z**2).sum()), float((r**2).sum()), float((u * r).sum()), quad)
+    np.add(z_new, u, out=recon)
+    return sums
+
+
 def smoothing_moments_dense(sim, omega):
     """The all-at-once moments build that ``smoothing_moments`` replaced.
 

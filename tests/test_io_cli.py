@@ -980,6 +980,24 @@ class TestCliErrors:
         assert error["message"].startswith(f"{section}.{key}: expected a finite number")
         assert not (tmp_path / "run_out").exists()
 
+    @pytest.mark.parametrize("penalty", [{"kind": "nonneg"},
+                                         {"kind": "nonneg", "weight": 0}],
+                             ids=["defaulted", "given"])
+    def test_nonneg_penalty_of_weight_zero_rejected(self, tmp_path, monkeypatch, capsys,
+                                                    penalty):
+        # a penalty of weight 0 is off, so this once ran to exit 0 unconstrained
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(tmp_path, "synth", synth_config()) == 0
+        cfg = fit_config("run_out", max_iters=5)
+        cfg["penalties"] = {"g": penalty}
+        capsys.readouterr()
+        assert run_cli(tmp_path, "complete", cfg) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == {"kind": "config", "code": 2, "message":
+                         "penalties.g.weight: a nonneg penalty is off at weight 0; "
+                         "give a positive weight"}
+        assert not (tmp_path / "run_out").exists()
+
     def test_solver_value_checked_before_similarity_files(
             self, tmp_path, monkeypatch, capsys):
         # the similarity's feature files do not exist: the solver check comes first

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,10 +17,11 @@ from dcot.model import (
     tie_satisfied,
 )
 from dcot.prox import Penalty, prox_apply
-from dcot.similarity import SimilarityModel, smoothing_moments
+from dcot.similarity import Moments, SimilarityModel, smoothing_moments
 from dcot.solver import (
     _LIPSCHITZ_SAFETY,
     BlockPenalties,
+    ConvergenceTrace,
     SolverAbort,
     SolverConfig,
     _power_start,
@@ -27,6 +29,7 @@ from dcot.solver import (
     core_gradient,
     estimate_moduli,
     factor_gradient,
+    gaussian_z_coefficients,
     lagrangian_value,
     newton_z,
     solve,
@@ -639,6 +642,12 @@ def planted_problem(seed=1, shape=(8, 8, 8), sigma=0.0, missing=0.0, family="gau
     return synthesize(spec), part
 
 
+def sweep_iterates(omega, init, family, sim, config):
+    """The ``z`` of the same solve stopped after 0, 1, ..., ``config.max_iters`` sweeps."""
+    return [solve(omega, init, family, sim, replace(config, max_iters=k)).z
+            for k in range(config.max_iters + 1)]
+
+
 def tiny_moduli(monkeypatch, factor=None, core=None):
     """Make every factor (core) modulus ``factor`` (``core``) when not ``None``."""
     import dcot.solver
@@ -803,14 +812,21 @@ class TestSolve:
         for name in calls:
             monkeypatch.setattr(dcot.solver, name, counting(name))
         iters = 5
-        res = solve(data.observed, init, LossFamily("gaussian"), data.sim,
-                    SolverConfig(max_iters=iters, tol_primal=0.0, tol_step=0.0,
-                                 freeze_h=freeze_h))
+        fam = LossFamily("gaussian")
+        cfg = SolverConfig(max_iters=iters, tol_primal=0.0, tol_step=0.0,
+                           freeze_h=freeze_h)
+        res = solve(data.observed, init, fam, data.sim, cfg)
         assert len(res.trace) == iters + 1
         # gradients are taken in core space, so the z step's reconstruction is
         # the sweep's only one; the initial trace row adds one more
         assert calls["reconstruct"] == 1 + iters
-        assert calls["loss_value"] == 1 + iters
+        # a sweep's gaussian loss comes from sums its tail forms anyway; only
+        # the initial row calls loss_value, and every row holds its value
+        assert calls["loss_value"] == 1
+        mom = smoothing_moments(data.sim, data.observed)
+        for row, z in zip(res.trace.rows, sweep_iterates(data.observed, init, fam,
+                                                         data.sim, cfg)):
+            assert row.loss == loss_value(fam, mom, z)
 
     @pytest.mark.parametrize("family", ["gaussian", "bernoulli"])
     def test_final_row_matches_returned_state(self, family):
@@ -850,6 +866,26 @@ class TestSolve:
         refreshed = solve(data.observed, init, fam, data.sim, SolverConfig(max_iters=5))
         assert refreshed.moduli.gamma == initial.gamma
         assert refreshed.moduli != initial
+
+    @pytest.mark.parametrize("iters", [0, 3])
+    def test_factor_norms_taken_once_at_set_up(self, iters, monkeypatch):
+        import dcot.solver
+
+        data, part = planted_problem(seed=4, sigma=0.05, missing=0.2)
+        init = initial_model(data.observed.to_dense(float(data.observed.values.mean())),
+                             (3, 3, 3), InitStrategy("hosvd"), part)
+        real, norms = dcot.solver._spectral_norm, []
+
+        def counting(a):
+            norms.append(None)
+            return real(a)
+
+        monkeypatch.setattr(dcot.solver, "_spectral_norm", counting)
+        solve(data.observed, init, LossFamily("gaussian"), data.sim,
+              SolverConfig(max_iters=iters, tol_primal=0.0, tol_step=0.0))
+        # set-up: three factor norms, which estimate_moduli shares, and three
+        # core-sum norms; a refreshed sweep takes three of each
+        assert len(norms) == 6 + 6 * iters
 
     def test_divergence_safeguard_raises(self, monkeypatch):
         data, part = planted_problem(seed=6, sigma=0.05, missing=0.2)
@@ -1028,6 +1064,81 @@ class TestSweepChain:
                   SolverConfig(max_iters=iters, tol_primal=0.0, tol_step=0.0))
             counts.append(sum(full_size))
         assert counts[1] - counts[0] == 2 * 4
+
+
+class TestSweepTail:
+    """The sweep's blocked tail against its whole-array steps."""
+
+    SHAPE = (7, 6, 5)
+
+    @pytest.mark.parametrize("block", [37, 210, 32768])
+    @pytest.mark.parametrize("path", ["gaussian", "gaussian-per-cell", "newton"])
+    def test_matches_whole_array_steps(self, path, block, rng, monkeypatch):
+        import dcot.solver
+
+        arrays = [rng.standard_normal(self.SHAPE) for _ in range(4)]
+        gaussian = None
+        if path != "newton":
+            w = rng.uniform(0.0, 2.0, self.SHAPE if path.endswith("per-cell") else (1, 1, 1))
+            mom = Moments(w, rng.standard_normal(self.SHAPE), 0.0, math.prod(self.SHAPE))
+            gaussian = (*gaussian_z_coefficients(mom, 0.7), w, mom.weighted_x)
+        want = [a.copy() for a in arrays]
+        want_sums = oracles.sweep_tail_oracle(*want, gaussian)
+        monkeypatch.setattr(dcot.solver, "_BLOCK", block)
+        got_sums = dcot.solver._sweep_tail(*arrays, gaussian)
+        # recon (now the next target), z (now the z step), z_new and u
+        for got, expected in zip(arrays, want):
+            assert np.array_equal(got, expected)
+        np.testing.assert_allclose(got_sums, want_sums, rtol=1e-12, atol=0)
+
+
+BLOCK_PROBLEMS = {
+    "gaussian": ("gaussian", CHAIN_PROBLEMS["3-way"], False),
+    "gaussian-per-cell": ("gaussian", CHAIN_PROBLEMS["3-way"], True),
+    "bernoulli": ("bernoulli", CHAIN_PROBLEMS["3-way"], False),
+    "4-way": ("gaussian", CHAIN_PROBLEMS["4-way"], False),
+}
+
+
+@pytest.mark.parametrize("family, problem, per_cell", BLOCK_PROBLEMS.values(),
+                         ids=BLOCK_PROBLEMS)
+def test_ragged_blocks_match_one_block(family, problem, per_cell, monkeypatch):
+    import dcot.solver
+
+    shape, ranks, part = problem
+    spec = SynthSpec(shape=shape, ranks=ranks, partition=part, noise_family=family,
+                     noise_sigma=0.1, missing_fraction=0.3, seed=3)
+    data = synthesize(spec)
+    omega, fam = data.observed, LossFamily(family)
+    init = initial_model(omega.to_dense(initial_fill(omega, fam)), ranks,
+                         InitStrategy("hosvd"), part)
+    mom = smoothing_moments(data.sim, omega)
+    if per_cell:
+        mom = oracles.per_cell_moments(np.random.default_rng(5), omega)[0]
+        monkeypatch.setattr(dcot.solver, "smoothing_moments", lambda sim, om: mom)
+    cfg = SolverConfig(max_iters=6, tol_primal=0.0, tol_step=0.0)
+    cells, ragged = math.prod(shape), 37  # blocks of 37 cells, the last one partial
+    assert cells % ragged
+    runs = {}
+    for block in (cells, ragged):
+        monkeypatch.setattr(dcot.solver, "_BLOCK", block)
+        runs[block] = (solve(omega, init, fam, data.sim, cfg),
+                       sweep_iterates(omega, init, fam, data.sim, cfg))
+    (one, one_z), (many, many_z) = runs[cells], runs[ragged]
+    for res in (one, many):
+        assert np.array_equal(res.z, one.z) and np.array_equal(res.y, one.y)
+        assert np.array_equal(res.model.core_g, one.model.core_g)
+        assert np.array_equal(res.model.core_h, one.model.core_h)
+        assert all(np.array_equal(a, b) for a, b in zip(res.model.factors, one.model.factors))
+    for name in ConvergenceTrace.CSV_FIELDS:
+        np.testing.assert_allclose(many.trace.column(name), one.trace.column(name),
+                                   rtol=1e-12, atol=0)
+    # the trace loss is loss_value's at every row: bitwise in one block,
+    # to rounding when the sums run over several
+    for row, z in zip(one.trace.rows, one_z):
+        assert row.loss == loss_value(fam, mom, z)
+    for row, z in zip(many.trace.rows, many_z):
+        assert row.loss == pytest.approx(loss_value(fam, mom, z), rel=1e-12, abs=0)
 
 
 class TestDenseWorkingSet:
