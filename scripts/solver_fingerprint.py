@@ -3,10 +3,12 @@
 
 Cases, each x seeds 0-1 (30 % missing, 40 iterations, the synthesized
 kernel similarity unless stated):
-seven solver configurations on a planted 12^3 problem (ranks (3, 3, 4),
+eleven solver configurations on a planted 12^3 problem (ranks (3, 3, 4),
 two tied groups on mode 3) -- gaussian default, ``fixed_moduli``,
-``freeze_h``, l1/frob_sq penalties, bernoulli, and poisson and gamma with
-``z_floor=1e-2`` -- and the gaussian default on a planted 4-way
+``freeze_h``, l1/frob_sq penalties, a nuclear penalty on the factors,
+``nonneg`` on ``core_g``, a sparse group lasso on ``core_h`` (one group per
+mode-3 slice), ``freeze_h`` with l1 on ``core_g``, bernoulli, and poisson
+and gamma with ``z_floor=1e-2`` -- and the gaussian default on a planted 4-way
 8 x 7 x 6 x 5 problem (ranks (2, 3, 2, 2), mode-4 slices 0 and 1 tied at
 mode-1 index 1), which covers the solver's chain of mode products for
 ``N != 3``; the gaussian default on the 12^3 problem with the neutral
@@ -69,6 +71,8 @@ THREE_WAY = ((12, 12, 12), (3, 3, 4),
 FOUR_WAY = ((8, 7, 6, 5), (2, 3, 2, 2),
             SubjectPartition(3, (SliceGroup((0, 1), fixed=(0, 1)),)))
 MULTI_BLOCK = ((36, 36, 36),) + THREE_WAY[1:]
+# the 12^3 problem's core, flattened first-mode-fastest, grouped by mode-3 slice
+SLICE_GROUPS = [range(9 * k, 9 * k + 9) for k in range(4)]
 ITERS = 40
 
 # the similarity a case solves with, made from the synthesized kernel one
@@ -83,6 +87,14 @@ CASES = {
     "gaussian-freeze-h": ("gaussian", {"freeze_h": True}, THREE_WAY, "kernel"),
     "gaussian-penalties": ("gaussian", {"penalties": BlockPenalties(
         g=Penalty.l1(1e-3), factors=Penalty.frob_sq(1e-3))}, THREE_WAY, "kernel"),
+    "gaussian-nuclear-factors": ("gaussian", {"penalties": BlockPenalties(
+        factors=Penalty.nuclear(1e-3))}, THREE_WAY, "kernel"),
+    "gaussian-nonneg-g": ("gaussian", {"penalties": BlockPenalties(
+        g=Penalty.nonneg())}, THREE_WAY, "kernel"),
+    "gaussian-sgl-h": ("gaussian", {"penalties": BlockPenalties(
+        h=Penalty.sparse_group_lasso(1e-3, SLICE_GROUPS))}, THREE_WAY, "kernel"),
+    "gaussian-freeze-h-l1-g": ("gaussian", {"freeze_h": True, "penalties": BlockPenalties(
+        g=Penalty.l1(1e-3))}, THREE_WAY, "kernel"),
     "bernoulli": ("bernoulli", {}, THREE_WAY, "kernel"),
     "poisson-floor-1e-2": ("poisson", {"z_floor": 1e-2}, THREE_WAY, "kernel"),
     "gamma-floor-1e-2": ("gamma", {"z_floor": 1e-2}, THREE_WAY, "kernel"),

@@ -471,6 +471,7 @@ def _cmd_factorize(cfg: dict, out_dir: Path, seed: int, write_zhat: bool,
         "command": "complete" if write_zhat else "factorize",
         "effective_config": effective,
         "moduli": result.moduli,
+        "degenerate": result.degenerate,
         "iterations": result.trace.rows[-1].iteration,
         "converged": result.converged,
         "reason": result.reason,
@@ -513,6 +514,15 @@ def _cmd_grid(cfg: dict, out_dir: Path, seed: int, workers: int, base: Path) -> 
     blocks = tuple(cfg["grid"]["blocks"])
     if len(set(blocks)) != len(blocks):
         raise io.ConfigError(f"grid.blocks: a block is named twice in {list(blocks)}")
+    # the grid's weight replaces the block's, and an indicator has no weight to
+    # sweep: every positive weight is the same projection and 0 turns it off
+    penalties = cfg["penalties"] or {}
+    for block in blocks:
+        if (penalties.get(block) or {}).get("kind") == "nonneg":
+            raise io.ConfigError(
+                f"grid.blocks: block {block!r} has a nonneg penalty, which has no "
+                "weight to sweep"
+            )
     lam = cfg["grid"]["lambdas"]
     lambdas = lambda_grid() if lam == "default" else np.asarray(lam, dtype=float)
     omega, sim, effective = _load_problem(cfg, base, seed)

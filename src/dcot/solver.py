@@ -30,6 +30,20 @@ from the last mode down with the old factors, ``R_{N-1} = T`` and
 with the already-updated ``U_0 .. U_{n-1}``, and the last factor's input,
 contracted with its update, is ``project_core(T, factors)``, shared by
 both core steps.  Two contractions per sweep read a ``prod(I)`` tensor.
+One list of factor Grams serves the sweep as well: ``grams[n] = U_n^T U_n``
+is formed once after factor ``n``'s update (and once before the first
+sweep), and the later factor steps and both core steps read it, so a sweep
+forms ``N`` Grams; the subject core's gradient is taken at the core sum
+``g_new + core_h`` with the same list.
+
+At grid-search sizes the tensor work is the small part of a sweep.  A
+16^3 gaussian solve with ranks 3 (100 sweeps, one BLAS thread, a shared
+2-core x86-64 machine) took about 50 ms: the 606 calls of
+:func:`_spectral_norm` about 44 % of it, the factor steps 15 %, the core
+steps 10 %, the sweep's tail 6 % and the reconstruction 4 %.  Nearly all of
+that is the fixed cost of numpy calls on arrays of a few dozen entries, so
+the sweep makes as few of them as it can; at 60^3 the dense passes take
+most of a sweep instead.
 
 Besides ``z`` and ``u``, a solve allocates two dense buffers once:
 ``recon`` holds the target, then the reconstruction (the sweep's only
@@ -63,7 +77,7 @@ import functools
 import logging
 import math
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -225,7 +239,9 @@ class SolverResult:
 
     ``config`` is the configuration as given.  ``moduli`` are the step
     parameters the last sweep used: the initial estimate when
-    ``fixed_moduli`` pins them or no sweep ran.
+    ``fixed_moduli`` pins them or no sweep ran.  ``degenerate`` is
+    ``Moments.degenerate`` of the solve's smoothing moments: the number of
+    targets that took the fallback weights.
     """
 
     model: DcotModel
@@ -236,14 +252,17 @@ class SolverResult:
     moduli: Moduli
     converged: bool
     reason: str
+    degenerate: int
 
 
-def _grams(model: DcotModel, skip: int | None = None) -> list[np.ndarray | None]:
-    """Factor Gram matrices ``U_t^T U_t``, with ``None`` at mode ``skip``."""
-    return [None if t == skip else u.T @ u for t, u in enumerate(model.factors)]
+def _grams(model: DcotModel) -> list[np.ndarray]:
+    """Factor Gram matrices ``U_t^T U_t``."""
+    return [u.T @ u for u in model.factors]
 
 
-def factor_gradient(model: DcotModel, projected, gamma: float, mode: int) -> np.ndarray:
+def factor_gradient(
+    model: DcotModel, projected, gamma: float, mode: int, grams=None
+) -> np.ndarray:
     """Gradient of the coupling term with respect to factor ``mode``.
 
     ``projected`` is the sweep's target ``T = z + y / gamma`` contracted
@@ -251,12 +270,24 @@ def factor_gradient(model: DcotModel, projected, gamma: float, mode: int) -> np.
     core space the gradient is
     ``gamma * (U_n [S x_{t!=n} U_t^T U_t]_(n) - projected_(n)) S_(n)^T``
     with ``S = core_g + core_h``: the reconstruction never appears.
+    ``grams`` holds the factor Grams ``U_t^T U_t`` when the caller has
+    them (entry ``mode`` is not read); otherwise they are formed here.
     """
+    if grams is None:
+        grams = _grams(model)
     s = model.core_g + model.core_h
-    gram = multilinear_product(s, _grams(model, skip=mode))
+    gram = multilinear_product(s, [None if t == mode else g for t, g in enumerate(grams)])
     inner = model.factors[mode] @ matricize(gram, mode)
     inner -= matricize(projected, mode)
     return gamma * (inner @ matricize(s, mode).T)
+
+
+def _core_gradient(s: np.ndarray, grams, projected, gamma: float) -> np.ndarray:
+    """:func:`core_gradient` for the core sum ``s`` and the factor Grams."""
+    grad = multilinear_product(s, grams)
+    grad -= projected
+    grad *= gamma
+    return grad
 
 
 def core_gradient(model: DcotModel, projected, gamma: float) -> np.ndarray:
@@ -267,24 +298,20 @@ def core_gradient(model: DcotModel, projected, gamma: float) -> np.ndarray:
     target ``T = z + y / gamma``: the adjoint factor maps applied to
     ``gamma * (recon - T)``, in core space.
     """
-    s = model.core_g + model.core_h
-    grad = multilinear_product(s, _grams(model))
-    grad -= projected
-    grad *= gamma
-    return grad
+    return _core_gradient(model.core_g + model.core_h, _grams(model), projected, gamma)
 
 
 def update_factor(
-    model: DcotModel, projected, gamma: float, mode: int, rho: float, penalty: Penalty
+    model: DcotModel, projected, gamma: float, mode: int, rho: float, penalty: Penalty,
+    grams=None,
 ) -> np.ndarray:
     """One linearized proximal step on factor ``mode``.
 
-    ``projected`` is the target contracted on every other mode, as for
-    :func:`factor_gradient`.
+    ``projected`` and ``grams`` are as for :func:`factor_gradient`.
     """
     if rho <= 0:
         raise ValueError("factor modulus must be positive")
-    grad = factor_gradient(model, projected, gamma, mode)
+    grad = factor_gradient(model, projected, gamma, mode, grams)
     return prox_apply(penalty, model.factors[mode] - grad / rho, rho)
 
 
@@ -297,27 +324,32 @@ def update_cores(
     penalty_h: Penalty,
     *,
     freeze_h: bool = False,
+    grams=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Proximal steps on both cores, with the subject core tied afterwards.
 
     ``projected`` is ``project_core(T, model.factors)`` for the target
     ``T = z + y / gamma``.  The factors do not move between the two steps,
-    so both share it; the subject core's gradient is recomputed after the
-    shared core's update (Gauss-Seidel order).  Both steps take the core
-    modulus ``rho``: the cores enter the coupling through the same map, so
-    they share its curvature bound.  With ``freeze_h`` only the shared core
-    moves and ``model.core_h`` is returned as it is.
+    so both share it and the factor Grams ``grams`` (formed here unless
+    given); the subject core's gradient is taken at the core sum
+    ``g_new + core_h`` after the shared core's update (Gauss-Seidel order).
+    Both steps take the core modulus ``rho``: the cores enter the coupling
+    through the same map, so they share its curvature bound.  With
+    ``freeze_h`` only the shared core moves and ``model.core_h`` is
+    returned as it is.
     """
     if rho <= 0:
         raise ValueError("core modulus must be positive")
+    if grams is None:
+        grams = _grams(model)
+    g, h = model.core_g, model.core_h
     g_new = prox_apply(
-        penalty_g, model.core_g - core_gradient(model, projected, gamma) / rho, rho
+        penalty_g, g - _core_gradient(g + h, grams, projected, gamma) / rho, rho
     )
     if freeze_h:
-        return g_new, model.core_h
-    work = replace(model, core_g=g_new)
+        return g_new, h
     h_new = prox_apply(
-        penalty_h, work.core_h - core_gradient(work, projected, gamma) / rho, rho
+        penalty_h, h - _core_gradient(g_new + h, grams, projected, gamma) / rho, rho
     )
     if model.partition is not None:
         h_new = tie_heterogeneous_core(h_new, model.partition)
@@ -542,6 +574,14 @@ def _power_start(n: int) -> np.ndarray:
     return v
 
 
+@functools.cache
+def _power_exponents(iters: int) -> np.ndarray:
+    """Read-only column of the exponents ``4k``, ``k = 1 .. iters``, of ``q_k``."""
+    e = (4 * np.arange(1, iters + 1))[:, None]
+    e.flags.writeable = False
+    return e
+
+
 def _spectral_norm(a: np.ndarray, iters: int = 50, tol: float = 1e-8) -> float:
     """Spectral-norm estimate of a power iteration on the Gram matrix.
 
@@ -558,36 +598,51 @@ def _spectral_norm(a: np.ndarray, iters: int = 50, tol: float = 1e-8) -> float:
     where the loop's did, and ``lam_1 = 0`` settles at once at ``0.0``.
 
     ``s[0]`` is the exact 2-norm.  The estimate is kept on purpose: when
-    the sequence has not settled within the budget it falls back to the
-    Frobenius norm (a valid upper bound).  That happens often: on the
-    benchmark's gauss-dense problem (60^3, ranks 3, 150 iterations) 450 of
-    909 calls, every one a 60 x 3 factor norm, fell back, at up to 72 %
-    above the exact 2-norm, which inflates the moduli built from them.
-    Exact norms change the solver's answers and its stopping iteration, so
-    they are a change of their own.
+    the sequence has not settled within the budget (``iters = 0``
+    included) it falls back to the Frobenius norm (a valid upper bound).
+    That happens often: on the benchmark's gauss-dense problem (60^3, ranks
+    3, 150 iterations) 450 of 909 calls, every one a 60 x 3 factor norm,
+    fell back, at up to 72 % above the exact 2-norm, which inflates the
+    moduli built from them.  Exact norms change the solver's answers and
+    its stopping iteration, so they are a change of their own.
 
-    Input with a non-finite entry returns its Frobenius norm (``inf`` or
-    ``nan``), as the loop did, without calling LAPACK: ``np.linalg.svd``
-    may never return on an ``inf`` entry.
+    A refreshed solve makes ``2N`` calls per sweep on matrices of a few
+    dozen entries, so the cost is per numpy call, not per entry: about 20
+    calls (25-30 us on a 16 x 3 matrix, shared 2-core x86-64 machine), of
+    which the SVD takes about two thirds.  One ``dot`` gives the Frobenius norm, in ``np.linalg.norm``'s
+    own order, and serves the zero test, the finiteness guard and the
+    fallback; the exponent column is cached and the first settled step is
+    found by ``argmax``.  None of this moves the estimate: it is bitwise
+    the one that separate reductions per test give.
+
+    Input whose squares do not sum to a finite number returns that
+    Frobenius norm (``inf`` or ``nan``) without calling LAPACK:
+    ``np.linalg.svd`` may never return on an ``inf`` entry.  Where finite
+    entries overflow the sum, the sequence gives ``inf`` too, since
+    ``s_0^4`` overflows long before; where all squares underflow to a zero
+    sum, it settles at ``0.0``.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
-    if a.size == 0 or not a.any():
-        return 0.0
-    if not np.isfinite(a).all():
-        return float(np.linalg.norm(a))
-    _, s, vt = np.linalg.svd(a, full_matrices=False)
-    v = _power_start(a.shape[1])
-    q = np.empty(iters + 1)
-    q[0] = v @ v
-    q[1:] = (s / s[0]) ** (4 * np.arange(1, iters + 1))[:, None] @ (vt @ v) ** 2
-    lam = np.zeros(iters + 1)
+    # one errstate for the whole estimate: the Frobenius sum may overflow,
+    # and so may s_0^4, with q_k / q_{k-1} at 0 / 0 past an underflow
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        flat = a.ravel(order="K")
+        frob = math.sqrt(float(flat.dot(flat)))
+        if frob == 0.0:
+            return 0.0
+        if iters < 1 or not math.isfinite(frob):
+            return frob
+        _, s, vt = np.linalg.svd(a, full_matrices=False)
+        v = _power_start(a.shape[1])
+        q = np.empty(iters + 1)
+        q[0] = v @ v
+        q[1:] = (s / s[0]) ** _power_exponents(iters) @ (vt @ v) ** 2
+        lam = np.zeros(iters + 1)
         lam[1:] = np.sqrt(s[0] ** 4 * (q[1:] / q[:-1]))
         step = abs(lam[1:] - lam[:-1])
-    settled = np.flatnonzero(step <= tol * np.maximum(lam[1:], 1.0))
-    if not settled.size:
-        return float(np.linalg.norm(a))
-    return math.sqrt(lam[settled[0] + 1])
+    settled = step <= tol * np.maximum(lam[1:], 1.0)
+    k = settled.argmax()
+    return math.sqrt(lam[k + 1]) if settled[k] else frob
 
 
 def _factor_modulus(
@@ -643,7 +698,8 @@ def solve(
     The step sizes come from :func:`estimate_moduli`, refreshed inside
     every sweep unless ``config.fixed_moduli`` pins them.  Returns the
     final model, estimate ``z``, dual variable, per-iteration trace, the
-    configuration as given and the moduli the last sweep used.
+    configuration as given, the moduli the last sweep used and the
+    smoothing moments' count of degenerate targets.
     """
     family.validate_observations(omega)
     if omega.shape != tuple(u.shape[0] for u in init.factors):
@@ -725,6 +781,9 @@ def solve(
     rho_factors = list(moduli.factors)
     rho_core = moduli.core
     refresh = not config.fixed_moduli
+    # the factor Grams U_t^T U_t, each formed once after its factor's update
+    # and shared by the later factor steps and both core steps
+    grams = _grams(model)
 
     converged = False
     reason = "max_iters"
@@ -747,11 +806,12 @@ def solve(
             for t in range(n):
                 projected = n_mode_product(projected, model.factors[t].T, t)
             u_new = update_factor(
-                model, projected, gamma, n, rho_factors[n], pen.factors
+                model, projected, gamma, n, rho_factors[n], pen.factors, grams
             )
             check_finite(f"factor {n}", u_new, k)
             factor_sq += float(((u_new - model.factors[n]) ** 2).sum())
             model.factors[n] = u_new
+            grams[n] = u_new.T @ u_new
             if refresh:
                 u_norms[n] = _spectral_norm(u_new)
         # the last factor's input, contracted with its update, is
@@ -761,7 +821,8 @@ def solve(
             rho_core = _core_modulus(gamma, u_norms)
         g_old, h_old = model.core_g, model.core_h
         g_new, h_new = update_cores(
-            model, projected, gamma, rho_core, pen.g, pen.h, freeze_h=config.freeze_h
+            model, projected, gamma, rho_core, pen.g, pen.h,
+            freeze_h=config.freeze_h, grams=grams,
         )
         check_finite("core_g", g_new, k)
         check_finite("core_h", h_new, k)
@@ -816,5 +877,5 @@ def solve(
     return SolverResult(
         model=model, z=z, trace=trace, y=u, config=config,
         moduli=Moduli(gamma, rho_core, tuple(rho_factors)), converged=converged,
-        reason=reason,
+        reason=reason, degenerate=mom.degenerate,
     )

@@ -40,10 +40,13 @@ def matricize(t: np.ndarray, mode: int) -> np.ndarray:
 
     The result has ``t.shape[mode]`` rows and ``prod(other dims)`` columns,
     with columns ordered first-remaining-mode fastest (see module docstring).
+    One transpose brings ``mode`` to the front, the axes ``np.moveaxis``
+    would give without its per-call argument normalization.
     """
     t = np.asarray(t, dtype=float)
     _check_mode(mode, t.ndim)
-    return np.moveaxis(t, mode, 0).reshape((t.shape[mode], -1), order="F")
+    axes = (mode, *range(mode), *range(mode + 1, t.ndim))
+    return t.transpose(axes).reshape((t.shape[mode], -1), order="F")
 
 
 def n_mode_product(

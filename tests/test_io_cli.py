@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import re
 import tempfile
 import tracemalloc
@@ -596,6 +597,16 @@ class TestCliPipeline:
         assert moduli["gamma"] > 0 and moduli["core"] > 0
         assert len(moduli["factors"]) == 3 and min(moduli["factors"]) > 0
 
+    def test_summary_reports_degenerate_targets(self, tmp_path, monkeypatch):
+        # without a similarity section the weights are neutral, so every
+        # unobserved cell is a degenerate target
+        monkeypatch.chdir(tmp_path)
+        run_cli(tmp_path, "synth", synth_config(missing=0.3))
+        assert run_cli(tmp_path, "complete", fit_config("run_out", max_iters=3)) == 0
+        summary = json.loads((tmp_path / "run_out" / "summary.json").read_text())
+        omega = io.read_tensor(tmp_path / "synth_out" / "observed.coo")
+        assert summary["degenerate"] == math.prod(omega.shape) - len(omega) > 0
+
     def test_grid_search_cli(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         run_cli(tmp_path, "synth", synth_config(sigma=0.1, missing=0.3))
@@ -997,6 +1008,31 @@ class TestCliErrors:
                          "penalties.g.weight: a nonneg penalty is off at weight 0; "
                          "give a positive weight"}
         assert not (tmp_path / "run_out").exists()
+
+    def test_grid_over_nonneg_block_rejected(self, tmp_path, monkeypatch, capsys):
+        # the grid's weight replaces the block's: every positive weight was the
+        # same projection and 0 turned it off, so the search once exited 0
+        # having chosen weight 0, no constraint
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(tmp_path, "synth", synth_config(shape=(8, 7, 6), sigma=0.3,
+                                                       missing=0.3)) == 0
+        cfg = fit_config("grid_out", max_iters=60)
+        cfg["penalties"] = {"g": {"kind": "nonneg", "weight": 1},
+                            "h": {"kind": "frob_sq"}}
+        cfg["grid"] = {"lambdas": [0, 0.1, 1], "blocks": ["g"]}
+        cfg["split"] = {"train_fraction": 0.8}
+        capsys.readouterr()
+        assert run_cli(tmp_path, "grid-search", cfg) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == {"kind": "config", "code": 2, "message":
+                         "grid.blocks: block 'g' has a nonneg penalty, which has no "
+                         "weight to sweep"}
+        assert not (tmp_path / "grid_out").exists()
+        # a nonneg block the grid leaves alone keeps its constraint
+        cfg["grid"]["blocks"] = ["h"]
+        assert run_cli(tmp_path, "grid-search", cfg) == 0
+        assert (tmp_path / "grid_out" / "grid_report.csv").read_text().startswith(
+            "h,validation_rmse")
 
     def test_solver_value_checked_before_similarity_files(
             self, tmp_path, monkeypatch, capsys):

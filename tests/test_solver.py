@@ -14,6 +14,7 @@ from dcot.model import (
     initial_model,
     project_core,
     reconstruct,
+    tie_heterogeneous_core,
     tie_satisfied,
 )
 from dcot.prox import Penalty, prox_apply
@@ -39,7 +40,7 @@ from dcot.solver import (
     update_z,
 )
 from dcot.evaluate import SynthSpec, rmse, synthesize
-from dcot.tensor import frob_inner, frob_norm, multilinear_product
+from dcot.tensor import frob_inner, frob_norm, matricize, multilinear_product
 
 
 def random_state(rng, shape=(3, 2, 2), ranks=(2, 2, 2), partition=None):
@@ -280,6 +281,56 @@ class TestBlockUpdates:
         assert np.array_equal(model.core_g, before.core_g)
         assert np.array_equal(model.core_h, before.core_h)
         assert all(np.array_equal(a, b) for a, b in zip(model.factors, before.factors))
+
+
+    @pytest.mark.parametrize("freeze_h", [False, True], ids=["moving-h", "freeze-h"])
+    @pytest.mark.parametrize("tied", [False, True], ids=["no-partition", "partition"])
+    def test_shared_grams_match_replace_reference_bitwise(self, freeze_h, tied, rng):
+        # the block steps as they were taken before the sweep shared its Grams:
+        # every gradient formed its own, and the H step went through a second
+        # model holding the new shared core
+        part = SubjectPartition(1, (SliceGroup((0, 1)),)) if tied else None
+        model, z, y = random_state(rng, partition=part)
+        gamma, rho = 1.3, 2.0
+        pen_g, pen_h = Penalty.l1(0.1), Penalty.l1(0.1)
+        projected = project_core(z + y / gamma, model.factors)
+
+        def core_gradient_reference(m):
+            grad = multilinear_product(m.core_g + m.core_h, [u.T @ u for u in m.factors])
+            grad -= projected
+            grad *= gamma
+            return grad
+
+        g_want = prox_apply(pen_g, model.core_g - core_gradient_reference(model) / rho,
+                            rho)
+        moved = replace(model, core_g=g_want)
+        h_want = prox_apply(pen_h, moved.core_h - core_gradient_reference(moved) / rho,
+                            rho)
+        if tied:
+            h_want = tie_heterogeneous_core(h_want, part)
+        grams = [u.T @ u for u in model.factors]
+        for shared in (None, grams):
+            g, h = update_cores(model, projected, gamma, rho, pen_g, pen_h,
+                                freeze_h=freeze_h, grams=shared)
+            assert np.array_equal(g, g_want)
+            if freeze_h:
+                assert h is model.core_h
+            else:
+                assert np.array_equal(h, h_want)
+
+        for mode in range(3):
+            others = project_others(model, z + y / gamma, mode)
+            s = model.core_g + model.core_h
+            gram = multilinear_product(
+                s, [None if t == mode else u.T @ u for t, u in enumerate(model.factors)])
+            inner = model.factors[mode] @ matricize(gram, mode)
+            inner -= matricize(others, mode)
+            want = gamma * (inner @ matricize(s, mode).T)
+            assert np.array_equal(factor_gradient(model, others, gamma, mode), want)
+            assert np.array_equal(factor_gradient(model, others, gamma, mode, grams), want)
+            assert np.array_equal(
+                update_factor(model, others, gamma, mode, rho, pen_g, grams),
+                update_factor(model, others, gamma, mode, rho, pen_g))
 
 
 class TestUpdateZ:
@@ -628,6 +679,22 @@ class TestSpectralNorm:
                 np.testing.assert_equal(oracles.power_iteration_oracle(a), want)
             np.testing.assert_equal(_spectral_norm(a), want)
 
+    def test_squares_that_leave_the_float_range_skip_lapack(self, rng, monkeypatch):
+        # finite entries whose squares sum to inf (or all underflow to 0) give
+        # the loop's answer from the Frobenius sum alone: inf (0.0)
+        wide = rng.standard_normal((30, 3))
+        cases = {"overflow": (1e200 * wide, math.inf), "underflow": (1e-200 * wide, 0.0)}
+        with np.errstate(over="ignore", invalid="ignore"):
+            for name, (a, want) in cases.items():
+                assert oracles.power_iteration_oracle(a) == want, name
+
+        def no_lapack(*args, **kwargs):
+            raise AssertionError("LAPACK called")
+
+        monkeypatch.setattr(np.linalg, "svd", no_lapack)
+        for name, (a, want) in cases.items():
+            assert _spectral_norm(a) == want, name
+
     def test_near_orthonormal_takes_frobenius_fallback(self, rng):
         a = self.matrices(rng)["near-orthonormal-60x3"]
         assert _spectral_norm(a) == float(np.linalg.norm(a))
@@ -678,6 +745,18 @@ class TestSolve:
         assert len(res.trace) == 1
         assert np.array_equal(res.model.core_g, init.core_g)
         assert all(np.array_equal(a, b) for a, b in zip(res.model.factors, init.factors))
+
+    @pytest.mark.parametrize("neutral", [False, True], ids=["kernel", "neutral"])
+    def test_result_reports_degenerate_targets(self, neutral):
+        data, part = planted_problem(sigma=0.05, missing=0.3)
+        omega = data.observed
+        sim = SimilarityModel.neutral(omega.shape) if neutral else data.sim
+        init = initial_model(omega.to_dense(0.0), (3, 3, 3), InitStrategy("hosvd"), part)
+        res = solve(omega, init, LossFamily("gaussian"), sim, SolverConfig(max_iters=2))
+        want = smoothing_moments(sim, omega).degenerate
+        assert res.degenerate == want
+        if neutral:  # every unobserved cell is a degenerate target
+            assert want == math.prod(omega.shape) - len(omega)
 
     def test_planted_noiseless_recovery(self):
         data, part = planted_problem()

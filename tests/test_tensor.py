@@ -57,6 +57,31 @@ class TestMatricizeFold:
         assert np.array_equal(oracles.fold(np.zeros((2, 6)), 0, (2, 3, 2)),
                               np.zeros((2, 3, 2)))
 
+    @pytest.mark.parametrize("ndim", [1, 2, 3, 4, 5])
+    def test_equals_moveaxis_reshape_bitwise(self, ndim, rng):
+        # matricize's one transpose against the np.moveaxis form it replaced
+        def moveaxis_form(t, mode):
+            return np.moveaxis(t, mode, 0).reshape((t.shape[mode], -1), order="F")
+
+        shape = (4, 3, 2, 3, 2)[:ndim]
+        t = rng.standard_normal(shape)
+        cases = {"c-order": t, "f-order": np.asfortranarray(t),
+                 "strided-view": rng.standard_normal([2 * s for s in shape])[
+                     (slice(None, None, 2),) * ndim],
+                 "transposed-view": t.T}
+        if ndim > 1:
+            cases["zero-length-mode"] = np.zeros(shape[:-1] + (0,))
+        for name, x in cases.items():
+            for mode in range(ndim):
+                if x.shape[mode] == 0:  # no column count to infer, on either side
+                    for f in (matricize, moveaxis_form):
+                        with pytest.raises(ValueError):
+                            f(x, mode)
+                    continue
+                got, want = matricize(x, mode), moveaxis_form(x, mode)
+                assert got.shape == want.shape, (name, mode)
+                assert np.array_equal(got, want), (name, mode)
+
     def test_mode_out_of_range(self):
         with pytest.raises(ValueError):
             matricize(np.zeros((2, 2)), 2)
