@@ -8,7 +8,13 @@ two tied groups on mode 3) -- gaussian default, ``fixed_moduli``,
 ``freeze_h``, l1/frob_sq penalties, a nuclear penalty on the factors,
 ``nonneg`` on ``core_g``, a sparse group lasso on ``core_h`` (one group per
 mode-3 slice), ``freeze_h`` with l1 on ``core_g``, bernoulli, and poisson
-and gamma with ``z_floor=1e-2`` -- and the gaussian default on a planted 4-way
+and gamma with ``z_floor=1e-2``; bernoulli on the same problem with its
+planted cores scaled x100, observations redrawn on the same mask and the
+solve started from that planted model, so the logits reach |z| of 19-25
+and stay above 10 in dozens of cells through the first 10-20 sweeps, and
+the Newton z step covers the sigmoid's saturated range in two or three steps
+per sweep (scaled x30, or started from the HOSVD of the observations, the
+fit's logits stay below 8); the gaussian default on a planted 4-way
 8 x 7 x 6 x 5 problem (ranks (2, 3, 2, 2), mode-4 slices 0 and 1 tied at
 mode-1 index 1), which covers the solver's chain of mode products for
 ``N != 3``; the gaussian default on the 12^3 problem with the neutral
@@ -57,20 +63,24 @@ import numpy as np
 
 from dcot.cli import main as cli_main
 from dcot.evaluate import SynthSpec, synthesize
-from dcot.losses import LossFamily, initial_fill
-from dcot.model import InitStrategy, SliceGroup, SubjectPartition, initial_model
+from dcot.losses import LossFamily, ObservationSet, initial_fill
+from dcot.model import (
+    DcotModel, InitStrategy, SliceGroup, SubjectPartition, initial_model, reconstruct,
+)
 from dcot.prox import Penalty
 from dcot.similarity import SimilarityModel
 from dcot.solver import (
-    BlockPenalties, ConvergenceTrace, SolverAbort, SolverConfig, solve,
+    BlockPenalties, ConvergenceTrace, SolverAbort, SolverConfig, SolverResult, solve,
 )
 
-# (shape, ranks, partition) of the planted problems
+# (shape, ranks, partition, scale of the planted cores) of the planted problems;
+# a scale other than 1 also starts the solve from the scaled planted model
 THREE_WAY = ((12, 12, 12), (3, 3, 4),
-             SubjectPartition(2, (SliceGroup((0, 1)), SliceGroup((2, 3)))))
+             SubjectPartition(2, (SliceGroup((0, 1)), SliceGroup((2, 3)))), 1.0)
 FOUR_WAY = ((8, 7, 6, 5), (2, 3, 2, 2),
-            SubjectPartition(3, (SliceGroup((0, 1), fixed=(0, 1)),)))
+            SubjectPartition(3, (SliceGroup((0, 1), fixed=(0, 1)),)), 1.0)
 MULTI_BLOCK = ((36, 36, 36),) + THREE_WAY[1:]
+SATURATED = THREE_WAY[:3] + (100.0,)
 # the 12^3 problem's core, flattened first-mode-fastest, grouped by mode-3 slice
 SLICE_GROUPS = [range(9 * k, 9 * k + 9) for k in range(4)]
 ITERS = 40
@@ -96,6 +106,7 @@ CASES = {
     "gaussian-freeze-h-l1-g": ("gaussian", {"freeze_h": True, "penalties": BlockPenalties(
         g=Penalty.l1(1e-3))}, THREE_WAY, "kernel"),
     "bernoulli": ("bernoulli", {}, THREE_WAY, "kernel"),
+    "bernoulli-planted-x100": ("bernoulli", {}, SATURATED, "kernel"),
     "poisson-floor-1e-2": ("poisson", {"z_floor": 1e-2}, THREE_WAY, "kernel"),
     "gamma-floor-1e-2": ("gamma", {"z_floor": 1e-2}, THREE_WAY, "kernel"),
     "gaussian-4way": ("gaussian", {}, FOUR_WAY, "kernel"),
@@ -118,20 +129,34 @@ def _line(digest: str, lagrangian: float, iterations: int, reason: str) -> str:
     return f"{digest} lagrangian={lagrangian!r} iters={iterations} reason={reason}"
 
 
-def solve_case(family: str, overrides: dict, problem: tuple, similarity: str,
-               seed: int) -> str:
-    shape, ranks, partition = problem
+def run_case(family: str, overrides: dict, problem: tuple, similarity: str,
+             seed: int) -> SolverResult:
+    """Solve one case; a failing solve raises."""
+    shape, ranks, partition, core_scale = problem
     spec = SynthSpec(shape=shape, ranks=ranks, partition=partition,
                      noise_family=family, noise_sigma=0.1, missing_fraction=0.3,
                      seed=seed)
     data = synthesize(spec)
     fam = LossFamily(family)
     omega = data.observed
-    init = initial_model(omega.to_dense(initial_fill(omega, fam)), ranks,
-                         InitStrategy("hosvd"), partition)
+    if core_scale == 1.0:
+        init = initial_model(omega.to_dense(initial_fill(omega, fam)), ranks,
+                             InitStrategy("hosvd"), partition)
+    else:  # the same factors, mask and similarity; new draws; start at the truth
+        planted = data.planted
+        init = DcotModel(planted.factors, core_scale * planted.core_g,
+                         core_scale * planted.core_h, partition)
+        values = fam.sample(np.random.default_rng(seed),
+                            reconstruct(init)[tuple(omega.indices.T)], spec.noise_sigma)
+        omega = ObservationSet(omega.indices, values, shape)
+    return solve(omega, init, fam, SIMILARITIES[similarity](data.sim),
+                 SolverConfig(max_iters=ITERS, **overrides))
+
+
+def solve_case(family: str, overrides: dict, problem: tuple, similarity: str,
+               seed: int) -> str:
     try:
-        res = solve(omega, init, fam, SIMILARITIES[similarity](data.sim),
-                    SolverConfig(max_iters=ITERS, **overrides))
+        res = run_case(family, overrides, problem, similarity, seed)
     except (SolverAbort, ValueError) as exc:  # a failing case is a fingerprint too
         return f"error {type(exc).__name__}: {exc}"
     m = res.model

@@ -472,6 +472,8 @@ def _cmd_factorize(cfg: dict, out_dir: Path, seed: int, write_zhat: bool,
         "effective_config": effective,
         "moduli": result.moduli,
         "degenerate": result.degenerate,
+        "newton_steps": {"total": sum(result.newton_steps),
+                         "max": max(result.newton_steps, default=0)},
         "iterations": result.trace.rows[-1].iteration,
         "converged": result.converged,
         "reason": result.reason,

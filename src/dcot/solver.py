@@ -61,8 +61,15 @@ gaussian sweep reads ``recon``, ``u``, ``z``, the z-step offset ``a`` and
 and allocates no ``prod(I)`` array.  The other families solve the z step
 over the whole array first (:func:`newton_z`, which returns a new array),
 then take the same pass, and their trace evaluates the loss at the new
-``z``.  The Lagrangian, the primal residual and the dual step share one
-``<r, r>``.  The returned dual is ``y = gamma * u``, formed in place.
+``z``.  Their Newton solve makes one derivative pass per evaluation (one
+transcendental for bernoulli), writes into buffers it allocates once per
+call, and reports its step count, which ``SolverResult.newton_steps``
+collects per sweep.  On the benchmark's bernoulli 30^3 problem
+(20 sweeps, one BLAS thread, a shared 2-core x86-64 machine) a sweep's
+Newton solve takes one or two steps and about 1.1 ms, and the trace's
+loss about 0.25 ms.  The Lagrangian, the primal residual and the dual step
+share one ``<r, r>``.  The returned dual is ``y = gamma * u``, formed in
+place.
 
 Sign conventions: with the augmented Lagrangian written as
 ``F + penalties - <y, recon - z> + (gamma/2) ||recon - z||^2`` and the
@@ -82,11 +89,11 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .losses import (
+    LossDerivatives,
     LossFamily,
     ObservationSet,
     gaussian_quadratic,
     initial_fill,
-    loss_curvature,
     loss_curvature_min,
     loss_gradient,
     loss_lipschitz,
@@ -241,7 +248,9 @@ class SolverResult:
     parameters the last sweep used: the initial estimate when
     ``fixed_moduli`` pins them or no sweep ran.  ``degenerate`` is
     ``Moments.degenerate`` of the solve's smoothing moments: the number of
-    targets that took the fallback weights.
+    targets that took the fallback weights.  ``newton_steps`` holds the
+    Newton steps of each sweep's z step (:func:`newton_z`), one entry per
+    sweep; it is empty for the gaussian family, whose z step is closed.
     """
 
     model: DcotModel
@@ -253,6 +262,7 @@ class SolverResult:
     converged: bool
     reason: str
     degenerate: int
+    newton_steps: tuple[int, ...]
 
 
 def _grams(model: DcotModel) -> list[np.ndarray]:
@@ -384,6 +394,7 @@ def update_z(
     *,
     z_floor: float = 1e-6,
     out: np.ndarray | None = None,
+    steps: list[int] | None = None,
 ) -> np.ndarray:
     """Solve the z block: smoothed loss plus the quadratic coupling.
 
@@ -394,7 +405,8 @@ def update_z(
     computed in place, so ``out`` is returned (:func:`solve` forms it block
     by block instead, in its sweep tail).  Other families go to
     :func:`newton_z`, warm-started at ``z`` (``omega`` scales its
-    tolerance), which returns a new array.
+    tolerance), which returns a new array and appends its step count to
+    ``steps`` when that is given.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
@@ -404,7 +416,7 @@ def update_z(
         center *= b
         center += a
         return center
-    return newton_z(family, mom, omega, center, gamma, z, z_floor=z_floor)
+    return newton_z(family, mom, omega, center, gamma, z, z_floor=z_floor, steps=steps)
 
 
 def newton_z(
@@ -416,6 +428,7 @@ def newton_z(
     z0: np.ndarray,
     *,
     z_floor: float = 1e-6,
+    steps: list[int] | None = None,
 ) -> np.ndarray:
     """Minimize ``F(z) + (gamma / 2) ||z - center||^2`` cell by cell.
 
@@ -432,7 +445,18 @@ def newton_z(
     ``8 * eps * gamma * (|z| + |center|)``, the rounding of
     ``gamma * (z - center)`` (``gamma`` grows like ``1 / z_floor**2`` or
     faster for poisson and gamma, so a fixed tolerance alone can sit below
-    it); one step is exact for the gaussian family.
+    it); one step is exact for the gaussian family.  When ``steps`` is
+    given, the number of Newton steps taken is appended to it.
+
+    Each evaluation is one :class:`~dcot.losses.LossDerivatives` pass (one
+    transcendental for bernoulli), whose stored terms give the step's
+    curvature.  The buffers are allocated once per call and every pass
+    writes into them.  ``lo <= z <= hi`` holds throughout, so the bracket
+    updates are ``min``/``max`` passes against ``-inf * grad`` (``+inf``
+    where the gradient is negative, ``-inf`` where it is positive, ``nan``
+    where it is zero), which give the values of selecting by the
+    gradient's sign without a select on a mask that changes at random from
+    cell to cell.
 
     Raises :class:`SolverAbort` naming the z block when the gradient turns
     non-finite or the tolerance is not met within a fixed iteration cap.
@@ -443,38 +467,82 @@ def newton_z(
             f"gamma {gamma:.3e} does not make the {family.kind} z subproblem "
             "strongly convex"
         )
-    floor = z_floor if family.bounded else -np.inf
+    bounded = family.bounded
+    floor = z_floor if bounded else -np.inf
     scale = float(np.sqrt(np.mean(omega.values**2))) if len(omega) else 1.0
     tol = 1e-8 * max(1.0, scale)
     rounding = 8.0 * np.finfo(float).eps * gamma
 
-    def gradient(zz):
-        return loss_gradient(family, mom, zz) + gamma * (zz - center)
-
+    derivs = LossDerivatives(family, mom)
     z = np.maximum(np.asarray(z0, dtype=float), floor)
-    grad = gradient(z)
-    reach = grad / mu
-    lo = np.maximum(z - np.maximum(reach, 0.0), floor)
-    hi = z - np.minimum(reach, 0.0)
-    del reach, mu
-    for _ in range(_NEWTON_MAX_INNER):
+    if z.shape != derivs.grad.shape:
+        raise ValueError(f"z shape {z.shape} does not match data shape {derivs.grad.shape}")
+
+    def gradient(z, work):  # F'(z) + gamma (z - center) into derivs.grad
+        grad = derivs.at(z)
+        np.subtract(z, center, out=work)
+        work *= gamma
+        grad += work
+        return grad
+
+    work = np.empty_like(z)
+    grad = gradient(z, work)
+    np.divide(grad, mu, out=work)  # the reach |z - z*| <= |grad| / mu
+    lo = np.maximum(work, 0.0)
+    np.subtract(z, lo, out=lo)
+    np.maximum(lo, floor, out=lo)
+    hi = np.minimum(work, 0.0)
+    np.subtract(z, hi, out=hi)
+    del mu
+    spare = np.empty_like(z)
+    abs_center = np.abs(center)
+    ok = np.empty(z.shape, dtype=bool)
+    inside = np.empty(z.shape, dtype=bool)
+    for k in range(_NEWTON_MAX_INNER):
         # a cell on the floor with a positive gradient is optimal; what is
         # left is compared with the cell's tolerance
-        projected = np.maximum(-grad, grad * (z > floor))
-        allowed = rounding * (np.abs(z) + np.abs(center))
-        achieved = float((projected - allowed).max()) - tol
-        del projected, allowed
+        if bounded:
+            np.greater(z, floor, out=ok)
+            np.multiply(grad, ok, out=work)
+            np.negative(grad, out=spare)
+            np.maximum(spare, work, out=work)
+        else:  # max(-grad, grad)
+            np.abs(grad, out=work)
+        np.abs(z, out=spare)  # the allowed rounding * (|z| + |center|)
+        spare += abs_center
+        spare *= rounding
+        work -= spare
+        achieved = float(work.max()) - tol
         if not math.isfinite(achieved):
             raise SolverAbort("z block: the gradient is not finite")
         if achieved <= 0.0:
+            if steps is not None:
+                steps.append(k)
             return z
-        lo = np.where(grad < 0, z, lo)
-        hi = np.where(grad > 0, z, hi)
-        hess = loss_curvature(family, mom, z) + gamma
-        step = np.maximum(z - grad / hess, floor)
-        newton = (hess > 0) & (step >= lo) & (step <= hi)
-        z = np.where(newton, step, 0.5 * (lo + hi))
-        grad = gradient(z)
+        with np.errstate(invalid="ignore"):  # 0 * inf where the gradient is 0
+            np.multiply(grad, -np.inf, out=work)
+        np.minimum(z, work, out=spare)  # z where grad < 0, else -inf or nan
+        np.fmax(lo, spare, out=lo)
+        np.maximum(z, work, out=spare)  # z where grad > 0, else inf or nan
+        np.fmin(hi, spare, out=hi)
+        hess = derivs.curvature(work)
+        hess += gamma
+        np.greater(hess, 0.0, out=ok)
+        step = np.divide(grad, hess, out=work)
+        np.subtract(z, step, out=step)
+        if bounded:
+            np.maximum(step, floor, out=step)
+        np.greater_equal(step, lo, out=inside)
+        ok &= inside
+        np.less_equal(step, hi, out=inside)
+        ok &= inside
+        if ok.all():
+            z, work = step, z
+        else:  # bisect where Newton fails
+            np.add(lo, hi, out=z)
+            z *= 0.5
+            np.copyto(z, step, where=ok)
+        grad = gradient(z, work)
     raise SolverAbort(
         f"z block: Newton solve ended {achieved:.3e} above the projected-gradient "
         f"tolerance in {_NEWTON_MAX_INNER} iterations"
@@ -762,6 +830,7 @@ def solve(
     # trade places
     recon = np.empty_like(z)
     spare = np.empty_like(z)
+    newton_steps: list[int] = []
 
     started = time.perf_counter()
     r = reconstruct(model, out=recon)
@@ -831,7 +900,7 @@ def solve(
         if gaussian is None:
             try:
                 z_new = update_z(recon, z, u, gamma, family, mom, omega,
-                                 z_floor=config.z_floor, out=spare)
+                                 z_floor=config.z_floor, out=spare, steps=newton_steps)
             except SolverAbort as exc:
                 raise SolverAbort(f"{exc} at iteration {k}", trace) from exc
         else:
@@ -877,5 +946,5 @@ def solve(
     return SolverResult(
         model=model, z=z, trace=trace, y=u, config=config,
         moduli=Moduli(gamma, rho_core, tuple(rho_factors)), converged=converged,
-        reason=reason, degenerate=mom.degenerate,
+        reason=reason, degenerate=mom.degenerate, newton_steps=tuple(newton_steps),
     )

@@ -46,7 +46,9 @@ def matricize(t: np.ndarray, mode: int) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     _check_mode(mode, t.ndim)
     axes = (mode, *range(mode), *range(mode + 1, t.ndim))
-    return t.transpose(axes).reshape((t.shape[mode], -1), order="F")
+    # the column count is explicit: numpy cannot infer it when mode is empty
+    cols = math.prod(t.shape[:mode] + t.shape[mode + 1 :])
+    return t.transpose(axes).reshape((t.shape[mode], cols), order="F")
 
 
 def n_mode_product(

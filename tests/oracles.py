@@ -2,9 +2,13 @@
 
 Everything here is written as plain index loops straight from the
 defining formulas, deliberately sharing no code with the package.  The
-exception is the last section: helpers that only the tests call, kept
-here rather than in the package (``vec``, ``fold``, ``similarity_ones``,
-``neighbors``, ``smoothing_weights`` and ``per_cell_moments``).
+exceptions are the last two sections: the z step's earlier whole-array
+forms (``loss_gradient_reference``, ``loss_curvature_reference``,
+``bernoulli_loss_reference`` and ``newton_z_reference``), against which
+the package's one-pass forms are checked, and helpers that only the tests
+call, kept here rather than in the package (``vec``, ``fold``,
+``similarity_ones``, ``neighbors``, ``smoothing_weights`` and
+``per_cell_moments``).
 """
 
 import itertools
@@ -14,8 +18,9 @@ import re
 from pathlib import Path
 
 import numpy as np
+from scipy.special import expit
 
-from dcot.losses import ObservationSet
+from dcot.losses import _GAMMA_EPSILON, _POISSON_FLOOR, ObservationSet, loss_curvature_min
 from dcot.similarity import Moments, ModeSimilarity, SimilarityModel, _check_omega
 from dcot.tensor import _check_mode
 
@@ -401,6 +406,92 @@ def _coo_first_fault(path, lines, start, dims):
             )
         seen[idx] = lineno
     return None
+
+
+# ---------------------------------------------------------------------------
+# The z step's earlier whole-array forms, kept as references: one array
+# expression per family, scipy's ``expit`` and numpy's ``logaddexp`` for
+# bernoulli, and a Newton solve that recomputes the gradient and the
+# curvature separately and selects its brackets by the gradient's sign.
+
+
+def loss_gradient_reference(family, mom, z):
+    """Elementwise gradient of the smoothed loss, one expression per family."""
+    z = np.asarray(z, dtype=float)
+    w, m1, count = mom.weight_sum, mom.weighted_x, mom.count
+    if family.kind == "gaussian":
+        grad = 2.0 * (w * z - m1)
+    elif family.kind == "bernoulli":
+        grad = expit(z) * w - m1
+    elif family.kind == "poisson":
+        grad = w - m1 / np.maximum(z, _POISSON_FLOOR)
+    else:  # gamma
+        zz = z + _GAMMA_EPSILON
+        grad = w / zz - m1 / zz**2
+    return grad / count
+
+
+def loss_curvature_reference(family, mom, z):
+    """Elementwise second derivative of the smoothed loss, one expression per family."""
+    z = np.asarray(z, dtype=float)
+    w, m1, count = mom.weight_sum, mom.weighted_x, mom.count
+    if family.kind == "gaussian":
+        curv = np.broadcast_to(2.0 * w, z.shape)
+    elif family.kind == "bernoulli":
+        p = expit(z)
+        curv = w * p * (1.0 - p)
+    elif family.kind == "poisson":
+        curv = m1 / np.maximum(z, _POISSON_FLOOR) ** 2
+    else:  # gamma
+        zz = z + _GAMMA_EPSILON
+        curv = (2.0 * m1 / zz - w) / zz**2
+    return curv / count
+
+
+def bernoulli_loss_reference(mom, z):
+    """The bernoulli smoothed loss with ``log(1 + exp(z))`` from ``np.logaddexp``."""
+    total = mom.weight_sum * np.logaddexp(0.0, z) - mom.weighted_x * z
+    return float(total.sum()) / mom.count
+
+
+def newton_z_reference(family, mom, omega, center, gamma, z0, z_floor=1e-6):
+    """``dcot.solver.newton_z`` in whole-array expressions that allocate per step.
+
+    Returns the solution, the number of Newton steps and the number of
+    cell-steps that bisected instead of taking the Newton step.
+    """
+    mu = gamma + loss_curvature_min(family, mom, z_floor)
+    assert np.all(mu > 0)
+    floor = z_floor if family.bounded else -np.inf
+    scale = float(np.sqrt(np.mean(omega.values**2))) if len(omega) else 1.0
+    tol = 1e-8 * max(1.0, scale)
+    rounding = 8.0 * np.finfo(float).eps * gamma
+
+    def gradient(zz):
+        return loss_gradient_reference(family, mom, zz) + gamma * (zz - center)
+
+    z = np.maximum(np.asarray(z0, dtype=float), floor)
+    grad = gradient(z)
+    reach = grad / mu
+    lo = np.maximum(z - np.maximum(reach, 0.0), floor)
+    hi = z - np.minimum(reach, 0.0)
+    bisected = 0
+    for k in range(100):
+        projected = np.maximum(-grad, grad * (z > floor))
+        allowed = rounding * (np.abs(z) + np.abs(center))
+        achieved = float((projected - allowed).max()) - tol
+        assert math.isfinite(achieved)
+        if achieved <= 0.0:
+            return z, k, bisected
+        lo = np.where(grad < 0, z, lo)
+        hi = np.where(grad > 0, z, hi)
+        hess = loss_curvature_reference(family, mom, z) + gamma
+        step = np.maximum(z - grad / hess, floor)
+        newton = (hess > 0) & (step >= lo) & (step <= hi)
+        bisected += int(newton.size - newton.sum())
+        z = np.where(newton, step, 0.5 * (lo + hi))
+        grad = gradient(z)
+    raise AssertionError("the reference Newton solve did not converge")
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "solver_fingerprint.py"
@@ -50,3 +51,12 @@ class TestCompareLine:
         text = "error SolverAbort: z block"
         assert fingerprint.compare_line(text, text) == ("failure unchanged", True)
         assert not fingerprint.compare_line(text, "error SolverAbort: y block")[1]
+
+
+def test_saturated_bernoulli_case_runs_newton_past_one_step():
+    # the case exists to cover the sigmoid's saturated range: every sweep's
+    # z step takes more than one Newton step, and logits end beyond 10
+    res = fingerprint.run_case(*fingerprint.CASES["bernoulli-planted-x100"], 1)
+    assert len(res.newton_steps) == fingerprint.ITERS
+    assert min(res.newton_steps) >= 2
+    assert np.abs(res.z).max() > 10.0

@@ -607,6 +607,22 @@ class TestCliPipeline:
         omega = io.read_tensor(tmp_path / "synth_out" / "observed.coo")
         assert summary["degenerate"] == math.prod(omega.shape) - len(omega) > 0
 
+    @pytest.mark.parametrize("family", ["gaussian", "bernoulli"])
+    def test_summary_reports_newton_steps(self, tmp_path, monkeypatch, family):
+        monkeypatch.chdir(tmp_path)
+        synth = synth_config(missing=0.3)
+        synth["synth"]["noise_family"] = family
+        run_cli(tmp_path, "synth", synth)
+        cfg = fit_config("run_out", max_iters=4)
+        cfg["family"] = family
+        assert run_cli(tmp_path, "complete", cfg) == 0
+        steps = json.loads((tmp_path / "run_out" / "summary.json").read_text())["newton_steps"]
+        assert set(steps) == {"total", "max"}
+        if family == "gaussian":  # the closed-form z step takes none
+            assert steps == {"total": 0, "max": 0}
+        else:
+            assert 0 < steps["max"] <= steps["total"] <= 4 * steps["max"]
+
     def test_grid_search_cli(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         run_cli(tmp_path, "synth", synth_config(sigma=0.1, missing=0.3))

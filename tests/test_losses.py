@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +18,7 @@ from dcot.losses import (
     loss_value,
 )
 from dcot.similarity import (
+    Moments,
     ModeSimilarity,
     SimilarityModel,
     mode_similarity,
@@ -361,3 +363,78 @@ class TestPerCellWeights:
         curv = np.stack([loss_curvature(fam, mom, np.full(omega.shape, q)) for q in grid])
         assert np.all(curv >= loss_curvature_min(fam, mom, z_min) - 1e-12)
         assert curv.max() <= loss_lipschitz(fam, mom, z_min=z_min) * (1 + 1e-12)
+
+
+EPS = np.finfo(float).eps
+# the bernoulli logits where exp, expit and logaddexp are exact, saturate or
+# overflow, beside ordinary values
+EDGE_LOGITS = [800.0, -800.0, 40.0, -40.0, 1e-300, -1e-300, 0.0, -0.0]
+
+
+def unit_moments(shape):
+    """Moments whose bernoulli gradient is ``p`` and whose loss is ``log(1 + exp(z))``."""
+    return Moments(weight_sum=np.ones((1,) * len(shape)), weighted_x=np.zeros(shape),
+                   x2_total=0.0, count=1)
+
+
+class TestOnePassMatchesReference:
+    """The derivative pass against the earlier whole-array forms in ``oracles``.
+
+    Poisson and gamma (and gaussian) keep their arithmetic, so they are
+    bitwise equal; bernoulli takes ``exp`` and ``log1p`` from numpy instead
+    of ``scipy.special.expit`` and ``np.logaddexp``, which round differently.
+    """
+
+    @pytest.mark.parametrize("family", ["gaussian", "poisson", "gamma"])
+    @pytest.mark.parametrize("weights", ["normalized", "per-cell"])
+    def test_bitwise_equal(self, family, weights, rng):
+        omega, mom = make_problem(rng, shape=(4, 3, 5), family=family)
+        if weights == "per-cell":
+            mom, _ = oracles.per_cell_moments(rng, omega)
+        fam = LossFamily(family)
+        z = positive_z(rng, omega.shape, 1e-3, 5.0) if fam.bounded else \
+            rng.standard_normal(omega.shape)
+        if fam.bounded:
+            z.flat[:2] = (0.0, 1e-14)  # below poisson's floor
+        assert np.array_equal(loss_gradient(fam, mom, z),
+                              oracles.loss_gradient_reference(fam, mom, z))
+        assert np.array_equal(loss_curvature(fam, mom, z),
+                              oracles.loss_curvature_reference(fam, mom, z))
+
+    def test_bernoulli_within_4_ulp(self, rng):
+        z = np.concatenate([EDGE_LOGITS, 3.0 * rng.standard_normal(200),
+                            rng.uniform(-800.0, 800.0, 200)])
+        fam, mom = LossFamily("bernoulli"), unit_moments(z.shape)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = loss_gradient(fam, mom, z)
+            curv = loss_curvature(fam, mom, z)
+            soft = np.array([loss_value(fam, unit_moments((1,)), np.array([q])) for q in z])
+        p_ref = oracles.loss_gradient_reference(fam, mom, z)
+        assert np.all(np.abs(p - p_ref) <= 4 * np.spacing(p_ref))
+        soft_ref = np.logaddexp(0.0, z)
+        assert np.all(np.abs(soft - soft_ref) <= 4 * np.spacing(soft_ref))
+        # p (1 - p): p's 4 ulp carried through 1 - p
+        curv_ref = oracles.loss_curvature_reference(fam, mom, z)
+        assert np.all(np.abs(curv - curv_ref) <= 4 * (np.spacing(curv_ref) + EPS * p_ref))
+        assert p[0] == 1.0 and p[1] == 0.0 and curv[0] == curv[1] == 0.0
+
+    @pytest.mark.parametrize("weights", ["normalized", "per-cell"])
+    def test_bernoulli_problem_within_4_ulp_of_its_terms(self, weights, rng):
+        omega, mom = make_problem(rng, shape=(4, 3, 5), family="bernoulli")
+        if weights == "per-cell":
+            mom, _ = oracles.per_cell_moments(rng, omega)
+        fam = LossFamily("bernoulli")
+        z = 4.0 * rng.standard_normal(omega.shape)
+        z.flat[:len(EDGE_LOGITS)] = EDGE_LOGITS
+        w, m1, count = mom.weight_sum, mom.weighted_x, mom.count
+        grad = loss_gradient(fam, mom, z)
+        scale = (np.abs(w) + np.abs(m1)) / count
+        assert np.all(np.abs(grad - oracles.loss_gradient_reference(fam, mom, z))
+                      <= 4 * EPS * scale)
+        curv = loss_curvature(fam, mom, z)
+        assert np.all(np.abs(curv - oracles.loss_curvature_reference(fam, mom, z))
+                      <= 4 * EPS * scale)
+        terms = float((np.abs(w * np.logaddexp(0.0, z)) + np.abs(m1 * z)).sum()) / count
+        assert abs(loss_value(fam, mom, z) - oracles.bernoulli_loss_reference(mom, z)) \
+            <= 4 * EPS * terms

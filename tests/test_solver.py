@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 import oracles
-from dcot.losses import LossFamily, ObservationSet, initial_fill, loss_gradient, loss_value
+from dcot.losses import (
+    LossFamily,
+    ObservationSet,
+    initial_fill,
+    loss_curvature_min,
+    loss_gradient,
+    loss_value,
+)
 from dcot.model import (
     DcotModel,
     InitStrategy,
@@ -426,6 +433,37 @@ class TestUpdateZ:
         tol = 1e-8 * max(1.0, np.sqrt(np.mean(omega.values**2)))
         assert np.abs(grad[~at_floor]).max() <= tol
 
+    @pytest.mark.parametrize("family", ["bernoulli", "poisson", "gamma"])
+    def test_newton_matches_reference(self, family, rng):
+        model, z, y, omega, mom = self.make(rng, family=family, shape=(4, 3, 5))
+        fam, gamma, floor = LossFamily(family), 0.8, 1e-2
+        center = reconstruct(model) - y / gamma
+        z0 = np.abs(z) if fam.bounded else 4.0 * z
+        steps = []
+        got = newton_z(fam, mom, omega, center, gamma, z0, z_floor=floor, steps=steps)
+        want, k, _ = oracles.newton_z_reference(fam, mom, omega, center, gamma, z0, floor)
+        assert steps == [k] and k > 0
+        if fam.bounded:  # the same arithmetic
+            assert np.array_equal(got, want)
+        else:  # p from numpy's exp in place of scipy's expit
+            assert np.abs(got - want).max() <= 1e-12 * (1.0 + np.abs(want).max())
+
+    def test_newton_bisection_matches_reference(self, rng):
+        # a gamma just above the gamma family's negative curvature, and a far
+        # start, send some cells' Newton steps out of their brackets
+        model, _, _, omega, mom = self.make(rng, family="gamma", shape=(4, 3, 5))
+        fam, floor = LossFamily("gamma"), 0.1
+        gamma = -1.5 * loss_curvature_min(fam, mom, floor).min()
+        center = rng.gamma(1.0, 1.0, omega.shape)
+        z0 = floor + 10.0 * rng.random(omega.shape)
+        steps = []
+        got = newton_z(fam, mom, omega, center, gamma, z0, z_floor=floor, steps=steps)
+        want, k, bisected = oracles.newton_z_reference(fam, mom, omega, center, gamma, z0,
+                                                       floor)
+        assert bisected > 0
+        assert steps == [k]
+        assert np.array_equal(got, want)
+
     def test_newton_gives_up_naming_z_block(self, rng):
         model, z, y, omega, mom = self.make(rng, family="bernoulli")
         center = reconstruct(model)
@@ -757,6 +795,21 @@ class TestSolve:
         assert res.degenerate == want
         if neutral:  # every unobserved cell is a degenerate target
             assert want == math.prod(omega.shape) - len(omega)
+
+    @pytest.mark.parametrize("family", ["gaussian", "bernoulli", "poisson", "gamma"])
+    def test_result_reports_newton_steps_per_sweep(self, family):
+        data, part = planted_problem(missing=0.3, family=family)
+        omega = data.observed
+        fam = LossFamily(family)
+        init = initial_model(omega.to_dense(initial_fill(omega, fam)), (3, 3, 3),
+                             InitStrategy("hosvd"), part)
+        res = solve(omega, init, fam, data.sim, SolverConfig(max_iters=6, z_floor=1e-2))
+        if family == "gaussian":  # the closed-form z step takes no Newton step
+            assert res.newton_steps == ()
+        else:
+            assert len(res.newton_steps) == res.trace.rows[-1].iteration == 6
+            assert all(isinstance(k, int) and 0 <= k < 100 for k in res.newton_steps)
+            assert sum(res.newton_steps) > 0
 
     def test_planted_noiseless_recovery(self):
         data, part = planted_problem()
