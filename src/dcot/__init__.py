@@ -47,10 +47,8 @@ from .solver import (
     estimate_moduli,
     factor_gradient,
     lagrangian_value,
-    newton_z,
     solve,
     update_cores,
-    update_dual,
     update_factor,
     update_z,
 )

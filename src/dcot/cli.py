@@ -194,8 +194,6 @@ _SCHEMA = {
     },
     "solver": {
         "max_iters": (_INT, 500),
-        "tol_primal": (_or_null(_NUMBER), None),
-        "tol_step": (_NUMBER, 1e-8),
         "fixed_moduli": (_BOOL, False),
         "z_floor": (_NUMBER, 1e-6),
         "freeze_h": (_BOOL, False),

@@ -165,8 +165,11 @@ def init_factors(
     draws seeded standard-normal entries; ``hosvd`` returns the leading
     left singular vectors of each matricization (orthonormal columns,
     computed from the symmetric eigendecomposition of the Gram matrix).
+    A non-finite entry of ``x`` raises ``ValueError``.
     """
     x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise ValueError("data tensor has non-finite values")
     ranks = [int(r) for r in ranks]
     if len(ranks) != x.ndim:
         raise ValueError("need one rank per mode")

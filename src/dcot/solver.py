@@ -50,7 +50,8 @@ Besides ``z`` and ``u``, a solve allocates two dense buffers once:
 one, for the z step); ``spare`` receives the next ``z`` and trades
 places with the old one.  After the reconstruction, one pass over blocks
 of ``_BLOCK`` cells (:func:`_sweep_tail`) does the rest of the sweep while
-a block is in cache: the gaussian z step into ``spare``, the residual
+a block is in cache: the gaussian closed-form z step
+``z_new = a + b * (recon - u)`` into ``spare``, the residual
 ``r = recon - z_new`` in ``recon``, the dual step ``u -= r``, the z step
 ``z - z_new`` in the old ``z``, the sums the trace needs (``||z - z_new||^2``,
 ``||r||^2``, ``<u, r>`` and the gaussian loss's ``sum w z^2 - 2 <m1, z>``)
@@ -59,8 +60,9 @@ read the target twice and the reconstruction has written ``recon``, a
 gaussian sweep reads ``recon``, ``u``, ``z``, the z-step offset ``a`` and
 ``weighted_x`` once and writes ``recon``, ``u``, ``z`` and ``spare`` once,
 and allocates no ``prod(I)`` array.  The other families solve the z step
-over the whole array first (:func:`newton_z`, which returns a new array),
-then take the same pass, and their trace evaluates the loss at the new
+over the whole array first: :func:`solve` forms the proximal center
+``recon - u`` in ``spare`` and :func:`update_z` returns a new array; then
+they take the same pass, and their trace evaluates the loss at the new
 ``z``.  Their Newton solve makes one derivative pass per evaluation (one
 transcendental for bernoulli), writes into buffers it allocates once per
 call, and reports its step count, which ``SolverResult.newton_steps``
@@ -122,6 +124,10 @@ _NEWTON_MAX_INNER = 100
 _BLOCK = 32768
 # abort once the augmented Lagrangian exceeds this factor times (|L_0| + 1)
 _DIVERGENCE_FACTOR = 10.0
+# a solve stops once the primal residual is at most _TOL_PRIMAL_REL * ||x_Omega||
+# and the block step at most _TOL_STEP
+_TOL_PRIMAL_REL = 1e-6
+_TOL_STEP = 1e-8
 
 
 class SolverAbort(RuntimeError):
@@ -153,18 +159,18 @@ class SolverConfig:
     the current state block by block inside every sweep (stale moduli can
     understate the curvature when factor norms drift and send the sweep
     uphill); ``fixed_moduli`` pins them to the initial estimate for the
-    whole run.  A solve stops once the primal residual is at most
-    ``tol_primal`` (default ``1e-6 * ||x_Omega||``) and the block step at
-    most ``tol_step``.  ``z_floor`` is the lower bound on ``z`` for the
-    bounded families (``LossFamily.bounded``); the z block itself has no
-    knobs, since it is solved exactly (see :func:`update_z`).  ``freeze_h``
-    holds the subject core at zero (plain Tucker).
+    whole run.  Nor are the stopping tolerances: a solve stops once the
+    primal residual is at most ``_TOL_PRIMAL_REL * ||x_Omega||`` and the
+    block step at most ``_TOL_STEP``.  ``z_floor`` is the lower bound on
+    ``z`` for the bounded families (``LossFamily.bounded``); the z block
+    itself has no knobs, since it is solved exactly (in closed form for
+    the gaussian family, see :func:`gaussian_z_coefficients`; by
+    :func:`update_z` otherwise).  ``freeze_h`` holds the subject core at
+    zero (plain Tucker).
     """
 
     penalties: BlockPenalties = field(default_factory=BlockPenalties)
     max_iters: int = 500
-    tol_primal: float | None = None
-    tol_step: float = 1e-8
     fixed_moduli: bool = False
     z_floor: float = 1e-6
     freeze_h: bool = False
@@ -174,10 +180,6 @@ class SolverConfig:
             raise ValueError("max_iters must be nonnegative")
         if not self.z_floor > 0:
             raise ValueError("z_floor must be positive")
-        for name in ("tol_step", "tol_primal"):
-            value = getattr(self, name)
-            if value is not None and not value >= 0:
-                raise ValueError(f"{name} must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -249,7 +251,7 @@ class SolverResult:
     ``fixed_moduli`` pins them or no sweep ran.  ``degenerate`` is
     ``Moments.degenerate`` of the solve's smoothing moments: the number of
     targets that took the fallback weights.  ``newton_steps`` holds the
-    Newton steps of each sweep's z step (:func:`newton_z`), one entry per
+    Newton steps of each sweep's z step (:func:`update_z`), one entry per
     sweep; it is empty for the gaussian family, whose z step is closed.
     """
 
@@ -265,13 +267,8 @@ class SolverResult:
     newton_steps: tuple[int, ...]
 
 
-def _grams(model: DcotModel) -> list[np.ndarray]:
-    """Factor Gram matrices ``U_t^T U_t``."""
-    return [u.T @ u for u in model.factors]
-
-
 def factor_gradient(
-    model: DcotModel, projected, gamma: float, mode: int, grams=None
+    model: DcotModel, projected, gamma: float, mode: int, grams
 ) -> np.ndarray:
     """Gradient of the coupling term with respect to factor ``mode``.
 
@@ -280,11 +277,9 @@ def factor_gradient(
     core space the gradient is
     ``gamma * (U_n [S x_{t!=n} U_t^T U_t]_(n) - projected_(n)) S_(n)^T``
     with ``S = core_g + core_h``: the reconstruction never appears.
-    ``grams`` holds the factor Grams ``U_t^T U_t`` when the caller has
-    them (entry ``mode`` is not read); otherwise they are formed here.
+    ``grams`` holds the factor Grams ``U_t^T U_t`` (entry ``mode`` is not
+    read).
     """
-    if grams is None:
-        grams = _grams(model)
     s = model.core_g + model.core_h
     gram = multilinear_product(s, [None if t == mode else g for t, g in enumerate(grams)])
     inner = model.factors[mode] @ matricize(gram, mode)
@@ -292,28 +287,24 @@ def factor_gradient(
     return gamma * (inner @ matricize(s, mode).T)
 
 
-def _core_gradient(s: np.ndarray, grams, projected, gamma: float) -> np.ndarray:
-    """:func:`core_gradient` for the core sum ``s`` and the factor Grams."""
+def core_gradient(s: np.ndarray, grams, projected, gamma: float) -> np.ndarray:
+    """Gradient of the coupling term w.r.t. either core (they coincide).
+
+    ``gamma * (S x_1 U_1^T U_1 ... x_N U_N^T U_N - P)`` at the core sum
+    ``S = core_g + core_h``, with the factor Grams ``grams[t] = U_t^T U_t``
+    and ``P = project_core(T, factors)`` for the target
+    ``T = z + y / gamma``: the adjoint factor maps applied to
+    ``gamma * (recon - T)``, in core space.
+    """
     grad = multilinear_product(s, grams)
     grad -= projected
     grad *= gamma
     return grad
 
 
-def core_gradient(model: DcotModel, projected, gamma: float) -> np.ndarray:
-    """Gradient of the coupling term w.r.t. either core (they coincide).
-
-    ``gamma * (S x_1 U_1^T U_1 ... x_N U_N^T U_N - P)`` with
-    ``S = core_g + core_h`` and ``P = project_core(T, factors)`` for the
-    target ``T = z + y / gamma``: the adjoint factor maps applied to
-    ``gamma * (recon - T)``, in core space.
-    """
-    return _core_gradient(model.core_g + model.core_h, _grams(model), projected, gamma)
-
-
 def update_factor(
     model: DcotModel, projected, gamma: float, mode: int, rho: float, penalty: Penalty,
-    grams=None,
+    grams,
 ) -> np.ndarray:
     """One linearized proximal step on factor ``mode``.
 
@@ -333,33 +324,30 @@ def update_cores(
     penalty_g: Penalty,
     penalty_h: Penalty,
     *,
+    grams,
     freeze_h: bool = False,
-    grams=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Proximal steps on both cores, with the subject core tied afterwards.
 
     ``projected`` is ``project_core(T, model.factors)`` for the target
     ``T = z + y / gamma``.  The factors do not move between the two steps,
-    so both share it and the factor Grams ``grams`` (formed here unless
-    given); the subject core's gradient is taken at the core sum
-    ``g_new + core_h`` after the shared core's update (Gauss-Seidel order).
-    Both steps take the core modulus ``rho``: the cores enter the coupling
-    through the same map, so they share its curvature bound.  With
-    ``freeze_h`` only the shared core moves and ``model.core_h`` is
-    returned as it is.
+    so both share it and the factor Grams ``grams``; the subject core's
+    gradient is taken at the core sum ``g_new + core_h`` after the shared
+    core's update (Gauss-Seidel order).  Both steps take the core modulus
+    ``rho``: the cores enter the coupling through the same map, so they
+    share its curvature bound.  With ``freeze_h`` only the shared core
+    moves and ``model.core_h`` is returned as it is.
     """
     if rho <= 0:
         raise ValueError("core modulus must be positive")
-    if grams is None:
-        grams = _grams(model)
     g, h = model.core_g, model.core_h
     g_new = prox_apply(
-        penalty_g, g - _core_gradient(g + h, grams, projected, gamma) / rho, rho
+        penalty_g, g - core_gradient(g + h, grams, projected, gamma) / rho, rho
     )
     if freeze_h:
         return g_new, h
     h_new = prox_apply(
-        penalty_h, h - _core_gradient(g_new + h, grams, projected, gamma) / rho, rho
+        penalty_h, h - core_gradient(g_new + h, grams, projected, gamma) / rho, rho
     )
     if model.partition is not None:
         h_new = tie_heterogeneous_core(h_new, model.partition)
@@ -369,10 +357,12 @@ def update_cores(
 def gaussian_z_coefficients(mom: Moments, gamma: float) -> tuple[np.ndarray, np.ndarray]:
     """``(a, b)`` of the gaussian closed-form z step ``z = a + b * center``.
 
-    They depend on ``gamma`` and the moments only, so a solve builds them
-    once.  ``b`` has the shape of ``mom.weight_sum``: size one for the
-    moments ``smoothing_moments`` builds, so only ``a`` is a dense array
-    then; a per-cell ``weight_sum`` makes ``b`` dense too.
+    ``center`` is the proximal center ``recon - u``; :func:`_sweep_tail`
+    forms the step.  The coefficients depend on ``gamma`` and the moments
+    only, so a solve builds them once.  ``b`` has the shape of
+    ``mom.weight_sum``: size one for the moments ``smoothing_moments``
+    builds, so only ``a`` is a dense array then; a per-cell ``weight_sum``
+    makes ``b`` dense too.
     """
     scale = 2.0 / mom.count
     b = mom.weight_sum * scale
@@ -384,42 +374,6 @@ def gaussian_z_coefficients(mom: Moments, gamma: float) -> tuple[np.ndarray, np.
 
 
 def update_z(
-    recon: np.ndarray,
-    z,
-    u,
-    gamma: float,
-    family: LossFamily,
-    mom: Moments,
-    omega: ObservationSet,
-    *,
-    z_floor: float = 1e-6,
-    out: np.ndarray | None = None,
-    steps: list[int] | None = None,
-) -> np.ndarray:
-    """Solve the z block: smoothed loss plus the quadratic coupling.
-
-    The proximal center is ``recon - u`` for the scaled dual
-    ``u = y / gamma``; it is formed in ``out`` when that is given.  For the
-    gaussian family the minimizer is the elementwise closed form
-    ``a + b * center``, with ``(a, b)`` from :func:`gaussian_z_coefficients`,
-    computed in place, so ``out`` is returned (:func:`solve` forms it block
-    by block instead, in its sweep tail).  Other families go to
-    :func:`newton_z`, warm-started at ``z`` (``omega`` scales its
-    tolerance), which returns a new array and appends its step count to
-    ``steps`` when that is given.
-    """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    center = np.subtract(recon, u, out=out)
-    if family.kind == "gaussian":
-        a, b = gaussian_z_coefficients(mom, gamma)
-        center *= b
-        center += a
-        return center
-    return newton_z(family, mom, omega, center, gamma, z, z_floor=z_floor, steps=steps)
-
-
-def newton_z(
     family: LossFamily,
     mom: Moments,
     omega: ObservationSet,
@@ -427,10 +381,17 @@ def newton_z(
     gamma: float,
     z0: np.ndarray,
     *,
-    z_floor: float = 1e-6,
-    steps: list[int] | None = None,
+    z_floor: float,
+    steps: list[int],
 ) -> np.ndarray:
-    """Minimize ``F(z) + (gamma / 2) ||z - center||^2`` cell by cell.
+    """Solve the z block: ``F(z) + (gamma / 2) ||z - center||^2``, cell by cell.
+
+    ``center`` is the proximal center ``recon - u`` for the scaled dual
+    ``u = y / gamma``, and ``z0`` the warm start (``omega`` scales the
+    tolerance).  :func:`solve` takes this
+    step for every family but the gaussian, whose minimizer is the closed
+    form ``a + b * center`` (:func:`gaussian_z_coefficients`) that
+    :func:`_sweep_tail` forms block by block.
 
     The loss Hessian is diagonal, so the problem is ``prod(I)`` independent
     1-D problems, each strongly convex on its domain (``z >= z_floor`` for
@@ -445,8 +406,8 @@ def newton_z(
     ``8 * eps * gamma * (|z| + |center|)``, the rounding of
     ``gamma * (z - center)`` (``gamma`` grows like ``1 / z_floor**2`` or
     faster for poisson and gamma, so a fixed tolerance alone can sit below
-    it); one step is exact for the gaussian family.  When ``steps`` is
-    given, the number of Newton steps taken is appended to it.
+    it); one step is exact for the gaussian family.  The number of Newton
+    steps taken is appended to ``steps``.  Returns a new array.
 
     Each evaluation is one :class:`~dcot.losses.LossDerivatives` pass (one
     transcendental for bernoulli), whose stored terms give the step's
@@ -516,8 +477,7 @@ def newton_z(
         if not math.isfinite(achieved):
             raise SolverAbort("z block: the gradient is not finite")
         if achieved <= 0.0:
-            if steps is not None:
-                steps.append(k)
+            steps.append(k)
             return z
         with np.errstate(invalid="ignore"):  # 0 * inf where the gradient is 0
             np.multiply(grad, -np.inf, out=work)
@@ -549,33 +509,16 @@ def newton_z(
     )
 
 
-def update_dual(r: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Scaled dual ascent step ``u -= r`` along the residual ``r = recon - z``.
-
-    ``u = y / gamma``, so this is ``y <- y - gamma * r``.  ``u`` is updated
-    in place and returned.
-    """
-    u -= r
-    return u
-
-
 def lagrangian_value(
-    model: DcotModel, r, u, gamma: float, loss: float, penalties: BlockPenalties,
-    r_sq: float,
+    model: DcotModel, gamma: float, loss: float, penalties: BlockPenalties,
+    r_sq: float, u_r: float,
 ) -> float:
     """``loss + penalties - gamma <u, r> + (gamma/2) ||r||^2`` for ``r = recon - z``.
 
     ``u = y / gamma`` is the scaled dual, so the dual term is ``-<y, r>``.
-    ``r_sq`` is ``||r||^2``, which the caller shares with the primal residual.
+    The caller passes the sums ``r_sq = ||r||^2``, which it shares with the
+    primal residual, and ``u_r = <u, r>``.
     """
-    return _lagrangian(model, gamma, loss, penalties, r_sq, frob_inner(u, r))
-
-
-def _lagrangian(
-    model: DcotModel, gamma: float, loss: float, penalties: BlockPenalties,
-    r_sq: float, u_r: float,
-) -> float:
-    """:func:`lagrangian_value` from the sums ``r_sq = ||r||^2`` and ``u_r = <u, r>``."""
     value = loss
     value += penalty_value(penalties.g, model.core_g)
     value += penalty_value(penalties.h, model.core_h)
@@ -593,12 +536,14 @@ def _sweep_tail(recon, z, z_new, u, gaussian=None) -> tuple[float, float, float,
     consecutive cells goes through every step before the next block is
     read, so the arrays stay in cache:
 
-    * with ``gaussian = (a, b, w, m1)`` (the z-step coefficients and the
-      moments' ``weight_sum`` and ``weighted_x``) the closed-form z step
-      of :func:`update_z`, ``z_new = a + b * (recon - u)``, is formed in
-      ``z_new``; otherwise ``z_new`` already holds the whole z step;
-    * ``recon`` becomes the residual ``r = recon - z_new``, the dual steps
-      (:func:`update_dual`), and ``z`` becomes the z step ``z - z_new``;
+    * with ``gaussian = (a, b, w, m1)`` (the coefficients of
+      :func:`gaussian_z_coefficients` and the moments' ``weight_sum`` and
+      ``weighted_x``) the closed-form z step ``z_new = a + b * (recon - u)``
+      is formed in ``z_new``; otherwise ``z_new`` already holds the whole
+      z step (:func:`update_z`);
+    * ``recon`` becomes the residual ``r = recon - z_new``, the scaled dual
+      takes its ascent step ``u -= r`` (``y <- y - gamma * r``), and ``z``
+      becomes the z step ``z - z_new``;
     * the block's ``||z - z_new||^2``, ``||r||^2``, ``<u, r>`` (with the
       new ``u``) and, on the gaussian path, ``sum w z_new^2 - 2 <m1, z_new>``
       are added up;
@@ -624,7 +569,7 @@ def _sweep_tail(recon, z, z_new, u, gaussian=None) -> tuple[float, float, float,
             new += a[cells]
             quad += gaussian_quadratic(w if w.size == 1 else w[cells], m1[cells], new)
         r -= new
-        update_dual(r, ub)
+        ub -= r
         zb -= new
         dz_sq += float(np.dot(zb, zb))
         r_sq += float(np.dot(r, r))
@@ -733,7 +678,7 @@ def _core_modulus(gamma: float, u_norms: list[float]) -> float:
 
 def estimate_moduli(
     model: DcotModel, config: SolverConfig, family: LossFamily, mom: Moments,
-    u_norms: list[float] | None = None,
+    u_norms: list[float],
 ) -> Moduli:
     """The step parameters at the current state.
 
@@ -742,13 +687,10 @@ def estimate_moduli(
     block's modulus is ``gamma`` times the squared spectral-norm bound of
     its coupling map (core-sum matricization times the other factors for a
     factor block, the product of all factor norms for the cores),
-    multiplied by ``_LIPSCHITZ_SAFETY`` and floored away from zero.  The
-    factors' norm bounds are taken here unless the caller passes them as
-    ``u_norms``.
+    multiplied by ``_LIPSCHITZ_SAFETY`` and floored away from zero.
+    ``u_norms`` holds the factors' norm bounds, ``_spectral_norm(U_n)``.
     """
     gamma = 2.0 * loss_lipschitz(family, mom, z_min=config.z_floor) * 1.05
-    if u_norms is None:
-        u_norms = [_spectral_norm(u) for u in model.factors]
     s = model.core_g + model.core_h
     factors = tuple(_factor_modulus(gamma, s, u_norms, n) for n in range(len(u_norms)))
     return Moduli(gamma, _core_modulus(gamma, u_norms), factors)
@@ -793,9 +735,7 @@ def solve(
     moduli = estimate_moduli(model, config, family, mom, u_norms)
     gamma = moduli.gamma
     u /= -gamma  # the scaled dual y / gamma, starting from y = -grad F(z)
-    tol_primal = config.tol_primal
-    if tol_primal is None:
-        tol_primal = 1e-6 * float(np.linalg.norm(omega.values))
+    tol_primal = _TOL_PRIMAL_REL * float(np.linalg.norm(omega.values))
     pen = config.penalties
     n_modes = len(model.factors)
 
@@ -810,7 +750,7 @@ def solve(
         primal = math.sqrt(r_sq)
         return TraceRow(
             iteration=it,
-            lagrangian=_lagrangian(model, gamma, loss, pen, r_sq, u_r),
+            lagrangian=lagrangian_value(model, gamma, loss, pen, r_sq, u_r),
             loss=loss,
             primal_residual=primal,
             z_step=steps[0],
@@ -852,7 +792,7 @@ def solve(
     refresh = not config.fixed_moduli
     # the factor Grams U_t^T U_t, each formed once after its factor's update
     # and shared by the later factor steps and both core steps
-    grams = _grams(model)
+    grams = [u_n.T @ u_n for u_n in model.factors]
 
     converged = False
     reason = "max_iters"
@@ -898,9 +838,11 @@ def solve(
         model.core_g, model.core_h = g_new, h_new
         reconstruct(model, out=recon)
         if gaussian is None:
+            # the proximal center recon - u goes into spare; it has no name
+            # here, so that the buffer is freed when spare and z trade places
             try:
-                z_new = update_z(recon, z, u, gamma, family, mom, omega,
-                                 z_floor=config.z_floor, out=spare, steps=newton_steps)
+                z_new = update_z(family, mom, omega, np.subtract(recon, u, out=spare),
+                                 gamma, z, z_floor=config.z_floor, steps=newton_steps)
             except SolverAbort as exc:
                 raise SolverAbort(f"{exc} at iteration {k}", trace) from exc
         else:
@@ -931,7 +873,7 @@ def solve(
         block_step = math.sqrt(
             steps[0] ** 2 + steps[1] ** 2 + steps[2] ** 2 + steps[3] ** 2
         )
-        if row.primal_residual <= tol_primal and block_step <= config.tol_step:
+        if row.primal_residual <= tol_primal and block_step <= _TOL_STEP:
             converged = True
             reason = "tolerance"
             break

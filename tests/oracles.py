@@ -455,7 +455,7 @@ def bernoulli_loss_reference(mom, z):
 
 
 def newton_z_reference(family, mom, omega, center, gamma, z0, z_floor=1e-6):
-    """``dcot.solver.newton_z`` in whole-array expressions that allocate per step.
+    """``dcot.solver.update_z`` in whole-array expressions that allocate per step.
 
     Returns the solution, the number of Newton steps and the number of
     cell-steps that bisected instead of taking the Newton step.

@@ -60,3 +60,13 @@ def test_saturated_bernoulli_case_runs_newton_past_one_step():
     assert len(res.newton_steps) == fingerprint.ITERS
     assert min(res.newton_steps) >= 2
     assert np.abs(res.z).max() > 10.0
+
+
+def test_every_case_yields_a_hash_line():
+    # the script is the bitwise gate of solver refactors, so each of its
+    # cases must still run through the solver's surface and hash its outputs
+    lines = list(fingerprint.cases())
+    names = [name for name, _ in lines]
+    assert len(names) == len(set(names)) == 2 * len(fingerprint.CASES) + 2
+    for name, text in lines:
+        assert fingerprint._LINE.fullmatch(text), f"{name}: {text}"

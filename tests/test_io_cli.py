@@ -821,8 +821,9 @@ class TestCliErrors:
         assert error["message"].endswith("/data/observed.coo: not valid UTF-8 (byte 20)")
         assert not (tmp_path / "x").exists()
 
-    # the step-size keys (gamma, rho_*, lipschitz_safety) follow with values
-    # that were accepted once, and then with values that were rejected
+    # the step-size keys (gamma, rho_*, lipschitz_safety), then the stopping
+    # tolerances (tol_primal, tol_step), follow with values that were
+    # accepted once, and then with values that were rejected
     @pytest.mark.parametrize("key, value", [("z_solver", "quasi_newton"),
                                             ("qn_grad_tol", 1e-8),
                                             ("moduli_period", 2),
@@ -840,7 +841,15 @@ class TestCliErrors:
                                             ("lipschitz_safety", 0.1),
                                             ("rho_g", -1.0),
                                             ("rho_h", 0),
-                                            ("rho_factors", [1, 0, 1])])
+                                            ("rho_factors", [1, 0, 1]),
+                                            ("tol_primal", None),
+                                            ("tol_primal", 1e-6),
+                                            ("tol_step", 1e-8),
+                                            ("tol_step", None),
+                                            ("tol_step", -1),
+                                            ("tol_primal", -1e-3),
+                                            ("tol_step", float("nan")),
+                                            ("tol_primal", float("-inf"))])
     def test_removed_solver_keys_rejected(self, tmp_path, monkeypatch, capsys,
                                           key, value):
         monkeypatch.chdir(tmp_path)
@@ -858,10 +867,7 @@ class TestCliErrors:
                                             ("fixed_moduli", 0),
                                             ("max_iters", 2.5),
                                             ("max_iters", True),
-                                            ("tol_step", None),
-                                            ("z_floor", 0),
-                                            ("tol_step", -1),
-                                            ("tol_primal", -1e-3)])
+                                            ("z_floor", 0)])
     def test_bad_solver_value_rejected(self, tmp_path, monkeypatch, capsys, key, value):
         monkeypatch.chdir(tmp_path)
         run_cli(tmp_path, "synth", synth_config())
@@ -985,10 +991,8 @@ class TestCliErrors:
 
     @pytest.mark.parametrize("section, key, value", [
         ("solver", "z_floor", float("inf")),
-        ("solver", "tol_step", float("nan")),
-        ("solver", "tol_primal", float("-inf")),
         ("penalties", "g.weight", float("nan")),
-    ], ids=["z_floor-Infinity", "tol_step-NaN", "tol_primal--Infinity", "weight-NaN"])
+    ], ids=["z_floor-Infinity", "weight-NaN"])
     def test_non_finite_number_rejected(self, tmp_path, monkeypatch, capsys, section,
                                         key, value):
         # json reads NaN and +-Infinity; each once ran, aborted the solve or

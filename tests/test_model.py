@@ -93,6 +93,17 @@ class TestInitFactors:
         with pytest.raises(ValueError):
             init_factors(rng.standard_normal((3, 3)), [4, 2], InitStrategy("hosvd"))
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("kind", ["hosvd", "random"])
+    def test_non_finite_data_rejected(self, value, kind, rng):
+        # hosvd once handed such data to LAPACK, which raised "Eigenvalues
+        # did not converge"
+        x = rng.standard_normal((6, 5, 4))
+        x[3, 2, 1] = value
+        for build in (init_factors, initial_model):
+            with pytest.raises(ValueError, match="data tensor has non-finite values"):
+                build(x, [2, 2, 2], InitStrategy(kind))
+
 
 class TestProjectCore:
     def test_identity_factors(self, rng):

@@ -28,21 +28,21 @@ from dcot.prox import Penalty, prox_apply
 from dcot.similarity import Moments, SimilarityModel, smoothing_moments
 from dcot.solver import (
     _LIPSCHITZ_SAFETY,
+    _TOL_STEP,
     BlockPenalties,
     ConvergenceTrace,
     SolverAbort,
     SolverConfig,
     _power_start,
     _spectral_norm,
+    _sweep_tail,
     core_gradient,
     estimate_moduli,
     factor_gradient,
     gaussian_z_coefficients,
     lagrangian_value,
-    newton_z,
     solve,
     update_cores,
-    update_dual,
     update_factor,
     update_z,
 )
@@ -70,14 +70,21 @@ def project_others(model, target, mode):
     return multilinear_product(target, others)
 
 
+def grams_of(model):
+    """The factor Grams ``U_t^T U_t``."""
+    return [u.T @ u for u in model.factors]
+
+
 def factor_grad(model, z, y, gamma, mode):
     """``factor_gradient`` at the state ``(z, y)``: project ``z + y / gamma`` first."""
-    return factor_gradient(model, project_others(model, z + y / gamma, mode), gamma, mode)
+    return factor_gradient(model, project_others(model, z + y / gamma, mode), gamma, mode,
+                           grams_of(model))
 
 
 def core_grad(model, z, y, gamma):
     """``core_gradient`` at the state ``(z, y)``: project ``z + y / gamma`` first."""
-    return core_gradient(model, project_core(z + y / gamma, model.factors), gamma)
+    return core_gradient(model.core_g + model.core_h, grams_of(model),
+                         project_core(z + y / gamma, model.factors), gamma)
 
 
 def coupling_value(model, z, y, gamma):
@@ -212,7 +219,7 @@ class TestBlockUpdates:
         z = reconstruct(model)
         y = np.zeros_like(z)
         got = update_factor(model, project_others(model, z + y, 0), 1.0, 0, 2.0,
-                            Penalty.none())
+                            Penalty.none(), grams_of(model))
         assert np.allclose(got, model.factors[0], atol=1e-12)
 
     def test_no_penalty_is_exact_gradient_step(self, rng):
@@ -220,7 +227,7 @@ class TestBlockUpdates:
         rho = 3.0
         grad = factor_grad(model, z, y, 1.0, 1)
         got = update_factor(model, project_others(model, z + y, 1), 1.0, 1, rho,
-                            Penalty.none())
+                            Penalty.none(), grams_of(model))
         assert np.allclose(got, model.factors[1] - grad / rho, atol=1e-12)
 
     def test_l1_penalty_is_soft_thresholded_step(self, rng):
@@ -228,7 +235,8 @@ class TestBlockUpdates:
         rho, pen = 2.5, Penalty.l1(0.7)
         grad = factor_grad(model, z, y, 1.0, 0)
         expected = prox_apply(pen, model.factors[0] - grad / rho, rho)
-        got = update_factor(model, project_others(model, z + y, 0), 1.0, 0, rho, pen)
+        got = update_factor(model, project_others(model, z + y, 0), 1.0, 0, rho, pen,
+                            grams_of(model))
         assert np.array_equal(got, expected)
 
     def test_cores_fixed_point_when_feasible(self, rng):
@@ -237,7 +245,7 @@ class TestBlockUpdates:
         z = reconstruct(model)
         y = np.zeros_like(z)
         g, h = update_cores(model, project_core(z + y, model.factors), 1.0, 2.0,
-                            Penalty.none(), Penalty.none())
+                            Penalty.none(), Penalty.none(), grams=grams_of(model))
         assert np.allclose(g, model.core_g, atol=1e-12)
         assert np.allclose(h, model.core_h, atol=1e-12)
         assert tie_satisfied(h, part)
@@ -247,7 +255,7 @@ class TestBlockUpdates:
         model, z, y = random_state(rng)
         gamma, rho = 1.3, 2.0
         g, h = update_cores(model, project_core(z + y / gamma, model.factors), gamma,
-                            rho, Penalty.none(), Penalty.none())
+                            rho, Penalty.none(), Penalty.none(), grams=grams_of(model))
         assert np.allclose(g, model.core_g - core_grad(model, z, y, gamma) / rho,
                            atol=1e-12)
         moved = DcotModel(model.factors, g, model.core_h)
@@ -257,34 +265,34 @@ class TestBlockUpdates:
     def test_huge_l1_zeroes_core(self, rng):
         model, z, y = random_state(rng)
         g, _ = update_cores(model, project_core(z + y, model.factors), 1.0, 1.0,
-                            Penalty.l1(1e6), Penalty.none())
+                            Penalty.l1(1e6), Penalty.none(), grams=grams_of(model))
         assert np.array_equal(g, np.zeros_like(g))
 
     def test_tie_constraint_bitwise_after_update(self, rng):
         part = SubjectPartition(1, (SliceGroup((0, 1)),))
         model, z, y = random_state(rng, partition=part)
         _, h = update_cores(model, project_core(z + y / 1.3, model.factors), 1.3, 2.0,
-                            Penalty.none(), Penalty.l1(0.1))
+                            Penalty.none(), Penalty.l1(0.1), grams=grams_of(model))
         assert tie_satisfied(h, part)
 
     def test_freeze_h_moves_only_shared_core(self, rng):
         model, z, y = random_state(rng)
         args = (model, project_core(z + y / 1.3, model.factors), 1.3, 2.0,
                 Penalty.l1(0.1), Penalty.l1(0.1))
-        g, h = update_cores(*args)
-        g_frozen, h_frozen = update_cores(*args, freeze_h=True)
+        g, h = update_cores(*args, grams=grams_of(model))
+        g_frozen, h_frozen = update_cores(*args, grams=grams_of(model), freeze_h=True)
         assert h_frozen is model.core_h
         assert not np.array_equal(h, model.core_h)
         assert np.array_equal(g_frozen, g)
         with pytest.raises(TypeError):
-            update_cores(*args, True)
+            update_cores(*args, grams_of(model), True)
 
     def test_cores_leave_input_model_unchanged(self, rng):
         part = SubjectPartition(1, (SliceGroup((0, 1)),))
         model, z, y = random_state(rng, partition=part)
         before = model.copy()
         update_cores(model, project_core(z + y / 1.3, model.factors), 1.3, 2.0,
-                     Penalty.l1(0.1), Penalty.l1(0.1))
+                     Penalty.l1(0.1), Penalty.l1(0.1), grams=grams_of(model))
         assert np.array_equal(model.core_g, before.core_g)
         assert np.array_equal(model.core_h, before.core_h)
         assert all(np.array_equal(a, b) for a, b in zip(model.factors, before.factors))
@@ -315,15 +323,14 @@ class TestBlockUpdates:
                             rho)
         if tied:
             h_want = tie_heterogeneous_core(h_want, part)
-        grams = [u.T @ u for u in model.factors]
-        for shared in (None, grams):
-            g, h = update_cores(model, projected, gamma, rho, pen_g, pen_h,
-                                freeze_h=freeze_h, grams=shared)
-            assert np.array_equal(g, g_want)
-            if freeze_h:
-                assert h is model.core_h
-            else:
-                assert np.array_equal(h, h_want)
+        grams = grams_of(model)
+        g, h = update_cores(model, projected, gamma, rho, pen_g, pen_h,
+                            freeze_h=freeze_h, grams=grams)
+        assert np.array_equal(g, g_want)
+        if freeze_h:
+            assert h is model.core_h
+        else:
+            assert np.array_equal(h, h_want)
 
         for mode in range(3):
             others = project_others(model, z + y / gamma, mode)
@@ -333,11 +340,21 @@ class TestBlockUpdates:
             inner = model.factors[mode] @ matricize(gram, mode)
             inner -= matricize(others, mode)
             want = gamma * (inner @ matricize(s, mode).T)
-            assert np.array_equal(factor_gradient(model, others, gamma, mode), want)
             assert np.array_equal(factor_gradient(model, others, gamma, mode, grams), want)
             assert np.array_equal(
                 update_factor(model, others, gamma, mode, rho, pen_g, grams),
-                update_factor(model, others, gamma, mode, rho, pen_g))
+                prox_apply(pen_g, model.factors[mode] - want / rho, rho))
+
+
+def closed_form_z(mom, gamma, center):
+    """The gaussian closed-form z step ``a + b * center``."""
+    a, b = gaussian_z_coefficients(mom, gamma)
+    return a + b * center
+
+
+def newton_solve(family, mom, omega, center, gamma, z0, z_floor=1e-6):
+    """``update_z`` with its step count dropped."""
+    return update_z(family, mom, omega, center, gamma, z0, z_floor=z_floor, steps=[])
 
 
 class TestUpdateZ:
@@ -358,15 +375,15 @@ class TestUpdateZ:
         model, z, y, omega, mom = self.make(rng)
         gamma = 1e8
         center = reconstruct(model) - y / gamma
-        got = update_z(reconstruct(model), z, y / gamma, gamma, LossFamily("gaussian"),
-                       mom, omega)
+        got = closed_form_z(mom, gamma, center)
         assert np.abs(got - center).max() < 1e-6
 
     def test_closed_form_matches_newton(self, rng):
         model, z, y, omega, mom = self.make(rng)
         fam = LossFamily("gaussian")
-        closed = update_z(reconstruct(model), z, y / 0.7, 0.7, fam, mom, omega)
-        newton = newton_z(fam, mom, omega, reconstruct(model) - y / 0.7, 0.7, z)
+        center = reconstruct(model) - y / 0.7
+        closed = closed_form_z(mom, 0.7, center)
+        newton = newton_solve(fam, mom, omega, center, 0.7, z)
         assert np.abs(closed - newton).max() < 1e-8
 
     def test_closed_form_with_per_cell_weights(self, rng):
@@ -375,10 +392,11 @@ class TestUpdateZ:
         mom, _ = oracles.per_cell_moments(rng, omega)
         fam, gamma = LossFamily("gaussian"), 0.7
         center = reconstruct(model) - y / gamma
-        closed = update_z(reconstruct(model), z, y / gamma, gamma, fam, mom, omega)
+        closed = closed_form_z(mom, gamma, center)
         grad = loss_gradient(fam, mom, closed) + gamma * (closed - center)
         assert np.abs(grad).max() < 1e-12
-        assert np.abs(closed - newton_z(fam, mom, omega, center, gamma, z)).max() < 1e-8
+        newton = newton_solve(fam, mom, omega, center, gamma, z)
+        assert np.abs(closed - newton).max() < 1e-8
 
     def test_scalar_grid_oracle(self, rng):
         shape = (1,)
@@ -389,11 +407,9 @@ class TestUpdateZ:
         z = np.array([0.0])
         y = np.array([0.4])
         gamma = 0.9
-        got = update_z(reconstruct(model), z, y / gamma, gamma, fam, mom, omega)
-        from dcot.losses import loss_value
-
-        qs = np.linspace(-5, 5, 200001)
         center = reconstruct(model) - y / gamma
+        got = closed_form_z(mom, gamma, center)
+        qs = np.linspace(-5, 5, 200001)
         vals = [
             loss_value(fam, mom, np.array([q]))
             + 0.5 * gamma * (q - center[0]) ** 2
@@ -407,9 +423,8 @@ class TestUpdateZ:
         fam = LossFamily(family)
         gamma = 0.8
         z0 = np.abs(z) + 0.5 if family in ("poisson", "gamma") else z
-        got = update_z(reconstruct(model), z0, y / gamma, gamma, fam, mom, omega,
-                       z_floor=1e-8)
         center = reconstruct(model) - y / gamma
+        got = newton_solve(fam, mom, omega, center, gamma, z0, z_floor=1e-8)
         grad = loss_gradient(fam, mom, got) + gamma * (got - center)
         interior = got > 1e-8 if family in ("poisson", "gamma") else np.ones_like(got, bool)
         assert np.abs(grad[interior]).max() <= 1e-6 + 1e-12
@@ -423,9 +438,8 @@ class TestUpdateZ:
         gamma, floor = 0.8, 0.5
         # centers far below the floor pin some cells to it
         y = y + 5.0 * gamma * (rng.random(y.shape) < 0.5)
-        got = update_z(reconstruct(model), np.abs(z) + 1.0, y / gamma, gamma, fam, mom,
-                       omega, z_floor=floor)
         center = reconstruct(model) - y / gamma
+        got = newton_solve(fam, mom, omega, center, gamma, np.abs(z) + 1.0, z_floor=floor)
         grad = loss_gradient(fam, mom, got) + gamma * (got - center)
         at_floor = got <= floor
         assert got.min() >= floor and at_floor.any()
@@ -440,7 +454,7 @@ class TestUpdateZ:
         center = reconstruct(model) - y / gamma
         z0 = np.abs(z) if fam.bounded else 4.0 * z
         steps = []
-        got = newton_z(fam, mom, omega, center, gamma, z0, z_floor=floor, steps=steps)
+        got = update_z(fam, mom, omega, center, gamma, z0, z_floor=floor, steps=steps)
         want, k, _ = oracles.newton_z_reference(fam, mom, omega, center, gamma, z0, floor)
         assert steps == [k] and k > 0
         if fam.bounded:  # the same arithmetic
@@ -457,7 +471,7 @@ class TestUpdateZ:
         center = rng.gamma(1.0, 1.0, omega.shape)
         z0 = floor + 10.0 * rng.random(omega.shape)
         steps = []
-        got = newton_z(fam, mom, omega, center, gamma, z0, z_floor=floor, steps=steps)
+        got = update_z(fam, mom, omega, center, gamma, z0, z_floor=floor, steps=steps)
         want, k, bisected = oracles.newton_z_reference(fam, mom, omega, center, gamma, z0,
                                                        floor)
         assert bisected > 0
@@ -469,39 +483,47 @@ class TestUpdateZ:
         center = reconstruct(model)
         center.flat[0] = np.nan
         with pytest.raises(SolverAbort, match="z block"):
-            newton_z(LossFamily("bernoulli"), mom, omega, center, 0.8, z)
+            newton_solve(LossFamily("bernoulli"), mom, omega, center, 0.8, z)
 
     def test_newton_non_finite_gradient_on_floor_aborts(self, rng):
         model, z, y, omega, mom = self.make(rng, family="poisson")
         center = reconstruct(model)
         center.flat[0] = -np.inf
         with pytest.raises(SolverAbort, match="not finite"), np.errstate(invalid="ignore"):
-            newton_z(LossFamily("poisson"), mom, omega, center, 5.0, z, z_floor=1e-2)
+            newton_solve(LossFamily("poisson"), mom, omega, center, 5.0, z, z_floor=1e-2)
 
     def test_newton_rejects_nonconvex_subproblem(self, rng):
         model, z, y, omega, mom = self.make(rng, family="gamma")
         # the gamma loss is not convex: near z = 3 m1 / w its curvature is
         # negative by far more than this gamma
         with pytest.raises(ValueError, match="strongly convex"):
-            newton_z(LossFamily("gamma"), mom, omega, reconstruct(model), 1e-6, z + 1.0)
+            newton_solve(LossFamily("gamma"), mom, omega, reconstruct(model), 1e-6, z + 1.0)
 
 
 class TestUpdateDual:
+    """The dual step ``u -= r`` that the sweep's tail takes (``_sweep_tail``)."""
+
+    @staticmethod
+    def dual_step(recon, z_new, u):
+        """``u`` after the tail, given the z step ``z_new`` (the Newton path)."""
+        _sweep_tail(recon.copy(), np.zeros_like(z_new), z_new.copy(), u)
+        return u
+
     def test_feasible_keeps_dual(self, rng):
         model, _, u = random_state(rng)
         z = reconstruct(model)
-        assert np.allclose(update_dual(reconstruct(model) - z, u.copy()), u, atol=1e-12)
+        assert np.array_equal(self.dual_step(reconstruct(model), z, u.copy()), u)
 
     def test_zero_dual_unit_gamma(self, rng):
         model, z, _ = random_state(rng)
-        got = update_dual(reconstruct(model) - z, np.zeros_like(z))
+        got = self.dual_step(reconstruct(model), z, np.zeros_like(z))
         assert np.allclose(got, -(reconstruct(model) - z), atol=1e-12)
 
     def test_steps_in_place_against_residual(self, rng):
         model, z, u = random_state(rng)
-        r = reconstruct(model) - z
-        want = u - r
-        got = update_dual(r, u)
+        recon = reconstruct(model)
+        want = u - (recon - z)
+        got = self.dual_step(recon, z, u)
         assert got is u
         assert np.array_equal(got, want)
 
@@ -511,24 +533,27 @@ class TestUpdateDual:
         model, z, y, omega, mom = TestUpdateZ().make(rng)
         fam = LossFamily("gaussian")
         gamma = 0.6
-        recon = reconstruct(model)
         u = y / gamma
-        z_new = update_z(recon, z, u, gamma, fam, mom, omega)
-        y_new = gamma * update_dual(recon - z_new, u)
+        z_new = np.empty_like(z)
+        gaussian = (*gaussian_z_coefficients(mom, gamma), mom.weight_sum, mom.weighted_x)
+        _sweep_tail(reconstruct(model), z.copy(), z_new, u, gaussian)
         grad = loss_gradient(fam, mom, z_new)
-        assert np.abs(y_new + grad).max() <= 1e-8
+        assert np.abs(gamma * u + grad).max() <= 1e-8
 
 
 class TestLagrangian:
-    def test_feasible_no_penalties_is_loss(self, rng):
-        from dcot.losses import loss_value
+    @staticmethod
+    def value(model, r, u, gamma, loss, penalties):
+        """``lagrangian_value`` from the residual ``r`` and the scaled dual ``u``."""
+        return lagrangian_value(model, gamma, loss, penalties, frob_inner(r, r),
+                                frob_inner(u, r))
 
+    def test_feasible_no_penalties_is_loss(self, rng):
         model, _, y, omega, mom = TestUpdateZ().make(rng)
         z = reconstruct(model)
         loss = loss_value(LossFamily("gaussian"), mom, z)
         r = reconstruct(model) - z
-        got = lagrangian_value(model, r, y / 1.2, 1.2, loss, BlockPenalties(),
-                               frob_inner(r, r))
+        got = self.value(model, r, y / 1.2, 1.2, loss, BlockPenalties())
         assert np.isclose(got, loss_value(LossFamily("gaussian"), mom, z), atol=1e-12)
 
     def test_dual_shift_invariant_at_feasible_point(self, rng):
@@ -536,13 +561,11 @@ class TestLagrangian:
         z = reconstruct(model)
         r = reconstruct(model) - z
         loss = loss_value(LossFamily("gaussian"), mom, z)
-        a = lagrangian_value(model, r, y, 1.2, loss, BlockPenalties(), frob_inner(r, r))
-        b = lagrangian_value(model, r, y + 3.0, 1.2, loss, BlockPenalties(),
-                             frob_inner(r, r))
+        a = self.value(model, r, y, 1.2, loss, BlockPenalties())
+        b = self.value(model, r, y + 3.0, 1.2, loss, BlockPenalties())
         assert np.isclose(a, b, atol=1e-10)
 
     def test_term_by_term_oracle(self, rng):
-        from dcot.losses import loss_value
         from dcot.prox import penalty_value
 
         model, z, y, omega, mom = TestUpdateZ().make(rng)
@@ -551,8 +574,7 @@ class TestLagrangian:
                              factors=Penalty.l1(0.05))
         gamma = 0.9
         r = reconstruct(model) - z
-        got = lagrangian_value(model, r, y / gamma, gamma, loss_value(fam, mom, z), pen,
-                               frob_inner(r, r))
+        got = self.value(model, r, y / gamma, gamma, loss_value(fam, mom, z), pen)
         expected = (
             loss_value(fam, mom, z)
             + penalty_value(pen.g, model.core_g)
@@ -569,8 +591,11 @@ class TestLagrangian:
         pen = BlockPenalties(g=Penalty.nonneg())
         loss = loss_value(LossFamily("gaussian"), mom, z)
         r = reconstruct(model) - z
-        got = lagrangian_value(model, r, y, 1.0, loss, pen, frob_inner(r, r))
-        assert got == np.inf
+        assert self.value(model, r, y, 1.0, loss, pen) == np.inf
+
+
+def factor_norms(model):
+    return [_spectral_norm(u) for u in model.factors]
 
 
 class TestEstimateModuli:
@@ -583,7 +608,8 @@ class TestEstimateModuli:
         model = DcotModel([np.zeros((3, 2))] * 2, np.zeros(ranks), np.zeros(ranks))
         omega = ObservationSet.from_dense(rng.standard_normal(shape))
         mom = smoothing_moments(SimilarityModel.neutral(shape), omega)
-        moduli = estimate_moduli(model, SolverConfig(), LossFamily("gaussian"), mom)
+        moduli = estimate_moduli(model, SolverConfig(), LossFamily("gaussian"), mom,
+                                 factor_norms(model))
         assert moduli.core == 1e-8
         assert moduli.factors == (1e-8, 1e-8)
 
@@ -592,7 +618,8 @@ class TestEstimateModuli:
         model = DcotModel([rng.standard_normal((4, 2))], core.copy(), core.copy())
         omega = ObservationSet.from_dense(rng.standard_normal((4,)))
         mom = smoothing_moments(SimilarityModel.neutral((4,)), omega)
-        got = estimate_moduli(model, SolverConfig(), LossFamily("gaussian"), mom)
+        got = estimate_moduli(model, SolverConfig(), LossFamily("gaussian"), mom,
+                              factor_norms(model))
         s = model.core_g + model.core_h
         assert np.isclose(got.factors[0], _LIPSCHITZ_SAFETY * got.gamma * float(s @ s),
                           rtol=1e-6)
@@ -607,7 +634,7 @@ class TestEstimateModuli:
         got = []
         for lf in (1.0, 2.0):
             monkeypatch.setattr(dcot.solver, "loss_lipschitz", lambda *a, **k: lf)
-            got.append(estimate_moduli(model, SolverConfig(), fam, mom))
+            got.append(estimate_moduli(model, SolverConfig(), fam, mom, factor_norms(model)))
         a, b = got
         assert b.gamma == 2 * a.gamma
         assert np.isclose(b.core, 2 * a.core, rtol=1e-6)
@@ -619,7 +646,7 @@ class TestEstimateModuli:
         model, _, _ = random_state(rng)
         mom = self.make_mom(rng)
         fam = LossFamily("gaussian")
-        moduli = estimate_moduli(model, SolverConfig(), fam, mom)
+        moduli = estimate_moduli(model, SolverConfig(), fam, mom, factor_norms(model))
         assert moduli.gamma > 2.0 * loss_lipschitz(fam, mom)
 
 
@@ -765,9 +792,11 @@ def tiny_moduli(monkeypatch, factor=None, core=None):
 
 @pytest.mark.parametrize("name, value", [("gamma", 1.0), ("rho_g", 1.0), ("rho_h", 1.0),
                                          ("rho_factors", (1.0, 1.0, 1.0)),
-                                         ("lipschitz_safety", 1.1)])
+                                         ("lipschitz_safety", 1.1),
+                                         ("tol_primal", 1e-6), ("tol_step", 1e-8)])
 def test_removed_step_size_fields_rejected(name, value):
-    # the step sizes come from the problem (estimate_moduli)
+    # the step sizes come from the problem (estimate_moduli), and the
+    # stopping tolerances are module constants
     with pytest.raises(TypeError):
         SolverConfig(**{name: value})
 
@@ -824,7 +853,7 @@ class TestSolve:
             last = res.trace.rows[-1]
             total = np.sqrt(last.z_step**2 + last.factor_step**2
                             + last.core_g_step**2 + last.core_h_step**2)
-            assert total <= res.config.tol_step
+            assert total <= _TOL_STEP
 
     def test_deterministic_trace(self):
         data, part = planted_problem(seed=3, sigma=0.05, missing=0.2)
@@ -849,6 +878,7 @@ class TestSolve:
                         SolverConfig(max_iters=iters))
             assert tie_satisfied(res.model.core_h, part)
 
+    @pytest.mark.usefixtures("full_length")
     def test_descent_and_dual_primal_bound(self):
         from dcot.losses import loss_lipschitz
 
@@ -857,7 +887,7 @@ class TestSolve:
         lf = loss_lipschitz(LossFamily("gaussian"), mom)
         init = initial_model(data.observed.to_dense(float(data.observed.values.mean())),
                              (3, 3, 3), InitStrategy("hosvd"), part)
-        cfg = SolverConfig(max_iters=60, fixed_moduli=True, tol_primal=0.0, tol_step=0.0)
+        cfg = SolverConfig(max_iters=60, fixed_moduli=True)
         res = solve(data.observed, init, LossFamily("gaussian"), data.sim, cfg)
         lag = res.trace.column("lagrangian")
         assert np.all(np.diff(lag) <= 1e-10)
@@ -865,6 +895,7 @@ class TestSolve:
         dz = res.trace.column("z_step")[1:]
         assert np.all(dy <= lf * dz + 1e-8)
 
+    @pytest.mark.usefixtures("full_length")
     def test_bernoulli_descent_and_dual_primal_bound(self):
         from dcot.losses import loss_lipschitz
 
@@ -876,7 +907,7 @@ class TestSolve:
         lf = loss_lipschitz(fam, mom)
         init = initial_model(data.observed.to_dense(0.0), (3, 3, 3),
                              InitStrategy("hosvd"), part)
-        cfg = SolverConfig(max_iters=200, fixed_moduli=True, tol_primal=0.0, tol_step=0.0)
+        cfg = SolverConfig(max_iters=200, fixed_moduli=True)
         res = solve(data.observed, init, fam, data.sim, cfg)
         assert res.moduli.gamma == pytest.approx(2.1 * lf)
         lag = res.trace.column("lagrangian")
@@ -924,6 +955,7 @@ class TestSolve:
                     SolverConfig(max_iters=10, freeze_h=True))
         assert np.array_equal(res.model.core_h, np.zeros((3, 3, 3)))
 
+    @pytest.mark.usefixtures("full_length")
     @pytest.mark.parametrize("freeze_h", [False, True])
     def test_one_reconstruction_and_one_loss_per_sweep(self, freeze_h, monkeypatch):
         import dcot.solver
@@ -945,7 +977,7 @@ class TestSolve:
             monkeypatch.setattr(dcot.solver, name, counting(name))
         iters = 5
         fam = LossFamily("gaussian")
-        cfg = SolverConfig(max_iters=iters, tol_primal=0.0, tol_step=0.0,
+        cfg = SolverConfig(max_iters=iters,
                            freeze_h=freeze_h)
         res = solve(data.observed, init, fam, data.sim, cfg)
         assert len(res.trace) == iters + 1
@@ -981,7 +1013,8 @@ class TestSolve:
                              (3, 3, 3), InitStrategy("hosvd"), part)
         fam = LossFamily("gaussian")
         initial = estimate_moduli(init, SolverConfig(), fam,
-                                  smoothing_moments(data.sim, data.observed))
+                                  smoothing_moments(data.sim, data.observed),
+                                  factor_norms(init))
         real, norms = dcot.solver._spectral_norm, []
 
         def counting(a):
@@ -999,6 +1032,7 @@ class TestSolve:
         assert refreshed.moduli.gamma == initial.gamma
         assert refreshed.moduli != initial
 
+    @pytest.mark.usefixtures("full_length")
     @pytest.mark.parametrize("iters", [0, 3])
     def test_factor_norms_taken_once_at_set_up(self, iters, monkeypatch):
         import dcot.solver
@@ -1014,7 +1048,7 @@ class TestSolve:
 
         monkeypatch.setattr(dcot.solver, "_spectral_norm", counting)
         solve(data.observed, init, LossFamily("gaussian"), data.sim,
-              SolverConfig(max_iters=iters, tol_primal=0.0, tol_step=0.0))
+              SolverConfig(max_iters=iters))
         # set-up: three factor norms, which estimate_moduli shares, and three
         # core-sum norms; a refreshed sweep takes three of each
         assert len(norms) == 6 + 6 * iters
@@ -1146,7 +1180,7 @@ class TestSweepChain:
         fam = LossFamily("gaussian")
         mom = smoothing_moments(sim, omega)
         cfg = SolverConfig(max_iters=1)
-        gamma = estimate_moduli(init, cfg, fam, mom).gamma
+        gamma = estimate_moduli(init, cfg, fam, mom, factor_norms(init)).gamma
         z = omega.to_dense(initial_fill(omega, fam))
         y = -loss_gradient(fam, mom, z)
         u = loss_gradient(fam, mom, z)
@@ -1155,12 +1189,14 @@ class TestSweepChain:
         errors, projections = {}, []
         real_factor, real_cores = dcot.solver.update_factor, dcot.solver.update_cores
 
-        def factor_step(model, projected, gamma_, mode, *args):
-            # factors 0..mode-1 already hold this sweep's updates
-            got = factor_gradient(model, projected, gamma_, mode)
+        def factor_step(model, projected, gamma_, mode, rho, penalty, grams):
+            # factors 0..mode-1 already hold this sweep's updates, and the
+            # shared Grams are those of the current factors
+            assert all(np.array_equal(g, u.T @ u) for g, u in zip(grams, model.factors))
+            got = factor_gradient(model, projected, gamma_, mode, grams)
             want = oracles.factor_gradient_oracle(model, z, y, gamma, mode)
             errors[mode] = np.abs(got - want).max() / np.abs(want).max()
-            return real_factor(model, projected, gamma_, mode, *args)
+            return real_factor(model, projected, gamma_, mode, rho, penalty, grams)
 
         def core_step(model, projected, *args, **kwargs):
             projections.append(
@@ -1174,6 +1210,7 @@ class TestSweepChain:
         assert max(errors.values()) < 1e-12
         assert projections == [True]
 
+    @pytest.mark.usefixtures("full_length")
     def test_two_full_size_mode_products_per_sweep(self, problem, monkeypatch):
         import dcot.model
         import dcot.solver
@@ -1193,7 +1230,7 @@ class TestSweepChain:
         for iters in (0, 4):  # the moments' set-up makes some before the sweeps
             full_size.clear()
             solve(omega, init, LossFamily("gaussian"), sim,
-                  SolverConfig(max_iters=iters, tol_primal=0.0, tol_step=0.0))
+                  SolverConfig(max_iters=iters))
             counts.append(sum(full_size))
         assert counts[1] - counts[0] == 2 * 4
 
@@ -1234,6 +1271,7 @@ BLOCK_PROBLEMS = {
 
 @pytest.mark.parametrize("family, problem, per_cell", BLOCK_PROBLEMS.values(),
                          ids=BLOCK_PROBLEMS)
+@pytest.mark.usefixtures("full_length")
 def test_ragged_blocks_match_one_block(family, problem, per_cell, monkeypatch):
     import dcot.solver
 
@@ -1248,7 +1286,7 @@ def test_ragged_blocks_match_one_block(family, problem, per_cell, monkeypatch):
     if per_cell:
         mom = oracles.per_cell_moments(np.random.default_rng(5), omega)[0]
         monkeypatch.setattr(dcot.solver, "smoothing_moments", lambda sim, om: mom)
-    cfg = SolverConfig(max_iters=6, tol_primal=0.0, tol_step=0.0)
+    cfg = SolverConfig(max_iters=6)
     cells, ragged = math.prod(shape), 37  # blocks of 37 cells, the last one partial
     assert cells % ragged
     runs = {}
@@ -1301,6 +1339,7 @@ class TestDenseWorkingSet:
             tracemalloc.stop()
         assert peak - base < self.cell_bytes()
 
+    @pytest.mark.usefixtures("full_length")
     def test_solve_peak_is_the_documented_buffers(self, monkeypatch):
         import tracemalloc
 
@@ -1329,7 +1368,7 @@ class TestDenseWorkingSet:
         tracemalloc.start()
         try:
             solve(omega, init, LossFamily("gaussian"), sim,
-                  SolverConfig(max_iters=5, tol_primal=0.0, tol_step=0.0))
+                  SolverConfig(max_iters=5))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
