@@ -31,7 +31,6 @@ from .model import (
 )
 from .prox import Penalty, penalty_value, prox_apply
 from .similarity import (
-    ModeSimilarity,
     SimilarityModel,
     label_consistency,
     mode_similarity,

@@ -142,8 +142,8 @@ _REQUIRED = object()
 # top-level keys (which of them a command takes, and which it requires,
 # is _TOP_KEYS); "penalty" is each of the g, h and factors objects of
 # "penalties".  Checks of values the dataclasses check (SolverConfig,
-# SynthSpec, Penalty, SubjectPartition, SplitSpec, InitStrategy) stay
-# there.  README's "Command line" lists every key.
+# SynthSpec, Penalty, SubjectPartition, SplitSpec) stay there.  README's
+# "Command line" lists every key.
 _SCHEMA = {
     "config": {
         "seed": (_SEED, 0),
@@ -156,7 +156,6 @@ _SCHEMA = {
         "similarity": (_or_null(_Section("similarity")), None),
         "penalties": (_or_null(_Section("penalties")), None),
         "solver": (_or_null(_Section("solver")), None),
-        "init": (_or_null(_Section("init")), None),
         "split": (_Section("split"), _REQUIRED),
         "grid": (_Section("grid"), _REQUIRED),
         "evaluate": (_Section("evaluate"), _REQUIRED),
@@ -190,17 +189,12 @@ _SCHEMA = {
     "penalty": {
         "kind": (_STR, "none"),
         "weight": (_NUMBER, 0.0),
-        "groups": (_choice("partition"), "partition"),
     },
     "solver": {
         "max_iters": (_INT, 500),
         "fixed_moduli": (_BOOL, False),
         "z_floor": (_NUMBER, 1e-6),
         "freeze_h": (_BOOL, False),
-    },
-    "init": {
-        "kind": (_STR, "hosvd"),
-        "seed": (_SEED, None),
     },
     "split": {
         "train_fraction": (_NUMBER, _REQUIRED),
@@ -219,7 +213,7 @@ _SCHEMA = {
 }
 
 _FIT_KEYS = ("data", "family", "ranks")
-_FIT_OPTIONAL = ("partition", "similarity", "penalties", "solver", "init", "seed", "output")
+_FIT_OPTIONAL = ("partition", "similarity", "penalties", "solver", "seed", "output")
 
 # command -> (required, optional) top-level keys; main also requires an
 # output directory ("output" or --output) of every command but evaluate
@@ -322,7 +316,10 @@ def _partition_flat_groups(partition: SubjectPartition, shape) -> tuple:
 
 
 def _parse_penalties(sec, ranks, partition) -> BlockPenalties:
-    """One penalty per block named in ``sec``; the other blocks get none."""
+    """One penalty per block named in ``sec``; the other blocks get none.
+
+    A sparse group lasso takes one group per tied core slice of the partition.
+    """
     blocks = {}
     for block, pen in (sec or {}).items():
         if pen is None:
@@ -336,7 +333,7 @@ def _parse_penalties(sec, ranks, partition) -> BlockPenalties:
         groups = ()
         if pen["kind"] == "sparse_group_lasso":
             if partition is None:
-                raise io.ConfigError(f"{where}: groups 'partition' needs a partition")
+                raise io.ConfigError(f"{where}: a sparse group lasso needs a partition")
             groups = _partition_flat_groups(partition, tuple(ranks))
         blocks[block] = _in_section(where, Penalty, pen["kind"], float(pen["weight"]),
                                     groups)
@@ -417,7 +414,7 @@ def _load_problem(cfg: dict, base: Path, seed: int):
     """The observations, the similarity model and the effective config.
 
     The effective config holds the parsed family, ranks, partition,
-    similarity section, init strategy, seed and solver config.
+    similarity section, seed and solver config.
     """
     family = _in_section("family", LossFamily, cfg["family"])
     path = base / cfg["data"]["observations"]
@@ -435,14 +432,11 @@ def _load_problem(cfg: dict, base: Path, seed: int):
     solver = _in_section("solver", SolverConfig, penalties=penalties,
                          **(cfg["solver"] or {}))
     sim, sim_section = _parse_similarity(cfg["similarity"], omega.shape, base)
-    init = cfg["init"] or _read({}, _SCHEMA["init"], "init")
     effective = {
         "family": family,
         "ranks": ranks,
         "partition": partition,
         "similarity": sim_section,
-        "init": _in_section("init", InitStrategy, init["kind"],
-                            seed if init["seed"] is None else init["seed"]),
         "seed": seed,
         "solver": solver,
     }
@@ -454,7 +448,7 @@ def _cmd_factorize(cfg: dict, out_dir: Path, seed: int, write_zhat: bool,
     omega, sim, effective = _load_problem(cfg, base, seed)
     family, ranks = effective["family"], effective["ranks"]
     init = initial_model(omega.to_dense(initial_fill(omega, family)), ranks,
-                         effective["init"], effective["partition"])
+                         InitStrategy(), effective["partition"])
     result = solve(omega, init, family, sim, effective["solver"])
     out_dir.mkdir(parents=True, exist_ok=True)
     io.write_dense(result.model.core_g, out_dir / "model_g.dct")
@@ -528,7 +522,7 @@ def _cmd_grid(cfg: dict, out_dir: Path, seed: int, workers: int, base: Path) -> 
     omega, sim, effective = _load_problem(cfg, base, seed)
     result = grid_search(
         omega, split, effective["family"], sim, effective["solver"], effective["ranks"],
-        effective["init"], effective["partition"],
+        InitStrategy(), effective["partition"],
         lambdas=lambdas, blocks=blocks, workers=workers,
     )
     out_dir.mkdir(parents=True, exist_ok=True)

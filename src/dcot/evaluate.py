@@ -1,9 +1,10 @@
 """Metrics, hold-out splitting, penalty-weight search, synthetic data.
 
 The synthetic generator plants a double-core model with clustered factor
-rows (the cluster ids double as "true" labels for the similarity model
-and the factor rows as per-mode features), draws noisy observations from
-the requested family, and masks a fraction of cells uniformly at random.
+rows, draws noisy observations from the requested family, and masks a
+fraction of cells uniformly at random.  It builds no similarity: the
+cluster ids it returns and the planted factor rows are the truth, and a
+similarity built from them uses oracle features.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .losses import LossFamily, ObservationSet, initial_fill
 from .model import DcotModel, InitStrategy, SubjectPartition, initial_model, reconstruct
-from .similarity import SimilarityModel, mode_similarity
+from .similarity import SimilarityModel
 from .solver import SolverAbort, SolverConfig, solve
 
 log = logging.getLogger("dcot.evaluate")
@@ -124,7 +125,6 @@ class SynthData(NamedTuple):
     observed: ObservationSet
     ground_truth: ObservationSet
     planted: DcotModel
-    sim: SimilarityModel
     labels: list[np.ndarray]
 
 
@@ -144,13 +144,14 @@ def _clustered_factor(rng, size, rank, clusters, jitter, orthonormal):
 
 
 def synthesize(spec: SynthSpec) -> SynthData:
-    """Plant a model, draw observations, and build the matching similarity.
+    """Plant a model and draw observations from it.
 
     The ground truth is the full reconstruction of the planted model (so
     ``reconstruct(planted)`` equals the truth bitwise).  The gaussian and
     bernoulli families use random orthonormal factors; the bounded
     families (``LossFamily.bounded``) use nonnegative column-normalized
     factors and nonnegative cores so the natural parameter stays in domain.
+    ``labels`` holds each mode's cluster ids of the planted factor rows.
     """
     rng = np.random.default_rng(spec.seed)
     family = LossFamily(spec.noise_family)
@@ -188,12 +189,7 @@ def synthesize(spec: SynthSpec) -> SynthData:
 
     values = family.sample(rng, z_star[mask], spec.noise_sigma)
     observed = ObservationSet(np.argwhere(mask), values, spec.shape)
-
-    per_mode = [
-        mode_similarity(factors[n], labels=labels[n]) for n in range(len(spec.shape))
-    ]
-    sim = SimilarityModel(per_mode=per_mode)
-    return SynthData(observed, truth, planted, sim, labels)
+    return SynthData(observed, truth, planted, labels)
 
 
 @dataclass(frozen=True)

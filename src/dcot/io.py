@@ -21,7 +21,8 @@ All file formats use 1-based indices; conversion to the package's
   u32 mode count, one u64 per mode size, then float64 entries in
   first-mode-fastest order.  :func:`read_tensor` tells a dense file from
   COO text by the magic.
-* Feature files: one whitespace-separated float row per index.
+* Feature files: one whitespace-separated float row per index; a
+  non-finite value is a :class:`DataIOError` naming its line.
 * Label files: one integer cluster id per line.
 * Partition files: ``mode = <m>``, optional ``fixed-mode = <m>``, then
   one ``group: [i, j, ...]`` line per group, with an optional ``@ <f>``
@@ -78,9 +79,13 @@ def _read_text(path: Path) -> str:
     return _decode(path, _read_bytes(path))
 
 
-def _data_lines(path: Path) -> list[str]:
-    """The file's stripped lines that are neither blank nor ``#`` comments."""
-    return [line for line in map(str.strip, _read_text(path).splitlines())
+def _data_lines(path: Path) -> list[tuple[int, str]]:
+    """The file's stripped lines that are neither blank nor ``#`` comments.
+
+    Each comes with its 1-based line number.
+    """
+    return [(lineno, line) for lineno, line in
+            enumerate(map(str.strip, _read_text(path).splitlines()), start=1)
             if line and line[0] != "#"]
 
 
@@ -331,15 +336,22 @@ def read_tensor(path) -> ObservationSet:
 
 
 def read_features(path) -> np.ndarray:
-    """One float feature row per index."""
+    """One float feature row per index; a non-finite value names its line."""
     path = Path(path)
+    lines = _data_lines(path)
     try:
-        rows = [[float(tok) for tok in line.split()] for line in _data_lines(path)]
+        rows = [[float(tok) for tok in line.split()] for _, line in lines]
     except ValueError as exc:
         raise DataIOError(f"{path}: unparseable feature value") from exc
     if not rows or len({len(r) for r in rows}) != 1:
         raise DataIOError(f"{path}: feature rows must be nonempty and equal length")
-    return np.array(rows, dtype=float)
+    feats = np.array(rows, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(feats).all(axis=1))
+    if bad.size:
+        lineno, line = lines[bad[0]]
+        token = next(t for t in line.split() if not math.isfinite(float(t)))
+        raise DataIOError(f"{path}:{lineno}: feature value {token} is not finite")
+    return feats
 
 
 def write_features(feats: np.ndarray, path) -> None:
@@ -351,7 +363,7 @@ def read_labels(path) -> np.ndarray:
     """One integer cluster id per line."""
     path = Path(path)
     try:
-        vals = [int(line) for line in _data_lines(path)]
+        vals = [int(line) for _, line in _data_lines(path)]
     except ValueError as exc:
         raise DataIOError(f"{path}: labels must be integers") from exc
     if not vals:

@@ -94,13 +94,12 @@ class SubjectPartition:
 
 @dataclass(frozen=True)
 class InitStrategy:
-    """How to initialize factor matrices: ``identity``, ``random`` or ``hosvd``."""
+    """How to initialize factor matrices; ``hosvd`` is the only start."""
 
     kind: str = "hosvd"
-    seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("identity", "random", "hosvd"):
+        if self.kind != "hosvd":
             raise ValueError(f"unknown init strategy {self.kind!r}")
 
 
@@ -156,16 +155,13 @@ def reconstruct(model: DcotModel, out: np.ndarray | None = None) -> np.ndarray:
     return n_mode_product(partial, last, len(lead), out=out)
 
 
-def init_factors(
-    x: np.ndarray, ranks: list[int], strategy: InitStrategy
-) -> list[np.ndarray]:
+def init_factors(x: np.ndarray, ranks: list[int]) -> list[np.ndarray]:
     """Build initial factor matrices for data tensor ``x``.
 
-    ``identity`` requires every rank to match the mode size; ``random``
-    draws seeded standard-normal entries; ``hosvd`` returns the leading
-    left singular vectors of each matricization (orthonormal columns,
-    computed from the symmetric eigendecomposition of the Gram matrix).
-    A non-finite entry of ``x`` raises ``ValueError``.
+    This is the ``hosvd`` start: the leading left singular vectors of each
+    matricization (orthonormal columns, computed from the symmetric
+    eigendecomposition of the Gram matrix).  A non-finite entry of ``x``
+    raises ``ValueError``.
     """
     x = np.asarray(x, dtype=float)
     if not np.isfinite(x).all():
@@ -178,14 +174,6 @@ def init_factors(
             raise ValueError(
                 f"rank {r} invalid for mode {n} of size {x.shape[n]}"
             )
-    if strategy.kind == "identity":
-        if ranks != list(x.shape):
-            raise ValueError("identity init requires ranks equal to mode sizes")
-        return [np.eye(s) for s in x.shape]
-    if strategy.kind == "random":
-        rng = np.random.default_rng(strategy.seed)
-        return [rng.standard_normal((x.shape[n], ranks[n])) for n in range(x.ndim)]
-    # hosvd
     factors = []
     for n in range(x.ndim):
         a = matricize(x, n)
@@ -253,10 +241,11 @@ def initial_model(
 ) -> DcotModel:
     """Factor init plus core init: both cores start from the projection of ``x``.
 
-    The subject core additionally has its tie constraint enforced so the
-    returned model is valid.
+    The factors are the ``hosvd`` start of :func:`init_factors`, the only
+    ``strategy``.  The subject core additionally has its tie constraint
+    enforced so the returned model is valid.
     """
-    factors = init_factors(x, ranks, strategy)
+    factors = init_factors(x, ranks)
     g = project_core(x, factors)
     h = g.copy()
     if partition is not None:

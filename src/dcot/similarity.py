@@ -1,19 +1,20 @@
 """Per-mode kernel similarities and multiplicative smoothing weights.
 
 The smoothing weight between a target cell ``(i_1, ..., i_N)`` and an
-observed source cell ``(j_1, ..., j_N)`` is the product over modes of a
-kernel similarity ``s[i_n, j_n]`` times a label-consistency factor
-``c[i_n, j_n]`` (0.8 within a cluster, 0.2 across), normalized to sum to
-one per target.  The full pairwise weight object is never materialized:
-per-mode matrices are truncated to the strongest 32 neighbors per index,
-and the weights are aggregated over all targets at once
-(:func:`smoothing_moments`, which the loss functions use).
+observed source cell ``(j_1, ..., j_N)`` is the product over modes of one
+weight matrix per mode, normalized to sum to one per target.  A mode's
+weight matrix (:func:`mode_similarity`) is a kernel similarity times a
+label-consistency factor (0.8 within a cluster, 0.2 across).  The full
+pairwise weight object is never materialized: per-mode matrices are
+truncated to the strongest 32 neighbors per index, and the weights are
+aggregated over all targets at once (:func:`smoothing_moments`, which the
+loss functions use).
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,52 +29,23 @@ _LABEL_SAME, _LABEL_DIFF = 0.8, 0.2
 _NEIGHBOR_CAP = 32
 
 
-@dataclass(frozen=True)
-class ModeSimilarity:
-    """Kernel similarities ``s`` and label constants ``c`` for one mode."""
+def mode_similarity(features, bandwidths=None, labels=None) -> np.ndarray:
+    """One mode's weight matrix from per-index feature vectors.
 
-    s: np.ndarray
-    c: np.ndarray
-
-    def __post_init__(self):
-        s = np.asarray(self.s, dtype=float)
-        c = np.asarray(self.c, dtype=float)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "c", c)
-        if s.ndim != 2 or s.shape[0] != s.shape[1]:
-            raise ValueError("similarity matrix must be square")
-        if c.shape != s.shape:
-            raise ValueError("label matrix must match the similarity matrix")
-        if not np.allclose(s, s.T, atol=1e-12):
-            raise ValueError("similarity matrix must be symmetric")
-        if not np.allclose(c, c.T, atol=1e-12):
-            raise ValueError("label matrix must be symmetric")
-        if np.any(s < 0):
-            raise ValueError("similarity values must be nonnegative")
-        if np.any((c < 0) | (c > 1)):
-            raise ValueError("label constants must lie in [0, 1]")
-
-    @property
-    def size(self) -> int:
-        return self.s.shape[0]
-
-
-def mode_similarity(features, bandwidths=None, labels=None) -> ModeSimilarity:
-    """Kernel similarity matrix for one mode from per-index feature vectors.
-
-    ``s[i, j]`` is the average over the listed bandwidths ``h`` of the
-    gaussian kernel ``exp(-u^2/2)`` at ``u = ||y_i - y_j|| / h``; the
-    distances are symmetric bitwise, so ``s`` is too.  When
-    ``bandwidths`` is omitted, ten geometrically spaced values spanning
-    ``[0.1, 10]`` times the median pairwise distance are averaged.
-
-    ``labels`` optionally supplies per-index cluster ids used to build the
-    label-consistency matrix via :func:`label_consistency`; without labels
-    the consistency factor is identically one.
+    Entry ``[i, j]`` is the average over the listed bandwidths ``h`` of the
+    gaussian kernel ``exp(-u^2/2)`` at ``u = ||y_i - y_j|| / h``, times the
+    label-consistency factor of :func:`label_consistency` when ``labels``
+    (per-index cluster ids) are given; the distances are symmetric
+    bitwise, so the matrix is too.  When ``bandwidths`` is omitted, ten
+    geometrically spaced values spanning ``[0.1, 10]`` times the median
+    pairwise distance are averaged.  A non-finite feature value raises
+    ``ValueError``.
     """
     feats = np.atleast_2d(np.asarray(features, dtype=float))
     if feats.shape[0] == 0:
         raise ValueError("feature set is empty")
+    if not np.isfinite(feats).all():
+        raise ValueError("feature values must be finite")
     diffs = feats[:, None, :] - feats[None, :, :]
     dist = np.sqrt((diffs**2).sum(axis=-1))
     if bandwidths is None:
@@ -89,10 +61,12 @@ def mode_similarity(features, bandwidths=None, labels=None) -> ModeSimilarity:
     for h in bandwidths:
         s += np.exp(-0.5 * (dist / h) ** 2)
     s /= bandwidths.size
-    c = np.ones_like(s) if labels is None else label_consistency(labels)
+    if labels is None:
+        return s
+    c = label_consistency(labels)
     if c.shape != s.shape:
         raise ValueError("labels must provide one id per feature vector")
-    return ModeSimilarity(s=s, c=c)
+    return s * c
 
 
 def label_consistency(labels) -> np.ndarray:
@@ -130,42 +104,29 @@ class Moments:
 
 @dataclass
 class SimilarityModel:
-    """Per-mode similarities combined lazily into multiplicative weights.
+    """Per-mode weight matrices combined lazily into multiplicative weights.
 
-    At most 32 neighbors are retained per index per mode: entry ``(i, j)``
-    of a mode's combined factor ``s * c`` survives only when it ranks in
-    the top 32 of *both* row ``i`` and row ``j`` (keeping truncation
-    symmetric).  The weights over observed sources are rescaled to sum to
-    one for every target.
+    Each matrix of ``per_mode`` must be square, finite, symmetric and
+    nonnegative (``ValueError`` otherwise).  Only its truncation is kept:
+    entry ``(i, j)`` survives when it ranks in the top 32 of *both* row
+    ``i`` and row ``j`` (keeping truncation symmetric), ties ranked by
+    column.  The weights over observed sources are rescaled to sum to one
+    for every target.
 
-    Instances are immutable after construction (the truncated factors are
-    precomputed once); sharing across threads is safe.
+    Instances are immutable after construction; sharing across threads is
+    safe.
     """
 
-    per_mode: list[ModeSimilarity]
-    _factors: list[np.ndarray] = field(init=False, repr=False)
+    per_mode: list[np.ndarray]
 
     def __post_init__(self):
         if not self.per_mode:
             raise ValueError("need at least one mode similarity")
-        self._factors = [self._truncate(m.s * m.c) for m in self.per_mode]
-
-    def _truncate(self, f: np.ndarray) -> np.ndarray:
-        k = _NEIGHBOR_CAP
-        n = f.shape[0]
-        if k >= n:
-            return f
-        # Rank columns per row by (-value, column) for deterministic ties.
-        order = np.lexsort((np.arange(n)[None, :].repeat(n, 0), -f), axis=1)
-        keep = np.zeros_like(f, dtype=bool)
-        rows = np.repeat(np.arange(n), k)
-        keep[rows, order[:, :k].ravel()] = True
-        keep &= keep.T
-        return np.where(keep, f, 0.0)
+        self.per_mode = [_truncate(_checked(f)) for f in self.per_mode]
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return tuple(m.size for m in self.per_mode)
+        return tuple(f.shape[0] for f in self.per_mode)
 
     @classmethod
     def neutral(cls, shape) -> "SimilarityModel":
@@ -179,11 +140,32 @@ class SimilarityModel:
         loss is therefore not the plain loss over the observed entries
         alone: every unobserved cell adds an observed-mean term.
         """
-        modes = [
-            ModeSimilarity(s=np.eye(int(n)), c=np.ones((int(n), int(n))))
-            for n in shape
-        ]
-        return cls(per_mode=modes)
+        return cls(per_mode=[np.eye(int(n)) for n in shape])
+
+
+def _checked(f) -> np.ndarray:
+    f = np.array(f, dtype=float)  # a copy: the caller's matrix may change later
+    if f.ndim != 2 or f.shape[0] != f.shape[1]:
+        raise ValueError("similarity matrix must be square")
+    if not np.isfinite(f).all():
+        raise ValueError("similarity values must be finite")
+    if not np.allclose(f, f.T, atol=1e-12):
+        raise ValueError("similarity matrix must be symmetric")
+    if np.any(f < 0):
+        raise ValueError("similarity values must be nonnegative")
+    return f
+
+
+def _truncate(f: np.ndarray) -> np.ndarray:
+    k = _NEIGHBOR_CAP
+    if k >= f.shape[0]:
+        return f
+    # a stable sort ranks tied columns by index
+    top = np.argsort(-f, axis=1, kind="stable")[:, :k]
+    keep = np.zeros(f.shape, dtype=bool)
+    np.put_along_axis(keep, top, True, axis=1)
+    keep &= keep.T
+    return np.where(keep, f, 0.0)
 
 
 def _check_omega(sim: SimilarityModel, omega: ObservationSet) -> None:
@@ -227,7 +209,7 @@ def smoothing_moments(sim: SimilarityModel, omega: ObservationSet) -> Moments:
         src.fill(0.0)
         src[idx] = values**power
         dst = np.empty(sim.shape)
-        for mode, f in enumerate(sim._factors):
+        for mode, f in enumerate(sim.per_mode):
             n_mode_product(src, f, mode, out=dst)
             src, dst = dst, src
         return src, dst

@@ -5,9 +5,11 @@ defining formulas, deliberately sharing no code with the package.  The
 exceptions are the last two sections: the z step's earlier whole-array
 forms (``loss_gradient_reference``, ``loss_curvature_reference``,
 ``bernoulli_loss_reference`` and ``newton_z_reference``), against which
-the package's one-pass forms are checked, and helpers that only the tests
-call, kept here rather than in the package (``vec``, ``fold``,
-``similarity_ones``, ``neighbors``, ``smoothing_weights`` and
+the package's one-pass forms are checked, with ``truncate_lexsort``,
+the neighbor truncation as it ranked before one stable sort replaced its
+``lexsort``; and helpers that only the tests call, kept here rather than
+in the package (``vec``, ``fold``, ``similarity_ones``,
+``planted_similarity``, ``neighbors``, ``smoothing_weights`` and
 ``per_cell_moments``).
 """
 
@@ -21,7 +23,7 @@ import numpy as np
 from scipy.special import expit
 
 from dcot.losses import _GAMMA_EPSILON, _POISSON_FLOOR, ObservationSet, loss_curvature_min
-from dcot.similarity import Moments, ModeSimilarity, SimilarityModel, _check_omega
+from dcot.similarity import Moments, SimilarityModel, _check_omega, mode_similarity
 from dcot.tensor import _check_mode
 
 
@@ -271,9 +273,9 @@ def smoothing_moments_dense(sim, omega):
     x0[idx] = omega.values
     x2[idx] = omega.values**2
 
-    w = multilinear_product(indicator, sim._factors)
-    m1 = multilinear_product(x0, sim._factors)
-    m2 = multilinear_product(x2, sim._factors)
+    w = multilinear_product(indicator, sim.per_mode)
+    m1 = multilinear_product(x0, sim.per_mode)
+    m2 = multilinear_product(x2, sim.per_mode)
 
     bad = w <= 0.0
     n_bad = int(bad.sum())
@@ -494,6 +496,23 @@ def newton_z_reference(family, mom, omega, center, gamma, z0, z_floor=1e-6):
     raise AssertionError("the reference Newton solve did not converge")
 
 
+def truncate_lexsort(f: np.ndarray, k: int = 32) -> np.ndarray:
+    """``SimilarityModel``'s neighbor truncation when it ranked with ``lexsort``.
+
+    Each row ranks its columns by ``(-value, column)``; an entry survives
+    when it ranks in the top ``k`` of both its row and its column's row.
+    """
+    n = f.shape[0]
+    if k >= n:
+        return f
+    order = np.lexsort((np.arange(n)[None, :].repeat(n, 0), -f), axis=1)
+    keep = np.zeros_like(f, dtype=bool)
+    rows = np.repeat(np.arange(n), k)
+    keep[rows, order[:, :k].ravel()] = True
+    keep &= keep.T
+    return np.where(keep, f, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # Test-only helpers over the package's own data structures.
 
@@ -522,16 +541,22 @@ def fold(m: np.ndarray, mode: int, shape: tuple[int, ...]) -> np.ndarray:
 
 def similarity_ones(shape) -> SimilarityModel:
     """Uniform weights: every observed source counts equally."""
-    modes = [
-        ModeSimilarity(s=np.ones((int(n), int(n))), c=np.ones((int(n), int(n))))
-        for n in shape
-    ]
-    return SimilarityModel(per_mode=modes)
+    return SimilarityModel(per_mode=[np.ones((int(n), int(n))) for n in shape])
+
+
+def planted_similarity(data) -> SimilarityModel:
+    """The kernel similarity of ``synthesize``'s planted factors and labels.
+
+    These are oracle features: the factor rows the data was drawn from.
+    """
+    return SimilarityModel(per_mode=[
+        mode_similarity(u, labels=lab) for u, lab in zip(data.planted.factors, data.labels)
+    ])
 
 
 def neighbors(sim: SimilarityModel, mode: int, index: int) -> tuple[np.ndarray, np.ndarray]:
     """Retained neighbor indices and factors, sorted by descending weight."""
-    row = sim._factors[mode][index]
+    row = sim.per_mode[mode][index]
     nz = np.flatnonzero(row > 0)
     order = np.lexsort((nz, -row[nz]))
     return nz[order], row[nz][order]
@@ -554,7 +579,7 @@ def smoothing_weights(
     ):
         raise ValueError(f"target {target} out of range for shape {sim.shape}")
     w = np.ones(len(omega))
-    for mode, f in enumerate(sim._factors):
+    for mode, f in enumerate(sim.per_mode):
         w = w * f[target[mode], omega.indices[:, mode]]
     total = w.sum()
     if total <= 0.0:

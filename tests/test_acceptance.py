@@ -265,11 +265,12 @@ def test_monotone_descent_and_dual_bound():
     )
     data = synthesize(spec)
     fam = LossFamily("gaussian")
-    mom = smoothing_moments(data.sim, data.observed)
+    sim = oracles.planted_similarity(data)
+    mom = smoothing_moments(sim, data.observed)
     lf = loss_lipschitz(fam, mom)
     cfg = SolverConfig(max_iters=200, fixed_moduli=True)
     res = solve(data.observed, hosvd_init(data.observed, spec.ranks, FOUR_GROUPS),
-                fam, data.sim, cfg)
+                fam, sim, cfg)
     assert res.moduli.gamma == pytest.approx(2.1 * lf)
     lag = res.trace.column("lagrangian")
     increases = np.diff(lag)
@@ -449,7 +450,6 @@ def test_cli_end_to_end(tmp_path, monkeypatch):
             "labels": [f"data/labels_mode{n}.txt" for n in (1, 2, 3)],
         },
         "solver": {"max_iters": 40},
-        "init": {"kind": "hosvd"},
     }
     fit["output"] = "run_a"
     assert main(["complete", "--config", write_cfg("fa.json", fit)]) == 0

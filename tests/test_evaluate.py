@@ -161,7 +161,7 @@ class TestGridSearch:
                            penalties=BlockPenalties(g=Penalty.frob_sq(0.0)))
         result = grid_search(
             data.observed, SplitSpec(0.8, seed=1), LossFamily("gaussian"),
-            data.sim, cfg, (2, 2, 2), lambdas=[0.01], blocks=("g",),
+            oracles.planted_similarity(data), cfg, (2, 2, 2), lambdas=[0.01], blocks=("g",),
         )
         assert result.best.weights == {"g": 0.01}
         assert len(result.report) == 1
@@ -172,7 +172,8 @@ class TestGridSearch:
                            penalties=BlockPenalties(g=Penalty.frob_sq(0.0)))
         result = grid_search(
             data.observed, SplitSpec(0.8, seed=1), LossFamily("gaussian"),
-            data.sim, cfg, (2, 2, 2), lambdas=[1e-4, 1e-2, 1.0], blocks=("g",),
+            oracles.planted_similarity(data), cfg, (2, 2, 2), lambdas=[1e-4, 1e-2, 1.0],
+            blocks=("g",),
         )
         best = min(p.validation_rmse for p in result.report)
         assert result.best.validation_rmse == best
@@ -182,10 +183,11 @@ class TestGridSearch:
         cfg = SolverConfig(max_iters=20,
                            penalties=BlockPenalties(g=Penalty.frob_sq(0.0)))
         kwargs = dict(lambdas=[1e-3, 1e-1], blocks=("g",))
+        sim = oracles.planted_similarity(data)
         a = grid_search(data.observed, SplitSpec(0.8, seed=2), LossFamily("gaussian"),
-                        data.sim, cfg, (2, 2, 2), **kwargs)
+                        sim, cfg, (2, 2, 2), **kwargs)
         b = grid_search(data.observed, SplitSpec(0.8, seed=2), LossFamily("gaussian"),
-                        data.sim, cfg, (2, 2, 2), **kwargs)
+                        sim, cfg, (2, 2, 2), **kwargs)
         assert [p.validation_rmse for p in a.report] == [p.validation_rmse for p in b.report]
 
     def test_tie_breaks_to_larger_weight(self):
@@ -195,7 +197,8 @@ class TestGridSearch:
         # zero iterations: every grid point gives the same validation rmse
         result = grid_search(
             data.observed, SplitSpec(0.8, seed=1), LossFamily("gaussian"),
-            data.sim, cfg, (2, 2, 2), lambdas=[1e-3, 1e-2, 1e-1], blocks=("g",),
+            oracles.planted_similarity(data), cfg, (2, 2, 2), lambdas=[1e-3, 1e-2, 1e-1],
+            blocks=("g",),
         )
         assert result.best.weights["g"] == pytest.approx(1e-1)
 
@@ -214,7 +217,7 @@ class TestGridSearch:
 
         monkeypatch.setattr(dcot.evaluate, "initial_model", spy)
         split = SplitSpec(0.8, seed=1)
-        grid_search(data.observed, split, LossFamily("bernoulli"), data.sim,
+        grid_search(data.observed, split, LossFamily("bernoulli"), oracles.planted_similarity(data),
                     SolverConfig(max_iters=2), (2, 2, 2), lambdas=[0.01], blocks=("g",))
         train, _ = holdout_split(data.observed, split)
         assert len(seen) == 1
@@ -226,4 +229,4 @@ class TestGridSearch:
         cfg = SolverConfig(max_iters=5)
         with pytest.raises(ValueError):
             grid_search(data.observed, SplitSpec(0.8), LossFamily("gaussian"),
-                        data.sim, cfg, (2, 2, 2), lambdas=[])
+                        oracles.planted_similarity(data), cfg, (2, 2, 2), lambdas=[])

@@ -447,6 +447,15 @@ class TestFeatureLabelFiles:
         with pytest.raises(io.DataIOError):
             io.read_features(path)
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity", "1e400"])
+    def test_non_finite_feature_names_line(self, tmp_path, token):
+        # the first non-finite row by line number, past a comment and a blank line
+        path = tmp_path / "f.txt"
+        path.write_text(f"# features\n1.0 2.0\n\n3.0 {token}\nnan 4.0\n")
+        with pytest.raises(io.DataIOError) as err:
+            io.read_features(path)
+        assert str(err.value) == f"{path}:4: feature value {token} is not finite"
+
 
 @pytest.mark.parametrize("read, data", [
     (io.read_coo, b"# dims: 2 2\n1 1 \xff\n"),
@@ -486,7 +495,6 @@ def fit_config(out, synth_dir="synth_out", max_iters=300, similarity=None):
         "ranks": [2, 2, 2],
         "partition": {"path": f"{synth_dir}/partition.txt"},
         "solver": {"max_iters": max_iters},
-        "init": {"kind": "hosvd"},
     }
     if similarity is not None:
         cfg["similarity"] = similarity
@@ -639,7 +647,7 @@ class TestCliPipeline:
         # the parsed sections, as complete echoes them (modes 0-based)
         echoed = summary["effective_config"]
         assert echoed["partition"]["mode"] == 0 and echoed["similarity"] is None
-        assert echoed["init"] == {"kind": "hosvd", "seed": 7}
+        assert "init" not in echoed
 
     def test_evaluate_exact_is_zero(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -790,6 +798,23 @@ class TestCliErrors:
         assert error["kind"] == "io" and "observed.coo:2" in error["message"]
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("token", ["nan", "inf"])
+    def test_non_finite_feature_is_io_error(self, tmp_path, monkeypatch, capsys, token):
+        # once reported as the config error "similarity matrix must be
+        # symmetric", after a RuntimeWarning for inf
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(tmp_path, "synth", synth_config()) == 0
+        path = tmp_path / "synth_out" / "features_mode1.txt"
+        lines = path.read_text().splitlines()
+        lines[2] = " ".join([token] + lines[2].split()[1:])
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_cli(tmp_path, "complete", fit_config("x", similarity=KERNEL_SIM)) == 4
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == {"kind": "io", "code": 4, "message":
+                         f"{path.resolve()}:3: feature value {token} is not finite"}
+        assert not (tmp_path / "x").exists()
+
     def test_non_finite_dense_observation_is_io_error(self, tmp_path, monkeypatch, capsys):
         # the first non-finite cell in file order (first mode fastest), 1-based
         monkeypatch.chdir(tmp_path)
@@ -919,8 +944,12 @@ class TestCliErrors:
         ("complete", "penalties",
          {"g": {"kind": "sparse_group_lasso", "weight": 0.1, "groups": [[1, 2]]}},
          "groups"),
+        ("complete", "penalties",
+         {"g": {"kind": "sparse_group_lasso", "weight": 0.1, "groups": "partition"}},
+         "groups"),
         ("complete", "penalties", {"factors": [{"kind": "l1", "weight": 0.1}] * 3},
          "factors"),
+        ("complete", "init", {"kind": "hosvd"}, "init"),
         ("synth", "synth", {**synth_config()["synth"], "label_clusters": 2},
          "label_clusters"),
         ("synth", "synth", {**synth_config()["synth"], "feature_jitter": 0.1},
@@ -931,7 +960,8 @@ class TestCliErrors:
          "format"),
     ], ids=["family-object", "cap", "normalized", "kernel", "xi", "label_same",
             "label_diff", "kind-neutral", "kind-ones", "null-features", "fixed_mode",
-            "group-object", "mix", "group-lists", "factor-list", "label_clusters",
+            "group-object", "mix", "group-lists", "group-partition", "factor-list",
+            "init", "label_clusters",
             "feature_jitter", "per_block", "data-format"])
     def test_removed_config_keys_rejected(self, tmp_path, monkeypatch, capsys,
                                           command, section, value, key):
@@ -1116,7 +1146,7 @@ class TestCliErrors:
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("command, name", [
-        ("synth", "seed"), ("synth", "synth.seed"), ("complete", "init.seed"),
+        ("synth", "seed"), ("synth", "synth.seed"),
         ("grid-search", "split.seed"), ("grid-search", "grid.lambdas[1]"),
         ("complete", "--seed"),
     ])
@@ -1218,7 +1248,7 @@ class TestCliErrors:
 
         part = SubjectPartition(0, (SliceGroup((0, 1)), SliceGroup((2,))))
         pen = _parse_penalties(
-            {"g": {"kind": "sparse_group_lasso", "weight": 0.5, "groups": "partition"}},
+            {"g": {"kind": "sparse_group_lasso", "weight": 0.5}},
             ranks=(3, 2), partition=part,
         )
         # one flat-index group per tied slice, first-mode-fastest layout

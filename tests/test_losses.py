@@ -19,7 +19,6 @@ from dcot.losses import (
 )
 from dcot.similarity import (
     Moments,
-    ModeSimilarity,
     SimilarityModel,
     mode_similarity,
     smoothing_moments,
@@ -138,7 +137,7 @@ class TestLossValue:
         else:
             # index 0 of mode 0 pools from nothing: degenerate observed and
             # unobserved targets next to ordinary ones
-            zero_row = ModeSimilarity(s=np.diag([0.0, 1.0, 1.0]), c=np.ones((3, 3)))
+            zero_row = np.diag([0.0, 1.0, 1.0])
             sim = SimilarityModel([zero_row] + [mode_similarity(f) for f in feats[1:]])
         mom = smoothing_moments(sim, omega)
         assert (mom.degenerate > 0) == (kind != "kernel")

@@ -56,26 +56,11 @@ class TestReconstruct:
 
 
 class TestInitFactors:
-    def test_identity(self, rng):
-        t = rng.standard_normal((3, 3))
-        factors = init_factors(t, [3, 3], InitStrategy("identity"))
-        assert all(np.array_equal(u, np.eye(3)) for u in factors)
-
-    def test_identity_requires_full_ranks(self, rng):
-        with pytest.raises(ValueError):
-            init_factors(rng.standard_normal((3, 3)), [2, 3], InitStrategy("identity"))
-
-    def test_random_deterministic(self, rng):
-        t = rng.standard_normal((4, 3))
-        a = init_factors(t, [2, 2], InitStrategy("random", seed=9))
-        b = init_factors(t, [2, 2], InitStrategy("random", seed=9))
-        assert all(np.array_equal(x, y) for x, y in zip(a, b))
-
     def test_hosvd_rank_one(self, rng):
         a = rng.standard_normal(5)
         b = rng.standard_normal(4)
         t = np.outer(a, b)
-        u1 = init_factors(t, [1, 1], InitStrategy("hosvd"))[0][:, 0]
+        u1 = init_factors(t, [1, 1])[0][:, 0]
         # independent oracle: power iteration on the Gram matrix
         gram = t @ t.T
         v = oracles.power_iteration_top_eigvec(gram)
@@ -86,23 +71,32 @@ class TestInitFactors:
 
     def test_hosvd_orthonormal_columns(self, rng):
         t = rng.standard_normal((5, 4, 3))
-        for n, u in enumerate(init_factors(t, [3, 2, 2], InitStrategy("hosvd"))):
+        for n, u in enumerate(init_factors(t, [3, 2, 2])):
             assert np.linalg.norm(u.T @ u - np.eye(u.shape[1])) <= 1e-8
 
     def test_rank_exceeds_mode(self, rng):
         with pytest.raises(ValueError):
-            init_factors(rng.standard_normal((3, 3)), [4, 2], InitStrategy("hosvd"))
+            init_factors(rng.standard_normal((3, 3)), [4, 2])
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
-    @pytest.mark.parametrize("kind", ["hosvd", "random"])
+    @pytest.mark.parametrize("kind", ["hosvd"])
     def test_non_finite_data_rejected(self, value, kind, rng):
         # hosvd once handed such data to LAPACK, which raised "Eigenvalues
         # did not converge"
         x = rng.standard_normal((6, 5, 4))
         x[3, 2, 1] = value
-        for build in (init_factors, initial_model):
-            with pytest.raises(ValueError, match="data tensor has non-finite values"):
-                build(x, [2, 2, 2], InitStrategy(kind))
+        with pytest.raises(ValueError, match="data tensor has non-finite values"):
+            init_factors(x, [2, 2, 2])
+        with pytest.raises(ValueError, match="data tensor has non-finite values"):
+            initial_model(x, [2, 2, 2], InitStrategy(kind))
+
+    def test_hosvd_is_the_only_start(self):
+        # the identity and random starts are gone, and so is the seed
+        for kind in ("identity", "random"):
+            with pytest.raises(ValueError, match="unknown init strategy"):
+                InitStrategy(kind)
+        with pytest.raises(TypeError):
+            InitStrategy("hosvd", seed=0)
 
 
 class TestProjectCore:
@@ -115,7 +109,7 @@ class TestProjectCore:
 
     def test_full_rank_hosvd_reconstructs(self, rng):
         x = rng.standard_normal((4, 3, 2))
-        factors = init_factors(x, list(x.shape), InitStrategy("hosvd"))
+        factors = init_factors(x, list(x.shape))
         g = project_core(x, factors)
         model = DcotModel(factors, g, np.zeros_like(g))
         assert np.linalg.norm(reconstruct(model) - x) < 1e-8

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 import oracles
 from dcot.losses import ObservationSet
 from dcot.similarity import (
-    ModeSimilarity,
     SimilarityModel,
     label_consistency,
     mode_similarity,
@@ -19,20 +18,19 @@ from dcot.similarity import (
 class TestModeSimilarity:
     def test_identical_features_give_one(self):
         feats = np.ones((4, 2))
-        sim = mode_similarity(feats)
-        assert np.allclose(sim.s, 1.0)
+        assert np.allclose(mode_similarity(feats), 1.0)
 
     def test_gaussian_at_one_bandwidth_distance(self):
         feats = np.array([[0.0], [2.0]])
-        sim = mode_similarity(feats, bandwidths=[2.0])
-        assert np.isclose(sim.s[0, 1], np.exp(-0.5))
-        assert np.isclose(sim.s[0, 0], 1.0)
+        s = mode_similarity(feats, bandwidths=[2.0])
+        assert np.isclose(s[0, 1], np.exp(-0.5))
+        assert np.isclose(s[0, 0], 1.0)
 
     def test_multi_bandwidth_average(self):
         feats = np.array([[0.0], [1.0]])
-        sim = mode_similarity(feats, bandwidths=[1.0, 2.0])
+        s = mode_similarity(feats, bandwidths=[1.0, 2.0])
         expected = 0.5 * (np.exp(-0.5) + np.exp(-0.125))
-        assert np.isclose(sim.s[0, 1], expected)
+        assert np.isclose(s[0, 1], expected)
 
     def test_unknown_kernel(self):
         # the kernel is always gaussian: there is no kernel to choose
@@ -41,9 +39,26 @@ class TestModeSimilarity:
 
     def test_default_bandwidths_symmetric_psd_entries(self, rng):
         feats = rng.standard_normal((6, 3))
-        sim = mode_similarity(feats)
-        assert np.allclose(sim.s, sim.s.T)
-        assert (sim.s >= 0).all() and (sim.s <= 1 + 1e-12).all()
+        s = mode_similarity(feats)
+        assert np.array_equal(s, s.T)
+        assert (s >= 0).all() and (s <= 1 + 1e-12).all()
+
+    def test_labels_multiply_the_kernel(self, rng):
+        # one weight matrix per mode: the kernel times the label factor
+        feats, labels = rng.standard_normal((6, 2)), [0, 0, 1, 1, 2, 0]
+        kernel = mode_similarity(feats, bandwidths=[1.0])
+        weights = mode_similarity(feats, bandwidths=[1.0], labels=labels)
+        assert weights.tobytes() == (kernel * label_consistency(labels)).tobytes()
+        with pytest.raises(ValueError, match="one id per feature vector"):
+            mode_similarity(feats, labels=[0, 1])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_error(self, bad):
+        # rejected before any arithmetic, so no RuntimeWarning either
+        feats = np.arange(8.0).reshape(4, 2)
+        feats[2, 1] = bad
+        with pytest.raises(ValueError, match="feature values must be finite"):
+            mode_similarity(feats)
 
     def test_empty_features_error(self):
         with pytest.raises(ValueError):
@@ -54,10 +69,17 @@ class TestModeSimilarity:
             mode_similarity(np.ones((2, 1)), bandwidths=[0.0])
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            ModeSimilarity(s=np.array([[1.0, 0.5], [0.4, 1.0]]), c=np.ones((2, 2)))
-        with pytest.raises(ValueError):
-            ModeSimilarity(s=np.ones((2, 2)), c=2 * np.ones((2, 2)))
+        # each mode's weight matrix is checked once, when the model is built;
+        # an inf entry once passed and made every moment NaN
+        for matrix, message in [
+            (np.ones((2, 3)), "square"),
+            (np.array([[1.0, 0.5], [0.4, 1.0]]), "symmetric"),
+            (np.array([[1.0, -0.5], [-0.5, 1.0]]), "nonnegative"),
+            (np.array([[1.0, np.inf], [np.inf, 1.0]]), "finite"),
+            (np.array([[np.nan, 0.5], [0.5, 1.0]]), "finite"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                SimilarityModel(per_mode=[np.eye(2), matrix])
 
 
 class TestLabelConsistency:
@@ -107,11 +129,8 @@ class TestSmoothingWeights:
 
     def test_zero_label_annihilates(self, rng):
         shape = (2, 2)
-        modes = [
-            ModeSimilarity(s=np.ones((2, 2)), c=np.array([[1.0, 0.0], [0.0, 1.0]])),
-            ModeSimilarity(s=np.ones((2, 2)), c=np.ones((2, 2))),
-        ]
-        sim = SimilarityModel(per_mode=modes)
+        sim = SimilarityModel(per_mode=[np.array([[1.0, 0.0], [0.0, 1.0]]),
+                                        np.ones((2, 2))])
         omega = ObservationSet.from_dense(rng.standard_normal(shape))
         weights = dict(oracles.smoothing_weights(sim, (0, 0), omega))
         assert (1, 0) not in weights
@@ -121,11 +140,7 @@ class TestSmoothingWeights:
         # source (1,1) has per-mode factors (0.5, 0.5), source (0,0) has
         # (1, 1): products 0.25 vs 1.0, normalized to 0.2 / 0.8
         s = np.array([[1.0, 0.5], [0.5, 1.0]])
-        modes = [
-            ModeSimilarity(s=s, c=np.ones((2, 2))),
-            ModeSimilarity(s=s, c=np.ones((2, 2))),
-        ]
-        sim = SimilarityModel(per_mode=modes)
+        sim = SimilarityModel(per_mode=[s, s])
         omega = ObservationSet.from_entries([((0, 0), 1.0), ((1, 1), 2.0)], (2, 2))
         got = dict(oracles.smoothing_weights(sim, (0, 0), omega))
         assert np.isclose(got[(1, 1)], 0.2)
@@ -150,10 +165,10 @@ class TestSmoothingWeights:
         sim = SimilarityModel(per_mode=[
             mode_similarity(rng.standard_normal((n, 2)), labels=rng.integers(0, 3, n))
             for n in shape])
-        assert all((f == 0).any() for f in sim._factors)
+        assert all((f == 0).any() for f in sim.per_mode)
 
         def raw(a, b):
-            return math.prod(f[i, j] for f, i, j in zip(sim._factors, a, b))
+            return math.prod(f[i, j] for f, i, j in zip(sim.per_mode, a, b))
 
         for _ in range(200):
             a, b = (tuple(int(rng.integers(n)) for n in shape) for _ in range(2))
@@ -161,14 +176,32 @@ class TestSmoothingWeights:
 
     def test_neighbor_cap_respected(self, rng):
         n = 40
-        sim = SimilarityModel(per_mode=[mode_similarity(rng.standard_normal((n, 2)))])
-        full = sim.per_mode[0].s
+        full = mode_similarity(rng.standard_normal((n, 2)))
+        sim = SimilarityModel(per_mode=[full])
         for i in range(n):
             idx, vals = oracles.neighbors(sim, 0, i)
             assert len(idx) <= 32
             assert np.all(np.diff(vals) <= 0)
             # a retained neighbor is among the 32 strongest of its row
             assert np.isin(idx, np.argsort(-full[i], kind="stable")[:32]).all()
+
+    @pytest.mark.parametrize("n", [33, 40, 64])
+    def test_truncation_tie_rule(self, n):
+        # small integer weights tie across the 32-neighbor cut, and zeros sit
+        # among them; the stable ranking keeps the lower column of a tie, as
+        # the lexsort over (-value, column) did
+        gen = np.random.default_rng(n)
+        cut_ties = 0
+        for _ in range(20):
+            a = gen.integers(1, 4, (n, n))
+            f = (a + a.T).astype(float)
+            zero = gen.random((n, n)) < 0.03
+            f[zero | zero.T] = 0.0
+            got = SimilarityModel(per_mode=[f]).per_mode[0]
+            assert got.tobytes() == oracles.truncate_lexsort(f).tobytes()
+            ranked = -np.sort(-f, axis=1)
+            cut_ties += np.count_nonzero((ranked[:, 31] == ranked[:, 32]) & (ranked[:, 32] > 0))
+        assert cut_ties > 0
 
     def test_degenerate_target_falls_back_to_uniform(self, rng):
         # neutral similarity: unobserved targets have zero raw weight
@@ -237,9 +270,7 @@ class TestSmoothingMoments:
         if kind == "blind-index":
             # index 0 of mode 0 has no neighbor, itself included, so every
             # target on that slice is degenerate, observed or not
-            s = per_mode[0].s.copy()
-            s[0, :] = s[:, 0] = 0.0
-            per_mode[0] = ModeSimilarity(s=s, c=per_mode[0].c)
+            per_mode[0][0, :] = per_mode[0][:, 0] = 0.0
         return SimilarityModel(per_mode=per_mode)
 
     @pytest.mark.parametrize("kind", ["kernel", "neutral", "blind-index"])

@@ -817,7 +817,7 @@ class TestSolve:
     def test_result_reports_degenerate_targets(self, neutral):
         data, part = planted_problem(sigma=0.05, missing=0.3)
         omega = data.observed
-        sim = SimilarityModel.neutral(omega.shape) if neutral else data.sim
+        sim = SimilarityModel.neutral(omega.shape) if neutral else oracles.planted_similarity(data)
         init = initial_model(omega.to_dense(0.0), (3, 3, 3), InitStrategy("hosvd"), part)
         res = solve(omega, init, LossFamily("gaussian"), sim, SolverConfig(max_iters=2))
         want = smoothing_moments(sim, omega).degenerate
@@ -832,7 +832,8 @@ class TestSolve:
         fam = LossFamily(family)
         init = initial_model(omega.to_dense(initial_fill(omega, fam)), (3, 3, 3),
                              InitStrategy("hosvd"), part)
-        res = solve(omega, init, fam, data.sim, SolverConfig(max_iters=6, z_floor=1e-2))
+        res = solve(omega, init, fam, oracles.planted_similarity(data),
+                    SolverConfig(max_iters=6, z_floor=1e-2))
         if family == "gaussian":  # the closed-form z step takes no Newton step
             assert res.newton_steps == ()
         else:
@@ -860,9 +861,9 @@ class TestSolve:
         init = initial_model(data.observed.to_dense(float(data.observed.values.mean())),
                              (3, 3, 3), InitStrategy("hosvd"), part)
         cfg = SolverConfig(max_iters=40)
-        fam = LossFamily("gaussian")
-        a = solve(data.observed, init, fam, data.sim, cfg)
-        b = solve(data.observed, init, fam, data.sim, cfg)
+        fam, sim = LossFamily("gaussian"), oracles.planted_similarity(data)
+        a = solve(data.observed, init, fam, sim, cfg)
+        b = solve(data.observed, init, fam, sim, cfg)
         for ra, rb in zip(a.trace.rows, b.trace.rows):
             assert ra.lagrangian == rb.lagrangian
             assert ra.primal_residual == rb.primal_residual
@@ -873,8 +874,9 @@ class TestSolve:
                              (3, 3, 3), InitStrategy("hosvd"), part)
 
         # run iteration by iteration via max_iters steps and check the tie
+        sim = oracles.planted_similarity(data)
         for iters in (1, 3, 7):
-            res = solve(data.observed, init, LossFamily("gaussian"), data.sim,
+            res = solve(data.observed, init, LossFamily("gaussian"), sim,
                         SolverConfig(max_iters=iters))
             assert tie_satisfied(res.model.core_h, part)
 
@@ -883,12 +885,13 @@ class TestSolve:
         from dcot.losses import loss_lipschitz
 
         data, part = planted_problem(seed=2, sigma=0.05, missing=0.3)
-        mom = smoothing_moments(data.sim, data.observed)
+        sim = oracles.planted_similarity(data)
+        mom = smoothing_moments(sim, data.observed)
         lf = loss_lipschitz(LossFamily("gaussian"), mom)
         init = initial_model(data.observed.to_dense(float(data.observed.values.mean())),
                              (3, 3, 3), InitStrategy("hosvd"), part)
         cfg = SolverConfig(max_iters=60, fixed_moduli=True)
-        res = solve(data.observed, init, LossFamily("gaussian"), data.sim, cfg)
+        res = solve(data.observed, init, LossFamily("gaussian"), sim, cfg)
         lag = res.trace.column("lagrangian")
         assert np.all(np.diff(lag) <= 1e-10)
         dy = res.trace.column("dual_step")[1:]
@@ -903,12 +906,13 @@ class TestSolve:
         fam = LossFamily("bernoulli")
         data, part = planted_problem(seed=7, shape=(10, 10, 10), sigma=0.05,
                                      missing=0.3, family="bernoulli")
-        mom = smoothing_moments(data.sim, data.observed)
+        sim = oracles.planted_similarity(data)
+        mom = smoothing_moments(sim, data.observed)
         lf = loss_lipschitz(fam, mom)
         init = initial_model(data.observed.to_dense(0.0), (3, 3, 3),
                              InitStrategy("hosvd"), part)
         cfg = SolverConfig(max_iters=200, fixed_moduli=True)
-        res = solve(data.observed, init, fam, data.sim, cfg)
+        res = solve(data.observed, init, fam, sim, cfg)
         assert res.moduli.gamma == pytest.approx(2.1 * lf)
         lag = res.trace.column("lagrangian")
         assert len(lag) == 201
@@ -925,7 +929,7 @@ class TestSolve:
         init = initial_model(data.observed.to_dense(float(data.observed.values.mean())),
                              (3, 3, 3), InitStrategy("hosvd"), part)
         cfg = SolverConfig(max_iters=20, z_floor=1e-2)
-        res = solve(data.observed, init, LossFamily(family), data.sim, cfg)
+        res = solve(data.observed, init, LossFamily(family), oracles.planted_similarity(data), cfg)
         assert len(res.trace) == 21
         assert np.isfinite(res.z).all() and res.z.min() >= 1e-2
 
@@ -951,7 +955,7 @@ class TestSolve:
         data, part = planted_problem(seed=4, sigma=0.05, missing=0.2)
         init = initial_model(data.observed.to_dense(float(data.observed.values.mean())),
                              (3, 3, 3), InitStrategy("hosvd"), part)
-        res = solve(data.observed, init, LossFamily("gaussian"), data.sim,
+        res = solve(data.observed, init, LossFamily("gaussian"), oracles.planted_similarity(data),
                     SolverConfig(max_iters=10, freeze_h=True))
         assert np.array_equal(res.model.core_h, np.zeros((3, 3, 3)))
 
@@ -976,10 +980,10 @@ class TestSolve:
         for name in calls:
             monkeypatch.setattr(dcot.solver, name, counting(name))
         iters = 5
-        fam = LossFamily("gaussian")
+        fam, sim = LossFamily("gaussian"), oracles.planted_similarity(data)
         cfg = SolverConfig(max_iters=iters,
                            freeze_h=freeze_h)
-        res = solve(data.observed, init, fam, data.sim, cfg)
+        res = solve(data.observed, init, fam, sim, cfg)
         assert len(res.trace) == iters + 1
         # gradients are taken in core space, so the z step's reconstruction is
         # the sweep's only one; the initial trace row adds one more
@@ -987,9 +991,9 @@ class TestSolve:
         # a sweep's gaussian loss comes from sums its tail forms anyway; only
         # the initial row calls loss_value, and every row holds its value
         assert calls["loss_value"] == 1
-        mom = smoothing_moments(data.sim, data.observed)
+        mom = smoothing_moments(sim, data.observed)
         for row, z in zip(res.trace.rows, sweep_iterates(data.observed, init, fam,
-                                                         data.sim, cfg)):
+                                                         sim, cfg)):
             assert row.loss == loss_value(fam, mom, z)
 
     @pytest.mark.parametrize("family", ["gaussian", "bernoulli"])
@@ -998,10 +1002,10 @@ class TestSolve:
         fill = 0.0 if family == "bernoulli" else float(data.observed.values.mean())
         init = initial_model(data.observed.to_dense(fill), (3, 3, 3),
                              InitStrategy("hosvd"), part)
-        fam = LossFamily(family)
-        res = solve(data.observed, init, fam, data.sim, SolverConfig(max_iters=15))
+        fam, sim = LossFamily(family), oracles.planted_similarity(data)
+        res = solve(data.observed, init, fam, sim, SolverConfig(max_iters=15))
         last = res.trace.rows[-1]
-        mom = smoothing_moments(data.sim, data.observed)
+        mom = smoothing_moments(sim, data.observed)
         assert last.loss == loss_value(fam, mom, res.z)
         assert last.primal_residual == frob_norm(reconstruct(res.model) - res.z)
 
@@ -1011,9 +1015,9 @@ class TestSolve:
         data, part = planted_problem(seed=4, sigma=0.05, missing=0.2)
         init = initial_model(data.observed.to_dense(float(data.observed.values.mean())),
                              (3, 3, 3), InitStrategy("hosvd"), part)
-        fam = LossFamily("gaussian")
+        fam, sim = LossFamily("gaussian"), oracles.planted_similarity(data)
         initial = estimate_moduli(init, SolverConfig(), fam,
-                                  smoothing_moments(data.sim, data.observed),
+                                  smoothing_moments(sim, data.observed),
                                   factor_norms(init))
         real, norms = dcot.solver._spectral_norm, []
 
@@ -1022,13 +1026,13 @@ class TestSolve:
             return real(a)
 
         monkeypatch.setattr(dcot.solver, "_spectral_norm", counting)
-        pinned = solve(data.observed, init, fam, data.sim,
+        pinned = solve(data.observed, init, fam, sim,
                        SolverConfig(max_iters=5, fixed_moduli=True))
         # the estimate's three factor norms and three core-sum norms; a
         # pinned sweep takes none
         assert len(norms) == 6
         assert pinned.moduli == initial
-        refreshed = solve(data.observed, init, fam, data.sim, SolverConfig(max_iters=5))
+        refreshed = solve(data.observed, init, fam, sim, SolverConfig(max_iters=5))
         assert refreshed.moduli.gamma == initial.gamma
         assert refreshed.moduli != initial
 
@@ -1047,7 +1051,7 @@ class TestSolve:
             return real(a)
 
         monkeypatch.setattr(dcot.solver, "_spectral_norm", counting)
-        solve(data.observed, init, LossFamily("gaussian"), data.sim,
+        solve(data.observed, init, LossFamily("gaussian"), oracles.planted_similarity(data),
               SolverConfig(max_iters=iters))
         # set-up: three factor norms, which estimate_moduli shares, and three
         # core-sum norms; a refreshed sweep takes three of each
@@ -1061,7 +1065,8 @@ class TestSolve:
         tiny_moduli(monkeypatch, 1e-9, 1e-9)
         cfg = SolverConfig(max_iters=200, fixed_moduli=True)
         with pytest.raises(SolverAbort), np.errstate(over="ignore", invalid="ignore"):
-            solve(data.observed, init, LossFamily("gaussian"), data.sim, cfg)
+            solve(data.observed, init, LossFamily("gaussian"), oracles.planted_similarity(data),
+                  cfg)
 
     def test_non_finite_core_fails_fast(self, monkeypatch):
         # the settings of test_divergence_safeguard_raises: the subject core
@@ -1073,7 +1078,8 @@ class TestSolve:
         cfg = SolverConfig(max_iters=200, fixed_moduli=True)
         with pytest.raises(SolverAbort) as info, np.errstate(over="ignore",
                                                              invalid="ignore"):
-            solve(data.observed, init, LossFamily("gaussian"), data.sim, cfg)
+            solve(data.observed, init, LossFamily("gaussian"), oracles.planted_similarity(data),
+                  cfg)
         assert str(info.value) == "core_h block: non-finite values at iteration 1"
         assert len(info.value.trace) == 1
 
@@ -1114,7 +1120,7 @@ class TestSolve:
 
         monkeypatch.setattr(dcot.solver, "prox_apply", poisoned)
         with pytest.raises(SolverAbort) as info:
-            solve(data.observed, init, LossFamily("gaussian"), data.sim,
+            solve(data.observed, init, LossFamily("gaussian"), oracles.planted_similarity(data),
                   SolverConfig(max_iters=10))
         assert str(info.value) == f"{block} block: non-finite values at iteration 2"
         assert len(info.value.trace) == 2
@@ -1132,7 +1138,7 @@ class TestSolve:
             # core slice 2 is its own group, so the tie on core_h still holds
             getattr(init, block)[2, 1, 0] = value
         with pytest.raises(ValueError) as info:
-            solve(data.observed, init, LossFamily("gaussian"), data.sim,
+            solve(data.observed, init, LossFamily("gaussian"), oracles.planted_similarity(data),
                   SolverConfig(max_iters=10))
         assert str(info.value) == f"initial model {block} has non-finite values"
 
@@ -1146,7 +1152,8 @@ class TestSolve:
         # the curvature bound, and hence gamma, scales with 1/z_floor^2, so a
         # data-scale floor keeps the run usable
         cfg = SolverConfig(max_iters=15, z_floor=0.5)
-        res = solve(data.observed, init, LossFamily("poisson"), data.sim, cfg)
+        res = solve(data.observed, init, LossFamily("poisson"), oracles.planted_similarity(data),
+                    cfg)
         assert np.isfinite(res.trace.column("lagrangian")).all()
         assert res.z.min() >= 0.5 - 1e-12
 
@@ -1165,7 +1172,7 @@ def chain_problem(shape, ranks, part):
     omega = data.observed
     init = initial_model(omega.to_dense(initial_fill(omega, LossFamily("gaussian"))),
                          ranks, InitStrategy("hosvd"), part)
-    return omega, init, data.sim
+    return omega, init, oracles.planted_similarity(data)
 
 
 @pytest.mark.parametrize("problem", CHAIN_PROBLEMS.values(), ids=CHAIN_PROBLEMS)
@@ -1279,10 +1286,10 @@ def test_ragged_blocks_match_one_block(family, problem, per_cell, monkeypatch):
     spec = SynthSpec(shape=shape, ranks=ranks, partition=part, noise_family=family,
                      noise_sigma=0.1, missing_fraction=0.3, seed=3)
     data = synthesize(spec)
-    omega, fam = data.observed, LossFamily(family)
+    omega, fam, sim = data.observed, LossFamily(family), oracles.planted_similarity(data)
     init = initial_model(omega.to_dense(initial_fill(omega, fam)), ranks,
                          InitStrategy("hosvd"), part)
-    mom = smoothing_moments(data.sim, omega)
+    mom = smoothing_moments(sim, omega)
     if per_cell:
         mom = oracles.per_cell_moments(np.random.default_rng(5), omega)[0]
         monkeypatch.setattr(dcot.solver, "smoothing_moments", lambda sim, om: mom)
@@ -1292,8 +1299,8 @@ def test_ragged_blocks_match_one_block(family, problem, per_cell, monkeypatch):
     runs = {}
     for block in (cells, ragged):
         monkeypatch.setattr(dcot.solver, "_BLOCK", block)
-        runs[block] = (solve(omega, init, fam, data.sim, cfg),
-                       sweep_iterates(omega, init, fam, data.sim, cfg))
+        runs[block] = (solve(omega, init, fam, sim, cfg),
+                       sweep_iterates(omega, init, fam, sim, cfg))
     (one, one_z), (many, many_z) = runs[cells], runs[ragged]
     for res in (one, many):
         assert np.array_equal(res.z, one.z) and np.array_equal(res.y, one.y)
