@@ -37,7 +37,6 @@ from .model import (
     DcotModel,
     InitStrategy,
     SubjectPartition,
-    _group_slicer,
     initial_model,
     reconstruct,
 )
@@ -304,18 +303,7 @@ def _parse_similarity(sec, shape, base: Path) -> tuple[SimilarityModel, dict | N
     return SimilarityModel(per_mode=per_mode), sec
 
 
-def _partition_flat_groups(partition: SubjectPartition, shape) -> tuple:
-    """One flat-index group per tied slice, in first-mode-fastest order."""
-    groups = []
-    for g in partition.groups:
-        for i in g.indices:
-            sel = np.zeros(shape, dtype=bool)
-            sel[_group_slicer(len(shape), partition.mode, i, g.fixed)] = True
-            groups.append(np.flatnonzero(sel.ravel(order="F")))
-    return tuple(groups)
-
-
-def _parse_penalties(sec, ranks, partition) -> BlockPenalties:
+def _parse_penalties(sec, partition) -> BlockPenalties:
     """One penalty per block named in ``sec``; the other blocks get none.
 
     A sparse group lasso takes one group per tied core slice of the partition.
@@ -330,13 +318,10 @@ def _parse_penalties(sec, ranks, partition) -> BlockPenalties:
             raise io.ConfigError(
                 f"{where}.weight: a nonneg penalty is off at weight 0; give a positive weight"
             )
-        groups = ()
-        if pen["kind"] == "sparse_group_lasso":
-            if partition is None:
-                raise io.ConfigError(f"{where}: a sparse group lasso needs a partition")
-            groups = _partition_flat_groups(partition, tuple(ranks))
+        sgl = pen["kind"] == "sparse_group_lasso"
         blocks[block] = _in_section(where, Penalty, pen["kind"], float(pen["weight"]),
-                                    groups)
+                                    partition if sgl else None)
+        _in_section(where, BlockPenalties, **{block: blocks[block]})
     return BlockPenalties(**blocks)
 
 
@@ -428,7 +413,7 @@ def _load_problem(cfg: dict, base: Path, seed: int):
     partition = _parse_partition(cfg["partition"], base)
     if partition is not None:
         _in_section("partition", partition.validate_shape, tuple(ranks))
-    penalties = _parse_penalties(cfg["penalties"], ranks, partition)
+    penalties = _parse_penalties(cfg["penalties"], partition)
     solver = _in_section("solver", SolverConfig, penalties=penalties,
                          **(cfg["solver"] or {}))
     sim, sim_section = _parse_similarity(cfg["similarity"], omega.shape, base)

@@ -21,13 +21,15 @@ All file formats use 1-based indices; conversion to the package's
   u32 mode count, one u64 per mode size, then float64 entries in
   first-mode-fastest order.  :func:`read_tensor` tells a dense file from
   COO text by the magic.
-* Feature files: one whitespace-separated float row per index; a
-  non-finite value is a :class:`DataIOError` naming its line.
-* Label files: one integer cluster id per line.
+* Feature files: one whitespace-separated float row per index; an
+  unparseable or non-finite value is a :class:`DataIOError` naming its
+  line and the value.
+* Label files: one integer cluster id per line; a line that is not one is
+  a :class:`DataIOError` naming the line and its text.
 * Partition files: ``mode = <m>``, optional ``fixed-mode = <m>``, then
   one ``group: [i, j, ...]`` line per group, with an optional ``@ <f>``
-  suffix naming the fixed index when ``fixed-mode`` is set.  The compact
-  one-line form ``mode=<m>: [..], [..]`` is also accepted.
+  suffix naming the fixed index when ``fixed-mode`` is set.  Any other
+  line is a :class:`DataIOError` naming the file and line.
 * Text files are UTF-8; one that is not is a :class:`DataIOError` naming
   the file and the offset of the first bad byte.
 """
@@ -336,13 +338,17 @@ def read_tensor(path) -> ObservationSet:
 
 
 def read_features(path) -> np.ndarray:
-    """One float feature row per index; a non-finite value names its line."""
+    """One float feature row per index; a bad or non-finite value names its line."""
     path = Path(path)
     lines = _data_lines(path)
+    rows = []
     try:
-        rows = [[float(tok) for tok in line.split()] for _, line in lines]
+        for lineno, line in lines:
+            rows.append([])
+            for tok in line.split():
+                rows[-1].append(float(tok))
     except ValueError as exc:
-        raise DataIOError(f"{path}: unparseable feature value") from exc
+        raise DataIOError(f"{path}:{lineno}: unparseable feature value {tok!r}") from exc
     if not rows or len({len(r) for r in rows}) != 1:
         raise DataIOError(f"{path}: feature rows must be nonempty and equal length")
     feats = np.array(rows, dtype=float)
@@ -360,12 +366,14 @@ def write_features(feats: np.ndarray, path) -> None:
 
 
 def read_labels(path) -> np.ndarray:
-    """One integer cluster id per line."""
+    """One integer cluster id per line; a line that is not one names its line."""
     path = Path(path)
+    vals = []
     try:
-        vals = [int(line) for _, line in _data_lines(path)]
+        for lineno, line in _data_lines(path):
+            vals.append(int(line))
     except ValueError as exc:
-        raise DataIOError(f"{path}: labels must be integers") from exc
+        raise DataIOError(f"{path}:{lineno}: label {line!r} is not an integer") from exc
     if not vals:
         raise DataIOError(f"{path}: empty label file")
     return np.array(vals, dtype=int)
@@ -379,7 +387,6 @@ def write_labels(labels: np.ndarray, path) -> None:
 
 
 _GROUP_RE = re.compile(r"^group\s*:\s*\[([^\]]*)\]\s*(?:@\s*(\d+))?\s*$")
-_INLINE_RE = re.compile(r"^mode\s*=\s*(\d+)\s*:\s*(.+)$")
 
 
 def _parse_index_list(text: str, where: str) -> tuple[int, ...]:
@@ -401,13 +408,6 @@ def read_partition(path) -> SubjectPartition:
         if not line:
             continue
         where = f"{path}:{lineno}"
-        inline = _INLINE_RE.match(line)
-        if inline and "group" not in line:
-            mode = int(inline.group(1)) - 1
-            for chunk in re.findall(r"\[([^\]]*)\]", inline.group(2)):
-                idx = _parse_index_list(chunk, where)
-                groups.append(SliceGroup(tuple(i - 1 for i in idx)))
-            continue
         m = re.match(r"^mode\s*=\s*(\d+)\s*$", line)
         if m:
             if mode is not None:
@@ -443,11 +443,9 @@ def read_partition(path) -> SubjectPartition:
 
 def write_partition(partition: SubjectPartition, path) -> None:
     lines = [f"mode = {partition.mode + 1}"]
-    fixed_modes = {g.fixed[0] for g in partition.groups if g.fixed is not None}
-    if len(fixed_modes) > 1:
-        raise DataIOError("partition files support a single fixed mode")
+    fixed_modes = [g.fixed[0] for g in partition.groups if g.fixed is not None]
     if fixed_modes:
-        lines.append(f"fixed-mode = {next(iter(fixed_modes)) + 1}")
+        lines.append(f"fixed-mode = {fixed_modes[0] + 1}")
     for g in partition.groups:
         idx = ", ".join(str(i + 1) for i in g.indices)
         if g.fixed is not None:

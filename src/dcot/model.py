@@ -6,11 +6,14 @@ slices are constrained equal within declared subject groups.  Groups tie
 slices of the *core*, along one mode, optionally restricted to a fixed
 index of a second mode (which covers patterns such as "tie slices
 ``h[m, :, k, :]`` over ``k`` separately for each ``m``").
+:attr:`SubjectPartition.slices` names the tied slices once; the tie and
+the sparse group lasso (:mod:`.prox`) both read them from there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,7 +43,10 @@ class SliceGroup:
 
 @dataclass(frozen=True)
 class SubjectPartition:
-    """Disjoint groups of mode-``mode`` slices that must carry equal values."""
+    """Disjoint groups of mode-``mode`` slices that must carry equal values.
+
+    Every fixed-index group fixes the same mode, so no two tied slices meet.
+    """
 
     mode: int
     groups: tuple[SliceGroup, ...]
@@ -53,6 +59,8 @@ class SubjectPartition:
         object.__setattr__(self, "groups", groups)
         if not groups:
             raise ValueError("partition needs at least one group")
+        if len({g.fixed[0] for g in groups if g.fixed is not None}) > 1:
+            raise ValueError("fixed-index groups must share one fixed mode")
         seen: set[tuple] = set()
         for g in groups:
             if g.fixed is not None and g.fixed[0] == self.mode:
@@ -69,6 +77,20 @@ class SubjectPartition:
         for g in groups:
             if g.fixed is not None and plain.intersection(g.indices):
                 raise ValueError("fixed-index groups overlap a plain group")
+
+    @cached_property
+    def slices(self) -> tuple[tuple[tuple, ...], ...]:
+        """Per group, the index ``s`` of each tied slice ``h[s]`` (later modes implicit)."""
+        fixed_mode = next((g.fixed[0] for g in self.groups if g.fixed is not None), self.mode)
+        out = []
+        for g in self.groups:
+            sel: list = [slice(None)] * (max(self.mode, fixed_mode) + 1)
+            if g.fixed is not None:
+                sel[fixed_mode] = g.fixed[1]
+            out.append(tuple(
+                tuple(sel[:self.mode] + [i] + sel[self.mode + 1:]) for i in g.indices
+            ))
+        return tuple(out)
 
     def validate_shape(self, shape: tuple[int, ...]) -> None:
         """Check every index against the shape of the governed tensor."""
@@ -188,24 +210,13 @@ def project_core(x: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
     return multilinear_product(x, [np.asarray(u, dtype=float).T for u in factors])
 
 
-def _group_slicer(ndim: int, mode: int, index: int, fixed: tuple[int, int] | None):
-    sel: list = [slice(None)] * ndim
-    sel[mode] = index
-    if fixed is not None:
-        sel[fixed[0]] = fixed[1]
-    return tuple(sel)
-
-
 def tie_satisfied(h: np.ndarray, partition: SubjectPartition) -> bool:
     """True when every group's slices are bitwise equal."""
     h = np.asarray(h)
-    for g in partition.groups:
-        first = h[_group_slicer(h.ndim, partition.mode, g.indices[0], g.fixed)]
-        for i in g.indices[1:]:
-            if not np.array_equal(
-                h[_group_slicer(h.ndim, partition.mode, i, g.fixed)], first
-            ):
-                return False
+    for group in partition.slices:
+        first = h[group[0]]
+        if not all(np.array_equal(h[s], first) for s in group[1:]):
+            return False
     return True
 
 
@@ -220,15 +231,12 @@ def tie_heterogeneous_core(h: np.ndarray, partition: SubjectPartition) -> np.nda
     h = np.asarray(h, dtype=float)
     partition.validate_shape(h.shape)
     out = h.copy()
-    for g in partition.groups:
-        slicers = [
-            _group_slicer(h.ndim, partition.mode, i, g.fixed) for i in g.indices
-        ]
-        first = out[slicers[0]]
-        if all(np.array_equal(out[s], first) for s in slicers[1:]):
+    for group in partition.slices:
+        first = out[group[0]]
+        if all(np.array_equal(out[s], first) for s in group[1:]):
             continue
-        value = sum(out[s] for s in slicers) / len(slicers)
-        for s in slicers:
+        value = sum(out[s] for s in group) / len(group)
+        for s in group:
             out[s] = value
     return out
 

@@ -6,7 +6,9 @@
 
 so the penalty weight rides along separately from the proximal scale
 ``t``; the effective shrinkage of the l1 penalty, for instance, is
-``weight / t``.  All proximal maps here are exact closed forms.
+``weight / t``.  All proximal maps here are exact closed forms; the sparse
+group lasso's (Simon, Friedman, Hastie & Tibshirani 2013) needs disjoint
+groups, and a partition's tied slices are disjoint by construction.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .model import SubjectPartition
 
 _KINDS = ("none", "l1", "frob_sq", "nuclear", "nonneg", "sparse_group_lasso")
 # share of the sparse group lasso weight on its elementwise l1 part; the
@@ -26,29 +30,24 @@ _SGL_MIX = 0.5
 class Penalty:
     """A penalty kind plus its weight.
 
-    ``groups`` (sparse group lasso only) lists index arrays into the
-    flattened point, first-mode-fastest; the weight is split evenly between
+    ``partition`` (sparse group lasso only, which needs it) makes each
+    tied slice ``point[s]`` one group; the weight is split evenly between
     the elementwise l1 part and the per-group l2 part.
     """
 
     kind: str = "none"
     weight: float = 0.0
-    groups: tuple = ()
+    partition: SubjectPartition | None = None
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown penalty kind {self.kind!r}")
         if self.weight < 0:
             raise ValueError("penalty weight must be nonnegative")
-        groups = tuple(np.asarray(g, dtype=np.int64) for g in self.groups)
-        object.__setattr__(self, "groups", groups)
-        if self.kind == "sparse_group_lasso":
-            seen: set[int] = set()
-            for g in groups:
-                for i in g.tolist():
-                    if i in seen:
-                        raise ValueError("sparse group lasso groups must be disjoint")
-                    seen.add(i)
+        if self.kind == "sparse_group_lasso" and self.partition is None:
+            raise ValueError("a sparse group lasso needs a partition")
+        if self.kind != "sparse_group_lasso" and self.partition is not None:
+            raise ValueError(f"a {self.kind} penalty takes no partition")
 
     @classmethod
     def none(cls) -> "Penalty":
@@ -71,12 +70,14 @@ class Penalty:
         return cls("nonneg", weight)
 
     @classmethod
-    def sparse_group_lasso(cls, weight: float, groups) -> "Penalty":
-        return cls("sparse_group_lasso", weight, tuple(groups))
+    def sparse_group_lasso(cls, weight: float, partition: SubjectPartition) -> "Penalty":
+        return cls("sparse_group_lasso", weight, partition)
 
 
-def _flat(point: np.ndarray) -> np.ndarray:
-    return np.asarray(point, dtype=float).ravel(order="F")
+def _tied_slices(p: Penalty, point: np.ndarray):
+    """Each tied slice of ``p.partition``, checked against ``point``'s shape."""
+    p.partition.validate_shape(point.shape)
+    return (s for group in p.partition.slices for s in group)
 
 
 def penalty_value(p: Penalty, point: np.ndarray) -> float:
@@ -97,11 +98,10 @@ def penalty_value(p: Penalty, point: np.ndarray) -> float:
         return p.weight * float(np.linalg.svd(point, compute_uv=False).sum())
     if p.kind == "nonneg":
         return 0.0 if point.min(initial=0.0) >= 0.0 else math.inf
-    # sparse group lasso
-    flat = _flat(point)
-    value = _SGL_MIX * float(np.abs(flat).sum())
-    for g in p.groups:
-        value += (1.0 - _SGL_MIX) * float(np.linalg.norm(flat[g]))
+    # sparse group lasso; sums and norms run first-mode-fastest
+    value = _SGL_MIX * float(np.abs(point.ravel(order="F")).sum())
+    for s in _tied_slices(p, point):
+        value += (1.0 - _SGL_MIX) * float(np.linalg.norm(point[s].ravel(order="F")))
     return p.weight * value
 
 
@@ -134,9 +134,9 @@ def prox_apply(p: Penalty, point: np.ndarray, t: float) -> np.ndarray:
         return np.maximum(point, 0.0)
     # sparse group lasso: elementwise shrink, then per-group block shrink
     # (exact for the l1 + group-l2 composite).
-    flat = _soft(_flat(point), _SGL_MIX * lam)
+    out = _soft(point, _SGL_MIX * lam)
     group_lam = (1.0 - _SGL_MIX) * lam
-    for g in p.groups:
-        norm = float(np.linalg.norm(flat[g]))
-        flat[g] *= 0.0 if norm == 0.0 else max(0.0, 1.0 - group_lam / norm)
-    return flat.reshape(point.shape, order="F")
+    for s in _tied_slices(p, out):
+        norm = float(np.linalg.norm(out[s].ravel(order="F")))
+        out[s] *= 0.0 if norm == 0.0 else max(0.0, 1.0 - group_lam / norm)
+    return out

@@ -138,16 +138,27 @@ class SolverAbort(RuntimeError):
         self.trace = trace
 
 
+# the kind each block cannot take: a sparse group lasso's groups are tied
+# core slices, and the nuclear norm is a matrix norm
+_BLOCK_EXCLUDES = {"g": "nuclear", "h": "nuclear", "factors": "sparse_group_lasso"}
+
+
 @dataclass(frozen=True)
 class BlockPenalties:
     """Penalty per optimization block: shared core, subject core, factors.
 
-    ``factors`` applies to every factor matrix.
+    ``factors`` applies to every factor matrix.  A sparse group lasso on
+    the factors, or ``nuclear`` on a core, is a ``ValueError`` naming the block.
     """
 
     g: Penalty = field(default_factory=Penalty.none)
     h: Penalty = field(default_factory=Penalty.none)
     factors: Penalty = field(default_factory=Penalty.none)
+
+    def __post_init__(self):
+        for block, kind in _BLOCK_EXCLUDES.items():
+            if getattr(self, block).kind == kind:
+                raise ValueError(f"block {block} takes no {kind} penalty")
 
 
 @dataclass(frozen=True)
@@ -246,11 +257,10 @@ class Moduli:
 class SolverResult:
     """What a solve returns.
 
-    ``config`` is the configuration as given.  ``moduli`` are the step
-    parameters the last sweep used: the initial estimate when
-    ``fixed_moduli`` pins them or no sweep ran.  ``degenerate`` is
-    ``Moments.degenerate`` of the solve's smoothing moments: the number of
-    targets that took the fallback weights.  ``newton_steps`` holds the
+    ``moduli`` are the step parameters the last sweep used: the initial
+    estimate when ``fixed_moduli`` pins them or no sweep ran.
+    ``degenerate`` is ``Moments.degenerate`` of the solve's smoothing
+    moments: the number of targets that took the fallback weights.  ``newton_steps`` holds the
     Newton steps of each sweep's z step (:func:`update_z`), one entry per
     sweep; it is empty for the gaussian family, whose z step is closed.
     """
@@ -259,7 +269,6 @@ class SolverResult:
     z: np.ndarray
     trace: ConvergenceTrace
     y: np.ndarray
-    config: SolverConfig
     moduli: Moduli
     converged: bool
     reason: str
@@ -708,8 +717,8 @@ def solve(
     The step sizes come from :func:`estimate_moduli`, refreshed inside
     every sweep unless ``config.fixed_moduli`` pins them.  Returns the
     final model, estimate ``z``, dual variable, per-iteration trace, the
-    configuration as given, the moduli the last sweep used and the
-    smoothing moments' count of degenerate targets.
+    moduli the last sweep used and the smoothing moments' count of
+    degenerate targets.
     """
     family.validate_observations(omega)
     if omega.shape != tuple(u.shape[0] for u in init.factors):
@@ -886,7 +895,7 @@ def solve(
     )
     u *= gamma  # back to the unscaled dual y, in place
     return SolverResult(
-        model=model, z=z, trace=trace, y=u, config=config,
+        model=model, z=z, trace=trace, y=u,
         moduli=Moduli(gamma, rho_core, tuple(rho_factors)), converged=converged,
         reason=reason, degenerate=mom.degenerate, newton_steps=tuple(newton_steps),
     )

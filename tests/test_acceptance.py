@@ -217,16 +217,17 @@ def test_prox_oracle_suite():
         Penalty.l1(0.8),
         Penalty.frob_sq(0.6),
         Penalty.nonneg(),
-        Penalty.sparse_group_lasso(0.5, groups=[[0, 1, 2], [3, 4]]),
+        # one group per tied column (0, 1 and 3); column 2 takes only the l1 part
+        Penalty.sparse_group_lasso(0.5, SubjectPartition(1, ((0, 1), (3,)))),
     ]
     for p in penalties:
         for _ in range(5):
-            point = rng.standard_normal(6)
+            point = rng.standard_normal((2, 4))
             t = 0.5 + rng.random()
             q_star = prox_apply(p, point, t)
             best = penalty_value(p, q_star) + 0.5 * t * float(((q_star - point) ** 2).sum())
             for _ in range(2000):
-                cand = q_star + rng.standard_normal(6) * rng.random()
+                cand = q_star + rng.standard_normal((2, 4)) * rng.random()
                 if p.kind == "nonneg":
                     cand = np.maximum(cand, 0.0)
                 val = penalty_value(p, cand) + 0.5 * t * float(((cand - point) ** 2).sum())

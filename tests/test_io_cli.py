@@ -16,6 +16,7 @@ from dcot import io
 from dcot.cli import main
 from dcot.losses import ObservationSet
 from dcot.model import SliceGroup, SubjectPartition
+from dcot.prox import Penalty
 
 
 class TestCooFormat:
@@ -390,11 +391,20 @@ class TestPartitionFile:
         assert part.groups[1].indices == (3, 4)
 
     def test_inline_form(self, tmp_path):
+        # one grammar: the compact one-line form is not a partition line
         path = tmp_path / "p.txt"
-        path.write_text("mode=1: [1,2,3], [4,5]\n")
-        part = io.read_partition(path)
-        assert part.mode == 0
-        assert len(part.groups) == 2
+        path.write_text("# compact\nmode=1: [1,2,3], [4,5]\n")
+        with pytest.raises(io.DataIOError) as err:
+            io.read_partition(path)
+        assert str(err.value) == (
+            f"{path}:2: unrecognized partition line 'mode=1: [1,2,3], [4,5]'")
+
+    def test_two_fixed_modes_rejected(self, tmp_path):
+        path = tmp_path / "p.txt"
+        path.write_text("mode = 3\nfixed-mode = 1\ngroup: [1, 2] @ 1\n"
+                        "fixed-mode = 2\ngroup: [3, 4] @ 1\n")
+        with pytest.raises(io.DataIOError, match="one fixed mode"):
+            io.read_partition(path)
 
     def test_fixed_mode_groups(self, tmp_path):
         path = tmp_path / "p.txt"
@@ -446,6 +456,20 @@ class TestFeatureLabelFiles:
         path.write_text("1.0 2.0\n3.0\n")
         with pytest.raises(io.DataIOError):
             io.read_features(path)
+
+    def test_unparseable_feature_names_line_and_token(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_text("1.0 2.0\n3.0 x\n")
+        with pytest.raises(io.DataIOError) as err:
+            io.read_features(path)
+        assert str(err.value) == f"{path}:2: unparseable feature value 'x'"
+
+    def test_non_integer_label_names_line_and_token(self, tmp_path):
+        path = tmp_path / "l.txt"
+        path.write_text("# labels\n1\nq\n2\n")
+        with pytest.raises(io.DataIOError) as err:
+            io.read_labels(path)
+        assert str(err.value) == f"{path}:3: label 'q' is not an integer"
 
     @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity", "1e400"])
     def test_non_finite_feature_names_line(self, tmp_path, token):
@@ -512,6 +536,16 @@ def run_cli(tmp_path, command, cfg, *extra):
     cfg_path = tmp_path / f"{command.replace('-', '_')}_{len(list(tmp_path.iterdir()))}.json"
     cfg_path.write_text(json.dumps(cfg))
     return main([command, "--config", str(cfg_path), *extra])
+
+
+@pytest.fixture(scope="module")
+def tiny_tied_synth(tmp_path_factory):
+    """A 4x3x5 ``dcot synth`` set (ranks 3^3, mode-3 slices 1-3 tied) in its own dir."""
+    root = tmp_path_factory.mktemp("tiny_tied")
+    cfg = synth_config(shape=(4, 3, 5))
+    cfg["synth"].update(ranks=[3, 3, 3], partition={"mode": 3, "groups": [[1, 2, 3]]})
+    assert run_cli(root, "synth", cfg, "--output", str(root / "synth_out")) == 0
+    return root
 
 
 class TestCliPipeline:
@@ -815,6 +849,25 @@ class TestCliErrors:
                          f"{path.resolve()}:3: feature value {token} is not finite"}
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("name, bad, message", [
+        ("features_mode2.txt", "0.5 x", "unparseable feature value 'x'"),
+        ("labels_mode2.txt", "q", "label 'q' is not an integer"),
+    ])
+    def test_unparseable_similarity_file_is_io_error(self, tmp_path, monkeypatch, capsys,
+                                                     name, bad, message):
+        # once named the file but neither the line nor the token
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(tmp_path, "synth", synth_config()) == 0
+        path = tmp_path / "synth_out" / name
+        lines = path.read_text().splitlines()
+        lines[1] = bad
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_cli(tmp_path, "complete", fit_config("x", similarity=KERNEL_SIM)) == 4
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == {"kind": "io", "code": 4, "message": f"{path.resolve()}:2: {message}"}
+        assert not (tmp_path / "x").exists()
+
     def test_non_finite_dense_observation_is_io_error(self, tmp_path, monkeypatch, capsys):
         # the first non-finite cell in file order (first mode fastest), 1-based
         monkeypatch.chdir(tmp_path)
@@ -1059,6 +1112,29 @@ class TestCliErrors:
                          "give a positive weight"}
         assert not (tmp_path / "run_out").exists()
 
+    @pytest.mark.parametrize("kind", ["none", "l1", "frob_sq", "nuclear", "nonneg",
+                                      "sparse_group_lasso"])
+    @pytest.mark.parametrize("block", ["g", "h", "factors"])
+    def test_every_penalty_kind_on_every_block(self, tiny_tied_synth, tmp_path, capsys,
+                                               block, kind):
+        # a sparse group lasso on the factors once indexed a factor matrix with
+        # the core's flat groups (IndexError, exit 1), and nuclear on a core
+        # exited 2 from inside the solve, naming no block
+        cfg = fit_config(str(tmp_path / "run"), max_iters=3)
+        cfg["ranks"] = [3, 3, 3]
+        cfg["penalties"] = {block: {"kind": kind, "weight": 0.1}}
+        code = run_cli(tiny_tied_synth, "complete", cfg)
+        err = capsys.readouterr().err
+        if (block, kind) in {("g", "nuclear"), ("h", "nuclear"),
+                             ("factors", "sparse_group_lasso")}:
+            assert code == 2, err
+            error = json.loads(err)["error"]
+            assert error["kind"] == "config"
+            assert error["message"].startswith(f"penalties.{block}: ")
+            assert not (tmp_path / "run").exists()
+        else:
+            assert code == 0, err
+
     def test_grid_over_nonneg_block_rejected(self, tmp_path, monkeypatch, capsys):
         # the grid's weight replaces the block's: every positive weight was the
         # same projection and 0 turned it off, so the search once exited 0
@@ -1248,12 +1324,11 @@ class TestCliErrors:
 
         part = SubjectPartition(0, (SliceGroup((0, 1)), SliceGroup((2,))))
         pen = _parse_penalties(
-            {"g": {"kind": "sparse_group_lasso", "weight": 0.5}},
-            ranks=(3, 2), partition=part,
+            {"g": {"kind": "sparse_group_lasso", "weight": 0.5}}, partition=part,
         )
-        # one flat-index group per tied slice, first-mode-fastest layout
-        groups = [sorted(g.tolist()) for g in pen.g.groups]
-        assert groups == [[0, 3], [1, 4], [2, 5]]
+        # the penalty's groups are the partition's tied slices
+        assert pen.g == Penalty.sparse_group_lasso(0.5, part)
+        assert pen.g.partition.slices == (((0,), (1,)), ((2,),))
 
     def test_seed_override(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -126,6 +126,32 @@ class TestPartitionAndTie:
         with pytest.raises(ValueError):
             SubjectPartition(0, (SliceGroup((0,), fixed=(0, 1)),))
 
+    def test_fixed_index_groups_share_one_fixed_mode(self):
+        # with one fixed mode, a slice is claimed by at most one group
+        with pytest.raises(ValueError, match="one fixed mode"):
+            SubjectPartition(2, (SliceGroup((0, 1), fixed=(0, 0)),
+                                 SliceGroup((2, 3), fixed=(1, 0))))
+        part = SubjectPartition(2, (SliceGroup((0, 1), fixed=(1, 0)),
+                                    SliceGroup((0, 1), fixed=(1, 1)), SliceGroup((2, 3))))
+        assert part.slices == (
+            ((slice(None), 0, 0), (slice(None), 0, 1)),
+            ((slice(None), 1, 0), (slice(None), 1, 1)),
+            ((slice(None), slice(None), 2), (slice(None), slice(None), 3)),
+        )
+        claimed = np.zeros((2, 2, 4), dtype=int)
+        for group in part.slices:
+            for s in group:
+                claimed[s] += 1
+        assert claimed.max() == 1
+
+    def test_slices_leave_later_modes_implicit(self, rng):
+        # a mode-0 tie indexes h[i], which is h[i, :, :] on a 3-way core
+        part = SubjectPartition(0, (SliceGroup((0, 2)),))
+        assert part.slices == (((0,), (2,)),)
+        h = rng.standard_normal((3, 2, 2))
+        tied = tie_heterogeneous_core(h, part)
+        assert np.array_equal(tied[0, :, :], (h[0, :, :] + h[2, :, :]) / 2)
+
     def test_out_of_range(self):
         part = SubjectPartition(0, (SliceGroup((0, 5)),))
         with pytest.raises(ValueError):

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from dcot.model import SliceGroup, SubjectPartition
 from dcot.prox import Penalty, penalty_value, prox_apply
+
+# ties columns 0 and 1 of a matrix point: its groups are those two columns,
+# and column 2 takes only the l1 part
+COLUMNS = SubjectPartition(1, ((0, 1),))
 
 
 def subproblem(p, point, t):
@@ -44,20 +49,36 @@ class TestPenaltyValue:
         assert np.isclose(penalty_value(Penalty.frob_sq(0.5), x), 0.5 * (x**2).sum())
 
     def test_sparse_group_lasso_value(self):
-        p = Penalty.sparse_group_lasso(2.0, groups=[[0, 1], [2, 3]])
-        x = np.array([3.0, 4.0, 0.0, 0.0])
+        p = Penalty.sparse_group_lasso(2.0, COLUMNS)
+        x = np.array([[3.0, 0.0], [4.0, 0.0]])
         expected = 2.0 * (0.5 * 7.0 + 0.5 * 5.0)
         assert np.isclose(penalty_value(p, x), expected)
 
     def test_disjoint_groups_required(self):
-        with pytest.raises(ValueError):
-            Penalty.sparse_group_lasso(1.0, groups=[[0, 1], [1, 2]])
+        # the groups are a partition's tied slices, which cannot overlap
+        with pytest.raises(ValueError, match="overlap"):
+            Penalty.sparse_group_lasso(1.0, SubjectPartition(1, ((0, 1), (1, 2))))
 
     def test_sparse_group_lasso_split_is_fixed(self):
         with pytest.raises(TypeError):
-            Penalty.sparse_group_lasso(1.0, groups=[[0]], mix=0.5)
+            Penalty.sparse_group_lasso(1.0, COLUMNS, mix=0.5)
         with pytest.raises(TypeError):
-            Penalty("sparse_group_lasso", 1.0, mix=0.5)
+            Penalty("sparse_group_lasso", 1.0, COLUMNS, mix=0.5)
+
+    def test_partition_goes_with_sparse_group_lasso_only(self):
+        with pytest.raises(ValueError, match="needs a partition"):
+            Penalty("sparse_group_lasso", 1.0)
+        with pytest.raises(ValueError, match="takes no partition"):
+            Penalty("l1", 1.0, COLUMNS)
+
+    @pytest.mark.parametrize("shape", [(2,), (2, 1)])
+    def test_partition_must_fit_the_point(self, shape):
+        # COLUMNS ties column 1, which a 1-column or 1-D point lacks
+        p = Penalty.sparse_group_lasso(1.0, COLUMNS)
+        with pytest.raises(ValueError, match="out of range"):
+            penalty_value(p, np.ones(shape))
+        with pytest.raises(ValueError, match="out of range"):
+            prox_apply(p, np.ones(shape), 1.0)
 
 
 class TestProxApply:
@@ -107,11 +128,11 @@ class TestProxApply:
             Penalty.l1(0.8),
             Penalty.frob_sq(0.6),
             Penalty.nonneg(),
-            Penalty.sparse_group_lasso(0.5, groups=[[0, 1, 2], [3, 4]]),
+            Penalty.sparse_group_lasso(0.5, COLUMNS),
         ],
     )
     def test_optimality_vs_dense_search(self, penalty, rng):
-        point = rng.standard_normal(6)
+        point = rng.standard_normal((2, 3))
         dense_search_confirms(penalty, point, 1.3, rng)
 
     def test_nuclear_optimality_vs_dense_search(self, rng):
@@ -121,23 +142,77 @@ class TestProxApply:
     @pytest.mark.parametrize(
         "penalty",
         [Penalty.l1(0.8), Penalty.frob_sq(0.6), Penalty.nonneg(),
-         Penalty.sparse_group_lasso(0.5, groups=[[0, 1], [2, 3]])],
+         Penalty.sparse_group_lasso(0.5, COLUMNS)],
     )
     @given(st.integers(0, 2**31))
     def test_nonexpansive(self, penalty, seed):
         gen = np.random.default_rng(seed)
-        a, b = gen.standard_normal(5), gen.standard_normal(5)
+        a, b = gen.standard_normal((2, 3)), gen.standard_normal((2, 3))
         pa, pb = prox_apply(penalty, a, 1.0), prox_apply(penalty, b, 1.0)
         assert np.linalg.norm(pa - pb) <= np.linalg.norm(a - b) + 1e-12
 
     def test_group_lasso_kills_small_groups(self):
         # the l1 part leaves (0.5, 0.5) of the first group, below the group
         # threshold 2
-        p = Penalty.sparse_group_lasso(4.0, groups=[[0, 1], [2, 3]])
-        point = np.array([2.5, 2.5, 10.0, 10.0])
+        p = Penalty.sparse_group_lasso(4.0, COLUMNS)
+        point = np.array([[2.5, 10.0], [2.5, 10.0]])
         got = prox_apply(p, point, 1.0)
-        assert np.array_equal(got[:2], np.zeros(2))
-        assert np.all(got[2:] > 0)
+        assert np.array_equal(got[:, 0], np.zeros(2))
+        assert np.all(got[:, 1] > 0)
+
+    @pytest.mark.parametrize("shape, part", [
+        ((3, 3, 4), SubjectPartition(2, ((0, 1, 2),))),
+        ((2, 3, 2, 2), SubjectPartition(3, (SliceGroup((0, 1), fixed=(0, 1)),
+                                            SliceGroup((0, 1), fixed=(0, 0))))),
+        ((4, 3, 3), SubjectPartition(0, ((0, 1), (2, 3)))),
+    ])
+    def test_matches_flat_index_reference_bitwise(self, rng, shape, part):
+        # the reference indexes the first-mode-fastest flattened point with one
+        # index array per tied slice, as the penalty once did
+        flat_groups = []
+        for g in part.groups:
+            for i in g.indices:
+                mask = np.zeros(shape, dtype=bool)
+                sel = [slice(None)] * len(shape)
+                sel[part.mode] = i
+                if g.fixed is not None:
+                    sel[g.fixed[0]] = g.fixed[1]
+                mask[tuple(sel)] = True
+                flat_groups.append(np.flatnonzero(mask.ravel(order="F")))
+        for _ in range(200):
+            weight, t = 3.0 * rng.random(), 0.2 + 3.0 * rng.random()
+            point = rng.standard_normal(shape) * 3.0 * rng.random()
+            flat = point.ravel(order="F")
+            want_value = 0.5 * float(np.abs(flat).sum())
+            for g in flat_groups:
+                want_value += 0.5 * float(np.linalg.norm(flat[g]))
+            lam = weight / t
+            flat = np.sign(flat) * np.maximum(np.abs(flat) - 0.5 * lam, 0.0)
+            for g in flat_groups:
+                norm = float(np.linalg.norm(flat[g]))
+                flat[g] *= 0.0 if norm == 0.0 else max(0.0, 1.0 - 0.5 * lam / norm)
+            p = Penalty.sparse_group_lasso(weight, part)
+            assert penalty_value(p, point) == weight * want_value
+            assert np.array_equal(prox_apply(p, point, t),
+                                  flat.reshape(shape, order="F"))
+
+    def test_group_lasso_shrinks_each_tied_slice(self, rng):
+        # fixed-index groups: slices h[m, :, k] over k, separately for m = 0, 1;
+        # h[2] is untied and takes only the elementwise shrink
+        part = SubjectPartition(2, (SliceGroup((0, 1), fixed=(0, 0)),
+                                    SliceGroup((1, 2), fixed=(0, 1))))
+        point = rng.standard_normal((3, 4, 3)) * 2.0
+        got = prox_apply(Penalty.sparse_group_lasso(3.0, part), point, 2.0)
+        soft = np.sign(point) * np.maximum(np.abs(point) - 0.75, 0.0)
+        want = soft.copy()
+        for m, k in [(0, 0), (0, 1), (1, 1), (1, 2)]:
+            norm = np.linalg.norm(soft[m, :, k])
+            want[m, :, k] *= max(0.0, 1.0 - 0.75 / norm)
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+        value = penalty_value(Penalty.sparse_group_lasso(3.0, part), point)
+        groups = sum(np.linalg.norm(point[m, :, k])
+                     for m, k in [(0, 0), (0, 1), (1, 1), (1, 2)])
+        assert np.isclose(value, 3.0 * (0.5 * np.abs(point).sum() + 0.5 * groups))
 
 
 class TestNuclearNonFinite:
