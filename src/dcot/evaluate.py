@@ -18,7 +18,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .losses import LossFamily, ObservationSet, initial_fill
-from .model import DcotModel, InitStrategy, SubjectPartition, initial_model, reconstruct
+from .model import (DcotModel, InitStrategy, SubjectPartition, initial_model, reconstruct,
+                    tie_heterogeneous_core)
 from .similarity import SimilarityModel
 from .solver import SolverAbort, SolverConfig, solve
 
@@ -167,8 +168,6 @@ def synthesize(spec: SynthSpec) -> SynthData:
     core_h = rng.standard_normal(spec.ranks)
     if family.bounded:
         core_g, core_h = np.abs(core_g), np.abs(core_h)
-    from .model import tie_heterogeneous_core
-
     if spec.partition is not None:
         core_h = tie_heterogeneous_core(core_h, spec.partition)
     h_norm = float(np.linalg.norm(core_h))

@@ -29,7 +29,8 @@ All file formats use 1-based indices; conversion to the package's
 * Partition files: ``mode = <m>``, optional ``fixed-mode = <m>``, then
   one ``group: [i, j, ...]`` line per group, with an optional ``@ <f>``
   suffix naming the fixed index when ``fixed-mode`` is set.  Any other
-  line is a :class:`DataIOError` naming the file and line.
+  line, or the first group that breaks a partition rule, is a
+  :class:`DataIOError` naming the file and line (indices from 1).
 * Text files are UTF-8; one that is not is a :class:`DataIOError` naming
   the file and the offset of the first bad byte.
 """
@@ -402,7 +403,8 @@ def read_partition(path) -> SubjectPartition:
     lines = _read_text(path).splitlines()
     mode = None
     fixed_mode = None
-    groups: list[SliceGroup] = []
+    # (line, group), in the file's 1-based numbering until the end
+    groups: list[tuple[str, SliceGroup]] = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -412,33 +414,42 @@ def read_partition(path) -> SubjectPartition:
         if m:
             if mode is not None:
                 raise DataIOError(f"{where}: duplicate mode line")
-            mode = int(m.group(1)) - 1
+            mode = int(m.group(1))
             continue
         m = re.match(r"^fixed-mode\s*=\s*(\d+)\s*$", line)
         if m:
-            fixed_mode = int(m.group(1)) - 1
+            fixed_mode = int(m.group(1))
             continue
         m = _GROUP_RE.match(line)
         if m:
-            idx = tuple(i - 1 for i in _parse_index_list(m.group(1), where))
             fixed = None
             if m.group(2) is not None:
                 if fixed_mode is None:
                     raise DataIOError(f"{where}: '@' qualifier without fixed-mode")
-                fixed = (fixed_mode, int(m.group(2)) - 1)
+                fixed = (fixed_mode, int(m.group(2)))
             elif fixed_mode is not None:
                 raise DataIOError(f"{where}: fixed-mode set but group lacks '@'")
-            groups.append(SliceGroup(idx, fixed))
+            try:
+                groups.append((where, SliceGroup(_parse_index_list(m.group(1), where), fixed)))
+            except ValueError as exc:
+                raise DataIOError(f"{where}: {exc}") from exc
             continue
         raise DataIOError(f"{where}: unrecognized partition line {line!r}")
     if mode is None:
         raise DataIOError(f"{path}: missing 'mode =' line")
     if not groups:
         raise DataIOError(f"{path}: no groups declared")
-    try:
-        return SubjectPartition(mode, tuple(groups))
-    except ValueError as exc:
-        raise DataIOError(f"{path}: {exc}") from exc
+    # SubjectPartition's rules only compare indices, so they hold in either
+    # numbering: checked one group at a time in the file's, an error names
+    # the first failing group's line and the index as the file writes it
+    for k, (where, _) in enumerate(groups, start=1):
+        try:
+            SubjectPartition(mode, tuple(g for _, g in groups[:k]))
+        except ValueError as exc:
+            raise DataIOError(f"{where}: {exc}") from exc
+    return SubjectPartition(mode - 1, tuple(
+        SliceGroup([i - 1 for i in g.indices], g.fixed and (g.fixed[0] - 1, g.fixed[1] - 1))
+        for _, g in groups))
 
 
 def write_partition(partition: SubjectPartition, path) -> None:

@@ -18,13 +18,13 @@ constant factors are absorbed).  The normalization is by the total cell
 count, not the observation count, so unobserved cells participate; this
 is what makes completion work.
 
-The loss functions take those weights' per-cell sums, precomputed once per
-problem as :class:`~dcot.similarity.Moments` by ``smoothing_moments``.
-Their shapes come from ``weighted_x``: the weight sums ``weight_sum`` only
-broadcast against it, and the array-valued functions return full
-data-shape arrays all the same.  ``smoothing_moments`` normalizes, so it
-stores the size-one ``1.0``; every formula here also takes a per-cell
-``weight_sum`` (the ``w`` terms), as a ``Moments`` built directly may carry.
+The loss functions take those weights' per-cell aggregates, precomputed
+once per problem as :class:`~dcot.similarity.Moments` by
+``smoothing_moments``.  Each integrand is linear in ``x``, and the weights
+sum to one per target, so the loss is the plain one at the pseudo-data
+``m1 = weighted_x``: ``(1 / prod(I_n)) * sum_t f(m1_t; z_t)``, plus (for the
+gaussian family) the constant ``x2_total`` of the second moments.  The
+array-valued functions return arrays of ``weighted_x``'s shape.
 
 Each family's derivatives are written once, in one derivative pass
 (:class:`LossDerivatives`): it writes the gradient into a buffer and keeps
@@ -189,29 +189,24 @@ def _checked(family: LossFamily, mom: Moments, z) -> np.ndarray:
     return z
 
 
-def gaussian_quadratic(w: np.ndarray, m1: np.ndarray, z: np.ndarray) -> float:
-    """``sum w z^2 - 2 <m1, z>``: the terms of the gaussian loss that move with ``z``.
+def gaussian_quadratic(m1: np.ndarray, z: np.ndarray) -> float:
+    """``||z||^2 - 2 <m1, z>``: the terms of the gaussian loss that move with ``z``.
 
     ``z`` and ``m1`` hold the same cells, whole arrays or one flat block of
-    each; ``w`` is size one or the weight sums of those cells.  Neither
-    form makes a ``w * z`` temporary, so a whole-array call allocates no
+    each.  BLAS forms both products, so a whole-array call allocates no
     array of the data's size.
     """
-    z, m1, w = z.ravel(), m1.ravel(), w.ravel()
-    if w.size == 1:  # w factors out, and BLAS forms the rest
-        quad = float(w[0]) * float(np.dot(z, z))
-    else:
-        quad = float(np.einsum(w, [0], z, [0], z, [0], []))
-    return quad - 2.0 * float(np.dot(m1, z))
+    z, m1 = z.ravel(), m1.ravel()
+    return float(np.dot(z, z)) - 2.0 * float(np.dot(m1, z))
 
 
 def loss_value(family: LossFamily, mom: Moments, z: np.ndarray) -> float:
     """Evaluate the smoothed loss from the precomputed smoothing moments."""
     z = _checked(family, mom, z)
-    w, m1, count = mom.weight_sum, mom.weighted_x, mom.count
+    m1, count = mom.weighted_x, mom.count
     if family.kind == "gaussian":
-        # sum_t (w z^2 - 2 m1 z + m2), with the z-free term summed once
-        return (gaussian_quadratic(w, m1, z) + mom.x2_total) / count
+        # sum_t (z^2 - 2 m1 z + m2), with the z-free term summed once
+        return (gaussian_quadratic(m1, z) + mom.x2_total) / count
     if family.kind == "bernoulli":
         # log(1 + exp(z)) = max(z, 0) + log1p(exp(-|z|)), logaddexp's own
         # formula, but in whole-array passes
@@ -220,13 +215,12 @@ def loss_value(family: LossFamily, mom: Moments, z: np.ndarray) -> float:
         np.exp(total, out=total)
         np.log1p(total, out=total)
         total += np.maximum(z, 0.0)
-        total *= w
         total -= m1 * z
     elif family.kind == "poisson":
-        total = w * z - m1 * np.log(np.maximum(z, _POISSON_FLOOR))
+        total = z - m1 * np.log(np.maximum(z, _POISSON_FLOOR))
     else:  # gamma
         zz = z + _GAMMA_EPSILON
-        total = w * np.log(zz) + m1 / zz
+        total = np.log(zz) + m1 / zz
     return float(total.sum()) / count
 
 
@@ -253,11 +247,10 @@ class LossDerivatives:
 
     def at(self, z: np.ndarray) -> np.ndarray:
         """Write the gradient at ``z`` into ``grad`` (returned) and keep the curvature's terms."""
-        w, m1, count = self.mom.weight_sum, self.mom.weighted_x, self.mom.count
+        m1, count = self.mom.weighted_x, self.mom.count
         grad, state = self.grad, self._state
         if self.kind == "gaussian":
-            np.multiply(w, z, out=grad)
-            grad -= m1
+            np.subtract(z, m1, out=grad)
             grad *= 2.0
         elif self.kind == "bernoulli":
             # p = 1 / (1 + exp(-z)); exp overflows to inf, and p to 0, below
@@ -267,15 +260,14 @@ class LossDerivatives:
                 np.exp(state, out=state)
             state += 1.0
             np.divide(1.0, state, out=state)
-            np.multiply(state, w, out=grad)
-            grad -= m1
+            np.subtract(state, m1, out=grad)
         elif self.kind == "poisson":
             np.maximum(z, _POISSON_FLOOR, out=state)
             np.divide(m1, state, out=grad)
-            np.subtract(w, grad, out=grad)
-        else:  # gamma: w / zz - m1 / zz^2
+            np.subtract(1.0, grad, out=grad)
+        else:  # gamma: 1 / zz - m1 / zz^2
             np.add(z, _GAMMA_EPSILON, out=state)
-            np.divide(w, state, out=grad)
+            np.divide(1.0, state, out=grad)
             np.square(state, out=self._tmp)
             np.divide(m1, self._tmp, out=self._tmp)
             grad -= self._tmp
@@ -284,21 +276,20 @@ class LossDerivatives:
 
     def curvature(self, out: np.ndarray) -> np.ndarray:
         """Write the curvature at the last :meth:`at`'s ``z`` into ``out`` (returned)."""
-        w, m1, count = self.mom.weight_sum, self.mom.weighted_x, self.mom.count
+        m1, count = self.mom.weighted_x, self.mom.count
         state = self._state
         if self.kind == "gaussian":
-            out[...] = 2.0 * w
-        elif self.kind == "bernoulli":  # w p (1 - p)
+            out[...] = 2.0
+        elif self.kind == "bernoulli":  # p (1 - p)
             np.subtract(1.0, state, out=out)
             out *= state
-            out *= w
         elif self.kind == "poisson":  # m1 / max(z, floor)^2
             np.square(state, out=out)
             np.divide(m1, out, out=out)
-        else:  # gamma: (2 m1 / zz - w) / zz^2
+        else:  # gamma: (2 m1 / zz - 1) / zz^2
             np.multiply(m1, 2.0, out=out)
             out /= state
-            out -= w
+            out -= 1.0
             np.square(state, out=self._tmp)
             out /= self._tmp
         out /= count
@@ -328,16 +319,16 @@ def loss_curvature_min(
     The result broadcasts against the data.  For the convex families it is
     zero (a lower bound), one size-one array, so a caller adding it to a
     scalar makes no array of the data's size.  For ``gamma``, with
-    ``u = 1 / (z + eps)`` the scaled curvature ``2 m1 u^3 - w u^2``
-    decreases in ``u`` up to ``u = w / (3 m1)``, and ``u <= 1 / (z_min + eps)``.
+    ``u = 1 / (z + eps)`` the scaled curvature ``2 m1 u^3 - u^2``
+    decreases in ``u`` up to ``u = 1 / (3 m1)``, and ``u <= 1 / (z_min + eps)``.
     """
-    w, m1, count = mom.weight_sum, mom.weighted_x, mom.count
+    m1, count = mom.weighted_x, mom.count
     if family.kind != "gamma":
         return np.zeros((1,) * m1.ndim)
     u_max = 1.0 / (z_min + _GAMMA_EPSILON)
-    crit = np.divide(w, 3.0 * m1, out=np.full(m1.shape, np.inf), where=m1 > 0)
+    crit = np.divide(1.0, 3.0 * m1, out=np.full(m1.shape, np.inf), where=m1 > 0)
     u = np.minimum(crit, u_max)
-    return (2.0 * m1 * u - w) * u**2 / count
+    return (2.0 * m1 * u - 1.0) * u**2 / count
 
 
 def loss_lipschitz(
@@ -350,14 +341,14 @@ def loss_lipschitz(
     they need a positive lower bound ``z_min`` on the entries of ``z``;
     the others ignore it.
     """
-    w, m1, count = mom.weight_sum, mom.weighted_x, mom.count
+    m1, count = mom.weighted_x, mom.count
     if family.kind == "gaussian":
-        return 2.0 * float(w.max()) / count
+        return 2.0 / count
     if family.kind == "bernoulli":
-        return float(w.max()) / (4.0 * count)
+        return 1.0 / (4.0 * count)
     if z_min is None or z_min <= 0:
         raise ValueError(f"{family.kind} needs a positive lower bound z_min")
     if family.kind == "poisson":
         return float(m1.max()) / (count * z_min**2)
     zz = z_min + _GAMMA_EPSILON
-    return (float(w.max()) / zz**2 + 2.0 * float(m1.max()) / zz**3) / count
+    return (1.0 / zz**2 + 2.0 * float(m1.max()) / zz**3) / count

@@ -82,20 +82,18 @@ def label_consistency(labels) -> np.ndarray:
 class Moments:
     """Per-target smoothing aggregates over the observed entries.
 
-    ``weight_sum[t] = sum_j w(t, j)`` and ``weighted_x[t] = sum_j w(t, j) x_j``,
-    after normalization and the degenerate-target fallback.  ``weighted_x``
-    has the data shape; ``weight_sum`` broadcasts against it.
-    :func:`smoothing_moments` normalizes, so it stores the size-one array
-    ``1.0`` (one axis of length one per mode); every reader also takes a
-    per-cell ``weight_sum``, such as zero on cells that pool nothing.
+    ``weighted_x[t] = sum_j w(t, j) x_j``, with the data's shape, after the
+    degenerate-target fallback and the normalization that makes every
+    target's weights ``w(t, .)`` sum to one; the loss functions rest on
+    that sum, so they fit the plain loss at the pseudo-data ``weighted_x``.
     ``x2_total`` is the scalar ``sum_t sum_j w(t, j) x_j^2`` over every
     target, with the same normalization and fallback: the gaussian loss
     needs that second-moment term only as an additive constant, so no
     per-target array is kept.  ``count`` is the normalizing cell count
-    ``prod(shape)`` used by the loss functions.
+    ``prod(shape)`` used by the loss functions, and ``degenerate`` the
+    number of targets that took the fallback.
     """
 
-    weight_sum: np.ndarray
     weighted_x: np.ndarray
     x2_total: float
     count: int
@@ -233,7 +231,6 @@ def smoothing_moments(sim: SimilarityModel, omega: ObservationSet) -> Moments:
     np.divide(m1, w, out=m1)
     np.divide(m2, w, out=m2)
     return Moments(
-        weight_sum=np.ones((1,) * len(sim.shape)),
         weighted_x=m1,
         x2_total=float(m2.sum()),
         count=int(np.prod(sim.shape)),

@@ -54,7 +54,7 @@ a block is in cache: the gaussian closed-form z step
 ``z_new = a + b * (recon - u)`` into ``spare``, the residual
 ``r = recon - z_new`` in ``recon``, the dual step ``u -= r``, the z step
 ``z - z_new`` in the old ``z``, the sums the trace needs (``||z - z_new||^2``,
-``||r||^2``, ``<u, r>`` and the gaussian loss's ``sum w z^2 - 2 <m1, z>``)
+``||r||^2``, ``<u, r>`` and the gaussian loss's ``||z||^2 - 2 <m1, z>``)
 and the next target ``z_new + u`` in ``recon``.  So after the chain has
 read the target twice and the reconstruction has written ``recon``, a
 gaussian sweep reads ``recon``, ``u``, ``z``, the z-step offset ``a`` and
@@ -260,9 +260,10 @@ class SolverResult:
     ``moduli`` are the step parameters the last sweep used: the initial
     estimate when ``fixed_moduli`` pins them or no sweep ran.
     ``degenerate`` is ``Moments.degenerate`` of the solve's smoothing
-    moments: the number of targets that took the fallback weights.  ``newton_steps`` holds the
-    Newton steps of each sweep's z step (:func:`update_z`), one entry per
-    sweep; it is empty for the gaussian family, whose z step is closed.
+    moments: the number of targets that took the fallback weights.
+    ``newton_steps`` holds the Newton steps of each sweep's z step
+    (:func:`update_z`), one entry per sweep; it is empty for the gaussian
+    family, whose z step is closed.
     """
 
     model: DcotModel
@@ -363,23 +364,20 @@ def update_cores(
     return g_new, h_new
 
 
-def gaussian_z_coefficients(mom: Moments, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+def gaussian_z_coefficients(mom: Moments, gamma: float) -> tuple[np.ndarray, float]:
     """``(a, b)`` of the gaussian closed-form z step ``z = a + b * center``.
 
     ``center`` is the proximal center ``recon - u``; :func:`_sweep_tail`
     forms the step.  The coefficients depend on ``gamma`` and the moments
-    only, so a solve builds them once.  ``b`` has the shape of
-    ``mom.weight_sum``: size one for the moments ``smoothing_moments``
-    builds, so only ``a`` is a dense array then; a per-cell ``weight_sum``
-    makes ``b`` dense too.
+    only, so a solve builds them once: the offset ``a`` has the data's
+    shape, and the scale ``b = gamma / (2 / count + gamma)`` is one number,
+    since every target's weights sum to one.
     """
     scale = 2.0 / mom.count
-    b = mom.weight_sum * scale
-    b += gamma
+    denom = scale + gamma
     a = mom.weighted_x * scale
-    a /= b
-    np.divide(gamma, b, out=b)
-    return a, b
+    a /= denom
+    return a, gamma / denom
 
 
 def update_z(
@@ -545,38 +543,39 @@ def _sweep_tail(recon, z, z_new, u, gaussian=None) -> tuple[float, float, float,
     consecutive cells goes through every step before the next block is
     read, so the arrays stay in cache:
 
-    * with ``gaussian = (a, b, w, m1)`` (the coefficients of
-      :func:`gaussian_z_coefficients` and the moments' ``weight_sum`` and
-      ``weighted_x``) the closed-form z step ``z_new = a + b * (recon - u)``
-      is formed in ``z_new``; otherwise ``z_new`` already holds the whole
-      z step (:func:`update_z`);
+    * with ``gaussian = (a, b, m1)`` (the coefficients of
+      :func:`gaussian_z_coefficients` and the moments' ``weighted_x``) the
+      closed-form z step ``z_new = a + b * (recon - u)`` is formed in
+      ``z_new``; otherwise ``z_new`` already holds the whole z step
+      (:func:`update_z`);
     * ``recon`` becomes the residual ``r = recon - z_new``, the scaled dual
       takes its ascent step ``u -= r`` (``y <- y - gamma * r``), and ``z``
       becomes the z step ``z - z_new``;
     * the block's ``||z - z_new||^2``, ``||r||^2``, ``<u, r>`` (with the
-      new ``u``) and, on the gaussian path, ``sum w z_new^2 - 2 <m1, z_new>``
+      new ``u``) and, on the gaussian path, ``||z_new||^2 - 2 <m1, z_new>``
       are added up;
     * ``recon`` ends as the next sweep's target ``z_new + u``.
 
     Per cell this is the arithmetic of the separate whole-array steps, so
     the iterates are bitwise theirs; the sums differ from whole-array ones
     by rounding only.  Returns the four sums (the last is ``0.0`` without
-    ``gaussian``).  ``b`` and ``w`` may be size one.
+    ``gaussian``).
     """
     # the sweep's arrays are C-contiguous, so these are views, and made here
     # they are gone again before the next sweep's factor steps
     rf, zf, nf, uf = (x.reshape(-1) for x in (recon, z, z_new, u))
     if gaussian is not None:
-        a, b, w, m1 = (x.reshape(-1) for x in gaussian)
+        a, b, m1 = gaussian
+        a, m1 = a.reshape(-1), m1.reshape(-1)
     dz_sq = r_sq = u_r = quad = 0.0
     for lo in range(0, rf.size, _BLOCK):
         cells = slice(lo, lo + _BLOCK)
         r, zb, new, ub = rf[cells], zf[cells], nf[cells], uf[cells]
         if gaussian is not None:
             np.subtract(r, ub, out=new)
-            new *= b if b.size == 1 else b[cells]
+            new *= b
             new += a[cells]
-            quad += gaussian_quadratic(w if w.size == 1 else w[cells], m1[cells], new)
+            quad += gaussian_quadratic(m1[cells], new)
         r -= new
         ub -= r
         zb -= new
@@ -751,7 +750,7 @@ def solve(
     trace = ConvergenceTrace()
     gaussian = None
     if family.kind == "gaussian":
-        gaussian = (*gaussian_z_coefficients(mom, gamma), mom.weight_sum, mom.weighted_x)
+        gaussian = (*gaussian_z_coefficients(mom, gamma), mom.weighted_x)
 
     def diagnostics(it, loss, r_sq, u_r, steps, started):
         # one <r, r> gives the quadratic term, the primal residual and,

@@ -9,8 +9,7 @@ the package's one-pass forms are checked, with ``truncate_lexsort``,
 the neighbor truncation as it ranked before one stable sort replaced its
 ``lexsort``; and helpers that only the tests call, kept here rather than
 in the package (``vec``, ``fold``, ``similarity_ones``,
-``planted_similarity``, ``neighbors``, ``smoothing_weights`` and
-``per_cell_moments``).
+``planted_similarity``, ``neighbors`` and ``smoothing_weights``).
 """
 
 import itertools
@@ -23,7 +22,7 @@ import numpy as np
 from scipy.special import expit
 
 from dcot.losses import _GAMMA_EPSILON, _POISSON_FLOOR, ObservationSet, loss_curvature_min
-from dcot.similarity import Moments, SimilarityModel, _check_omega, mode_similarity
+from dcot.similarity import SimilarityModel, _check_omega, mode_similarity
 from dcot.tensor import _check_mode
 
 
@@ -233,18 +232,18 @@ def sweep_tail_oracle(recon, z, z_new, u, gaussian=None):
 
     The reference for ``solver._sweep_tail``, which forms the same steps
     block by block: the gaussian z step ``z_new = a + b * (recon - u)``
-    (with ``gaussian = (a, b, w, m1)``), ``recon <- r = recon - z_new``,
+    (with ``gaussian = (a, b, m1)``), ``recon <- r = recon - z_new``,
     ``u <- u - r``, ``z <- z - z_new``, then the sums
-    ``(||z - z_new||^2, ||r||^2, <u, r>, sum w z_new^2 - 2 <m1, z_new>)``
+    ``(||z - z_new||^2, ||r||^2, <u, r>, ||z_new||^2 - 2 <m1, z_new>)``
     and ``recon <- z_new + u``.
     """
     quad = 0.0
     if gaussian is not None:
-        a, b, w, m1 = gaussian
+        a, b, m1 = gaussian
         np.subtract(recon, u, out=z_new)
         z_new *= b
         z_new += a
-        quad = float((w * z_new**2).sum()) - 2.0 * float((m1 * z_new).sum())
+        quad = float((z_new**2).sum()) - 2.0 * float((m1 * z_new).sum())
     r = np.subtract(recon, z_new, out=recon)
     u -= r
     np.subtract(z, z_new, out=z)
@@ -260,8 +259,8 @@ def smoothing_moments_dense(sim, omega):
     it pins the buffered build bitwise, so it must contract in the same
     order with the same matrix products.  It holds the indicator, value and
     squared-value tensors, the three moments and the masks at once.
-    Returns ``(weight_sum, weighted_x, x2_total, degenerate)`` with a dense
-    ``weight_sum``.
+    Returns ``(w, weighted_x, x2_total, degenerate)``, where ``w`` is the
+    dense tensor of per-target weight sums after normalization: all ones.
     """
     from dcot.tensor import multilinear_product
 
@@ -288,10 +287,10 @@ def smoothing_moments_dense(sim, omega):
         w[unobserved_bad] = 1.0
         m1[unobserved_bad] = omega.values.mean()
         m2[unobserved_bad] = (omega.values**2).mean()
-    ok = ~bad
-    m1[ok] = m1[ok] / w[ok]
-    m2[ok] = m2[ok] / w[ok]
-    w[ok] = 1.0
+    # normalize: divide every moment, the weight sum included, by the weight sum
+    m1 /= w
+    m2 /= w
+    w /= w
     return w, m1, float(m2.sum()), n_bad
 
 
@@ -420,39 +419,39 @@ def _coo_first_fault(path, lines, start, dims):
 def loss_gradient_reference(family, mom, z):
     """Elementwise gradient of the smoothed loss, one expression per family."""
     z = np.asarray(z, dtype=float)
-    w, m1, count = mom.weight_sum, mom.weighted_x, mom.count
+    m1, count = mom.weighted_x, mom.count
     if family.kind == "gaussian":
-        grad = 2.0 * (w * z - m1)
+        grad = 2.0 * (z - m1)
     elif family.kind == "bernoulli":
-        grad = expit(z) * w - m1
+        grad = expit(z) - m1
     elif family.kind == "poisson":
-        grad = w - m1 / np.maximum(z, _POISSON_FLOOR)
+        grad = 1.0 - m1 / np.maximum(z, _POISSON_FLOOR)
     else:  # gamma
         zz = z + _GAMMA_EPSILON
-        grad = w / zz - m1 / zz**2
+        grad = 1.0 / zz - m1 / zz**2
     return grad / count
 
 
 def loss_curvature_reference(family, mom, z):
     """Elementwise second derivative of the smoothed loss, one expression per family."""
     z = np.asarray(z, dtype=float)
-    w, m1, count = mom.weight_sum, mom.weighted_x, mom.count
+    m1, count = mom.weighted_x, mom.count
     if family.kind == "gaussian":
-        curv = np.broadcast_to(2.0 * w, z.shape)
+        curv = np.full(z.shape, 2.0)
     elif family.kind == "bernoulli":
         p = expit(z)
-        curv = w * p * (1.0 - p)
+        curv = p * (1.0 - p)
     elif family.kind == "poisson":
         curv = m1 / np.maximum(z, _POISSON_FLOOR) ** 2
     else:  # gamma
         zz = z + _GAMMA_EPSILON
-        curv = (2.0 * m1 / zz - w) / zz**2
+        curv = (2.0 * m1 / zz - 1.0) / zz**2
     return curv / count
 
 
 def bernoulli_loss_reference(mom, z):
     """The bernoulli smoothed loss with ``log(1 + exp(z))`` from ``np.logaddexp``."""
-    total = mom.weight_sum * np.logaddexp(0.0, z) - mom.weighted_x * z
+    total = np.logaddexp(0.0, z) - mom.weighted_x * z
     return float(total.sum()) / mom.count
 
 
@@ -595,20 +594,3 @@ def smoothing_weights(
     keep = np.flatnonzero(w > 0)
     return [(tuple(int(v) for v in omega.indices[j]), float(w[j])) for j in keep]
 
-
-def per_cell_moments(rng, omega: ObservationSet) -> tuple[Moments, np.ndarray]:
-    """Moments of explicit pair weights ``W[t, j] >= 0``, not normalized.
-
-    ``smoothing_moments`` always normalizes; this builds the dense,
-    non-uniform ``weight_sum`` that a per-cell weight gives the loss
-    functions.  About a third of the pairs weigh zero and the first target
-    cell pools no source at all.  Returns the moments and ``W``, of shape
-    ``omega.shape + (len(omega),)``.
-    """
-    size = omega.shape + (len(omega),)
-    w = rng.uniform(0.1, 2.0, size) * (rng.random(size) < 0.7)
-    w[(0,) * len(omega.shape)] = 0.0
-    x = omega.values
-    moments = Moments(weight_sum=w.sum(axis=-1), weighted_x=w @ x,
-                      x2_total=float((w @ x**2).sum()), count=math.prod(omega.shape))
-    return moments, w

@@ -437,6 +437,28 @@ class TestPartitionFile:
         with pytest.raises(io.DataIOError, match="overlap"):
             io.read_partition(path)
 
+    @pytest.mark.parametrize("text, line, message", [
+        ("mode = 2\nfixed-mode = 2\ngroup: [1, 2] @ 1\n",
+         3, "fixed mode must differ from the tied mode"),
+        ("# two groups\nmode = 1\ngroup: [1, 2]\n\ngroup: [2, 3]\n",
+         5, "groups overlap at index 2 (fixed=None)"),
+        ("mode = 3\nfixed-mode = 1\ngroup: [1, 2] @ 2\ngroup: [3, 2] @ 2\n",
+         4, "groups overlap at index 2 (fixed=(1, 2))"),
+        ("mode = 3\ngroup: [3, 4]\nfixed-mode = 1\ngroup: [1, 2] @ 1\ngroup: [4] @ 2\n",
+         5, "fixed-index groups overlap a plain group"),
+        ("mode = 1\ngroup: [1, 2]\ngroup: [3, 3]\n", 3, "duplicate indices in group (3, 3)"),
+        ("mode = 1\ngroup: []\n", 2, "a slice group must be nonempty"),
+    ], ids=["fixed-is-tied", "overlap", "fixed-overlap", "plain-overlap", "duplicate",
+            "empty"])
+    def test_rule_error_names_the_group_line(self, tmp_path, text, line, message):
+        # the first group that breaks a rule, with indices counted from 1 as
+        # the file counts them
+        path = tmp_path / "p.txt"
+        path.write_text(text)
+        with pytest.raises(io.DataIOError) as err:
+            io.read_partition(path)
+        assert str(err.value) == f"{path}:{line}: {message}"
+
 
 class TestFeatureLabelFiles:
     def test_features_roundtrip(self, tmp_path, rng):
@@ -884,6 +906,20 @@ class TestCliErrors:
         assert error["kind"] == "io"
         assert error["message"] == (f"{tmp_path / 'data' / 'observed.dct'}: "
                                     "cell (2, 1, 2) is not finite (nan)")
+        assert not (tmp_path / "x").exists()
+
+    def test_partition_rule_error_is_io_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        data = tmp_path / "data"
+        data.mkdir()
+        io.write_coo(ObservationSet.from_dense(np.ones((2, 3, 2))), data / "observed.coo")
+        (data / "partition.txt").write_text("mode = 2\ngroup: [1, 1]\n")
+        cfg = fit_config("x", synth_dir="data")
+        cfg["ranks"] = [1, 1, 1]
+        assert run_cli(tmp_path, "complete", cfg) == 4
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["kind"] == "io"
+        assert error["message"].endswith("/data/partition.txt:2: duplicate indices in group (1, 1)")
         assert not (tmp_path / "x").exists()
 
     def test_invalid_utf8_observation_file_is_io_error(self, tmp_path, monkeypatch, capsys):

@@ -1,7 +1,6 @@
 import math
 import time
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +24,8 @@ from dcot.similarity import (
 )
 
 
-def make_problem(rng, shape=(3, 3, 3), density=0.7, family="gaussian"):
+def draw(rng, shape, family):
+    """A value of ``family``'s domain on every cell of ``shape``."""
     x = rng.standard_normal(shape)
     if family == "bernoulli":
         x = (x > 0).astype(float)
@@ -33,6 +33,11 @@ def make_problem(rng, shape=(3, 3, 3), density=0.7, family="gaussian"):
         x = rng.poisson(3.0, shape).astype(float)
     elif family == "gamma":
         x = rng.gamma(2.0, 1.0, shape) + 0.1
+    return x
+
+
+def make_problem(rng, shape=(3, 3, 3), density=0.7, family="gaussian"):
+    x = draw(rng, shape, family)
     mask = rng.random(shape) < density
     mask.flat[0] = True
     omega = ObservationSet.from_dense(x, mask)
@@ -273,16 +278,6 @@ class TestLossLipschitz:
         lf = loss_lipschitz(LossFamily("bernoulli"), mom)
         assert np.isclose(lf, 0.25)
 
-    def test_unnormalized_scales_linearly(self, rng):
-        omega = ObservationSet.from_dense(rng.standard_normal((3, 3)))
-        full, _ = oracles.per_cell_moments(rng, omega)
-        half = replace(full, weight_sum=0.5 * full.weight_sum,
-                       weighted_x=0.5 * full.weighted_x, x2_total=0.5 * full.x2_total)
-        for kind in ("gaussian", "bernoulli"):
-            lf_full = loss_lipschitz(LossFamily(kind), full)
-            assert lf_full > 0
-            assert np.isclose(lf_full, 2.0 * loss_lipschitz(LossFamily(kind), half))
-
     def test_positive_families_need_floor(self, rng):
         omega, mom = make_problem(rng, family="poisson")
         with pytest.raises(ValueError):
@@ -316,34 +311,53 @@ INTEGRANDS = {
 }
 
 
-class TestPerCellWeights:
-    """A dense, non-uniform ``weight_sum`` that is zero on one cell.
+def one_degenerate_problem(rng, family, shape=(3, 3, 3)):
+    """Kernel weights under which one target, cell ``(0, 0, 0)``, is degenerate.
 
-    ``smoothing_moments`` always normalizes, so only moments built directly
-    carry per-cell weight sums; the loss functions and the gaussian z step
-    must handle them all the same.
+    Index 0 of every mode is its own only neighbor, so that target pools
+    from itself alone, and it is not observed; every other target pools
+    from the observed cell of its pattern of zero indices in ``[:2, :2, :2]``.
+    Returns the observations, the similarity and the moments.
+    """
+    x = draw(rng, shape, family)
+    mask = rng.random(shape) < 0.7
+    mask[:2, :2, :2] = True
+    mask[0, 0, 0] = False
+    omega = ObservationSet.from_dense(x, mask)
+    per_mode = [mode_similarity(rng.standard_normal((s, 2))) for s in shape]
+    for f in per_mode:
+        f[0, 1:] = f[1:, 0] = 0.0
+    sim = SimilarityModel(per_mode)
+    mom = smoothing_moments(sim, omega)
+    assert mom.degenerate == 1
+    return omega, sim, mom
+
+
+class TestPerCellWeights:
+    """The loss functions against each target cell's own smoothing weights.
+
+    The weights are normalized kernel weights (``oracles.smoothing_weights``)
+    with one degenerate target, which takes the fallback's uniform weights.
     """
 
     def problem(self, rng, family):
-        omega, _ = make_problem(rng, family=family)
-        mom, pairs = oracles.per_cell_moments(rng, omega)
-        assert np.unique(mom.weight_sum).size > 2 and mom.weight_sum.min() == 0.0
+        omega, sim, mom = one_degenerate_problem(rng, family)
         z = positive_z(rng, omega.shape) if LossFamily(family).bounded else \
             rng.standard_normal(omega.shape)
-        return omega, mom, pairs, z
+        return omega, sim, mom, z
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_value_matches_pair_sum(self, family, rng):
-        omega, mom, pairs, z = self.problem(rng, family)
-        f = INTEGRANDS[family]
-        total = sum(pairs[t][j] * f(x, z[t]) for t in np.ndindex(omega.shape)
-                    for j, x in enumerate(omega.values.tolist()))
+        omega, sim, mom, z = self.problem(rng, family)
+        f, x = INTEGRANDS[family], omega.to_dense()
+        total = sum(w * f(x[j], z[t]) for t in np.ndindex(omega.shape)
+                    for j, w in oracles.smoothing_weights(sim, t, omega))
         got = loss_value(LossFamily(family), mom, z)
         assert got == pytest.approx(total / mom.count, rel=1e-12)
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_derivatives_match_finite_differences(self, family, rng):
-        omega, mom, _, z = self.problem(rng, family)
+        omega, _, mom, z = self.problem(rng, family)
         fam = LossFamily(family)
         grad = loss_gradient(fam, mom, z)
         fd = oracles.central_difference(lambda zz: loss_value(fam, mom, zz), z)
@@ -355,7 +369,7 @@ class TestPerCellWeights:
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_curvature_bounds(self, family, rng):
-        omega, mom, _, _ = self.problem(rng, family)
+        omega, _, mom, _ = self.problem(rng, family)
         fam = LossFamily(family)
         z_min = 0.05
         grid = np.geomspace(z_min, 1e3, 200) if fam.bounded else np.linspace(-20, 20, 201)
@@ -372,8 +386,7 @@ EDGE_LOGITS = [800.0, -800.0, 40.0, -40.0, 1e-300, -1e-300, 0.0, -0.0]
 
 def unit_moments(shape):
     """Moments whose bernoulli gradient is ``p`` and whose loss is ``log(1 + exp(z))``."""
-    return Moments(weight_sum=np.ones((1,) * len(shape)), weighted_x=np.zeros(shape),
-                   x2_total=0.0, count=1)
+    return Moments(weighted_x=np.zeros(shape), x2_total=0.0, count=1)
 
 
 class TestOnePassMatchesReference:
@@ -382,14 +395,21 @@ class TestOnePassMatchesReference:
     Poisson and gamma (and gaussian) keep their arithmetic, so they are
     bitwise equal; bernoulli takes ``exp`` and ``log1p`` from numpy instead
     of ``scipy.special.expit`` and ``np.logaddexp``, which round differently.
+    The problem checks run on kernel weights, with and without a degenerate
+    target.
     """
 
+    @staticmethod
+    def problem(rng, family, weights):
+        if weights == "degenerate":
+            omega, _, mom = one_degenerate_problem(rng, family, shape=(4, 3, 5))
+            return omega, mom
+        return make_problem(rng, shape=(4, 3, 5), family=family)
+
     @pytest.mark.parametrize("family", ["gaussian", "poisson", "gamma"])
-    @pytest.mark.parametrize("weights", ["normalized", "per-cell"])
+    @pytest.mark.parametrize("weights", ["normalized", "degenerate"])
     def test_bitwise_equal(self, family, weights, rng):
-        omega, mom = make_problem(rng, shape=(4, 3, 5), family=family)
-        if weights == "per-cell":
-            mom, _ = oracles.per_cell_moments(rng, omega)
+        omega, mom = self.problem(rng, family, weights)
         fam = LossFamily(family)
         z = positive_z(rng, omega.shape, 1e-3, 5.0) if fam.bounded else \
             rng.standard_normal(omega.shape)
@@ -418,22 +438,20 @@ class TestOnePassMatchesReference:
         assert np.all(np.abs(curv - curv_ref) <= 4 * (np.spacing(curv_ref) + EPS * p_ref))
         assert p[0] == 1.0 and p[1] == 0.0 and curv[0] == curv[1] == 0.0
 
-    @pytest.mark.parametrize("weights", ["normalized", "per-cell"])
+    @pytest.mark.parametrize("weights", ["normalized", "degenerate"])
     def test_bernoulli_problem_within_4_ulp_of_its_terms(self, weights, rng):
-        omega, mom = make_problem(rng, shape=(4, 3, 5), family="bernoulli")
-        if weights == "per-cell":
-            mom, _ = oracles.per_cell_moments(rng, omega)
+        omega, mom = self.problem(rng, "bernoulli", weights)
         fam = LossFamily("bernoulli")
         z = 4.0 * rng.standard_normal(omega.shape)
         z.flat[:len(EDGE_LOGITS)] = EDGE_LOGITS
-        w, m1, count = mom.weight_sum, mom.weighted_x, mom.count
+        m1, count = mom.weighted_x, mom.count
         grad = loss_gradient(fam, mom, z)
-        scale = (np.abs(w) + np.abs(m1)) / count
+        scale = (1.0 + np.abs(m1)) / count
         assert np.all(np.abs(grad - oracles.loss_gradient_reference(fam, mom, z))
                       <= 4 * EPS * scale)
         curv = loss_curvature(fam, mom, z)
         assert np.all(np.abs(curv - oracles.loss_curvature_reference(fam, mom, z))
                       <= 4 * EPS * scale)
-        terms = float((np.abs(w * np.logaddexp(0.0, z)) + np.abs(m1 * z)).sum()) / count
+        terms = float((np.logaddexp(0.0, z) + np.abs(m1 * z)).sum()) / count
         assert abs(loss_value(fam, mom, z) - oracles.bernoulli_loss_reference(mom, z)) \
             <= 4 * EPS * terms

@@ -386,18 +386,6 @@ class TestUpdateZ:
         newton = newton_solve(fam, mom, omega, center, 0.7, z)
         assert np.abs(closed - newton).max() < 1e-8
 
-    def test_closed_form_with_per_cell_weights(self, rng):
-        # a dense weight_sum makes the closed form's scale b dense too
-        model, z, y, omega, _ = self.make(rng)
-        mom, _ = oracles.per_cell_moments(rng, omega)
-        fam, gamma = LossFamily("gaussian"), 0.7
-        center = reconstruct(model) - y / gamma
-        closed = closed_form_z(mom, gamma, center)
-        grad = loss_gradient(fam, mom, closed) + gamma * (closed - center)
-        assert np.abs(grad).max() < 1e-12
-        newton = newton_solve(fam, mom, omega, center, gamma, z)
-        assert np.abs(closed - newton).max() < 1e-8
-
     def test_scalar_grid_oracle(self, rng):
         shape = (1,)
         model = DcotModel([np.array([[1.0]])], np.array([0.3]), np.array([0.2]))
@@ -535,7 +523,7 @@ class TestUpdateDual:
         gamma = 0.6
         u = y / gamma
         z_new = np.empty_like(z)
-        gaussian = (*gaussian_z_coefficients(mom, gamma), mom.weight_sum, mom.weighted_x)
+        gaussian = (*gaussian_z_coefficients(mom, gamma), mom.weighted_x)
         _sweep_tail(reconstruct(model), z.copy(), z_new, u, gaussian)
         grad = loss_gradient(fam, mom, z_new)
         assert np.abs(gamma * u + grad).max() <= 1e-8
@@ -1248,16 +1236,15 @@ class TestSweepTail:
     SHAPE = (7, 6, 5)
 
     @pytest.mark.parametrize("block", [37, 210, 32768])
-    @pytest.mark.parametrize("path", ["gaussian", "gaussian-per-cell", "newton"])
+    @pytest.mark.parametrize("path", ["gaussian", "newton"])
     def test_matches_whole_array_steps(self, path, block, rng, monkeypatch):
         import dcot.solver
 
         arrays = [rng.standard_normal(self.SHAPE) for _ in range(4)]
         gaussian = None
-        if path != "newton":
-            w = rng.uniform(0.0, 2.0, self.SHAPE if path.endswith("per-cell") else (1, 1, 1))
-            mom = Moments(w, rng.standard_normal(self.SHAPE), 0.0, math.prod(self.SHAPE))
-            gaussian = (*gaussian_z_coefficients(mom, 0.7), w, mom.weighted_x)
+        if path == "gaussian":
+            mom = Moments(rng.standard_normal(self.SHAPE), 0.0, math.prod(self.SHAPE))
+            gaussian = (*gaussian_z_coefficients(mom, 0.7), mom.weighted_x)
         want = [a.copy() for a in arrays]
         want_sums = oracles.sweep_tail_oracle(*want, gaussian)
         monkeypatch.setattr(dcot.solver, "_BLOCK", block)
@@ -1269,17 +1256,15 @@ class TestSweepTail:
 
 
 BLOCK_PROBLEMS = {
-    "gaussian": ("gaussian", CHAIN_PROBLEMS["3-way"], False),
-    "gaussian-per-cell": ("gaussian", CHAIN_PROBLEMS["3-way"], True),
-    "bernoulli": ("bernoulli", CHAIN_PROBLEMS["3-way"], False),
-    "4-way": ("gaussian", CHAIN_PROBLEMS["4-way"], False),
+    "gaussian": ("gaussian", CHAIN_PROBLEMS["3-way"]),
+    "bernoulli": ("bernoulli", CHAIN_PROBLEMS["3-way"]),
+    "4-way": ("gaussian", CHAIN_PROBLEMS["4-way"]),
 }
 
 
-@pytest.mark.parametrize("family, problem, per_cell", BLOCK_PROBLEMS.values(),
-                         ids=BLOCK_PROBLEMS)
+@pytest.mark.parametrize("family, problem", BLOCK_PROBLEMS.values(), ids=BLOCK_PROBLEMS)
 @pytest.mark.usefixtures("full_length")
-def test_ragged_blocks_match_one_block(family, problem, per_cell, monkeypatch):
+def test_ragged_blocks_match_one_block(family, problem, monkeypatch):
     import dcot.solver
 
     shape, ranks, part = problem
@@ -1290,9 +1275,6 @@ def test_ragged_blocks_match_one_block(family, problem, per_cell, monkeypatch):
     init = initial_model(omega.to_dense(initial_fill(omega, fam)), ranks,
                          InitStrategy("hosvd"), part)
     mom = smoothing_moments(sim, omega)
-    if per_cell:
-        mom = oracles.per_cell_moments(np.random.default_rng(5), omega)[0]
-        monkeypatch.setattr(dcot.solver, "smoothing_moments", lambda sim, om: mom)
     cfg = SolverConfig(max_iters=6)
     cells, ragged = math.prod(shape), 37  # blocks of 37 cells, the last one partial
     assert cells % ragged
@@ -1360,7 +1342,7 @@ class TestDenseWorkingSet:
         init = initial_model(omega.to_dense(float(omega.values.mean())), (3, 3, 3),
                              InitStrategy("hosvd"), part)
         mom = smoothing_moments(sim, omega)
-        moments = mom.weight_sum.nbytes + mom.weighted_x.nbytes
+        moments = mom.weighted_x.nbytes
         del mom
         real = dcot.solver.update_factor
         sweep_start = []
