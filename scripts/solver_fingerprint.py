@@ -44,7 +44,9 @@ the change, at the same BLAS thread count,
 ``PYTHONPATH=src python scripts/solver_fingerprint.py --compare parent.txt``.
 Compare mode prints one verdict per case: whether the hash is equal, the
 relative difference of the final Lagrangian, and whether the iteration count
-and stop reason match.  It exits 1 if any iteration count or reason differs,
+and stop reason match.  A last line sums the verdicts up: how many cases are
+hash-equal (a case that fails the same way on both sides counts as equal),
+how many differ within rounding, and how many fail.  It exits 1 if any iteration count or reason differs,
 a Lagrangian moves by more than 1e-12 relative, a failing case fails
 differently, or a case is missing from either side.
 """
@@ -261,18 +263,25 @@ def compare_line(parent: str, change: str) -> tuple[str, bool]:
 def compare(parent_path: Path) -> int:
     parent = dict(line.split(" ", 1)
                   for line in parent_path.read_text().splitlines() if line.strip())
-    passed = True
+    counts = {"equal": 0, "rounding": 0, "fail": 0}
     for name, line in cases():
         if name in parent:
             verdict, ok = compare_line(parent.pop(name), line)
         else:
             verdict, ok = "FAIL: not in the parent file", False
         print(f"{name} {verdict}", flush=True)
-        passed &= ok
+        if not ok:
+            counts["fail"] += 1
+        elif verdict.startswith("hash=differs"):
+            counts["rounding"] += 1
+        else:
+            counts["equal"] += 1
     for name in parent:
         print(f"{name} FAIL: not run by this tree")
-        passed = False
-    return 0 if passed else 1
+        counts["fail"] += 1
+    print(f"summary: {counts['equal']} hash-equal, {counts['rounding']} differ within "
+          f"rounding, {counts['fail']} fail")
+    return 1 if counts["fail"] else 0
 
 
 def main(argv=None) -> int:

@@ -268,8 +268,12 @@ def _parse_partition(sec, base: Path, where="partition") -> SubjectPartition | N
         return io.read_partition(base / sec["path"])
     if sec["path"] is not None or sec["mode"] is None or sec["groups"] is None:
         raise io.ConfigError(f"{where}: give either 'path', or 'mode' and 'groups'")
-    groups = tuple(tuple(i - 1 for i in g) for g in sec["groups"])
-    return _in_section(where, SubjectPartition, sec["mode"] - 1, groups)
+    # checked group by group in the config's 1-based numbering, as read_partition does
+    groups = sec["groups"]
+    for k in range(len(groups)):
+        _in_section(f"{where}.groups[{k}]", SubjectPartition, sec["mode"], groups[:k + 1])
+    return _in_section(where, SubjectPartition, sec["mode"] - 1,
+                       tuple(tuple(i - 1 for i in g) for g in groups))
 
 
 def _parse_similarity(sec, shape, base: Path) -> tuple[SimilarityModel, dict | None]:

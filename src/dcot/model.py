@@ -38,6 +38,8 @@ class SliceGroup:
         if len(set(self.indices)) != len(self.indices):
             raise ValueError(f"duplicate indices in group {self.indices}")
         if self.fixed is not None:
+            if len(self.fixed) != 2:
+                raise ValueError(f"fixed must be a (mode, index) pair, got {self.fixed}")
             object.__setattr__(self, "fixed", (int(self.fixed[0]), int(self.fixed[1])))
 
 

@@ -45,33 +45,36 @@ that is the fixed cost of numpy calls on arrays of a few dozen entries, so
 the sweep makes as few of them as it can; at 60^3 the dense passes take
 most of a sweep instead.
 
-Besides ``z`` and ``u``, a solve allocates two dense buffers once:
-``recon`` holds the target, then the reconstruction (the sweep's only
-one, for the z step); ``spare`` receives the next ``z`` and trades
-places with the old one.  After the reconstruction, one pass over blocks
-of ``_BLOCK`` cells (:func:`_sweep_tail`) does the rest of the sweep while
-a block is in cache: the gaussian closed-form z step
-``z_new = a + b * (recon - u)`` into ``spare``, the residual
-``r = recon - z_new`` in ``recon``, the dual step ``u -= r``, the z step
-``z - z_new`` in the old ``z``, the sums the trace needs (``||z - z_new||^2``,
-``||r||^2``, ``<u, r>`` and the gaussian loss's ``||z||^2 - 2 <m1, z>``)
-and the next target ``z_new + u`` in ``recon``.  So after the chain has
-read the target twice and the reconstruction has written ``recon``, a
-gaussian sweep reads ``recon``, ``u``, ``z``, the z-step offset ``a`` and
-``weighted_x`` once and writes ``recon``, ``u``, ``z`` and ``spare`` once,
-and allocates no ``prod(I)`` array.  The other families solve the z step
-over the whole array first: :func:`solve` forms the proximal center
-``recon - u`` in ``spare`` and :func:`update_z` returns a new array; then
-they take the same pass, and their trace evaluates the loss at the new
-``z``.  Their Newton solve makes one derivative pass per evaluation (one
-transcendental for bernoulli), writes into buffers it allocates once per
-call, and reports its step count, which ``SolverResult.newton_steps``
-collects per sweep.  On the benchmark's bernoulli 30^3 problem
-(20 sweeps, one BLAS thread, a shared 2-core x86-64 machine) a sweep's
-Newton solve takes one or two steps and about 1.1 ms, and the trace's
-loss about 0.25 ms.  The Lagrangian, the primal residual and the dual step
-share one ``<r, r>``.  The returned dual is ``y = gamma * u``, formed in
-place.
+A gaussian solve keeps one dense state beside the moments.  The loss
+gradient is ``(2 / count) (z - m1)`` for ``m1 = weighted_x``, so the
+closed-form z step leaves the scaled dual at ``u = -kappa (z - m1)``,
+``kappa = (2 / count) / gamma``, and the start ``u = -grad F(z0) / gamma``
+is there too: the deviation ``e = z - m1`` (formed in the fill's buffer)
+stands in for ``z`` and ``u``, and the target is ``m1 + (1 - kappa) e``.
+One buffer, ``recon``, holds the target, then the reconstruction.  After
+it, one pass over blocks of ``_BLOCK`` cells (:func:`_gaussian_tail`)
+does the rest of the sweep while a block is in cache: the z step
+``d = alpha (recon - m1 - e)``, ``alpha = gamma / (2 / count + gamma)``,
+``e += d``, the sums ``||d||^2``, ``||e||^2``, ``<e, d>`` and the next
+target, in ``recon``.  The residual is ``kappa d``, so the trace takes the
+z step ``||d||``, ``||r||^2 = kappa^2 ||d||^2``,
+``<u, r> = -kappa^2 <e, d>`` and the loss
+``(||e||^2 - ||m1||^2 + x2_total) / count``.  A gaussian sweep thus reads
+``recon``, ``e`` and ``m1`` once, writes ``recon`` and ``e`` once, and
+allocates no ``prod(I)`` array; the result's ``z = m1 + e`` goes into
+``recon`` and ``y = -(2 / count) e`` into ``e``.
+
+The other families also keep ``z``, ``u`` and a ``spare`` buffer.
+:func:`update_z` solves their z step over the whole array from the
+proximal center ``recon - u`` (formed in ``spare``) and returns a new
+array, which trades places with the old ``z``; then :func:`_sweep_tail`
+takes the dual step ``u -= recon - z_new`` and forms the trace's sums and
+the next target ``z_new + u`` block by block, and the trace evaluates the
+loss at the new ``z``.  On the benchmark's bernoulli 30^3 problem (20
+sweeps, one BLAS thread, a shared 2-core x86-64 machine) a sweep's Newton
+solve takes one or two steps and about 1.1 ms, and the trace's loss about
+0.25 ms.  The Lagrangian, the primal residual and the dual step share one
+``<r, r>``.  The returned dual is ``y = gamma * u``, formed in place.
 
 Sign conventions: with the augmented Lagrangian written as
 ``F + penalties - <y, recon - z> + (gamma/2) ||recon - z||^2`` and the
@@ -94,7 +97,6 @@ from .losses import (
     LossDerivatives,
     LossFamily,
     ObservationSet,
-    gaussian_quadratic,
     initial_fill,
     loss_curvature_min,
     loss_gradient,
@@ -119,8 +121,9 @@ _MODULI_FLOOR = 1e-8
 # below the bound voids the descent step
 _LIPSCHITZ_SAFETY = 1.1
 _NEWTON_MAX_INNER = 100
-# cells per block of the sweep's tail (see _sweep_tail): 256 KiB per
-# float64 array, so a block of the tail's arrays stays in a core's L2 cache
+# cells per block of the sweep's tail (see _gaussian_tail and _sweep_tail):
+# 256 KiB per float64 array, so a block of the tail's arrays stays in a
+# core's L2 cache
 _BLOCK = 32768
 # abort once the augmented Lagrangian exceeds this factor times (|L_0| + 1)
 _DIVERGENCE_FACTOR = 10.0
@@ -175,8 +178,8 @@ class SolverConfig:
     block step at most ``_TOL_STEP``.  ``z_floor`` is the lower bound on
     ``z`` for the bounded families (``LossFamily.bounded``); the z block
     itself has no knobs, since it is solved exactly (in closed form for
-    the gaussian family, see :func:`gaussian_z_coefficients`; by
-    :func:`update_z` otherwise).  ``freeze_h`` holds the subject core at
+    the gaussian family, in :func:`_gaussian_tail`; by :func:`update_z`
+    otherwise).  ``freeze_h`` holds the subject core at
     zero (plain Tucker).
     """
 
@@ -263,7 +266,8 @@ class SolverResult:
     moments: the number of targets that took the fallback weights.
     ``newton_steps`` holds the Newton steps of each sweep's z step
     (:func:`update_z`), one entry per sweep; it is empty for the gaussian
-    family, whose z step is closed.
+    family, whose z step is closed.  A gaussian solve forms ``z`` and ``y``
+    from the one state it keeps, ``z - weighted_x`` (see the module docstring).
     """
 
     model: DcotModel
@@ -364,22 +368,6 @@ def update_cores(
     return g_new, h_new
 
 
-def gaussian_z_coefficients(mom: Moments, gamma: float) -> tuple[np.ndarray, float]:
-    """``(a, b)`` of the gaussian closed-form z step ``z = a + b * center``.
-
-    ``center`` is the proximal center ``recon - u``; :func:`_sweep_tail`
-    forms the step.  The coefficients depend on ``gamma`` and the moments
-    only, so a solve builds them once: the offset ``a`` has the data's
-    shape, and the scale ``b = gamma / (2 / count + gamma)`` is one number,
-    since every target's weights sum to one.
-    """
-    scale = 2.0 / mom.count
-    denom = scale + gamma
-    a = mom.weighted_x * scale
-    a /= denom
-    return a, gamma / denom
-
-
 def update_z(
     family: LossFamily,
     mom: Moments,
@@ -396,9 +384,9 @@ def update_z(
     ``center`` is the proximal center ``recon - u`` for the scaled dual
     ``u = y / gamma``, and ``z0`` the warm start (``omega`` scales the
     tolerance).  :func:`solve` takes this
-    step for every family but the gaussian, whose minimizer is the closed
-    form ``a + b * center`` (:func:`gaussian_z_coefficients`) that
-    :func:`_sweep_tail` forms block by block.
+    step for every family but the gaussian, whose closed-form step
+    :func:`_gaussian_tail` takes block by block on the deviation
+    ``z - weighted_x``.
 
     The loss Hessian is diagonal, so the problem is ``prod(I)`` independent
     1-D problems, each strongly convex on its domain (``z >= z_floor`` for
@@ -536,46 +524,50 @@ def lagrangian_value(
     return value
 
 
-def _sweep_tail(recon, z, z_new, u, gaussian=None) -> tuple[float, float, float, float]:
-    """Everything a sweep does after its reconstruction, in one pass over blocks.
+def _gaussian_tail(recon, e, m1, alpha: float, kappa: float) -> tuple[float, float, float]:
+    """The gaussian sweep after its reconstruction, one block of cells at a time.
 
-    ``recon`` holds the reconstruction.  Each block of ``_BLOCK``
-    consecutive cells goes through every step before the next block is
-    read, so the arrays stay in cache:
+    Per block (see the module docstring), ``recon`` becomes the z step
+    ``d = alpha * (recon - m1 - e)``, ``e += d``, and ``recon`` ends as the
+    next target ``e * (1 - kappa) + m1``.  Returns ``(||d||^2, ||e||^2, <e, d>)``.
+    """
+    rf, ef, mf = (x.reshape(-1) for x in (recon, e, m1))  # views, as in _sweep_tail
+    shrink = 1.0 - kappa
+    d_sq = e_sq = e_d = 0.0
+    for lo in range(0, rf.size, _BLOCK):
+        cells = slice(lo, lo + _BLOCK)
+        d, eb, mb = rf[cells], ef[cells], mf[cells]
+        d -= mb
+        d -= eb
+        d *= alpha
+        eb += d
+        d_sq += float(np.dot(d, d))
+        e_sq += float(np.dot(eb, eb))
+        e_d += float(np.dot(eb, d))
+        np.multiply(eb, shrink, out=d)
+        d += mb
+    return d_sq, e_sq, e_d
 
-    * with ``gaussian = (a, b, m1)`` (the coefficients of
-      :func:`gaussian_z_coefficients` and the moments' ``weighted_x``) the
-      closed-form z step ``z_new = a + b * (recon - u)`` is formed in
-      ``z_new``; otherwise ``z_new`` already holds the whole z step
-      (:func:`update_z`);
-    * ``recon`` becomes the residual ``r = recon - z_new``, the scaled dual
-      takes its ascent step ``u -= r`` (``y <- y - gamma * r``), and ``z``
-      becomes the z step ``z - z_new``;
-    * the block's ``||z - z_new||^2``, ``||r||^2``, ``<u, r>`` (with the
-      new ``u``) and, on the gaussian path, ``||z_new||^2 - 2 <m1, z_new>``
-      are added up;
-    * ``recon`` ends as the next sweep's target ``z_new + u``.
 
-    Per cell this is the arithmetic of the separate whole-array steps, so
-    the iterates are bitwise theirs; the sums differ from whole-array ones
-    by rounding only.  Returns the four sums (the last is ``0.0`` without
-    ``gaussian``).
+def _sweep_tail(recon, z, z_new, u) -> tuple[float, float, float]:
+    """The Newton families' sweep after their z step, one block of cells at a time.
+
+    ``recon`` holds the reconstruction and ``z_new`` the z step
+    (:func:`update_z`).  Per block, ``recon`` becomes the residual
+    ``r = recon - z_new``, the scaled dual takes its ascent step ``u -= r``
+    (``y <- y - gamma * r``), ``z`` becomes ``z - z_new``, the sums
+    ``||z - z_new||^2``, ``||r||^2`` and ``<u, r>`` are added up, and
+    ``recon`` ends as the next target ``z_new + u``.  Per cell this is the
+    arithmetic of the separate whole-array steps, so the iterates are
+    bitwise theirs.
     """
     # the sweep's arrays are C-contiguous, so these are views, and made here
     # they are gone again before the next sweep's factor steps
     rf, zf, nf, uf = (x.reshape(-1) for x in (recon, z, z_new, u))
-    if gaussian is not None:
-        a, b, m1 = gaussian
-        a, m1 = a.reshape(-1), m1.reshape(-1)
-    dz_sq = r_sq = u_r = quad = 0.0
+    dz_sq = r_sq = u_r = 0.0
     for lo in range(0, rf.size, _BLOCK):
         cells = slice(lo, lo + _BLOCK)
         r, zb, new, ub = rf[cells], zf[cells], nf[cells], uf[cells]
-        if gaussian is not None:
-            np.subtract(r, ub, out=new)
-            new *= b
-            new += a[cells]
-            quad += gaussian_quadratic(m1[cells], new)
         r -= new
         ub -= r
         zb -= new
@@ -583,7 +575,7 @@ def _sweep_tail(recon, z, z_new, u, gaussian=None) -> tuple[float, float, float,
         r_sq += float(np.dot(r, r))
         u_r += float(np.dot(ub, r))
         np.add(new, ub, out=r)
-    return dz_sq, r_sq, u_r, quad
+    return dz_sq, r_sq, u_r
 
 
 @functools.cache
@@ -736,21 +728,23 @@ def solve(
     z = omega.to_dense(initial_fill(omega, family))
     if family.bounded:
         z = np.maximum(z, config.z_floor)
-    u = loss_gradient(family, mom, z)
 
     # the factors' norm bounds, which the moduli take at every refresh
     u_norms = [_spectral_norm(u_n) for u_n in model.factors]
     moduli = estimate_moduli(model, config, family, mom, u_norms)
     gamma = moduli.gamma
-    u /= -gamma  # the scaled dual y / gamma, starting from y = -grad F(z)
+    gaussian = family.kind == "gaussian"
+    if gaussian:  # the solve keeps only e = z - m1 (see the module docstring)
+        m1, scale = mom.weighted_x, 2.0 / mom.count
+        kappa, alpha = scale / gamma, gamma / (scale + gamma)
+    else:
+        u = loss_gradient(family, mom, z)
+        u /= -gamma  # the scaled dual y / gamma, starting from y = -grad F(z)
     tol_primal = _TOL_PRIMAL_REL * float(np.linalg.norm(omega.values))
     pen = config.penalties
     n_modes = len(model.factors)
 
     trace = ConvergenceTrace()
-    gaussian = None
-    if family.kind == "gaussian":
-        gaussian = (*gaussian_z_coefficients(mom, gamma), mom.weighted_x)
 
     def diagnostics(it, loss, r_sq, u_r, steps, started):
         # one <r, r> gives the quadratic term, the primal residual and,
@@ -774,21 +768,32 @@ def solve(
             raise SolverAbort(f"{block} block: non-finite values at iteration {it}", trace)
 
     # the sweep buffers (see the module docstring): recon holds the
-    # reconstruction, the residual and then the next target; spare and z
-    # trade places
+    # reconstruction, the residual and then the next target; on the Newton
+    # path spare and z trade places
     recon = np.empty_like(z)
-    spare = np.empty_like(z)
+    spare = None if gaussian else np.empty_like(z)
     newton_steps: list[int] = []
 
     started = time.perf_counter()
     r = reconstruct(model, out=recon)
     r -= z
-    row = diagnostics(0, loss_value(family, mom, z), frob_inner(r, r), frob_inner(u, r),
+    if gaussian:  # <u, r> for u = -kappa * (z - m1)
+        u_r = -kappa * (frob_inner(z, r) - frob_inner(m1, r))
+    else:
+        u_r = frob_inner(u, r)
+    row = diagnostics(0, loss_value(family, mom, z), frob_inner(r, r), u_r,
                       (0.0,) * 4, started)
     trace.append(row)
     initial_lagr = row.lagrangian
     guard = _DIVERGENCE_FACTOR * (abs(initial_lagr) + 1.0)
-    target = np.add(z, u, out=recon)  # afterwards, each sweep's tail forms it
+    # the target z + u; afterwards, each sweep's tail forms it
+    if gaussian:
+        e = np.subtract(z, m1, out=z)  # the fill's buffer becomes e = z - m1
+        m1_sq = frob_inner(m1, m1)
+        target = np.multiply(e, 1.0 - kappa, out=recon)
+        target += m1
+    else:
+        target = np.add(z, u, out=recon)
 
     # Working copies of the moduli.  Unless fixed_moduli pins them, they are
     # refreshed from the current state inside the sweep: the coupling is
@@ -845,7 +850,13 @@ def solve(
         check_finite("core_h", h_new, k)
         model.core_g, model.core_h = g_new, h_new
         reconstruct(model, out=recon)
-        if gaussian is None:
+        if gaussian:
+            dz_sq, e_sq, e_d = _gaussian_tail(recon, e, m1, alpha, kappa)
+            # the residual is kappa * d and the scaled dual -kappa * e
+            r_sq, u_r = kappa * kappa * dz_sq, -kappa * kappa * e_d
+            # loss_value's gaussian formula at z = m1 + e
+            loss = (e_sq - m1_sq + mom.x2_total) / mom.count
+        else:
             # the proximal center recon - u goes into spare; it has no name
             # here, so that the buffer is freed when spare and z trade places
             try:
@@ -853,14 +864,9 @@ def solve(
                                  gamma, z, z_floor=config.z_floor, steps=newton_steps)
             except SolverAbort as exc:
                 raise SolverAbort(f"{exc} at iteration {k}", trace) from exc
-        else:
-            z_new = spare  # the tail forms the closed-form z step block by block
-        dz_sq, r_sq, u_r, quad = _sweep_tail(recon, z, z_new, u, gaussian)
-        spare, z = z, z_new
-        if gaussian is None:
+            dz_sq, r_sq, u_r = _sweep_tail(recon, z, z_new, u)
+            spare, z = z, z_new
             loss = loss_value(family, mom, z)
-        else:  # loss_value's gaussian formula, from the tail's sum
-            loss = (quad + mom.x2_total) / mom.count
 
         steps = (
             math.sqrt(dz_sq),
@@ -892,9 +898,13 @@ def solve(
         reason,
         trace.rows[-1].primal_residual,
     )
-    u *= gamma  # back to the unscaled dual y, in place
+    if gaussian:  # z = m1 + e into recon's buffer, y = gamma * u in e's
+        z = np.add(m1, e, out=recon)
+        y = np.multiply(e, -scale, out=e)
+    else:
+        y = np.multiply(u, gamma, out=u)  # back to the unscaled dual, in place
     return SolverResult(
-        model=model, z=z, trace=trace, y=u,
+        model=model, z=z, trace=trace, y=y,
         moduli=Moduli(gamma, rho_core, tuple(rho_factors)), converged=converged,
         reason=reason, degenerate=mom.degenerate, newton_steps=tuple(newton_steps),
     )

@@ -227,28 +227,48 @@ def core_gradient_oracle(model, z, y, gamma):
     return _project_residual(model, z, y, gamma)
 
 
-def sweep_tail_oracle(recon, z, z_new, u, gaussian=None):
-    """The solver's sweep tail as separate whole-array steps, in place.
+def gaussian_z_step(mom, gamma, center):
+    """The gaussian z step: the minimizer of ``F(z) + (gamma / 2) ||z - center||^2``.
+
+    ``F(z) = (||z||^2 - 2 <m1, z> + x2_total) / count`` for ``m1 =
+    mom.weighted_x``, so the first-order condition
+    ``(2 / count) (z - m1) + gamma (z - center) = 0`` gives the closed form.
+    """
+    scale = 2.0 / mom.count
+    return (scale * mom.weighted_x + gamma * center) / (scale + gamma)
+
+
+def sweep_tail_oracle(recon, z, z_new, u):
+    """The Newton families' sweep tail as separate whole-array steps, in place.
 
     The reference for ``solver._sweep_tail``, which forms the same steps
-    block by block: the gaussian z step ``z_new = a + b * (recon - u)``
-    (with ``gaussian = (a, b, m1)``), ``recon <- r = recon - z_new``,
-    ``u <- u - r``, ``z <- z - z_new``, then the sums
-    ``(||z - z_new||^2, ||r||^2, <u, r>, ||z_new||^2 - 2 <m1, z_new>)``
-    and ``recon <- z_new + u``.
+    block by block: ``recon <- r = recon - z_new``, ``u <- u - r``,
+    ``z <- z - z_new``, then the sums
+    ``(||z - z_new||^2, ||r||^2, <u, r>)`` and ``recon <- z_new + u``.
     """
-    quad = 0.0
-    if gaussian is not None:
-        a, b, m1 = gaussian
-        np.subtract(recon, u, out=z_new)
-        z_new *= b
-        z_new += a
-        quad = float((z_new**2).sum()) - 2.0 * float((m1 * z_new).sum())
     r = np.subtract(recon, z_new, out=recon)
     u -= r
     np.subtract(z, z_new, out=z)
-    sums = (float((z**2).sum()), float((r**2).sum()), float((u * r).sum()), quad)
+    sums = (float((z**2).sum()), float((r**2).sum()), float((u * r).sum()))
     np.add(z_new, u, out=recon)
+    return sums
+
+
+def gaussian_tail_oracle(recon, e, m1, alpha, kappa):
+    """The gaussian sweep tail as separate whole-array steps, in place.
+
+    The reference for ``solver._gaussian_tail``, which forms the same steps
+    block by block on the deviation ``e = z - m1``:
+    ``recon <- d = alpha * (recon - m1 - e)``, ``e <- e + d``, then the sums
+    ``(||d||^2, ||e||^2, <e, d>)`` and ``recon <- e * (1 - kappa) + m1``.
+    """
+    d = np.subtract(recon, m1, out=recon)
+    d -= e
+    d *= alpha
+    e += d
+    sums = (float((d**2).sum()), float((e**2).sum()), float((e * d).sum()))
+    np.multiply(e, 1.0 - kappa, out=recon)
+    recon += m1
     return sums
 
 

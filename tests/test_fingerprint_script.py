@@ -70,3 +70,35 @@ def test_every_case_yields_a_hash_line():
     assert len(names) == len(set(names)) == 2 * len(fingerprint.CASES) + 2
     for name, text in lines:
         assert fingerprint._LINE.fullmatch(text), f"{name}: {text}"
+
+
+def test_compare_ends_with_a_summary_line(tmp_path, monkeypatch, capsys):
+    # one case each: hash-equal, within rounding, failing the same way,
+    # moved, and missing from either side
+    parent = {
+        "same": line(),
+        "rounded": line(lagrangian="0.04841443672000606"),
+        "raised": "error SolverAbort: z block",
+        "moved": line(),
+        "gone": line(),
+    }
+    change = {
+        "same": line(),
+        "rounded": line(HASH_B, lagrangian="0.04841443672000605"),
+        "raised": "error SolverAbort: z block",
+        "moved": line(iters=41),
+        "new": line(),
+    }
+    path = tmp_path / "parent.txt"
+    path.write_text("".join(f"{name} {text}\n" for name, text in parent.items()))
+    monkeypatch.setattr(fingerprint, "cases", lambda: iter(change.items()))
+    assert fingerprint.compare(path) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 7
+    assert out[-1] == "summary: 2 hash-equal, 1 differ within rounding, 3 fail"
+    # without a failing case the summary holds no failure and the exit is 0
+    del parent["moved"], parent["gone"], change["moved"], change["new"]
+    path.write_text("".join(f"{name} {text}\n" for name, text in parent.items()))
+    assert fingerprint.compare(path) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "summary: 2 hash-equal, 1 differ within rounding, 0 fail")

@@ -922,6 +922,28 @@ class TestCliErrors:
         assert error["message"].endswith("/data/partition.txt:2: duplicate indices in group (1, 1)")
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("groups, message", [
+        ([[1, 2], [2, 3]], "partition.groups[1]: groups overlap at index 2 (fixed=None)"),
+        ([[1], [2, 2]], "partition.groups[1]: duplicate indices in group (2, 2)"),
+        ([[1, 2], []], "partition.groups[1]: a slice group must be nonempty"),
+        ([], "partition: partition needs at least one group"),
+    ], ids=["overlap", "duplicate", "empty-group", "no-group"])
+    def test_inline_partition_rule_error_names_the_group(self, groups, message, tmp_path,
+                                                         monkeypatch, capsys):
+        # the inline section's mode and indices are 1-based, and so is the
+        # error; its first failing group is named by its place in the list
+        monkeypatch.chdir(tmp_path)
+        data = tmp_path / "data"
+        data.mkdir()
+        io.write_coo(ObservationSet.from_dense(np.ones((2, 3, 4))), data / "observed.coo")
+        cfg = fit_config("x", synth_dir="data")
+        cfg["partition"] = {"mode": 3, "groups": groups}
+        cfg["ranks"] = [1, 1, 4]
+        assert run_cli(tmp_path, "complete", cfg) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == {"kind": "config", "code": 2, "message": message}
+        assert not (tmp_path / "x").exists()
+
     def test_invalid_utf8_observation_file_is_io_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "data").mkdir()

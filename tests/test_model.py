@@ -126,6 +126,12 @@ class TestPartitionAndTie:
         with pytest.raises(ValueError):
             SubjectPartition(0, (SliceGroup((0,), fixed=(0, 1)),))
 
+    @pytest.mark.parametrize("fixed", [(2,), (0, 1, 5)], ids=["short", "long"])
+    def test_fixed_must_be_a_mode_index_pair(self, fixed):
+        # neither indexed past its end nor cut to its first two entries
+        with pytest.raises(ValueError, match=r"^fixed must be a \(mode, index\) pair"):
+            SliceGroup((0, 1), fixed=fixed)
+
     def test_fixed_index_groups_share_one_fixed_mode(self):
         # with one fixed mode, a slice is claimed by at most one group
         with pytest.raises(ValueError, match="one fixed mode"):

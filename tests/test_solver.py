@@ -33,13 +33,13 @@ from dcot.solver import (
     ConvergenceTrace,
     SolverAbort,
     SolverConfig,
+    _gaussian_tail,
     _power_start,
     _spectral_norm,
     _sweep_tail,
     core_gradient,
     estimate_moduli,
     factor_gradient,
-    gaussian_z_coefficients,
     lagrangian_value,
     solve,
     update_cores,
@@ -346,10 +346,10 @@ class TestBlockUpdates:
                 prox_apply(pen_g, model.factors[mode] - want / rho, rho))
 
 
-def closed_form_z(mom, gamma, center):
-    """The gaussian closed-form z step ``a + b * center``."""
-    a, b = gaussian_z_coefficients(mom, gamma)
-    return a + b * center
+def gaussian_constants(mom, gamma):
+    """``(kappa, alpha)`` of the gaussian sweep, formed as ``solve`` forms them."""
+    scale = 2.0 / mom.count
+    return scale / gamma, gamma / (scale + gamma)
 
 
 def newton_solve(family, mom, omega, center, gamma, z0, z_floor=1e-6):
@@ -375,14 +375,14 @@ class TestUpdateZ:
         model, z, y, omega, mom = self.make(rng)
         gamma = 1e8
         center = reconstruct(model) - y / gamma
-        got = closed_form_z(mom, gamma, center)
+        got = oracles.gaussian_z_step(mom, gamma, center)
         assert np.abs(got - center).max() < 1e-6
 
     def test_closed_form_matches_newton(self, rng):
         model, z, y, omega, mom = self.make(rng)
         fam = LossFamily("gaussian")
         center = reconstruct(model) - y / 0.7
-        closed = closed_form_z(mom, 0.7, center)
+        closed = oracles.gaussian_z_step(mom, 0.7, center)
         newton = newton_solve(fam, mom, omega, center, 0.7, z)
         assert np.abs(closed - newton).max() < 1e-8
 
@@ -396,7 +396,7 @@ class TestUpdateZ:
         y = np.array([0.4])
         gamma = 0.9
         center = reconstruct(model) - y / gamma
-        got = closed_form_z(mom, gamma, center)
+        got = oracles.gaussian_z_step(mom, gamma, center)
         qs = np.linspace(-5, 5, 200001)
         vals = [
             loss_value(fam, mom, np.array([q]))
@@ -517,14 +517,25 @@ class TestUpdateDual:
 
     def test_optimality_identity_after_exact_z_step(self, rng):
         # with an exact gaussian z step the new dual equals minus the loss
-        # gradient at the new z
-        model, z, y, omega, mom = TestUpdateZ().make(rng)
+        # gradient at the new z.  The gaussian tail keeps only e = z - m1,
+        # with the scaled dual u = -kappa * e, which holds at the start
+        model, z, _, omega, mom = TestUpdateZ().make(rng)
         fam = LossFamily("gaussian")
         gamma = 0.6
-        u = y / gamma
-        z_new = np.empty_like(z)
-        gaussian = (*gaussian_z_coefficients(mom, gamma), mom.weighted_x)
-        _sweep_tail(reconstruct(model), z.copy(), z_new, u, gaussian)
+        kappa, alpha = gaussian_constants(mom, gamma)
+        m1 = mom.weighted_x
+        u = -loss_gradient(fam, mom, z) / gamma
+        np.testing.assert_allclose(u, -kappa * (z - m1), rtol=0, atol=1e-12)
+        recon = reconstruct(model)
+        e = z - m1
+        _gaussian_tail(recon.copy(), e, m1, alpha, kappa)
+        z_new = m1 + e
+        # the tail's z is the closed-form z step from the center recon - u,
+        # and the dual step u - (recon - z_new) lands on -kappa * e
+        want = oracles.gaussian_z_step(mom, gamma, recon - u)
+        np.testing.assert_allclose(z_new, want, rtol=0, atol=1e-12)
+        u -= recon - z_new
+        np.testing.assert_allclose(u, -kappa * e, rtol=0, atol=1e-12)
         grad = loss_gradient(fam, mom, z_new)
         assert np.abs(gamma * u + grad).max() <= 1e-8
 
@@ -977,12 +988,13 @@ class TestSolve:
         # the sweep's only one; the initial trace row adds one more
         assert calls["reconstruct"] == 1 + iters
         # a sweep's gaussian loss comes from sums its tail forms anyway; only
-        # the initial row calls loss_value, and every row holds its value
+        # the initial row calls loss_value, and every row holds its value: the
+        # tail's formula in e = z - m1 is loss_value's to rounding
         assert calls["loss_value"] == 1
         mom = smoothing_moments(sim, data.observed)
         for row, z in zip(res.trace.rows, sweep_iterates(data.observed, init, fam,
                                                          sim, cfg)):
-            assert row.loss == loss_value(fam, mom, z)
+            assert row.loss == pytest.approx(loss_value(fam, mom, z), rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("family", ["gaussian", "bernoulli"])
     def test_final_row_matches_returned_state(self, family):
@@ -994,8 +1006,52 @@ class TestSolve:
         res = solve(data.observed, init, fam, sim, SolverConfig(max_iters=15))
         last = res.trace.rows[-1]
         mom = smoothing_moments(sim, data.observed)
-        assert last.loss == loss_value(fam, mom, res.z)
-        assert last.primal_residual == frob_norm(reconstruct(res.model) - res.z)
+        loss = loss_value(fam, mom, res.z)
+        primal = frob_norm(reconstruct(res.model) - res.z)
+        if family == "gaussian":
+            # the gaussian trace takes both from its deviation e = z - m1:
+            # the same values, formed by other arithmetic
+            assert last.loss == pytest.approx(loss, rel=1e-12, abs=0)
+            assert last.primal_residual == pytest.approx(primal, rel=1e-12, abs=0)
+        else:
+            assert last.loss == loss
+            assert last.primal_residual == primal
+
+    @pytest.mark.usefixtures("full_length")
+    @pytest.mark.parametrize("neutral", [False, True], ids=["kernel", "neutral"])
+    def test_gaussian_dual_is_minus_the_loss_gradient(self, neutral, monkeypatch):
+        # the closed-form z step leaves y = -grad F(z) after every sweep, and
+        # y starts there, so the gaussian solve keeps neither y nor z apart
+        # from e = z - m1.  The returned dual must hold the identity, and each
+        # sweep's target must be z + y / gamma of the state before it
+        import dcot.solver
+
+        data, part = planted_problem(seed=3, sigma=0.05, missing=0.3)
+        omega, fam = data.observed, LossFamily("gaussian")
+        sim = SimilarityModel.neutral(omega.shape) if neutral else \
+            oracles.planted_similarity(data)
+        mom = smoothing_moments(sim, omega)
+        init = initial_model(omega.to_dense(initial_fill(omega, fam)), (3, 3, 3),
+                             InitStrategy("hosvd"), part)
+        cfg = SolverConfig(max_iters=6)
+        real, projections = dcot.solver.update_cores, []
+
+        def core_step(model, projected, *args, **kwargs):
+            projections.append((projected.copy(), [u.copy() for u in model.factors]))
+            return real(model, projected, *args, **kwargs)
+
+        monkeypatch.setattr(dcot.solver, "update_cores", core_step)
+        solve(omega, init, fam, sim, cfg)
+        monkeypatch.setattr(dcot.solver, "update_cores", real)
+        assert len(projections) == cfg.max_iters
+        for k in range(cfg.max_iters + 1):
+            res = solve(omega, init, fam, sim, replace(cfg, max_iters=k))
+            gap = np.abs(res.y + loss_gradient(fam, mom, res.z)).max()
+            assert gap <= 1e-12 * np.abs(res.y).max()
+            if k < cfg.max_iters:
+                got, factors = projections[k]
+                want = project_core(res.z + res.y / res.moduli.gamma, factors)
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_pinned_moduli_are_the_initial_estimate(self, monkeypatch):
         import dcot.solver
@@ -1178,9 +1234,11 @@ class TestSweepChain:
         gamma = estimate_moduli(init, cfg, fam, mom, factor_norms(init)).gamma
         z = omega.to_dense(initial_fill(omega, fam))
         y = -loss_gradient(fam, mom, z)
-        u = loss_gradient(fam, mom, z)
-        u /= -gamma  # the scaled dual as solve forms it
-        target = z + u
+        # the target z + y / gamma as solve forms it, from e = z - m1 and the
+        # scaled dual -kappa * e
+        kappa, _ = gaussian_constants(mom, gamma)
+        e = z - mom.weighted_x
+        target = e * (1.0 - kappa) + mom.weighted_x
         errors, projections = {}, []
         real_factor, real_cores = dcot.solver.update_factor, dcot.solver.update_cores
 
@@ -1240,16 +1298,22 @@ class TestSweepTail:
     def test_matches_whole_array_steps(self, path, block, rng, monkeypatch):
         import dcot.solver
 
-        arrays = [rng.standard_normal(self.SHAPE) for _ in range(4)]
-        gaussian = None
         if path == "gaussian":
+            # recon (then the next target) and e, with m1 and (kappa, alpha)
             mom = Moments(rng.standard_normal(self.SHAPE), 0.0, math.prod(self.SHAPE))
-            gaussian = (*gaussian_z_coefficients(mom, 0.7), mom.weighted_x)
+            arrays = [rng.standard_normal(self.SHAPE) for _ in range(2)]
+            kappa, alpha = gaussian_constants(mom, 0.7)
+            args = (mom.weighted_x, alpha, kappa)
+            tail, oracle = "_gaussian_tail", oracles.gaussian_tail_oracle
+        else:
+            # recon (then the next target), z (then the z step), z_new and u
+            arrays = [rng.standard_normal(self.SHAPE) for _ in range(4)]
+            args = ()
+            tail, oracle = "_sweep_tail", oracles.sweep_tail_oracle
         want = [a.copy() for a in arrays]
-        want_sums = oracles.sweep_tail_oracle(*want, gaussian)
+        want_sums = oracle(*want, *args)
         monkeypatch.setattr(dcot.solver, "_BLOCK", block)
-        got_sums = dcot.solver._sweep_tail(*arrays, gaussian)
-        # recon (now the next target), z (now the z step), z_new and u
+        got_sums = getattr(dcot.solver, tail)(*arrays, *args)
         for got, expected in zip(arrays, want):
             assert np.array_equal(got, expected)
         np.testing.assert_allclose(got_sums, want_sums, rtol=1e-12, atol=0)
@@ -1292,10 +1356,14 @@ def test_ragged_blocks_match_one_block(family, problem, monkeypatch):
     for name in ConvergenceTrace.CSV_FIELDS:
         np.testing.assert_allclose(many.trace.column(name), one.trace.column(name),
                                    rtol=1e-12, atol=0)
-    # the trace loss is loss_value's at every row: bitwise in one block,
-    # to rounding when the sums run over several
+    # the trace loss is loss_value's at every row: to rounding when the sums
+    # run over several blocks, and on the gaussian path, whose loss comes
+    # from e = z - m1, also in one block; bitwise in one block otherwise
     for row, z in zip(one.trace.rows, one_z):
-        assert row.loss == loss_value(fam, mom, z)
+        if family == "gaussian":
+            assert row.loss == pytest.approx(loss_value(fam, mom, z), rel=1e-12, abs=0)
+        else:
+            assert row.loss == loss_value(fam, mom, z)
     for row, z in zip(many.trace.rows, many_z):
         assert row.loss == pytest.approx(loss_value(fam, mom, z), rel=1e-12, abs=0)
 
@@ -1304,10 +1372,9 @@ class TestDenseWorkingSet:
     """``prod(I)``-sized arrays, counted with tracemalloc at 24^3."""
 
     SHAPE = (24, 24, 24)
-    # z, the scaled dual u, the recon and spare sweep buffers, and the
-    # gaussian z-step offset a (the scale b is size one for a normalized
-    # similarity)
-    DENSE_ARRAYS = 5
+    # beside the moments' weighted_x: the deviation e = z - weighted_x, which
+    # stands in for z and the scaled dual, and the recon sweep buffer
+    DENSE_ARRAYS = 2
 
     def cell_bytes(self):
         return 8 * math.prod(self.SHAPE)
@@ -1334,8 +1401,8 @@ class TestDenseWorkingSet:
 
         import dcot.solver
 
-        # the neutral similarity builds its moments without dense temporaries,
-        # so the peak is set inside the sweeps
+        # the peak is reset at the first factor step, so the moments build and
+        # the rest of the set-up stay out of it: it is the sweeps' own
         data, part = planted_problem(seed=2, shape=self.SHAPE, sigma=0.05, missing=0.5)
         omega = data.observed
         sim = SimilarityModel.neutral(self.SHAPE)
