@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .tensor import matricize, multilinear_product, n_mode_product
+from .tensor import _multilinear, matricize, multilinear_product, n_mode_product
 
 
 @dataclass(frozen=True)
@@ -168,15 +168,23 @@ class DcotModel:
         )
 
 
+def partial_reconstruction(model: DcotModel) -> np.ndarray:
+    """``(core_g + core_h) x_1 U_1 ... x_{N-1} U_{N-1}``: all but the last mode product.
+
+    The model's own arrays fit by construction, so the products skip the
+    argument checks.
+    """
+    return _multilinear(model.core_g + model.core_h, model.factors[:-1] + [None])
+
+
 def reconstruct(model: DcotModel, out: np.ndarray | None = None) -> np.ndarray:
     """Evaluate ``(core_g + core_h) x_1 U_1 ... x_N U_N``.
 
     The modes are applied in order; the last product writes into ``out``
     (a C-contiguous array of the data shape) when it is given.
     """
-    *lead, last = model.factors
-    partial = multilinear_product(model.core_g + model.core_h, lead + [None])
-    return n_mode_product(partial, last, len(lead), out=out)
+    last = len(model.factors) - 1
+    return n_mode_product(partial_reconstruction(model), model.factors[last], last, out=out)
 
 
 def init_factors(x: np.ndarray, ranks: list[int]) -> list[np.ndarray]:

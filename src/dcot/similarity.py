@@ -189,12 +189,14 @@ def smoothing_moments(sim: SimilarityModel, omega: ObservationSet) -> Moments:
     of :mod:`dcot.losses` takes the result, so build it once per problem.
 
     Each moment is scattered into one buffer and contracted mode by mode
-    into a second, the two trading roles; ``w``, ``m1`` and ``m2`` are
-    built in that order, so at most four ``prod(I)`` arrays are live: the
-    three moments and a free buffer.  The fallback indexes the observed
-    entries directly, and normalization is one in-place division over every
-    cell (fallback cells have weight one).  The result keeps no dense
-    weight tensor (see :class:`Moments`).
+    into a second, the two trading roles.  ``w`` is built first, then
+    ``m2``, which is reduced to ``x2_total`` and dropped before ``m1`` is
+    built in its place, so at most three ``prod(I)`` arrays are live: ``w``
+    and the two buffers, beside the mask of degenerate targets (an eighth
+    of one).  The fallback indexes the observed entries
+    directly, and normalization is one in-place division over every cell
+    (fallback cells have weight one).  The result keeps no dense weight
+    tensor (see :class:`Moments`).
     """
     _check_omega(sim, omega)
     idx = tuple(omega.indices.T)
@@ -213,26 +215,33 @@ def smoothing_moments(sim: SimilarityModel, omega: ObservationSet) -> Moments:
         return src, dst
 
     w, spare = moment(0, np.empty(sim.shape))
-    m1, spare = moment(1, spare)
-    m2, spare = moment(2, spare)
-    del spare
-
     bad = w <= 0.0
     n_bad = int(np.count_nonzero(bad))
     if n_bad:
         log.info("%d degenerate smoothing targets; using fallback", n_bad)
         w[bad] = 1.0
-        m1[bad] = values.mean()
-        m2[bad] = (values**2).mean()
         own = bad[idx]  # degenerate targets that are observed keep their value
         observed = tuple(i[own] for i in idx)
-        m1[observed] = values[own]
+        # the fallback means, taken before the buffers of m2 and m1 exist
+        mean, mean_sq = values.mean(), (values**2).mean()
+
+    m2, spare = moment(2, spare)
+    if n_bad:
+        m2[bad] = mean_sq
         m2[observed] = values[own] ** 2
-    np.divide(m1, w, out=m1)
     np.divide(m2, w, out=m2)
+    x2_total = float(m2.sum())
+    del m2  # m1 takes its place
+
+    m1, spare = moment(1, spare)
+    del spare
+    if n_bad:
+        m1[bad] = mean
+        m1[observed] = values[own]
+    np.divide(m1, w, out=m1)
     return Moments(
         weighted_x=m1,
-        x2_total=float(m2.sum()),
+        x2_total=x2_total,
         count=int(np.prod(sim.shape)),
         degenerate=n_bad,
     )

@@ -29,7 +29,13 @@ from the last mode down with the old factors, ``R_{N-1} = T`` and
 ``R_n = R_{n+1} x_{n+1} U_{n+1}^T``; factor ``n`` takes ``R_n`` contracted
 with the already-updated ``U_0 .. U_{n-1}``, and the last factor's input,
 contracted with its update, is ``project_core(T, factors)``, shared by
-both core steps.  Two contractions per sweep read a ``prod(I)`` tensor.
+both core steps.  The first link ``R_{N-2} = T x_{N-1} U_{N-1}^T`` is
+formed by the previous sweep's tail while the target's cells are in cache
+(before the first sweep, by one mode product), so one contraction per
+sweep reads a ``prod(I)`` tensor on its own.  ``solve`` checks its inputs
+once; the sweep calls the unchecked kernels of :mod:`dcot.tensor`
+(``_mode_product``, ``_unfold``, ``_multilinear``), which make the same
+matrix products as the public functions.
 One list of factor Grams serves the sweep as well: ``grams[n] = U_n^T U_n``
 is formed once after factor ``n``'s update (and once before the first
 sweep), and the later factor steps and both core steps read it, so a sweep
@@ -43,7 +49,11 @@ At grid-search sizes the tensor work is the small part of a sweep.  A
 steps 10 %, the sweep's tail 6 % and the reconstruction 4 %.  Nearly all of
 that is the fixed cost of numpy calls on arrays of a few dozen entries, so
 the sweep makes as few of them as it can; at 60^3 the dense passes take
-most of a sweep instead.
+most of a sweep instead.  There, with ranks 3 and one BLAS thread, a
+gaussian sweep took about 1.5 ms in the benchmark's gauss-dense runs, and
+its one pass over the dense state (:func:`_gaussian_tail`, the
+reconstruction's last mode product and the next first link included)
+about 0.85 ms of it, section-timed.
 
 A gaussian solve keeps one dense state beside the moments.  The loss
 gradient is ``(2 / count) (z - m1)`` for ``m1 = weighted_x``, so the
@@ -52,28 +62,34 @@ closed-form z step leaves the scaled dual at ``u = -kappa (z - m1)``,
 is there too: the deviation ``e = z - m1`` (formed in the fill's buffer)
 stands in for ``z`` and ``u``, and the target is ``m1 + (1 - kappa) e``.
 One buffer, ``recon``, holds the target, then the reconstruction.  After
-it, one pass over blocks of ``_BLOCK`` cells (:func:`_gaussian_tail`)
-does the rest of the sweep while a block is in cache: the z step
+the core steps, one pass over row blocks of the data's
+``(prod(I_1 .. I_{N-1}), I_N)`` view, ``max(1, _BLOCK // I_N)`` rows
+each (:func:`_gaussian_tail`), does the rest of the sweep while a block
+is in cache: the reconstruction ``partial @ U_N^T`` from the partial
+product ``S x_1 U_1 ... x_{N-1} U_{N-1}``, the z step
 ``d = alpha (recon - m1 - e)``, ``alpha = gamma / (2 / count + gamma)``,
-``e += d``, the sums ``||d||^2``, ``||e||^2``, ``<e, d>`` and the next
-target, in ``recon``.  The residual is ``kappa d``, so the trace takes the
-z step ``||d||``, ``||r||^2 = kappa^2 ||d||^2``,
-``<u, r> = -kappa^2 <e, d>`` and the loss
+``e += d``, the sums ``||d||^2``, ``||e||^2``, ``<e, d>``, the next
+target, in ``recon``, and the next sweep's first link ``target @ U_N``.
+A block's matrix products are rows of the whole ones (Kolda & Bader), so
+they give the whole products' values to rounding.  The residual is
+``kappa d``, so the trace takes the z step ``||d||``,
+``||r||^2 = kappa^2 ||d||^2``, ``<u, r> = -kappa^2 <e, d>`` and the loss
 ``(||e||^2 - ||m1||^2 + x2_total) / count``.  A gaussian sweep thus reads
-``recon``, ``e`` and ``m1`` once, writes ``recon`` and ``e`` once, and
-allocates no ``prod(I)`` array; the result's ``z = m1 + e`` goes into
-``recon`` and ``y = -(2 / count) e`` into ``e``.
+``e`` and ``m1`` once, writes ``recon`` and ``e`` once, and allocates no
+``prod(I)`` array; the result's ``z = m1 + e`` goes into ``recon`` and
+``y = -(2 / count) e`` into ``e``.
 
 The other families also keep ``z``, ``u`` and a ``spare`` buffer.
 :func:`update_z` solves their z step over the whole array from the
-proximal center ``recon - u`` (formed in ``spare``) and returns a new
-array, which trades places with the old ``z``; then :func:`_sweep_tail`
-takes the dual step ``u -= recon - z_new`` and forms the trace's sums and
-the next target ``z_new + u`` block by block, and the trace evaluates the
-loss at the new ``z``.  On the benchmark's bernoulli 30^3 problem (20
-sweeps, one BLAS thread, a shared 2-core x86-64 machine) a sweep's Newton
-solve takes one or two steps and about 1.1 ms, and the trace's loss about
-0.25 ms.  The Lagrangian, the primal residual and the dual step share one
+proximal center ``recon - u`` (formed in ``spare``), so this path
+reconstructs whole first; it returns a new array, which trades places
+with the old ``z``.  Then :func:`_sweep_tail` takes the dual step
+``u -= recon - z_new`` and forms the trace's sums, the next target
+``z_new + u`` and the next first link by the same row blocks, and the
+trace evaluates the loss at the new ``z``.  On the benchmark's bernoulli
+30^3 problem (20 sweeps, one BLAS thread, a shared 2-core x86-64 machine)
+a sweep's Newton solve takes one or two steps and about 1.1 ms, and the
+trace's loss about 0.25 ms.  The Lagrangian, the primal residual and the dual step share one
 ``<r, r>``.  The returned dual is ``y = gamma * u``, formed in place.
 
 Sign conventions: with the augmented Lagrangian written as
@@ -103,16 +119,10 @@ from .losses import (
     loss_lipschitz,
     loss_value,
 )
-from .model import DcotModel, reconstruct, tie_heterogeneous_core
+from .model import DcotModel, partial_reconstruction, reconstruct, tie_heterogeneous_core
 from .prox import Penalty, penalty_value, prox_apply
 from .similarity import Moments, SimilarityModel, smoothing_moments
-from .tensor import (
-    frob_inner,
-    frob_norm,
-    matricize,
-    multilinear_product,
-    n_mode_product,
-)
+from .tensor import _mode_product, _multilinear, _unfold, frob_inner, frob_norm
 
 log = logging.getLogger("dcot.solver")
 
@@ -121,9 +131,9 @@ _MODULI_FLOOR = 1e-8
 # below the bound voids the descent step
 _LIPSCHITZ_SAFETY = 1.1
 _NEWTON_MAX_INNER = 100
-# cells per block of the sweep's tail (see _gaussian_tail and _sweep_tail):
-# 256 KiB per float64 array, so a block of the tail's arrays stays in a
-# core's L2 cache
+# cells per block of the sweep's tail (see _row_blocks, _gaussian_tail and
+# _sweep_tail), which takes whole rows of I_N cells: up to 256 KiB per
+# float64 array, so a block of the tail's arrays stays in a core's L2 cache
 _BLOCK = 32768
 # abort once the augmented Lagrangian exceeds this factor times (|L_0| + 1)
 _DIVERGENCE_FACTOR = 10.0
@@ -295,10 +305,10 @@ def factor_gradient(
     read).
     """
     s = model.core_g + model.core_h
-    gram = multilinear_product(s, [None if t == mode else g for t, g in enumerate(grams)])
-    inner = model.factors[mode] @ matricize(gram, mode)
-    inner -= matricize(projected, mode)
-    return gamma * (inner @ matricize(s, mode).T)
+    gram = _multilinear(s, [None if t == mode else g for t, g in enumerate(grams)])
+    inner = model.factors[mode] @ _unfold(gram, mode)
+    inner -= _unfold(projected, mode)
+    return gamma * (inner @ _unfold(s, mode).T)
 
 
 def core_gradient(s: np.ndarray, grams, projected, gamma: float) -> np.ndarray:
@@ -310,7 +320,7 @@ def core_gradient(s: np.ndarray, grams, projected, gamma: float) -> np.ndarray:
     ``T = z + y / gamma``: the adjoint factor maps applied to
     ``gamma * (recon - T)``, in core space.
     """
-    grad = multilinear_product(s, grams)
+    grad = _multilinear(s, grams)
     grad -= projected
     grad *= gamma
     return grad
@@ -524,18 +534,41 @@ def lagrangian_value(
     return value
 
 
-def _gaussian_tail(recon, e, m1, alpha: float, kappa: float) -> tuple[float, float, float]:
-    """The gaussian sweep after its reconstruction, one block of cells at a time.
+def _row_blocks(rows: int, cols: int):
+    """Blocks of ``max(1, _BLOCK // cols)`` rows of a ``(rows, cols)`` array.
 
-    Per block (see the module docstring), ``recon`` becomes the z step
-    ``d = alpha * (recon - m1 - e)``, ``e += d``, and ``recon`` ends as the
-    next target ``e * (1 - kappa) + m1``.  Returns ``(||d||^2, ||e||^2, <e, d>)``.
+    Yields each block's rows and its cells in the raveled array; the last
+    block may be partial.
     """
-    rf, ef, mf = (x.reshape(-1) for x in (recon, e, m1))  # views, as in _sweep_tail
+    step = max(1, _BLOCK // max(cols, 1))
+    for lo in range(0, rows, step):
+        yield slice(lo, lo + step), slice(lo * cols, (lo + step) * cols)
+
+
+def _gaussian_tail(
+    recon, e, m1, alpha: float, kappa: float, partial, u_last, link
+) -> tuple[float, float, float]:
+    """The gaussian sweep from its last mode product on, one row block at a time.
+
+    ``partial`` is the reconstruction before its last mode product
+    (:func:`~dcot.model.partial_reconstruction`), viewed with ``recon`` as
+    ``prod(I_1 .. I_{N-1})`` rows of ``r_N`` and ``I_N`` columns.  Per block
+    (see the module docstring), ``recon`` takes ``partial @ U_N^T``, becomes
+    the z step ``d = alpha * (recon - m1 - e)``, ``e += d``, ``recon`` ends
+    as the next target ``e * (1 - kappa) + m1``, and ``link`` takes the
+    next sweep's first link ``target @ U_N``.  Returns
+    ``(||d||^2, ||e||^2, <e, d>)``.
+    """
+    *lead, cols = recon.shape
+    rows, rank = math.prod(lead), u_last.shape[1]
+    # the sweep's arrays are C-contiguous, so these are views
+    rf, ef, mf = (x.reshape(-1) for x in (recon, e, m1))
+    r2, l2 = recon.reshape(rows, cols), link.reshape(rows, rank)
+    p2 = partial.reshape(rows, rank)
     shrink = 1.0 - kappa
     d_sq = e_sq = e_d = 0.0
-    for lo in range(0, rf.size, _BLOCK):
-        cells = slice(lo, lo + _BLOCK)
+    for block, cells in _row_blocks(rows, cols):
+        np.matmul(p2[block], u_last.T, out=r2[block])
         d, eb, mb = rf[cells], ef[cells], mf[cells]
         d -= mb
         d -= eb
@@ -546,27 +579,31 @@ def _gaussian_tail(recon, e, m1, alpha: float, kappa: float) -> tuple[float, flo
         e_d += float(np.dot(eb, d))
         np.multiply(eb, shrink, out=d)
         d += mb
+        np.matmul(r2[block], u_last, out=l2[block])
     return d_sq, e_sq, e_d
 
 
-def _sweep_tail(recon, z, z_new, u) -> tuple[float, float, float]:
-    """The Newton families' sweep after their z step, one block of cells at a time.
+def _sweep_tail(recon, z, z_new, u, u_last, link) -> tuple[float, float, float]:
+    """The Newton families' sweep after their z step, one row block at a time.
 
     ``recon`` holds the reconstruction and ``z_new`` the z step
     (:func:`update_z`).  Per block, ``recon`` becomes the residual
     ``r = recon - z_new``, the scaled dual takes its ascent step ``u -= r``
     (``y <- y - gamma * r``), ``z`` becomes ``z - z_new``, the sums
-    ``||z - z_new||^2``, ``||r||^2`` and ``<u, r>`` are added up, and
-    ``recon`` ends as the next target ``z_new + u``.  Per cell this is the
-    arithmetic of the separate whole-array steps, so the iterates are
-    bitwise theirs.
+    ``||z - z_new||^2``, ``||r||^2`` and ``<u, r>`` are added up,
+    ``recon`` ends as the next target ``z_new + u``, and ``link`` takes
+    the next sweep's first link ``target @ U_N``, as in
+    :func:`_gaussian_tail`.  Per cell this is the arithmetic of the
+    separate whole-array steps, so the iterates are bitwise theirs.
     """
-    # the sweep's arrays are C-contiguous, so these are views, and made here
-    # they are gone again before the next sweep's factor steps
+    *lead, cols = recon.shape
+    rows, rank = math.prod(lead), u_last.shape[1]
+    # views, as in _gaussian_tail; made here, they are gone again before
+    # the next sweep's factor steps
     rf, zf, nf, uf = (x.reshape(-1) for x in (recon, z, z_new, u))
+    r2, l2 = recon.reshape(rows, cols), link.reshape(rows, rank)
     dz_sq = r_sq = u_r = 0.0
-    for lo in range(0, rf.size, _BLOCK):
-        cells = slice(lo, lo + _BLOCK)
+    for block, cells in _row_blocks(rows, cols):
         r, zb, new, ub = rf[cells], zf[cells], nf[cells], uf[cells]
         r -= new
         ub -= r
@@ -575,6 +612,7 @@ def _sweep_tail(recon, z, z_new, u) -> tuple[float, float, float]:
         r_sq += float(np.dot(r, r))
         u_r += float(np.dot(ub, r))
         np.add(new, ub, out=r)
+        np.matmul(r2[block], u_last, out=l2[block])
     return dz_sq, r_sq, u_r
 
 
@@ -667,7 +705,7 @@ def _factor_modulus(
     the core-sum matricization times the other factors' norms.
     """
     others = math.prod(u_norms[:mode] + u_norms[mode + 1 :])
-    bound = gamma * (_spectral_norm(matricize(core_sum, mode)) * others) ** 2
+    bound = gamma * (_spectral_norm(_unfold(core_sum, mode)) * others) ** 2
     return max(bound * _LIPSCHITZ_SAFETY, _MODULI_FLOOR)
 
 
@@ -786,7 +824,8 @@ def solve(
     trace.append(row)
     initial_lagr = row.lagrangian
     guard = _DIVERGENCE_FACTOR * (abs(initial_lagr) + 1.0)
-    # the target z + u; afterwards, each sweep's tail forms it
+    # the target z + u and the chain's first link target x_N U_N^T;
+    # afterwards, each sweep's tail forms both
     if gaussian:
         e = np.subtract(z, m1, out=z)  # the fill's buffer becomes e = z - m1
         m1_sq = frob_inner(m1, m1)
@@ -794,6 +833,8 @@ def solve(
         target += m1
     else:
         target = np.add(z, u, out=recon)
+    link = _mode_product(target, model.factors[-1].T, n_modes - 1)
+    link_shape = link.shape
 
     # Working copies of the moduli.  Unless fixed_moduli pins them, they are
     # refreshed from the current state inside the sweep: the coupling is
@@ -814,11 +855,13 @@ def solve(
         # The chain's links are target x_{t>n} U_t^T with the old factors,
         # built from the last mode down, so factor n pops its own link from
         # the end (freeing it once used) and contracts it with the updated
-        # U_t^T, t < n.  Only the first link and the last factor's first
-        # product read a prod(I) tensor.
-        suffix = [target]
-        for n in range(n_modes - 1, 0, -1):
-            suffix.append(n_mode_product(suffix[-1], model.factors[n].T, n))
+        # U_t^T, t < n.  The first link comes from the last sweep's tail (a
+        # 1-way model's only factor takes the target itself), so only the
+        # last factor's first product reads a prod(I) tensor.
+        suffix = [target, link][:n_modes]
+        del link  # freed once the chain has used it; the tail writes the next
+        for n in range(n_modes - 2, 0, -1):
+            suffix.append(_mode_product(suffix[-1], model.factors[n].T, n))
         factor_sq = 0.0
         core_sum = model.core_g + model.core_h
         for n in range(n_modes):
@@ -826,7 +869,7 @@ def solve(
                 rho_factors[n] = _factor_modulus(gamma, core_sum, u_norms, n)
             projected = suffix.pop()
             for t in range(n):
-                projected = n_mode_product(projected, model.factors[t].T, t)
+                projected = _mode_product(projected, model.factors[t].T, t)
             u_new = update_factor(
                 model, projected, gamma, n, rho_factors[n], pen.factors, grams
             )
@@ -838,7 +881,7 @@ def solve(
                 u_norms[n] = _spectral_norm(u_new)
         # the last factor's input, contracted with its update, is
         # project_core(target, factors) in project_core's own order
-        projected = n_mode_product(projected, model.factors[-1].T, n_modes - 1)
+        projected = _mode_product(projected, model.factors[-1].T, n_modes - 1)
         if refresh:
             rho_core = _core_modulus(gamma, u_norms)
         g_old, h_old = model.core_g, model.core_h
@@ -849,22 +892,27 @@ def solve(
         check_finite("core_g", g_new, k)
         check_finite("core_h", h_new, k)
         model.core_g, model.core_h = g_new, h_new
-        reconstruct(model, out=recon)
         if gaussian:
-            dz_sq, e_sq, e_d = _gaussian_tail(recon, e, m1, alpha, kappa)
+            link = np.empty(link_shape)
+            dz_sq, e_sq, e_d = _gaussian_tail(recon, e, m1, alpha, kappa,
+                                              partial_reconstruction(model),
+                                              model.factors[-1], link)
             # the residual is kappa * d and the scaled dual -kappa * e
             r_sq, u_r = kappa * kappa * dz_sq, -kappa * kappa * e_d
             # loss_value's gaussian formula at z = m1 + e
             loss = (e_sq - m1_sq + mom.x2_total) / mom.count
         else:
-            # the proximal center recon - u goes into spare; it has no name
-            # here, so that the buffer is freed when spare and z trade places
+            # update_z needs the whole proximal center recon - u; it goes
+            # into spare and has no name here, so that the buffer is freed
+            # when spare and z trade places
+            reconstruct(model, out=recon)
             try:
                 z_new = update_z(family, mom, omega, np.subtract(recon, u, out=spare),
                                  gamma, z, z_floor=config.z_floor, steps=newton_steps)
             except SolverAbort as exc:
                 raise SolverAbort(f"{exc} at iteration {k}", trace) from exc
-            dz_sq, r_sq, u_r = _sweep_tail(recon, z, z_new, u)
+            link = np.empty(link_shape)  # made after the z step's buffers are gone
+            dz_sq, r_sq, u_r = _sweep_tail(recon, z, z_new, u, model.factors[-1], link)
             spare, z = z, z_new
             loss = loss_value(family, mom, z)
 

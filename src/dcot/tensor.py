@@ -20,7 +20,11 @@ Conventions used throughout the package:
 All functions are pure: they never mutate their arguments, apart from the
 ``out`` buffer that :func:`n_mode_product` may be given, so concurrent use
 is safe.  Floating-point results depend on summation order only through
-ordinary rounding.
+ordinary rounding.  The public functions check their arguments and then
+call private unchecked kernels (``_unfold``, ``_mode_product``,
+``_multilinear``) that do the work, so each operation has one
+implementation; the solver, which checks its inputs once, calls the
+kernels directly.
 """
 
 from __future__ import annotations
@@ -35,6 +39,25 @@ def _check_mode(mode: int, ndim: int) -> None:
         raise ValueError(f"mode {mode} out of range for a {ndim}-way tensor")
 
 
+def _check_factor(t: np.ndarray, u: np.ndarray, mode: int) -> None:
+    _check_mode(mode, t.ndim)
+    if u.ndim != 2:
+        raise ValueError("mode product expects a matrix")
+    if u.shape[1] != t.shape[mode]:
+        raise ValueError(
+            f"matrix with {u.shape[1]} columns cannot act on mode {mode} "
+            f"of size {t.shape[mode]}"
+        )
+
+
+def _unfold(t: np.ndarray, mode: int) -> np.ndarray:
+    """:func:`matricize` without its checks, for a float array."""
+    axes = (mode, *range(mode), *range(mode + 1, t.ndim))
+    # the column count is explicit: numpy cannot infer it when mode is empty
+    cols = math.prod(t.shape[:mode] + t.shape[mode + 1 :])
+    return t.transpose(axes).reshape((t.shape[mode], cols), order="F")
+
+
 def matricize(t: np.ndarray, mode: int) -> np.ndarray:
     """Mode-``mode`` matricization of a dense tensor.
 
@@ -45,10 +68,25 @@ def matricize(t: np.ndarray, mode: int) -> np.ndarray:
     """
     t = np.asarray(t, dtype=float)
     _check_mode(mode, t.ndim)
-    axes = (mode, *range(mode), *range(mode + 1, t.ndim))
-    # the column count is explicit: numpy cannot infer it when mode is empty
-    cols = math.prod(t.shape[:mode] + t.shape[mode + 1 :])
-    return t.transpose(axes).reshape((t.shape[mode], cols), order="F")
+    return _unfold(t, mode)
+
+
+def _mode_product(
+    t: np.ndarray, u: np.ndarray, mode: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """:func:`n_mode_product` without its checks, for float arrays that fit."""
+    shape = t.shape
+    lead = math.prod(shape[:mode])
+    if mode == t.ndim - 1:
+        dest = None if out is None else out.reshape(lead, u.shape[0])
+        result = np.matmul(t.reshape(lead, shape[mode]), u.T, out=dest)
+    else:
+        rest = math.prod(shape[mode + 1 :])
+        dest = None if out is None else out.reshape(lead, u.shape[0], rest)
+        result = np.matmul(u, t.reshape(lead, shape[mode], rest), out=dest)
+    if out is not None:
+        return out
+    return result.reshape(shape[:mode] + (u.shape[0],) + shape[mode + 1 :])
 
 
 def n_mode_product(
@@ -71,29 +109,22 @@ def n_mode_product(
     """
     t = np.asarray(t, dtype=float)
     u = np.asarray(u, dtype=float)
-    _check_mode(mode, t.ndim)
-    if u.ndim != 2:
-        raise ValueError("mode product expects a matrix")
-    if u.shape[1] != t.shape[mode]:
-        raise ValueError(
-            f"matrix with {u.shape[1]} columns cannot act on mode {mode} "
-            f"of size {t.shape[mode]}"
-        )
-    shape = t.shape
-    lead = math.prod(shape[:mode])
-    result_shape = shape[:mode] + (u.shape[0],) + shape[mode + 1 :]
+    _check_factor(t, u, mode)
+    result_shape = t.shape[:mode] + (u.shape[0],) + t.shape[mode + 1 :]
     if out is not None and (
         out.shape != result_shape or out.dtype != float or not out.flags.c_contiguous
     ):
         raise ValueError(f"out must be a C-contiguous float {result_shape} array")
-    if mode == t.ndim - 1:
-        dest = None if out is None else out.reshape(lead, u.shape[0])
-        result = np.matmul(t.reshape(lead, shape[mode]), u.T, out=dest)
-    else:
-        rest = math.prod(shape[mode + 1 :])
-        dest = None if out is None else out.reshape(lead, u.shape[0], rest)
-        result = np.matmul(u, t.reshape(lead, shape[mode], rest), out=dest)
-    return result.reshape(result_shape) if out is None else out
+    return _mode_product(t, u, mode, out)
+
+
+def _multilinear(core: np.ndarray, factors: list[np.ndarray | None]) -> np.ndarray:
+    """:func:`multilinear_product` without its checks, for float arrays that fit."""
+    out = core
+    for mode, u in enumerate(factors):
+        if u is not None:
+            out = _mode_product(out, u, mode)
+    return out
 
 
 def multilinear_product(
@@ -109,11 +140,11 @@ def multilinear_product(
         raise ValueError(
             f"expected {core.ndim} factor matrices, got {len(factors)}"
         )
-    out = core
+    factors = [None if u is None else np.asarray(u, dtype=float) for u in factors]
     for mode, u in enumerate(factors):
         if u is not None:
-            out = n_mode_product(out, u, mode)
-    return out
+            _check_factor(core, u, mode)
+    return _multilinear(core, factors)
 
 
 def frob_inner(a: np.ndarray, b: np.ndarray) -> float:

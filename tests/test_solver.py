@@ -19,6 +19,7 @@ from dcot.model import (
     SliceGroup,
     SubjectPartition,
     initial_model,
+    partial_reconstruction,
     project_core,
     reconstruct,
     tie_heterogeneous_core,
@@ -47,7 +48,7 @@ from dcot.solver import (
     update_z,
 )
 from dcot.evaluate import SynthSpec, rmse, synthesize
-from dcot.tensor import frob_inner, frob_norm, matricize, multilinear_product
+from dcot.tensor import frob_inner, frob_norm, matricize, multilinear_product, n_mode_product
 
 
 def random_state(rng, shape=(3, 2, 2), ranks=(2, 2, 2), partition=None):
@@ -346,6 +347,11 @@ class TestBlockUpdates:
                 prox_apply(pen_g, model.factors[mode] - want / rho, rho))
 
 
+def link_buffer(target, u_last):
+    """An array for the sweep's first link ``target x_N U_N^T``, as the tails take it."""
+    return np.empty(target.shape[:-1] + (u_last.shape[1],))
+
+
 def gaussian_constants(mom, gamma):
     """``(kappa, alpha)`` of the gaussian sweep, formed as ``solve`` forms them."""
     scale = 2.0 / mom.count
@@ -494,7 +500,9 @@ class TestUpdateDual:
     @staticmethod
     def dual_step(recon, z_new, u):
         """``u`` after the tail, given the z step ``z_new`` (the Newton path)."""
-        _sweep_tail(recon.copy(), np.zeros_like(z_new), z_new.copy(), u)
+        u_last = np.ones((recon.shape[-1], 1))
+        _sweep_tail(recon.copy(), np.zeros_like(z_new), z_new.copy(), u, u_last,
+                    link_buffer(recon, u_last))
         return u
 
     def test_feasible_keeps_dual(self, rng):
@@ -528,7 +536,10 @@ class TestUpdateDual:
         np.testing.assert_allclose(u, -kappa * (z - m1), rtol=0, atol=1e-12)
         recon = reconstruct(model)
         e = z - m1
-        _gaussian_tail(recon.copy(), e, m1, alpha, kappa)
+        # the tail forms the reconstruction itself, from its partial product
+        u_last = model.factors[-1]
+        _gaussian_tail(np.empty_like(z), e, m1, alpha, kappa,
+                       partial_reconstruction(model), u_last, link_buffer(z, u_last))
         z_new = m1 + e
         # the tail's z is the closed-form z step from the center recon - u,
         # and the dual step u - (recon - z_new) lands on -kappa * e
@@ -950,6 +961,32 @@ class TestSolve:
         assert res.reason == "max_iters" and len(res.trace) == 21
         assert np.isfinite(res.z).all() and res.z.min() >= SolverConfig().z_floor
 
+    @pytest.mark.parametrize("family", ["gaussian", "bernoulli"])
+    def test_one_way_factor_step_takes_the_target(self, family, rng, monkeypatch):
+        # a 1-way model has no chain link: its one factor step takes the
+        # target z + y / gamma itself, as the core steps' projection's input
+        import dcot.solver
+
+        x = rng.standard_normal(7)
+        x = (x > 0).astype(float) if family == "bernoulli" else x
+        omega = ObservationSet.from_dense(x, rng.random(7) < 0.7)
+        init = DcotModel([rng.standard_normal((7, 2))], rng.standard_normal(2), np.zeros(2))
+        fam, sim = LossFamily(family), SimilarityModel.neutral((7,))
+        real, inputs = dcot.solver.update_factor, []
+
+        def factor_step(model, projected, *args):
+            inputs.append(projected.copy())
+            return real(model, projected, *args)
+
+        monkeypatch.setattr(dcot.solver, "update_factor", factor_step)
+        cfg = SolverConfig(max_iters=3)
+        solve(omega, init, fam, sim, cfg)
+        monkeypatch.undo()
+        for k, got in enumerate(inputs):
+            res = solve(omega, init, fam, sim, replace(cfg, max_iters=k))
+            want = res.z + res.y / res.moduli.gamma
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
     def test_freeze_h_keeps_zero_core(self):
         data, part = planted_problem(seed=4, sigma=0.05, missing=0.2)
         init = initial_model(data.observed.to_dense(float(data.observed.values.mean())),
@@ -966,7 +1003,7 @@ class TestSolve:
         data, part = planted_problem(seed=4, sigma=0.05, missing=0.2)
         init = initial_model(data.observed.to_dense(float(data.observed.values.mean())),
                              (3, 3, 3), InitStrategy("hosvd"), part)
-        calls = {"reconstruct": 0, "loss_value": 0}
+        calls = {"reconstruct": 0, "partial_reconstruction": 0, "loss_value": 0}
 
         def counting(name):
             real = getattr(dcot.solver, name)
@@ -985,8 +1022,11 @@ class TestSolve:
         res = solve(data.observed, init, fam, sim, cfg)
         assert len(res.trace) == iters + 1
         # gradients are taken in core space, so the z step's reconstruction is
-        # the sweep's only one; the initial trace row adds one more
-        assert calls["reconstruct"] == 1 + iters
+        # the sweep's only one.  The sweep's tail takes its last mode product
+        # (_gaussian_tail), so a sweep makes one partial reconstruction; only
+        # the initial trace row reconstructs whole
+        assert calls["partial_reconstruction"] == iters
+        assert calls["reconstruct"] == 1
         # a sweep's gaussian loss comes from sums its tail forms anyway; only
         # the initial row calls loss_value, and every row holds its value: the
         # tail's formula in e = z - m1 is loss_value's to rounding
@@ -1209,12 +1249,12 @@ CHAIN_PROBLEMS = {
 }
 
 
-def chain_problem(shape, ranks, part):
-    spec = SynthSpec(shape=shape, ranks=ranks, partition=part, noise_sigma=0.1,
-                     missing_fraction=0.3, seed=3)
+def chain_problem(shape, ranks, part, family="gaussian"):
+    spec = SynthSpec(shape=shape, ranks=ranks, partition=part, noise_family=family,
+                     noise_sigma=0.1, missing_fraction=0.3, seed=3)
     data = synthesize(spec)
     omega = data.observed
-    init = initial_model(omega.to_dense(initial_fill(omega, LossFamily("gaussian"))),
+    init = initial_model(omega.to_dense(initial_fill(omega, LossFamily(family))),
                          ranks, InitStrategy("hosvd"), part)
     return omega, init, oracles.planted_similarity(data)
 
@@ -1264,59 +1304,113 @@ class TestSweepChain:
         assert projections == [True]
 
     @pytest.mark.usefixtures("full_length")
-    def test_two_full_size_mode_products_per_sweep(self, problem, monkeypatch):
-        import dcot.model
+    @pytest.mark.parametrize("family", ["gaussian", "bernoulli"])
+    def test_one_full_size_mode_product_per_sweep(self, problem, family, monkeypatch):
+        # the last factor's first product reads the target; the chain's
+        # first link comes from the sweep's tail, which takes it per block
         import dcot.solver
         import dcot.tensor
 
-        omega, init, sim = chain_problem(*problem)
-        real = dcot.tensor.n_mode_product
+        omega, init, sim = chain_problem(*problem, family)
+        real = dcot.tensor._mode_product
         full_size = []
 
         def counting(t, u, mode, out=None):
             full_size.append(np.size(t) == math.prod(omega.shape))
             return real(t, u, mode, out=out)
 
-        for module in (dcot.tensor, dcot.model, dcot.solver):
-            monkeypatch.setattr(module, "n_mode_product", counting)
+        # the public forms call the kernel, so every product is counted once
+        for module in (dcot.tensor, dcot.solver):
+            monkeypatch.setattr(module, "_mode_product", counting)
         counts = []
-        for iters in (0, 4):  # the moments' set-up makes some before the sweeps
+        for iters in (0, 4):  # the set-up makes some before the sweeps
             full_size.clear()
-            solve(omega, init, LossFamily("gaussian"), sim,
-                  SolverConfig(max_iters=iters))
+            solve(omega, init, LossFamily(family), sim, SolverConfig(max_iters=iters))
             counts.append(sum(full_size))
-        assert counts[1] - counts[0] == 2 * 4
+        assert counts[1] - counts[0] == 4
+
+
+    @pytest.mark.usefixtures("full_length")
+    @pytest.mark.parametrize("family", ["gaussian", "bernoulli"])
+    def test_sweep_validates_nothing(self, problem, family, monkeypatch):
+        # solve checks its inputs once; the sweep calls the unchecked kernels.
+        # Only the Newton path's reconstruct checks, the buffer it is given
+        import dcot.model
+        import dcot.similarity
+        import dcot.solver
+        import dcot.tensor
+
+        omega, init, sim = chain_problem(*problem, family)
+        calls = []
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in ("n_mode_product", "matricize", "multilinear_product"):
+            wrapper = counting(name, getattr(dcot.tensor, name))
+            for module in (dcot.tensor, dcot.model, dcot.similarity, dcot.solver):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, wrapper)
+        counts = []
+        for iters in (0, 4):
+            calls.clear()
+            solve(omega, init, LossFamily(family), sim, SolverConfig(max_iters=iters))
+            counts.append(len(calls))
+        assert counts[1] - counts[0] == (0 if family == "gaussian" else 4)
 
 
 class TestSweepTail:
-    """The sweep's blocked tail against its whole-array steps."""
+    """The sweep's fused tail against its whole-array steps.
 
-    SHAPE = (7, 6, 5)
+    The oracle reconstructs, takes the whole-array tail and then the next
+    sweep's first link with ``n_mode_product``; the tail does all three per
+    row block.  At these sizes a block's matrix products are bitwise the
+    same rows of the whole products, so the iterates and the link are the
+    oracle's; the sums add up by blocks, so they agree to rounding.  (BLAS
+    may take a large whole product, or a one-row block, through another
+    kernel, which rounds differently: with OpenBLAS 0.3.31 the link of a
+    60^3 tensor in blocks of 546 rows does.)
+    """
 
-    @pytest.mark.parametrize("block", [37, 210, 32768])
+    SHAPES = {"3-way": ((7, 6, 5), (2, 3, 2)), "4-way": ((6, 5, 4, 3), (2, 3, 2, 2))}
+
+    # rows of 5 and 3 cells: 32768 is one block; neither divides 37 (blocks
+    # of 7 and 12 rows, no partial block); 48 (9 and 16 rows) leaves a
+    # partial last block on both shapes, 210 (42 and 70 rows) on the 4-way
+    @pytest.mark.parametrize("block", [37, 210, 32768, 48])
     @pytest.mark.parametrize("path", ["gaussian", "newton"])
     def test_matches_whole_array_steps(self, path, block, rng, monkeypatch):
         import dcot.solver
 
-        if path == "gaussian":
-            # recon (then the next target) and e, with m1 and (kappa, alpha)
-            mom = Moments(rng.standard_normal(self.SHAPE), 0.0, math.prod(self.SHAPE))
-            arrays = [rng.standard_normal(self.SHAPE) for _ in range(2)]
-            kappa, alpha = gaussian_constants(mom, 0.7)
-            args = (mom.weighted_x, alpha, kappa)
-            tail, oracle = "_gaussian_tail", oracles.gaussian_tail_oracle
-        else:
-            # recon (then the next target), z (then the z step), z_new and u
-            arrays = [rng.standard_normal(self.SHAPE) for _ in range(4)]
-            args = ()
-            tail, oracle = "_sweep_tail", oracles.sweep_tail_oracle
-        want = [a.copy() for a in arrays]
-        want_sums = oracle(*want, *args)
-        monkeypatch.setattr(dcot.solver, "_BLOCK", block)
-        got_sums = getattr(dcot.solver, tail)(*arrays, *args)
-        for got, expected in zip(arrays, want):
-            assert np.array_equal(got, expected)
-        np.testing.assert_allclose(got_sums, want_sums, rtol=1e-12, atol=0)
+        for shape, ranks in self.SHAPES.values():
+            model = random_state(rng, shape, ranks)[0]
+            u_last = model.factors[-1]
+            if path == "gaussian":
+                # e and m1, with (kappa, alpha); the tail's recon is a buffer
+                mom = Moments(rng.standard_normal(shape), 0.0, math.prod(shape))
+                kappa, alpha = gaussian_constants(mom, 0.7)
+                want = [reconstruct(model), rng.standard_normal(shape)]
+                got = [np.empty(shape), want[1].copy()]
+                want_sums = oracles.gaussian_tail_oracle(*want, mom.weighted_x, alpha, kappa)
+                monkeypatch.setattr(dcot.solver, "_BLOCK", block)
+                got_sums = _gaussian_tail(*got, mom.weighted_x, alpha, kappa,
+                                          partial_reconstruction(model), u_last,
+                                          link := link_buffer(got[0], u_last))
+            else:
+                # recon (then the next target), z (then the z step), z_new and u
+                want = [rng.standard_normal(shape) for _ in range(4)]
+                got = [a.copy() for a in want]
+                want_sums = oracles.sweep_tail_oracle(*want)
+                monkeypatch.setattr(dcot.solver, "_BLOCK", block)
+                got_sums = _sweep_tail(*got, u_last, link := link_buffer(got[0], u_last))
+            monkeypatch.undo()
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+            assert np.array_equal(link, n_mode_product(want[0], u_last.T, len(shape) - 1))
+            np.testing.assert_allclose(got_sums, want_sums, rtol=1e-12, atol=0)
 
 
 BLOCK_PROBLEMS = {
@@ -1340,8 +1434,10 @@ def test_ragged_blocks_match_one_block(family, problem, monkeypatch):
                          InitStrategy("hosvd"), part)
     mom = smoothing_moments(sim, omega)
     cfg = SolverConfig(max_iters=6)
-    cells, ragged = math.prod(shape), 37  # blocks of 37 cells, the last one partial
-    assert cells % ragged
+    # a _BLOCK of 48 cells makes blocks of 9 rows of 5 (3-way) or 16 rows of 3
+    # (4-way), the last one partial
+    cells, ragged = math.prod(shape), 48
+    assert (cells // shape[-1]) % (ragged // shape[-1])
     runs = {}
     for block in (cells, ragged):
         monkeypatch.setattr(dcot.solver, "_BLOCK", block)
@@ -1430,6 +1526,8 @@ class TestDenseWorkingSet:
             tracemalloc.stop()
         cell = self.cell_bytes()
         # beside the dense arrays only core-sized and chain arrays, well
-        # under one dense array at these ranks
+        # under one dense array at these ranks: the chain's first link, which
+        # the sweep keeps, and the partial reconstruction in the tail are
+        # r_N / I_N = 1/8 of one each
         assert peak - moments < (self.DENSE_ARRAYS + 0.5) * cell
         assert peak - sweep_start[0] < 0.5 * cell

@@ -6,6 +6,9 @@ from hypothesis import given, strategies as st
 
 import oracles
 from dcot.tensor import (
+    _mode_product,
+    _multilinear,
+    _unfold,
     frob_inner,
     frob_norm,
     matricize,
@@ -218,6 +221,38 @@ class TestMultilinearProduct:
     def test_factor_count_mismatch(self, rng):
         with pytest.raises(ValueError):
             multilinear_product(rng.standard_normal((2, 2)), [np.eye(2)])
+
+
+class TestUncheckedKernels:
+    """The solver's unchecked kernels give the checked functions' arrays bitwise."""
+
+    SHAPES = [(4, 3, 5), (2, 3, 4, 2), (0, 3, 4), (3, 0), (2, 0, 3), (5,)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_mode_product(self, shape, rng):
+        t = rng.standard_normal(shape)
+        for mode, size in enumerate(shape):
+            for rows in (2, 0):
+                u = rng.standard_normal((rows, size))
+                want = n_mode_product(t, u, mode)
+                got = _mode_product(t, u, mode)
+                assert got.shape == want.shape and got.flags.c_contiguous
+                assert got.tobytes() == want.tobytes()
+                buf, want_buf = np.empty(want.shape), np.empty(want.shape)
+                assert _mode_product(t, u, mode, out=buf) is buf
+                n_mode_product(t, u, mode, out=want_buf)
+                assert buf.tobytes() == want_buf.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_unfold_and_multilinear(self, shape, rng):
+        t = rng.standard_normal(shape)
+        for mode in range(len(shape)):
+            got, want = _unfold(t, mode), matricize(t, mode)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        factors = [rng.standard_normal((2, s)) if n % 2 == 0 else None
+                   for n, s in enumerate(shape)]
+        assert _multilinear(t, factors).tobytes() == \
+            multilinear_product(t, factors).tobytes()
 
 
 class TestInnerAndNorm:
