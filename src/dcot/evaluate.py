@@ -213,10 +213,8 @@ def _with_weights(config: SolverConfig, weights: dict) -> SolverConfig:
 
 
 def _grid_eval(args):
-    weights, train, test, family, sim, config, ranks, strategy, partition = args
+    weights, train, test, family, sim, config, init = args
     cfg = _with_weights(config, weights)
-    init = initial_model(train.to_dense(initial_fill(train, family)), ranks, strategy,
-                         partition)
     try:
         result = solve(train, init, family, sim, cfg)
     except SolverAbort as exc:
@@ -248,6 +246,8 @@ def grid_search(
     omitted) and applied to every block named in ``blocks``.  Ties in
     validation RMSE go to the larger (more regularized) candidate.  When
     every candidate's solve aborts, so does the search (``SolverAbort``).
+    Every candidate starts from the same model, built once from the
+    training split (``solve`` copies its start).
     """
     lambdas = lambda_grid() if lambdas is None else np.asarray(lambdas, dtype=float)
     if lambdas.size == 0:
@@ -255,11 +255,9 @@ def grid_search(
     lambdas = np.sort(lambdas)
     train, test = holdout_split(omega, split)
     candidates = [{b: float(lam) for b in blocks} for lam in lambdas]
-    ranks = tuple(int(r) for r in ranks)
-    jobs = [
-        (weights, train, test, family, sim, config, ranks, strategy, partition)
-        for weights in candidates
-    ]
+    init = initial_model(train.to_dense(initial_fill(train, family)),
+                         tuple(int(r) for r in ranks), strategy, partition)
+    jobs = [(weights, train, test, family, sim, config, init) for weights in candidates]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             points = list(pool.map(_grid_eval, jobs))

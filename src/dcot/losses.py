@@ -18,13 +18,16 @@ constant factors are absorbed).  The normalization is by the total cell
 count, not the observation count, so unobserved cells participate; this
 is what makes completion work.
 
-The loss functions take those weights' per-cell aggregates, precomputed
-once per problem as :class:`~dcot.similarity.Moments` by
-``smoothing_moments``.  Each integrand is linear in ``x``, and the weights
-sum to one per target, so the loss is the plain one at the pseudo-data
-``m1 = weighted_x``: ``(1 / prod(I_n)) * sum_t f(m1_t; z_t)``, plus (for the
-gaussian family) the constant ``x2_total`` of the second moments.  The
-array-valued functions return arrays of ``weighted_x``'s shape.
+Each integrand is linear in ``x``, and the weights sum to one per target,
+so the loss is the plain one at the smoothed target
+``m1_t = sum_j w(t, j) x_j``: ``(1 / prod(I_n)) * sum_t f(m1_t; z_t)``.  The
+loss functions take that dense target, ``Moments.weighted_x`` of
+``dcot.similarity.smoothing_moments``, built once per problem; the cell
+count is its ``size``, and the array-valued functions return arrays of its
+shape.  For the gaussian family this drops the constant of the second
+moments, the smoothing variance ``(1 / prod(I_n)) * sum_t (m2_t - m1_t**2)``
+with ``m2_t = sum_j w(t, j) x_j**2``: the value is ``||z - m1||**2 / prod(I_n)``,
+which moves with ``z`` as the pair sum does.
 
 Each family's derivatives are written once, in one derivative pass
 (:class:`LossDerivatives`): it writes the gradient into a buffer and keeps
@@ -49,12 +52,8 @@ instead of comparing family names.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:  # similarity imports ObservationSet from this module
-    from .similarity import Moments
 
 _POISSON_FLOOR = 1e-12
 # shift ``eps`` of the gamma integrand ``log(z + eps) + x / (z + eps)``
@@ -150,6 +149,11 @@ class LossFamily:
             raise DomainError("bernoulli observations must be 0 or 1")
         if self.kind == "poisson" and (np.any(v < 0) or np.any(v != np.round(v))):
             raise DomainError("poisson observations must be nonnegative integers")
+        if self.kind == "poisson" and v.size and not v.any():
+            # the smoothed target is then zero in every cell, and so is the
+            # loss curvature that sets the solver's step parameters
+            raise DomainError("poisson observations are all zero: the smoothed target "
+                              "and the loss curvature vanish in every cell")
         if self.kind == "gamma" and np.any(v <= 0):
             raise DomainError("gamma observations must be strictly positive")
 
@@ -180,33 +184,24 @@ def initial_fill(omega: ObservationSet, family: LossFamily) -> float:
     return float(omega.values.mean())
 
 
-def _checked(family: LossFamily, mom: Moments, z) -> np.ndarray:
+def _checked(family: LossFamily, target: np.ndarray, z) -> np.ndarray:
     z = np.asarray(z, dtype=float)
-    shape = mom.weighted_x.shape
-    if z.shape != shape:
-        raise ValueError(f"z shape {z.shape} does not match data shape {shape}")
+    if z.shape != target.shape:
+        raise ValueError(f"z shape {z.shape} does not match data shape {target.shape}")
     family.check_domain(z)
     return z
 
 
-def gaussian_quadratic(m1: np.ndarray, z: np.ndarray) -> float:
-    """``||z||^2 - 2 <m1, z>``: the terms of the gaussian loss that move with ``z``.
-
-    ``z`` and ``m1`` hold the same cells, whole arrays or one flat block of
-    each.  BLAS forms both products, so a whole-array call allocates no
-    array of the data's size.
-    """
-    z, m1 = z.ravel(), m1.ravel()
-    return float(np.dot(z, z)) - 2.0 * float(np.dot(m1, z))
-
-
-def loss_value(family: LossFamily, mom: Moments, z: np.ndarray) -> float:
-    """Evaluate the smoothed loss from the precomputed smoothing moments."""
-    z = _checked(family, mom, z)
-    m1, count = mom.weighted_x, mom.count
+def loss_value(family: LossFamily, target: np.ndarray, z: np.ndarray) -> float:
+    """Evaluate the smoothed loss at ``z`` from the smoothed target ``m1``."""
+    z = _checked(family, target, z)
+    m1 = target
     if family.kind == "gaussian":
-        # sum_t (z^2 - 2 m1 z + m2), with the z-free term summed once
-        return (gaussian_quadratic(m1, z) + mom.x2_total) / count
+        # ||z - m1||^2 = ||z||^2 - 2 <m1, z> + ||m1||^2, each a BLAS dot, so
+        # no array of the data's size is made
+        z, m1 = z.ravel(), m1.ravel()
+        total = float(np.dot(z, z)) - 2.0 * float(np.dot(m1, z)) + float(np.dot(m1, m1))
+        return total / m1.size
     if family.kind == "bernoulli":
         # log(1 + exp(z)) = max(z, 0) + log1p(exp(-|z|)), logaddexp's own
         # formula, but in whole-array passes
@@ -221,7 +216,7 @@ def loss_value(family: LossFamily, mom: Moments, z: np.ndarray) -> float:
     else:  # gamma
         zz = z + _GAMMA_EPSILON
         total = np.log(zz) + m1 / zz
-    return float(total.sum()) / count
+    return float(total.sum()) / m1.size
 
 
 class LossDerivatives:
@@ -236,10 +231,10 @@ class LossDerivatives:
     domain of ``z``; :func:`loss_gradient` and :func:`loss_curvature` do.
     """
 
-    def __init__(self, family: LossFamily, mom: Moments):
+    def __init__(self, family: LossFamily, target: np.ndarray):
         self.kind = family.kind
-        self.mom = mom
-        shape = mom.weighted_x.shape
+        self.target = target
+        shape = target.shape
         self.grad = np.empty(shape)
         # p, max(z, floor) or z + eps; the gaussian curvature needs nothing
         self._state = np.empty(shape) if self.kind != "gaussian" else None
@@ -247,7 +242,7 @@ class LossDerivatives:
 
     def at(self, z: np.ndarray) -> np.ndarray:
         """Write the gradient at ``z`` into ``grad`` (returned) and keep the curvature's terms."""
-        m1, count = self.mom.weighted_x, self.mom.count
+        m1 = self.target
         grad, state = self.grad, self._state
         if self.kind == "gaussian":
             np.subtract(z, m1, out=grad)
@@ -271,12 +266,12 @@ class LossDerivatives:
             np.square(state, out=self._tmp)
             np.divide(m1, self._tmp, out=self._tmp)
             grad -= self._tmp
-        grad /= count
+        grad /= m1.size
         return grad
 
     def curvature(self, out: np.ndarray) -> np.ndarray:
         """Write the curvature at the last :meth:`at`'s ``z`` into ``out`` (returned)."""
-        m1, count = self.mom.weighted_x, self.mom.count
+        m1 = self.target
         state = self._state
         if self.kind == "gaussian":
             out[...] = 2.0
@@ -292,27 +287,27 @@ class LossDerivatives:
             out -= 1.0
             np.square(state, out=self._tmp)
             out /= self._tmp
-        out /= count
+        out /= m1.size
         return out
 
 
-def loss_gradient(family: LossFamily, mom: Moments, z: np.ndarray) -> np.ndarray:
+def loss_gradient(family: LossFamily, target: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Elementwise gradient of :func:`loss_value` with respect to ``z``."""
-    return LossDerivatives(family, mom).at(_checked(family, mom, z))
+    return LossDerivatives(family, target).at(_checked(family, target, z))
 
 
-def loss_curvature(family: LossFamily, mom: Moments, z: np.ndarray) -> np.ndarray:
+def loss_curvature(family: LossFamily, target: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Elementwise second derivative of :func:`loss_value` (its Hessian is diagonal).
 
     Nonnegative except for the ``gamma`` family, whose loss is not convex.
     """
-    derivs = LossDerivatives(family, mom)
-    derivs.at(_checked(family, mom, z))
+    derivs = LossDerivatives(family, target)
+    derivs.at(_checked(family, target, z))
     return derivs.curvature(np.empty(derivs.grad.shape))
 
 
 def loss_curvature_min(
-    family: LossFamily, mom: Moments, z_min: float
+    family: LossFamily, target: np.ndarray, z_min: float
 ) -> np.ndarray:
     """Per-cell minimum of :func:`loss_curvature` over ``z >= z_min``.
 
@@ -322,17 +317,17 @@ def loss_curvature_min(
     ``u = 1 / (z + eps)`` the scaled curvature ``2 m1 u^3 - u^2``
     decreases in ``u`` up to ``u = 1 / (3 m1)``, and ``u <= 1 / (z_min + eps)``.
     """
-    m1, count = mom.weighted_x, mom.count
+    m1 = target
     if family.kind != "gamma":
         return np.zeros((1,) * m1.ndim)
     u_max = 1.0 / (z_min + _GAMMA_EPSILON)
     crit = np.divide(1.0, 3.0 * m1, out=np.full(m1.shape, np.inf), where=m1 > 0)
     u = np.minimum(crit, u_max)
-    return (2.0 * m1 * u - 1.0) * u**2 / count
+    return (2.0 * m1 * u - 1.0) * u**2 / m1.size
 
 
 def loss_lipschitz(
-    family: LossFamily, mom: Moments, z_min: float | None = None
+    family: LossFamily, target: np.ndarray, z_min: float | None = None
 ) -> float:
     """Upper bound on the Lipschitz constant of the loss gradient.
 
@@ -341,7 +336,7 @@ def loss_lipschitz(
     they need a positive lower bound ``z_min`` on the entries of ``z``;
     the others ignore it.
     """
-    m1, count = mom.weighted_x, mom.count
+    m1, count = target, target.size
     if family.kind == "gaussian":
         return 2.0 / count
     if family.kind == "bernoulli":

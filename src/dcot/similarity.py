@@ -7,8 +7,9 @@ weight matrix (:func:`mode_similarity`) is a kernel similarity times a
 label-consistency factor (0.8 within a cluster, 0.2 across).  The full
 pairwise weight object is never materialized: per-mode matrices are
 truncated to the strongest 32 neighbors per index, and the weights are
-aggregated over all targets at once (:func:`smoothing_moments`, which the
-loss functions use).
+aggregated over all targets at once (:func:`smoothing_moments`).  Its
+result is the smoothed target the loss functions fit: each target cell's
+weighted mean of the observations.
 """
 
 from __future__ import annotations
@@ -80,23 +81,17 @@ def label_consistency(labels) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Moments:
-    """Per-target smoothing aggregates over the observed entries.
+    """The smoothed target of the loss functions, with its fallback count.
 
     ``weighted_x[t] = sum_j w(t, j) x_j``, with the data's shape, after the
     degenerate-target fallback and the normalization that makes every
-    target's weights ``w(t, .)`` sum to one; the loss functions rest on
-    that sum, so they fit the plain loss at the pseudo-data ``weighted_x``.
-    ``x2_total`` is the scalar ``sum_t sum_j w(t, j) x_j^2`` over every
-    target, with the same normalization and fallback: the gaussian loss
-    needs that second-moment term only as an additive constant, so no
-    per-target array is kept.  ``count`` is the normalizing cell count
-    ``prod(shape)`` used by the loss functions, and ``degenerate`` the
-    number of targets that took the fallback.
+    target's weights ``w(t, .)`` sum to one.  Every integrand of
+    :mod:`dcot.losses` is linear in ``x``, so the smoothed loss is the plain
+    loss at this target, which the loss functions take.  ``degenerate`` is
+    the number of targets that took the fallback.
     """
 
     weighted_x: np.ndarray
-    x2_total: float
-    count: int
     degenerate: int = 0
 
 
@@ -180,20 +175,20 @@ def smoothing_moments(sim: SimilarityModel, omega: ObservationSet) -> Moments:
     """Aggregate smoothing weights over all target cells at once.
 
     Because the weight factorizes over modes, the per-target sums
-    ``sum_j w(t, j) x_j^p`` are mode products of the observation indicator
-    (and value) tensors with the truncated per-mode factor matrices; no
-    pairwise object over cells is ever formed.  A degenerate target (every
-    raw weight zero) falls back to weight one on its own entry when it is
-    observed, otherwise to uniform weights over the observed entries
-    (logged).  Every loss function
-    of :mod:`dcot.losses` takes the result, so build it once per problem.
+    ``sum_j w(t, j)`` and ``sum_j w(t, j) x_j`` are mode products of the
+    observation indicator and value tensors with the truncated per-mode
+    factor matrices; no pairwise object over cells is ever formed.  A
+    degenerate target (every raw weight zero) falls back to weight one on
+    its own entry when it is observed, otherwise to uniform weights over
+    the observed entries (logged).  Every loss function of
+    :mod:`dcot.losses` takes the result's ``weighted_x``, so build it once
+    per problem.
 
     Each moment is scattered into one buffer and contracted mode by mode
     into a second, the two trading roles.  ``w`` is built first, then
-    ``m2``, which is reduced to ``x2_total`` and dropped before ``m1`` is
-    built in its place, so at most three ``prod(I)`` arrays are live: ``w``
-    and the two buffers, beside the mask of degenerate targets (an eighth
-    of one).  The fallback indexes the observed entries
+    ``m1`` in the buffer it left free, so at most three ``prod(I)`` arrays
+    are live: ``w`` and the two buffers, beside the mask of degenerate
+    targets (an eighth of one).  The fallback indexes the observed entries
     directly, and normalization is one in-place division over every cell
     (fallback cells have weight one).  The result keeps no dense weight
     tensor (see :class:`Moments`).
@@ -202,19 +197,19 @@ def smoothing_moments(sim: SimilarityModel, omega: ObservationSet) -> Moments:
     idx = tuple(omega.indices.T)
     values = omega.values
 
-    def moment(power: int, src: np.ndarray):
-        # sum_j w(t, j) x_j^power, scattered into src and contracted between
-        # it and a second buffer, made after the scatter's temporaries are
-        # gone; returns the moment and the buffer left free
+    def moment(src: np.ndarray, scattered):
+        # sum_j w(t, j) scattered_j, scattered into src and contracted
+        # between it and a second buffer, made after the scatter's
+        # temporaries are gone; returns the moment and the buffer left free
         src.fill(0.0)
-        src[idx] = values**power
+        src[idx] = scattered
         dst = np.empty(sim.shape)
         for mode, f in enumerate(sim.per_mode):
             n_mode_product(src, f, mode, out=dst)
             src, dst = dst, src
         return src, dst
 
-    w, spare = moment(0, np.empty(sim.shape))
+    w, spare = moment(np.empty(sim.shape), 1.0)
     bad = w <= 0.0
     n_bad = int(np.count_nonzero(bad))
     if n_bad:
@@ -222,26 +217,14 @@ def smoothing_moments(sim: SimilarityModel, omega: ObservationSet) -> Moments:
         w[bad] = 1.0
         own = bad[idx]  # degenerate targets that are observed keep their value
         observed = tuple(i[own] for i in idx)
-        # the fallback means, taken before the buffers of m2 and m1 exist
-        mean, mean_sq = values.mean(), (values**2).mean()
+        own_values = values[own]
+        del own
+        mean = values.mean()  # taken before m1's buffer exists
 
-    m2, spare = moment(2, spare)
-    if n_bad:
-        m2[bad] = mean_sq
-        m2[observed] = values[own] ** 2
-    np.divide(m2, w, out=m2)
-    x2_total = float(m2.sum())
-    del m2  # m1 takes its place
-
-    m1, spare = moment(1, spare)
+    m1, spare = moment(spare, values)
     del spare
     if n_bad:
         m1[bad] = mean
-        m1[observed] = values[own]
+        m1[observed] = own_values
     np.divide(m1, w, out=m1)
-    return Moments(
-        weighted_x=m1,
-        x2_total=x2_total,
-        count=int(np.prod(sim.shape)),
-        degenerate=n_bad,
-    )
+    return Moments(weighted_x=m1, degenerate=n_bad)

@@ -14,7 +14,10 @@ is kept in scaled form ``u = y / gamma`` (Boyd et al. 2011, *Distributed
 Optimization and Statistical Learning via ADMM*, §3.1.1).  The ``z``
 update minimizes smoothed loss + coupling exactly (a closed form for the
 gaussian family, a safeguarded per-cell Newton solve otherwise) and the
-dual ascends along the constraint residual.
+dual ascends along the constraint residual.  The smoothed loss is the plain
+loss at one dense array, the smoothed data ``m1 = Moments.weighted_x``
+(:mod:`dcot.losses`): ``solve`` builds it once, and the loss, the z step and
+the moduli take it.
 
 The gradients are taken in core space (Kolda & Bader 2009, *Tensor
 Decompositions and Applications*, SIAM Review): with the sweep's fixed
@@ -55,8 +58,8 @@ its one pass over the dense state (:func:`_gaussian_tail`, the
 reconstruction's last mode product and the next first link included)
 about 0.85 ms of it, section-timed.
 
-A gaussian solve keeps one dense state beside the moments.  The loss
-gradient is ``(2 / count) (z - m1)`` for ``m1 = weighted_x``, so the
+A gaussian solve keeps one dense state beside ``m1``.  The loss is
+``||z - m1||^2 / count`` and its gradient ``(2 / count) (z - m1)``, so the
 closed-form z step leaves the scaled dual at ``u = -kappa (z - m1)``,
 ``kappa = (2 / count) / gamma``, and the start ``u = -grad F(z0) / gamma``
 is there too: the deviation ``e = z - m1`` (formed in the fill's buffer)
@@ -74,10 +77,11 @@ A block's matrix products are rows of the whole ones (Kolda & Bader), so
 they give the whole products' values to rounding.  The residual is
 ``kappa d``, so the trace takes the z step ``||d||``,
 ``||r||^2 = kappa^2 ||d||^2``, ``<u, r> = -kappa^2 <e, d>`` and the loss
-``(||e||^2 - ||m1||^2 + x2_total) / count``.  A gaussian sweep thus reads
-``e`` and ``m1`` once, writes ``recon`` and ``e`` once, and allocates no
-``prod(I)`` array; the result's ``z = m1 + e`` goes into ``recon`` and
-``y = -(2 / count) e`` into ``e``.
+``||e||^2 / count``; the first trace row forms ``e`` from the start ``z``
+and reads ``||e||^2 / count`` and ``<u, r> = -kappa <e, r>``.  A gaussian
+sweep thus reads ``e`` and ``m1`` once, writes ``recon`` and ``e`` once,
+and allocates no ``prod(I)`` array; the result's ``z = m1 + e`` goes into
+``recon`` and ``y = -(2 / count) e`` into ``e``.
 
 The other families also keep ``z``, ``u`` and a ``spare`` buffer.
 :func:`update_z` solves their z step over the whole array from the
@@ -121,7 +125,7 @@ from .losses import (
 )
 from .model import DcotModel, partial_reconstruction, reconstruct, tie_heterogeneous_core
 from .prox import Penalty, penalty_value, prox_apply
-from .similarity import Moments, SimilarityModel, smoothing_moments
+from .similarity import SimilarityModel, smoothing_moments
 from .tensor import _mode_product, _multilinear, _unfold, frob_inner, frob_norm
 
 log = logging.getLogger("dcot.solver")
@@ -380,7 +384,7 @@ def update_cores(
 
 def update_z(
     family: LossFamily,
-    mom: Moments,
+    m1: np.ndarray,
     omega: ObservationSet,
     center: np.ndarray,
     gamma: float,
@@ -391,7 +395,8 @@ def update_z(
 ) -> np.ndarray:
     """Solve the z block: ``F(z) + (gamma / 2) ||z - center||^2``, cell by cell.
 
-    ``center`` is the proximal center ``recon - u`` for the scaled dual
+    ``m1`` is the smoothed data the loss fits (``Moments.weighted_x``),
+    ``center`` the proximal center ``recon - u`` for the scaled dual
     ``u = y / gamma``, and ``z0`` the warm start (``omega`` scales the
     tolerance).  :func:`solve` takes this
     step for every family but the gaussian, whose closed-form step
@@ -427,7 +432,7 @@ def update_z(
     Raises :class:`SolverAbort` naming the z block when the gradient turns
     non-finite or the tolerance is not met within a fixed iteration cap.
     """
-    mu = gamma + loss_curvature_min(family, mom, z_floor)
+    mu = gamma + loss_curvature_min(family, m1, z_floor)
     if not np.all(mu > 0):
         raise ValueError(
             f"gamma {gamma:.3e} does not make the {family.kind} z subproblem "
@@ -439,7 +444,7 @@ def update_z(
     tol = 1e-8 * max(1.0, scale)
     rounding = 8.0 * np.finfo(float).eps * gamma
 
-    derivs = LossDerivatives(family, mom)
+    derivs = LossDerivatives(family, m1)
     z = np.maximum(np.asarray(z0, dtype=float), floor)
     if z.shape != derivs.grad.shape:
         raise ValueError(f"z shape {z.shape} does not match data shape {derivs.grad.shape}")
@@ -715,7 +720,7 @@ def _core_modulus(gamma: float, u_norms: list[float]) -> float:
 
 
 def estimate_moduli(
-    model: DcotModel, config: SolverConfig, family: LossFamily, mom: Moments,
+    model: DcotModel, config: SolverConfig, family: LossFamily, m1: np.ndarray,
     u_norms: list[float],
 ) -> Moduli:
     """The step parameters at the current state.
@@ -726,9 +731,10 @@ def estimate_moduli(
     its coupling map (core-sum matricization times the other factors for a
     factor block, the product of all factor norms for the cores),
     multiplied by ``_LIPSCHITZ_SAFETY`` and floored away from zero.
-    ``u_norms`` holds the factors' norm bounds, ``_spectral_norm(U_n)``.
+    ``m1`` is the smoothed data the loss fits, and ``u_norms`` holds the
+    factors' norm bounds, ``_spectral_norm(U_n)``.
     """
-    gamma = 2.0 * loss_lipschitz(family, mom, z_min=config.z_floor) * 1.05
+    gamma = 2.0 * loss_lipschitz(family, m1, z_min=config.z_floor) * 1.05
     s = model.core_g + model.core_h
     factors = tuple(_factor_modulus(gamma, s, u_norms, n) for n in range(len(u_norms)))
     return Moduli(gamma, _core_modulus(gamma, u_norms), factors)
@@ -746,13 +752,14 @@ def solve(
     The step sizes come from :func:`estimate_moduli`, refreshed inside
     every sweep unless ``config.fixed_moduli`` pins them.  Returns the
     final model, estimate ``z``, dual variable, per-iteration trace, the
-    moduli the last sweep used and the smoothing moments' count of
-    degenerate targets.
+    moduli the last sweep used and the smoothing's count of degenerate
+    targets.
     """
     family.validate_observations(omega)
     if omega.shape != tuple(u.shape[0] for u in init.factors):
         raise ValueError("initial model shape does not match the data shape")
-    mom = smoothing_moments(sim, omega)
+    smoothed = smoothing_moments(sim, omega)
+    m1 = smoothed.weighted_x  # the smoothed data every family's loss fits
     model = init.copy()
     if config.freeze_h:
         model.core_h = np.zeros_like(model.core_h)
@@ -769,14 +776,14 @@ def solve(
 
     # the factors' norm bounds, which the moduli take at every refresh
     u_norms = [_spectral_norm(u_n) for u_n in model.factors]
-    moduli = estimate_moduli(model, config, family, mom, u_norms)
+    moduli = estimate_moduli(model, config, family, m1, u_norms)
     gamma = moduli.gamma
     gaussian = family.kind == "gaussian"
     if gaussian:  # the solve keeps only e = z - m1 (see the module docstring)
-        m1, scale = mom.weighted_x, 2.0 / mom.count
+        scale = 2.0 / m1.size
         kappa, alpha = scale / gamma, gamma / (scale + gamma)
     else:
-        u = loss_gradient(family, mom, z)
+        u = loss_gradient(family, m1, z)
         u /= -gamma  # the scaled dual y / gamma, starting from y = -grad F(z)
     tol_primal = _TOL_PRIMAL_REL * float(np.linalg.norm(omega.values))
     pen = config.penalties
@@ -815,20 +822,18 @@ def solve(
     started = time.perf_counter()
     r = reconstruct(model, out=recon)
     r -= z
-    if gaussian:  # <u, r> for u = -kappa * (z - m1)
-        u_r = -kappa * (frob_inner(z, r) - frob_inner(m1, r))
+    if gaussian:  # the fill's buffer becomes e = z - m1, and u = -kappa * e
+        e = np.subtract(z, m1, out=z)
+        loss, u_r = frob_inner(e, e) / m1.size, -kappa * frob_inner(e, r)
     else:
-        u_r = frob_inner(u, r)
-    row = diagnostics(0, loss_value(family, mom, z), frob_inner(r, r), u_r,
-                      (0.0,) * 4, started)
+        loss, u_r = loss_value(family, m1, z), frob_inner(u, r)
+    row = diagnostics(0, loss, frob_inner(r, r), u_r, (0.0,) * 4, started)
     trace.append(row)
     initial_lagr = row.lagrangian
     guard = _DIVERGENCE_FACTOR * (abs(initial_lagr) + 1.0)
     # the target z + u and the chain's first link target x_N U_N^T;
     # afterwards, each sweep's tail forms both
     if gaussian:
-        e = np.subtract(z, m1, out=z)  # the fill's buffer becomes e = z - m1
-        m1_sq = frob_inner(m1, m1)
         target = np.multiply(e, 1.0 - kappa, out=recon)
         target += m1
     else:
@@ -899,22 +904,21 @@ def solve(
                                               model.factors[-1], link)
             # the residual is kappa * d and the scaled dual -kappa * e
             r_sq, u_r = kappa * kappa * dz_sq, -kappa * kappa * e_d
-            # loss_value's gaussian formula at z = m1 + e
-            loss = (e_sq - m1_sq + mom.x2_total) / mom.count
+            loss = e_sq / m1.size  # loss_value's gaussian value at z = m1 + e
         else:
             # update_z needs the whole proximal center recon - u; it goes
             # into spare and has no name here, so that the buffer is freed
             # when spare and z trade places
             reconstruct(model, out=recon)
             try:
-                z_new = update_z(family, mom, omega, np.subtract(recon, u, out=spare),
+                z_new = update_z(family, m1, omega, np.subtract(recon, u, out=spare),
                                  gamma, z, z_floor=config.z_floor, steps=newton_steps)
             except SolverAbort as exc:
                 raise SolverAbort(f"{exc} at iteration {k}", trace) from exc
             link = np.empty(link_shape)  # made after the z step's buffers are gone
             dz_sq, r_sq, u_r = _sweep_tail(recon, z, z_new, u, model.factors[-1], link)
             spare, z = z, z_new
-            loss = loss_value(family, mom, z)
+            loss = loss_value(family, m1, z)
 
         steps = (
             math.sqrt(dz_sq),
@@ -954,5 +958,5 @@ def solve(
     return SolverResult(
         model=model, z=z, trace=trace, y=y,
         moduli=Moduli(gamma, rho_core, tuple(rho_factors)), converged=converged,
-        reason=reason, degenerate=mom.degenerate, newton_steps=tuple(newton_steps),
+        reason=reason, degenerate=smoothed.degenerate, newton_steps=tuple(newton_steps),
     )

@@ -9,7 +9,8 @@ the package's one-pass forms are checked, with ``truncate_lexsort``,
 the neighbor truncation as it ranked before one stable sort replaced its
 ``lexsort``; and helpers that only the tests call, kept here rather than
 in the package (``vec``, ``fold``, ``similarity_ones``,
-``planted_similarity``, ``neighbors`` and ``smoothing_weights``).
+``planted_similarity``, ``neighbors``, ``smoothing_weights`` and
+``smoothing_variance``).
 """
 
 import itertools
@@ -227,15 +228,15 @@ def core_gradient_oracle(model, z, y, gamma):
     return _project_residual(model, z, y, gamma)
 
 
-def gaussian_z_step(mom, gamma, center):
+def gaussian_z_step(m1, gamma, center):
     """The gaussian z step: the minimizer of ``F(z) + (gamma / 2) ||z - center||^2``.
 
-    ``F(z) = (||z||^2 - 2 <m1, z> + x2_total) / count`` for ``m1 =
-    mom.weighted_x``, so the first-order condition
+    ``F(z) = ||z - m1||^2 / count`` for the smoothed target ``m1`` and
+    ``count = m1.size``, so the first-order condition
     ``(2 / count) (z - m1) + gamma (z - center) = 0`` gives the closed form.
     """
-    scale = 2.0 / mom.count
-    return (scale * mom.weighted_x + gamma * center) / (scale + gamma)
+    scale = 2.0 / m1.size
+    return (scale * m1 + gamma * center) / (scale + gamma)
 
 
 def sweep_tail_oracle(recon, z, z_new, u):
@@ -277,24 +278,21 @@ def smoothing_moments_dense(sim, omega):
 
     Unlike the loop oracles above, this keeps the package's mode products:
     it pins the buffered build bitwise, so it must contract in the same
-    order with the same matrix products.  It holds the indicator, value and
-    squared-value tensors, the three moments and the masks at once.
-    Returns ``(w, weighted_x, x2_total, degenerate)``, where ``w`` is the
-    dense tensor of per-target weight sums after normalization: all ones.
+    order with the same matrix products.  It holds the indicator and value
+    tensors, both moments and the masks at once.  Returns
+    ``(w, weighted_x, degenerate)``, where ``w`` is the dense tensor of
+    per-target weight sums after normalization: all ones.
     """
     from dcot.tensor import multilinear_product
 
     indicator = np.zeros(sim.shape)
     x0 = np.zeros(sim.shape)
-    x2 = np.zeros(sim.shape)
     idx = tuple(omega.indices.T)
     indicator[idx] = 1.0
     x0[idx] = omega.values
-    x2[idx] = omega.values**2
 
     w = multilinear_product(indicator, sim.per_mode)
     m1 = multilinear_product(x0, sim.per_mode)
-    m2 = multilinear_product(x2, sim.per_mode)
 
     bad = w <= 0.0
     n_bad = int(bad.sum())
@@ -303,15 +301,12 @@ def smoothing_moments_dense(sim, omega):
         unobserved_bad = bad & (indicator == 0)
         w[observed_bad] = 1.0
         m1[observed_bad] = x0[observed_bad]
-        m2[observed_bad] = x2[observed_bad]
         w[unobserved_bad] = 1.0
         m1[unobserved_bad] = omega.values.mean()
-        m2[unobserved_bad] = (omega.values**2).mean()
-    # normalize: divide every moment, the weight sum included, by the weight sum
+    # normalize: divide both moments, the weight sum included, by the weight sum
     m1 /= w
-    m2 /= w
     w /= w
-    return w, m1, float(m2.sum()), n_bad
+    return w, m1, n_bad
 
 
 _COO_DIMS_RE = re.compile(r"#\s*dims\s*:\s*(.*)$")
@@ -436,10 +431,10 @@ def _coo_first_fault(path, lines, start, dims):
 # curvature separately and selects its brackets by the gradient's sign.
 
 
-def loss_gradient_reference(family, mom, z):
-    """Elementwise gradient of the smoothed loss, one expression per family."""
+def loss_gradient_reference(family, m1, z):
+    """Elementwise gradient of the smoothed loss at the target ``m1``, one expression per family."""
     z = np.asarray(z, dtype=float)
-    m1, count = mom.weighted_x, mom.count
+    count = m1.size
     if family.kind == "gaussian":
         grad = 2.0 * (z - m1)
     elif family.kind == "bernoulli":
@@ -452,10 +447,11 @@ def loss_gradient_reference(family, mom, z):
     return grad / count
 
 
-def loss_curvature_reference(family, mom, z):
-    """Elementwise second derivative of the smoothed loss, one expression per family."""
+def loss_curvature_reference(family, m1, z):
+    """Elementwise second derivative of the smoothed loss at the target ``m1``, one
+    expression per family."""
     z = np.asarray(z, dtype=float)
-    m1, count = mom.weighted_x, mom.count
+    count = m1.size
     if family.kind == "gaussian":
         curv = np.full(z.shape, 2.0)
     elif family.kind == "bernoulli":
@@ -469,19 +465,19 @@ def loss_curvature_reference(family, mom, z):
     return curv / count
 
 
-def bernoulli_loss_reference(mom, z):
+def bernoulli_loss_reference(m1, z):
     """The bernoulli smoothed loss with ``log(1 + exp(z))`` from ``np.logaddexp``."""
-    total = np.logaddexp(0.0, z) - mom.weighted_x * z
-    return float(total.sum()) / mom.count
+    total = np.logaddexp(0.0, z) - m1 * z
+    return float(total.sum()) / m1.size
 
 
-def newton_z_reference(family, mom, omega, center, gamma, z0, z_floor=1e-6):
+def newton_z_reference(family, m1, omega, center, gamma, z0, z_floor=1e-6):
     """``dcot.solver.update_z`` in whole-array expressions that allocate per step.
 
     Returns the solution, the number of Newton steps and the number of
     cell-steps that bisected instead of taking the Newton step.
     """
-    mu = gamma + loss_curvature_min(family, mom, z_floor)
+    mu = gamma + loss_curvature_min(family, m1, z_floor)
     assert np.all(mu > 0)
     floor = z_floor if family.bounded else -np.inf
     scale = float(np.sqrt(np.mean(omega.values**2))) if len(omega) else 1.0
@@ -489,7 +485,7 @@ def newton_z_reference(family, mom, omega, center, gamma, z0, z_floor=1e-6):
     rounding = 8.0 * np.finfo(float).eps * gamma
 
     def gradient(zz):
-        return loss_gradient_reference(family, mom, zz) + gamma * (zz - center)
+        return loss_gradient_reference(family, m1, zz) + gamma * (zz - center)
 
     z = np.maximum(np.asarray(z0, dtype=float), floor)
     grad = gradient(z)
@@ -506,7 +502,7 @@ def newton_z_reference(family, mom, omega, center, gamma, z0, z_floor=1e-6):
             return z, k, bisected
         lo = np.where(grad < 0, z, lo)
         hi = np.where(grad > 0, z, hi)
-        hess = loss_curvature_reference(family, mom, z) + gamma
+        hess = loss_curvature_reference(family, m1, z) + gamma
         step = np.maximum(z - grad / hess, floor)
         newton = (hess > 0) & (step >= lo) & (step <= hi)
         bisected += int(newton.size - newton.sum())
@@ -614,3 +610,19 @@ def smoothing_weights(
     keep = np.flatnonzero(w > 0)
     return [(tuple(int(v) for v in omega.indices[j]), float(w[j])) for j in keep]
 
+
+def smoothing_variance(sim: SimilarityModel, omega: ObservationSet) -> float:
+    """The constant the gaussian loss leaves out: the weighted spread of the data.
+
+    ``(1 / count) * sum_t sum_j w(t, j) (x_j - m1_t)^2`` with the weights of
+    :func:`smoothing_weights` and ``m1_t = sum_j w(t, j) x_j``: the pair sum
+    ``sum_t sum_j w(t, j) (z_t - x_j)^2 / count`` less this is
+    ``||z - m1||^2 / count``.
+    """
+    x = omega.to_dense()
+    total = 0.0
+    for t in np.ndindex(sim.shape):
+        pairs = smoothing_weights(sim, t, omega)
+        m = sum(w * x[j] for j, w in pairs)
+        total += sum(w * (x[j] - m) ** 2 for j, w in pairs)
+    return total / math.prod(sim.shape)

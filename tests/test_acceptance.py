@@ -192,14 +192,14 @@ def test_gradient_suite():
             omega = ObservationSet.from_dense(x, mask)
             feats = [rng.standard_normal((s, 2)) for s in shape]
             sim = SimilarityModel(per_mode=[mode_similarity(f) for f in feats])
-            mom = smoothing_moments(sim, omega)
+            m1 = smoothing_moments(sim, omega).weighted_x
             z = (
                 0.5 + 2.0 * rng.random(shape)
                 if family in ("poisson", "gamma")
                 else rng.standard_normal(shape)
             )
-            fd = oracles.central_difference(lambda zz: loss_value(fam, mom, zz), z)
-            got = loss_gradient(fam, mom, z)
+            fd = oracles.central_difference(lambda zz: loss_value(fam, m1, zz), z)
+            got = loss_gradient(fam, m1, z)
             worst = max(worst, np.abs(got - fd).max() / max(np.abs(fd).max(), 1e-12))
 
     elapsed = time.time() - started
@@ -266,8 +266,8 @@ def test_monotone_descent_and_dual_bound():
     data = synthesize(spec)
     fam = LossFamily("gaussian")
     sim = oracles.planted_similarity(data)
-    mom = smoothing_moments(sim, data.observed)
-    lf = loss_lipschitz(fam, mom)
+    m1 = smoothing_moments(sim, data.observed).weighted_x
+    lf = loss_lipschitz(fam, m1)
     cfg = SolverConfig(max_iters=200, fixed_moduli=True)
     res = solve(data.observed, hosvd_init(data.observed, spec.ranks, FOUR_GROUPS),
                 fam, sim, cfg)
@@ -395,15 +395,15 @@ def test_gaussian_z_update_cross_check():
         mask.flat[0] = True
         omega = ObservationSet.from_dense(x, mask)
         feats = [rng.standard_normal((s, 2)) for s in shape]
-        mom = smoothing_moments(
+        m1 = smoothing_moments(
             SimilarityModel(per_mode=[mode_similarity(f) for f in feats]), omega
-        )
+        ).weighted_x
         z = rng.standard_normal(shape)
         y = rng.standard_normal(shape)
         gamma = 0.3 + rng.random()
         center = reconstruct(model) - y / gamma
-        closed = oracles.gaussian_z_step(mom, gamma, center)
-        newton = update_z(fam, mom, omega, center, gamma, z, z_floor=1e-6, steps=[])
+        closed = oracles.gaussian_z_step(m1, gamma, center)
+        newton = update_z(fam, m1, omega, center, gamma, z, z_floor=1e-6, steps=[])
         worst = max(worst, float(np.abs(closed - newton).max()))
     report("z-update-cross-check", worst <= 1e-8,
            f"max closed-form vs Newton gap {worst:.2e} (tol 1e-8)")

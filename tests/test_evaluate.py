@@ -224,6 +224,32 @@ class TestGridSearch:
         assert np.array_equal(seen[0], train.to_dense(0.0))
         assert np.any(train.values == 1.0) and not train.mask().all()
 
+    def test_one_start_per_search(self, monkeypatch):
+        # every candidate starts from the same model of the training split,
+        # built once: the report is the one a search per candidate gives
+        import dcot.evaluate
+
+        data = self.setup_problem()
+        cfg = SolverConfig(max_iters=10, penalties=BlockPenalties(g=Penalty.frob_sq(0.0)))
+        lambdas = np.geomspace(1e-4, 1e-1, 8)
+        args = (data.observed, SplitSpec(0.8, seed=1), LossFamily("gaussian"),
+                oracles.planted_similarity(data), cfg, (2, 2, 2))
+        singles = [grid_search(*args, lambdas=[lam], blocks=("g",)).report[0]
+                   for lam in lambdas]
+        calls = []
+        real = dcot.evaluate.initial_model
+
+        def counted(*a, **k):
+            calls.append(1)
+            return real(*a, **k)
+
+        monkeypatch.setattr(dcot.evaluate, "initial_model", counted)
+        for workers in (1, 2):
+            calls.clear()
+            result = grid_search(*args, lambdas=lambdas, blocks=("g",), workers=workers)
+            assert len(calls) == 1
+            assert result.report == tuple(singles)
+
     def test_empty_grid_error(self):
         data = self.setup_problem()
         cfg = SolverConfig(max_iters=5)

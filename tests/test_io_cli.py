@@ -1152,6 +1152,22 @@ class TestCliErrors:
         assert error["message"].startswith(f"{section}.{key}: expected a finite number")
         assert not (tmp_path / "run_out").exists()
 
+    def test_poisson_data_all_zero_rejected(self, tmp_path, monkeypatch, capsys):
+        # the smoothed target was zero everywhere, so gamma was 0 and the
+        # solve aborted on non-finite values at its first sweep (exit 3)
+        monkeypatch.chdir(tmp_path)
+        shape = (6, 5, 4)
+        mask = np.random.default_rng(1).random(shape) < 0.7
+        io.write_coo(ObservationSet.from_dense(np.zeros(shape), mask), tmp_path / "zeros.coo")
+        cfg = fit_config("run_out", max_iters=5)
+        cfg.update(family="poisson", partition=None, data={"observations": "zeros.coo"})
+        capsys.readouterr()
+        assert run_cli(tmp_path, "complete", cfg) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["kind"] == "config"
+        assert error["message"].startswith("poisson observations are all zero")
+        assert not (tmp_path / "run_out").exists()
+
     @pytest.mark.parametrize("penalty", [{"kind": "nonneg"},
                                          {"kind": "nonneg", "weight": 0}],
                              ids=["defaulted", "given"])

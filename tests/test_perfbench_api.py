@@ -3,8 +3,8 @@
 perfbench imports public ``dcot`` names and calls some of them
 positionally (``InitStrategy("hosvd")``, ``initial_model``,
 ``grid_search``), so a change to that surface can break the benchmark
-without breaking any other test.  This runs one short op of two
-workloads, and one probe, in process.
+without breaking any other test.  This runs one short op of every
+workload, and one probe, in process.
 """
 
 import importlib
@@ -24,9 +24,11 @@ def workloads(monkeypatch):
 def test_workloads_run_on_the_public_api(workloads, tmp_path):
     glm = workloads.GlmZstep(1, tmp_path)
     results = {
+        "gauss-dense": workloads.GaussDense(1, tmp_path).op(0, peak=True),
         "grid-small": workloads.GridSmall(1, tmp_path).op(0, peak=True),
         "glm-zstep": glm.op(0, peak=True),
         "glm-zstep probe": glm.probe(0),
+        "cli-complete": workloads.CliComplete(1, tmp_path).op(0, peak=True),
     }
     for name, res in results.items():
         assert res.error is None, f"{name}: {res.error}"

@@ -281,31 +281,52 @@ class TestSmoothingMoments:
         mask.flat[0] = True
         mask.flat[-1] = False
         omega = ObservationSet.from_dense(x, mask)
-        w, m1, x2_total, degenerate = oracles.smoothing_moments_dense(sim, omega)
+        w, m1, degenerate = oracles.smoothing_moments_dense(sim, omega)
         mom = smoothing_moments(sim, omega)
         # every target's weights sum to one, fallback included, so the
         # moments store no weight sums and the losses take a unit weight
         assert np.all(w == 1.0)
         assert mom.weighted_x.shape == shape
         assert mom.weighted_x.tobytes() == m1.tobytes()
-        assert mom.x2_total == x2_total
         assert mom.degenerate == degenerate
         if kind in ("neutral", "blind-index"):
             assert degenerate > 0
 
     def test_build_holds_at_most_three_dense_arrays(self):
-        # w and the two buffers: m2 is reduced to x2_total before m1 is
-        # built.  The degenerate-target mask adds an eighth of an array
+        # w and the two buffers: m1 is built in the buffer w's build left
+        # free.  With degenerate targets their mask adds an eighth of an array
         shape = (24, 24, 24)
-        gen = np.random.default_rng(3)
-        sim = self.similarity("kernel", shape, gen)
-        omega = ObservationSet.from_dense(gen.standard_normal(shape),
-                                          gen.random(shape) < 0.5)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            smoothing_moments(sim, omega)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - base <= 3.25 * 8 * math.prod(shape)
+        for kind, bound in (("kernel", 3.25), ("neutral", 3.3), ("blind-index", 3.3)):
+            gen = np.random.default_rng(3)
+            sim = self.similarity(kind, shape, gen)
+            omega = ObservationSet.from_dense(gen.standard_normal(shape),
+                                              gen.random(shape) < 0.5)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                mom = smoothing_moments(sim, omega)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert (mom.degenerate > 0) == (kind != "kernel")
+            assert peak - base <= bound * 8 * math.prod(shape), kind
+
+    @pytest.mark.parametrize("kind", ["kernel", "blind-index"])
+    def test_build_makes_two_moments(self, kind, monkeypatch):
+        # the weight sum and the first moment: N mode products each
+        import dcot.similarity
+
+        shape = (4, 3, 5)
+        gen = np.random.default_rng(5)
+        sim = self.similarity(kind, shape, gen)
+        omega = ObservationSet.from_dense(gen.standard_normal(shape), gen.random(shape) < 0.6)
+        calls = []
+        real = dcot.similarity.n_mode_product
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(dcot.similarity, "n_mode_product", counted)
+        smoothing_moments(sim, omega)
+        assert calls == [0, 1, 2] * 2

@@ -6,6 +6,7 @@ import pytest
 
 import oracles
 from dcot.losses import (
+    DomainError,
     LossFamily,
     ObservationSet,
     initial_fill,
@@ -26,7 +27,7 @@ from dcot.model import (
     tie_satisfied,
 )
 from dcot.prox import Penalty, prox_apply
-from dcot.similarity import Moments, SimilarityModel, smoothing_moments
+from dcot.similarity import SimilarityModel, smoothing_moments
 from dcot.solver import (
     _LIPSCHITZ_SAFETY,
     _TOL_STEP,
@@ -352,15 +353,15 @@ def link_buffer(target, u_last):
     return np.empty(target.shape[:-1] + (u_last.shape[1],))
 
 
-def gaussian_constants(mom, gamma):
+def gaussian_constants(m1, gamma):
     """``(kappa, alpha)`` of the gaussian sweep, formed as ``solve`` forms them."""
-    scale = 2.0 / mom.count
+    scale = 2.0 / m1.size
     return scale / gamma, gamma / (scale + gamma)
 
 
-def newton_solve(family, mom, omega, center, gamma, z0, z_floor=1e-6):
+def newton_solve(family, m1, omega, center, gamma, z0, z_floor=1e-6):
     """``update_z`` with its step count dropped."""
-    return update_z(family, mom, omega, center, gamma, z0, z_floor=z_floor, steps=[])
+    return update_z(family, m1, omega, center, gamma, z0, z_floor=z_floor, steps=[])
 
 
 class TestUpdateZ:
@@ -374,38 +375,38 @@ class TestUpdateZ:
         else:
             x = rng.standard_normal(shape)
         omega = ObservationSet.from_dense(x)
-        mom = smoothing_moments(oracles.similarity_ones(shape), omega)
-        return model, z, y, omega, mom
+        m1 = smoothing_moments(oracles.similarity_ones(shape), omega).weighted_x
+        return model, z, y, omega, m1
 
     def test_gamma_to_infinity_limit(self, rng):
-        model, z, y, omega, mom = self.make(rng)
+        model, z, y, omega, m1 = self.make(rng)
         gamma = 1e8
         center = reconstruct(model) - y / gamma
-        got = oracles.gaussian_z_step(mom, gamma, center)
+        got = oracles.gaussian_z_step(m1, gamma, center)
         assert np.abs(got - center).max() < 1e-6
 
     def test_closed_form_matches_newton(self, rng):
-        model, z, y, omega, mom = self.make(rng)
+        model, z, y, omega, m1 = self.make(rng)
         fam = LossFamily("gaussian")
         center = reconstruct(model) - y / 0.7
-        closed = oracles.gaussian_z_step(mom, 0.7, center)
-        newton = newton_solve(fam, mom, omega, center, 0.7, z)
+        closed = oracles.gaussian_z_step(m1, 0.7, center)
+        newton = newton_solve(fam, m1, omega, center, 0.7, z)
         assert np.abs(closed - newton).max() < 1e-8
 
     def test_scalar_grid_oracle(self, rng):
         shape = (1,)
         model = DcotModel([np.array([[1.0]])], np.array([0.3]), np.array([0.2]))
         omega = ObservationSet.from_entries([((0,), 1.7)], shape)
-        mom = smoothing_moments(SimilarityModel.neutral(shape), omega)
+        m1 = smoothing_moments(SimilarityModel.neutral(shape), omega).weighted_x
         fam = LossFamily("gaussian")
         z = np.array([0.0])
         y = np.array([0.4])
         gamma = 0.9
         center = reconstruct(model) - y / gamma
-        got = oracles.gaussian_z_step(mom, gamma, center)
+        got = oracles.gaussian_z_step(m1, gamma, center)
         qs = np.linspace(-5, 5, 200001)
         vals = [
-            loss_value(fam, mom, np.array([q]))
+            loss_value(fam, m1, np.array([q]))
             + 0.5 * gamma * (q - center[0]) ** 2
             for q in qs
         ]
@@ -413,13 +414,13 @@ class TestUpdateZ:
 
     @pytest.mark.parametrize("family", ["bernoulli", "poisson", "gamma"])
     def test_newton_first_order_condition(self, family, rng):
-        model, z, y, omega, mom = self.make(rng, family=family)
+        model, z, y, omega, m1 = self.make(rng, family=family)
         fam = LossFamily(family)
         gamma = 0.8
         z0 = np.abs(z) + 0.5 if family in ("poisson", "gamma") else z
         center = reconstruct(model) - y / gamma
-        got = newton_solve(fam, mom, omega, center, gamma, z0, z_floor=1e-8)
-        grad = loss_gradient(fam, mom, got) + gamma * (got - center)
+        got = newton_solve(fam, m1, omega, center, gamma, z0, z_floor=1e-8)
+        grad = loss_gradient(fam, m1, got) + gamma * (got - center)
         interior = got > 1e-8 if family in ("poisson", "gamma") else np.ones_like(got, bool)
         assert np.abs(grad[interior]).max() <= 1e-6 + 1e-12
         # a cell held at the floor is optimal only if the objective rises above it
@@ -427,14 +428,14 @@ class TestUpdateZ:
 
     @pytest.mark.parametrize("family", ["poisson", "gamma"])
     def test_newton_floor_is_active_constraint(self, family, rng):
-        model, z, y, omega, mom = self.make(rng, family=family)
+        model, z, y, omega, m1 = self.make(rng, family=family)
         fam = LossFamily(family)
         gamma, floor = 0.8, 0.5
         # centers far below the floor pin some cells to it
         y = y + 5.0 * gamma * (rng.random(y.shape) < 0.5)
         center = reconstruct(model) - y / gamma
-        got = newton_solve(fam, mom, omega, center, gamma, np.abs(z) + 1.0, z_floor=floor)
-        grad = loss_gradient(fam, mom, got) + gamma * (got - center)
+        got = newton_solve(fam, m1, omega, center, gamma, np.abs(z) + 1.0, z_floor=floor)
+        grad = loss_gradient(fam, m1, got) + gamma * (got - center)
         at_floor = got <= floor
         assert got.min() >= floor and at_floor.any()
         assert np.all(grad[at_floor] >= 0)
@@ -443,13 +444,13 @@ class TestUpdateZ:
 
     @pytest.mark.parametrize("family", ["bernoulli", "poisson", "gamma"])
     def test_newton_matches_reference(self, family, rng):
-        model, z, y, omega, mom = self.make(rng, family=family, shape=(4, 3, 5))
+        model, z, y, omega, m1 = self.make(rng, family=family, shape=(4, 3, 5))
         fam, gamma, floor = LossFamily(family), 0.8, 1e-2
         center = reconstruct(model) - y / gamma
         z0 = np.abs(z) if fam.bounded else 4.0 * z
         steps = []
-        got = update_z(fam, mom, omega, center, gamma, z0, z_floor=floor, steps=steps)
-        want, k, _ = oracles.newton_z_reference(fam, mom, omega, center, gamma, z0, floor)
+        got = update_z(fam, m1, omega, center, gamma, z0, z_floor=floor, steps=steps)
+        want, k, _ = oracles.newton_z_reference(fam, m1, omega, center, gamma, z0, floor)
         assert steps == [k] and k > 0
         if fam.bounded:  # the same arithmetic
             assert np.array_equal(got, want)
@@ -459,39 +460,39 @@ class TestUpdateZ:
     def test_newton_bisection_matches_reference(self, rng):
         # a gamma just above the gamma family's negative curvature, and a far
         # start, send some cells' Newton steps out of their brackets
-        model, _, _, omega, mom = self.make(rng, family="gamma", shape=(4, 3, 5))
+        model, _, _, omega, m1 = self.make(rng, family="gamma", shape=(4, 3, 5))
         fam, floor = LossFamily("gamma"), 0.1
-        gamma = -1.5 * loss_curvature_min(fam, mom, floor).min()
+        gamma = -1.5 * loss_curvature_min(fam, m1, floor).min()
         center = rng.gamma(1.0, 1.0, omega.shape)
         z0 = floor + 10.0 * rng.random(omega.shape)
         steps = []
-        got = update_z(fam, mom, omega, center, gamma, z0, z_floor=floor, steps=steps)
-        want, k, bisected = oracles.newton_z_reference(fam, mom, omega, center, gamma, z0,
+        got = update_z(fam, m1, omega, center, gamma, z0, z_floor=floor, steps=steps)
+        want, k, bisected = oracles.newton_z_reference(fam, m1, omega, center, gamma, z0,
                                                        floor)
         assert bisected > 0
         assert steps == [k]
         assert np.array_equal(got, want)
 
     def test_newton_gives_up_naming_z_block(self, rng):
-        model, z, y, omega, mom = self.make(rng, family="bernoulli")
+        model, z, y, omega, m1 = self.make(rng, family="bernoulli")
         center = reconstruct(model)
         center.flat[0] = np.nan
         with pytest.raises(SolverAbort, match="z block"):
-            newton_solve(LossFamily("bernoulli"), mom, omega, center, 0.8, z)
+            newton_solve(LossFamily("bernoulli"), m1, omega, center, 0.8, z)
 
     def test_newton_non_finite_gradient_on_floor_aborts(self, rng):
-        model, z, y, omega, mom = self.make(rng, family="poisson")
+        model, z, y, omega, m1 = self.make(rng, family="poisson")
         center = reconstruct(model)
         center.flat[0] = -np.inf
         with pytest.raises(SolverAbort, match="not finite"), np.errstate(invalid="ignore"):
-            newton_solve(LossFamily("poisson"), mom, omega, center, 5.0, z, z_floor=1e-2)
+            newton_solve(LossFamily("poisson"), m1, omega, center, 5.0, z, z_floor=1e-2)
 
     def test_newton_rejects_nonconvex_subproblem(self, rng):
-        model, z, y, omega, mom = self.make(rng, family="gamma")
+        model, z, y, omega, m1 = self.make(rng, family="gamma")
         # the gamma loss is not convex: near z = 3 m1 / w its curvature is
         # negative by far more than this gamma
         with pytest.raises(ValueError, match="strongly convex"):
-            newton_solve(LossFamily("gamma"), mom, omega, reconstruct(model), 1e-6, z + 1.0)
+            newton_solve(LossFamily("gamma"), m1, omega, reconstruct(model), 1e-6, z + 1.0)
 
 
 class TestUpdateDual:
@@ -527,12 +528,11 @@ class TestUpdateDual:
         # with an exact gaussian z step the new dual equals minus the loss
         # gradient at the new z.  The gaussian tail keeps only e = z - m1,
         # with the scaled dual u = -kappa * e, which holds at the start
-        model, z, _, omega, mom = TestUpdateZ().make(rng)
+        model, z, _, omega, m1 = TestUpdateZ().make(rng)
         fam = LossFamily("gaussian")
         gamma = 0.6
-        kappa, alpha = gaussian_constants(mom, gamma)
-        m1 = mom.weighted_x
-        u = -loss_gradient(fam, mom, z) / gamma
+        kappa, alpha = gaussian_constants(m1, gamma)
+        u = -loss_gradient(fam, m1, z) / gamma
         np.testing.assert_allclose(u, -kappa * (z - m1), rtol=0, atol=1e-12)
         recon = reconstruct(model)
         e = z - m1
@@ -543,11 +543,11 @@ class TestUpdateDual:
         z_new = m1 + e
         # the tail's z is the closed-form z step from the center recon - u,
         # and the dual step u - (recon - z_new) lands on -kappa * e
-        want = oracles.gaussian_z_step(mom, gamma, recon - u)
+        want = oracles.gaussian_z_step(m1, gamma, recon - u)
         np.testing.assert_allclose(z_new, want, rtol=0, atol=1e-12)
         u -= recon - z_new
         np.testing.assert_allclose(u, -kappa * e, rtol=0, atol=1e-12)
-        grad = loss_gradient(fam, mom, z_new)
+        grad = loss_gradient(fam, m1, z_new)
         assert np.abs(gamma * u + grad).max() <= 1e-8
 
 
@@ -559,18 +559,18 @@ class TestLagrangian:
                                 frob_inner(u, r))
 
     def test_feasible_no_penalties_is_loss(self, rng):
-        model, _, y, omega, mom = TestUpdateZ().make(rng)
+        model, _, y, omega, m1 = TestUpdateZ().make(rng)
         z = reconstruct(model)
-        loss = loss_value(LossFamily("gaussian"), mom, z)
+        loss = loss_value(LossFamily("gaussian"), m1, z)
         r = reconstruct(model) - z
         got = self.value(model, r, y / 1.2, 1.2, loss, BlockPenalties())
-        assert np.isclose(got, loss_value(LossFamily("gaussian"), mom, z), atol=1e-12)
+        assert np.isclose(got, loss_value(LossFamily("gaussian"), m1, z), atol=1e-12)
 
     def test_dual_shift_invariant_at_feasible_point(self, rng):
-        model, _, y, omega, mom = TestUpdateZ().make(rng)
+        model, _, y, omega, m1 = TestUpdateZ().make(rng)
         z = reconstruct(model)
         r = reconstruct(model) - z
-        loss = loss_value(LossFamily("gaussian"), mom, z)
+        loss = loss_value(LossFamily("gaussian"), m1, z)
         a = self.value(model, r, y, 1.2, loss, BlockPenalties())
         b = self.value(model, r, y + 3.0, 1.2, loss, BlockPenalties())
         assert np.isclose(a, b, atol=1e-10)
@@ -578,15 +578,15 @@ class TestLagrangian:
     def test_term_by_term_oracle(self, rng):
         from dcot.prox import penalty_value
 
-        model, z, y, omega, mom = TestUpdateZ().make(rng)
+        model, z, y, omega, m1 = TestUpdateZ().make(rng)
         fam = LossFamily("gaussian")
         pen = BlockPenalties(g=Penalty.l1(0.3), h=Penalty.frob_sq(0.2),
                              factors=Penalty.l1(0.05))
         gamma = 0.9
         r = reconstruct(model) - z
-        got = self.value(model, r, y / gamma, gamma, loss_value(fam, mom, z), pen)
+        got = self.value(model, r, y / gamma, gamma, loss_value(fam, m1, z), pen)
         expected = (
-            loss_value(fam, mom, z)
+            loss_value(fam, m1, z)
             + penalty_value(pen.g, model.core_g)
             + penalty_value(pen.h, model.core_h)
             + sum(penalty_value(pen.factors, u) for u in model.factors)
@@ -596,10 +596,10 @@ class TestLagrangian:
         assert np.isclose(got, expected, atol=1e-10)
 
     def test_indicator_violation_is_infinite(self, rng):
-        model, z, y, omega, mom = TestUpdateZ().make(rng)
+        model, z, y, omega, m1 = TestUpdateZ().make(rng)
         model.core_g[0, 0, 0] = -1.0
         pen = BlockPenalties(g=Penalty.nonneg())
-        loss = loss_value(LossFamily("gaussian"), mom, z)
+        loss = loss_value(LossFamily("gaussian"), m1, z)
         r = reconstruct(model) - z
         assert self.value(model, r, y, 1.0, loss, pen) == np.inf
 
@@ -609,16 +609,16 @@ def factor_norms(model):
 
 
 class TestEstimateModuli:
-    def make_mom(self, rng, shape=(3, 2, 2)):
+    def make_target(self, rng, shape=(3, 2, 2)):
         omega = ObservationSet.from_dense(rng.standard_normal(shape))
-        return smoothing_moments(SimilarityModel.neutral(shape), omega)
+        return smoothing_moments(SimilarityModel.neutral(shape), omega).weighted_x
 
     def test_zero_model_floor(self, rng):
         shape, ranks = (3, 3), (2, 2)
         model = DcotModel([np.zeros((3, 2))] * 2, np.zeros(ranks), np.zeros(ranks))
         omega = ObservationSet.from_dense(rng.standard_normal(shape))
-        mom = smoothing_moments(SimilarityModel.neutral(shape), omega)
-        moduli = estimate_moduli(model, SolverConfig(), LossFamily("gaussian"), mom,
+        m1 = smoothing_moments(SimilarityModel.neutral(shape), omega).weighted_x
+        moduli = estimate_moduli(model, SolverConfig(), LossFamily("gaussian"), m1,
                                  factor_norms(model))
         assert moduli.core == 1e-8
         assert moduli.factors == (1e-8, 1e-8)
@@ -627,8 +627,8 @@ class TestEstimateModuli:
         core = np.array([1.0, -2.0])
         model = DcotModel([rng.standard_normal((4, 2))], core.copy(), core.copy())
         omega = ObservationSet.from_dense(rng.standard_normal((4,)))
-        mom = smoothing_moments(SimilarityModel.neutral((4,)), omega)
-        got = estimate_moduli(model, SolverConfig(), LossFamily("gaussian"), mom,
+        m1 = smoothing_moments(SimilarityModel.neutral((4,)), omega).weighted_x
+        got = estimate_moduli(model, SolverConfig(), LossFamily("gaussian"), m1,
                               factor_norms(model))
         s = model.core_g + model.core_h
         assert np.isclose(got.factors[0], _LIPSCHITZ_SAFETY * got.gamma * float(s @ s),
@@ -639,12 +639,12 @@ class TestEstimateModuli:
 
         # gamma is 2.1 L_F: doubling the loss's Lipschitz bound doubles it
         model, z, y = random_state(rng)
-        mom = self.make_mom(rng)
+        m1 = self.make_target(rng)
         fam = LossFamily("gaussian")
         got = []
         for lf in (1.0, 2.0):
             monkeypatch.setattr(dcot.solver, "loss_lipschitz", lambda *a, **k: lf)
-            got.append(estimate_moduli(model, SolverConfig(), fam, mom, factor_norms(model)))
+            got.append(estimate_moduli(model, SolverConfig(), fam, m1, factor_norms(model)))
         a, b = got
         assert b.gamma == 2 * a.gamma
         assert np.isclose(b.core, 2 * a.core, rtol=1e-6)
@@ -654,10 +654,10 @@ class TestEstimateModuli:
         from dcot.losses import loss_lipschitz
 
         model, _, _ = random_state(rng)
-        mom = self.make_mom(rng)
+        m1 = self.make_target(rng)
         fam = LossFamily("gaussian")
-        moduli = estimate_moduli(model, SolverConfig(), fam, mom, factor_norms(model))
-        assert moduli.gamma > 2.0 * loss_lipschitz(fam, mom)
+        moduli = estimate_moduli(model, SolverConfig(), fam, m1, factor_norms(model))
+        assert moduli.gamma > 2.0 * loss_lipschitz(fam, m1)
 
 
 def assert_matches_power_iteration(a, label):
@@ -835,6 +835,22 @@ class TestSolve:
         if neutral:  # every unobserved cell is a degenerate target
             assert want == math.prod(omega.shape) - len(omega)
 
+    def test_poisson_data_all_zero_rejected(self, rng):
+        # the smoothed target is zero everywhere, so the loss's Lipschitz
+        # bound and gamma are 0: the first factor step divided by zero and
+        # the solve aborted on non-finite values
+        shape = (6, 5, 4)
+        omega = ObservationSet.from_dense(np.zeros(shape), rng.random(shape) < 0.7)
+        init = initial_model(np.zeros(shape), (2, 2, 2), InitStrategy("hosvd"))
+        with pytest.raises(DomainError, match="poisson observations are all zero"):
+            solve(omega, init, LossFamily("poisson"), SimilarityModel.neutral(shape),
+                  SolverConfig(max_iters=3))
+        # one nonzero observation is data
+        omega = ObservationSet(omega.indices, np.eye(1, len(omega))[0], shape)
+        res = solve(omega, init, LossFamily("poisson"), SimilarityModel.neutral(shape),
+                    SolverConfig(max_iters=3))
+        assert np.isfinite(res.z).all()
+
     @pytest.mark.parametrize("family", ["gaussian", "bernoulli", "poisson", "gamma"])
     def test_result_reports_newton_steps_per_sweep(self, family):
         data, part = planted_problem(missing=0.3, family=family)
@@ -896,8 +912,8 @@ class TestSolve:
 
         data, part = planted_problem(seed=2, sigma=0.05, missing=0.3)
         sim = oracles.planted_similarity(data)
-        mom = smoothing_moments(sim, data.observed)
-        lf = loss_lipschitz(LossFamily("gaussian"), mom)
+        m1 = smoothing_moments(sim, data.observed).weighted_x
+        lf = loss_lipschitz(LossFamily("gaussian"), m1)
         init = initial_model(data.observed.to_dense(float(data.observed.values.mean())),
                              (3, 3, 3), InitStrategy("hosvd"), part)
         cfg = SolverConfig(max_iters=60, fixed_moduli=True)
@@ -917,8 +933,8 @@ class TestSolve:
         data, part = planted_problem(seed=7, shape=(10, 10, 10), sigma=0.05,
                                      missing=0.3, family="bernoulli")
         sim = oracles.planted_similarity(data)
-        mom = smoothing_moments(sim, data.observed)
-        lf = loss_lipschitz(fam, mom)
+        m1 = smoothing_moments(sim, data.observed).weighted_x
+        lf = loss_lipschitz(fam, m1)
         init = initial_model(data.observed.to_dense(0.0), (3, 3, 3),
                              InitStrategy("hosvd"), part)
         cfg = SolverConfig(max_iters=200, fixed_moduli=True)
@@ -1027,14 +1043,14 @@ class TestSolve:
         # the initial trace row reconstructs whole
         assert calls["partial_reconstruction"] == iters
         assert calls["reconstruct"] == 1
-        # a sweep's gaussian loss comes from sums its tail forms anyway; only
-        # the initial row calls loss_value, and every row holds its value: the
-        # tail's formula in e = z - m1 is loss_value's to rounding
-        assert calls["loss_value"] == 1
-        mom = smoothing_moments(sim, data.observed)
+        # a row's gaussian loss is ||e||^2 / count for e = z - m1, a sum the
+        # tail (or, for the initial row, the start of e) forms anyway, so no
+        # row calls loss_value; every row holds its value to rounding
+        assert calls["loss_value"] == 0
+        m1 = smoothing_moments(sim, data.observed).weighted_x
         for row, z in zip(res.trace.rows, sweep_iterates(data.observed, init, fam,
                                                          sim, cfg)):
-            assert row.loss == pytest.approx(loss_value(fam, mom, z), rel=1e-12, abs=0)
+            assert row.loss == pytest.approx(loss_value(fam, m1, z), rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("family", ["gaussian", "bernoulli"])
     def test_final_row_matches_returned_state(self, family):
@@ -1045,8 +1061,8 @@ class TestSolve:
         fam, sim = LossFamily(family), oracles.planted_similarity(data)
         res = solve(data.observed, init, fam, sim, SolverConfig(max_iters=15))
         last = res.trace.rows[-1]
-        mom = smoothing_moments(sim, data.observed)
-        loss = loss_value(fam, mom, res.z)
+        m1 = smoothing_moments(sim, data.observed).weighted_x
+        loss = loss_value(fam, m1, res.z)
         primal = frob_norm(reconstruct(res.model) - res.z)
         if family == "gaussian":
             # the gaussian trace takes both from its deviation e = z - m1:
@@ -1070,7 +1086,7 @@ class TestSolve:
         omega, fam = data.observed, LossFamily("gaussian")
         sim = SimilarityModel.neutral(omega.shape) if neutral else \
             oracles.planted_similarity(data)
-        mom = smoothing_moments(sim, omega)
+        m1 = smoothing_moments(sim, omega).weighted_x
         init = initial_model(omega.to_dense(initial_fill(omega, fam)), (3, 3, 3),
                              InitStrategy("hosvd"), part)
         cfg = SolverConfig(max_iters=6)
@@ -1086,7 +1102,7 @@ class TestSolve:
         assert len(projections) == cfg.max_iters
         for k in range(cfg.max_iters + 1):
             res = solve(omega, init, fam, sim, replace(cfg, max_iters=k))
-            gap = np.abs(res.y + loss_gradient(fam, mom, res.z)).max()
+            gap = np.abs(res.y + loss_gradient(fam, m1, res.z)).max()
             assert gap <= 1e-12 * np.abs(res.y).max()
             if k < cfg.max_iters:
                 got, factors = projections[k]
@@ -1101,7 +1117,7 @@ class TestSolve:
                              (3, 3, 3), InitStrategy("hosvd"), part)
         fam, sim = LossFamily("gaussian"), oracles.planted_similarity(data)
         initial = estimate_moduli(init, SolverConfig(), fam,
-                                  smoothing_moments(sim, data.observed),
+                                  smoothing_moments(sim, data.observed).weighted_x,
                                   factor_norms(init))
         real, norms = dcot.solver._spectral_norm, []
 
@@ -1269,16 +1285,16 @@ class TestSweepChain:
 
         omega, init, sim = chain_problem(*problem)
         fam = LossFamily("gaussian")
-        mom = smoothing_moments(sim, omega)
+        m1 = smoothing_moments(sim, omega).weighted_x
         cfg = SolverConfig(max_iters=1)
-        gamma = estimate_moduli(init, cfg, fam, mom, factor_norms(init)).gamma
+        gamma = estimate_moduli(init, cfg, fam, m1, factor_norms(init)).gamma
         z = omega.to_dense(initial_fill(omega, fam))
-        y = -loss_gradient(fam, mom, z)
+        y = -loss_gradient(fam, m1, z)
         # the target z + y / gamma as solve forms it, from e = z - m1 and the
         # scaled dual -kappa * e
-        kappa, _ = gaussian_constants(mom, gamma)
-        e = z - mom.weighted_x
-        target = e * (1.0 - kappa) + mom.weighted_x
+        kappa, _ = gaussian_constants(m1, gamma)
+        e = z - m1
+        target = e * (1.0 - kappa) + m1
         errors, projections = {}, []
         real_factor, real_cores = dcot.solver.update_factor, dcot.solver.update_cores
 
@@ -1390,13 +1406,13 @@ class TestSweepTail:
             u_last = model.factors[-1]
             if path == "gaussian":
                 # e and m1, with (kappa, alpha); the tail's recon is a buffer
-                mom = Moments(rng.standard_normal(shape), 0.0, math.prod(shape))
-                kappa, alpha = gaussian_constants(mom, 0.7)
+                m1 = rng.standard_normal(shape)
+                kappa, alpha = gaussian_constants(m1, 0.7)
                 want = [reconstruct(model), rng.standard_normal(shape)]
                 got = [np.empty(shape), want[1].copy()]
-                want_sums = oracles.gaussian_tail_oracle(*want, mom.weighted_x, alpha, kappa)
+                want_sums = oracles.gaussian_tail_oracle(*want, m1, alpha, kappa)
                 monkeypatch.setattr(dcot.solver, "_BLOCK", block)
-                got_sums = _gaussian_tail(*got, mom.weighted_x, alpha, kappa,
+                got_sums = _gaussian_tail(*got, m1, alpha, kappa,
                                           partial_reconstruction(model), u_last,
                                           link := link_buffer(got[0], u_last))
             else:
@@ -1432,7 +1448,7 @@ def test_ragged_blocks_match_one_block(family, problem, monkeypatch):
     omega, fam, sim = data.observed, LossFamily(family), oracles.planted_similarity(data)
     init = initial_model(omega.to_dense(initial_fill(omega, fam)), ranks,
                          InitStrategy("hosvd"), part)
-    mom = smoothing_moments(sim, omega)
+    m1 = smoothing_moments(sim, omega).weighted_x
     cfg = SolverConfig(max_iters=6)
     # a _BLOCK of 48 cells makes blocks of 9 rows of 5 (3-way) or 16 rows of 3
     # (4-way), the last one partial
@@ -1457,11 +1473,11 @@ def test_ragged_blocks_match_one_block(family, problem, monkeypatch):
     # from e = z - m1, also in one block; bitwise in one block otherwise
     for row, z in zip(one.trace.rows, one_z):
         if family == "gaussian":
-            assert row.loss == pytest.approx(loss_value(fam, mom, z), rel=1e-12, abs=0)
+            assert row.loss == pytest.approx(loss_value(fam, m1, z), rel=1e-12, abs=0)
         else:
-            assert row.loss == loss_value(fam, mom, z)
+            assert row.loss == loss_value(fam, m1, z)
     for row, z in zip(many.trace.rows, many_z):
-        assert row.loss == pytest.approx(loss_value(fam, mom, z), rel=1e-12, abs=0)
+        assert row.loss == pytest.approx(loss_value(fam, m1, z), rel=1e-12, abs=0)
 
 
 class TestDenseWorkingSet:
@@ -1480,12 +1496,12 @@ class TestDenseWorkingSet:
 
         omega = ObservationSet.from_dense(rng.standard_normal(self.SHAPE),
                                           rng.random(self.SHAPE) < 0.5)
-        mom = smoothing_moments(SimilarityModel.neutral(self.SHAPE), omega)
+        m1 = smoothing_moments(SimilarityModel.neutral(self.SHAPE), omega).weighted_x
         z = rng.standard_normal(self.SHAPE)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            loss_value(LossFamily("gaussian"), mom, z)
+            loss_value(LossFamily("gaussian"), m1, z)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1504,9 +1520,9 @@ class TestDenseWorkingSet:
         sim = SimilarityModel.neutral(self.SHAPE)
         init = initial_model(omega.to_dense(float(omega.values.mean())), (3, 3, 3),
                              InitStrategy("hosvd"), part)
-        mom = smoothing_moments(sim, omega)
-        moments = mom.weighted_x.nbytes
-        del mom
+        m1 = smoothing_moments(sim, omega).weighted_x
+        moments = m1.nbytes
+        del m1
         real = dcot.solver.update_factor
         sweep_start = []
 
