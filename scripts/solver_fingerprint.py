@@ -19,10 +19,10 @@ fit's logits stay below 8); the gaussian default on a planted 4-way
 8 x 7 x 6 x 5 problem (ranks (2, 3, 2, 2), mode-4 slices 0 and 1 tied at
 mode-1 index 1), which covers the solver's chain of mode products for
 ``N != 3``; the gaussian default on the 12^3 problem with the neutral
-similarity (every unobserved cell a degenerate target); the gaussian
-default on a planted 36^3 problem (the 12^3 problem's ranks and groups),
-whose 46,656 cells make the solver's sweep tail run two blocks, the
-second a partial one; plus two
+similarity (every unobserved cell a degenerate target); bernoulli on a
+planted 36^3 problem (the 12^3 problem's ranks and groups), whose 46,656
+cells make the split families' sweep tail run two blocks, the second a
+partial one; plus two
 ``dcot synth`` + ``dcot complete`` runs with kernel similarity, hashed
 over ``observed.coo`` (so the same check covers the COO writer and
 reader), ``trace.csv`` and ``z_hat.dct``: one reads the written file as
@@ -119,7 +119,7 @@ CASES = {
     "gamma-floor-1e-2": ("gamma", {"z_floor": 1e-2}, THREE_WAY, "kernel"),
     "gaussian-4way": ("gaussian", {}, FOUR_WAY, "kernel"),
     "gaussian-neutral": ("gaussian", {}, THREE_WAY, "neutral"),
-    "gaussian-multiblock": ("gaussian", {}, MULTI_BLOCK, "kernel"),
+    "bernoulli-multiblock": ("bernoulli", {}, MULTI_BLOCK, "kernel"),
 }
 
 

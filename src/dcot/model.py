@@ -168,23 +168,17 @@ class DcotModel:
         )
 
 
-def partial_reconstruction(model: DcotModel) -> np.ndarray:
-    """``(core_g + core_h) x_1 U_1 ... x_{N-1} U_{N-1}``: all but the last mode product.
-
-    The model's own arrays fit by construction, so the products skip the
-    argument checks.
-    """
-    return _multilinear(model.core_g + model.core_h, model.factors[:-1] + [None])
-
-
 def reconstruct(model: DcotModel, out: np.ndarray | None = None) -> np.ndarray:
     """Evaluate ``(core_g + core_h) x_1 U_1 ... x_N U_N``.
 
     The modes are applied in order; the last product writes into ``out``
-    (a C-contiguous array of the data shape) when it is given.
+    (a C-contiguous array of the data shape) when it is given.  The
+    model's own arrays fit by construction, so the products before the
+    last skip the argument checks.
     """
     last = len(model.factors) - 1
-    return n_mode_product(partial_reconstruction(model), model.factors[last], last, out=out)
+    partial = _multilinear(model.core_g + model.core_h, model.factors[:-1] + [None])
+    return n_mode_product(partial, model.factors[last], last, out=out)
 
 
 def init_factors(x: np.ndarray, ranks: list[int]) -> list[np.ndarray]:

@@ -1,100 +1,97 @@
-"""Linearized multi-block ADMM for penalized double-core factorization.
+"""Proximal block sweeps for penalized double-core factorization.
 
 Each iteration sweeps the blocks in Gauss-Seidel order
 
-    U_1, ..., U_N  ->  core_g  ->  core_h (tied)  ->  z  ->  dual,
+    U_1, ..., U_N  ->  core_g  ->  core_h (tied)  [->  z  ->  dual],
 
 where every factor/core update is one proximal gradient step on the
 quadratic coupling term
 
-    (gamma / 2) * || recon - z - u ||^2,
+    (gamma / 2) * || recon - T ||^2
 
-linearized at the current point with per-block step ``1 / rho``.  The dual
-is kept in scaled form ``u = y / gamma`` (Boyd et al. 2011, *Distributed
-Optimization and Statistical Learning via ADMM*, §3.1.1).  The ``z``
-update minimizes smoothed loss + coupling exactly (a closed form for the
-gaussian family, a safeguarded per-cell Newton solve otherwise) and the
-dual ascends along the constraint residual.  The smoothed loss is the plain
-loss at one dense array, the smoothed data ``m1 = Moments.weighted_x``
-(:mod:`dcot.losses`): ``solve`` builds it once, and the loss, the z step and
-the moduli take it.
+toward a target ``T`` that the sweep holds fixed, linearized at the
+current point with per-block step ``1 / rho``.  Only the rule that forms
+``T`` differs between the families.
+
+The gaussian loss is ``||X - m1||^2 / count``, already such a coupling,
+with ``gamma = L_F = 2 / count`` and the fixed target ``T = m1``, the
+smoothed data ``Moments.weighted_x`` (:mod:`dcot.losses`).  Its sweep is
+the proximal alternating linearized minimization of Bolte, Sabach &
+Teboulle 2014 (*Math. Program.*, PALM) on the loss plus the penalties: no
+split, no ``z`` and no dual, so the trace's primal residual, z step and
+dual step are 0 and its Lagrangian is the loss plus the penalties.
+
+The other families split ``z`` from the reconstruction (linearized
+multi-block ADMM), so that the loss stays out of the block steps: the
+target is ``T = z + u`` for the scaled dual ``u = y / gamma`` (Boyd et al.
+2011, *Distributed Optimization and Statistical Learning via ADMM*,
+§3.1.1), ``gamma`` is ``2.1 L_F``, and after the core steps the ``z``
+update minimizes the smoothed loss plus the coupling exactly (a
+safeguarded per-cell Newton solve, :func:`update_z`) and the dual ascends
+along the constraint residual.  ``solve`` builds ``m1`` once, and the
+loss, the z step and the moduli take it.
 
 The gradients are taken in core space (Kolda & Bader 2009, *Tensor
-Decompositions and Applications*, SIAM Review): with the sweep's fixed
-target ``T = z + u`` and ``S = core_g + core_h``, the coupling gradient
-with respect to ``recon`` is ``gamma * (recon - T)``, and its pull-backs
-to the factors and cores need only ``T`` contracted with factor
-transposes and ``S`` contracted with factor Gram matrices ``U_t^T U_t``;
-``gamma`` multiplies only core-sized arrays.
+Decompositions and Applications*, SIAM Review): with ``S = core_g +
+core_h``, the coupling gradient with respect to ``recon`` is
+``gamma * (recon - T)``, and its pull-backs to the factors and cores need
+only ``T`` contracted with factor transposes and ``S`` contracted with
+factor Gram matrices ``U_t^T U_t``; ``gamma`` multiplies only core-sized
+arrays.
 
 One chain of mode products serves the whole sweep.  ``T`` is contracted
 from the last mode down with the old factors, ``R_{N-1} = T`` and
 ``R_n = R_{n+1} x_{n+1} U_{n+1}^T``; factor ``n`` takes ``R_n`` contracted
 with the already-updated ``U_0 .. U_{n-1}``, and the last factor's input,
-contracted with its update, is ``project_core(T, factors)``, shared by
-both core steps.  The first link ``R_{N-2} = T x_{N-1} U_{N-1}^T`` is
-formed by the previous sweep's tail while the target's cells are in cache
-(before the first sweep, by one mode product), so one contraction per
-sweep reads a ``prod(I)`` tensor on its own.  ``solve`` checks its inputs
-once; the sweep calls the unchecked kernels of :mod:`dcot.tensor`
-(``_mode_product``, ``_unfold``, ``_multilinear``), which make the same
-matrix products as the public functions.
+contracted with its update, is ``P = project_core(T, factors)``, shared by
+both core steps.  The gaussian sweep forms the first link
+``R_{N-2} = m1 x_{N-1} U_{N-1}^T`` itself, so it reads ``m1`` twice (the
+first link and the last factor's input) and writes no ``prod(I)`` array.
+The split families' first link is formed by the previous sweep's tail
+while the target's cells are in cache (before the first sweep, by one mode
+product).  ``solve`` checks its inputs once; the sweep calls the unchecked
+kernels of :mod:`dcot.tensor` (``_mode_product``, ``_unfold``,
+``_multilinear``), which make the same matrix products as the public
+functions.
 One list of factor Grams serves the sweep as well: ``grams[n] = U_n^T U_n``
 is formed once after factor ``n``'s update (and once before the first
-sweep), and the later factor steps and both core steps read it, so a sweep
-forms ``N`` Grams; the subject core's gradient is taken at the core sum
-``g_new + core_h`` with the same list.
+sweep), and the later factor steps, both core steps and the gaussian
+loss read it, so a sweep forms ``N`` Grams; the subject core's gradient is
+taken at the core sum ``g_new + core_h`` with the same list.
+
+The gaussian trace's loss comes from core space too:
+``||X - m1||^2 = <S x_t U_t^T U_t, S> - 2 <S, P> + ||m1||^2`` for the
+reconstruction ``X``, from the Grams and the core steps' own ``P`` (before
+the first sweep, ``P`` of the initial factors).  The result's ``z`` is the
+reconstruction and ``y = -grad F(z)``, each formed once when the solve
+returns.
 
 At grid-search sizes the tensor work is the small part of a sweep.  A
 16^3 gaussian solve with ranks 3 (100 sweeps, one BLAS thread, a shared
-2-core x86-64 machine) took about 50 ms: the 606 calls of
-:func:`_spectral_norm` about 44 % of it, the factor steps 15 %, the core
-steps 10 %, the sweep's tail 6 % and the reconstruction 4 %.  Nearly all of
-that is the fixed cost of numpy calls on arrays of a few dozen entries, so
-the sweep makes as few of them as it can; at 60^3 the dense passes take
-most of a sweep instead.  There, with ranks 3 and one BLAS thread, a
-gaussian sweep took about 1.5 ms in the benchmark's gauss-dense runs, and
-its one pass over the dense state (:func:`_gaussian_tail`, the
-reconstruction's last mode product and the next first link included)
-about 0.85 ms of it, section-timed.
+2-core x86-64 machine) took about 40 ms; under cProfile the 606 calls of
+:func:`_spectral_norm` were about half of it, the factor steps 15 %, the
+core steps 10 % and the core-space loss 3 %.  Nearly all of that is the
+fixed cost of numpy calls on arrays of a few dozen entries, so the sweep
+makes as few of them as it can.  At 60^3 it still is the larger part: a
+gaussian sweep took about 0.7 ms in the benchmark's gauss-dense runs, and
+its two passes over ``m1`` about 0.2 ms of it (timed apart).
 
-A gaussian solve keeps one dense state beside ``m1``.  The loss is
-``||z - m1||^2 / count`` and its gradient ``(2 / count) (z - m1)``, so the
-closed-form z step leaves the scaled dual at ``u = -kappa (z - m1)``,
-``kappa = (2 / count) / gamma``, and the start ``u = -grad F(z0) / gamma``
-is there too: the deviation ``e = z - m1`` (formed in the fill's buffer)
-stands in for ``z`` and ``u``, and the target is ``m1 + (1 - kappa) e``.
-One buffer, ``recon``, holds the target, then the reconstruction.  After
-the core steps, one pass over row blocks of the data's
-``(prod(I_1 .. I_{N-1}), I_N)`` view, ``max(1, _BLOCK // I_N)`` rows
-each (:func:`_gaussian_tail`), does the rest of the sweep while a block
-is in cache: the reconstruction ``partial @ U_N^T`` from the partial
-product ``S x_1 U_1 ... x_{N-1} U_{N-1}``, the z step
-``d = alpha (recon - m1 - e)``, ``alpha = gamma / (2 / count + gamma)``,
-``e += d``, the sums ``||d||^2``, ``||e||^2``, ``<e, d>``, the next
-target, in ``recon``, and the next sweep's first link ``target @ U_N``.
-A block's matrix products are rows of the whole ones (Kolda & Bader), so
-they give the whole products' values to rounding.  The residual is
-``kappa d``, so the trace takes the z step ``||d||``,
-``||r||^2 = kappa^2 ||d||^2``, ``<u, r> = -kappa^2 <e, d>`` and the loss
-``||e||^2 / count``; the first trace row forms ``e`` from the start ``z``
-and reads ``||e||^2 / count`` and ``<u, r> = -kappa <e, r>``.  A gaussian
-sweep thus reads ``e`` and ``m1`` once, writes ``recon`` and ``e`` once,
-and allocates no ``prod(I)`` array; the result's ``z = m1 + e`` goes into
-``recon`` and ``y = -(2 / count) e`` into ``e``.
-
-The other families also keep ``z``, ``u`` and a ``spare`` buffer.
-:func:`update_z` solves their z step over the whole array from the
-proximal center ``recon - u`` (formed in ``spare``), so this path
+The split families keep ``z``, ``u``, the ``recon`` buffer and a
+``spare`` one.  :func:`update_z` solves their z step over the whole array
+from the proximal center ``recon - u`` (formed in ``spare``), so this path
 reconstructs whole first; it returns a new array, which trades places
 with the old ``z``.  Then :func:`_sweep_tail` takes the dual step
 ``u -= recon - z_new`` and forms the trace's sums, the next target
-``z_new + u`` and the next first link by the same row blocks, and the
-trace evaluates the loss at the new ``z``.  On the benchmark's bernoulli
-30^3 problem (20 sweeps, one BLAS thread, a shared 2-core x86-64 machine)
-a sweep's Newton solve takes one or two steps and about 1.1 ms, and the
-trace's loss about 0.25 ms.  The Lagrangian, the primal residual and the dual step share one
-``<r, r>``.  The returned dual is ``y = gamma * u``, formed in place.
+``z_new + u`` and the next first link by row blocks of the data's
+``(prod(I_1 .. I_{N-1}), I_N)`` view, ``max(1, _BLOCK // I_N)`` rows each,
+while a block is in cache; a block's matrix products are rows of the whole
+ones (Kolda & Bader), so they give the whole products' values to
+rounding.  The trace evaluates the loss at the new ``z``.  On the
+benchmark's bernoulli 30^3 problem (20 sweeps, one BLAS thread, a shared
+2-core x86-64 machine) a sweep's Newton solve takes one or two steps and
+about 1.1 ms, and the trace's loss about 0.25 ms.  The Lagrangian, the
+primal residual and the dual step share one ``<r, r>``.  The returned dual
+is ``y = gamma * u``, formed in place.
 
 Sign conventions: with the augmented Lagrangian written as
 ``F + penalties - <y, recon - z> + (gamma/2) ||recon - z||^2`` and the
@@ -123,7 +120,7 @@ from .losses import (
     loss_lipschitz,
     loss_value,
 )
-from .model import DcotModel, partial_reconstruction, reconstruct, tie_heterogeneous_core
+from .model import DcotModel, reconstruct, tie_heterogeneous_core
 from .prox import Penalty, penalty_value, prox_apply
 from .similarity import SimilarityModel, smoothing_moments
 from .tensor import _mode_product, _multilinear, _unfold, frob_inner, frob_norm
@@ -135,7 +132,7 @@ _MODULI_FLOOR = 1e-8
 # below the bound voids the descent step
 _LIPSCHITZ_SAFETY = 1.1
 _NEWTON_MAX_INNER = 100
-# cells per block of the sweep's tail (see _row_blocks, _gaussian_tail and
+# cells per block of the split families' sweep tail (see _row_blocks and
 # _sweep_tail), which takes whole rows of I_N cells: up to 256 KiB per
 # float64 array, so a block of the tail's arrays stays in a core's L2 cache
 _BLOCK = 32768
@@ -189,12 +186,12 @@ class SolverConfig:
     uphill); ``fixed_moduli`` pins them to the initial estimate for the
     whole run.  Nor are the stopping tolerances: a solve stops once the
     primal residual is at most ``_TOL_PRIMAL_REL * ||x_Omega||`` and the
-    block step at most ``_TOL_STEP``.  ``z_floor`` is the lower bound on
-    ``z`` for the bounded families (``LossFamily.bounded``); the z block
-    itself has no knobs, since it is solved exactly (in closed form for
-    the gaussian family, in :func:`_gaussian_tail`; by :func:`update_z`
-    otherwise).  ``freeze_h`` holds the subject core at
-    zero (plain Tucker).
+    block step at most ``_TOL_STEP`` (the gaussian family has no split, so
+    its primal residual is 0 and only the block step counts).  ``z_floor``
+    is the lower bound on ``z`` for the bounded families
+    (``LossFamily.bounded``); the z block of the split families has no
+    knobs, since :func:`update_z` solves it exactly.  ``freeze_h`` holds
+    the subject core at zero (plain Tucker).
     """
 
     penalties: BlockPenalties = field(default_factory=BlockPenalties)
@@ -260,9 +257,11 @@ class ConvergenceTrace:
 
 @dataclass(frozen=True)
 class Moduli:
-    """Step parameters: the dual step ``gamma`` and the proximal moduli.
+    """Step parameters: the coupling weight ``gamma`` and the proximal moduli.
 
-    ``core`` serves both cores; ``factors`` holds one modulus per mode.
+    ``gamma`` is also the split families' dual step; for the gaussian
+    family, which has no split, it is ``L_F``.  ``core`` serves both
+    cores; ``factors`` holds one modulus per mode.
     """
 
     gamma: float
@@ -280,8 +279,9 @@ class SolverResult:
     moments: the number of targets that took the fallback weights.
     ``newton_steps`` holds the Newton steps of each sweep's z step
     (:func:`update_z`), one entry per sweep; it is empty for the gaussian
-    family, whose z step is closed.  A gaussian solve forms ``z`` and ``y``
-    from the one state it keeps, ``z - weighted_x`` (see the module docstring).
+    family, which has no z step.  A gaussian solve keeps no ``z`` or dual:
+    its ``z`` is the final reconstruction and ``y = -grad F(z)`` (see the
+    module docstring), formed when it returns.
     """
 
     model: DcotModel
@@ -399,9 +399,7 @@ def update_z(
     ``center`` the proximal center ``recon - u`` for the scaled dual
     ``u = y / gamma``, and ``z0`` the warm start (``omega`` scales the
     tolerance).  :func:`solve` takes this
-    step for every family but the gaussian, whose closed-form step
-    :func:`_gaussian_tail` takes block by block on the deviation
-    ``z - weighted_x``.
+    step for every family but the gaussian, which has no z block.
 
     The loss Hessian is diagonal, so the problem is ``prod(I)`` independent
     1-D problems, each strongly convex on its domain (``z >= z_floor`` for
@@ -550,44 +548,6 @@ def _row_blocks(rows: int, cols: int):
         yield slice(lo, lo + step), slice(lo * cols, (lo + step) * cols)
 
 
-def _gaussian_tail(
-    recon, e, m1, alpha: float, kappa: float, partial, u_last, link
-) -> tuple[float, float, float]:
-    """The gaussian sweep from its last mode product on, one row block at a time.
-
-    ``partial`` is the reconstruction before its last mode product
-    (:func:`~dcot.model.partial_reconstruction`), viewed with ``recon`` as
-    ``prod(I_1 .. I_{N-1})`` rows of ``r_N`` and ``I_N`` columns.  Per block
-    (see the module docstring), ``recon`` takes ``partial @ U_N^T``, becomes
-    the z step ``d = alpha * (recon - m1 - e)``, ``e += d``, ``recon`` ends
-    as the next target ``e * (1 - kappa) + m1``, and ``link`` takes the
-    next sweep's first link ``target @ U_N``.  Returns
-    ``(||d||^2, ||e||^2, <e, d>)``.
-    """
-    *lead, cols = recon.shape
-    rows, rank = math.prod(lead), u_last.shape[1]
-    # the sweep's arrays are C-contiguous, so these are views
-    rf, ef, mf = (x.reshape(-1) for x in (recon, e, m1))
-    r2, l2 = recon.reshape(rows, cols), link.reshape(rows, rank)
-    p2 = partial.reshape(rows, rank)
-    shrink = 1.0 - kappa
-    d_sq = e_sq = e_d = 0.0
-    for block, cells in _row_blocks(rows, cols):
-        np.matmul(p2[block], u_last.T, out=r2[block])
-        d, eb, mb = rf[cells], ef[cells], mf[cells]
-        d -= mb
-        d -= eb
-        d *= alpha
-        eb += d
-        d_sq += float(np.dot(d, d))
-        e_sq += float(np.dot(eb, eb))
-        e_d += float(np.dot(eb, d))
-        np.multiply(eb, shrink, out=d)
-        d += mb
-        np.matmul(r2[block], u_last, out=l2[block])
-    return d_sq, e_sq, e_d
-
-
 def _sweep_tail(recon, z, z_new, u, u_last, link) -> tuple[float, float, float]:
     """The Newton families' sweep after their z step, one row block at a time.
 
@@ -597,14 +557,14 @@ def _sweep_tail(recon, z, z_new, u, u_last, link) -> tuple[float, float, float]:
     (``y <- y - gamma * r``), ``z`` becomes ``z - z_new``, the sums
     ``||z - z_new||^2``, ``||r||^2`` and ``<u, r>`` are added up,
     ``recon`` ends as the next target ``z_new + u``, and ``link`` takes
-    the next sweep's first link ``target @ U_N``, as in
-    :func:`_gaussian_tail`.  Per cell this is the arithmetic of the
-    separate whole-array steps, so the iterates are bitwise theirs.
+    the next sweep's first link ``target @ U_N``.  Per cell this is the
+    arithmetic of the separate whole-array steps, so the iterates are
+    bitwise theirs.
     """
     *lead, cols = recon.shape
     rows, rank = math.prod(lead), u_last.shape[1]
-    # views, as in _gaussian_tail; made here, they are gone again before
-    # the next sweep's factor steps
+    # the sweep's arrays are C-contiguous, so these are views; made here,
+    # they are gone again before the next sweep's factor steps
     rf, zf, nf, uf = (x.reshape(-1) for x in (recon, z, z_new, u))
     r2, l2 = recon.reshape(rows, cols), link.reshape(rows, rank)
     dz_sq = r_sq = u_r = 0.0
@@ -725,8 +685,10 @@ def estimate_moduli(
 ) -> Moduli:
     """The step parameters at the current state.
 
-    ``gamma`` is ``2.1 * L_F`` for the loss gradient's Lipschitz bound
-    ``L_F`` (taken at ``config.z_floor`` for the bounded families).  Each
+    ``gamma`` is the loss gradient's Lipschitz bound ``L_F`` for the
+    gaussian family, whose coupling is the loss itself, and ``2.1 * L_F``
+    for the split families (``L_F`` taken at ``config.z_floor`` for the
+    bounded ones).  Each
     block's modulus is ``gamma`` times the squared spectral-norm bound of
     its coupling map (core-sum matricization times the other factors for a
     factor block, the product of all factor norms for the cores),
@@ -734,7 +696,9 @@ def estimate_moduli(
     ``m1`` is the smoothed data the loss fits, and ``u_norms`` holds the
     factors' norm bounds, ``_spectral_norm(U_n)``.
     """
-    gamma = 2.0 * loss_lipschitz(family, m1, z_min=config.z_floor) * 1.05
+    gamma = loss_lipschitz(family, m1, z_min=config.z_floor)
+    if family.kind != "gaussian":
+        gamma = 2.0 * gamma * 1.05
     s = model.core_g + model.core_h
     factors = tuple(_factor_modulus(gamma, s, u_norms, n) for n in range(len(u_norms)))
     return Moduli(gamma, _core_modulus(gamma, u_norms), factors)
@@ -768,26 +732,18 @@ def solve(
     for name, block in blocks:
         if not np.isfinite(block).all():
             raise ValueError(f"initial model {name} has non-finite values")
-    # observed values, initial_fill elsewhere; a bounded family's z starts on
-    # its floor, so the first gradient (and the dual start) stays bounded
-    z = omega.to_dense(initial_fill(omega, family))
-    if family.bounded:
-        z = np.maximum(z, config.z_floor)
-
     # the factors' norm bounds, which the moduli take at every refresh
     u_norms = [_spectral_norm(u_n) for u_n in model.factors]
     moduli = estimate_moduli(model, config, family, m1, u_norms)
     gamma = moduli.gamma
     gaussian = family.kind == "gaussian"
-    if gaussian:  # the solve keeps only e = z - m1 (see the module docstring)
-        scale = 2.0 / m1.size
-        kappa, alpha = scale / gamma, gamma / (scale + gamma)
-    else:
-        u = loss_gradient(family, m1, z)
-        u /= -gamma  # the scaled dual y / gamma, starting from y = -grad F(z)
     tol_primal = _TOL_PRIMAL_REL * float(np.linalg.norm(omega.values))
     pen = config.penalties
     n_modes = len(model.factors)
+    # the factor Grams U_t^T U_t, each formed once after its factor's update
+    # and shared by the later factor steps, both core steps and the
+    # gaussian loss
+    grams = [u_n.T @ u_n for u_n in model.factors]
 
     trace = ConvergenceTrace()
 
@@ -812,34 +768,48 @@ def solve(
         if not np.isfinite(value).all():
             raise SolverAbort(f"{block} block: non-finite values at iteration {it}", trace)
 
-    # the sweep buffers (see the module docstring): recon holds the
-    # reconstruction, the residual and then the next target; on the Newton
-    # path spare and z trade places
-    recon = np.empty_like(z)
-    spare = None if gaussian else np.empty_like(z)
     newton_steps: list[int] = []
-
     started = time.perf_counter()
-    r = reconstruct(model, out=recon)
-    r -= z
-    if gaussian:  # the fill's buffer becomes e = z - m1, and u = -kappa * e
-        e = np.subtract(z, m1, out=z)
-        loss, u_r = frob_inner(e, e) / m1.size, -kappa * frob_inner(e, r)
+    if gaussian:
+        # the loss ||X - m1||^2 / count in core space (see the module
+        # docstring), from the core steps' projection P of m1
+        m1_sq = frob_inner(m1, m1)
+
+        def core_space_loss(projected):
+            s = model.core_g + model.core_h
+            recon_sq = frob_inner(_multilinear(s, grams), s)
+            return (recon_sq - 2.0 * frob_inner(s, projected) + m1_sq) / m1.size
+
+        loss = core_space_loss(_multilinear(m1, [u_n.T for u_n in model.factors]))
+        # no split: the residual, the z step and the dual step stay 0, and
+        # the target is m1 throughout
+        dz_sq = r_sq = u_r = 0.0
+        target = m1
     else:
-        loss, u_r = loss_value(family, m1, z), frob_inner(u, r)
-    row = diagnostics(0, loss, frob_inner(r, r), u_r, (0.0,) * 4, started)
+        # observed values, initial_fill elsewhere; a bounded family's z
+        # starts on its floor, so the first gradient (and the dual start)
+        # stays bounded
+        z = omega.to_dense(initial_fill(omega, family))
+        if family.bounded:
+            z = np.maximum(z, config.z_floor)
+        u = loss_gradient(family, m1, z)
+        u /= -gamma  # the scaled dual y / gamma, starting from y = -grad F(z)
+        # the sweep buffers (see the module docstring): recon holds the
+        # reconstruction, the residual and then the next target; spare and
+        # z trade places
+        recon, spare = np.empty_like(z), np.empty_like(z)
+        r = reconstruct(model, out=recon)
+        r -= z
+        loss, r_sq, u_r = loss_value(family, m1, z), frob_inner(r, r), frob_inner(u, r)
+        # the target z + u and the chain's first link target x_N U_N^T;
+        # afterwards, each sweep's tail forms both
+        target = np.add(z, u, out=recon)
+        link = _mode_product(target, model.factors[-1].T, n_modes - 1)
+        link_shape = link.shape
+    row = diagnostics(0, loss, r_sq, u_r, (0.0,) * 4, started)
     trace.append(row)
     initial_lagr = row.lagrangian
     guard = _DIVERGENCE_FACTOR * (abs(initial_lagr) + 1.0)
-    # the target z + u and the chain's first link target x_N U_N^T;
-    # afterwards, each sweep's tail forms both
-    if gaussian:
-        target = np.multiply(e, 1.0 - kappa, out=recon)
-        target += m1
-    else:
-        target = np.add(z, u, out=recon)
-    link = _mode_product(target, model.factors[-1].T, n_modes - 1)
-    link_shape = link.shape
 
     # Working copies of the moduli.  Unless fixed_moduli pins them, they are
     # refreshed from the current state inside the sweep: the coupling is
@@ -849,9 +819,6 @@ def solve(
     rho_factors = list(moduli.factors)
     rho_core = moduli.core
     refresh = not config.fixed_moduli
-    # the factor Grams U_t^T U_t, each formed once after its factor's update
-    # and shared by the later factor steps and both core steps
-    grams = [u_n.T @ u_n for u_n in model.factors]
 
     converged = False
     reason = "max_iters"
@@ -860,9 +827,11 @@ def solve(
         # The chain's links are target x_{t>n} U_t^T with the old factors,
         # built from the last mode down, so factor n pops its own link from
         # the end (freeing it once used) and contracts it with the updated
-        # U_t^T, t < n.  The first link comes from the last sweep's tail (a
-        # 1-way model's only factor takes the target itself), so only the
-        # last factor's first product reads a prod(I) tensor.
+        # U_t^T, t < n.  The gaussian target m1 is fixed, so its first link
+        # is formed here; a split family's comes from the last sweep's tail
+        # (a 1-way model's only factor takes the target itself)
+        if gaussian:
+            link = _mode_product(target, model.factors[-1].T, n_modes - 1)
         suffix = [target, link][:n_modes]
         del link  # freed once the chain has used it; the tail writes the next
         for n in range(n_modes - 2, 0, -1):
@@ -898,13 +867,7 @@ def solve(
         check_finite("core_h", h_new, k)
         model.core_g, model.core_h = g_new, h_new
         if gaussian:
-            link = np.empty(link_shape)
-            dz_sq, e_sq, e_d = _gaussian_tail(recon, e, m1, alpha, kappa,
-                                              partial_reconstruction(model),
-                                              model.factors[-1], link)
-            # the residual is kappa * d and the scaled dual -kappa * e
-            r_sq, u_r = kappa * kappa * dz_sq, -kappa * kappa * e_d
-            loss = e_sq / m1.size  # loss_value's gaussian value at z = m1 + e
+            loss = core_space_loss(projected)
         else:
             # update_z needs the whole proximal center recon - u; it goes
             # into spare and has no name here, so that the buffer is freed
@@ -950,9 +913,10 @@ def solve(
         reason,
         trace.rows[-1].primal_residual,
     )
-    if gaussian:  # z = m1 + e into recon's buffer, y = gamma * u in e's
-        z = np.add(m1, e, out=recon)
-        y = np.multiply(e, -scale, out=e)
+    if gaussian:  # the reconstruction, and y = -grad F(z) in the gradient's buffer
+        z = reconstruct(model)
+        y = loss_gradient(family, m1, z)
+        np.negative(y, out=y)
     else:
         y = np.multiply(u, gamma, out=u)  # back to the unscaled dual, in place
     return SolverResult(

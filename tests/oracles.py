@@ -255,22 +255,42 @@ def sweep_tail_oracle(recon, z, z_new, u):
     return sums
 
 
-def gaussian_tail_oracle(recon, e, m1, alpha, kappa):
-    """The gaussian sweep tail as separate whole-array steps, in place.
+def _unfolding(x, mode):
+    """Mode-``mode`` unfolding: the mode's fibres as columns, in any fixed order."""
+    return np.moveaxis(x, mode, 0).reshape(x.shape[mode], -1)
 
-    The reference for ``solver._gaussian_tail``, which forms the same steps
-    block by block on the deviation ``e = z - m1``:
-    ``recon <- d = alpha * (recon - m1 - e)``, ``e <- e + d``, then the sums
-    ``(||d||^2, ||e||^2, <e, d>)`` and ``recon <- e * (1 - kappa) + m1``.
+
+def _project_all(x, factors, skip=None):
+    """``x`` contracted with the transpose of every factor but ``skip``'s."""
+    for n, u in enumerate(factors):
+        if n != skip:
+            x = np.moveaxis(np.tensordot(u.T, x, axes=(1, n)), 0, n)
+    return x
+
+
+def _leading_left(a, r):
+    """The ``r`` leading left singular vectors of ``a``."""
+    return np.linalg.svd(a, full_matrices=False)[0][:, :r]
+
+
+def hooi(x, ranks, sweeps):
+    """The higher-order orthogonal iteration's least-squares objective.
+
+    De Lathauwer, De Moor & Vandewalle 2000 (*SIAM J. Matrix Anal. Appl.*):
+    the best rank-``(r_1 .. r_N)`` approximation of ``x``.  The HOSVD starts
+    each factor at the leading left singular vectors of ``x``'s unfolding;
+    each of ``sweeps`` sweeps replaces factor ``n`` by those of the
+    unfolding of ``x`` projected onto every other factor.  With orthonormal
+    factors and the core ``x x_n U_n^T``, the approximation's squared error
+    is ``||x||^2 - ||core||^2``; returns it divided by ``x.size``.
     """
-    d = np.subtract(recon, m1, out=recon)
-    d -= e
-    d *= alpha
-    e += d
-    sums = (float((d**2).sum()), float((e**2).sum()), float((e * d).sum()))
-    np.multiply(e, 1.0 - kappa, out=recon)
-    recon += m1
-    return sums
+    x = np.asarray(x, dtype=float)
+    factors = [_leading_left(_unfolding(x, n), r) for n, r in enumerate(ranks)]
+    for _ in range(sweeps):
+        for n, r in enumerate(ranks):
+            factors[n] = _leading_left(_unfolding(_project_all(x, factors, n), n), r)
+    core = _project_all(x, factors)
+    return (float(np.sum(x * x)) - float(np.sum(core * core))) / x.size
 
 
 def smoothing_moments_dense(sim, omega):

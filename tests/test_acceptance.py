@@ -8,6 +8,7 @@ checked against independent reference runs before being frozen.
 
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -271,19 +272,18 @@ def test_monotone_descent_and_dual_bound():
     cfg = SolverConfig(max_iters=200, fixed_moduli=True)
     res = solve(data.observed, hosvd_init(data.observed, spec.ranks, FOUR_GROUPS),
                 fam, sim, cfg)
-    assert res.moduli.gamma == pytest.approx(2.1 * lf)
+    # the gaussian family has no split: its coupling is the loss, with
+    # gamma = L_F, and its dual step is 0 (the dual bound is checked on
+    # bernoulli, in test_solver)
+    assert res.moduli.gamma == lf
     lag = res.trace.column("lagrangian")
     increases = np.diff(lag)
     monotone = bool(np.all(increases <= 1e-10))
-    dy = res.trace.column("dual_step")[1:]
-    dz = res.trace.column("z_step")[1:]
-    bound = bool(np.all(dy <= lf * dz + 1e-8))
     elapsed = time.time() - started
     report(
         "monotone-descent",
-        monotone and bound and len(lag) == 201 and elapsed < 60.0,
+        monotone and len(lag) == 201 and elapsed < 60.0,
         f"max Lagrangian increase {increases.max():.2e} (slack 1e-10); "
-        f"max dual-bound violation {float(np.max(dy - lf * dz)):.2e} (slack 1e-8); "
         f"{elapsed:.1f}s (budget 60s)",
     )
 
@@ -363,6 +363,35 @@ def test_heterogeneity_direction():
         f"median tied-core {med_dcot:.4f} < frozen-core {med_tucker:.4f}; "
         f"smoothing wins {smoothing_wins}/5 seeds",
     )
+
+
+def test_gaussian_reaches_the_hooi_objective():
+    # an unpenalized gaussian solve fits the best rank-(3, 3, 3) approximation
+    # of the smoothed data m1, which HOOI computes directly.  The spec is the
+    # benchmark's gauss-dense one at 20^3: noise sigma 10 % of the signal
+    # RMS, half the cells missing, mode-3 slices 0-2 tied.  The first sweep
+    # within 1e-3 was 605 / 306 / 654 / 1240 / 108 on seeds 1-5; the ADMM
+    # with gamma = 2.1 L_F took 1925 / 714 / 1756 / more than 2000 / 1163
+    started = time.time()
+    budget, part = 1500, SubjectPartition(2, (SliceGroup((0, 1, 2)),))
+    fam, worst = LossFamily("gaussian"), 0.0
+    for seed in range(1, 6):
+        spec = SynthSpec(shape=(20, 20, 20), ranks=(3, 3, 3), partition=part,
+                         missing_fraction=0.5, seed=seed)
+        rms = float(np.sqrt(np.mean(synthesize(spec).ground_truth.values**2)))
+        spec = replace(spec, noise_sigma=0.1 * rms)
+        data = synthesize(spec)
+        sim = sharp_similarity(data)
+        m1 = smoothing_moments(sim, data.observed).weighted_x
+        res = solve(data.observed, hosvd_init(data.observed, spec.ranks, part), fam, sim,
+                    SolverConfig(max_iters=budget))
+        loss = float(((reconstruct(res.model) - m1) ** 2).sum()) / m1.size
+        best = oracles.hooi(m1, spec.ranks, 100)
+        worst = max(worst, (loss - best) / best)
+    elapsed = time.time() - started
+    report("hooi-objective", worst <= 1e-3,
+           f"worst objective gap {worst:.2e} relative (tol 1e-3) within {budget} sweeps "
+           f"on 5 seeds; {elapsed:.1f}s")
 
 
 def test_lambda_grid_fidelity():

@@ -12,6 +12,7 @@ from dcot.losses import (
     initial_fill,
     loss_curvature_min,
     loss_gradient,
+    loss_lipschitz,
     loss_value,
 )
 from dcot.model import (
@@ -20,7 +21,6 @@ from dcot.model import (
     SliceGroup,
     SubjectPartition,
     initial_model,
-    partial_reconstruction,
     project_core,
     reconstruct,
     tie_heterogeneous_core,
@@ -35,7 +35,6 @@ from dcot.solver import (
     ConvergenceTrace,
     SolverAbort,
     SolverConfig,
-    _gaussian_tail,
     _power_start,
     _spectral_norm,
     _sweep_tail,
@@ -353,12 +352,6 @@ def link_buffer(target, u_last):
     return np.empty(target.shape[:-1] + (u_last.shape[1],))
 
 
-def gaussian_constants(m1, gamma):
-    """``(kappa, alpha)`` of the gaussian sweep, formed as ``solve`` forms them."""
-    scale = 2.0 / m1.size
-    return scale / gamma, gamma / (scale + gamma)
-
-
 def newton_solve(family, m1, omega, center, gamma, z0, z_floor=1e-6):
     """``update_z`` with its step count dropped."""
     return update_z(family, m1, omega, center, gamma, z0, z_floor=z_floor, steps=[])
@@ -525,28 +518,14 @@ class TestUpdateDual:
         assert np.array_equal(got, want)
 
     def test_optimality_identity_after_exact_z_step(self, rng):
-        # with an exact gaussian z step the new dual equals minus the loss
-        # gradient at the new z.  The gaussian tail keeps only e = z - m1,
-        # with the scaled dual u = -kappa * e, which holds at the start
-        model, z, _, omega, m1 = TestUpdateZ().make(rng)
+        # with an exact z step from the center recon - u, the tail's dual
+        # step leaves the new dual at minus the loss gradient at the new z
+        model, z, u, omega, m1 = TestUpdateZ().make(rng)
         fam = LossFamily("gaussian")
         gamma = 0.6
-        kappa, alpha = gaussian_constants(m1, gamma)
-        u = -loss_gradient(fam, m1, z) / gamma
-        np.testing.assert_allclose(u, -kappa * (z - m1), rtol=0, atol=1e-12)
         recon = reconstruct(model)
-        e = z - m1
-        # the tail forms the reconstruction itself, from its partial product
-        u_last = model.factors[-1]
-        _gaussian_tail(np.empty_like(z), e, m1, alpha, kappa,
-                       partial_reconstruction(model), u_last, link_buffer(z, u_last))
-        z_new = m1 + e
-        # the tail's z is the closed-form z step from the center recon - u,
-        # and the dual step u - (recon - z_new) lands on -kappa * e
-        want = oracles.gaussian_z_step(m1, gamma, recon - u)
-        np.testing.assert_allclose(z_new, want, rtol=0, atol=1e-12)
-        u -= recon - z_new
-        np.testing.assert_allclose(u, -kappa * e, rtol=0, atol=1e-12)
+        z_new = newton_solve(fam, m1, omega, recon - u, gamma, z)
+        self.dual_step(recon, z_new, u)
         grad = loss_gradient(fam, m1, z_new)
         assert np.abs(gamma * u + grad).max() <= 1e-8
 
@@ -651,13 +630,16 @@ class TestEstimateModuli:
         assert np.allclose(np.array(b.factors), 2 * np.array(a.factors), rtol=1e-6)
 
     def test_gamma_lifted_above_loss_lipschitz(self, rng):
-        from dcot.losses import loss_lipschitz
-
+        # a split family's gamma is lifted above 2 L_F; the gaussian coupling
+        # is the loss itself, so its gamma is L_F
         model, _, _ = random_state(rng)
         m1 = self.make_target(rng)
-        fam = LossFamily("gaussian")
+        fam = LossFamily("bernoulli")
         moduli = estimate_moduli(model, SolverConfig(), fam, m1, factor_norms(model))
         assert moduli.gamma > 2.0 * loss_lipschitz(fam, m1)
+        fam = LossFamily("gaussian")
+        moduli = estimate_moduli(model, SolverConfig(), fam, m1, factor_norms(model))
+        assert moduli.gamma == loss_lipschitz(fam, m1)
 
 
 def assert_matches_power_iteration(a, label):
@@ -1019,7 +1001,7 @@ class TestSolve:
         data, part = planted_problem(seed=4, sigma=0.05, missing=0.2)
         init = initial_model(data.observed.to_dense(float(data.observed.values.mean())),
                              (3, 3, 3), InitStrategy("hosvd"), part)
-        calls = {"reconstruct": 0, "partial_reconstruction": 0, "loss_value": 0}
+        calls = {"reconstruct": 0, "loss_value": 0}
 
         def counting(name):
             real = getattr(dcot.solver, name)
@@ -1037,15 +1019,10 @@ class TestSolve:
                            freeze_h=freeze_h)
         res = solve(data.observed, init, fam, sim, cfg)
         assert len(res.trace) == iters + 1
-        # gradients are taken in core space, so the z step's reconstruction is
-        # the sweep's only one.  The sweep's tail takes its last mode product
-        # (_gaussian_tail), so a sweep makes one partial reconstruction; only
-        # the initial trace row reconstructs whole
-        assert calls["partial_reconstruction"] == iters
+        # gradients and the gaussian loss are taken in core space, so no
+        # sweep reconstructs: the one reconstruction is the result's z
         assert calls["reconstruct"] == 1
-        # a row's gaussian loss is ||e||^2 / count for e = z - m1, a sum the
-        # tail (or, for the initial row, the start of e) forms anyway, so no
-        # row calls loss_value; every row holds its value to rounding
+        # no row calls loss_value; every row holds its value to rounding
         assert calls["loss_value"] == 0
         m1 = smoothing_moments(sim, data.observed).weighted_x
         for row, z in zip(res.trace.rows, sweep_iterates(data.observed, init, fam,
@@ -1065,8 +1042,9 @@ class TestSolve:
         loss = loss_value(fam, m1, res.z)
         primal = frob_norm(reconstruct(res.model) - res.z)
         if family == "gaussian":
-            # the gaussian trace takes both from its deviation e = z - m1:
-            # the same values, formed by other arithmetic
+            # the gaussian loss is taken in core space: the same value, formed
+            # by other arithmetic; z is the reconstruction, so the primal
+            # residual is 0
             assert last.loss == pytest.approx(loss, rel=1e-12, abs=0)
             assert last.primal_residual == pytest.approx(primal, rel=1e-12, abs=0)
         else:
@@ -1076,10 +1054,10 @@ class TestSolve:
     @pytest.mark.usefixtures("full_length")
     @pytest.mark.parametrize("neutral", [False, True], ids=["kernel", "neutral"])
     def test_gaussian_dual_is_minus_the_loss_gradient(self, neutral, monkeypatch):
-        # the closed-form z step leaves y = -grad F(z) after every sweep, and
-        # y starts there, so the gaussian solve keeps neither y nor z apart
-        # from e = z - m1.  The returned dual must hold the identity, and each
-        # sweep's target must be z + y / gamma of the state before it
+        # the gaussian solve keeps no dual: it returns the reconstruction as
+        # z and y = -grad F(z).  The returned dual must hold the identity,
+        # and each sweep's target m1 is z + y / gamma of the state before it,
+        # since gamma = L_F
         import dcot.solver
 
         data, part = planted_problem(seed=3, sigma=0.05, missing=0.3)
@@ -1288,13 +1266,10 @@ class TestSweepChain:
         m1 = smoothing_moments(sim, omega).weighted_x
         cfg = SolverConfig(max_iters=1)
         gamma = estimate_moduli(init, cfg, fam, m1, factor_norms(init)).gamma
-        z = omega.to_dense(initial_fill(omega, fam))
-        y = -loss_gradient(fam, m1, z)
-        # the target z + y / gamma as solve forms it, from e = z - m1 and the
-        # scaled dual -kappa * e
-        kappa, _ = gaussian_constants(m1, gamma)
-        e = z - m1
-        target = e * (1.0 - kappa) + m1
+        assert gamma == loss_lipschitz(fam, m1)
+        # the gaussian sweep fits the fixed target m1 with gamma = L_F: the
+        # coupling at z = m1 and y = 0
+        z, y, target = m1, np.zeros_like(m1), m1
         errors, projections = {}, []
         real_factor, real_cores = dcot.solver.update_factor, dcot.solver.update_cores
 
@@ -1320,10 +1295,27 @@ class TestSweepChain:
         assert projections == [True]
 
     @pytest.mark.usefixtures("full_length")
+    def test_gaussian_loss_is_the_dense_loss(self, problem):
+        # the gaussian trace takes its loss from core space; every row, the
+        # initial one included, holds the dense ||reconstruct(model) - m1||^2
+        # / count of the model after that many sweeps
+        omega, init, sim = chain_problem(*problem)
+        fam = LossFamily("gaussian")
+        m1 = smoothing_moments(sim, omega).weighted_x
+        cfg = SolverConfig(max_iters=6)
+        rows = solve(omega, init, fam, sim, cfg).trace.rows
+        assert len(rows) == cfg.max_iters + 1
+        for k, row in enumerate(rows):
+            model = solve(omega, init, fam, sim, replace(cfg, max_iters=k)).model
+            dense = float(((reconstruct(model) - m1) ** 2).sum()) / m1.size
+            assert row.loss == pytest.approx(dense, rel=1e-12, abs=0)
+
+    @pytest.mark.usefixtures("full_length")
     @pytest.mark.parametrize("family", ["gaussian", "bernoulli"])
     def test_one_full_size_mode_product_per_sweep(self, problem, family, monkeypatch):
-        # the last factor's first product reads the target; the chain's
-        # first link comes from the sweep's tail, which takes it per block
+        # the last factor's first product reads the target.  A split
+        # family's first link comes from the sweep's tail, which takes it per
+        # block; the gaussian sweep forms it from m1, a second full-size read
         import dcot.solver
         import dcot.tensor
 
@@ -1343,14 +1335,14 @@ class TestSweepChain:
             full_size.clear()
             solve(omega, init, LossFamily(family), sim, SolverConfig(max_iters=iters))
             counts.append(sum(full_size))
-        assert counts[1] - counts[0] == 4
-
+        assert counts[1] - counts[0] == (8 if family == "gaussian" else 4)
 
     @pytest.mark.usefixtures("full_length")
     @pytest.mark.parametrize("family", ["gaussian", "bernoulli"])
     def test_sweep_validates_nothing(self, problem, family, monkeypatch):
         # solve checks its inputs once; the sweep calls the unchecked kernels.
-        # Only the Newton path's reconstruct checks, the buffer it is given
+        # Only the Newton path's reconstruct checks, the buffer it is given;
+        # a gaussian solve reconstructs only its result
         import dcot.model
         import dcot.similarity
         import dcot.solver
@@ -1379,16 +1371,16 @@ class TestSweepChain:
 
 
 class TestSweepTail:
-    """The sweep's fused tail against its whole-array steps.
+    """The split families' fused sweep tail against its whole-array steps.
 
-    The oracle reconstructs, takes the whole-array tail and then the next
-    sweep's first link with ``n_mode_product``; the tail does all three per
-    row block.  At these sizes a block's matrix products are bitwise the
-    same rows of the whole products, so the iterates and the link are the
-    oracle's; the sums add up by blocks, so they agree to rounding.  (BLAS
-    may take a large whole product, or a one-row block, through another
-    kernel, which rounds differently: with OpenBLAS 0.3.31 the link of a
-    60^3 tensor in blocks of 546 rows does.)
+    The oracle takes the whole-array tail and then the next sweep's first
+    link with ``n_mode_product``; the tail does both per row block.  At
+    these sizes a block's matrix products are bitwise the same rows of the
+    whole products, so the iterates and the link are the oracle's; the sums
+    add up by blocks, so they agree to rounding.  (BLAS may take a large
+    whole product, or a one-row block, through another kernel, which rounds
+    differently: with OpenBLAS 0.3.31 the link of a 60^3 tensor in blocks
+    of 546 rows does.)
     """
 
     SHAPES = {"3-way": ((7, 6, 5), (2, 3, 2)), "4-way": ((6, 5, 4, 3), (2, 3, 2, 2))}
@@ -1397,31 +1389,18 @@ class TestSweepTail:
     # of 7 and 12 rows, no partial block); 48 (9 and 16 rows) leaves a
     # partial last block on both shapes, 210 (42 and 70 rows) on the 4-way
     @pytest.mark.parametrize("block", [37, 210, 32768, 48])
-    @pytest.mark.parametrize("path", ["gaussian", "newton"])
+    @pytest.mark.parametrize("path", ["newton"])  # the one path with a tail
     def test_matches_whole_array_steps(self, path, block, rng, monkeypatch):
         import dcot.solver
 
         for shape, ranks in self.SHAPES.values():
-            model = random_state(rng, shape, ranks)[0]
-            u_last = model.factors[-1]
-            if path == "gaussian":
-                # e and m1, with (kappa, alpha); the tail's recon is a buffer
-                m1 = rng.standard_normal(shape)
-                kappa, alpha = gaussian_constants(m1, 0.7)
-                want = [reconstruct(model), rng.standard_normal(shape)]
-                got = [np.empty(shape), want[1].copy()]
-                want_sums = oracles.gaussian_tail_oracle(*want, m1, alpha, kappa)
-                monkeypatch.setattr(dcot.solver, "_BLOCK", block)
-                got_sums = _gaussian_tail(*got, m1, alpha, kappa,
-                                          partial_reconstruction(model), u_last,
-                                          link := link_buffer(got[0], u_last))
-            else:
-                # recon (then the next target), z (then the z step), z_new and u
-                want = [rng.standard_normal(shape) for _ in range(4)]
-                got = [a.copy() for a in want]
-                want_sums = oracles.sweep_tail_oracle(*want)
-                monkeypatch.setattr(dcot.solver, "_BLOCK", block)
-                got_sums = _sweep_tail(*got, u_last, link := link_buffer(got[0], u_last))
+            u_last = random_state(rng, shape, ranks)[0].factors[-1]
+            # recon (then the next target), z (then the z step), z_new and u
+            want = [rng.standard_normal(shape) for _ in range(4)]
+            got = [a.copy() for a in want]
+            want_sums = oracles.sweep_tail_oracle(*want)
+            monkeypatch.setattr(dcot.solver, "_BLOCK", block)
+            got_sums = _sweep_tail(*got, u_last, link := link_buffer(got[0], u_last))
             monkeypatch.undo()
             for a, b in zip(got, want):
                 assert np.array_equal(a, b)
@@ -1432,7 +1411,7 @@ class TestSweepTail:
 BLOCK_PROBLEMS = {
     "gaussian": ("gaussian", CHAIN_PROBLEMS["3-way"]),
     "bernoulli": ("bernoulli", CHAIN_PROBLEMS["3-way"]),
-    "4-way": ("gaussian", CHAIN_PROBLEMS["4-way"]),
+    "4-way": ("bernoulli", CHAIN_PROBLEMS["4-way"]),
 }
 
 
@@ -1470,7 +1449,7 @@ def test_ragged_blocks_match_one_block(family, problem, monkeypatch):
                                    rtol=1e-12, atol=0)
     # the trace loss is loss_value's at every row: to rounding when the sums
     # run over several blocks, and on the gaussian path, whose loss comes
-    # from e = z - m1, also in one block; bitwise in one block otherwise
+    # from core space and which has no blocks; bitwise in one block otherwise
     for row, z in zip(one.trace.rows, one_z):
         if family == "gaussian":
             assert row.loss == pytest.approx(loss_value(fam, m1, z), rel=1e-12, abs=0)
@@ -1484,9 +1463,6 @@ class TestDenseWorkingSet:
     """``prod(I)``-sized arrays, counted with tracemalloc at 24^3."""
 
     SHAPE = (24, 24, 24)
-    # beside the moments' weighted_x: the deviation e = z - weighted_x, which
-    # stands in for z and the scaled dual, and the recon sweep buffer
-    DENSE_ARRAYS = 2
 
     def cell_bytes(self):
         return 8 * math.prod(self.SHAPE)
@@ -1514,7 +1490,8 @@ class TestDenseWorkingSet:
         import dcot.solver
 
         # the peak is reset at the first factor step, so the moments build and
-        # the rest of the set-up stay out of it: it is the sweeps' own
+        # the rest of the set-up stay out of it, and read when the result's z
+        # is reconstructed, so z and y stay out too: it is the sweeps' own
         data, part = planted_problem(seed=2, shape=self.SHAPE, sigma=0.05, missing=0.5)
         omega = data.observed
         sim = SimilarityModel.neutral(self.SHAPE)
@@ -1523,27 +1500,33 @@ class TestDenseWorkingSet:
         m1 = smoothing_moments(sim, omega).weighted_x
         moments = m1.nbytes
         del m1
-        real = dcot.solver.update_factor
-        sweep_start = []
+        real_step, real_reconstruct = dcot.solver.update_factor, dcot.solver.reconstruct
+        sweep_start, sweep_peak = [], []
 
         def first_step(*args):
             if not sweep_start:
                 sweep_start.append(tracemalloc.get_traced_memory()[0])
                 tracemalloc.reset_peak()
-            return real(*args)
+            return real_step(*args)
+
+        def result_z(*args, **kwargs):
+            sweep_peak.append(tracemalloc.get_traced_memory()[1])
+            return real_reconstruct(*args, **kwargs)
 
         monkeypatch.setattr(dcot.solver, "update_factor", first_step)
+        monkeypatch.setattr(dcot.solver, "reconstruct", result_z)
         tracemalloc.start()
         try:
             solve(omega, init, LossFamily("gaussian"), sim,
                   SolverConfig(max_iters=5))
-            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         cell = self.cell_bytes()
-        # beside the dense arrays only core-sized and chain arrays, well
-        # under one dense array at these ranks: the chain's first link, which
-        # the sweep keeps, and the partial reconstruction in the tail are
-        # r_N / I_N = 1/8 of one each
-        assert peak - moments < (self.DENSE_ARRAYS + 0.5) * cell
+        # the one reconstruction is the result's
+        assert len(sweep_peak) == 1
+        peak = sweep_peak[0]
+        # beside weighted_x only core-sized and chain arrays, well under one
+        # dense array at these ranks: the chain's first link is r_N / I_N =
+        # 1/8 of one
+        assert peak - moments < 0.5 * cell
         assert peak - sweep_start[0] < 0.5 * cell
