@@ -439,15 +439,6 @@ def _cmd_factorize(cfg: dict, out_dir: Path, seed: int, write_zhat: bool,
     init = initial_model(omega.to_dense(initial_fill(omega, family)), ranks,
                          InitStrategy(), effective["partition"])
     result = solve(omega, init, family, sim, effective["solver"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    io.write_dense(result.model.core_g, out_dir / "model_g.dct")
-    io.write_dense(result.model.core_h, out_dir / "model_h.dct")
-    for n, u in enumerate(result.model.factors, start=1):
-        io.write_dense(u, out_dir / f"factor_{n}.dct")
-    result.trace.write_csv(out_dir / "trace.csv")
-    z_hat = reconstruct(result.model)
-    if write_zhat:
-        io.write_dense(z_hat, out_dir / "z_hat.dct")
     summary = {
         "command": "complete" if write_zhat else "factorize",
         "effective_config": effective,
@@ -459,9 +450,22 @@ def _cmd_factorize(cfg: dict, out_dir: Path, seed: int, write_zhat: bool,
         "converged": result.converged,
         "reason": result.reason,
         "primal_residual": result.trace.rows[-1].primal_residual,
-        "train_rmse": rmse(z_hat, omega),
-        "blas": _blas_setting(),
     }
+    # the result's z and y go before z_hat is formed: the model and the
+    # trace are all that is left to write
+    model, trace = result.model, result.trace
+    del result
+    out_dir.mkdir(parents=True, exist_ok=True)
+    io.write_dense(model.core_g, out_dir / "model_g.dct")
+    io.write_dense(model.core_h, out_dir / "model_h.dct")
+    for n, u in enumerate(model.factors, start=1):
+        io.write_dense(u, out_dir / f"factor_{n}.dct")
+    trace.write_csv(out_dir / "trace.csv")
+    z_hat = reconstruct(model)
+    if write_zhat:
+        io.write_dense(z_hat, out_dir / "z_hat.dct")
+    summary["train_rmse"] = rmse(z_hat, omega)
+    summary["blas"] = _blas_setting()
     _write_summary(out_dir, summary)
     return summary
 

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 import struct
 from collections.abc import Iterable
@@ -50,6 +51,7 @@ import numpy as np
 
 from .losses import ObservationSet
 from .model import SliceGroup, SubjectPartition
+from .tensor import _BLOCK
 
 _MAGIC = b"DCOT"
 _VERSION = 1
@@ -101,10 +103,11 @@ def read_coo(path) -> ObservationSet:
     ``str.splitlines`` but not in a text-mode file.  Its header lines are
     read from the open bytes and one bulk parse converts the rest, so memory
     grows with the entry count and no whole-file text or per-line list is
-    built.  Every other file, and every file that the streamed parse or the
-    array checks reject, takes the text path: the decoded text is split
-    into lines and parsed in bulk, and a faulty file is reported by its
-    first faulty line.  Both paths accept the same files, with the same
+    built; the indices and values leave the parsed rows, which are released
+    before :class:`ObservationSet` checks them.  Every other file, and
+    every file that the streamed parse or the array checks reject, takes
+    the text path: the decoded text is split into lines and parsed in bulk,
+    and a faulty file is reported by its first faulty line.  Both paths accept the same files, with the same
     values and messages.
     """
     path = Path(path)
@@ -114,8 +117,11 @@ def read_coo(path) -> ObservationSet:
         return _read_lines(path, _decode(path, data))
     del data  # before the array checks; a file they reject is read again
     dims, rows = streamed
+    # the indices and values leave the parsed rows, which go before the checks
+    indices, values = rows["i"] - 1, np.ascontiguousarray(rows["v"])
+    del rows, streamed
     try:
-        return ObservationSet(rows["i"] - 1, rows["v"], dims)
+        return ObservationSet(indices, values, dims)
     except ValueError:
         return _read_lines(path, _read_text(path))
 
@@ -279,39 +285,81 @@ def write_coo(omega: ObservationSet, path) -> None:
 
 
 def read_dense(path) -> np.ndarray:
-    """Read a dense binary tensor file."""
+    """Read a dense binary tensor file.
+
+    The header is checked first; the payload's size comes from the dims as
+    Python integers, so no product of the dims overflows, and a file whose
+    size is not the header's plus eight bytes a cell is a
+    :class:`DataIOError` naming both sizes.  The payload is then read
+    straight into the result, which is first-mode-fastest
+    (Fortran-ordered), so the file's bytes are never held beside it.
+    """
     path = Path(path)
-    blob = _read_bytes(path)
-    if blob[:4] != _MAGIC:
-        raise DataIOError(f"{path}: bad magic bytes (offset 0)")
-    if len(blob) < 12:
-        raise DataIOError(f"{path}: truncated header")
-    version, n = struct.unpack_from("<II", blob, 4)
-    if version != _VERSION:
-        raise DataIOError(f"{path}: unsupported version {version}")
-    header_end = 12 + 8 * n
-    if len(blob) < header_end:
-        raise DataIOError(f"{path}: truncated dims block (offset 12)")
-    dims = struct.unpack_from(f"<{n}Q", blob, 12)
-    count = int(np.prod(dims)) if dims else 0
-    expected = header_end + 8 * count
-    if len(blob) != expected:
-        raise DataIOError(
-            f"{path}: payload is {len(blob) - header_end} bytes, expected "
-            f"{8 * count} (offset {header_end})"
-        )
-    data = np.frombuffer(blob, dtype="<f8", offset=header_end, count=count)
-    return data.reshape(dims, order="F").astype(float)
+    try:
+        with path.open("rb") as f:
+            size = os.fstat(f.fileno()).st_size
+            head = f.read(12)
+            if head[:4] != _MAGIC:
+                raise DataIOError(f"{path}: bad magic bytes (offset 0)")
+            if len(head) < 12:
+                raise DataIOError(f"{path}: truncated header")
+            version, n = struct.unpack_from("<II", head, 4)
+            if version != _VERSION:
+                raise DataIOError(f"{path}: unsupported version {version}")
+            header_end = 12 + 8 * n
+            if size < header_end:
+                raise DataIOError(f"{path}: truncated dims block (offset 12)")
+            dims = struct.unpack(f"<{n}Q", f.read(8 * n))
+            count = math.prod(dims)  # one cell for a 0-way tensor, as written
+            if size != header_end + 8 * count:
+                raise DataIOError(
+                    f"{path}: payload is {size - header_end} bytes, expected "
+                    f"{8 * count} (offset {header_end})"
+                )
+            data = np.empty(count, dtype="<f8")
+            if f.readinto(memoryview(data).cast("B")) != data.nbytes:
+                raise DataIOError(f"{path}: payload ended early (offset {header_end})")
+    except OSError as exc:
+        raise DataIOError(f"cannot read {path}: {exc}") from exc
+    return data.astype(float, copy=False).reshape(dims, order="F")
+
+
+def _c_order_blocks(a: np.ndarray):
+    """Views that hold ``a.ravel()`` in turn, at most ``_BLOCK`` cells each.
+
+    Whole slabs ``a[i]`` are taken while one fits in a block, and a larger
+    slab is split the same way.
+    """
+    slab = math.prod(a.shape[1:])
+    if a.size <= _BLOCK:
+        yield a
+    elif slab <= _BLOCK:
+        step = _BLOCK // slab
+        for lo in range(0, a.shape[0], step):
+            yield a[lo : lo + step]
+    else:
+        for part in a:
+            yield from _c_order_blocks(part)
 
 
 def write_dense(t: np.ndarray, path) -> None:
-    """Write a dense binary tensor file."""
+    """Write a dense binary tensor file.
+
+    The header goes first, then the first-mode-fastest payload one block of
+    at most ``_BLOCK`` cells at a time: the reversed-axes view ``t.T``
+    holds ``t``'s cells in that order as its C order, and each block is
+    copied to contiguous little-endian float64 only for its write, so no
+    whole copy of ``t`` in another order or type is made.
+    """
     t = np.asarray(t, dtype=float)
     path = Path(path)
     header = _MAGIC + struct.pack("<II", _VERSION, t.ndim)
     header += struct.pack(f"<{t.ndim}Q", *t.shape)
     try:
-        path.write_bytes(header + t.ravel(order="F").astype("<f8").tobytes())
+        with path.open("wb") as f:
+            f.write(header)
+            for block in _c_order_blocks(t.T):
+                f.write(np.ascontiguousarray(block, dtype="<f8"))
     except OSError as exc:
         raise DataIOError(f"cannot write {path}: {exc}") from exc
 

@@ -186,8 +186,9 @@ def init_factors(x: np.ndarray, ranks: list[int]) -> list[np.ndarray]:
 
     This is the ``hosvd`` start: the leading left singular vectors of each
     matricization (orthonormal columns, computed from the symmetric
-    eigendecomposition of the Gram matrix).  A non-finite entry of ``x``
-    raises ``ValueError``.
+    eigendecomposition of the Gram matrix).  Each matricization, in general
+    a copy of ``x``, is released once its Gram is formed, so at most one is
+    live beside ``x``.  A non-finite entry of ``x`` raises ``ValueError``.
     """
     x = np.asarray(x, dtype=float)
     if not np.isfinite(x).all():
@@ -203,7 +204,9 @@ def init_factors(x: np.ndarray, ranks: list[int]) -> list[np.ndarray]:
     factors = []
     for n in range(x.ndim):
         a = matricize(x, n)
-        evals, evecs = np.linalg.eigh(a @ a.T)
+        gram = a @ a.T
+        del a  # before the next mode's matricization is built
+        evals, evecs = np.linalg.eigh(gram)
         order = np.argsort(evals)[::-1][: ranks[n]]
         factors.append(np.ascontiguousarray(evecs[:, order]))
     return factors

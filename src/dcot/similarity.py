@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import ObservationSet
-from .tensor import n_mode_product
+from .tensor import _mode_product_in_place
 
 log = logging.getLogger("dcot.similarity")
 
@@ -184,32 +184,30 @@ def smoothing_moments(sim: SimilarityModel, omega: ObservationSet) -> Moments:
     :mod:`dcot.losses` takes the result's ``weighted_x``, so build it once
     per problem.
 
-    Each moment is scattered into one buffer and contracted mode by mode
-    into a second, the two trading roles.  ``w`` is built first, then
-    ``m1`` in the buffer it left free, so at most three ``prod(I)`` arrays
-    are live: ``w`` and the two buffers, beside the mask of degenerate
-    targets (an eighth of one).  The fallback indexes the observed entries
-    directly, and normalization is one in-place division over every cell
-    (fallback cells have weight one).  The result keeps no dense weight
-    tensor (see :class:`Moments`).
+    Each moment is scattered into its own buffer and contracted there, mode
+    by mode, through a scratch of at most ``_BLOCK`` cells
+    (:func:`dcot.tensor._mode_product_in_place`).  ``w`` is built first,
+    then ``m1``, so at most two ``prod(I)`` arrays are live, beside the
+    scratch and the mask of degenerate targets (an eighth of one).  A
+    contraction of at most ``_BLOCK`` cells is one block, and its result is
+    the whole mode product's bitwise; a larger one matches it to rounding.
+    The fallback indexes the observed entries directly, and normalization
+    is one in-place division over every cell (fallback cells have weight
+    one).  The result keeps no dense weight tensor (see :class:`Moments`).
     """
     _check_omega(sim, omega)
     idx = tuple(omega.indices.T)
     values = omega.values
 
-    def moment(src: np.ndarray, scattered):
-        # sum_j w(t, j) scattered_j, scattered into src and contracted
-        # between it and a second buffer, made after the scatter's
-        # temporaries are gone; returns the moment and the buffer left free
-        src.fill(0.0)
-        src[idx] = scattered
-        dst = np.empty(sim.shape)
+    def moment(scattered) -> np.ndarray:
+        # sum_j w(t, j) scattered_j: scattered, then contracted in place
+        out = np.zeros(sim.shape)
+        out[idx] = scattered
         for mode, f in enumerate(sim.per_mode):
-            n_mode_product(src, f, mode, out=dst)
-            src, dst = dst, src
-        return src, dst
+            _mode_product_in_place(out, f, mode)
+        return out
 
-    w, spare = moment(np.empty(sim.shape), 1.0)
+    w = moment(1.0)
     bad = w <= 0.0
     n_bad = int(np.count_nonzero(bad))
     if n_bad:
@@ -221,8 +219,7 @@ def smoothing_moments(sim: SimilarityModel, omega: ObservationSet) -> Moments:
         del own
         mean = values.mean()  # taken before m1's buffer exists
 
-    m1, spare = moment(spare, values)
-    del spare
+    m1 = moment(values)
     if n_bad:
         m1[bad] = mean
         m1[observed] = own_values

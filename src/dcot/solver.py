@@ -123,7 +123,7 @@ from .losses import (
 from .model import DcotModel, reconstruct, tie_heterogeneous_core
 from .prox import Penalty, penalty_value, prox_apply
 from .similarity import SimilarityModel, smoothing_moments
-from .tensor import _mode_product, _multilinear, _unfold, frob_inner, frob_norm
+from .tensor import _BLOCK, _mode_product, _multilinear, _unfold, frob_inner, frob_norm
 
 log = logging.getLogger("dcot.solver")
 
@@ -132,10 +132,6 @@ _MODULI_FLOOR = 1e-8
 # below the bound voids the descent step
 _LIPSCHITZ_SAFETY = 1.1
 _NEWTON_MAX_INNER = 100
-# cells per block of the split families' sweep tail (see _row_blocks and
-# _sweep_tail), which takes whole rows of I_N cells: up to 256 KiB per
-# float64 array, so a block of the tail's arrays stays in a core's L2 cache
-_BLOCK = 32768
 # abort once the augmented Lagrangian exceeds this factor times (|L_0| + 1)
 _DIVERGENCE_FACTOR = 10.0
 # a solve stops once the primal residual is at most _TOL_PRIMAL_REL * ||x_Omega||
@@ -281,7 +277,8 @@ class SolverResult:
     (:func:`update_z`), one entry per sweep; it is empty for the gaussian
     family, which has no z step.  A gaussian solve keeps no ``z`` or dual:
     its ``z`` is the final reconstruction and ``y = -grad F(z)`` (see the
-    module docstring), formed when it returns.
+    module docstring), formed when it returns; ``y`` takes the smoothed
+    target's buffer, so the solve ends holding two dense arrays, not three.
     """
 
     model: DcotModel
@@ -540,8 +537,10 @@ def lagrangian_value(
 def _row_blocks(rows: int, cols: int):
     """Blocks of ``max(1, _BLOCK // cols)`` rows of a ``(rows, cols)`` array.
 
-    Yields each block's rows and its cells in the raveled array; the last
-    block may be partial.
+    ``_BLOCK`` is :mod:`dcot.tensor`'s block size, so a block of each of
+    the sweep tail's arrays stays in a core's L2 cache.  Yields each
+    block's rows and its cells in the raveled array; the last block may be
+    partial.
     """
     step = max(1, _BLOCK // max(cols, 1))
     for lo in range(0, rows, step):
@@ -913,9 +912,13 @@ def solve(
         reason,
         trace.rows[-1].primal_residual,
     )
-    if gaussian:  # the reconstruction, and y = -grad F(z) in the gradient's buffer
+    if gaussian:
+        # the reconstruction, and y = -grad F(z) formed in m1's buffer with
+        # LossDerivatives.at's gaussian arithmetic, 2 (z - m1) / count
         z = reconstruct(model)
-        y = loss_gradient(family, m1, z)
+        y = np.subtract(z, m1, out=m1)
+        y *= 2.0
+        y /= y.size
         np.negative(y, out=y)
     else:
         y = np.multiply(u, gamma, out=u)  # back to the unscaled dual, in place

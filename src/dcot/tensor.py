@@ -17,10 +17,13 @@ Conventions used throughout the package:
 * Modes are 0-based everywhere in the Python API; 1-based indices appear
   only in on-disk file formats (see :mod:`dcot.io`).
 
-All functions are pure: they never mutate their arguments, apart from the
-``out`` buffer that :func:`n_mode_product` may be given, so concurrent use
-is safe.  Floating-point results depend on summation order only through
-ordinary rounding.  The public functions check their arguments and then
+All public functions are pure: they never mutate their arguments, apart
+from the ``out`` buffer that :func:`n_mode_product` may be given, so
+concurrent use is safe.  The one kernel that writes over its input,
+:func:`_mode_product_in_place`, works through a scratch of about
+``_BLOCK`` cells; the solver's sweep tail and the dense writer of
+:mod:`dcot.io` take the same block size.  Floating-point results depend
+on summation order only through ordinary rounding.  The public functions check their arguments and then
 call private unchecked kernels (``_unfold``, ``_mode_product``,
 ``_multilinear``) that do the work, so each operation has one
 implementation; the solver, which checks its inputs once, calls the
@@ -32,6 +35,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+# cells per block of the blockwise passes (see _mode_product_in_place): up to
+# 256 KiB per float64 array, so a block stays in a core's L2 cache
+_BLOCK = 32768
 
 
 def _check_mode(mode: int, ndim: int) -> None:
@@ -87,6 +94,44 @@ def _mode_product(
     if out is not None:
         return out
     return result.reshape(shape[:mode] + (u.shape[0],) + shape[mode + 1 :])
+
+
+def _mode_product_in_place(t: np.ndarray, u: np.ndarray, mode: int) -> np.ndarray:
+    """``t x_mode u`` written over ``t``, for a square ``u`` and a C-contiguous float ``t``.
+
+    The product mixes only the cells of one mode-``mode`` fiber, so it is
+    taken a block at a time into a scratch of at most ``_BLOCK`` cells, or
+    of one fiber where a fiber is longer, and copied back.  A block is
+    whole slabs ``t[a]`` of the ``(lead, I_mode, rest)`` view of
+    :func:`_mode_product` when one fits, else columns of one slab; on the
+    last mode it is rows of the ``(lead, I_mode)`` view.  A block's product is the same matrix product
+    over fewer rows or columns (Kolda & Bader), so a tensor of at most
+    ``_BLOCK`` cells gets :func:`_mode_product`'s result bitwise, and a
+    larger one gets it to rounding.  Returns ``t``.
+    """
+    if not t.size:
+        return t
+    shape, n = t.shape, u.shape[0]
+    lead, rest = math.prod(shape[:mode]), math.prod(shape[mode + 1 :])
+    last = mode == t.ndim - 1
+    if last:
+        rows, step = t.reshape(lead, n), max(1, _BLOCK // n)
+        blocks = (rows[lo : lo + step] for lo in range(0, lead, step))
+    elif n * rest <= _BLOCK:
+        slabs, step = t.reshape(lead, n, rest), _BLOCK // (n * rest)
+        blocks = (slabs[lo : lo + step] for lo in range(0, lead, step))
+    else:
+        slabs, step = t.reshape(lead, n, rest), max(1, _BLOCK // n)
+        blocks = (slab[:, lo : lo + step] for slab in slabs for lo in range(0, rest, step))
+    scratch = np.empty(min(max(_BLOCK, n), t.size))
+    for block in blocks:
+        out = scratch[: block.size].reshape(block.shape)
+        if last:
+            np.matmul(block, u.T, out=out)
+        else:
+            np.matmul(u, block, out=out)
+        block[...] = out
+    return t
 
 
 def n_mode_product(

@@ -17,6 +17,7 @@ import itertools
 import logging
 import math
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -174,6 +175,17 @@ def coo_text_oracle(indices, values, shape):
     for idx, v in sorted(zip(map(tuple, np.asarray(indices).tolist()), values)):
         lines.append(" ".join(str(int(i) + 1) for i in idx) + " " + repr(float(v)))
     return "\n".join(lines) + "\n"
+
+
+def dense_file_oracle(t):
+    """The bytes of a dense ``.dct`` file for ``t``, built whole in memory.
+
+    The header, then ``t`` raveled first-mode-fastest as little-endian
+    float64, from the format's definition and no package code.
+    """
+    t = np.asarray(t, dtype=float)
+    header = b"DCOT" + struct.pack("<II", 1, t.ndim) + struct.pack(f"<{t.ndim}Q", *t.shape)
+    return header + t.ravel(order="F").astype("<f8").tobytes()
 
 
 def small_shapes(max_elems=64, max_modes=4):

@@ -2,8 +2,8 @@ import dataclasses
 import json
 import math
 import re
+import struct
 import tempfile
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -12,11 +12,13 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import oracles
+from conftest import traced_memory
 from dcot import io
 from dcot.cli import main
 from dcot.losses import ObservationSet
 from dcot.model import SliceGroup, SubjectPartition
 from dcot.prox import Penalty
+from dcot.tensor import _BLOCK
 
 
 class TestCooFormat:
@@ -242,10 +244,10 @@ def coo_outcome(read, path):
     return omega.shape, omega.indices.shape, omega.indices.tobytes(), omega.values.tobytes()
 
 
-# read_coo's tracemalloc peak per entry on a canonical file: 80 measured
-# (numpy 2.4); 108 while the file's bytes stayed alive during the checks,
-# 201 when the whole text was split into lines
-BYTES_PER_ENTRY = 95
+# read_coo's tracemalloc peak per entry on a canonical file: 67 measured
+# (numpy 2.4); 80 while the parsed rows stayed alive during the checks, 108
+# while the file's bytes did too, 201 when the whole text was split into lines
+BYTES_PER_ENTRY = 75
 # write_coo's peak: 30 measured at 32,115 entries, 173 when every line was
 # built before one write
 WRITE_BYTES_PER_ENTRY = 48
@@ -283,27 +285,19 @@ class TestCooStreamedRead:
         omega = ObservationSet.from_dense(rng.standard_normal(shape), rng.random(shape) < 0.5)
         path = tmp_path / "t.coo"
         io.write_coo(omega, path)
-        tracemalloc.start()
-        try:
+        with traced_memory() as mem:
             back = io.read_coo(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         assert len(back) == len(omega) > 20_000
-        assert peak / len(back) < BYTES_PER_ENTRY
+        assert mem.peak / len(back) < BYTES_PER_ENTRY
 
     def test_write_memory_per_entry(self, tmp_path):
         rng = np.random.default_rng(0)
         shape = (40, 40, 40)
         omega = ObservationSet.from_dense(rng.standard_normal(shape), rng.random(shape) < 0.5)
-        tracemalloc.start()
-        try:
+        with traced_memory() as mem:
             io.write_coo(omega, tmp_path / "t.coo")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         assert len(omega) > 20_000
-        assert peak / len(omega) < WRITE_BYTES_PER_ENTRY
+        assert mem.peak / len(omega) < WRITE_BYTES_PER_ENTRY
 
 
 @st.composite
@@ -364,6 +358,58 @@ class TestDenseFormat:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(io.DataIOError, match="payload"):
             io.read_dense(path)
+
+    def test_header_only_file_with_overflowing_dims_is_a_data_error(self, tmp_path):
+        # 2**32 * 2**32 cells: a product in int64 wraps to 0, which a
+        # header-only file would match
+        path = tmp_path / "t.dct"
+        path.write_bytes(b"DCOT" + struct.pack("<II2Q", 1, 2, 2**32, 2**32))
+        with pytest.raises(io.DataIOError) as err:
+            io.read_dense(path)
+        assert str(err.value) == (
+            f"{path}: payload is 0 bytes, expected {8 * 2**64} (offset 28)")
+        cfg = {"evaluate": {"estimate": "t.dct", "reference": "t.dct"}}
+        assert run_cli(tmp_path, "evaluate", cfg) == 4
+
+    # C-ordered, F-ordered, strided, 0-d, 1-d and integer input, and 3-way
+    # arrays of more than one block of _BLOCK cells
+    WRITE_INPUTS = {
+        "c-order": lambda g: g.standard_normal((4, 3, 5)),
+        "f-order": lambda g: np.asfortranarray(g.standard_normal((4, 3, 5))),
+        "strided": lambda g: g.standard_normal((6, 7, 8))[::2, 1:, ::-3],
+        "0-d": lambda g: np.array(g.standard_normal()),
+        "1-d": lambda g: g.standard_normal(9),
+        "integers": lambda g: g.integers(-5, 5, (3, 4)),
+        "c-order-blocks": lambda g: g.standard_normal((50, 40, 30)),
+        "f-order-blocks": lambda g: np.asfortranarray(g.standard_normal((50, 40, 30))),
+    }
+
+    @pytest.mark.parametrize("block", [32768, 5])
+    @pytest.mark.parametrize("make", WRITE_INPUTS.values(), ids=WRITE_INPUTS)
+    def test_write_gives_the_whole_array_bytes(self, tmp_path, rng, make, block, monkeypatch):
+        # a block of 5 cells splits every slab of more than one cell
+        t = make(rng)
+        monkeypatch.setattr(io, "_BLOCK", block)
+        path = tmp_path / "t.dct"
+        io.write_dense(t, path)
+        assert path.read_bytes() == oracles.dense_file_oracle(t)
+        back = io.read_dense(path)
+        assert back.shape == t.shape and np.array_equal(back, t)
+        assert back.dtype == float and back.flags.f_contiguous
+
+    def test_read_holds_the_result_alone(self, tmp_path, rng):
+        t = rng.standard_normal((40, 40, 40))
+        path = tmp_path / "t.dct"
+        io.write_dense(t, path)
+        with traced_memory() as mem:
+            io.read_dense(path)
+        assert mem.peak < 1.05 * t.nbytes
+
+    def test_write_makes_no_whole_copy(self, tmp_path, rng):
+        t = rng.standard_normal((40, 40, 40))
+        with traced_memory() as mem:
+            io.write_dense(t, tmp_path / "t.dct")
+        assert mem.peak <= 8 * _BLOCK + 4096
 
     def test_dispatch(self, tmp_path, rng):
         # the format is read from the file: the DCOT magic means dense, and
@@ -730,6 +776,25 @@ class TestCliPipeline:
         assert run_cli(tmp_path, "evaluate", eval_cfg) == 0
         assert json.loads(capsys.readouterr().out) == {
             "command": "evaluate", "rmse": 0.0, "entries": 6 * 5 * 4}
+
+    def test_complete_peaks_at_the_observations_and_two_dense_arrays(self, tmp_path,
+                                                                     monkeypatch):
+        # half of 40^3 observed: the observation set is two dense arrays'
+        # worth (three int64 indices and a value per entry).  Beside it the
+        # smoothing holds w and m1 and a scratch of _BLOCK cells (half an
+        # array here), the start x and one matricization, and the write
+        # z_hat alone: 4.76 arrays measured, 7.13 while phases held copies
+        monkeypatch.chdir(tmp_path)
+        shape = (40, 40, 40)
+        synth = synth_config(shape=shape, sigma=0.1, missing=0.5, seed=3)
+        synth["synth"].update(ranks=[3, 3, 3], partition={"mode": 3, "groups": [[1, 2, 3]]})
+        assert run_cli(tmp_path, "synth", synth) == 0
+        cfg = fit_config("run", max_iters=3, similarity=KERNEL_SIM)
+        cfg["ranks"] = [3, 3, 3]
+        assert run_cli(tmp_path, "complete", cfg) == 0  # imports and caches warm
+        with traced_memory() as mem:
+            assert run_cli(tmp_path, "complete", cfg) == 0
+        assert mem.peak <= 5.0 * 8 * math.prod(shape)
 
     def test_block_penalties_echoed(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

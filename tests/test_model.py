@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
+from conftest import traced_memory
 from dcot.model import (
     DcotModel,
     InitStrategy,
@@ -89,6 +90,13 @@ class TestInitFactors:
             init_factors(x, [2, 2, 2])
         with pytest.raises(ValueError, match="data tensor has non-finite values"):
             initial_model(x, [2, 2, 2], InitStrategy(kind))
+
+    def test_one_matricization_live_at_a_time(self, rng):
+        # each mode's matricization is a copy of x, released once its Gram is formed
+        x = rng.standard_normal((24, 24, 24))
+        with traced_memory() as mem:
+            init_factors(x, [3, 3, 3])
+        assert mem.peak < 1.25 * x.nbytes
 
     def test_hosvd_is_the_only_start(self):
         # the identity and random starts are gone, and so is the seed

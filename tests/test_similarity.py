@@ -1,11 +1,11 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import oracles
+from conftest import traced_memory
 from dcot.losses import ObservationSet
 from dcot.similarity import (
     SimilarityModel,
@@ -13,6 +13,7 @@ from dcot.similarity import (
     mode_similarity,
     smoothing_moments,
 )
+from dcot.tensor import _BLOCK
 
 
 class TestModeSimilarity:
@@ -292,41 +293,61 @@ class TestSmoothingMoments:
         if kind in ("neutral", "blind-index"):
             assert degenerate > 0
 
-    def test_build_holds_at_most_three_dense_arrays(self):
-        # w and the two buffers: m1 is built in the buffer w's build left
-        # free.  With degenerate targets their mask adds an eighth of an array
-        shape = (24, 24, 24)
-        for kind, bound in (("kernel", 3.25), ("neutral", 3.3), ("blind-index", 3.3)):
+    @pytest.mark.parametrize("kind", ["kernel", "blind-index"])
+    def test_blocked_build_matches_the_dense_build(self, kind, monkeypatch):
+        # blocks of 7 cells: every contraction takes several, the last partial
+        import dcot.tensor
+
+        shape = (5, 4, 3)
+        gen = np.random.default_rng(7)
+        sim = self.similarity(kind, shape, gen)
+        omega = ObservationSet.from_dense(gen.standard_normal(shape), gen.random(shape) < 0.6)
+        _, m1, degenerate = oracles.smoothing_moments_dense(sim, omega)
+        monkeypatch.setattr(dcot.tensor, "_BLOCK", 7)
+        mom = smoothing_moments(sim, omega)
+        np.testing.assert_allclose(mom.weighted_x, m1, rtol=1e-12, atol=1e-15)
+        assert mom.degenerate == degenerate
+
+    def test_build_holds_two_dense_arrays_and_the_scratch(self):
+        # w and m1, each contracted in place through a scratch of _BLOCK
+        # cells, and the mask of degenerate targets, an eighth of an array;
+        # the fallback's index arrays add under a tenth.  At 40^3 every
+        # contraction takes several blocks
+        shape = (40, 40, 40)
+        cell_bytes = 8 * math.prod(shape)
+        assert math.prod(shape) > _BLOCK
+        for kind in ("kernel", "neutral", "blind-index"):
             gen = np.random.default_rng(3)
             sim = self.similarity(kind, shape, gen)
             omega = ObservationSet.from_dense(gen.standard_normal(shape),
                                               gen.random(shape) < 0.5)
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
+            with traced_memory() as mem:
                 mom = smoothing_moments(sim, omega)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
             assert (mom.degenerate > 0) == (kind != "kernel")
-            assert peak - base <= bound * 8 * math.prod(shape), kind
+            assert mem.peak <= 2.25 * cell_bytes + 8 * _BLOCK, kind
 
     @pytest.mark.parametrize("kind", ["kernel", "blind-index"])
     def test_build_makes_two_moments(self, kind, monkeypatch):
-        # the weight sum and the first moment: N mode products each
+        # the weight sum and the first moment: N in-place mode products each,
+        # every one on a buffer of the data's shape
         import dcot.similarity
 
         shape = (4, 3, 5)
         gen = np.random.default_rng(5)
         sim = self.similarity(kind, shape, gen)
         omega = ObservationSet.from_dense(gen.standard_normal(shape), gen.random(shape) < 0.6)
-        calls = []
-        real = dcot.similarity.n_mode_product
+        calls, buffers = [], []
+        real = dcot.similarity._mode_product_in_place
 
-        def counted(*args, **kwargs):
-            calls.append(args[2])
-            return real(*args, **kwargs)
+        def counted(t, u, mode):
+            calls.append(mode)
+            buffers.append(t)
+            return real(t, u, mode)
 
-        monkeypatch.setattr(dcot.similarity, "n_mode_product", counted)
-        smoothing_moments(sim, omega)
+        monkeypatch.setattr(dcot.similarity, "_mode_product_in_place", counted)
+        mom = smoothing_moments(sim, omega)
         assert calls == [0, 1, 2] * 2
+        assert all(t.shape == shape for t in buffers)
+        # w's buffer for the first three, m1's for the last three
+        assert all(t is buffers[0] for t in buffers[:3])
+        assert all(t is mom.weighted_x for t in buffers[3:])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
+from conftest import traced_memory
 from dcot.losses import (
     DomainError,
     LossFamily,
@@ -1468,25 +1469,16 @@ class TestDenseWorkingSet:
         return 8 * math.prod(self.SHAPE)
 
     def test_gaussian_loss_allocates_no_dense_temporary(self, rng):
-        import tracemalloc
-
         omega = ObservationSet.from_dense(rng.standard_normal(self.SHAPE),
                                           rng.random(self.SHAPE) < 0.5)
         m1 = smoothing_moments(SimilarityModel.neutral(self.SHAPE), omega).weighted_x
         z = rng.standard_normal(self.SHAPE)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
+        with traced_memory() as mem:
             loss_value(LossFamily("gaussian"), m1, z)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - base < self.cell_bytes()
+        assert mem.peak < self.cell_bytes()
 
     @pytest.mark.usefixtures("full_length")
     def test_solve_peak_is_the_documented_buffers(self, monkeypatch):
-        import tracemalloc
-
         import dcot.solver
 
         # the peak is reset at the first factor step, so the moments build and
@@ -1505,22 +1497,18 @@ class TestDenseWorkingSet:
 
         def first_step(*args):
             if not sweep_start:
-                sweep_start.append(tracemalloc.get_traced_memory()[0])
-                tracemalloc.reset_peak()
+                mem.mark()
+                sweep_start.append(mem.base)
             return real_step(*args)
 
         def result_z(*args, **kwargs):
-            sweep_peak.append(tracemalloc.get_traced_memory()[1])
+            sweep_peak.append(mem.peak_so_far())
             return real_reconstruct(*args, **kwargs)
 
         monkeypatch.setattr(dcot.solver, "update_factor", first_step)
         monkeypatch.setattr(dcot.solver, "reconstruct", result_z)
-        tracemalloc.start()
-        try:
-            solve(omega, init, LossFamily("gaussian"), sim,
-                  SolverConfig(max_iters=5))
-        finally:
-            tracemalloc.stop()
+        with traced_memory() as mem:
+            solve(omega, init, LossFamily("gaussian"), sim, SolverConfig(max_iters=5))
         cell = self.cell_bytes()
         # the one reconstruction is the result's
         assert len(sweep_peak) == 1
@@ -1528,5 +1516,30 @@ class TestDenseWorkingSet:
         # beside weighted_x only core-sized and chain arrays, well under one
         # dense array at these ranks: the chain's first link is r_N / I_N =
         # 1/8 of one
-        assert peak - moments < 0.5 * cell
-        assert peak - sweep_start[0] < 0.5 * cell
+        assert sweep_start[0] + peak - moments < 0.5 * cell
+        assert peak < 0.5 * cell
+
+    def test_gaussian_result_forms_y_in_the_target_buffer(self, monkeypatch):
+        # from the result's reconstruction on, the solve adds z alone: y is
+        # -grad F(z), with loss_gradient's arithmetic, in m1's buffer
+        import dcot.solver
+
+        data, part = planted_problem(seed=2, shape=self.SHAPE, sigma=0.05, missing=0.5)
+        omega, fam = data.observed, LossFamily("gaussian")
+        sim = SimilarityModel.neutral(self.SHAPE)
+        init = initial_model(omega.to_dense(float(omega.values.mean())), (3, 3, 3),
+                             InitStrategy("hosvd"), part)
+        real_reconstruct, marks = dcot.solver.reconstruct, []
+
+        def result_z(*args, **kwargs):
+            mem.mark()
+            marks.append(mem.base)
+            return real_reconstruct(*args, **kwargs)
+
+        monkeypatch.setattr(dcot.solver, "reconstruct", result_z)
+        with traced_memory() as mem:
+            res = solve(omega, init, fam, sim, SolverConfig(max_iters=3))
+        assert len(marks) == 1
+        assert mem.peak < 1.25 * self.cell_bytes()
+        m1 = smoothing_moments(sim, omega).weighted_x
+        assert res.y.tobytes() == (-loss_gradient(fam, m1, res.z)).tobytes()

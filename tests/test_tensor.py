@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
+import dcot.tensor
 from dcot.tensor import (
     _mode_product,
+    _mode_product_in_place,
     _multilinear,
     _unfold,
     frob_inner,
@@ -253,6 +255,41 @@ class TestUncheckedKernels:
                    for n, s in enumerate(shape)]
         assert _multilinear(t, factors).tobytes() == \
             multilinear_product(t, factors).tobytes()
+
+
+class TestModeProductInPlace:
+    """Written over its input, the product is _mode_product's: bitwise in one block."""
+
+    SHAPES = [(4, 3, 5), (2, 3, 4, 2), (6, 5), (7,), (0, 3, 4), (2, 0, 3)]
+
+    # one block for every shape; then several, with a partial last one, on
+    # each of the column, slab and row paths; at 3, fibers longer than a block
+    @pytest.mark.parametrize("block", [4096, 7, 32, 3])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_matches_mode_product(self, shape, block, rng, monkeypatch):
+        monkeypatch.setattr(dcot.tensor, "_BLOCK", block)
+        t = rng.standard_normal(shape)
+        for mode, size in enumerate(shape):
+            u = rng.standard_normal((size, size))
+            want = _mode_product(t, u, mode)
+            got = t.copy()
+            assert _mode_product_in_place(got, u, mode) is got
+            if t.size <= block:
+                assert got.tobytes() == want.tobytes()
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_scratch_is_one_block(self, rng, monkeypatch):
+        # a 40 x 40 x 40 tensor takes blocks of 64 cells, and nothing else of its size
+        from conftest import traced_memory
+
+        monkeypatch.setattr(dcot.tensor, "_BLOCK", 64)
+        t = rng.standard_normal((40, 40, 40))
+        u = rng.standard_normal((40, 40))
+        for mode in range(3):
+            with traced_memory() as mem:
+                _mode_product_in_place(t, u / 40, mode)
+            assert mem.peak < 0.05 * t.nbytes
 
 
 class TestInnerAndNorm:
