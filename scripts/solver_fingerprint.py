@@ -26,9 +26,9 @@ partial one; plus two
 ``dcot synth`` + ``dcot complete`` runs with kernel similarity, hashed
 over ``observed.coo`` (so the same check covers the COO writer and
 reader), ``trace.csv`` and ``z_hat.dct``: one reads the written file as
-it is, which the reader streams, the other first rewrites it with a
-comment line, blank lines and CRLF line ends, which the reader parses
-from the whole text.  A solve
+it is, which the reader parses from its path, the other first rewrites
+it with a comment line, blank lines and CRLF line ends, which the reader
+parses from the whole text.  A solve
 hashes ``z``, ``y``, both cores, the factors, every ``trace.csv`` column,
 the moduli of the last sweep as ``(gamma, core, core, factors)`` (the order
 of the older ``(gamma, rho_g, rho_h, rho_factors)``, so hashes stay

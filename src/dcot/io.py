@@ -14,8 +14,9 @@ All file formats use 1-based indices; conversion to the package's
   are rejected as not finite).  ``_`` digit separators and non-ASCII
   digits are unparseable.  A faulty file is reported by its first faulty
   line.  A file without comment lines or unusual line ends is parsed
-  straight from its bytes, in memory proportional to its entry count;
-  others are parsed from their whole text (see :func:`read_coo`).
+  from its path by numpy's chunked reader, in memory proportional to its
+  entry count; others are parsed from their whole text (see
+  :func:`read_coo`).
   Written files sort entries lexicographically by index.
 * Dense binary (``.dct``): magic ``DCOT``, little-endian u32 version (1),
   u32 mode count, one u64 per mode size, then float64 entries in
@@ -41,6 +42,7 @@ import json
 import math
 import os
 import re
+import stat
 import struct
 from collections.abc import Iterable
 from io import BytesIO, TextIOWrapper
@@ -98,49 +100,85 @@ def read_coo(path) -> ObservationSet:
     """Parse a COO text file into an observation set (strict validation).
 
     Lines end where ``str.splitlines`` ends them.  A canonical file is
-    streamed: it is ASCII, holds one ``#`` (the header's) and none of the
-    bytes 0x0b, 0x0c, 0x1c, 0x1d and 0x1e, which end a line for
-    ``str.splitlines`` but not in a text-mode file.  Its header lines are
-    read from the open bytes and one bulk parse converts the rest, so memory
-    grows with the entry count and no whole-file text or per-line list is
-    built; the indices and values leave the parsed rows, which are released
-    before :class:`ObservationSet` checks them.  Every other file, and
-    every file that the streamed parse or the array checks reject, takes
-    the text path: the decoded text is split into lines and parsed in bulk,
-    and a faulty file is reported by its first faulty line.  Both paths accept the same files, with the same
-    values and messages.
+    parsed from its path: it is a regular file whose name has none of the
+    suffixes numpy's reader decompresses (``.gz``, ``.bz2``, ``.xz``,
+    ``.lzma``), and its bytes are ASCII, hold one ``#`` (the header's) and
+    none of the bytes 0x0b, 0x0c, 0x1c, 0x1d and 0x1e, which end a line
+    for ``str.splitlines`` but not in a text-mode file.  Its header is read
+    from those bytes, which are then released, and ``np.loadtxt`` parses
+    the entry lines from the path in chunks, so memory grows with the entry
+    count and no whole-file text or per-line list is built; the indices and
+    values leave the parsed rows, which are released before
+    :class:`ObservationSet` checks them.  The parsed file must be the one
+    that was checked: its ``os.stat`` size, ``mtime_ns`` and inode must
+    read the same before the bytes are read and after the parse.  Every
+    other file, and every file that the path parse or the array checks
+    reject, takes the text path: the decoded text is split into lines and
+    parsed in bulk, and a faulty file is reported by its first faulty line.
+    Both paths accept the same files, with the same values and messages.
     """
     path = Path(path)
+    checked = _file_identity(path)
     data = _read_bytes(path)
-    streamed = _read_streamed(path, data)
-    if streamed is None:
+    header = _canonical_header(path, data) if checked is not None else None
+    if header is None:
         return _read_lines(path, _decode(path, data))
-    del data  # before the array checks; a file they reject is read again
-    dims, rows = streamed
+    del data  # before the parse; a file it or the array checks reject is read again
+    dims, skiprows, has_entries = header
+    try:
+        rows = _parse_entries(os.fspath(path) if has_entries else (), len(dims), skiprows)
+    except (OSError, ValueError):
+        rows = None
+    if rows is None or _file_identity(path) != checked:
+        return _read_lines(path, _read_text(path))
     # the indices and values leave the parsed rows, which go before the checks
     indices, values = rows["i"] - 1, np.ascontiguousarray(rows["v"])
-    del rows, streamed
+    del rows
     try:
         return ObservationSet(indices, values, dims)
     except ValueError:
         return _read_lines(path, _read_text(path))
 
 
+# Suffixes numpy's path reader decompresses (np.lib._datasource's openers).
+_DECOMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
+
+
+def _file_identity(path: Path) -> tuple[int, int, int] | None:
+    """Size, ``mtime_ns`` and inode of a regular file that numpy's reader opens as it is.
+
+    None for any other path, or one that cannot be stat'ed.
+    """
+    if os.path.splitext(path)[1] in _DECOMPRESSED_SUFFIXES:
+        return None
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None
+    if not stat.S_ISREG(st.st_mode):
+        return None
+    return st.st_size, st.st_mtime_ns, st.st_ino
+
+
 # Bytes that end a line for str.splitlines but not in a text-mode file.
 _SPLITLINES_ONLY = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
 
 
-def _read_streamed(path: Path, data: bytes) -> tuple[tuple[int, ...], np.ndarray] | None:
-    """The dims and rows of a canonical file, or None if the text path must read it."""
+def _canonical_header(path: Path, data: bytes) -> tuple[tuple[int, ...], int, bool] | None:
+    """A canonical file's dims, its lines up to the header, and whether an entry follows.
+
+    None if the text path must read the file.
+    """
     if data.count(b"#") != 1 or not data.isascii() or any(c in data for c in _SPLITLINES_ONLY):
         return None
-    # universal newlines: the same line ends as str.splitlines on such bytes
+    # universal newlines: the same line ends as str.splitlines on such bytes,
+    # and as np.loadtxt's text-mode read of the path
     with TextIOWrapper(BytesIO(data), encoding="ascii") as stream:
         try:
-            dims, _ = _read_dims_header(path, stream)
-            return dims, _parse_entries(stream, len(dims))
-        except (DataIOError, ValueError):
+            dims, lineno = _read_dims_header(path, stream)
+        except DataIOError:
             return None
+        return dims, lineno, any(line.strip() for line in stream)
 
 
 def _read_lines(path: Path, text: str) -> ObservationSet:
@@ -188,15 +226,20 @@ def _read_dims_header(path: Path, lines: Iterable[str]) -> tuple[tuple[int, ...]
     raise DataIOError(f"{path}: missing '# dims:' header")
 
 
-def _parse_entries(lines: Iterable[str], n_modes: int) -> np.ndarray:
+def _parse_entries(lines: Iterable[str] | str, n_modes: int, skiprows: int = 0) -> np.ndarray:
     """Convert entry lines to rows with fields ``i`` (indices) and ``v``.
 
     The one token conversion of COO entries: blank lines are skipped, and
     it raises ``ValueError`` on a line without ``n_modes + 1`` fields or
     with a token that is not an ASCII decimal integer (indices) or a float
-    (value).
+    (value).  ``lines`` is an iterable of lines, or the path of an ASCII
+    file whose lines after the first ``skiprows`` hold at least one entry;
+    numpy reads a path in chunks, and an iterable one line at a time.
     """
     dtype = [("i", "i8", (n_modes,)), ("v", "f8")]
+    if isinstance(lines, str):
+        return np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1, skiprows=skiprows,
+                          encoding="ascii")
     lines = iter(lines)
     first = next((line for line in lines if line.strip()), None)
     if first is None:  # no entries: an empty set, without loadtxt's "no data" warning

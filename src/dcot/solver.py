@@ -66,15 +66,17 @@ the first sweep, ``P`` of the initial factors).  The result's ``z`` is the
 reconstruction and ``y = -grad F(z)``, each formed once when the solve
 returns.
 
-At grid-search sizes the tensor work is the small part of a sweep.  A
-16^3 gaussian solve with ranks 3 (100 sweeps, one BLAS thread, a shared
-2-core x86-64 machine) took about 40 ms; under cProfile the 606 calls of
-:func:`_spectral_norm` were about half of it, the factor steps 15 %, the
-core steps 10 % and the core-space loss 3 %.  Nearly all of that is the
-fixed cost of numpy calls on arrays of a few dozen entries, so the sweep
-makes as few of them as it can.  At 60^3 it still is the larger part: a
-gaussian sweep took about 0.7 ms in the benchmark's gauss-dense runs, and
-its two passes over ``m1`` about 0.2 ms of it (timed apart).
+At grid-search sizes the tensor work is the small part of a sweep.  A 16^3
+gaussian solve with ranks 3 (100 sweeps, one BLAS thread, a shared 2-core
+x86-64 machine) took about 34 ms (40 ms when each sweep also estimated the
+three core-sum unfolding norms with :func:`_spectral_norm`); under cProfile
+the 303 calls of :func:`_spectral_norm` were about a third of it, the
+factor steps a fifth, the core steps an eighth, the 101 :func:`_core_norms`
+calls a tenth and the core-space loss 4 %.  Nearly all of that is the fixed
+cost of numpy calls on arrays of a few dozen entries, so the sweep makes as
+few of them as it can.  At 60^3 it still is the larger part: a gaussian
+sweep took about 0.7 ms in the benchmark's gauss-dense runs, and its two
+passes over ``m1`` about 0.2 ms of it (timed apart).
 
 The split families keep ``z``, ``u``, the ``recon`` buffer and a
 ``spare`` one.  :func:`update_z` solves their z step over the whole array
@@ -612,23 +614,26 @@ def _spectral_norm(a: np.ndarray, iters: int = 50, tol: float = 1e-8) -> float:
     formed ``w . w``, so it overflows to ``inf`` and underflows to ``0.0``
     where the loop's did, and ``lam_1 = 0`` settles at once at ``0.0``.
 
-    ``s[0]`` is the exact 2-norm.  The estimate is kept on purpose: when
-    the sequence has not settled within the budget (``iters = 0``
-    included) it falls back to the Frobenius norm (a valid upper bound).
-    That happens often: on the benchmark's gauss-dense problem (60^3, ranks
-    3, 150 iterations) 450 of 909 calls, every one a 60 x 3 factor norm,
-    fell back, at up to 72 % above the exact 2-norm, which inflates the
-    moduli built from them.  Exact norms change the solver's answers and
-    its stopping iteration, so they are a change of their own.
+    ``s[0]`` is the exact 2-norm.  The estimate is kept on purpose for the
+    factor norms, its only use: when the sequence has not settled within
+    the budget (``iters = 0`` included) it falls back to the Frobenius norm
+    (a valid upper bound).  That happens often: on the benchmark's
+    gauss-dense problem (60^3, ranks 3, 150 iterations) 450 of 909 calls,
+    every one a 60 x 3 factor norm, fell back, at up to 72 % above the
+    exact 2-norm, which inflates the moduli built from them.  Exact factor
+    norms change the solver's answers and its stopping iteration, so they
+    are a change of their own.  The core-sum unfolding norms are exact
+    (:func:`_core_norms`): their estimates all settled within 3.2e-9 of the
+    exact norm.
 
-    A refreshed solve makes ``2N`` calls per sweep on matrices of a few
+    A refreshed solve makes ``N`` calls per sweep on matrices of a few
     dozen entries, so the cost is per numpy call, not per entry: about 20
     calls (25-30 us on a 16 x 3 matrix, shared 2-core x86-64 machine), of
-    which the SVD takes about two thirds.  One ``dot`` gives the Frobenius norm, in ``np.linalg.norm``'s
-    own order, and serves the zero test, the finiteness guard and the
-    fallback; the exponent column is cached and the first settled step is
-    found by ``argmax``.  None of this moves the estimate: it is bitwise
-    the one that separate reductions per test give.
+    which the SVD takes about two thirds.  One ``dot`` gives the Frobenius
+    norm, in ``np.linalg.norm``'s own order, and serves the zero test, the
+    finiteness guard and the fallback; the exponent column is cached and
+    the first settled step is found by ``argmax``.  None of this moves the
+    estimate: it is bitwise the one that separate reductions per test give.
 
     Input whose squares do not sum to a finite number returns that
     Frobenius norm (``inf`` or ``nan``) without calling LAPACK:
@@ -660,16 +665,45 @@ def _spectral_norm(a: np.ndarray, iters: int = 50, tol: float = 1e-8) -> float:
     return math.sqrt(lam[k + 1]) if settled[k] else frob
 
 
+def _core_norms(core_sum: np.ndarray) -> list[float]:
+    """Exact 2-norms of the core sum's ``N`` unfoldings ``C_n``, from one ``eigvalsh``.
+
+    ``||C_n||_2^2`` is the largest eigenvalue of the ``r_n x r_n`` Gram
+    ``C_n C_n^T`` (Golub & Van Loan, *Matrix Computations*, §8.6).  The
+    ``N`` Grams are stacked, zero-padded to the largest rank (the padding
+    adds only zero eigenvalues), and one ``np.linalg.eigvalsh`` call takes
+    them all.  The core is scaled by its largest ``|entry|`` first, the
+    same for every unfolding, so no Gram overflows or underflows and the
+    norms are exact at every finite scale.  An all-zero core gives 0.0 for
+    every mode.  A non-finite one gives its largest ``|entry|`` (``inf``
+    or ``nan``) for every mode without calling LAPACK, which may never
+    return on an ``inf`` entry.  On a 3 x 3 x 3 core a call takes about
+    25 us, where three :func:`_spectral_norm` estimates took about 100 us
+    (one BLAS thread, a shared 2-core x86-64 machine).
+    """
+    peak = float(np.abs(core_sum).max())
+    if not 0.0 < peak < math.inf:
+        return [peak] * core_sum.ndim
+    scaled = core_sum / peak
+    ranks = scaled.shape
+    grams = np.zeros((len(ranks), max(ranks), max(ranks)))
+    for n, r in enumerate(ranks):
+        c = _unfold(scaled, n)
+        grams[n, :r, :r] = c @ c.T
+    return (peak * np.sqrt(np.linalg.eigvalsh(grams)[:, -1])).tolist()
+
+
 def _factor_modulus(
-    gamma: float, core_sum: np.ndarray, u_norms: list[float], mode: int
+    gamma: float, core_norm: float, u_norms: list[float], mode: int
 ) -> float:
     """Modulus of factor ``mode``, floored away from zero.
 
     ``safety * gamma`` times the squared spectral bound of its coupling map:
-    the core-sum matricization times the other factors' norms.
+    ``core_norm``, the exact norm of the core sum's mode-``mode`` unfolding
+    (:func:`_core_norms`), times the other factors' norm bounds.
     """
     others = math.prod(u_norms[:mode] + u_norms[mode + 1 :])
-    bound = gamma * (_spectral_norm(_unfold(core_sum, mode)) * others) ** 2
+    bound = gamma * (core_norm * others) ** 2
     return max(bound * _LIPSCHITZ_SAFETY, _MODULI_FLOOR)
 
 
@@ -689,17 +723,18 @@ def estimate_moduli(
     for the split families (``L_F`` taken at ``config.z_floor`` for the
     bounded ones).  Each
     block's modulus is ``gamma`` times the squared spectral-norm bound of
-    its coupling map (core-sum matricization times the other factors for a
-    factor block, the product of all factor norms for the cores),
-    multiplied by ``_LIPSCHITZ_SAFETY`` and floored away from zero.
-    ``m1`` is the smoothed data the loss fits, and ``u_norms`` holds the
-    factors' norm bounds, ``_spectral_norm(U_n)``.
+    its coupling map (the core-sum unfolding's exact norm times the other
+    factors' norm bounds for a factor block, the product of all factor
+    norm bounds for the cores), multiplied by ``_LIPSCHITZ_SAFETY`` and
+    floored away from zero.  The core norms come from one
+    :func:`_core_norms` call.  ``m1`` is the smoothed data the loss fits,
+    and ``u_norms`` holds the factors' norm bounds, ``_spectral_norm(U_n)``.
     """
     gamma = loss_lipschitz(family, m1, z_min=config.z_floor)
     if family.kind != "gaussian":
         gamma = 2.0 * gamma * 1.05
-    s = model.core_g + model.core_h
-    factors = tuple(_factor_modulus(gamma, s, u_norms, n) for n in range(len(u_norms)))
+    core_norms = _core_norms(model.core_g + model.core_h)
+    factors = tuple(_factor_modulus(gamma, c, u_norms, n) for n, c in enumerate(core_norms))
     return Moduli(gamma, _core_modulus(gamma, u_norms), factors)
 
 
@@ -836,10 +871,11 @@ def solve(
         for n in range(n_modes - 2, 0, -1):
             suffix.append(_mode_product(suffix[-1], model.factors[n].T, n))
         factor_sq = 0.0
-        core_sum = model.core_g + model.core_h
+        if refresh:  # the core sum does not move during the factor steps
+            core_norms = _core_norms(model.core_g + model.core_h)
         for n in range(n_modes):
             if refresh:
-                rho_factors[n] = _factor_modulus(gamma, core_sum, u_norms, n)
+                rho_factors[n] = _factor_modulus(gamma, core_norms[n], u_norms, n)
             projected = suffix.pop()
             for t in range(n):
                 projected = _mode_product(projected, model.factors[t].T, t)

@@ -244,9 +244,10 @@ def coo_outcome(read, path):
     return omega.shape, omega.indices.shape, omega.indices.tobytes(), omega.values.tobytes()
 
 
-# read_coo's tracemalloc peak per entry on a canonical file: 67 measured
-# (numpy 2.4); 80 while the parsed rows stayed alive during the checks, 108
-# while the file's bytes did too, 201 when the whole text was split into lines
+# read_coo's tracemalloc peak per entry on a canonical file: 64 measured
+# (numpy 2.4) with the path parse, 67 with the line-by-line one; 80 while the
+# parsed rows stayed alive during the checks, 108 while the file's bytes did
+# too, 201 when the whole text was split into lines
 BYTES_PER_ENTRY = 75
 # write_coo's peak: 30 measured at 32,115 entries, 173 when every line was
 # built before one write
@@ -278,6 +279,67 @@ class TestCooStreamedRead:
             io.read_coo(path)
         assert str(err.value) == f"{path}:2: expected 2 indices and a value, got 1 fields"
         assert coo_outcome(oracles.read_coo_oracle, path) == str(err.value)
+
+    def canonical_file(self, path):
+        omega = ObservationSet.from_dense(np.arange(24.0).reshape(2, 3, 4) - 11.5,
+                                          np.arange(24).reshape(2, 3, 4) % 3 != 1)
+        io.write_coo(omega, path)
+        path.write_bytes(b"\n \n" + path.read_bytes())  # blank lines before the header
+        return omega
+
+    def assert_same_set(self, got, want):
+        assert got.shape == want.shape
+        assert got.indices.tobytes() == want.indices.tobytes()
+        assert got.values.tobytes() == want.values.tobytes()
+
+    def test_canonical_file_is_parsed_from_its_path(self, tmp_path, monkeypatch):
+        path = tmp_path / "t.coo"
+        omega = self.canonical_file(path)
+        real, sources = np.loadtxt, []
+
+        def loadtxt(source, *args, **kwargs):
+            sources.append(source)
+            return real(source, *args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", loadtxt)
+        self.assert_same_set(io.read_coo(path), omega)
+        assert sources == [str(path)]
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_name_numpy_would_decompress_takes_the_text_path(self, tmp_path, suffix):
+        # numpy's path reader decompresses by suffix; this file is plain ASCII
+        path = tmp_path / f"obs{suffix}"
+        omega = self.canonical_file(path)
+        self.assert_same_set(io.read_coo(path), omega)
+
+    def test_file_that_changes_after_the_check_takes_the_text_path(self, tmp_path,
+                                                                   monkeypatch):
+        import os
+
+        path = tmp_path / "t.coo"
+        omega = self.canonical_file(path)
+        real_stat, real_lines, stats, text_reads = os.stat, io._read_lines, [], []
+
+        def stat(target, *args, **kwargs):
+            st = real_stat(target, *args, **kwargs)
+            if os.fspath(target) != str(path):
+                return st
+            stats.append(None)
+            if len(stats) == 1:
+                return st
+            fields = list(st)
+            fields[8] += 1  # st_mtime: a later write, seen after the check
+            return os.stat_result(fields, {"st_mtime_ns": st.st_mtime_ns + 10**9,
+                                           "st_ino": st.st_ino})
+
+        def read_lines(*args):
+            text_reads.append(None)
+            return real_lines(*args)
+
+        monkeypatch.setattr(os, "stat", stat)
+        monkeypatch.setattr(io, "_read_lines", read_lines)
+        self.assert_same_set(io.read_coo(path), omega)
+        assert len(text_reads) == 1
 
     def test_canonical_read_memory_per_entry(self, tmp_path):
         rng = np.random.default_rng(0)

@@ -36,6 +36,7 @@ from dcot.solver import (
     ConvergenceTrace,
     SolverAbort,
     SolverConfig,
+    _core_norms,
     _power_start,
     _spectral_norm,
     _sweep_tail,
@@ -49,7 +50,14 @@ from dcot.solver import (
     update_z,
 )
 from dcot.evaluate import SynthSpec, rmse, synthesize
-from dcot.tensor import frob_inner, frob_norm, matricize, multilinear_product, n_mode_product
+from dcot.tensor import (
+    _unfold,
+    frob_inner,
+    frob_norm,
+    matricize,
+    multilinear_product,
+    n_mode_product,
+)
 
 
 def random_state(rng, shape=(3, 2, 2), ranks=(2, 2, 2), partition=None):
@@ -759,6 +767,56 @@ class TestSpectralNorm:
         assert _spectral_norm(a) > 1.7 * np.linalg.norm(a, 2)
 
 
+class TestCoreNorms:
+    def cores(self, rng):
+        return {
+            "1-way": rng.standard_normal(4),
+            "2-way-unequal": rng.standard_normal((2, 5)),
+            "3-way-equal": rng.standard_normal((3, 3, 3)),
+            "3-way-unequal": rng.standard_normal((2, 4, 3)),
+            "4-way-unequal": rng.standard_normal((3, 1, 2, 4)),
+            "rank-1": np.einsum("i,j,k->ijk", *(rng.standard_normal(r) for r in (3, 2, 4))),
+            "ones-mode": rng.standard_normal((1, 1, 1)),
+        }
+
+    @staticmethod
+    def exact(s):
+        return [float(np.linalg.norm(_unfold(s, n), 2)) for n in range(s.ndim)]
+
+    def test_equal_the_exact_norm_of_every_unfolding(self, rng):
+        for name, s in self.cores(rng).items():
+            got = _core_norms(s)
+            assert len(got) == s.ndim, name
+            np.testing.assert_allclose(got, self.exact(s), rtol=1e-12, atol=0.0,
+                                       err_msg=name)
+        assert _core_norms(np.zeros((2, 3, 4))) == [0.0, 0.0, 0.0]
+
+    def test_exact_at_every_finite_scale(self, rng):
+        # the power estimate squares the norm and reads inf (0.0) here
+        s = rng.standard_normal((3, 2, 4))
+        for scale in (1e300, 1e100, 1e-100, 1e-300):
+            np.testing.assert_allclose(_core_norms(scale * s), self.exact(scale * s),
+                                       rtol=1e-12, atol=0.0, err_msg=f"{scale:g}")
+
+    def test_one_eigvalsh_call_for_all_modes(self, rng, monkeypatch):
+        calls = count_calls(monkeypatch, np.linalg, "eigvalsh")
+        for s in self.cores(rng).values():
+            before = len(calls)
+            _core_norms(s)
+            assert len(calls) == before + 1
+
+    def test_non_finite_core_skips_lapack(self, monkeypatch):
+        def no_lapack(*args, **kwargs):
+            raise AssertionError("LAPACK called on a non-finite core")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_lapack)
+        for entries, want in (((math.inf,), math.inf), ((-math.inf,), math.inf),
+                              ((math.nan,), math.nan), ((math.inf, math.nan), math.nan)):
+            s = np.ones((3, 2, 2))
+            s.flat[: len(entries)] = entries
+            np.testing.assert_equal(_core_norms(s), [want] * 3)
+
+
 def planted_problem(seed=1, shape=(8, 8, 8), sigma=0.0, missing=0.0, family="gaussian"):
     part = SubjectPartition(0, (SliceGroup((0, 1)), SliceGroup((2,)),))
     spec = SynthSpec(shape=shape, ranks=(3, 3, 3), partition=part,
@@ -771,6 +829,18 @@ def sweep_iterates(omega, init, family, sim, config):
     """The ``z`` of the same solve stopped after 0, 1, ..., ``config.max_iters`` sweeps."""
     return [solve(omega, init, family, sim, replace(config, max_iters=k)).z
             for k in range(config.max_iters + 1)]
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` to record its calls; the list gains an entry per call."""
+    real, calls = getattr(module, name), []
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
 
 
 def tiny_moduli(monkeypatch, factor=None, core=None):
@@ -1098,18 +1168,13 @@ class TestSolve:
         initial = estimate_moduli(init, SolverConfig(), fam,
                                   smoothing_moments(sim, data.observed).weighted_x,
                                   factor_norms(init))
-        real, norms = dcot.solver._spectral_norm, []
-
-        def counting(a):
-            norms.append(None)
-            return real(a)
-
-        monkeypatch.setattr(dcot.solver, "_spectral_norm", counting)
+        norms = count_calls(monkeypatch, dcot.solver, "_spectral_norm")
+        core_norms = count_calls(monkeypatch, np.linalg, "eigvalsh")
         pinned = solve(data.observed, init, fam, sim,
                        SolverConfig(max_iters=5, fixed_moduli=True))
-        # the estimate's three factor norms and three core-sum norms; a
-        # pinned sweep takes none
-        assert len(norms) == 6
+        # the estimate's three factor norms and one core-norm call (one
+        # eigvalsh); a pinned sweep takes none
+        assert (len(norms), len(core_norms)) == (3, 1)
         assert pinned.moduli == initial
         refreshed = solve(data.observed, init, fam, sim, SolverConfig(max_iters=5))
         assert refreshed.moduli.gamma == initial.gamma
@@ -1123,18 +1188,14 @@ class TestSolve:
         data, part = planted_problem(seed=4, sigma=0.05, missing=0.2)
         init = initial_model(data.observed.to_dense(float(data.observed.values.mean())),
                              (3, 3, 3), InitStrategy("hosvd"), part)
-        real, norms = dcot.solver._spectral_norm, []
-
-        def counting(a):
-            norms.append(None)
-            return real(a)
-
-        monkeypatch.setattr(dcot.solver, "_spectral_norm", counting)
+        norms = count_calls(monkeypatch, dcot.solver, "_spectral_norm")
+        core_norms = count_calls(monkeypatch, np.linalg, "eigvalsh")
         solve(data.observed, init, LossFamily("gaussian"), oracles.planted_similarity(data),
               SolverConfig(max_iters=iters))
-        # set-up: three factor norms, which estimate_moduli shares, and three
-        # core-sum norms; a refreshed sweep takes three of each
-        assert len(norms) == 6 + 6 * iters
+        # set-up: three factor norms, which estimate_moduli shares, and one
+        # core-norm call (one eigvalsh); a refreshed sweep takes three factor
+        # norms and one core-norm call
+        assert (len(norms), len(core_norms)) == (3 + 3 * iters, 1 + iters)
 
     def test_divergence_safeguard_raises(self, monkeypatch):
         data, part = planted_problem(seed=6, sigma=0.05, missing=0.2)
